@@ -1,7 +1,8 @@
 """Command line interface: instance generation, decomposition, marginals,
 solving, and benchmark orchestration.
 
-Exit codes: 0 success, 1 validation failure, 2 infeasible configuration.
+Exit codes: 0 success, 1 validation failure, 2 infeasible configuration
+(including an instance above a family's size limit).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import (
     GraphicMatroid,
     MembershipError,
     PartitionMatroid,
+    SizeLimitError,
     validate_decomposition,
 )
 from .extension import LinearObjective, decompose
@@ -284,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleConfigError as exc:
+    except (InfeasibleConfigError, SizeLimitError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return 2
     except (MembershipError, ValueError, FileNotFoundError) as exc:

@@ -29,6 +29,22 @@ class DimensionError(ValueError):
     pass
 
 
+class SizeLimitError(ValueError):
+    """The instance is larger than a family's exact oracle accepts."""
+
+
+def check_box(x, space: str = "[0,1]^n") -> np.ndarray:
+    """x as a float array, refusing NaN, infinities and entries outside
+    [0, 1] by more than MEMBERSHIP_TOL (MembershipError)."""
+    x = np.asarray(x, dtype=float)
+    # NaN fails both comparisons, so in-box input pays for no extra pass.
+    if not (x.min(initial=0.0) >= -MEMBERSHIP_TOL and x.max(initial=0.0) <= 1 + MEMBERSHIP_TOL):
+        if not np.isfinite(x).all():
+            raise MembershipError("point has non-finite entries")
+        raise MembershipError(f"point leaves {space}")
+    return x
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """A vertex of a feasible-set polytope.
@@ -101,8 +117,7 @@ class Point:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1:
             raise DimensionError("point must be a 1-d vector")
-        if vals.min(initial=0.0) < -MEMBERSHIP_TOL or vals.max(initial=0.0) > 1 + MEMBERSHIP_TOL:
-            raise MembershipError("point has entries outside [0, 1]")
+        check_box(vals)
         np.clip(vals, 0.0, 1.0, out=vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

@@ -23,6 +23,7 @@ from .core import (
 from .fstab import check_fstab_membership, decompose_fstab
 from .hypersimplex import (
     _kernel_decompose_for_tape,
+    _kernel_vertices,
     decompose_hypersimplex,
     decompose_rescaled,
 )
@@ -153,16 +154,16 @@ def _tape_from_kernel(xv, c, cfg):
     res, x0 = _kernel_decompose_for_tape(xv, c, cfg)
     probs, qs, avals, verts, branch, bind, snaps, aex, residual_inf, terminal = res
     n = x0.shape[0]
-    vertices, w_idx, w_coef, x_next = [], [], [], []
-    for t in range(len(probs)):
-        vertices.append(VertexSet.integral(verts[t], n))
-        if branch[t] == 2:
+    vertices = _kernel_vertices(verts, n)
+    w_idx, w_coef, x_next = [], [], []
+    for t, (br, bi) in enumerate(zip(branch.tolist(), bind.tolist())):
+        if br == 2:
             w_idx.append(None)
             w_coef.append(None)
             x_next.append(None)
         else:
-            w_idx.append(np.array([bind[t]], dtype=np.int64))
-            w_coef.append(np.array([1.0 if branch[t] == 0 else -1.0]))
+            w_idx.append(np.array([bi], dtype=np.int64))
+            w_coef.append(np.array([1.0 if br == 0 else -1.0]))
             x_next.append(snaps[t])
     tape = GradientTape(
         family=c.family, n=n, p=probs, q=qs, a=avals, vertices=vertices,
@@ -170,7 +171,7 @@ def _tape_from_kernel(xv, c, cfg):
         x0=x0, kernel_raw=res,
     )
     d = Decomposition(
-        tuple((float(p), v) for p, v in zip(probs, vertices)),
+        tuple(zip(probs.tolist(), vertices)),
         residual=float(residual_inf),
         iterations=len(probs),
     )
@@ -249,20 +250,30 @@ def _tape_fstab(xv, c, cfg):
     return d, tape
 
 
-def evaluate_extension(d: Decomposition, f: SetObjective) -> float:
-    """F = sum p_t f(S_t); half-integral vertices contribute per policy."""
-    return float(sum(p * f(v) for p, v in d.pairs))
+def vertex_values(d: Decomposition, f: SetObjective) -> list[float]:
+    """f at every vertex of d, in pair order: one evaluation per vertex that
+    evaluate_extension, best_set and backprop_extension (on the tape that
+    produced d) can share."""
+    return [f(v) for _, v in d.pairs]
 
 
-def best_set(d: Decomposition, f: SetObjective) -> tuple[VertexSet, float]:
+def evaluate_extension(d: Decomposition, f: SetObjective, fvals=None) -> float:
+    """F = sum p_t f(S_t); half-integral vertices contribute per policy.
+    fvals, when given, are the vertex values of d (see vertex_values)."""
+    if fvals is None:
+        fvals = vertex_values(d, f)
+    return float(sum(p * fv for (p, _), fv in zip(d.pairs, fvals)))
+
+
+def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, float]:
     """Best integral vertex in the support; ties keep the earliest pair.
     With the zero half-integral policy and f >= 0 the returned value is
-    >= evaluate_extension(d, f)."""
+    >= evaluate_extension(d, f).  fvals as in evaluate_extension."""
     best = None
-    for _, v in d.pairs:
+    for t, (_, v) in enumerate(d.pairs):
         if not v.is_integral:
             continue
-        val = f(v)
+        val = f(v) if fvals is None else fvals[t]
         if best is None or val > best[1]:
             best = (v, val)
     if best is None:
@@ -270,10 +281,13 @@ def best_set(d: Decomposition, f: SetObjective) -> tuple[VertexSet, float]:
     return best
 
 
-def backprop_extension(tape: GradientTape, f: SetObjective) -> np.ndarray:
+def backprop_extension(tape: GradientTape, f: SetObjective, fvals=None) -> np.ndarray:
     """Exact gradient of F = sum p_t f(S_t) treating vertex choices and
-    binding constraints as locally constant (valid almost everywhere)."""
-    fvals = np.array([f(v) for v in tape.vertices])
+    binding constraints as locally constant (valid almost everywhere).
+    fvals, when given, are f at tape.vertices in order."""
+    if fvals is None:
+        fvals = [f(v) for v in tape.vertices]
+    fvals = np.array(fvals, dtype=np.float64)
     if tape.kernel_raw is not None:
         probs, qs, avals, verts, branch, bind, snaps, aex, _, _ = tape.kernel_raw
         return kernels.backprop_blocks(

@@ -16,6 +16,7 @@ from .core import (
     MembershipError,
     Point,
     VertexSet,
+    check_box,
 )
 from .graphs import Graph
 
@@ -333,9 +334,7 @@ def fstab_projection_vjp(trace, gx: np.ndarray) -> np.ndarray:
 
 
 def check_fstab_membership(x, g: Graph) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.min(initial=0.0) < -1e-9 or x.max(initial=0.0) > 1 + 1e-9:
-        raise MembershipError("point leaves [0,1]^n")
+    x = check_box(x)
     for u, v in g.edges:
         if x[u] + x[v] > 1.0 + 1e-9:
             raise MembershipError(f"edge ({u},{v}) sum {x[u] + x[v]:.9f} > 1")

@@ -14,6 +14,7 @@ from .core import (
     MembershipError,
     Point,
     VertexSet,
+    check_box,
 )
 
 EXACT = DecompositionConfig()
@@ -67,9 +68,7 @@ def max_step_coefficient(x, s: VertexSet) -> float:
 
 
 def _check_membership(x: np.ndarray, k: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.min(initial=0.0) < -1e-9 or x.max(initial=0.0) > 1 + 1e-9:
-        raise MembershipError("point leaves [0,1]^n")
+    x = check_box(x)
     if abs(float(x.sum()) - k) > SUM_TOL:
         raise MembershipError(
             f"sum {x.sum():.9f} != k={k}; refusing to renormalize silently"
@@ -93,11 +92,15 @@ def _run_kernel(x: np.ndarray, k: int, cfg: DecompositionConfig, want_tape: bool
     )
 
 
+def _kernel_vertices(verts: np.ndarray, n: int) -> list[VertexSet]:
+    """One vertex per row of the kernel's (T, K) index matrix.  Rows come
+    sorted; the constructor still checks order and range."""
+    return [VertexSet(n, tuple(row)) for row in verts.tolist()]
+
+
 def _to_decomposition(result, n: int) -> Decomposition:
     probs, _, _, verts, _, _, _, _, residual_inf, _ = result
-    pairs = tuple(
-        (float(p), VertexSet.integral(v, n)) for p, v in zip(probs, verts)
-    )
+    pairs = tuple(zip(probs.tolist(), _kernel_vertices(verts, n)))
     return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
 
 

@@ -5,7 +5,11 @@ Two interchangeable implementations exist: a Cython extension
 (``_speedups``) and a pure-numpy fallback (``_purepy``).  The compiled one
 is picked at import time when available; set ``CARADEC_PURE=1`` to force
 the fallback.  Both follow the same arithmetic step for step, so results
-agree to the last few ulps and all tie-breaking is identical.
+agree to the last few ulps and all tie-breaking is identical: each block
+takes its k largest coordinates, ties to the smaller index.  The pure
+kernel finds them without a per-element loop, by one stable sort on
+(block, value descending, index).
+Timings of both backends come from the benchmark in ``perfbench/``.
 """
 
 import os

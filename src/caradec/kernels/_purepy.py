@@ -11,6 +11,8 @@ reverse-mode gradient of sum(p_t * f_t) through the recorded tape.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BRANCH_MIN_IN = 0
@@ -41,8 +43,11 @@ def decompose_blocks(
     n = x.shape[0]
     block_of = np.asarray(block_of, dtype=np.int32)
     budgets = np.asarray(budgets, dtype=np.int64)
-    nb = budgets.shape[0]
     K = int(budgets.sum())
+    # The vertex is each block's first budget entries in one stable sort by
+    # (block, value desc, index); the block sizes fix their positions.
+    sizes = np.bincount(block_of, minlength=budgets.shape[0])
+    take = np.concatenate([s + np.arange(k) for s, k in zip(np.cumsum(sizes) - sizes, budgets)])
 
     probs, qs, avals, verts, branch, bind, aexs = [], [], [], [], [], [], []
     snaps = [] if want_tape else None
@@ -51,21 +56,9 @@ def decompose_blocks(
     residual_inf = 0.0
 
     for _ in range(max_iter):
-        order = np.argsort(-x, kind="stable")
-        v = np.empty(K, dtype=np.int32)
-        cnt = np.zeros(nb, dtype=np.int64)
-        pos = 0
-        for i in order:
-            b = block_of[i]
-            if cnt[b] < budgets[b]:
-                cnt[b] = cnt[b] + 1
-                v[pos] = i
-                pos += 1
-                if pos == K:
-                    break
-        v.sort()
         in_set = np.zeros(n, dtype=bool)
-        in_set[v] = True
+        in_set[np.lexsort((-x, block_of))[take]] = True
+        v = in_set.nonzero()[0]
 
         if K > 0:
             xv = x[v]
@@ -73,11 +66,9 @@ def decompose_blocks(
             a_in, idx_in = float(xv[rel]), int(v[rel])
         else:
             a_in, idx_in = np.inf, -1
-        comp = np.flatnonzero(~in_set)
-        if comp.size > 0:
-            xc = x[comp]
-            rel = int(np.argmax(xc))
-            a_out, idx_out = 1.0 - float(xc[rel]), int(comp[rel])
+        if K < n:
+            idx_out = int(np.where(in_set, -np.inf, x).argmax())
+            a_out = 1.0 - float(x[idx_out])
         else:
             a_out, idx_out = np.inf, -1
 
@@ -131,12 +122,12 @@ def decompose_blocks(
         q *= om
         if want_tape:
             snaps.append(x.copy())
-
-        residual_inf = q * float(np.max(x, initial=0.0))
-        if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
+        if eps > 0.0 and q * math.sqrt(x.dot(x)) <= eps:
             break
 
     T = len(probs)
+    if T and not terminal:
+        residual_inf = q * float(np.max(x, initial=0.0))
     out_snaps = np.asarray(snaps, dtype=np.float64) if want_tape else None
     if want_tape and T == 0:
         out_snaps = np.zeros((0, n))

@@ -18,9 +18,12 @@ from .core import (
     MembershipError,
     PartitionMatroid,
     Point,
+    SizeLimitError,
     VertexSet,
+    check_box,
 )
 from .graphs import Graph, UnionFind
+from .hypersimplex import _to_decomposition
 
 EXACT = DecompositionConfig()
 
@@ -59,9 +62,7 @@ def project_to_partition_polytope(z, spec: PartitionMatroid) -> Point:
 
 
 def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.min(initial=0.0) < -1e-9 or x.max(initial=0.0) > 1 + 1e-9:
-        raise MembershipError("point leaves [0,1]^n")
+    x = check_box(x)
     for blk, k in zip(spec.blocks, spec.budgets):
         s = float(x[list(blk)].sum())
         if abs(s - k) > SUM_TOL:
@@ -89,7 +90,7 @@ def decompose_partition(
     xv = x.values if isinstance(x, Point) else x
     xv = check_partition_membership(xv, spec)
     eps = 0.0 if cfg.is_exact else cfg.tolerance
-    probs, _, _, verts, _, _, _, _, residual_inf, _ = kernels.decompose_blocks(
+    res = kernels.decompose_blocks(
         xv,
         spec.block_of(),
         np.array(spec.budgets, dtype=np.int64),
@@ -100,8 +101,7 @@ def decompose_partition(
         cfg.guard,
         False,
     )
-    pairs = tuple((float(p), VertexSet.integral(v, spec.n)) for p, v in zip(probs, verts))
-    return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
+    return _to_decomposition(res, spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def min_g_lambda(g: Graph, x_t, s_t, lam: float, cutoff: int = SFM_CUTOFF):
     """Exact minimum of (1-lam)*r(F) - x_t(F) + lam*|F ∩ S_t| over all edge
     subsets; ties go to the smallest bitmask.  Returns (value, subset)."""
     if g.m > cutoff:
-        raise ValueError(f"m={g.m} exceeds the brute-force SFM cutoff {cutoff}")
+        raise SizeLimitError(f"m={g.m} exceeds the brute-force SFM cutoff {cutoff}")
     x_t = np.asarray(x_t, dtype=float)
     indicator = np.zeros(g.m)
     s_idx = s_t.indices if isinstance(s_t, VertexSet) else tuple(s_t)
@@ -210,8 +210,7 @@ def check_graphic_membership(x, g: Graph) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != g.m:
         raise ValueError("one coordinate per edge required")
-    if x.min(initial=0.0) < -1e-9 or x.max(initial=0.0) > 1 + 1e-9:
-        raise MembershipError("point leaves [0,1]^m")
+    check_box(x, "[0,1]^m")
     target = g.n_nodes - g.n_components()
     if abs(float(x.sum()) - target) > SUM_TOL:
         raise MembershipError(f"sum {x.sum():.9f} != n - c(G) = {target}")

@@ -26,6 +26,7 @@ from .extension import (
     decompose,
     decompose_with_tape,
     evaluate_extension,
+    vertex_values,
 )
 from .fstab import project_to_fstab
 from .graphs import UnionFind
@@ -222,10 +223,10 @@ def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> 
     adam = Adam(c.dim, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     incumbent: tuple[VertexSet, float] | None = None
 
-    def consider(d: Decomposition):
+    def consider(d: Decomposition, fvals):
         nonlocal incumbent
         try:
-            v, val = best_set(d, f)
+            v, val = best_set(d, f, fvals)
         except ValueError:
             return
         if incumbent is None or val > incumbent[1]:
@@ -237,12 +238,14 @@ def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> 
         z = _sigmoid(theta)
         x, vjp = project_point(z, c)
         d, tape = decompose_with_tape(x, c, cfg.decomposition)
-        F = evaluate_extension(d, f)
+        # One objective call per vertex, shared by F, rounding and backprop.
+        fvals = vertex_values(d, f)
+        F = evaluate_extension(d, f, fvals)
         if step % max(cfg.round_every, 1) == 0 or step == cfg.steps:
-            consider(d)
+            consider(d, fvals)
         if step == cfg.steps:
             break
-        gx = backprop_extension(tape, f)
+        gx = backprop_extension(tape, f, fvals)
         gz = vjp(gx)
         theta = adam.ascend(theta, gz * z * (1.0 - z))
     ms = (time.perf_counter() - t0) * 1e3
@@ -282,8 +285,10 @@ def multi_scale_solve(
             )
             d = decompose(xx, c, cfg)
             total_iters += d.iterations
+            fvals = None
             if b == 1.0 and rep == 0:
-                extension_value = evaluate_extension(d, f)
+                fvals = vertex_values(d, f)
+                extension_value = evaluate_extension(d, f, fvals)
             for _, v in d.pairs:
                 if not v.is_integral:
                     continue
@@ -292,7 +297,7 @@ def multi_scale_solve(
                         seen_pool.add(i)
                         pool.append(i)
             try:
-                v, val = best_set(d, f)
+                v, val = best_set(d, f, fvals)
             except ValueError:
                 continue
             if best_pair is None or val > best_pair[1]:

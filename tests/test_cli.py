@@ -109,6 +109,16 @@ def test_infeasible_exit_code(workdir):
     assert rc == 2
 
 
+def test_size_limit_exit_code(workdir, capsys):
+    # 21 edges: one more than the graphic oracle's brute-force cutoff
+    edges = "".join(f"{u} {(u + 1) % 21}\n" for u in range(21))
+    (workdir / "ring.edges").write_text(f"21 21\n{edges}")
+    rc = main(["solve", "--graph", "ring.edges", "--constraint", "forest",
+               "--method", "direct", "--steps", "2", "--seed", "0"])
+    assert rc == 2
+    assert "infeasible configuration" in capsys.readouterr().err
+
+
 def test_bench(workdir):
     cfg = {
         "seed": 0,

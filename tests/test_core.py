@@ -8,6 +8,8 @@ from caradec.core import (
     Decomposition,
     DecompositionConfig,
     DimensionError,
+    FractionalStableSet,
+    GraphicMatroid,
     MembershipError,
     PartitionMatroid,
     Point,
@@ -15,7 +17,16 @@ from caradec.core import (
     reconstruct,
     validate_decomposition,
 )
-from caradec.hypersimplex import decompose_hypersimplex, decompose_rescaled, project_to_hypersimplex
+from caradec.extension import decompose
+from caradec.fstab import check_fstab_membership
+from caradec.graphs import Graph
+from caradec.hypersimplex import (
+    _check_membership,
+    decompose_hypersimplex,
+    decompose_rescaled,
+    project_to_hypersimplex,
+)
+from caradec.matroids import check_graphic_membership, check_partition_membership
 
 
 class TestVertexSet:
@@ -52,6 +63,42 @@ class TestPoint:
         p = Point(np.array([0.5, 0.5]), "cardinality")
         with pytest.raises(ValueError):
             p.values[0] = 0.1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(MembershipError):
+            Point(np.array([0.5, bad]), "cardinality")
+
+
+TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
+FAMILIES = {
+    "cardinality": (Cardinality(3, 1), lambda x: _check_membership(x, 1), [0.2, 0.3, 0.5]),
+    "partition": (PartitionMatroid([(0, 2), (1,)], [1, 1]),
+                  lambda x: check_partition_membership(x, PartitionMatroid([(0, 2), (1,)], [1, 1])),
+                  [0.4, 1.0, 0.6]),
+    "graphic": (GraphicMatroid(TRIANGLE), lambda x: check_graphic_membership(x, TRIANGLE),
+                [0.6, 0.7, 0.7]),
+    "fstab": (FractionalStableSet(TRIANGLE), lambda x: check_fstab_membership(x, TRIANGLE),
+              [0.3, 0.3, 0.3]),
+}
+
+
+class TestNonFiniteInput:
+    """NaN and infinities are refused by every family's membership check
+    and so by decompose, instead of decomposing into garbage."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, family, bad):
+        c, check, x = FAMILIES[family]
+        assert validate_decomposition(decompose(x, c), c, x).ok()
+        for i in range(len(x)):
+            y = np.array(x)
+            y[i] = bad
+            with pytest.raises(MembershipError):
+                check(y)
+            with pytest.raises(MembershipError):
+                decompose(y, c)
 
 
 class TestReconstruct:

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from caradec.core import Cardinality, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
-from caradec.extension import LinearObjective, best_set, decompose
+from caradec import solvers
+from caradec.extension import (
+    LinearObjective,
+    backprop_extension,
+    best_set,
+    decompose,
+    decompose_with_tape,
+    evaluate_extension,
+)
 from caradec.generators import gen_er_graph, gen_random_uniform
 from caradec.graphs import Graph
 from caradec.objectives import (
@@ -18,6 +26,7 @@ from caradec.rng import stream
 from caradec.solvers import (
     Adam,
     OptimizeConfig,
+    _sigmoid,
     ScaleSchedule,
     direct_optimize,
     greedy_coverage,
@@ -26,6 +35,7 @@ from caradec.solvers import (
     random_baseline,
     random_decomp_baseline,
     random_point_in_polytope,
+    project_point,
 )
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -102,6 +112,60 @@ class TestDirectOptimize:
                               OptimizeConfig(steps=40, seed=0, round_every=1))
         _, opt = brute_force_optimum(LinearObjective(w), GraphicMatroid(g))
         assert res.objective == pytest.approx(opt)
+
+
+class CountingCut(CutObjective):
+    def __init__(self, g):
+        super().__init__(g)
+        self.calls = 0
+
+    def value_of(self, indices):
+        self.calls += 1
+        return super().value_of(indices)
+
+
+def reference_direct(f, c, cfg):
+    """direct_optimize written with evaluate_extension, best_set and
+    backprop_extension, each of which evaluates f on its own."""
+    theta = cfg.init_scale * stream(cfg.seed, "direct-optimize").standard_normal(c.dim)
+    adam = Adam(c.dim, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    incumbent = None
+    for step in range(cfg.steps + 1):
+        z = _sigmoid(theta)
+        x, vjp = project_point(z, c)
+        d, tape = decompose_with_tape(x, c, cfg.decomposition)
+        F = evaluate_extension(d, f)
+        v, val = best_set(d, f)
+        if incumbent is None or val > incumbent[1]:
+            incumbent = (v, val)
+        if step == cfg.steps:
+            return incumbent, F, x
+        theta = adam.ascend(theta, vjp(backprop_extension(tape, f)) * z * (1.0 - z))
+
+
+class TestSingleEvaluation:
+    def test_one_call_per_vertex(self, monkeypatch):
+        g = gen_er_graph(14, 0.3, seed=8)
+        c = Cardinality(14, 4)
+        cfg = OptimizeConfig(steps=25, seed=3, init="random", round_every=1)
+        supports = []
+
+        def recording(x, c, cfg):
+            d, tape = decompose_with_tape(x, c, cfg)
+            supports.append(len(d.pairs))
+            return d, tape
+
+        monkeypatch.setattr(solvers, "decompose_with_tape", recording)
+        f = CountingCut(g)
+        res = direct_optimize(f, c, cfg)
+        assert len(supports) == cfg.steps + 1
+        assert f.calls == sum(supports)
+
+        (best, value), F, x = reference_direct(CutObjective(g), c, cfg)
+        assert res.objective == value
+        assert res.best == best
+        assert res.extension_value == F
+        assert np.array_equal(res.final_point, x)
 
 
 class TestMultiScale:
