@@ -12,19 +12,13 @@ import time
 
 import numpy as np
 
+from caradec.hypersimplex import project_to_hypersimplex
 from caradec.kernels import _purepy
 
 try:
     from caradec.kernels import _speedups
 except ImportError:
     _speedups = None
-
-
-def hypersimplex_point(rng, n, k):
-    z = rng.random(n)
-    mu = z.mean()
-    s = min((k / n) / mu, ((n - k) / n) / (1 - mu))
-    return s * (z - mu) + k / n
 
 
 def time_call(fn, repeats):
@@ -48,7 +42,7 @@ def bench(repeats):
     print(f"{'case':<34} " + " ".join(f"{name:>10}" for name, _ in impls) +
           ("   speedup" if _speedups else ""))
     for label, n, k, scale, floor, eps, max_iter in cases:
-        x = hypersimplex_point(rng, n, k)
+        x = project_to_hypersimplex(rng.random(n), k).values
         blk = np.zeros(n, dtype=np.int32)
         bud = np.array([k], dtype=np.int64)
         times = []
@@ -67,7 +61,7 @@ def bench(repeats):
 
     # tape + backprop (the direct-optimize inner loop)
     n, k = 500, 10
-    x = hypersimplex_point(rng, n, k)
+    x = project_to_hypersimplex(rng.random(n), k).values
     blk = np.zeros(n, dtype=np.int32)
     bud = np.array([k], dtype=np.int64)
     times = []

@@ -95,11 +95,6 @@ class VertexSet:
             out[:] = self.halves
         return out
 
-    def as_set(self) -> frozenset:
-        if self.indices is None:
-            raise ValueError("half-integral vertex has no index-set form")
-        return frozenset(self.indices)
-
     def __len__(self) -> int:
         if self.indices is not None:
             return len(self.indices)
@@ -213,41 +208,20 @@ class DecompositionConfig:
         return max(4 * dim, 256)
 
 
+EXACT = DecompositionConfig()
+
+
 # ---------------------------------------------------------------------------
 # Constraint specifications
 
 
 @dataclass(frozen=True)
-class Cardinality:
-    """Exactly-k subsets of an n-element ground set (hypersimplex)."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not (0 <= self.k <= self.n):
-            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-
-    family = "cardinality"
-
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    def iteration_bound(self) -> int:
-        return self.n
-
-    def vertex_feasible(self, v: VertexSet) -> bool:
-        return v.is_integral and len(v.indices) == self.k
-
-    def membership_error(self, x: np.ndarray) -> float:
-        box = max(0.0, float(np.max(-x, initial=0.0)), float(np.max(x - 1, initial=0.0)))
-        return max(box, abs(float(x.sum()) - self.k))
-
-
-@dataclass(frozen=True)
 class PartitionMatroid:
-    """Per-block exact budgets over a partitioned ground set."""
+    """Per-block exact budgets over a partitioned ground set.
+
+    The per-element block array and the per-block index arrays are built
+    once here (read-only, outside the compared fields) for the kernel, the
+    projection and swap checks."""
 
     blocks: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
@@ -264,12 +238,20 @@ class PartitionMatroid:
         for b, k in zip(self.blocks, self.budgets):
             if not (0 <= k <= len(b)):
                 raise ValueError(f"budget {k} out of range for block of size {len(b)}")
+        block_of = np.empty(n, dtype=np.int32)
+        block_indices = tuple(np.array(b, dtype=np.int64) for b in self.blocks)
+        for bi, idx in enumerate(block_indices):
+            block_of[idx] = bi
+            idx.setflags(write=False)
+        block_of.setflags(write=False)
+        budget_array = np.array(self.budgets, dtype=np.int64)
+        budget_array.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "block_indices", block_indices)
+        object.__setattr__(self, "budget_array", budget_array)
+        object.__setattr__(self, "_block_of", block_of)
 
     family = "partition"
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
 
     @property
     def dim(self) -> int:
@@ -279,21 +261,30 @@ class PartitionMatroid:
         return self.n
 
     def block_of(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.int32)
-        for bi, blk in enumerate(self.blocks):
-            out[list(blk)] = bi
-        return out
+        """Block number of every element (read-only)."""
+        return self._block_of
 
     def vertex_feasible(self, v: VertexSet) -> bool:
-        if not v.is_integral:
+        if not v.is_integral or (v.indices and v.indices[-1] >= self.n):
             return False
-        s = set(v.indices)
-        return all(len(s.intersection(b)) == k for b, k in zip(self.blocks, self.budgets))
+        counts = np.bincount(self._block_of[list(v.indices)], minlength=len(self.budgets))
+        return bool((counts == self.budget_array).all())
 
-    def membership_error(self, x: np.ndarray) -> float:
-        box = max(0.0, float(np.max(-x, initial=0.0)), float(np.max(x - 1, initial=0.0)))
-        sums = max(abs(float(x[list(b)].sum()) - k) for b, k in zip(self.blocks, self.budgets))
-        return max(box, sums)
+
+class Cardinality(PartitionMatroid):
+    """Exactly-k subsets of an n-element ground set (hypersimplex): the
+    partition matroid with the single block {0..n-1} of budget k."""
+
+    family = "cardinality"
+
+    def __init__(self, n: int, k: int):
+        if not (0 <= k <= n):
+            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+        super().__init__((range(n),), (k,))
+        object.__setattr__(self, "k", int(k))
+
+    def __repr__(self) -> str:
+        return f"Cardinality(n={self.n}, k={self.k})"
 
 
 @dataclass(frozen=True)
@@ -322,10 +313,6 @@ class GraphicMatroid:
             return False
         return self.graph.is_forest(v.indices)
 
-    def membership_error(self, x: np.ndarray) -> float:
-        box = max(0.0, float(np.max(-x, initial=0.0)), float(np.max(x - 1, initial=0.0)))
-        return max(box, abs(float(x.sum()) - self.forest_size()))
-
 
 @dataclass(frozen=True)
 class FractionalStableSet:
@@ -353,13 +340,6 @@ class FractionalStableSet:
             return self.graph.is_independent_set(v.indices)
         vec = v.to_vector()
         return all(vec[u] + vec[w] <= 1.0 for u, w in self.graph.edges)
-
-    def membership_error(self, x: np.ndarray) -> float:
-        box = max(0.0, float(np.max(-x, initial=0.0)), float(np.max(x - 1, initial=0.0)))
-        edge = 0.0
-        for u, w in self.graph.edges:
-            edge = max(edge, float(x[u] + x[w] - 1.0))
-        return max(box, edge)
 
 
 ConstraintSpec = Cardinality | PartitionMatroid | GraphicMatroid | FractionalStableSet

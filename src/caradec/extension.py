@@ -10,7 +10,7 @@ import numpy as np
 
 from . import kernels
 from .core import (
-    Cardinality,
+    EXACT,
     ConstraintSpec,
     Decomposition,
     DecompositionConfig,
@@ -21,20 +21,12 @@ from .core import (
     VertexSet,
 )
 from .fstab import check_fstab_membership, decompose_fstab
-from .hypersimplex import (
-    _kernel_decompose_for_tape,
-    _kernel_vertices,
-    decompose_hypersimplex,
-    decompose_rescaled,
-)
+from .hypersimplex import _kernel_vertices, decompose_partition, kernel_decompose
 from .matroids import (
     _decompose_graphic_component,
     check_graphic_membership,
     decompose_graphic,
-    decompose_partition,
 )
-
-EXACT = DecompositionConfig()
 
 
 class SetObjective:
@@ -85,13 +77,8 @@ class CallableObjective(SetObjective):
 
 
 def decompose(x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT) -> Decomposition:
-    """Family dispatcher; exact configs use the exact routines, others the
-    rescaled ones."""
+    """Family dispatcher; cardinality is the one-block partition matroid."""
     xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
-    if isinstance(c, Cardinality):
-        if cfg.is_exact:
-            return decompose_hypersimplex(xv, c.k, cfg)
-        return decompose_rescaled(xv, c.k, cfg)
     if isinstance(c, PartitionMatroid):
         return decompose_partition(xv, c, cfg)
     if isinstance(c, GraphicMatroid):
@@ -141,7 +128,7 @@ def decompose_with_tape(
     x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT
 ) -> tuple[Decomposition, GradientTape]:
     xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
-    if isinstance(c, (Cardinality, PartitionMatroid)):
+    if isinstance(c, PartitionMatroid):
         return _tape_from_kernel(xv, c, cfg)
     if isinstance(c, GraphicMatroid):
         return _tape_graphic(xv, c, cfg)
@@ -151,7 +138,7 @@ def decompose_with_tape(
 
 
 def _tape_from_kernel(xv, c, cfg):
-    res, x0 = _kernel_decompose_for_tape(xv, c, cfg)
+    res, x0 = kernel_decompose(xv, c, cfg, True)
     probs, qs, avals, verts, branch, bind, snaps, aex, residual_inf, terminal = res
     n = x0.shape[0]
     vertices = _kernel_vertices(verts, n)
@@ -317,8 +304,6 @@ def backprop_extension(tape: GradientTape, f: SetObjective, fvals=None) -> np.nd
 def _blocks_of(c: ConstraintSpec) -> list[list[int]] | None:
     """Coordinate blocks whose sums the polytope fixes; None when the
     polytope is full-dimensional (fstab)."""
-    if isinstance(c, Cardinality):
-        return [list(range(c.n))]
     if isinstance(c, PartitionMatroid):
         return [list(b) for b in c.blocks]
     if isinstance(c, GraphicMatroid):

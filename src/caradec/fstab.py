@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 
 from .core import (
+    EXACT,
     Decomposition,
     DecompositionConfig,
     MembershipError,
@@ -20,7 +21,6 @@ from .core import (
 )
 from .graphs import Graph
 
-EXACT = DecompositionConfig()
 
 ZERO_TOL = 1e-9
 TIGHT_TOL = 1e-9
@@ -130,10 +130,10 @@ def _augmented_weights(x: np.ndarray, g: Graph):
     return c, alive, live_edges
 
 
-def fstab_vertex(x_t, g: Graph, eps: float = 1e-7) -> VertexSet:
+def fstab_vertex(x_t, g: Graph) -> VertexSet:
     """Vertex of FSTAB on the minimal face containing x_t, maximizing
     x_t.y with exact lexicographic tie-breaking (the eps -> 0 limit of the
-    geometric perturbation; eps is nominal, refinement is exact)."""
+    geometric perturbation, computed exactly)."""
     x = np.asarray(x_t, dtype=float)
     n = x.shape[0]
     c, alive, live_edges = _augmented_weights(x, g)
@@ -184,7 +184,7 @@ def fstab_vertex(x_t, g: Graph, eps: float = 1e-7) -> VertexSet:
     return VertexSet.half_integral(fixed)
 
 
-def fstab_vertex_enumerate(x_t, g: Graph, eps: float = 1e-7) -> VertexSet:
+def fstab_vertex_enumerate(x_t, g: Graph) -> VertexSet:
     """Validation oracle: brute force over feasible {0, 1/2, 1}^n points with
     the same augmented objective and lexicographic preference."""
     x = np.asarray(x_t, dtype=float)

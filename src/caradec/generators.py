@@ -4,8 +4,6 @@ byte-identical across platforms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import Graph
@@ -15,26 +13,6 @@ from .rng import stream
 
 class InfeasibleConfigError(ValueError):
     """Generator parameters that cannot produce a valid instance."""
-
-
-@dataclass(frozen=True)
-class GenParams:
-    kind: str  # "random-uniform" | "random-pareto" | "erdos-renyi"
-    n_sets: int = 0
-    n_elements: int = 0
-    degree_range: tuple[int, int] = (10, 30)
-    weight_range: tuple[int, int] = (1, 100)
-    alpha_range: tuple[float, float] = (1.0, 2.0)
-    n_nodes: int = 0
-    edge_prob: float = 0.15
-    count: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("random-uniform", "random-pareto", "erdos-renyi"):
-            raise InfeasibleConfigError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "erdos-renyi" and not (0.0 < self.edge_prob < 1.0):
-            raise InfeasibleConfigError("edge probability must be in (0, 1)")
 
 
 def gen_random_uniform(

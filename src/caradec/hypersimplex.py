@@ -1,5 +1,7 @@
-"""Projection into the hypersimplex (exact-cardinality polytope) and
-exact / rescaled decomposition of its points into size-k vertex sets."""
+"""Box-plus-sum polytopes: partition-matroid bases, with exact cardinality
+(the hypersimplex) as the one-block case.  Mean-centred projection and its
+VJP, the membership check, and exact / rescaled decomposition of their
+points into feasible sets through the block kernel."""
 
 from __future__ import annotations
 
@@ -7,39 +9,74 @@ import numpy as np
 
 from . import kernels
 from .core import (
+    EXACT,
     SUM_TOL,
     Cardinality,
     Decomposition,
     DecompositionConfig,
+    DimensionError,
     MembershipError,
+    PartitionMatroid,
     Point,
     VertexSet,
     check_box,
 )
 
-EXACT = DecompositionConfig()
+
+def _project_block(z, idx, k, gx=None):
+    """Mean-centred scaling of z[idx] onto the block sum k:
+    x = s*(z - mean) + k/ni with s = min(k/(ni*mu), (ni-k)/(ni*(1-mu))); the
+    degenerate all-zero / all-one blocks map to the uniform center.  Returns
+    the projected values and, when gx is given, the pulled-back gradient."""
+    ni = len(idx)
+    zb = z[idx]
+    u = k / ni
+    if k == 0 or k == ni:
+        return np.full(ni, u), (np.zeros(ni) if gx is not None else None)
+    m = float(zb.mean())
+    if m <= 0.0 or m >= 1.0:
+        return np.full(ni, u), (np.zeros(ni) if gx is not None else None)
+    s1 = (k / ni) / m
+    s2 = ((ni - k) / ni) / (1.0 - m)
+    if s1 <= s2:
+        s, ds = s1, -(k / ni) / (m * m)
+    else:
+        s, ds = s2, ((ni - k) / ni) / ((1.0 - m) ** 2)
+    xb = s * (zb - m) + u
+    if gx is None:
+        return xb, None
+    gb = gx[idx]
+    pulled = s * (gb - gb.mean()) + (ds / ni) * float(gb @ (zb - m))
+    return xb, pulled
+
+
+def project_blocks(z: np.ndarray, spec: PartitionMatroid, gx=None):
+    """Block-wise projection of z (unchecked); returns x and, when gx is
+    given, dF/dz for dF/dx = gx."""
+    x = np.empty_like(z)
+    pulled = None if gx is None else np.zeros_like(z)
+    for idx, k in zip(spec.block_indices, spec.budgets):
+        x[idx], pb = _project_block(z, idx, k, gx)
+        if gx is not None:
+            pulled[idx] = pb
+    return x, pulled
+
+
+def project_to_partition_polytope(z, spec: PartitionMatroid) -> Point:
+    """Block-wise mean-centered scaling into the partition base polytope;
+    each block lands on sum k_i, degenerate blocks on their centers."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[0] != spec.n:
+        raise ValueError("dimension mismatch with partition spec")
+    # NaN fails both comparisons.
+    if not (z.min(initial=0.0) >= 0.0 and z.max(initial=0.0) <= 1.0):
+        raise ValueError("projection input must be finite and lie in [0, 1]^n")
+    return Point(project_blocks(z, spec)[0], spec.family)
 
 
 def project_to_hypersimplex(z, k: int) -> Point:
-    """Scale the mean-centered z into the exact-k polytope.
-
-    x = s*(z - mean) + k/n with s = min(k/(n*mu), (n-k)/(n*(1-mu))); the
-    degenerate all-zero / all-one inputs map to the uniform center.
-    """
-    z = np.asarray(z, dtype=float)
-    n = z.shape[0]
-    if not (0 <= k <= n):
-        raise ValueError(f"k={k} out of range for n={n}")
-    if z.min(initial=0.0) < 0.0 or z.max(initial=0.0) > 1.0:
-        raise ValueError("projection input must lie in [0, 1]^n")
-    u = np.full(n, k / n)
-    if k == 0 or k == n:
-        return Point(u, "cardinality")
-    mu = float(z.mean())
-    if mu <= 0.0 or mu >= 1.0:
-        return Point(u, "cardinality")
-    s = min((k / n) / mu, ((n - k) / n) / (1.0 - mu))
-    return Point(s * (z - mu) + u, "cardinality")
+    """Mean-centred scaling of z into the exact-k polytope."""
+    return project_to_partition_polytope(z, Cardinality(np.shape(z)[0], k))
 
 
 def top_k_vertex(x, k: int) -> VertexSet:
@@ -67,29 +104,33 @@ def max_step_coefficient(x, s: VertexSet) -> float:
     return float(min(a_in, a_out, 1.0))
 
 
-def _check_membership(x: np.ndarray, k: int) -> np.ndarray:
+def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
     x = check_box(x)
-    if abs(float(x.sum()) - k) > SUM_TOL:
-        raise MembershipError(
-            f"sum {x.sum():.9f} != k={k}; refusing to renormalize silently"
-        )
+    if x.shape != (spec.n,):
+        raise DimensionError(f"point of shape {x.shape} for a spec of dimension {spec.n}")
+    for idx, k in zip(spec.block_indices, spec.budgets):
+        s = float(x[idx].sum())
+        if abs(s - k) > SUM_TOL:
+            raise MembershipError(f"block sum {s:.9f} != k_i={k}")
     return np.clip(x, 0.0, 1.0)
 
 
-def _run_kernel(x: np.ndarray, k: int, cfg: DecompositionConfig, want_tape: bool):
-    n = x.shape[0]
-    eps = 0.0 if cfg.is_exact else cfg.tolerance
-    return kernels.decompose_blocks(
-        x,
-        np.zeros(n, dtype=np.int32),
-        np.array([k], dtype=np.int64),
+def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig, want_tape: bool):
+    """Membership-checked run of the block kernel on x; returns the raw
+    kernel result and the checked point."""
+    xv = check_partition_membership(x.values if isinstance(x, Point) else x, spec)
+    res = kernels.decompose_blocks(
+        xv,
+        spec.block_of(),
+        spec.budget_array,
         cfg.scale,
         cfg.floor,
-        eps,
-        cfg.iteration_cap(n),
+        0.0 if cfg.is_exact else cfg.tolerance,
+        cfg.iteration_cap(spec.n),
         cfg.guard,
         want_tape,
     )
+    return res, xv
 
 
 def _kernel_vertices(verts: np.ndarray, n: int) -> list[VertexSet]:
@@ -98,55 +139,24 @@ def _kernel_vertices(verts: np.ndarray, n: int) -> list[VertexSet]:
     return [VertexSet(n, tuple(row)) for row in verts.tolist()]
 
 
-def _to_decomposition(result, n: int) -> Decomposition:
-    probs, _, _, verts, _, _, _, _, residual_inf, _ = result
-    pairs = tuple(zip(probs.tolist(), _kernel_vertices(verts, n)))
+def decompose_partition(
+    x, spec: PartitionMatroid, cfg: DecompositionConfig = EXACT
+) -> Decomposition:
+    """Decompose x into feasible sets with |S ∩ V_i| = k_i for every block.
+    Exact configs give at most n pairs that reconstruct x to float accuracy;
+    rescaled ones take b*a_t per step (a_t when b*a_t falls below the
+    floor), stop at l2 residual <= tolerance or the iteration cap, and
+    leave the leftover mass unreported in the pair list."""
+    res, _ = kernel_decompose(x, spec, cfg, False)
+    probs, _, _, verts, _, _, _, _, residual_inf, _ = res
+    pairs = tuple(zip(probs.tolist(), _kernel_vertices(verts, spec.n)))
     return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
 
 
 def decompose_hypersimplex(
     x, k: int, cfg: DecompositionConfig = EXACT
 ) -> Decomposition:
-    """Exact decomposition of x in the k-hypersimplex: at most n pairs, every
-    set of size exactly k, reconstruction to float accuracy."""
-    if not cfg.is_exact:
-        raise ValueError("decompose_hypersimplex needs scale=1, floor=0; "
-                         "use decompose_rescaled")
-    xv = x.values if isinstance(x, Point) else x
-    xv = _check_membership(xv, k)
-    return _to_decomposition(_run_kernel(xv, k, cfg, False), xv.shape[0])
-
-
-def decompose_rescaled(x, k: int, cfg: DecompositionConfig) -> Decomposition:
-    """Decomposition with per-step coefficient b*a_t (or a_t when b*a_t falls
-    below the floor), stopped at l2 residual <= tolerance or the iteration
-    cap; the leftover mass stays unreported in the pair list."""
-    xv = x.values if isinstance(x, Point) else x
-    xv = _check_membership(xv, k)
-    return _to_decomposition(_run_kernel(xv, k, cfg, False), xv.shape[0])
-
-
-def _kernel_decompose_for_tape(x, spec, cfg: DecompositionConfig):
-    """Shared fast path for cardinality/partition tapes; returns the raw
-    kernel result (used by the extension module)."""
-    if isinstance(spec, Cardinality):
-        xv = _check_membership(x, spec.k)
-        res = _run_kernel(xv, spec.k, cfg, True)
-        return res, xv
-    # partition matroid
-    from .matroids import check_partition_membership
-
-    xv = check_partition_membership(x, spec)
-    eps = 0.0 if cfg.is_exact else cfg.tolerance
-    res = kernels.decompose_blocks(
-        xv,
-        spec.block_of(),
-        np.array(spec.budgets, dtype=np.int64),
-        cfg.scale,
-        cfg.floor,
-        eps,
-        cfg.iteration_cap(spec.n),
-        cfg.guard,
-        True,
-    )
-    return res, xv
+    """decompose_partition of x in the k-hypersimplex: every set of size
+    exactly k."""
+    xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
+    return decompose_partition(xv, Cardinality(xv.shape[0], k), cfg)

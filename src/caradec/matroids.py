@@ -1,6 +1,5 @@
-"""Partition-matroid and graphical-matroid base polytopes: block-wise
-projection, vertex oracles, step coefficients, decompositions, and
-spanning-tree marginals via the reduced Laplacian."""
+"""Graphical-matroid base polytope: vertex oracle, step coefficients,
+decompositions, and spanning-tree marginals via the reduced Laplacian."""
 
 from __future__ import annotations
 
@@ -10,98 +9,21 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import kernels
 from .core import (
+    EXACT,
     SUM_TOL,
     Decomposition,
     DecompositionConfig,
     MembershipError,
-    PartitionMatroid,
     Point,
     SizeLimitError,
     VertexSet,
     check_box,
 )
 from .graphs import Graph, UnionFind
-from .hypersimplex import _to_decomposition
-
-EXACT = DecompositionConfig()
 
 SFM_CUTOFF = 20
 ZERO_WEIGHT = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Partition matroid
-
-
-def project_to_partition_polytope(z, spec: PartitionMatroid) -> Point:
-    """Block-wise mean-centered scaling into the partition base polytope;
-    each block lands on sum k_i, degenerate blocks on their centers."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] != spec.n:
-        raise ValueError("dimension mismatch with partition spec")
-    if z.min(initial=0.0) < 0.0 or z.max(initial=0.0) > 1.0:
-        raise ValueError("projection input must lie in [0, 1]^n")
-    x = np.empty_like(z)
-    for blk, k in zip(spec.blocks, spec.budgets):
-        idx = list(blk)
-        ni = len(idx)
-        zb = z[idx]
-        u = k / ni
-        if k == 0 or k == ni:
-            x[idx] = u
-            continue
-        m = float(zb.mean())
-        if m <= 0.0 or m >= 1.0:
-            x[idx] = u
-            continue
-        s = min((k / ni) / m, ((ni - k) / ni) / (1.0 - m))
-        x[idx] = s * (zb - m) + u
-    return Point(x, "partition")
-
-
-def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
-    x = check_box(x)
-    for blk, k in zip(spec.blocks, spec.budgets):
-        s = float(x[list(blk)].sum())
-        if abs(s - k) > SUM_TOL:
-            raise MembershipError(f"block sum {s:.9f} != k_i={k}")
-    return np.clip(x, 0.0, 1.0)
-
-
-def partition_vertex(x, spec: PartitionMatroid) -> VertexSet:
-    """Per-block top-k_i indices, ties to the smaller index."""
-    x = np.asarray(x, dtype=float)
-    chosen: list[int] = []
-    for blk, k in zip(spec.blocks, spec.budgets):
-        idx = np.fromiter(blk, dtype=np.int64)
-        order = np.argsort(-x[idx], kind="stable")
-        chosen.extend(idx[order[:k]])
-    return VertexSet.integral(chosen, spec.n)
-
-
-def decompose_partition(
-    x, spec: PartitionMatroid, cfg: DecompositionConfig = EXACT
-) -> Decomposition:
-    """Decompose x into feasible sets with |S ∩ V_i| = k_i for every block;
-    with a single block this is pairwise identical to the hypersimplex
-    decomposition."""
-    xv = x.values if isinstance(x, Point) else x
-    xv = check_partition_membership(xv, spec)
-    eps = 0.0 if cfg.is_exact else cfg.tolerance
-    res = kernels.decompose_blocks(
-        xv,
-        spec.block_of(),
-        np.array(spec.budgets, dtype=np.int64),
-        cfg.scale,
-        cfg.floor,
-        eps,
-        cfg.iteration_cap(spec.n),
-        cfg.guard,
-        False,
-    )
-    return _to_decomposition(res, spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +288,7 @@ def _decompose_graphic_component(x, g: Graph, cfg: DecompositionConfig):
     return steps, residual_inf
 
 
-def _merge_component_steps(all_steps, edge_maps, m):
+def _merge_component_steps(all_steps, edge_maps):
     """Couple per-component pair lists into whole-graph pairs: repeatedly
     emit the smallest remaining head mass with the union of head sets."""
     ptrs = [0] * len(all_steps)
@@ -403,7 +325,7 @@ def decompose_graphic(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decompos
         steps, _ = _decompose_graphic_component(xv[edge_map], sub, cfg)
         all_steps.append(steps)
         edge_maps.append(edge_map)
-    merged = _merge_component_steps(all_steps, edge_maps, g.m)
+    merged = _merge_component_steps(all_steps, edge_maps)
     pairs = tuple((float(p), VertexSet.integral(v, g.m)) for p, v in merged)
     recon = np.zeros(g.m)
     for p, v in pairs:

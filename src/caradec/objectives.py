@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from .core import Cardinality, ConstraintSpec, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
+from .core import ConstraintSpec, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
 from .extension import SetObjective
 from .graphs import Graph, UnionFind
 
@@ -113,13 +113,6 @@ ENUMERATION_CAP = 10**6
 
 
 def _feasible_sets(c: ConstraintSpec):
-    if isinstance(c, Cardinality):
-        import math
-
-        if math.comb(c.n, c.k) > ENUMERATION_CAP:
-            raise ValueError("enumeration cap exceeded")
-        yield from combinations(range(c.n), c.k)
-        return
     if isinstance(c, PartitionMatroid):
         import math
 
@@ -128,12 +121,17 @@ def _feasible_sets(c: ConstraintSpec):
             count *= math.comb(len(blk), k)
             if count > ENUMERATION_CAP:
                 raise ValueError("enumeration cap exceeded")
-        per_block = [
-            [tuple(sorted(comb)) for comb in combinations(sorted(blk), k)]
-            for blk, k in zip(c.blocks, c.budgets)
-        ]
-        for combo in product(*per_block):
-            yield tuple(sorted(i for part in combo for i in part))
+        blocks = [(sorted(blk), k) for blk, k in zip(c.blocks, c.budgets)]
+
+        # Lazily, in itertools.product order over the blocks' combinations.
+        def extend(bi, chosen):
+            if bi == len(blocks):
+                yield tuple(sorted(chosen))
+                return
+            for comb in combinations(*blocks[bi]):
+                yield from extend(bi + 1, chosen + comb)
+
+        yield from extend(0, ())
         return
     if isinstance(c, GraphicMatroid):
         g = c.graph

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Cardinality,
     ConstraintSpec,
     Decomposition,
     DecompositionConfig,
@@ -30,8 +29,8 @@ from .extension import (
 )
 from .fstab import project_to_fstab
 from .graphs import UnionFind
-from .hypersimplex import project_to_hypersimplex
-from .matroids import max_spanning_forest, project_to_partition_polytope, spanning_tree_marginals
+from .hypersimplex import project_blocks, project_to_partition_polytope
+from .matroids import max_spanning_forest, spanning_tree_marginals
 from .objectives import CoverageInstance
 from .rng import stream
 
@@ -123,31 +122,6 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_block(z, idx, k, gx=None):
-    """Shared cardinality/partition projection on one block; returns the
-    projected values and, when gx is given, the pulled-back gradient."""
-    ni = len(idx)
-    zb = z[idx]
-    u = k / ni
-    if k == 0 or k == ni:
-        return np.full(ni, u), (np.zeros(ni) if gx is not None else None)
-    m = float(zb.mean())
-    if m <= 0.0 or m >= 1.0:
-        return np.full(ni, u), (np.zeros(ni) if gx is not None else None)
-    s1 = (k / ni) / m
-    s2 = ((ni - k) / ni) / (1.0 - m)
-    if s1 <= s2:
-        s, ds = s1, -(k / ni) / (m * m)
-    else:
-        s, ds = s2, ((ni - k) / ni) / ((1.0 - m) ** 2)
-    xb = s * (zb - m) + u
-    if gx is None:
-        return xb, None
-    gb = gx[idx]
-    pulled = s * (gb - gb.mean()) + (ds / ni) * float(gb @ (zb - m))
-    return xb, pulled
-
-
 def project_point(z: np.ndarray, c: ConstraintSpec):
     """Differentiable map from the unit cube into the constraint polytope.
 
@@ -155,31 +129,9 @@ def project_point(z: np.ndarray, c: ConstraintSpec):
     selections are treated as locally constant, graphic marginals are
     differentiated by central differences on the edge weights."""
     z = np.asarray(z, dtype=float)
-    if isinstance(c, Cardinality):
-        idx = np.arange(c.n)
-
-        def vjp(gx):
-            _, pulled = _project_block(z, idx, c.k, gx)
-            out = np.zeros_like(z)
-            out[idx] = pulled
-            return out
-
-        x, _ = _project_block(z, idx, c.k)
-        return x, vjp
     if isinstance(c, PartitionMatroid):
-        def vjp(gx):
-            out = np.zeros_like(z)
-            for blk, k in zip(c.blocks, c.budgets):
-                bidx = np.fromiter(blk, dtype=np.int64)
-                _, pulled = _project_block(z, bidx, k, gx)
-                out[bidx] = pulled
-            return out
-
-        x = np.empty_like(z)
-        for blk, k in zip(c.blocks, c.budgets):
-            bidx = np.fromiter(blk, dtype=np.int64)
-            x[bidx], _ = _project_block(z, bidx, k)
-        return x, vjp
+        x, _ = project_blocks(z, c)
+        return x, lambda gx: project_blocks(z, c, gx)[1]
     if isinstance(c, GraphicMatroid):
         g = c.graph
         w = np.maximum(z, 1e-6)
@@ -317,8 +269,6 @@ def multi_scale_solve(
 def _rejitter(xv, c, scale, rng):
     noise = rng.uniform(-scale, scale, size=xv.shape[0])
     z = np.clip(xv + noise, 0.0, 1.0)
-    if isinstance(c, Cardinality):
-        return project_to_hypersimplex(z, c.k).values
     if isinstance(c, PartitionMatroid):
         return project_to_partition_polytope(z, c).values
     if isinstance(c, FractionalStableSet):
@@ -327,8 +277,6 @@ def _rejitter(xv, c, scale, rng):
 
 
 def _swap_feasible(c: ConstraintSpec, current: set, out_i: int, in_j: int) -> bool:
-    if isinstance(c, Cardinality):
-        return True
     if isinstance(c, PartitionMatroid):
         blocks = c.block_of()
         return blocks[out_i] == blocks[in_j]
@@ -407,12 +355,10 @@ def greedy_coverage(inst: CoverageInstance, k: int) -> tuple[VertexSet, float]:
 
 
 def _sample_feasible(c: ConstraintSpec, rng) -> tuple[int, ...]:
-    if isinstance(c, Cardinality):
-        return tuple(sorted(rng.choice(c.n, size=c.k, replace=False).tolist()))
     if isinstance(c, PartitionMatroid):
         out = []
-        for blk, k in zip(c.blocks, c.budgets):
-            out.extend(rng.choice(list(blk), size=k, replace=False).tolist())
+        for idx, k in zip(c.block_indices, c.budgets):
+            out.extend(rng.choice(idx, size=k, replace=False).tolist())
         return tuple(sorted(out))
     if isinstance(c, GraphicMatroid):
         forest = max_spanning_forest(0.5 + 0.5 * rng.random(c.graph.m), c.graph)
@@ -475,8 +421,6 @@ def random_baseline(
 
 def random_point_in_polytope(c: ConstraintSpec, rng) -> np.ndarray:
     z = rng.random(c.dim)
-    if isinstance(c, Cardinality):
-        return project_to_hypersimplex(z, c.k).values
     if isinstance(c, PartitionMatroid):
         return project_to_partition_polytope(z, c).values
     if isinstance(c, GraphicMatroid):

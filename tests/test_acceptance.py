@@ -38,11 +38,14 @@ from caradec.fstab import (
 )
 from caradec.generators import gen_er_graph, gen_random_uniform
 from caradec.graphs import Graph, UnionFind
-from caradec.hypersimplex import decompose_hypersimplex, project_to_hypersimplex
-from caradec.matroids import (
+from caradec.hypersimplex import (
+    decompose_hypersimplex,
     decompose_partition,
-    min_g_lambda,
+    project_to_hypersimplex,
     project_to_partition_polytope,
+)
+from caradec.matroids import (
+    min_g_lambda,
     spanning_tree_marginals,
 )
 from caradec.objectives import CoverageObjective, CutObjective, brute_force_optimum

@@ -21,12 +21,11 @@ from caradec.extension import decompose
 from caradec.fstab import check_fstab_membership
 from caradec.graphs import Graph
 from caradec.hypersimplex import (
-    _check_membership,
+    check_partition_membership,
     decompose_hypersimplex,
-    decompose_rescaled,
     project_to_hypersimplex,
 )
-from caradec.matroids import check_graphic_membership, check_partition_membership
+from caradec.matroids import check_graphic_membership
 
 
 class TestVertexSet:
@@ -72,7 +71,8 @@ class TestPoint:
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 FAMILIES = {
-    "cardinality": (Cardinality(3, 1), lambda x: _check_membership(x, 1), [0.2, 0.3, 0.5]),
+    "cardinality": (Cardinality(3, 1), lambda x: check_partition_membership(x, Cardinality(3, 1)),
+                    [0.2, 0.3, 0.5]),
     "partition": (PartitionMatroid([(0, 2), (1,)], [1, 1]),
                   lambda x: check_partition_membership(x, PartitionMatroid([(0, 2), (1,)], [1, 1])),
                   [0.4, 1.0, 0.6]),
@@ -148,7 +148,7 @@ class TestValidate:
     def test_rescaled_residual_reported(self):
         x = project_to_hypersimplex(np.array([0.8, 0.3, 0.55, 0.2]), 2)
         cfg = DecompositionConfig(scale=0.5, tolerance=1e-6, max_iterations=10_000)
-        d = decompose_rescaled(x.values, 2, cfg)
+        d = decompose_hypersimplex(x.values, 2, cfg)
         assert d.residual <= 1e-6
         rep = validate_decomposition(d, Cardinality(4, 2), x)
         assert rep.reconstruction_error <= 1e-6

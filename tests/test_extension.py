@@ -24,8 +24,8 @@ from caradec.extension import (
 )
 from caradec.fstab import project_to_fstab
 from caradec.graphs import Graph
-from caradec.hypersimplex import project_to_hypersimplex
-from caradec.matroids import project_to_partition_polytope, spanning_tree_marginals
+from caradec.hypersimplex import project_to_hypersimplex, project_to_partition_polytope
+from caradec.matroids import spanning_tree_marginals
 from caradec.objectives import brute_force_optimum
 from caradec.rng import stream
 

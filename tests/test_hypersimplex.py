@@ -6,7 +6,6 @@ import pytest
 from caradec.core import Cardinality, DecompositionConfig, MembershipError, validate_decomposition
 from caradec.hypersimplex import (
     decompose_hypersimplex,
-    decompose_rescaled,
     max_step_coefficient,
     project_to_hypersimplex,
     top_k_vertex,
@@ -37,6 +36,14 @@ class TestProjection:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             project_to_hypersimplex(np.array([1.5, 0.0]), 1)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, k):
+        # k in {0, n} maps every input to the center, so only the input
+        # check can see the bad entry.
+        with pytest.raises(ValueError):
+            project_to_hypersimplex(np.array([0.5, bad, 0.2]), k)
 
     def test_membership_properties(self):
         rng = stream(11, "proj")
@@ -149,7 +156,7 @@ class TestRescaled:
             x = random_hypersimplex_point(rng, n, k)
             cfg = DecompositionConfig(scale=1.0, floor=0.0, tolerance=1e-9)
             d1 = decompose_hypersimplex(x, k)
-            d2 = decompose_rescaled(x, k, cfg)
+            d2 = decompose_hypersimplex(x, k, cfg)
             assert [(p, v.indices) for p, v in d1.pairs] == [
                 (p, v.indices) for p, v in d2.pairs
             ]
@@ -159,7 +166,7 @@ class TestRescaled:
         x[[1, 4]] = 1.0
         cfg = DecompositionConfig(scale=0.5, floor=0.01, tolerance=1e-3,
                                   max_iterations=500)
-        d = decompose_rescaled(x, 2, cfg)
+        d = decompose_hypersimplex(x, 2, cfg)
         assert all(v.indices == (1, 4) for _, v in d.pairs)
         probs = [p for p, _ in d.pairs]
         assert probs[:3] == [pytest.approx(0.5), pytest.approx(0.25), pytest.approx(0.125)]
@@ -187,6 +194,6 @@ class TestRescaled:
         rng = stream(23, "rescaled-val")
         x = random_hypersimplex_point(rng, 10, 4)
         cfg = DecompositionConfig(scale=0.5, tolerance=1e-6, max_iterations=5000)
-        d = decompose_rescaled(x, 4, cfg)
+        d = decompose_hypersimplex(x, 4, cfg)
         rep = validate_decomposition(d, Cardinality(10, 4), x)
         assert rep.reconstruction_error <= 1e-6

@@ -13,15 +13,17 @@ from caradec.core import (
     validate_decomposition,
 )
 from caradec.graphs import Graph, UnionFind
-from caradec.hypersimplex import decompose_hypersimplex
+from caradec.hypersimplex import (
+    decompose_hypersimplex,
+    decompose_partition,
+    project_to_partition_polytope,
+)
 from caradec.matroids import (
     decompose_graphic,
-    decompose_partition,
     graphic_rank,
     graphic_step_coefficient,
     max_spanning_forest,
     min_g_lambda,
-    project_to_partition_polytope,
     spanning_tree_marginals,
 )
 from caradec.rng import stream
@@ -74,6 +76,13 @@ class TestPartitionProjection:
         spec = PartitionMatroid([(0, 1), (2, 3)], [1, 1])
         x = project_to_partition_polytope(np.array([1.0, 0.0, 1.0, 0.0]), spec)
         assert np.allclose(x.values, [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # The bad entry sits in a full-budget block, which maps to its center.
+        spec = PartitionMatroid([(0, 1), (2, 3)], [1, 2])
+        with pytest.raises(ValueError):
+            project_to_partition_polytope(np.array([0.3, 0.6, bad, 0.1]), spec)
 
     def test_single_block_matches_hypersimplex(self):
         from caradec.hypersimplex import project_to_hypersimplex

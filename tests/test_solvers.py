@@ -250,6 +250,17 @@ class TestLocalImprove:
         )
         assert v.indices == (1, 3) and val == pytest.approx(10.0)
 
+    def test_refuses_better_cross_block_swap(self):
+        # Swapping 0 out for 4 (value 14) beats the best in-block swap,
+        # 3 -> 4 (value 9), but leaves block 0 empty.
+        spec = PartitionMatroid([(0, 1, 2), (3, 4, 5)], [1, 1])
+        w = np.array([0.0, 0.0, 0.0, 5.0, 9.0, 0.0])
+        v, val = local_improve(
+            VertexSet.integral([0, 3], 6), range(6), LinearObjective(w), spec
+        )
+        assert v.indices == (0, 4) and val == pytest.approx(9.0)
+        assert spec.vertex_feasible(v)
+
     def test_respects_forest_feasibility(self):
         c = GraphicMatroid(TRIANGLE)
         w = np.array([1.0, 2.0, 3.0])
@@ -273,6 +284,21 @@ class TestLocalImprove:
             v0 = f.value_of(start)
             v, val = local_improve(VertexSet.integral(start, 12), list(range(12)), f, c, max_iter=10)
             assert val >= v0 - 1e-12
+
+
+class TestCardinalityAsOneBlock:
+    def test_pipeline_matches_one_block_partition(self):
+        inst = gen_random_uniform(24, 60, degree_range=(3, 9), seed=5)
+        f = CoverageObjective(inst)
+        results = []
+        for c in (Cardinality(24, 5), PartitionMatroid([range(24)], [5])):
+            res = direct_optimize(f, c, OptimizeConfig(steps=25, seed=2, init="random"))
+            sched = ScaleSchedule(factors=(1.0, 0.5, 0.1), max_iterations=300, seed=2)
+            ms, pool = multi_scale_solve(res.final_point, sched, f, c)
+            v, val = local_improve(ms.best, pool, f, c)
+            results.append((res.best.indices, res.objective, ms.best.indices, ms.objective,
+                            pool, v.indices, val))
+        assert results[0] == results[1]
 
 
 class TestGreedy:
