@@ -212,6 +212,95 @@ EXACT = DecompositionConfig()
 
 
 # ---------------------------------------------------------------------------
+# Vertex peeling
+
+
+@dataclass(frozen=True)
+class ActiveConstraintRecord:
+    """Binding inequality z.y <= b of a step (z on indices, b = offset),
+    stored with z.v so the coefficient is recoverable as
+    (b - z.x_t)/(b - z.v)."""
+
+    kind: str
+    indices: tuple[int, ...]
+    coeffs: tuple[float, ...]
+    offset: float
+    vertex_value: float
+
+    def denominator(self) -> float:
+        return self.offset - self.vertex_value
+
+
+@dataclass(frozen=True)
+class Peeling:
+    """One run of peel, row t for step t of T: its mass p, the mass q left
+    before it, the applied and the unscaled coefficient (both 1 on a
+    terminal step), its vertex (also row t of vertex_matrix) and x_next[t],
+    the iterate after it (a terminal step's row is the iterate it ends
+    on).  records holds the binding inequality of every non-terminal step;
+    residual is the inf-norm of the mass left unreported."""
+
+    p: np.ndarray
+    q: np.ndarray
+    a: np.ndarray
+    a_exact: np.ndarray
+    vertices: tuple[VertexSet, ...]
+    vertex_matrix: np.ndarray
+    x_next: np.ndarray
+    records: tuple[ActiveConstraintRecord, ...]
+    terminal: bool
+    residual: float
+
+    def decomposition(self) -> Decomposition:
+        return Decomposition(tuple(zip(self.p.tolist(), self.vertices)),
+                             residual=self.residual, iterations=len(self.vertices))
+
+
+def peel(x: np.ndarray, cfg: DecompositionConfig, step) -> Peeling:
+    """Caratheodory peeling of a checked point x.  step(x_t) returns the
+    vertex v_t, the largest coefficient a_exact keeping the rest in the
+    polytope, its binding inequality and an optional (index, value) pin.
+    Each step applies a = scale * a_exact (a_exact when that falls below
+    the floor), sets x_{t+1} = (x_t - a v_t)/(1 - a), pins the binding
+    coordinate on exact steps and clips to the box.  The run ends on a
+    terminal step (a within the guard of 1, or the mass left below it),
+    at l2 residual <= tolerance (rescaled configs) or at the cap."""
+    n = x.shape[0]
+    q = 1.0
+    eps = 0.0 if cfg.is_exact else cfg.tolerance
+    rows, records = [], []
+    terminal = False
+    for _ in range(cfg.iteration_cap(n)):
+        v, a_exact, record, pin = step(x)
+        vvec = v.to_vector()
+        a_scaled = cfg.scale * a_exact
+        a = a_scaled if a_scaled >= cfg.floor else a_exact
+        terminal = a > 1.0 - cfg.guard or q * (1.0 - a) < cfg.guard
+        if terminal:
+            rows.append((q, q, 1.0, 1.0, v, vvec, x))
+            break
+        x = (x - a * vvec) / (1.0 - a)
+        if pin is not None and a == a_exact:
+            # The binding coordinate is algebraically exactly 0 or 1.
+            x[pin[0]] = pin[1]
+        np.clip(x, 0.0, 1.0, out=x)
+        rows.append((a * q, q, a, a_exact, v, vvec, x))
+        records.append(record)
+        q *= 1.0 - a
+        if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
+            break
+    p, qs, avals, aex, verts, vecs, xs = zip(*rows) if rows else [()] * 7
+    left = np.abs(x - vvec) if terminal else x
+    return Peeling(
+        p=np.array(p, dtype=float), q=np.array(qs, dtype=float),
+        a=np.array(avals, dtype=float), a_exact=np.array(aex, dtype=float),
+        vertices=verts, vertex_matrix=np.array(vecs).reshape(len(rows), n),
+        x_next=np.array(xs).reshape(len(rows), n), records=tuple(records),
+        terminal=terminal, residual=q * float(np.max(left, initial=0.0)),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Constraint specifications
 
 

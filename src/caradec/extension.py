@@ -19,14 +19,16 @@ from .core import (
     PartitionMatroid,
     Point,
     VertexSet,
+    peel,
 )
-from .fstab import check_fstab_membership, decompose_fstab
-from .hypersimplex import _kernel_vertices, decompose_partition, kernel_decompose
-from .matroids import (
-    _decompose_graphic_component,
-    check_graphic_membership,
-    decompose_graphic,
+from .fstab import check_fstab_membership, decompose_fstab, fstab_step
+from .hypersimplex import (
+    _kernel_vertices,
+    decompose_partition,
+    kernel_decompose,
+    kernel_decomposition,
 )
+from .matroids import check_graphic_membership, decompose_graphic, graphic_step
 
 
 class SetObjective:
@@ -90,29 +92,32 @@ def decompose(x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT) -> Decompo
 
 @dataclass
 class GradientTape:
-    """Per-step records sufficient to differentiate the decomposition:
-    vertex, applied coefficient, the binding constraint as a linear
-    functional of the iterate (a_t = const + w.x_t), and the next iterate.
+    """The arrays of a recorded decomposition of x0, enough to
+    differentiate it.  Row t belongs to step t of T: p (its mass), q (the
+    mass left before it), a (its applied coefficient, 1 on a terminal last
+    step) and x_next (T, n), the iterate after the step (a terminal step's
+    row is the iterate it ends on).  Replaying the coefficients reproduces
+    the probabilities exactly: p_t = a_t * prod_{i<t}(1 - a_i).
 
-    Replaying the coefficients reproduces the probabilities exactly:
-    p_t = a_t * prod_{i<t}(1 - a_i)."""
+    Graph families add vertex_matrix (T, n) and each step's binding
+    constraint as a linear functional of its iterate, a_t = const +
+    w_t.x_t, in CSR rows w_indptr, w_indices, w_data (a terminal row is
+    empty).  Box-plus-sum families keep the block kernel's own arrays
+    instead: kernel = (verts, branch, bind, aex)."""
 
     family: str
     n: int
     p: np.ndarray
     q: np.ndarray
     a: np.ndarray
-    vertices: list[VertexSet]
-    w_idx: list[np.ndarray | None]
-    w_coef: list[np.ndarray | None]
-    x_next: list[np.ndarray | None]
+    x_next: np.ndarray
     terminal: bool
     x0: np.ndarray
-    kernel_raw: tuple | None = field(default=None, repr=False)
-
-    def decomposition(self, residual: float = 0.0) -> Decomposition:
-        pairs = tuple((float(p), v) for p, v in zip(self.p, self.vertices))
-        return Decomposition(pairs, residual=residual, iterations=len(pairs))
+    vertex_matrix: np.ndarray | None = None
+    w_indptr: np.ndarray | None = None
+    w_indices: np.ndarray | None = None
+    w_data: np.ndarray | None = None
+    kernel: tuple | None = field(default=None, repr=False)
 
     def replay_probabilities(self) -> np.ndarray:
         out = np.empty_like(self.a)
@@ -123,6 +128,12 @@ class GradientTape:
             mass *= 1.0 - (1.0 if is_last_terminal else at)
         return out
 
+    def vertices(self) -> list[VertexSet]:
+        """The vertex of every step, rebuilt from the arrays."""
+        if self.kernel is not None:
+            return _kernel_vertices(self.kernel[0], self.n)
+        return [VertexSet.half_integral(row) for row in self.vertex_matrix]
+
 
 def decompose_with_tape(
     x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT
@@ -131,110 +142,41 @@ def decompose_with_tape(
     if isinstance(c, PartitionMatroid):
         return _tape_from_kernel(xv, c, cfg)
     if isinstance(c, GraphicMatroid):
-        return _tape_graphic(xv, c, cfg)
-    if isinstance(c, FractionalStableSet):
-        return _tape_fstab(xv, c, cfg)
-    raise TypeError(f"unsupported constraint {type(c).__name__}")
+        if c.graph.n_components() != 1:
+            raise ValueError("gradient tape for graphic constraints needs a connected graph")
+        x0 = check_graphic_membership(xv, c.graph)
+        step = graphic_step(c.graph)
+    elif isinstance(c, FractionalStableSet):
+        x0 = check_fstab_membership(xv, c.graph)
+        step = fstab_step(c.graph)
+    else:
+        raise TypeError(f"unsupported constraint {type(c).__name__}")
+    pl = peel(x0, cfg, step)
+    # a_t = r (b - z.x_t)/(b - z.v_t) with r = a_t/a_exact, so w_t = -r z/(b - z.v_t).
+    rows = [
+        -(pl.a[t] / pl.a_exact[t] if pl.a_exact[t] > 0 else 1.0)
+        * np.asarray(rec.coeffs) / rec.denominator()
+        for t, rec in enumerate(pl.records)
+    ]
+    lens = [len(rec.indices) for rec in pl.records] + [0] * pl.terminal
+    tape = GradientTape(
+        family=c.family, n=x0.shape[0], p=pl.p, q=pl.q, a=pl.a, x_next=pl.x_next,
+        terminal=pl.terminal, x0=x0, vertex_matrix=pl.vertex_matrix,
+        w_indptr=np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
+        w_indices=np.array([i for rec in pl.records for i in rec.indices], dtype=np.int64),
+        w_data=np.concatenate([np.zeros(0), *rows]),
+    )
+    return pl.decomposition(), tape
 
 
 def _tape_from_kernel(xv, c, cfg):
     res, x0 = kernel_decompose(xv, c, cfg, True)
-    probs, qs, avals, verts, branch, bind, snaps, aex, residual_inf, terminal = res
-    n = x0.shape[0]
-    vertices = _kernel_vertices(verts, n)
-    w_idx, w_coef, x_next = [], [], []
-    for t, (br, bi) in enumerate(zip(branch.tolist(), bind.tolist())):
-        if br == 2:
-            w_idx.append(None)
-            w_coef.append(None)
-            x_next.append(None)
-        else:
-            w_idx.append(np.array([bi], dtype=np.int64))
-            w_coef.append(np.array([1.0 if br == 0 else -1.0]))
-            x_next.append(snaps[t])
+    probs, qs, avals, verts, branch, bind, snaps, aex, _, terminal = res
     tape = GradientTape(
-        family=c.family, n=n, p=probs, q=qs, a=avals, vertices=vertices,
-        w_idx=w_idx, w_coef=w_coef, x_next=x_next, terminal=bool(terminal),
-        x0=x0, kernel_raw=res,
+        family=c.family, n=x0.shape[0], p=probs, q=qs, a=avals, x_next=snaps,
+        terminal=bool(terminal), x0=x0, kernel=(verts, branch, bind, aex),
     )
-    d = Decomposition(
-        tuple(zip(probs.tolist(), vertices)),
-        residual=float(residual_inf),
-        iterations=len(probs),
-    )
-    return d, tape
-
-
-def _tape_graphic(xv, c, cfg):
-    g = c.graph
-    if g.n_components() != 1:
-        raise ValueError("gradient tape for graphic constraints needs a connected graph")
-    x0 = check_graphic_membership(xv, g)
-    steps, residual_inf = _decompose_graphic_component(x0.copy(), g, cfg)
-    p, q, a, vertices, w_idx, w_coef, x_next = [], [], [], [], [], [], []
-    terminal = False
-    for pt, qt, at, aext, vidx, trace, xn in steps:
-        p.append(pt)
-        q.append(qt)
-        a.append(at)
-        vertices.append(VertexSet.integral(vidx, g.m))
-        # rescaled steps apply at = b * aext; the functional scales with b
-        ratio = at / aext if aext > 0 else 1.0
-        if trace.kind == "terminal":
-            terminal = True
-            w_idx.append(None)
-            w_coef.append(None)
-            x_next.append(None)
-        elif trace.kind == "min_in_forest":
-            w_idx.append(np.array([trace.edge], dtype=np.int64))
-            w_coef.append(np.array([ratio]))
-            x_next.append(xn)
-        elif trace.kind == "one_minus_max_outside":
-            w_idx.append(np.array([trace.edge], dtype=np.int64))
-            w_coef.append(np.array([-ratio]))
-            x_next.append(xn)
-        else:  # rank face: a = (r(F) - x(F)) / (r(F) - |S cap F|)
-            den = trace.face_rank - trace.face_inter
-            w_idx.append(np.asarray(trace.face, dtype=np.int64))
-            w_coef.append(np.full(len(trace.face), -ratio / den))
-            x_next.append(xn)
-    tape = GradientTape(
-        family=c.family, n=g.m, p=np.asarray(p), q=np.asarray(q), a=np.asarray(a),
-        vertices=vertices, w_idx=w_idx, w_coef=w_coef, x_next=x_next,
-        terminal=terminal, x0=x0,
-    )
-    return tape.decomposition(residual=float(residual_inf)), tape
-
-
-def _tape_fstab(xv, c, cfg):
-    g = c.graph
-    x0 = check_fstab_membership(xv, g)
-    collect: list = []
-    d = decompose_fstab(x0, g, cfg, _collect=collect)
-    p, q, a, vertices, w_idx, w_coef, x_next = [], [], [], [], [], [], []
-    terminal = False
-    for pt, qt, at, aext, v, record, xn in collect:
-        p.append(pt)
-        q.append(qt)
-        a.append(at)
-        vertices.append(v)
-        ratio = at / aext if aext > 0 else 1.0
-        if record is None:
-            terminal = True
-            w_idx.append(None)
-            w_coef.append(None)
-            x_next.append(None)
-        else:
-            den = record.denominator()
-            w_idx.append(np.asarray(record.indices, dtype=np.int64))
-            w_coef.append(-ratio * np.asarray(record.coeffs) / den)
-            x_next.append(xn)
-    tape = GradientTape(
-        family=c.family, n=g.n_nodes, p=np.asarray(p), q=np.asarray(q),
-        a=np.asarray(a), vertices=vertices, w_idx=w_idx, w_coef=w_coef,
-        x_next=x_next, terminal=terminal, x0=x0,
-    )
-    return d, tape
+    return kernel_decomposition(res, x0.shape[0]), tape
 
 
 def vertex_values(d: Decomposition, f: SetObjective) -> list[float]:
@@ -271,28 +213,28 @@ def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, 
 def backprop_extension(tape: GradientTape, f: SetObjective, fvals=None) -> np.ndarray:
     """Exact gradient of F = sum p_t f(S_t) treating vertex choices and
     binding constraints as locally constant (valid almost everywhere).
-    fvals, when given, are f at tape.vertices in order."""
+    fvals, when given, are f at the tape's vertices in order."""
     if fvals is None:
-        fvals = [f(v) for v in tape.vertices]
+        fvals = [f(v) for v in tape.vertices()]
     fvals = np.array(fvals, dtype=np.float64)
-    if tape.kernel_raw is not None:
-        probs, qs, avals, verts, branch, bind, snaps, aex, _, _ = tape.kernel_raw
+    if tape.kernel is not None:
+        verts, branch, bind, aex = tape.kernel
         return kernels.backprop_blocks(
-            tape.n, probs, qs, avals, verts, branch, bind, snaps, aex, fvals
+            tape.n, tape.p, tape.q, tape.a, verts, branch, bind, tape.x_next, aex, fvals
         )
     g = np.zeros(tape.n)
     rest = 0.0
+    ptr = tape.w_indptr
     for t in range(len(fvals) - 1, -1, -1):
-        if tape.w_idx[t] is None:
+        if tape.terminal and t == len(fvals) - 1:
             rest += tape.p[t] * fvals[t]
             continue
         om = 1.0 - tape.a[t]
         s = tape.q[t] * fvals[t] - rest / om
-        vvec = tape.vertices[t].to_vector()
-        dot = float(g @ tape.x_next[t]) - float(g @ vvec)
+        dot = float(g @ tape.x_next[t]) - float(g @ tape.vertex_matrix[t])
         coeff = dot / om + s
         g /= om
-        g[tape.w_idx[t]] += coeff * tape.w_coef[t]
+        g[tape.w_indices[ptr[t]:ptr[t + 1]]] += coeff * tape.w_data[ptr[t]:ptr[t + 1]]
         rest += tape.p[t] * fvals[t]
     return g
 

@@ -5,19 +5,20 @@ decomposition into independent sets and half-integral vertices."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .core import (
     EXACT,
+    ActiveConstraintRecord,
     Decomposition,
     DecompositionConfig,
     MembershipError,
     Point,
     VertexSet,
     check_box,
+    peel,
 )
 from .graphs import Graph
 
@@ -216,21 +217,6 @@ def _lex_greater(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ActiveConstraintRecord:
-    """Binding inequality z.y <= b of a step, stored with z.v so the
-    coefficient is recoverable as (b - z.x_t)/(b - z.v)."""
-
-    kind: str  # "lower" | "upper" | "edge"
-    indices: tuple[int, ...]
-    coeffs: tuple[float, ...]
-    offset: float
-    vertex_value: float
-
-    def denominator(self) -> float:
-        return self.offset - self.vertex_value
-
-
 def fstab_step_coefficient(
     x_t, v: VertexSet, g: Graph
 ) -> tuple[float, ActiveConstraintRecord]:
@@ -278,8 +264,12 @@ def project_to_fstab(x, g: Graph, slack: float = 0.0) -> Point:
 
 
 def project_to_fstab_trace(x, g: Graph, slack: float = 0.0):
-    """Projection plus the piecewise-linear trace needed for its vjp."""
+    """Projection plus the piecewise-linear trace needed for its vjp.
+    Finite input is clipped into the box first; NaN or inf raises
+    ValueError."""
     x_in = np.asarray(x, dtype=float)
+    if not np.isfinite(x_in).all():
+        raise ValueError("projection input must be finite")
     entry_active = (x_in > 0.0) & (x_in < 1.0)
     x = np.clip(x_in, 0.0, 1.0)
     steps = []
@@ -341,44 +331,24 @@ def check_fstab_membership(x, g: Graph) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def decompose_fstab(
-    x, g: Graph, cfg: DecompositionConfig = EXACT, _collect=None
-) -> Decomposition:
+def fstab_step(g: Graph):
+    """The peel step of FSTAB(g): the lexicographic vertex, its step
+    coefficient and binding inequality, and the pin of a binding box
+    constraint."""
+
+    def step(x):
+        v = fstab_vertex(x, g)
+        a_exact, record = fstab_step_coefficient(x, v, g)
+        pin = None
+        if record.kind in ("lower", "upper"):
+            pin = (record.indices[0], 0.0 if record.kind == "lower" else 1.0)
+        return v, a_exact, record, pin
+
+    return step
+
+
+def decompose_fstab(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decomposition:
     """Decompose a FSTAB point into at most n+1 vertices; each step
     tightens one inequality that stays tight afterwards."""
     xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
-    xv = check_fstab_membership(xv, g).copy()
-    n = xv.shape[0]
-    q = 1.0
-    pairs = []
-    eps = 0.0 if cfg.is_exact else cfg.tolerance
-    residual_inf = 0.0
-    for _ in range(cfg.iteration_cap(n)):
-        v = fstab_vertex(xv, g)
-        a_exact, record = fstab_step_coefficient(xv, v, g)
-        a_scaled = cfg.scale * a_exact
-        a = a_scaled if a_scaled >= cfg.floor else a_exact
-        if a > 1.0 - cfg.guard or q * (1.0 - a) < cfg.guard:
-            pairs.append((q, v))
-            residual_inf = q * float(np.max(np.abs(xv - v.to_vector()), initial=0.0))
-            if _collect is not None:
-                _collect.append((q, q, 1.0, 1.0, v, None, None))
-            break
-        om = 1.0 - a
-        vvec = v.to_vector()
-        xv = (xv - a * vvec) / om
-        if a == a_exact and record.kind in ("lower", "upper"):
-            xv[record.indices[0]] = 0.0 if record.kind == "lower" else 1.0
-        np.clip(xv, 0.0, 1.0, out=xv)
-        pairs.append((a * q, v))
-        if _collect is not None:
-            _collect.append((a * q, q, a, a_exact, v, record, xv.copy()))
-        q *= om
-        residual_inf = q * float(np.max(xv, initial=0.0))
-        if eps > 0.0 and q * float(np.linalg.norm(xv)) <= eps:
-            break
-    return Decomposition(
-        tuple((float(p), v) for p, v in pairs),
-        residual=float(residual_inf),
-        iterations=len(pairs),
-    )
+    return peel(check_fstab_membership(xv, g), cfg, fstab_step(g)).decomposition()

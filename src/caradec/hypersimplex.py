@@ -139,6 +139,13 @@ def _kernel_vertices(verts: np.ndarray, n: int) -> list[VertexSet]:
     return [VertexSet(n, tuple(row)) for row in verts.tolist()]
 
 
+def kernel_decomposition(res, n: int) -> Decomposition:
+    """The pairs, residual and step count of a raw block-kernel result."""
+    probs, verts, residual_inf = res[0], res[3], res[8]
+    pairs = tuple(zip(probs.tolist(), _kernel_vertices(verts, n)))
+    return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
+
+
 def decompose_partition(
     x, spec: PartitionMatroid, cfg: DecompositionConfig = EXACT
 ) -> Decomposition:
@@ -147,10 +154,7 @@ def decompose_partition(
     rescaled ones take b*a_t per step (a_t when b*a_t falls below the
     floor), stop at l2 residual <= tolerance or the iteration cap, and
     leave the leftover mass unreported in the pair list."""
-    res, _ = kernel_decompose(x, spec, cfg, False)
-    probs, _, _, verts, _, _, _, _, residual_inf, _ = res
-    pairs = tuple(zip(probs.tolist(), _kernel_vertices(verts, spec.n)))
-    return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
+    return kernel_decomposition(kernel_decompose(x, spec, cfg, False)[0], spec.n)
 
 
 def decompose_hypersimplex(

@@ -12,6 +12,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .core import (
     EXACT,
     SUM_TOL,
+    ActiveConstraintRecord,
     Decomposition,
     DecompositionConfig,
     MembershipError,
@@ -19,6 +20,7 @@ from .core import (
     SizeLimitError,
     VertexSet,
     check_box,
+    peel,
 )
 from .graphs import Graph, UnionFind
 
@@ -34,8 +36,8 @@ ZERO_WEIGHT = 1e-12
 class GraphicCoefficientTrace:
     """How a graphical-matroid step coefficient was determined.
 
-    kind is one of "min_in_forest", "one_minus_max_outside", "rank_face",
-    "terminal"; for rank faces the face, its rank and |S_t ∩ F| make the
+    kind is one of "min_in_forest", "one_minus_max_outside", "rank_face";
+    for rank faces the face, its rank and |S_t ∩ F| make the
     coefficient recoverable as the affine form (r(F) - x(F))/(r(F) - |S∩F|).
     """
 
@@ -243,69 +245,53 @@ def _face_respecting_forest(x: np.ndarray, g: Graph, zero_tol: float = ZERO_WEIG
     return VertexSet.integral(chosen, g.m)
 
 
-def _decompose_graphic_component(x, g: Graph, cfg: DecompositionConfig):
-    """Vertex-peeling loop on one (arbitrary) graph; returns raw step lists.
-    Steps: (p, q, a, vertex_indices, trace, x_next)."""
-    x = x.copy()
-    q = 1.0
-    steps = []
-    terminal = False
-    eps = 0.0 if cfg.is_exact else cfg.tolerance
-    for _ in range(cfg.iteration_cap(g.m)):
+def graphic_step(g: Graph):
+    """The peel step of the base polytope of g: the face-respecting forest,
+    its step coefficient and the binding inequality z.y <= b, which is
+    -y_e <= 0 (min in forest), y_e <= 1 (max outside) or y(F) <= r(F)
+    (rank face)."""
+
+    def step(x):
         s_t = _face_respecting_forest(x, g)
         a_exact, trace = graphic_step_coefficient(g, x, s_t)
-        a_scaled = cfg.scale * a_exact
-        if a_scaled >= cfg.floor:
-            a = a_scaled
+        if trace.kind == "min_in_forest":
+            record = ActiveConstraintRecord(trace.kind, (trace.edge,), (-1.0,), 0.0, -1.0)
+            pin = (trace.edge, 0.0)
+        elif trace.kind == "one_minus_max_outside":
+            record = ActiveConstraintRecord(trace.kind, (trace.edge,), (1.0,), 1.0, 0.0)
+            pin = (trace.edge, 1.0)
+        elif trace.face is None:  # nothing binds before a = 1
+            record, pin = ActiveConstraintRecord(trace.kind, (), (), 1.0, 0.0), None
         else:
-            a = a_exact
-        if a > 1.0 - cfg.guard or q * (1.0 - a) < cfg.guard:
-            steps.append((q, q, 1.0, 1.0, s_t.indices,
-                          GraphicCoefficientTrace("terminal"), None))
-            terminal = True
-            break
-        om = 1.0 - a
-        x[list(s_t.indices)] -= a
-        x /= om
-        if a == a_exact:
-            if trace.kind == "min_in_forest":
-                x[trace.edge] = 0.0
-            elif trace.kind == "one_minus_max_outside":
-                x[trace.edge] = 1.0
-        np.clip(x, 0.0, 1.0, out=x)
-        p = a * q
-        q_next = q * om
-        steps.append((p, q, a, a_exact, s_t.indices, trace, x.copy()))
-        q = q_next
-        if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
-            break
-    residual_inf = q * float(np.max(x, initial=0.0)) if not terminal else 0.0
-    if terminal:
-        last = steps[-1]
-        diff = x.copy()
-        diff[list(last[4])] -= 1.0
-        residual_inf = q * float(np.max(np.abs(diff), initial=0.0))
-    return steps, residual_inf
+            record = ActiveConstraintRecord(
+                trace.kind, trace.face, (1.0,) * len(trace.face),
+                float(trace.face_rank), float(trace.face_inter),
+            )
+            pin = None
+        return s_t, a_exact, record, pin
+
+    return step
 
 
-def _merge_component_steps(all_steps, edge_maps):
+def _merge_component_steps(peelings, edge_maps):
     """Couple per-component pair lists into whole-graph pairs: repeatedly
     emit the smallest remaining head mass with the union of head sets."""
-    ptrs = [0] * len(all_steps)
-    rems = [steps[0][0] if steps else 0.0 for steps in all_steps]
+    probs = [pl.p.tolist() for pl in peelings]
+    ptrs = [0] * len(peelings)
+    rems = [p[0] if p else 0.0 for p in probs]
     merged = []
-    while all(p < len(s) for p, s in zip(ptrs, all_steps)):
+    while all(i < len(p) for i, p in zip(ptrs, probs)):
         delta = min(rems)
         union = []
-        for ci, steps in enumerate(all_steps):
-            union.extend(edge_maps[ci][e] for e in steps[ptrs[ci]][4])
+        for ci, pl in enumerate(peelings):
+            union.extend(edge_maps[ci][e] for e in pl.vertices[ptrs[ci]].indices)
         merged.append((delta, tuple(sorted(union))))
-        for ci in range(len(all_steps)):
+        for ci in range(len(peelings)):
             rems[ci] -= delta
             if rems[ci] <= 1e-15:
                 ptrs[ci] += 1
-                if ptrs[ci] < len(all_steps[ci]):
-                    rems[ci] = all_steps[ci][ptrs[ci]][0]
+                if ptrs[ci] < len(probs[ci]):
+                    rems[ci] = probs[ci][ptrs[ci]]
     return merged
 
 
@@ -316,16 +302,13 @@ def decompose_graphic(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decompos
     xv = check_graphic_membership(xv, g)
     comps = _node_components(g)
     if len(comps) == 1:
-        steps, residual_inf = _decompose_graphic_component(xv, g, cfg)
-        pairs = tuple((float(p), VertexSet.integral(v, g.m)) for p, _, _, _, v, _, _ in steps)
-        return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
-    all_steps, edge_maps = [], []
+        return peel(xv, cfg, graphic_step(g)).decomposition()
+    peelings, edge_maps = [], []
     for nodes in comps:
         sub, edge_map = _induced_subgraph(g, nodes)
-        steps, _ = _decompose_graphic_component(xv[edge_map], sub, cfg)
-        all_steps.append(steps)
+        peelings.append(peel(xv[edge_map], cfg, graphic_step(sub)))
         edge_maps.append(edge_map)
-    merged = _merge_component_steps(all_steps, edge_maps)
+    merged = _merge_component_steps(peelings, edge_maps)
     pairs = tuple((float(p), VertexSet.integral(v, g.m)) for p, v in merged)
     recon = np.zeros(g.m)
     for p, v in pairs:

@@ -394,6 +394,8 @@ def random_baseline(
     budget (time is checked once per batch of 64 trials)."""
     if trials is None and seconds is None:
         raise ValueError("either a trial or a time budget is required")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = stream(seed, "random-baseline")
     t0 = time.perf_counter()
     best = None

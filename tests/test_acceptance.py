@@ -161,7 +161,7 @@ def test_criterion_03_graphic_decomposition():
         for _, v in d.pairs:
             assert len(v.indices) == size and g.is_forest(v.indices)
         # brute-force SFM cross-check of every iterate at lambda = 0
-        iterates = [tape.x0] + [xn for xn in tape.x_next if xn is not None]
+        iterates = [tape.x0, *tape.x_next[: len(tape.a) - tape.terminal]]
         for xt in iterates:
             val, _ = min_g_lambda(g, xt, (), 0.0)
             assert val >= -1e-8
@@ -352,9 +352,7 @@ def test_criterion_08_rescaling_residual_bound():
                                   max_iterations=3000)
         _, tape = decompose_with_tape(x, Cardinality(n, k), cfg)
         resid = []
-        for t in range(len(tape.a)):
-            if tape.x_next[t] is None:
-                break
+        for t in range(len(tape.a) - tape.terminal):
             mass = tape.q[t] * (1.0 - tape.a[t])
             resid.append(mass * float(np.linalg.norm(tape.x_next[t])))
         for T, r in enumerate(resid, start=1):

@@ -202,3 +202,12 @@ def test_solve_csv_format(workdir):
     lines = (workdir / "g.csv").read_text().strip().splitlines()
     assert lines[0].startswith("instance_id,method,k,")
     assert lines[1].split(",")[1] == "greedy"
+
+
+def test_random_zero_trials_exit_code(workdir, capsys):
+    main(["gen", "--kind", "random-uniform", "--name", "c", "--n-sets", "20",
+          "--n-elements", "50", "--count", "1", "--seed", "2", "--out", "d"])
+    rc = main(["solve", "--instance", "d/c_000.json", "--k", "3",
+               "--method", "random", "--trials", "0"])
+    assert rc == 1
+    assert "trials must be >= 1" in capsys.readouterr().err

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from caradec.core import FractionalStableSet, validate_decomposition
+from caradec.extension import decompose_with_tape
 from caradec.fstab import (
     decompose_fstab,
     fstab_step_coefficient,
     fstab_vertex,
     fstab_vertex_enumerate,
     project_to_fstab,
+    project_to_fstab_trace,
 )
 from caradec.graphs import Graph
 from caradec.rng import stream
@@ -45,6 +47,18 @@ class TestProjection:
             assert x.min() >= 0.0
             for u, v in g.edges:
                 assert x[u] + x[v] + slack <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        g = Graph(3, ((0, 1),))
+        with pytest.raises(ValueError, match="finite"):
+            project_to_fstab(np.array([bad, 0.2, 0.3]), g)
+        with pytest.raises(ValueError, match="finite"):
+            project_to_fstab_trace(np.array([0.2, 0.3, bad]), g)
+
+    def test_finite_out_of_box_clipped(self):
+        p = project_to_fstab(np.array([1.7, -0.4, 0.3]), Graph(3, ((1, 2),)))
+        assert p.values.tolist() == [1.0, 0.0, 0.3]
 
 
 class TestVertexOracle:
@@ -157,12 +171,9 @@ class TestDecomposition:
             n = int(rng.integers(3, 10))
             g = random_graph(rng, n)
             x = project_to_fstab(rng.random(n), g, 0.0)
-            collect = []
-            decompose_fstab(x, g, _collect=collect)
+            _, tape = decompose_with_tape(x, FractionalStableSet(g))
             tight_prev: set = set()
-            for _, _, _, _, _, record, xn in collect:
-                if xn is None:
-                    continue
+            for xn in tape.x_next[: len(tape.a) - tape.terminal]:
                 tight_now = {
                     (u, v) for u, v in g.edges if xn[u] + xn[v] >= 1.0 - 1e-7
                 }

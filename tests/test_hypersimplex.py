@@ -129,9 +129,7 @@ class TestExactDecomposition:
             x = random_hypersimplex_point(rng, n, k)
             _, tape = decompose_with_tape(x, Cardinality(n, k))
             fixed_prev: set = set()
-            for t in range(len(tape.a)):
-                if tape.x_next[t] is None:
-                    continue
+            for t in range(len(tape.a) - tape.terminal):
                 xt = tape.x_next[t]
                 fixed_now = {i for i in range(n) if xt[i] in (0.0, 1.0)}
                 assert fixed_prev <= fixed_now
@@ -181,9 +179,7 @@ class TestRescaled:
                                   max_iterations=2000)
         _, tape = decompose_with_tape(x, Cardinality(3, 1), cfg)
         resid = []
-        for t in range(len(tape.a)):
-            if tape.x_next[t] is None:
-                break
+        for t in range(len(tape.a) - tape.terminal):
             mass = tape.q[t] * (1.0 - tape.a[t])
             resid.append(mass * float(np.linalg.norm(tape.x_next[t])))
         assert all(b < a + 1e-15 for a, b in zip(resid, resid[1:]))
