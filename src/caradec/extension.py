@@ -23,7 +23,6 @@ from .core import (
 )
 from .fstab import check_fstab_membership, decompose_fstab, fstab_step
 from .hypersimplex import (
-    _kernel_vertices,
     decompose_partition,
     kernel_decompose,
     kernel_decomposition,
@@ -37,6 +36,12 @@ class SetObjective:
 
     def value_of(self, indices: tuple[int, ...]) -> float:
         raise NotImplementedError
+
+    def values_of(self, sets) -> np.ndarray:
+        """f at each sorted index set of a sequence, as a float array in
+        order.  The default loops over value_of; objectives with a
+        vectorised formula override it."""
+        return np.array([float(self.value_of(s)) for s in sets], dtype=np.float64)
 
     def half_integral_value(self, v: VertexSet) -> float:
         return 0.0
@@ -128,12 +133,6 @@ class GradientTape:
             mass *= 1.0 - (1.0 if is_last_terminal else at)
         return out
 
-    def vertices(self) -> list[VertexSet]:
-        """The vertex of every step, rebuilt from the arrays."""
-        if self.kernel is not None:
-            return _kernel_vertices(self.kernel[0], self.n)
-        return [VertexSet.half_integral(row) for row in self.vertex_matrix]
-
 
 def decompose_with_tape(
     x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT
@@ -179,11 +178,39 @@ def _tape_from_kernel(xv, c, cfg):
     return kernel_decomposition(res, x0.shape[0]), tape
 
 
+def _scores(f: SetObjective, sets, half_vertex) -> list[float]:
+    """f at T vertices: sets[t] is the sorted index tuple of an integral
+    vertex, scored by one values_of call for all of them, or None for a
+    half-integral one, scored by f.half_integral_value(half_vertex(t))."""
+    rows = [t for t, s in enumerate(sets) if s is not None]
+    out = [0.0] * len(sets)
+    for t, val in zip(rows, f.values_of([sets[t] for t in rows]).tolist()):
+        out[t] = val
+    for t, s in enumerate(sets):
+        if s is None:
+            out[t] = float(f.half_integral_value(half_vertex(t)))
+    return out
+
+
 def vertex_values(d: Decomposition, f: SetObjective) -> list[float]:
     """f at every vertex of d, in pair order: one evaluation per vertex that
     evaluate_extension, best_set and backprop_extension (on the tape that
     produced d) can share."""
-    return [f(v) for _, v in d.pairs]
+    return _scores(
+        f, [v.indices if v.is_integral else None for _, v in d.pairs], lambda t: d.pairs[t][1]
+    )
+
+
+def tape_values(tape: GradientTape, f: SetObjective) -> list[float]:
+    """f at the vertex of every step of tape, read from its arrays: the
+    rows of the kernel's index matrix, or the 0/1 rows of vertex_matrix;
+    only half-integral rows become VertexSets."""
+    if tape.kernel is not None:
+        return _scores(f, list(map(tuple, tape.kernel[0].tolist())), None)
+    vm = tape.vertex_matrix
+    integral = np.all((vm == 0.0) | (vm == 1.0), axis=1).tolist()
+    sets = [tuple(np.flatnonzero(row).tolist()) if ok else None for row, ok in zip(vm, integral)]
+    return _scores(f, sets, lambda t: VertexSet.half_integral(vm[t]))
 
 
 def evaluate_extension(d: Decomposition, f: SetObjective, fvals=None) -> float:
@@ -198,12 +225,11 @@ def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, 
     """Best integral vertex in the support; ties keep the earliest pair.
     With the zero half-integral policy and f >= 0 the returned value is
     >= evaluate_extension(d, f).  fvals as in evaluate_extension."""
+    if fvals is None:
+        fvals = vertex_values(d, f)
     best = None
-    for t, (_, v) in enumerate(d.pairs):
-        if not v.is_integral:
-            continue
-        val = f(v) if fvals is None else fvals[t]
-        if best is None or val > best[1]:
+    for (_, v), val in zip(d.pairs, fvals):
+        if v.is_integral and (best is None or val > best[1]):
             best = (v, val)
     if best is None:
         raise ValueError("decomposition has no integral vertex")
@@ -215,7 +241,7 @@ def backprop_extension(tape: GradientTape, f: SetObjective, fvals=None) -> np.nd
     binding constraints as locally constant (valid almost everywhere).
     fvals, when given, are f at the tape's vertices in order."""
     if fvals is None:
-        fvals = [f(v) for v in tape.vertices()]
+        fvals = tape_values(tape, f)
     fvals = np.array(fvals, dtype=np.float64)
     if tape.kernel is not None:
         verts, branch, bind, aex = tape.kernel

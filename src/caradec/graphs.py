@@ -3,7 +3,7 @@ constraints, plus the edge-list file format shared by the CLI."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class Graph:
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...] | None = None
-    _adj: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -41,19 +40,10 @@ class Graph:
                 raise GraphFormatError("weights length != edge count")
             if any(w <= 0 for w in self.weights):
                 raise GraphFormatError("weights must be positive")
-        adj = {u: [] for u in range(self.n_nodes)}
-        for idx, (u, v) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        object.__setattr__(self, "_adj", adj)
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, u: int):
-        """(neighbor, edge_index) pairs of u, sorted by neighbor id."""
-        return self._adj[u]
 
     def weight_array(self) -> np.ndarray:
         if self.weights is None:

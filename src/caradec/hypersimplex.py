@@ -133,16 +133,12 @@ def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig, want_t
     return res, xv
 
 
-def _kernel_vertices(verts: np.ndarray, n: int) -> list[VertexSet]:
-    """One vertex per row of the kernel's (T, K) index matrix.  Rows come
-    sorted; the constructor still checks order and range."""
-    return [VertexSet(n, tuple(row)) for row in verts.tolist()]
-
-
 def kernel_decomposition(res, n: int) -> Decomposition:
-    """The pairs, residual and step count of a raw block-kernel result."""
+    """The pairs, residual and step count of a raw block-kernel result: one
+    vertex per row of the kernel's (T, K) index matrix.  Rows come sorted;
+    the VertexSet constructor still checks order and range."""
     probs, verts, residual_inf = res[0], res[3], res[8]
-    pairs = tuple(zip(probs.tolist(), _kernel_vertices(verts, n)))
+    pairs = tuple(zip(probs.tolist(), (VertexSet(n, tuple(row)) for row in verts.tolist())))
     return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
 
 

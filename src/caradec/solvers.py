@@ -237,9 +237,8 @@ def multi_scale_solve(
             )
             d = decompose(xx, c, cfg)
             total_iters += d.iterations
-            fvals = None
+            fvals = vertex_values(d, f)
             if b == 1.0 and rep == 0:
-                fvals = vertex_values(d, f)
                 extension_value = evaluate_extension(d, f, fvals)
             for _, v in d.pairs:
                 if not v.is_integral:
@@ -300,7 +299,10 @@ def local_improve(
     s: VertexSet, pool, f: SetObjective, c: ConstraintSpec, max_iter: int = 10
 ) -> tuple[VertexSet, float]:
     """Best-improvement single swaps (drop one member, add one candidate)
-    preserving feasibility; stops at a local optimum or after max_iter."""
+    preserving feasibility; stops at a local optimum or after max_iter.
+    Each sweep makes one values_of call per dropped member, over all its
+    feasible candidates, and scans the values in (member, candidate) order:
+    a swap wins only if it beats the best so far by more than 1e-12."""
     current = set(s.indices)
     value = f.value_of(tuple(sorted(current)))
     n = s.n
@@ -308,11 +310,12 @@ def local_improve(
     for _ in range(max_iter):
         best_swap, best_val = None, value
         for i in sorted(current):
-            for j in candidates:
-                if j in current or not _swap_feasible(c, current, i, j):
-                    continue
-                trial = tuple(sorted(current - {i} | {j}))
-                val = f.value_of(trial)
+            swaps = [j for j in candidates if j not in current and _swap_feasible(c, current, i, j)]
+            if not swaps:
+                continue
+            rest = current - {i}
+            vals = f.values_of([tuple(sorted(rest | {j})) for j in swaps]).tolist()
+            for j, val in zip(swaps, vals):
                 if val > best_val + 1e-12:
                     best_swap, best_val = (i, j), val
         if best_swap is None:
@@ -391,7 +394,8 @@ def random_baseline(
     seed: int = 0,
 ) -> SolveResult:
     """Best of uniformly sampled feasible sets within a trial or wall-time
-    budget (time is checked once per batch of 64 trials)."""
+    budget (time is checked once per batch of 64 trials, and each batch is
+    scored by one values_of call)."""
     if trials is None and seconds is None:
         raise ValueError("either a trial or a time budget is required")
     if trials is not None and trials < 1:
@@ -401,14 +405,12 @@ def random_baseline(
     best = None
     done = 0
     while True:
-        for _ in range(64):
-            if trials is not None and done >= trials:
-                break
-            s = _sample_feasible(c, rng)
-            val = f.value_of(s)
+        batch = 64 if trials is None else min(64, trials - done)
+        sets = [_sample_feasible(c, rng) for _ in range(batch)]
+        for s, val in zip(sets, f.values_of(sets).tolist()):
             if best is None or val > best[1]:
                 best = (s, val)
-            done += 1
+        done += batch
         if trials is not None and done >= trials:
             break
         if seconds is not None and time.perf_counter() - t0 >= seconds:
@@ -439,8 +441,9 @@ def random_decomp_baseline(f: SetObjective, c: ConstraintSpec, seed: int = 0) ->
     rng = stream(seed, "random-decomp")
     x = random_point_in_polytope(c, rng)
     d = decompose(x, c)
-    v, val = best_set(d, f)
-    F = evaluate_extension(d, f)
+    fvals = vertex_values(d, f)
+    v, val = best_set(d, f, fvals)
+    F = evaluate_extension(d, f, fvals)
     ms = (time.perf_counter() - t0) * 1e3
     return SolveResult(
         best=v, objective=val, extension_value=F, time_ms=ms,

@@ -115,13 +115,17 @@ class TestDirectOptimize:
 
 
 class CountingCut(CutObjective):
+    """Counts batched evaluations and the index sets they cover."""
+
     def __init__(self, g):
         super().__init__(g)
         self.calls = 0
+        self.rows = 0
 
-    def value_of(self, indices):
+    def values_of(self, sets):
         self.calls += 1
-        return super().value_of(indices)
+        self.rows += len(sets)
+        return super().values_of(sets)
 
 
 def reference_direct(f, c, cfg):
@@ -159,7 +163,9 @@ class TestSingleEvaluation:
         f = CountingCut(g)
         res = direct_optimize(f, c, cfg)
         assert len(supports) == cfg.steps + 1
-        assert f.calls == sum(supports)
+        # One batch per decomposition, one row per vertex.
+        assert f.calls == cfg.steps + 1
+        assert f.rows == sum(supports)
 
         (best, value), F, x = reference_direct(CutObjective(g), c, cfg)
         assert res.objective == value
@@ -284,6 +290,83 @@ class TestLocalImprove:
             v0 = f.value_of(start)
             v, val = local_improve(VertexSet.integral(start, 12), list(range(12)), f, c, max_iter=10)
             assert val >= v0 - 1e-12
+
+
+def reference_local_improve(s, pool, f, c, max_iter=10):
+    """The former local_improve: one value_of call per feasible swap."""
+    current = set(s.indices)
+    value = f.value_of(tuple(sorted(current)))
+    candidates = [j for j in pool if j not in current]
+    for _ in range(max_iter):
+        best_swap, best_val = None, value
+        for i in sorted(current):
+            for j in candidates:
+                if j in current or not solvers._swap_feasible(c, current, i, j):
+                    continue
+                val = f.value_of(tuple(sorted(current - {i} | {j})))
+                if val > best_val + 1e-12:
+                    best_swap, best_val = (i, j), val
+        if best_swap is None:
+            break
+        i, j = best_swap
+        current.remove(i)
+        current.add(j)
+        candidates = [cnd for cnd in candidates if cnd != j] + [i]
+        value = best_val
+    return VertexSet.integral(sorted(current), s.n), value
+
+
+class TestBatchedLocalImprove:
+    """Batched sweeps pick the same swaps, ties included, as the loop."""
+
+    @staticmethod
+    def unit_coverage(rng, n_sets, n_elements):
+        sets = tuple(
+            tuple(sorted(set(rng.integers(0, n_elements, int(rng.integers(1, 6))).tolist())))
+            for _ in range(n_sets)
+        )
+        return CoverageObjective(CoverageInstance(n_sets, n_elements, (1.0,) * n_elements, sets))
+
+    def assert_same(self, start, pool, f, c, max_iter=10):
+        got = local_improve(start, pool, f, c, max_iter)
+        want = reference_local_improve(start, pool, f, c, max_iter)
+        assert got[0] == want[0] and got[1] == want[1]
+        return got
+
+    def test_unit_weight_ties(self):
+        rng = stream(37, "batched-li")
+        moved = 0
+        for trial in range(25):
+            f = self.unit_coverage(rng, 30, 25)
+            c = Cardinality(30, 5)
+            start = VertexSet.integral(rng.choice(30, 5, replace=False).tolist(), 30)
+            pool = rng.permutation(30)[: int(rng.integers(5, 31))].tolist()
+            v, _ = self.assert_same(start, pool, f, c, max_iter=int(rng.integers(1, 11)))
+            moved += v != start
+            g = gen_er_graph(12, 0.4, seed=trial)
+            self.assert_same(VertexSet.integral(range(4), 12), list(range(12))[::-1], CutObjective(g),
+                             Cardinality(12, 4))
+        assert moved > 0
+
+    def test_partition_cross_block_candidates(self):
+        rng = stream(41, "batched-li-partition")
+        spec = PartitionMatroid([range(0, 8), range(8, 14), range(14, 24)], [2, 1, 3])
+        for _ in range(20):
+            f = self.unit_coverage(rng, 24, 20)
+            start = VertexSet.integral(
+                [i for idx, k in zip(spec.block_indices, spec.budgets) for i in rng.choice(idx, k, replace=False)], 24
+            )
+            v, _ = self.assert_same(start, rng.permutation(24).tolist(), f, spec)
+            assert spec.vertex_feasible(v)
+
+    def test_graphic_ties(self):
+        rng = stream(43, "batched-li-graphic")
+        g = gen_er_graph(7, 0.6, seed=4)
+        c = GraphicMatroid(g)
+        for _ in range(10):
+            f = LinearObjective(rng.integers(0, 3, g.m).astype(float))
+            start = solvers._sample_feasible(c, rng)
+            self.assert_same(VertexSet.integral(start, g.m), rng.permutation(g.m).tolist(), f, c)
 
 
 class TestCardinalityAsOneBlock:

@@ -15,10 +15,13 @@ from caradec.core import (
     VertexSet,
 )
 from caradec.extension import (
+    CallableObjective,
     LinearObjective,
     backprop_extension,
     decompose,
     decompose_with_tape,
+    tape_values,
+    vertex_values,
 )
 from caradec.fstab import (
     check_fstab_membership,
@@ -241,10 +244,16 @@ def test_decompose_matches_tape_decomposition():
         (GraphicMatroid(Graph(1, ())), np.zeros(0)),  # no edge binds any step
         (FractionalStableSet(fg), fx),
     ]
+    # Injective on the vertices of these cases: a binary code for index
+    # sets, a negative base-3 code for half-integral vectors.
+    f = CallableObjective(
+        lambda s: float(sum(2**i for i in s)),
+        lambda v: -1.0 - sum(2 * h * 3**i for i, h in enumerate(v.halves)),
+    )
     for c, x in cases:
         for cfg in (EXACT, RESCALED):
             d = decompose(x, c, cfg)
             dt, tape = decompose_with_tape(x, c, cfg)
             assert d.pairs == dt.pairs, c.family
             assert (d.residual, d.iterations) == (dt.residual, dt.iterations), c.family
-            assert [v for _, v in d.pairs] == tape.vertices(), c.family
+            assert tape_values(tape, f) == vertex_values(d, f), c.family
