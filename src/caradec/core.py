@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,7 @@ class VertexSet:
         if (self.indices is None) == (self.halves is None):
             raise ValueError("exactly one of indices/halves must be given")
         if self.indices is not None:
-            if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+            if not all(map(operator.lt, self.indices, self.indices[1:])):
                 raise ValueError("indices must be strictly increasing")
             if self.indices and not (0 <= self.indices[0] and self.indices[-1] < self.n):
                 raise ValueError("index out of range")

@@ -124,15 +124,6 @@ class GradientTape:
     w_data: np.ndarray | None = None
     kernel: tuple | None = field(default=None, repr=False)
 
-    def replay_probabilities(self) -> np.ndarray:
-        out = np.empty_like(self.a)
-        mass = 1.0
-        for t, at in enumerate(self.a):
-            is_last_terminal = self.terminal and t == len(self.a) - 1
-            out[t] = mass if is_last_terminal else at * mass
-            mass *= 1.0 - (1.0 if is_last_terminal else at)
-        return out
-
 
 def decompose_with_tape(
     x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT

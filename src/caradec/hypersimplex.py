@@ -79,31 +79,6 @@ def project_to_hypersimplex(z, k: int) -> Point:
     return project_to_partition_polytope(z, Cardinality(np.shape(z)[0], k))
 
 
-def top_k_vertex(x, k: int) -> VertexSet:
-    """Indices of the k largest entries; ties go to the smaller index."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds dimension {n}")
-    order = np.argsort(-x, kind="stable")
-    return VertexSet.integral(order[:k], n)
-
-
-def max_step_coefficient(x, s: VertexSet) -> float:
-    """Largest a with (x - a*1_S)/(1-a) still in the box: the smaller of the
-    least in-set entry and one minus the largest out-of-set entry."""
-    x = np.asarray(x, dtype=float)
-    if not s.is_integral:
-        raise ValueError("integral vertex required")
-    idx = list(s.indices)
-    mask = np.zeros(x.shape[0], dtype=bool)
-    mask[idx] = True
-    a_in = float(x[mask].min()) if idx else np.inf
-    out = x[~mask]
-    a_out = 1.0 - float(out.max()) if out.size else np.inf
-    return float(min(a_in, a_out, 1.0))
-
-
 def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
     x = check_box(x)
     if x.shape != (spec.n,):

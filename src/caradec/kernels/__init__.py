@@ -7,8 +7,10 @@ is picked at import time when available; set ``CARADEC_PURE=1`` to force
 the fallback.  Both follow the same arithmetic step for step, so results
 agree to the last few ulps and all tie-breaking is identical: each block
 takes its k largest coordinates, ties to the smaller index.  The pure
-kernel finds them without a per-element loop, by one stable sort on
-(block, value descending, index).
+kernel finds them without a per-element loop: each step re-sorts the
+previous step's order by (block, value descending) with one stable sort,
+and falls back to the full stable sort on (block, value descending, index)
+when a block's entries at positions k-1 and k tie.
 Timings of both backends come from the benchmark in ``perfbench/``.
 """
 

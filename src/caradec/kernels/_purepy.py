@@ -43,11 +43,32 @@ def decompose_blocks(
     n = x.shape[0]
     block_of = np.asarray(block_of, dtype=np.int32)
     budgets = np.asarray(budgets, dtype=np.int64)
-    K = int(budgets.sum())
-    # The vertex is each block's first budget entries in one stable sort by
-    # (block, value desc, index); the block sizes fix their positions.
-    sizes = np.bincount(block_of, minlength=budgets.shape[0])
-    take = np.concatenate([s + np.arange(k) for s, k in zip(np.cumsum(sizes) - sizes, budgets)])
+    # `order` lists the coordinates by (block, value descending); each
+    # block's first budget entries form the vertex.  A step maps in-set and
+    # out-of-set values through two increasing maps and the pin and clip
+    # keep their order, so x[order] is at most two descending runs per block
+    # and one stable re-sort of the previous order is cheap.  Equal values
+    # then keep the previous order rather than the index order.  That can
+    # change the vertex only when a block's entries at positions k-1 and k
+    # tie, and on such a step the full stable sort by (block, value
+    # descending, index) picks it instead.
+    order = np.argsort(block_of, kind="stable")
+    # The smallest unsigned type of the block ids: numpy's stable sort of 8-
+    # and 16-bit keys is a radix sort.
+    blocks = block_of[order].astype(np.min_scalar_type(budgets.shape[0]))
+    # Positions of the vertex in `order`, and positions k-1 and k of each
+    # block that has entries on both sides of its budget.
+    sizes = np.bincount(block_of, minlength=budgets.shape[0]).tolist()
+    take, before, after, start = [], [], [], 0
+    for size, k in zip(sizes, budgets.tolist()):
+        take += range(start, start + k)
+        if 0 < k < size:
+            before.append(start + k - 1)
+            after.append(start + k)
+        start += size
+    K = len(take)
+    take = np.array(take, dtype=np.intp)
+    edges = np.array([before, after], dtype=np.intp)
 
     probs, qs, avals, verts, branch, bind, aexs = [], [], [], [], [], [], []
     snaps = [] if want_tape else None
@@ -56,18 +77,22 @@ def decompose_blocks(
     residual_inf = 0.0
 
     for _ in range(max_iter):
-        in_set = np.zeros(n, dtype=bool)
-        in_set[np.lexsort((-x, block_of))[take]] = True
-        v = in_set.nonzero()[0]
+        order = order[np.lexsort((-x[order], blocks))]
+        ends = x[order[edges]]
+        if np.count_nonzero(ends[0] == ends[1]):
+            order = np.lexsort((-x, block_of))
+        v = np.sort(order[take])
 
         if K > 0:
             xv = x[v]
-            rel = int(np.argmin(xv))
+            rel = int(xv.argmin())
             a_in, idx_in = float(xv[rel]), int(v[rel])
         else:
             a_in, idx_in = np.inf, -1
         if K < n:
-            idx_out = int(np.where(in_set, -np.inf, x).argmax())
+            x_out = x.copy()
+            x_out[v] = -np.inf
+            idx_out = int(x_out.argmax())
             a_out = 1.0 - float(x[idx_out])
         else:
             a_out, idx_out = np.inf, -1
@@ -118,7 +143,7 @@ def decompose_blocks(
             # The binding coordinate is algebraically exactly 0 or 1; pin it
             # so float drift cannot resurrect it in later top-k selections.
             x[bi] = 0.0 if br == BRANCH_MIN_IN else 1.0
-        np.clip(x, 0.0, 1.0, out=x)
+        x.clip(0.0, 1.0, out=x)
         q *= om
         if want_tape:
             snaps.append(x.copy())

@@ -40,6 +40,10 @@ class TestVertexSet:
             VertexSet(n=3, indices=(0, 0))
         with pytest.raises(ValueError):
             VertexSet(n=3, indices=(0, 5))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            VertexSet(n=9, indices=(0, 2, 4, 3))
+        with pytest.raises(ValueError, match="out of range"):
+            VertexSet(n=9, indices=(-1, 4))
 
     def test_half_integral_values(self):
         v = VertexSet.half_integral([0.5, 0.0, 1.0])

@@ -88,12 +88,20 @@ class TestTapeBasics:
         assert tape.terminal
 
     def test_replay_matches(self):
+        """p_t = a_t * prod_{i<t}(1 - a_i), with all the mass left on a
+        terminal last step."""
         rng = stream(2, "replay")
         for name, mk in FAMILIES.items():
             c = mk()
             x = random_point(rng, c)
             _, tape = decompose_with_tape(x, c)
-            assert np.allclose(tape.replay_probabilities(), tape.p, atol=1e-12), name
+            replay, mass = np.empty_like(tape.a), 1.0
+            for t, at in enumerate(tape.a):
+                if tape.terminal and t == len(tape.a) - 1:
+                    at = 1.0
+                replay[t] = at * mass
+                mass *= 1.0 - at
+            assert np.allclose(replay, tape.p, atol=1e-12), name
 
 
 class TestEvaluateAndRounding:

@@ -3,14 +3,41 @@
 import numpy as np
 import pytest
 
-from caradec.core import Cardinality, DecompositionConfig, MembershipError, validate_decomposition
-from caradec.hypersimplex import (
-    decompose_hypersimplex,
-    max_step_coefficient,
-    project_to_hypersimplex,
-    top_k_vertex,
+from caradec.core import (
+    Cardinality,
+    DecompositionConfig,
+    MembershipError,
+    VertexSet,
+    validate_decomposition,
 )
+from caradec.hypersimplex import decompose_hypersimplex, project_to_hypersimplex
 from caradec.rng import stream
+
+
+# Reference forms of one block's vertex choice and step coefficient.
+def top_k_vertex(x, k: int) -> VertexSet:
+    """Indices of the k largest entries; ties go to the smaller index."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if k > n:
+        raise ValueError(f"k={k} exceeds dimension {n}")
+    order = np.argsort(-x, kind="stable")
+    return VertexSet.integral(order[:k], n)
+
+
+def max_step_coefficient(x, s: VertexSet) -> float:
+    """Largest a with (x - a*1_S)/(1-a) still in the box: the smaller of the
+    least in-set entry and one minus the largest out-of-set entry."""
+    x = np.asarray(x, dtype=float)
+    if not s.is_integral:
+        raise ValueError("integral vertex required")
+    idx = list(s.indices)
+    mask = np.zeros(x.shape[0], dtype=bool)
+    mask[idx] = True
+    a_in = float(x[mask].min()) if idx else np.inf
+    out = x[~mask]
+    a_out = 1.0 - float(out.max()) if out.size else np.inf
+    return float(min(a_in, a_out, 1.0))
 
 
 def random_hypersimplex_point(rng, n, k):
@@ -83,6 +110,24 @@ class TestMaxStep:
     def test_second_example(self):
         x = np.array([0.5, 0.3, 0.2])
         assert max_step_coefficient(x, top_k_vertex(x, 1)) == pytest.approx(0.5)
+
+    def test_kernel_first_step(self):
+        """The decomposition's first pair is the top-k set with the largest
+        step, also when values tie (points on a 1/4 grid)."""
+        rng = stream(3, "first-step")
+        for trial in range(60):
+            n = int(rng.integers(2, 30))
+            k = int(rng.integers(1, n))
+            if trial % 2:
+                x = random_hypersimplex_point(rng, n, k)
+            else:
+                units = np.zeros(n)
+                for _ in range(4 * k):
+                    units[rng.choice(np.flatnonzero(units < 4))] += 1
+                x = units / 4
+            p, s = decompose_hypersimplex(x, k).pairs[0]
+            assert s == top_k_vertex(x, k)
+            assert p == pytest.approx(max_step_coefficient(x, s), abs=1e-12)
 
 
 class TestExactDecomposition:

@@ -181,6 +181,19 @@ def pinned_point(rng, block_of, budgets):
     return x
 
 
+def assert_same_outputs(*args):
+    """Every output of the pure kernel equals the reference loop's."""
+    got = _purepy.decompose_blocks(*args)
+    want = reference_decompose_blocks(*args)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert (g is None) == (w is None), i
+        if w is not None:
+            # Bytes, not values: the sign of zero counts too.
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.dtype == w.dtype and g.shape == w.shape, i
+            assert g.tobytes() == w.tobytes(), i
+
+
 class TestPureKernelMatchesReference:
     """Every output of ``_purepy.decompose_blocks`` equals the reference
     loop's exactly, with and without a tape, exact and rescaled."""
@@ -191,16 +204,7 @@ class TestPureKernelMatchesReference:
         # (scale, floor, eps, max_iter): exact, then rescaled
         for mode in ((1.0, 0.0, 0.0, n + 1), (0.5, 0.02, 1e-5, 4 * n)):
             for tape in (True, False):
-                args = (x, block_of, budgets, *mode, 1e-12, tape)
-                got = _purepy.decompose_blocks(*args)
-                want = reference_decompose_blocks(*args)
-                for i, (g, w) in enumerate(zip(got, want)):
-                    assert (g is None) == (w is None), i
-                    if w is not None:
-                        # Bytes, not values: the sign of zero counts too.
-                        g, w = np.asarray(g), np.asarray(w)
-                        assert g.dtype == w.dtype and g.shape == w.shape, i
-                        assert g.tobytes() == w.tobytes(), i
+                assert_same_outputs(x, block_of, budgets, *mode, 1e-12, tape)
 
     def test_random_blocks(self):
         rng = np.random.default_rng(10)
@@ -256,3 +260,45 @@ class TestPureKernelMatchesReference:
             x = pinned_point(rng, block_of, budgets)
             x[x == 0.0] = -0.0
             self.assert_same(x, block_of, budgets)
+
+
+def projected_point(rng, block_of, budgets):
+    """A uniform draw, mean-centred onto each block's budget."""
+    x = rng.random(block_of.shape[0])
+    for b, k in enumerate(budgets):
+        idx = np.flatnonzero(block_of == b)
+        z = x[idx]
+        m, u = z.mean(), k / idx.size
+        x[idx] = min(u / m, (1 - u) / (1 - m)) * (z - m) + u
+    return x
+
+
+class TestPureKernelAtBenchmarkScale:
+    """The benchmark's sizes: long runs, where the kernel carries each step's
+    sorted order into the next one."""
+
+    def test_cardinality_500_exact_with_tape(self):
+        rng = np.random.default_rng(20)
+        block_of, budgets = np.zeros(500, dtype=np.int32), np.array([10])
+        for _ in range(2):
+            x = projected_point(rng, block_of, budgets)
+            assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 501, 1e-12, True)
+
+    def test_cardinality_500_rescaled(self):
+        rng = np.random.default_rng(20)
+        block_of, budgets = np.zeros(500, dtype=np.int32), np.array([10])
+        x = projected_point(rng, block_of, budgets)
+        assert_same_outputs(x, block_of, budgets, 0.1, 0.0, 1e-4, 2000, 1e-12, False)
+
+    def test_partition_2000_in_20_blocks(self):
+        rng = np.random.default_rng(21)
+        block_of, budgets = np.repeat(np.arange(20), 100).astype(np.int32), np.full(20, 10)
+        x = projected_point(rng, block_of, budgets)
+        assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 2001, 1e-12, True)
+
+    def test_scattered_blocks_300(self):
+        rng = np.random.default_rng(22)
+        block_of, budgets = scattered_blocks(rng, n=300)
+        x = projected_point(rng, block_of, budgets)
+        assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 301, 1e-12, True)
+        assert_same_outputs(x, block_of, budgets, 0.5, 0.02, 1e-5, 1200, 1e-12, False)
