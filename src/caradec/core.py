@@ -236,10 +236,10 @@ class ActiveConstraintRecord:
 class Peeling:
     """One run of peel, row t for step t of T: its mass p, the mass q left
     before it, the applied and the unscaled coefficient (both 1 on a
-    terminal step), its vertex (also row t of vertex_matrix) and x_next[t],
-    the iterate after it (a terminal step's row is the iterate it ends
-    on).  records holds the binding inequality of every non-terminal step;
-    residual is the inf-norm of the mass left unreported."""
+    terminal step) and its vertex (also row t of vertex_matrix).  records
+    holds the binding inequality z.y <= b of every non-terminal step and
+    zx its value z.x_t at the step's iterate; residual is the inf-norm of
+    the mass left unreported."""
 
     p: np.ndarray
     q: np.ndarray
@@ -247,8 +247,8 @@ class Peeling:
     a_exact: np.ndarray
     vertices: tuple[VertexSet, ...]
     vertex_matrix: np.ndarray
-    x_next: np.ndarray
     records: tuple[ActiveConstraintRecord, ...]
+    zx: np.ndarray
     terminal: bool
     residual: float
 
@@ -269,7 +269,7 @@ def peel(x: np.ndarray, cfg: DecompositionConfig, step) -> Peeling:
     n = x.shape[0]
     q = 1.0
     eps = 0.0 if cfg.is_exact else cfg.tolerance
-    rows, records = [], []
+    rows, records, zx = [], [], []
     terminal = False
     for _ in range(cfg.iteration_cap(n)):
         v, a_exact, record, pin = step(x)
@@ -278,25 +278,26 @@ def peel(x: np.ndarray, cfg: DecompositionConfig, step) -> Peeling:
         a = a_scaled if a_scaled >= cfg.floor else a_exact
         terminal = a > 1.0 - cfg.guard or q * (1.0 - a) < cfg.guard
         if terminal:
-            rows.append((q, q, 1.0, 1.0, v, vvec, x))
+            rows.append((q, q, 1.0, 1.0, v, vvec))
             break
+        records.append(record)
+        zx.append(sum(z * x[i] for i, z in zip(record.indices, record.coeffs)))
         x = (x - a * vvec) / (1.0 - a)
         if pin is not None and a == a_exact:
             # The binding coordinate is algebraically exactly 0 or 1.
             x[pin[0]] = pin[1]
         np.clip(x, 0.0, 1.0, out=x)
-        rows.append((a * q, q, a, a_exact, v, vvec, x))
-        records.append(record)
+        rows.append((a * q, q, a, a_exact, v, vvec))
         q *= 1.0 - a
         if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
             break
-    p, qs, avals, aex, verts, vecs, xs = zip(*rows) if rows else [()] * 7
+    p, qs, avals, aex, verts, vecs = zip(*rows) if rows else [()] * 6
     left = np.abs(x - vvec) if terminal else x
     return Peeling(
         p=np.array(p, dtype=float), q=np.array(qs, dtype=float),
         a=np.array(avals, dtype=float), a_exact=np.array(aex, dtype=float),
         vertices=verts, vertex_matrix=np.array(vecs).reshape(len(rows), n),
-        x_next=np.array(xs).reshape(len(rows), n), records=tuple(records),
+        records=tuple(records), zx=np.array(zx, dtype=float),
         terminal=terminal, residual=q * float(np.max(left, initial=0.0)),
     )
 

@@ -4,7 +4,7 @@ through the recorded piecewise-linear tape."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .hypersimplex import (
     kernel_decompose,
     kernel_decomposition,
 )
+from .kernels._purepy import BRANCH_MIN_IN
 from .matroids import check_graphic_membership, decompose_graphic, graphic_step
 
 
@@ -99,30 +100,26 @@ def decompose(x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT) -> Decompo
 class GradientTape:
     """The arrays of a recorded decomposition of x0, enough to
     differentiate it.  Row t belongs to step t of T: p (its mass), q (the
-    mass left before it), a (its applied coefficient, 1 on a terminal last
-    step) and x_next (T, n), the iterate after the step (a terminal step's
-    row is the iterate it ends on).  Replaying the coefficients reproduces
-    the probabilities exactly: p_t = a_t * prod_{i<t}(1 - a_i).
+    mass left before it) and a (its applied coefficient, 1 on a terminal
+    last step).  Replaying the coefficients reproduces the probabilities
+    exactly: p_t = a_t * prod_{i<t}(1 - a_i).
 
-    Graph families add vertex_matrix (T, n) and each step's binding
-    constraint as a linear functional of its iterate, a_t = const +
-    w_t.x_t, in CSR rows w_indptr, w_indices, w_data (a terminal row is
-    empty).  Box-plus-sum families keep the block kernel's own arrays
-    instead: kernel = (verts, branch, bind, aex)."""
+    Every family adds two CSR (indptr, indices, data) triples and wx.  Row t
+    of vertex_rows is step t's vertex (data 1, or 1/2 on a half-integral
+    vertex); row t of functional_rows its binding constraint as a linear
+    functional of its iterate, a_t = const + w_t.x_t (a terminal row is
+    empty), and wx[t] = w_t.x_t.  No iterate is kept."""
 
     family: str
     n: int
     p: np.ndarray
     q: np.ndarray
     a: np.ndarray
-    x_next: np.ndarray
     terminal: bool
     x0: np.ndarray
-    vertex_matrix: np.ndarray | None = None
-    w_indptr: np.ndarray | None = None
-    w_indices: np.ndarray | None = None
-    w_data: np.ndarray | None = None
-    kernel: tuple | None = field(default=None, repr=False)
+    vertex_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    functional_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    wx: np.ndarray
 
 
 def decompose_with_tape(
@@ -130,7 +127,8 @@ def decompose_with_tape(
 ) -> tuple[Decomposition, GradientTape]:
     xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
     if isinstance(c, PartitionMatroid):
-        return _tape_from_kernel(xv, c, cfg)
+        res, x0 = kernel_decompose(xv, c, cfg)
+        return kernel_decomposition(res, x0.shape[0]), kernel_tape(res, x0, c.family)
     if isinstance(c, GraphicMatroid):
         if c.graph.n_components() != 1:
             raise ValueError("gradient tape for graphic constraints needs a connected graph")
@@ -143,30 +141,43 @@ def decompose_with_tape(
         raise TypeError(f"unsupported constraint {type(c).__name__}")
     pl = peel(x0, cfg, step)
     # a_t = r (b - z.x_t)/(b - z.v_t) with r = a_t/a_exact, so w_t = -r z/(b - z.v_t).
-    rows = [
-        -(pl.a[t] / pl.a_exact[t] if pl.a_exact[t] > 0 else 1.0)
-        * np.asarray(rec.coeffs) / rec.denominator()
-        for t, rec in enumerate(pl.records)
-    ]
+    ratios = [at / ae if ae > 0 else 1.0 for at, ae in zip(pl.a.tolist(), pl.a_exact.tolist())]
+    dens = [rec.denominator() for rec in pl.records]
+    rows = [-r * np.asarray(rec.coeffs) / d for r, rec, d in zip(ratios, pl.records, dens)]
+    wx = [-r * zx / d for r, zx, d in zip(ratios, pl.zx.tolist(), dens)]
     lens = [len(rec.indices) for rec in pl.records] + [0] * pl.terminal
+    vrow, vcol = np.nonzero(pl.vertex_matrix)
     tape = GradientTape(
-        family=c.family, n=x0.shape[0], p=pl.p, q=pl.q, a=pl.a, x_next=pl.x_next,
-        terminal=pl.terminal, x0=x0, vertex_matrix=pl.vertex_matrix,
-        w_indptr=np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
-        w_indices=np.array([i for rec in pl.records for i in rec.indices], dtype=np.int64),
-        w_data=np.concatenate([np.zeros(0), *rows]),
+        family=c.family, n=x0.shape[0], p=pl.p, q=pl.q, a=pl.a,
+        terminal=pl.terminal, x0=x0,
+        vertex_rows=(np.searchsorted(vrow, np.arange(len(pl.p) + 1)), vcol,
+                     pl.vertex_matrix[vrow, vcol]),
+        functional_rows=(np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
+                         np.array([i for rec in pl.records for i in rec.indices], dtype=np.int64),
+                         np.concatenate([np.zeros(0), *rows])),
+        wx=np.array(wx + [0.0] * pl.terminal),
     )
     return pl.decomposition(), tape
 
 
-def _tape_from_kernel(xv, c, cfg):
-    res, x0 = kernel_decompose(xv, c, cfg, True)
-    probs, qs, avals, verts, branch, bind, snaps, aex, _, terminal = res
-    tape = GradientTape(
-        family=c.family, n=x0.shape[0], p=probs, q=qs, a=avals, x_next=snaps,
-        terminal=bool(terminal), x0=x0, kernel=(verts, branch, bind, aex),
+def kernel_tape(res, x0: np.ndarray, family: str) -> GradientTape:
+    """The tape of a raw block-kernel result on x0.  Step t binds one
+    coordinate, so w_t is +-r e_bind with r = a_t/a_exact on rescaled
+    steps: +r when the smallest in-set value x_t[bind] = a_exact binds,
+    -r when the largest out-of-set value x_t[bind] = 1 - a_exact does."""
+    probs, qs, avals, verts, branch, bind, aex, _, terminal = res
+    T, K = verts.shape
+    live = np.arange(T) < T - bool(terminal)
+    r = np.divide(avals, aex, out=np.ones(T), where=(aex > 0.0) & (avals != aex))
+    min_in = branch == BRANCH_MIN_IN
+    w = np.where(min_in, r, -r)
+    return GradientTape(
+        family=family, n=x0.shape[0], p=probs, q=qs, a=avals,
+        terminal=bool(terminal), x0=x0,
+        vertex_rows=(np.arange(T + 1) * K, verts.ravel(), np.ones(T * K)),
+        functional_rows=(np.concatenate(([0], np.cumsum(live))), bind[live], w[live]),
+        wx=np.where(live, w * np.where(min_in, aex, 1.0 - aex), 0.0),
     )
-    return kernel_decomposition(res, x0.shape[0]), tape
 
 
 def _scores(f: SetObjective, sets, half_vertex) -> list[float]:
@@ -193,15 +204,19 @@ def vertex_values(d: Decomposition, f: SetObjective) -> list[float]:
 
 
 def tape_values(tape: GradientTape, f: SetObjective) -> list[float]:
-    """f at the vertex of every step of tape, read from its arrays: the
-    rows of the kernel's index matrix, or the 0/1 rows of vertex_matrix;
-    only half-integral rows become VertexSets."""
-    if tape.kernel is not None:
-        return _scores(f, list(map(tuple, tape.kernel[0].tolist())), None)
-    vm = tape.vertex_matrix
-    integral = np.all((vm == 0.0) | (vm == 1.0), axis=1).tolist()
-    sets = [tuple(np.flatnonzero(row).tolist()) if ok else None for row, ok in zip(vm, integral)]
-    return _scores(f, sets, lambda t: VertexSet.half_integral(vm[t]))
+    """f at the vertex of every step of tape, read from its CSR rows; only
+    half-integral rows become VertexSets."""
+    indptr, indices, data = tape.vertex_rows
+    ptr, idx = indptr.tolist(), indices.tolist()
+    half = set((np.searchsorted(indptr, np.flatnonzero(data != 1.0), "right") - 1).tolist())
+    sets = [None if t in half else tuple(idx[ptr[t]:ptr[t + 1]]) for t in range(len(ptr) - 1)]
+
+    def half_vertex(t):
+        row = np.zeros(tape.n)
+        row[idx[ptr[t]:ptr[t + 1]]] = data[ptr[t]:ptr[t + 1]]
+        return VertexSet.half_integral(row)
+
+    return _scores(f, sets, half_vertex)
 
 
 def evaluate_extension(d: Decomposition, f: SetObjective, fvals=None) -> float:
@@ -233,27 +248,8 @@ def backprop_extension(tape: GradientTape, f: SetObjective, fvals=None) -> np.nd
     fvals, when given, are f at the tape's vertices in order."""
     if fvals is None:
         fvals = tape_values(tape, f)
-    fvals = np.array(fvals, dtype=np.float64)
-    if tape.kernel is not None:
-        verts, branch, bind, aex = tape.kernel
-        return kernels.backprop_blocks(
-            tape.n, tape.p, tape.q, tape.a, verts, branch, bind, tape.x_next, aex, fvals
-        )
-    g = np.zeros(tape.n)
-    rest = 0.0
-    ptr = tape.w_indptr
-    for t in range(len(fvals) - 1, -1, -1):
-        if tape.terminal and t == len(fvals) - 1:
-            rest += tape.p[t] * fvals[t]
-            continue
-        om = 1.0 - tape.a[t]
-        s = tape.q[t] * fvals[t] - rest / om
-        dot = float(g @ tape.x_next[t]) - float(g @ tape.vertex_matrix[t])
-        coeff = dot / om + s
-        g /= om
-        g[tape.w_indices[ptr[t]:ptr[t + 1]]] += coeff * tape.w_data[ptr[t]:ptr[t + 1]]
-        rest += tape.p[t] * fvals[t]
-    return g
+    return kernels.backprop_blocks(tape.n, tape.p, tape.q, tape.a, tape.vertex_rows,
+                                   tape.functional_rows, tape.wx, fvals, tape.terminal)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig, want_tape: bool):
+def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig):
     """Membership-checked run of the block kernel on x; returns the raw
     kernel result and the checked point."""
     xv = check_partition_membership(x.values if isinstance(x, Point) else x, spec)
@@ -103,7 +103,6 @@ def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig, want_t
         0.0 if cfg.is_exact else cfg.tolerance,
         cfg.iteration_cap(spec.n),
         cfg.guard,
-        want_tape,
     )
     return res, xv
 
@@ -112,7 +111,7 @@ def kernel_decomposition(res, n: int) -> Decomposition:
     """The pairs, residual and step count of a raw block-kernel result: one
     vertex per row of the kernel's (T, K) index matrix.  Rows come sorted;
     the VertexSet constructor still checks order and range."""
-    probs, verts, residual_inf = res[0], res[3], res[8]
+    probs, verts, residual_inf = res[0], res[3], res[7]
     pairs = tuple(zip(probs.tolist(), (VertexSet(n, tuple(row)) for row in verts.tolist())))
     return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
 
@@ -125,7 +124,7 @@ def decompose_partition(
     rescaled ones take b*a_t per step (a_t when b*a_t falls below the
     floor), stop at l2 residual <= tolerance or the iteration cap, and
     leave the leftover mass unreported in the pair list."""
-    return kernel_decomposition(kernel_decompose(x, spec, cfg, False)[0], spec.n)
+    return kernel_decomposition(kernel_decompose(x, spec, cfg)[0], spec.n)
 
 
 def decompose_hypersimplex(

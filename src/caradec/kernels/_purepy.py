@@ -1,12 +1,11 @@
-"""Pure-numpy decomposition kernels; the reference the Cython extension
+"""Pure-numpy decomposition kernel; the reference the Cython extension
 must match.
 
 ``decompose_blocks`` runs the iterative vertex-peeling loop for box +
 per-block-sum polytopes: at each step the vertex is the per-block top-k
 of the iterate (value descending, index ascending on ties), the step
 coefficient is min(min-in-set, 1 - max-out-of-set) optionally rescaled,
-and the iterate is renormalized.  ``backprop_blocks`` accumulates the
-reverse-mode gradient of sum(p_t * f_t) through the recorded tape.
+and the iterate is renormalized.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ def decompose_blocks(
     eps: float,
     max_iter: int,
     guard: float,
-    want_tape: bool,
 ):
     """Decompose x0 into per-block top-k vertices.
 
-    Returns (probs, qs, avals, verts, branch, bind, snaps, aex,
-    residual_inf, terminal); snaps is None unless want_tape.  qs[t] is the
-    mass left before step t; avals[t] the applied coefficient and aex[t]
-    the unscaled one (they differ only on rescaled steps, where the
-    gradient of the applied coefficient carries the extra factor).
+    Returns (probs, qs, avals, verts, branch, bind, aex, residual_inf,
+    terminal).  qs[t] is the mass left before step t; avals[t] the applied
+    coefficient and aex[t] the unscaled one (they differ only on rescaled
+    steps, where the gradient of the applied coefficient carries the extra
+    factor).
     """
     x = np.array(x0, dtype=np.float64)
     n = x.shape[0]
@@ -71,7 +69,6 @@ def decompose_blocks(
     edges = np.array([before, after], dtype=np.intp)
 
     probs, qs, avals, verts, branch, bind, aexs = [], [], [], [], [], [], []
-    snaps = [] if want_tape else None
     q = 1.0
     terminal = False
     residual_inf = 0.0
@@ -120,8 +117,6 @@ def decompose_blocks(
             verts.append(v)
             branch.append(BRANCH_TERMINAL)
             bind.append(-1)
-            if want_tape:
-                snaps.append(x.copy())
             diff = x.copy()
             diff[v] -= 1.0
             residual_inf = q * float(np.max(np.abs(diff), initial=0.0))
@@ -145,17 +140,12 @@ def decompose_blocks(
             x[bi] = 0.0 if br == BRANCH_MIN_IN else 1.0
         x.clip(0.0, 1.0, out=x)
         q *= om
-        if want_tape:
-            snaps.append(x.copy())
         if eps > 0.0 and q * math.sqrt(x.dot(x)) <= eps:
             break
 
     T = len(probs)
     if T and not terminal:
         residual_inf = q * float(np.max(x, initial=0.0))
-    out_snaps = np.asarray(snaps, dtype=np.float64) if want_tape else None
-    if want_tape and T == 0:
-        out_snaps = np.zeros((0, n))
     return (
         np.asarray(probs, dtype=np.float64),
         np.asarray(qs, dtype=np.float64),
@@ -163,48 +153,8 @@ def decompose_blocks(
         np.asarray(verts, dtype=np.int32).reshape(T, K),
         np.asarray(branch, dtype=np.int8),
         np.asarray(bind, dtype=np.int32),
-        out_snaps,
         np.asarray(aexs, dtype=np.float64),
         residual_inf,
         terminal,
     )
 
-
-def backprop_blocks(
-    n: int,
-    probs: np.ndarray,
-    qs: np.ndarray,
-    avals: np.ndarray,
-    verts: np.ndarray,
-    branch: np.ndarray,
-    bind: np.ndarray,
-    snaps: np.ndarray,
-    aex: np.ndarray,
-    fvals: np.ndarray,
-):
-    """Reverse-mode gradient of F = sum(p_t * f_t) w.r.t. the input point.
-
-    Vertex choice and binding constraint are locally constant; each applied
-    coefficient is (avals/aex) * (+-x_t[bind] + shift), and
-    x_{t+1} = (x_t - a_t v_t)/(1 - a_t).
-    """
-    g = np.zeros(n)
-    R = 0.0  # sum over later steps of p_i * f_i
-    for t in range(len(probs) - 1, -1, -1):
-        if branch[t] == BRANCH_TERMINAL:
-            R += probs[t] * fvals[t]
-            continue
-        om = 1.0 - avals[t]
-        s = qs[t] * fvals[t] - R / om
-        vsum = float(g[verts[t]].sum())
-        dot = float(g @ snaps[t]) - vsum
-        coeff = dot / om + s
-        if aex[t] > 0.0 and avals[t] != aex[t]:
-            coeff *= avals[t] / aex[t]
-        g /= om
-        if branch[t] == BRANCH_MIN_IN:
-            g[bind[t]] += coeff
-        else:
-            g[bind[t]] -= coeff
-        R += probs[t] * fvals[t]
-    return g

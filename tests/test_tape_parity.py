@@ -1,10 +1,21 @@
 """The shared peeling loop and the array tape must reproduce, byte for
-byte, the per-family graph loops and the list-based tapes they replaced.
-Those loops, their tape builders and the list-based backprop loop are kept
-below as the reference."""
+byte, the steps of the per-family graph loops and of the block kernel's
+per-element loop, and the one reverse loop must give the gradients of the
+reverse loops that read every iterate, to 1e-12 relative (the iterate dot
+products become a scalar recurrence, so the last ulps move).  Those loops
+are kept in ``reference_loops`` as the reference."""
 
 import numpy as np
 import pytest
+from reference_loops import (
+    assert_bytes,
+    dense_vertices,
+    reference_backprop,
+    reference_backprop_blocks,
+    reference_fstab_tape,
+    reference_graphic_tape,
+    reference_kernel_run,
+)
 
 from caradec.core import (
     Cardinality,
@@ -12,7 +23,6 @@ from caradec.core import (
     FractionalStableSet,
     GraphicMatroid,
     PartitionMatroid,
-    VertexSet,
 )
 from caradec.extension import (
     CallableObjective,
@@ -23,133 +33,15 @@ from caradec.extension import (
     tape_values,
     vertex_values,
 )
-from caradec.fstab import (
-    check_fstab_membership,
-    fstab_step_coefficient,
-    fstab_vertex,
-    project_to_fstab,
-)
+from caradec.fstab import project_to_fstab
 from caradec.graphs import Graph
 from caradec.hypersimplex import project_to_hypersimplex, project_to_partition_polytope
-from caradec.matroids import (
-    _face_respecting_forest,
-    check_graphic_membership,
-    graphic_step_coefficient,
-    max_spanning_forest,
-    spanning_tree_marginals,
-)
+from caradec.matroids import max_spanning_forest, spanning_tree_marginals
 from caradec.rng import stream
 
 EXACT = DecompositionConfig()
 RESCALED = DecompositionConfig(scale=0.5, floor=0.05, tolerance=1e-6, max_iterations=40)
-
-
-# ---------------------------------------------------------------------------
-# Reference: the per-family loops, list tapes and list backprop
-
-
-def reference_graphic_steps(x, g, cfg):
-    """Steps (p, q, a, a_exact, vertex indices, trace, x_next) and the
-    residual of the former graphic loop."""
-    x = x.copy()
-    q, steps, terminal = 1.0, [], False
-    eps = 0.0 if cfg.is_exact else cfg.tolerance
-    for _ in range(cfg.iteration_cap(g.m)):
-        s_t = _face_respecting_forest(x, g)
-        a_exact, trace = graphic_step_coefficient(g, x, s_t)
-        a = cfg.scale * a_exact if cfg.scale * a_exact >= cfg.floor else a_exact
-        if a > 1.0 - cfg.guard or q * (1.0 - a) < cfg.guard:
-            steps.append((q, q, 1.0, 1.0, s_t.indices, None, None))
-            terminal = True
-            break
-        om = 1.0 - a
-        x[list(s_t.indices)] -= a
-        x /= om
-        if a == a_exact:
-            if trace.kind == "min_in_forest":
-                x[trace.edge] = 0.0
-            elif trace.kind == "one_minus_max_outside":
-                x[trace.edge] = 1.0
-        np.clip(x, 0.0, 1.0, out=x)
-        steps.append((a * q, q, a, a_exact, s_t.indices, trace, x.copy()))
-        q = q * om
-        if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
-            break
-    residual = q * float(np.max(x, initial=0.0))
-    if terminal:
-        diff = x.copy()
-        diff[list(steps[-1][4])] -= 1.0
-        residual = q * float(np.max(np.abs(diff), initial=0.0))
-    return steps, residual
-
-
-def reference_graphic_tape(x, g, cfg):
-    x0 = check_graphic_membership(x, g)
-    steps, residual = reference_graphic_steps(x0.copy(), g, cfg)
-    tape = {key: [] for key in ("p", "q", "a", "vertices", "w_idx", "w_coef", "x_next")}
-    for pt, qt, at, aext, vidx, trace, xn in steps:
-        ratio = at / aext if aext > 0 else 1.0
-        if trace is None:
-            idx = coef = None
-        elif trace.kind == "min_in_forest":
-            idx, coef = np.array([trace.edge]), np.array([ratio])
-        elif trace.kind == "one_minus_max_outside":
-            idx, coef = np.array([trace.edge]), np.array([-ratio])
-        else:
-            den = trace.face_rank - trace.face_inter
-            idx, coef = np.asarray(trace.face), np.full(len(trace.face), -ratio / den)
-        row = (pt, qt, at, VertexSet.integral(vidx, g.m), idx, coef, xn)
-        for key, val in zip(tape, row):
-            tape[key].append(val)
-    return tape, residual, steps[-1][5] is None
-
-
-def reference_fstab_tape(x, g, cfg):
-    xv = check_fstab_membership(x, g).copy()
-    tape = {key: [] for key in ("p", "q", "a", "vertices", "w_idx", "w_coef", "x_next")}
-    q, residual, terminal = 1.0, 0.0, False
-    eps = 0.0 if cfg.is_exact else cfg.tolerance
-    for _ in range(cfg.iteration_cap(xv.shape[0])):
-        v = fstab_vertex(xv, g)
-        a_exact, record = fstab_step_coefficient(xv, v, g)
-        a = cfg.scale * a_exact if cfg.scale * a_exact >= cfg.floor else a_exact
-        if a > 1.0 - cfg.guard or q * (1.0 - a) < cfg.guard:
-            row = (q, q, 1.0, v, None, None, None)
-            residual = q * float(np.max(np.abs(xv - v.to_vector()), initial=0.0))
-            terminal = True
-        else:
-            om = 1.0 - a
-            xv = (xv - a * v.to_vector()) / om
-            if a == a_exact and record.kind in ("lower", "upper"):
-                xv[record.indices[0]] = 0.0 if record.kind == "lower" else 1.0
-            np.clip(xv, 0.0, 1.0, out=xv)
-            ratio = a / a_exact if a_exact > 0 else 1.0
-            coef = -ratio * np.asarray(record.coeffs) / record.denominator()
-            row = (a * q, q, a, v, np.asarray(record.indices), coef, xv.copy())
-            q *= om
-            residual = q * float(np.max(xv, initial=0.0))
-        for key, val in zip(tape, row):
-            tape[key].append(val)
-        if terminal or (eps > 0.0 and q * float(np.linalg.norm(xv)) <= eps):
-            break
-    return tape, residual, terminal
-
-
-def reference_backprop(tape, n, fvals):
-    g = np.zeros(n)
-    rest = 0.0
-    for t in range(len(fvals) - 1, -1, -1):
-        if tape["w_idx"][t] is None:
-            rest += tape["p"][t] * fvals[t]
-            continue
-        om = 1.0 - tape["a"][t]
-        s = tape["q"][t] * fvals[t] - rest / om
-        dot = float(g @ tape["x_next"][t]) - float(g @ tape["vertices"][t].to_vector())
-        coeff = dot / om + s
-        g /= om
-        g[tape["w_idx"][t]] += coeff * tape["w_coef"][t]
-        rest += tape["p"][t] * fvals[t]
-    return g
+GRAD_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +75,11 @@ def fstab_cases(rng, count):
         yield g, project_to_fstab(0.3 + rng.random(n), g, 0.0).values
 
 
-def assert_bytes(got, want, what):
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+def assert_close_gradient(got, want, what):
+    """max |got - want| <= GRAD_RTOL * max |want|."""
     assert got.shape == want.shape, what
-    assert got.tobytes() == want.tobytes(), what
+    err = float(np.max(np.abs(got - want), initial=0.0))
+    assert err <= GRAD_RTOL * float(np.max(np.abs(want), initial=0.0)), (what, err)
 
 
 def assert_same_tape(x, c, cfg, reference, rng):
@@ -196,15 +89,19 @@ def assert_same_tape(x, c, cfg, reference, rng):
     for key in ("p", "q", "a"):
         assert_bytes(getattr(tape, key), want[key], key)
     assert tape.terminal == terminal
-    iterates = np.reshape([xn for xn in want["x_next"] if xn is not None], (-1, c.dim))
-    assert_bytes(tape.x_next[: T - terminal], iterates, "x_next")
+    assert_bytes(dense_vertices(tape), [v.to_vector() for v in want["vertices"]], "vertices")
+    rows = [(i, w) for i, w in zip(want["w_idx"], want["w_coef"]) if i is not None]
+    indptr, indices, data = tape.functional_rows
+    assert np.array_equal(indptr, np.cumsum([0] + [len(i) for i, _ in rows] + [0] * terminal))
+    assert np.array_equal(indices, np.concatenate([np.zeros(0, int), *(i for i, _ in rows)]))
+    assert_bytes(data, np.concatenate([np.zeros(0), *(w for _, w in rows)]), "functional data")
     assert d.pairs == tuple(zip(want["p"], want["vertices"]))
     assert (d.residual, d.iterations) == (residual, T)
     fvals = rng.standard_normal(T)
-    assert_bytes(backprop_extension(tape, None, fvals), reference_backprop(want, c.dim, fvals), "gradient")
+    assert_close_gradient(backprop_extension(tape, None, fvals), reference_backprop(want, c.dim, fvals), "gradient")
     f = LinearObjective(rng.random(c.dim))
     ref = reference_backprop(want, c.dim, np.array([f(v) for v in want["vertices"]]))
-    assert_bytes(backprop_extension(tape, f), ref, "gradient from rebuilt vertices")
+    assert_close_gradient(backprop_extension(tape, f), ref, "gradient from tape values")
     return want
 
 
@@ -257,3 +154,45 @@ def test_decompose_matches_tape_decomposition():
             assert d.pairs == dt.pairs, c.family
             assert (d.residual, d.iterations) == (dt.residual, dt.iterations), c.family
             assert tape_values(tape, f) == vertex_values(d, f), c.family
+
+
+def kernel_cases():
+    """(spec, point, config) triples for the block kernel's tapes."""
+    rng = stream(53, "kernel-tape-parity")
+    card = Cardinality(500, 10)
+    x500 = project_to_hypersimplex(rng.random(500), 10).values
+    blocks = PartitionMatroid([range(i * 100, (i + 1) * 100) for i in range(20)], [10] * 20)
+    mixed = PartitionMatroid([range(0, 5), range(5, 12), range(12, 17)], [0, 3, 5])
+    small = Cardinality(20, 5)
+    vertex = np.zeros(8)
+    vertex[[1, 4, 6]] = 1.0
+    return {
+        "card500-exact": (card, x500, EXACT),
+        "card500-rescaled": (card, x500, DecompositionConfig(scale=0.1, tolerance=1e-4, max_iterations=2000)),
+        "partition2000": (blocks, project_to_partition_polytope(rng.random(2000), blocks).values, EXACT),
+        "k0": (Cardinality(12, 0), np.zeros(12), EXACT),
+        "kn": (Cardinality(12, 12), np.ones(12), EXACT),
+        "blocks-k0-kn-exact": (mixed, project_to_partition_polytope(rng.random(17), mixed).values, EXACT),
+        "blocks-k0-kn-rescaled": (mixed, project_to_partition_polytope(rng.random(17), mixed).values, RESCALED),
+        "T0": (small, project_to_hypersimplex(rng.random(20), 5).values, DecompositionConfig(max_iterations=0)),
+        "terminal-only": (Cardinality(8, 3), vertex, EXACT),
+    }
+
+
+@pytest.mark.parametrize("case", list(kernel_cases()))
+def test_kernel_tape_matches_reference(case):
+    c, x, cfg = kernel_cases()[case]
+    _, tape = decompose_with_tape(x, c, cfg)
+    out, snaps = reference_kernel_run(tape.x0, c, cfg)
+    T = len(out[0])
+    for key, want in zip(("p", "q", "a"), out):
+        assert_bytes(getattr(tape, key), want, key)
+    assert tape.terminal == out[-1]
+    assert np.array_equal(tape.vertex_rows[1].reshape(out[3].shape), out[3])
+    assert (T == 0) == (case == "T0") and (T == 1) == (case in ("k0", "kn", "terminal-only"))
+    rng = stream(59, "kernel-tape-gradient", case)
+    f = LinearObjective(rng.random(c.n))
+    for fvals in (rng.standard_normal(T), np.array([f.value_of(tuple(v)) for v in out[3].tolist()])):
+        want = reference_backprop_blocks(c.n, *out[:6], snaps, out[6], fvals)
+        assert_close_gradient(backprop_extension(tape, None, fvals), want, case)
+    assert_close_gradient(backprop_extension(tape, f), want, case)
