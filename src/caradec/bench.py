@@ -26,10 +26,9 @@ from .solvers import (
     ScaleSchedule,
     direct_optimize,
     greedy_coverage,
-    local_improve,
-    multi_scale_solve,
     random_baseline,
     random_decomp_baseline,
+    solve_pipeline,
 )
 
 CSV_HEADER = ["instance_id", "method", "k", "objective", "extension", "time_ms", "seed", "iterations"]
@@ -115,8 +114,6 @@ def _run_one(job):
             steps=opts.get("steps", 150), lr=opts.get("lr", 0.015),
             seed=run_seed, init=opts.get("init", "random"),
         )
-        res = direct_optimize(f, c, cfg)
-        v, val, ext, iters = res.best, res.objective, res.extension_value, res.iterations
         if method == "direct+local":
             sched = ScaleSchedule(
                 factors=tuple(opts.get("scales", DEFAULT_SCALES)),
@@ -125,11 +122,10 @@ def _run_one(job):
                 max_iterations=opts.get("scale_max_iterations", 4 * n),
                 seed=run_seed,
             )
-            ms, pool = multi_scale_solve(res.final_point, sched, f, c)
-            if ms.objective > val:
-                v, val = ms.best, ms.objective
-            v, val = local_improve(v, pool, f, c, max_iter=opts.get("local_iters", 10))
-            iters += ms.iterations
+            res = solve_pipeline(f, c, cfg, sched, opts.get("local_iters", 10))
+        else:
+            res = direct_optimize(f, c, cfg)
+        v, val, ext, iters = res.best, res.objective, res.extension_value, res.iterations
     else:
         raise ValueError(f"unknown method {method!r}")
     ms_total = (time.perf_counter() - t0) * 1e3

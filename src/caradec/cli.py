@@ -36,9 +36,8 @@ from .solvers import (
     ScaleSchedule,
     direct_optimize,
     greedy_coverage,
-    local_improve,
-    multi_scale_solve,
     random_baseline,
+    solve_pipeline,
 )
 
 
@@ -165,20 +164,18 @@ def cmd_solve(args) -> int:
                   "objective": res.objective, "iterations": res.iterations}
     else:  # direct / direct+local
         cfg = OptimizeConfig(steps=args.steps, lr=args.lr, seed=args.seed, init=args.init)
-        res = direct_optimize(f, c, cfg)
-        v, val = res.best, res.objective
         if args.method == "direct+local":
             sched = ScaleSchedule(
                 factors=_parse_scales(args.scales), tolerance=args.epsilon,
                 floor=args.floor, max_iterations=4 * c.dim, seed=args.seed,
             )
-            ms, pool = multi_scale_solve(res.final_point, sched, f, c)
-            if ms.objective > val:
-                v, val = ms.best, ms.objective
-            v, val = local_improve(v, pool, f, c, max_iter=args.local_iters)
+            res = solve_pipeline(f, c, cfg, sched, args.local_iters)
+        else:
+            res = direct_optimize(f, c, cfg)
         result = {
-            "method": args.method, "set": list(v.indices), "objective": val,
+            "method": args.method, "set": list(res.best.indices), "objective": res.objective,
             "extension": res.extension_value, "time_ms": res.time_ms,
+            "iterations": res.iterations,
         }
     if args.format == "csv":
         from .bench import CSV_HEADER

@@ -13,6 +13,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,27 +124,80 @@ class Point:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+def csr_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of a (T, n) matrix as a CSR (indptr, indices,
+    data) triple, row by row in index order."""
+    vrow, vcol = np.nonzero(matrix)
+    return np.searchsorted(vrow, np.arange(matrix.shape[0] + 1)), vcol, matrix[vrow, vcol]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Decomposition:
     """Ordered (probability, vertex) pairs plus the residual left at
-    termination (inf-norm reconstruction error) and the iteration count."""
+    termination (inf-norm reconstruction error) and the iteration count.
 
-    pairs: tuple[tuple[float, VertexSet], ...]
+    Stored as arrays: p[t] is pair t's probability and row t of the CSR
+    triple vertex_rows its vertex over n coordinates (data 1, or 1/2 on a
+    half-integral vertex).  Decomposition(pairs, residual, iterations)
+    converts a pair list; producers call from_rows.  pairs is built on
+    first use."""
+
+    p: np.ndarray
+    vertex_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    n: int | None
     residual: float = 0.0
     iterations: int = 0
 
+    def __init__(self, pairs=(), residual: float = 0.0, iterations: int = 0):
+        pairs = tuple(pairs)
+        n = pairs[0][1].n if pairs else None
+        rows = np.zeros((len(pairs), n or 0))
+        for t, (_, v) in enumerate(pairs):
+            rows[t] = v.to_vector()
+        probs = np.array([p for p, _ in pairs], dtype=float)
+        self.__dict__.update(p=probs, vertex_rows=csr_rows(rows), n=n,
+                             residual=residual, iterations=iterations)
+
+    @classmethod
+    def from_rows(cls, p, vertex_rows, n: int, residual: float) -> "Decomposition":
+        """The decomposition of a producer's len(p) steps."""
+        d = cls.__new__(cls)
+        d.__dict__.update(p=p, vertex_rows=vertex_rows, n=n,
+                          residual=float(residual), iterations=len(p))
+        return d
+
+    @cached_property
+    def sets(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Row t's sorted index tuple, or None where the vertex is
+        half-integral."""
+        indptr, indices, data = self.vertex_rows
+        ptr, idx = indptr.tolist(), indices.tolist()
+        sets = [tuple(idx[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
+        for t in (np.searchsorted(indptr, np.flatnonzero(data != 1.0), "right") - 1).tolist():
+            sets[t] = None
+        return tuple(sets)
+
+    def vertex(self, t: int) -> VertexSet:
+        """Row t as a VertexSet."""
+        if self.sets[t] is not None:
+            return VertexSet(self.n, self.sets[t])
+        indptr, indices, data = self.vertex_rows
+        row = np.zeros(self.n)
+        row[indices[indptr[t]:indptr[t + 1]]] = data[indptr[t]:indptr[t + 1]]
+        return VertexSet.half_integral(row)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[float, VertexSet], ...]:
+        return tuple(zip(self.p.tolist(), map(self.vertex, range(len(self.p)))))
+
     def probability_sum(self) -> float:
-        return float(sum(p for p, _ in self.pairs))
+        return float(sum(self.p.tolist()))
 
     def reconstruct(self, n: int | None = None) -> np.ndarray:
+        n = self.n if n is None else n
         if n is None:
-            if not self.pairs:
-                raise DimensionError("empty decomposition needs explicit n")
-            n = self.pairs[0][1].n
+            raise DimensionError("empty decomposition needs explicit n")
         return reconstruct(self.pairs, n)
-
-    def support(self):
-        return [v for _, v in self.pairs]
 
     def to_json(self) -> str:
         items = []
@@ -169,6 +223,27 @@ class Decomposition:
                 v = VertexSet.integral(s, n)
             pairs.append((float(item["p"]), v))
         return cls(tuple(pairs), float(obj["residual"]), int(obj["iterations"]))
+
+
+@dataclass
+class GradientTape:
+    """What the reverse pass needs of a recorded decomposition d of x0 that
+    d does not hold.  Row t belongs to step t of T: q (the mass left before
+    it) and a (its applied coefficient, 1 on a terminal last step).
+    Replaying the coefficients reproduces d's probabilities exactly:
+    p_t = a_t * prod_{i<t}(1 - a_i).
+
+    Row t of the CSR triple functional_rows is step t's binding constraint
+    as a linear functional of its iterate, a_t = const + w_t.x_t (a
+    terminal row is empty), and wx[t] = w_t.x_t.  No iterate is kept."""
+
+    d: Decomposition
+    q: np.ndarray
+    a: np.ndarray
+    terminal: bool
+    x0: np.ndarray
+    functional_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    wx: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -232,73 +307,57 @@ class ActiveConstraintRecord:
         return self.offset - self.vertex_value
 
 
-@dataclass(frozen=True)
-class Peeling:
-    """One run of peel, row t for step t of T: its mass p, the mass q left
-    before it, the applied and the unscaled coefficient (both 1 on a
-    terminal step) and its vertex (also row t of vertex_matrix).  records
-    holds the binding inequality z.y <= b of every non-terminal step and
-    zx its value z.x_t at the step's iterate; residual is the inf-norm of
-    the mass left unreported."""
-
-    p: np.ndarray
-    q: np.ndarray
-    a: np.ndarray
-    a_exact: np.ndarray
-    vertices: tuple[VertexSet, ...]
-    vertex_matrix: np.ndarray
-    records: tuple[ActiveConstraintRecord, ...]
-    zx: np.ndarray
-    terminal: bool
-    residual: float
-
-    def decomposition(self) -> Decomposition:
-        return Decomposition(tuple(zip(self.p.tolist(), self.vertices)),
-                             residual=self.residual, iterations=len(self.vertices))
-
-
-def peel(x: np.ndarray, cfg: DecompositionConfig, step) -> Peeling:
-    """Caratheodory peeling of a checked point x.  step(x_t) returns the
-    vertex v_t, the largest coefficient a_exact keeping the rest in the
-    polytope, its binding inequality and an optional (index, value) pin.
-    Each step applies a = scale * a_exact (a_exact when that falls below
-    the floor), sets x_{t+1} = (x_t - a v_t)/(1 - a), pins the binding
+def peel(x: np.ndarray, cfg: DecompositionConfig, step) -> tuple[Decomposition, GradientTape]:
+    """Caratheodory peeling of a checked point x, with its tape.  step(x_t)
+    returns the vertex v_t, the largest coefficient a_exact keeping the rest
+    in the polytope, its binding inequality and an optional (index, value)
+    pin.  Each step applies a = scale * a_exact (a_exact when that falls
+    below the floor), sets x_{t+1} = (x_t - a v_t)/(1 - a), pins the binding
     coordinate on exact steps and clips to the box.  The run ends on a
-    terminal step (a within the guard of 1, or the mass left below it),
-    at l2 residual <= tolerance (rescaled configs) or at the cap."""
-    n = x.shape[0]
+    terminal step (a within the guard of 1, or the mass left below it), at
+    l2 residual <= tolerance (rescaled configs) or at the cap."""
+    x0, n = x, x.shape[0]
     q = 1.0
     eps = 0.0 if cfg.is_exact else cfg.tolerance
-    rows, records, zx = [], [], []
+    rows, vecs, lens, w_idx, w_rows, wx = [], [], [], [], [], []
     terminal = False
     for _ in range(cfg.iteration_cap(n)):
         v, a_exact, record, pin = step(x)
         vvec = v.to_vector()
+        vecs.append(vvec)
         a_scaled = cfg.scale * a_exact
         a = a_scaled if a_scaled >= cfg.floor else a_exact
         terminal = a > 1.0 - cfg.guard or q * (1.0 - a) < cfg.guard
         if terminal:
-            rows.append((q, q, 1.0, 1.0, v, vvec))
+            rows.append((q, q, 1.0))
             break
-        records.append(record)
-        zx.append(sum(z * x[i] for i, z in zip(record.indices, record.coeffs)))
+        # a_t = r (b - z.x_t)/(b - z.v_t) with r = a_t/a_exact, so w_t = -r z/(b - z.v_t).
+        r = a / a_exact if a_exact > 0 else 1.0
+        den = record.denominator()
+        zx = sum(z * x[i] for i, z in zip(record.indices, record.coeffs))
+        lens.append(len(record.indices))
+        w_idx.extend(record.indices)
+        w_rows.append(-r * np.asarray(record.coeffs) / den)
+        wx.append(-r * zx / den)
         x = (x - a * vvec) / (1.0 - a)
         if pin is not None and a == a_exact:
             # The binding coordinate is algebraically exactly 0 or 1.
             x[pin[0]] = pin[1]
         np.clip(x, 0.0, 1.0, out=x)
-        rows.append((a * q, q, a, a_exact, v, vvec))
+        rows.append((a * q, q, a))
         q *= 1.0 - a
         if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
             break
-    p, qs, avals, aex, verts, vecs = zip(*rows) if rows else [()] * 6
+    p, qs, avals = (np.array(col, dtype=float) for col in (zip(*rows) if rows else [()] * 3))
     left = np.abs(x - vvec) if terminal else x
-    return Peeling(
-        p=np.array(p, dtype=float), q=np.array(qs, dtype=float),
-        a=np.array(avals, dtype=float), a_exact=np.array(aex, dtype=float),
-        vertices=verts, vertex_matrix=np.array(vecs).reshape(len(rows), n),
-        records=tuple(records), zx=np.array(zx, dtype=float),
-        terminal=terminal, residual=q * float(np.max(left, initial=0.0)),
+    d = Decomposition.from_rows(p, csr_rows(np.array(vecs).reshape(len(rows), n)), n,
+                                q * float(np.max(left, initial=0.0)))
+    return d, GradientTape(
+        d, q=qs, a=avals, terminal=terminal, x0=x0,
+        functional_rows=(np.concatenate(([0], np.cumsum(lens + [0] * terminal, dtype=np.int64))),
+                         np.array(w_idx, dtype=np.int64),
+                         np.concatenate([np.zeros(0), *w_rows])),
+        wx=np.array(wx + [0.0] * terminal),
     )
 
 

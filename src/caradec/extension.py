@@ -4,8 +4,6 @@ through the recorded piecewise-linear tape."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -15,6 +13,7 @@ from .core import (
     Decomposition,
     DecompositionConfig,
     FractionalStableSet,
+    GradientTape,
     GraphicMatroid,
     PartitionMatroid,
     Point,
@@ -22,12 +21,7 @@ from .core import (
     peel,
 )
 from .fstab import check_fstab_membership, decompose_fstab, fstab_step
-from .hypersimplex import (
-    decompose_partition,
-    kernel_decompose,
-    kernel_decomposition,
-)
-from .kernels._purepy import BRANCH_MIN_IN
+from .hypersimplex import decompose_partition, kernel_decompose
 from .matroids import check_graphic_membership, decompose_graphic, graphic_step
 
 
@@ -96,127 +90,34 @@ def decompose(x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT) -> Decompo
     raise TypeError(f"unsupported constraint {type(c).__name__}")
 
 
-@dataclass
-class GradientTape:
-    """The arrays of a recorded decomposition of x0, enough to
-    differentiate it.  Row t belongs to step t of T: p (its mass), q (the
-    mass left before it) and a (its applied coefficient, 1 on a terminal
-    last step).  Replaying the coefficients reproduces the probabilities
-    exactly: p_t = a_t * prod_{i<t}(1 - a_i).
-
-    Every family adds two CSR (indptr, indices, data) triples and wx.  Row t
-    of vertex_rows is step t's vertex (data 1, or 1/2 on a half-integral
-    vertex); row t of functional_rows its binding constraint as a linear
-    functional of its iterate, a_t = const + w_t.x_t (a terminal row is
-    empty), and wx[t] = w_t.x_t.  No iterate is kept."""
-
-    family: str
-    n: int
-    p: np.ndarray
-    q: np.ndarray
-    a: np.ndarray
-    terminal: bool
-    x0: np.ndarray
-    vertex_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-    functional_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-    wx: np.ndarray
-
-
 def decompose_with_tape(
     x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT
 ) -> tuple[Decomposition, GradientTape]:
     xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
     if isinstance(c, PartitionMatroid):
-        res, x0 = kernel_decompose(xv, c, cfg)
-        return kernel_decomposition(res, x0.shape[0]), kernel_tape(res, x0, c.family)
+        return kernel_decompose(xv, c, cfg)
     if isinstance(c, GraphicMatroid):
         if c.graph.n_components() != 1:
             raise ValueError("gradient tape for graphic constraints needs a connected graph")
-        x0 = check_graphic_membership(xv, c.graph)
-        step = graphic_step(c.graph)
-    elif isinstance(c, FractionalStableSet):
-        x0 = check_fstab_membership(xv, c.graph)
-        step = fstab_step(c.graph)
-    else:
-        raise TypeError(f"unsupported constraint {type(c).__name__}")
-    pl = peel(x0, cfg, step)
-    # a_t = r (b - z.x_t)/(b - z.v_t) with r = a_t/a_exact, so w_t = -r z/(b - z.v_t).
-    ratios = [at / ae if ae > 0 else 1.0 for at, ae in zip(pl.a.tolist(), pl.a_exact.tolist())]
-    dens = [rec.denominator() for rec in pl.records]
-    rows = [-r * np.asarray(rec.coeffs) / d for r, rec, d in zip(ratios, pl.records, dens)]
-    wx = [-r * zx / d for r, zx, d in zip(ratios, pl.zx.tolist(), dens)]
-    lens = [len(rec.indices) for rec in pl.records] + [0] * pl.terminal
-    vrow, vcol = np.nonzero(pl.vertex_matrix)
-    tape = GradientTape(
-        family=c.family, n=x0.shape[0], p=pl.p, q=pl.q, a=pl.a,
-        terminal=pl.terminal, x0=x0,
-        vertex_rows=(np.searchsorted(vrow, np.arange(len(pl.p) + 1)), vcol,
-                     pl.vertex_matrix[vrow, vcol]),
-        functional_rows=(np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
-                         np.array([i for rec in pl.records for i in rec.indices], dtype=np.int64),
-                         np.concatenate([np.zeros(0), *rows])),
-        wx=np.array(wx + [0.0] * pl.terminal),
-    )
-    return pl.decomposition(), tape
-
-
-def kernel_tape(res, x0: np.ndarray, family: str) -> GradientTape:
-    """The tape of a raw block-kernel result on x0.  Step t binds one
-    coordinate, so w_t is +-r e_bind with r = a_t/a_exact on rescaled
-    steps: +r when the smallest in-set value x_t[bind] = a_exact binds,
-    -r when the largest out-of-set value x_t[bind] = 1 - a_exact does."""
-    probs, qs, avals, verts, branch, bind, aex, _, terminal = res
-    T, K = verts.shape
-    live = np.arange(T) < T - bool(terminal)
-    r = np.divide(avals, aex, out=np.ones(T), where=(aex > 0.0) & (avals != aex))
-    min_in = branch == BRANCH_MIN_IN
-    w = np.where(min_in, r, -r)
-    return GradientTape(
-        family=family, n=x0.shape[0], p=probs, q=qs, a=avals,
-        terminal=bool(terminal), x0=x0,
-        vertex_rows=(np.arange(T + 1) * K, verts.ravel(), np.ones(T * K)),
-        functional_rows=(np.concatenate(([0], np.cumsum(live))), bind[live], w[live]),
-        wx=np.where(live, w * np.where(min_in, aex, 1.0 - aex), 0.0),
-    )
-
-
-def _scores(f: SetObjective, sets, half_vertex) -> list[float]:
-    """f at T vertices: sets[t] is the sorted index tuple of an integral
-    vertex, scored by one values_of call for all of them, or None for a
-    half-integral one, scored by f.half_integral_value(half_vertex(t))."""
-    rows = [t for t, s in enumerate(sets) if s is not None]
-    out = [0.0] * len(sets)
-    for t, val in zip(rows, f.values_of([sets[t] for t in rows]).tolist()):
-        out[t] = val
-    for t, s in enumerate(sets):
-        if s is None:
-            out[t] = float(f.half_integral_value(half_vertex(t)))
-    return out
+        return peel(check_graphic_membership(xv, c.graph), cfg, graphic_step(c.graph))
+    if isinstance(c, FractionalStableSet):
+        return peel(check_fstab_membership(xv, c.graph), cfg, fstab_step(c.graph))
+    raise TypeError(f"unsupported constraint {type(c).__name__}")
 
 
 def vertex_values(d: Decomposition, f: SetObjective) -> list[float]:
-    """f at every vertex of d, in pair order: one evaluation per vertex that
-    evaluate_extension, best_set and backprop_extension (on the tape that
-    produced d) can share."""
-    return _scores(
-        f, [v.indices if v.is_integral else None for _, v in d.pairs], lambda t: d.pairs[t][1]
-    )
-
-
-def tape_values(tape: GradientTape, f: SetObjective) -> list[float]:
-    """f at the vertex of every step of tape, read from its CSR rows; only
-    half-integral rows become VertexSets."""
-    indptr, indices, data = tape.vertex_rows
-    ptr, idx = indptr.tolist(), indices.tolist()
-    half = set((np.searchsorted(indptr, np.flatnonzero(data != 1.0), "right") - 1).tolist())
-    sets = [None if t in half else tuple(idx[ptr[t]:ptr[t + 1]]) for t in range(len(ptr) - 1)]
-
-    def half_vertex(t):
-        row = np.zeros(tape.n)
-        row[idx[ptr[t]:ptr[t + 1]]] = data[ptr[t]:ptr[t + 1]]
-        return VertexSet.half_integral(row)
-
-    return _scores(f, sets, half_vertex)
+    """f at every vertex of d, in pair order: one values_of call for the
+    integral vertices, read from d's rows, and f.half_integral_value for
+    the others.  evaluate_extension, best_set and backprop_extension (on
+    the tape of d) can share the result."""
+    rows = [t for t, s in enumerate(d.sets) if s is not None]
+    out = [0.0] * len(d.sets)
+    for t, val in zip(rows, f.values_of([d.sets[t] for t in rows]).tolist()):
+        out[t] = val
+    for t, s in enumerate(d.sets):
+        if s is None:
+            out[t] = float(f.half_integral_value(d.vertex(t)))
+    return out
 
 
 def evaluate_extension(d: Decomposition, f: SetObjective, fvals=None) -> float:
@@ -224,7 +125,7 @@ def evaluate_extension(d: Decomposition, f: SetObjective, fvals=None) -> float:
     fvals, when given, are the vertex values of d (see vertex_values)."""
     if fvals is None:
         fvals = vertex_values(d, f)
-    return float(sum(p * fv for (p, _), fv in zip(d.pairs, fvals)))
+    return float(sum(p * fv for p, fv in zip(d.p.tolist(), fvals)))
 
 
 def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, float]:
@@ -234,21 +135,22 @@ def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, 
     if fvals is None:
         fvals = vertex_values(d, f)
     best = None
-    for (_, v), val in zip(d.pairs, fvals):
-        if v.is_integral and (best is None or val > best[1]):
-            best = (v, val)
+    for t, (s, val) in enumerate(zip(d.sets, fvals)):
+        if s is not None and (best is None or val > fvals[best]):
+            best = t
     if best is None:
         raise ValueError("decomposition has no integral vertex")
-    return best
+    return d.vertex(best), fvals[best]
 
 
 def backprop_extension(tape: GradientTape, f: SetObjective, fvals=None) -> np.ndarray:
     """Exact gradient of F = sum p_t f(S_t) treating vertex choices and
     binding constraints as locally constant (valid almost everywhere).
     fvals, when given, are f at the tape's vertices in order."""
+    d = tape.d
     if fvals is None:
-        fvals = tape_values(tape, f)
-    return kernels.backprop_blocks(tape.n, tape.p, tape.q, tape.a, tape.vertex_rows,
+        fvals = vertex_values(d, f)
+    return kernels.backprop_blocks(d.n, d.p, tape.q, tape.a, d.vertex_rows,
                                    tape.functional_rows, tape.wx, fvals, tape.terminal)
 
 

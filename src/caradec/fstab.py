@@ -351,4 +351,4 @@ def decompose_fstab(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decomposit
     """Decompose a FSTAB point into at most n+1 vertices; each step
     tightens one inequality that stays tight afterwards."""
     xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
-    return peel(check_fstab_membership(xv, g), cfg, fstab_step(g)).decomposition()
+    return peel(check_fstab_membership(xv, g), cfg, fstab_step(g))[0]

@@ -38,8 +38,9 @@ class Graph:
         if self.weights is not None:
             if len(self.weights) != len(self.edges):
                 raise GraphFormatError("weights length != edge count")
-            if any(w <= 0 for w in self.weights):
-                raise GraphFormatError("weights must be positive")
+            # NaN fails the comparison.
+            if not all(0 < w < np.inf for w in self.weights):
+                raise GraphFormatError("weights must be positive and finite")
 
     @property
     def m(self) -> int:

@@ -15,12 +15,13 @@ from .core import (
     Decomposition,
     DecompositionConfig,
     DimensionError,
+    GradientTape,
     MembershipError,
     PartitionMatroid,
     Point,
-    VertexSet,
     check_box,
 )
+from .kernels._purepy import BRANCH_MIN_IN
 
 
 def _project_block(z, idx, k, gx=None):
@@ -91,8 +92,8 @@ def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
 
 
 def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig):
-    """Membership-checked run of the block kernel on x; returns the raw
-    kernel result and the checked point."""
+    """Membership-checked run of the block kernel on x; returns its
+    decomposition and tape."""
     xv = check_partition_membership(x.values if isinstance(x, Point) else x, spec)
     res = kernels.decompose_blocks(
         xv,
@@ -104,16 +105,30 @@ def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig):
         cfg.iteration_cap(spec.n),
         cfg.guard,
     )
-    return res, xv
+    return kernel_tape(res, xv)
 
 
-def kernel_decomposition(res, n: int) -> Decomposition:
-    """The pairs, residual and step count of a raw block-kernel result: one
-    vertex per row of the kernel's (T, K) index matrix.  Rows come sorted;
-    the VertexSet constructor still checks order and range."""
-    probs, verts, residual_inf = res[0], res[3], res[7]
-    pairs = tuple(zip(probs.tolist(), (VertexSet(n, tuple(row)) for row in verts.tolist())))
-    return Decomposition(pairs, residual=float(residual_inf), iterations=len(pairs))
+def kernel_tape(res, x0: np.ndarray) -> tuple[Decomposition, GradientTape]:
+    """The decomposition and tape of a raw block-kernel result on x0: one
+    vertex per row of the kernel's (T, K) index matrix.  Step t binds one
+    coordinate, so w_t is +-r e_bind with r = a_t/a_exact on rescaled
+    steps: +r when the smallest in-set value x_t[bind] = a_exact binds,
+    -r when the largest out-of-set value x_t[bind] = 1 - a_exact does."""
+    probs, qs, avals, verts, branch, bind, aex, residual, terminal = res
+    T, K = verts.shape
+    d = Decomposition.from_rows(
+        probs, (np.arange(T + 1) * K, verts.ravel().astype(np.int64), np.ones(T * K)),
+        x0.shape[0], residual,
+    )
+    live = np.arange(T) < T - bool(terminal)
+    r = np.divide(avals, aex, out=np.ones(T), where=(aex > 0.0) & (avals != aex))
+    min_in = branch == BRANCH_MIN_IN
+    w = np.where(min_in, r, -r)
+    return d, GradientTape(
+        d, q=qs, a=avals, terminal=bool(terminal), x0=x0,
+        functional_rows=(np.concatenate(([0], np.cumsum(live))), bind[live], w[live]),
+        wx=np.where(live, w * np.where(min_in, aex, 1.0 - aex), 0.0),
+    )
 
 
 def decompose_partition(
@@ -124,7 +139,7 @@ def decompose_partition(
     rescaled ones take b*a_t per step (a_t when b*a_t falls below the
     floor), stop at l2 residual <= tolerance or the iteration cap, and
     leave the leftover mass unreported in the pair list."""
-    return kernel_decomposition(kernel_decompose(x, spec, cfg)[0], spec.n)
+    return kernel_decompose(x, spec, cfg)[0]
 
 
 def decompose_hypersimplex(

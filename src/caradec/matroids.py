@@ -20,6 +20,7 @@ from .core import (
     SizeLimitError,
     VertexSet,
     check_box,
+    csr_rows,
     peel,
 )
 from .graphs import Graph, UnionFind
@@ -273,20 +274,21 @@ def graphic_step(g: Graph):
     return step
 
 
-def _merge_component_steps(peelings, edge_maps):
-    """Couple per-component pair lists into whole-graph pairs: repeatedly
-    emit the smallest remaining head mass with the union of head sets."""
-    probs = [pl.p.tolist() for pl in peelings]
-    ptrs = [0] * len(peelings)
+def _merge_component_steps(parts, edge_maps):
+    """Couple per-component decompositions into whole-graph pairs:
+    repeatedly emit the smallest remaining head mass with the union of head
+    sets."""
+    probs = [d.p.tolist() for d in parts]
+    ptrs = [0] * len(parts)
     rems = [p[0] if p else 0.0 for p in probs]
     merged = []
     while all(i < len(p) for i, p in zip(ptrs, probs)):
         delta = min(rems)
         union = []
-        for ci, pl in enumerate(peelings):
-            union.extend(edge_maps[ci][e] for e in pl.vertices[ptrs[ci]].indices)
-        merged.append((delta, tuple(sorted(union))))
-        for ci in range(len(peelings)):
+        for ci, d in enumerate(parts):
+            union.extend(edge_maps[ci][e] for e in d.sets[ptrs[ci]])
+        merged.append((delta, sorted(union)))
+        for ci in range(len(parts)):
             rems[ci] -= delta
             if rems[ci] <= 1e-15:
                 ptrs[ci] += 1
@@ -302,19 +304,20 @@ def decompose_graphic(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decompos
     xv = check_graphic_membership(xv, g)
     comps = _node_components(g)
     if len(comps) == 1:
-        return peel(xv, cfg, graphic_step(g)).decomposition()
-    peelings, edge_maps = [], []
+        return peel(xv, cfg, graphic_step(g))[0]
+    parts, edge_maps = [], []
     for nodes in comps:
         sub, edge_map = _induced_subgraph(g, nodes)
-        peelings.append(peel(xv[edge_map], cfg, graphic_step(sub)))
+        parts.append(peel(xv[edge_map], cfg, graphic_step(sub))[0])
         edge_maps.append(edge_map)
-    merged = _merge_component_steps(peelings, edge_maps)
-    pairs = tuple((float(p), VertexSet.integral(v, g.m)) for p, v in merged)
-    recon = np.zeros(g.m)
-    for p, v in pairs:
-        recon[list(v.indices)] += p
-    residual = float(np.max(np.abs(recon - xv), initial=0.0))
-    return Decomposition(pairs, residual=residual, iterations=len(pairs))
+    merged = _merge_component_steps(parts, edge_maps)
+    rows, recon = np.zeros((len(merged), g.m)), np.zeros(g.m)
+    for t, (p, s) in enumerate(merged):
+        rows[t, s] = 1.0
+        recon[s] += p
+    residual = np.max(np.abs(recon - xv), initial=0.0)
+    return Decomposition.from_rows(np.array([p for p, _ in merged], dtype=float),
+                                   csr_rows(rows), g.m, residual)
 
 
 def _node_components(g: Graph) -> list[list[int]]:

@@ -29,8 +29,9 @@ class CoverageInstance:
             raise ValueError("one weight per element required")
         if len(self.sets) != self.n_sets:
             raise ValueError("one member list per set required")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        # NaN fails the comparison.
+        if not all(0 <= w < np.inf for w in self.weights):
+            raise ValueError("weights must be nonnegative and finite")
         for members in self.sets:
             if any(not (0 <= e < self.n_elements) for e in members):
                 raise ValueError("element index out of range")

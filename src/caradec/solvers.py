@@ -240,10 +240,8 @@ def multi_scale_solve(
             fvals = vertex_values(d, f)
             if b == 1.0 and rep == 0:
                 extension_value = evaluate_extension(d, f, fvals)
-            for _, v in d.pairs:
-                if not v.is_integral:
-                    continue
-                for i in v.indices:
+            for s in d.sets:
+                for i in s or ():
                     if i not in seen_pool:
                         seen_pool.add(i)
                         pool.append(i)
@@ -263,6 +261,26 @@ def multi_scale_solve(
         time_ms=ms, iterations=total_iters, method="multiscale", seed=sched.seed,
     )
     return result, pool
+
+
+def solve_pipeline(
+    f: SetObjective, c: ConstraintSpec, opt_cfg: OptimizeConfig, sched: ScaleSchedule,
+    local_iters: int = 10,
+) -> SolveResult:
+    """Direct ascent, multi-scale rounding of its final point, then local
+    search from the multi-scale set when that is strictly better and from
+    the direct incumbent otherwise.  iterations counts the direct steps plus
+    the multi-scale decomposition steps; time_ms covers all three stages."""
+    t0 = time.perf_counter()
+    res = direct_optimize(f, c, opt_cfg)
+    ms, pool = multi_scale_solve(res.final_point, sched, f, c)
+    start = ms.best if ms.objective > res.objective else res.best
+    v, val = local_improve(start, pool, f, c, max_iter=local_iters)
+    return SolveResult(
+        best=v, objective=val, extension_value=res.extension_value,
+        time_ms=(time.perf_counter() - t0) * 1e3, iterations=res.iterations + ms.iterations,
+        method="direct+local", seed=opt_cfg.seed, final_point=res.final_point,
+    )
 
 
 def _rejitter(xv, c, scale, rng):

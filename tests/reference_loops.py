@@ -243,9 +243,9 @@ def assert_bytes(got, want, what):
 
 def dense_vertices(tape):
     """The tape's CSR vertex rows as a (T, n) matrix."""
-    T = len(tape.p)
-    indptr, indices, data = tape.vertex_rows
-    out = np.zeros((T, tape.n))
+    T = len(tape.d.p)
+    indptr, indices, data = tape.d.vertex_rows
+    out = np.zeros((T, tape.d.n))
     out[np.repeat(np.arange(T), np.diff(indptr)), indices] = data
     return out
 
@@ -268,7 +268,7 @@ def reference_iterates(x, c, cfg=DecompositionConfig()):
         p, q, a = want["p"], want["q"], want["a"]
         vertices = np.reshape([v.to_vector() for v in want["vertices"]], (len(p), c.dim))
         iterates = [xn for xn in want["x_next"] if xn is not None]
-    for key, ref in (("p", p), ("q", q), ("a", a)):
-        assert_bytes(getattr(tape, key), ref, key)
+    for key, got, ref in (("p", tape.d.p, p), ("q", tape.q, q), ("a", tape.a, a)):
+        assert_bytes(got, ref, key)
     assert_bytes(dense_vertices(tape), vertices, "vertices")
     return d, tape, iterates

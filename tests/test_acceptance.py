@@ -57,9 +57,8 @@ from caradec.solvers import (
     ScaleSchedule,
     direct_optimize,
     greedy_coverage,
-    local_improve,
-    multi_scale_solve,
     random_decomp_baseline,
+    solve_pipeline,
 )
 
 GREEDY_REFERENCE_MEAN = 15641.0  # published Random500 k=10 greedy mean
@@ -405,15 +404,11 @@ def test_criterion_10_max_coverage_regenerated():
         c = Cardinality(500, k)
         _, gval = greedy_coverage(inst, k)
         greedy_vals.append(gval)
-        res = direct_optimize(
-            f, c, OptimizeConfig(steps=150, lr=0.015, seed=i, init="random")
+        res = solve_pipeline(
+            f, c, OptimizeConfig(steps=150, lr=0.015, seed=i, init="random"),
+            ScaleSchedule(max_iterations=2000, seed=i), 10,
         )
-        sched = ScaleSchedule(max_iterations=2000, seed=i)
-        ms, pool = multi_scale_solve(res.final_point, sched, f, c)
-        v, val = (ms.best, ms.objective) if ms.objective > res.objective else (
-            res.best, res.objective)
-        _, val = local_improve(v, pool, f, c, max_iter=10)
-        pipe_vals.append(val)
+        pipe_vals.append(res.objective)
     greedy_mean = float(np.mean(greedy_vals))
     pipe_mean = float(np.mean(pipe_vals))
     elapsed = time.perf_counter() - t0

@@ -40,6 +40,7 @@ def test_gen_and_solve_coverage(workdir):
     res2 = json.loads((workdir / "direct.json").read_text())
     assert len(res2["set"]) == 4
     assert res2["objective"] >= res2["extension"] - 1e-9
+    assert res2["iterations"] > 20  # the direct steps plus the multi-scale steps
 
 
 def test_gen_determinism(workdir):
@@ -211,3 +212,13 @@ def test_random_zero_trials_exit_code(workdir, capsys):
                "--method", "random", "--trials", "0"])
     assert rc == 1
     assert "trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["random", "direct"])
+def test_non_finite_edge_weight_exit_code(workdir, capsys, method):
+    (workdir / "nan.edges").write_text("3 2\n0 1 nan\n1 2 1.0\n")
+    rc = main(["solve", "--graph", "nan.edges", "--constraint", "card", "--k", "1",
+               "--method", method, "--trials", "5", "--steps", "2"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "weights must be positive and finite" in captured.err

@@ -100,7 +100,7 @@ class TestTapeBasics:
                     at = 1.0
                 replay[t] = at * mass
                 mass *= 1.0 - at
-            assert np.allclose(replay, tape.p, atol=1e-12), name
+            assert np.allclose(replay, tape.d.p, atol=1e-12), name
 
 
 class TestEvaluateAndRounding:

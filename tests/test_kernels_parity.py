@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from reference_loops import reference_decompose_blocks
 
-from caradec.extension import backprop_extension, kernel_tape
+from caradec.extension import backprop_extension
+from caradec.hypersimplex import kernel_tape
 from caradec.kernels import _purepy
 
 try:
@@ -76,9 +77,9 @@ class TestExactParity:
             x, block_of, budgets = random_blocks(rng)
             n = x.shape[0]
             args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
-            tp = kernel_tape(_purepy.decompose_blocks(*args), x, "partition")
-            tc = kernel_tape(compiled_decompose_blocks(*args), x, "partition")
-            f = rng.standard_normal(len(tp.p))
+            tp = kernel_tape(_purepy.decompose_blocks(*args), x)[1]
+            tc = kernel_tape(compiled_decompose_blocks(*args), x)[1]
+            f = rng.standard_normal(len(tp.d.p))
             gp = backprop_extension(tp, None, f)
             gc = backprop_extension(tc, None, f)
             assert np.allclose(gp, gc, atol=1e-10, rtol=1e-10)

@@ -8,7 +8,7 @@ import pytest
 from caradec.core import Cardinality, FractionalStableSet, GraphicMatroid
 from caradec.extension import LinearObjective
 from caradec.generators import gen_random_uniform
-from caradec.graphs import Graph
+from caradec.graphs import Graph, GraphFormatError
 from caradec.objectives import (
     CoverageInstance,
     CoverageObjective,
@@ -213,3 +213,15 @@ class TestInstanceIO:
             CoverageInstance(1, 2, (1.0, -1.0), ((0,),))
         with pytest.raises(ValueError):
             CoverageInstance(1, 2, (1.0, 1.0), ((5,),))
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_graph_rejects(self, w):
+        with pytest.raises(GraphFormatError, match="finite"):
+            Graph(3, ((0, 1), (1, 2)), (1.0, w))
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_coverage_rejects(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            CoverageInstance(1, 2, (1.0, w), ((0, 1),))

@@ -3,7 +3,8 @@ byte, the steps of the per-family graph loops and of the block kernel's
 per-element loop, and the one reverse loop must give the gradients of the
 reverse loops that read every iterate, to 1e-12 relative (the iterate dot
 products become a scalar recurrence, so the last ulps move).  Those loops
-are kept in ``reference_loops`` as the reference."""
+are kept in ``reference_loops`` as the reference.  A decomposition rebuilt
+from its pairs must hold the producer's arrays byte for byte."""
 
 import numpy as np
 import pytest
@@ -19,18 +20,21 @@ from reference_loops import (
 
 from caradec.core import (
     Cardinality,
+    Decomposition,
     DecompositionConfig,
     FractionalStableSet,
     GraphicMatroid,
     PartitionMatroid,
+    VertexSet,
 )
 from caradec.extension import (
     CallableObjective,
     LinearObjective,
     backprop_extension,
+    best_set,
     decompose,
     decompose_with_tape,
-    tape_values,
+    evaluate_extension,
     vertex_values,
 )
 from caradec.fstab import project_to_fstab
@@ -86,8 +90,8 @@ def assert_same_tape(x, c, cfg, reference, rng):
     want, residual, terminal = reference(x, c.graph, cfg)
     d, tape = decompose_with_tape(x, c, cfg)
     T = len(want["p"])
-    for key in ("p", "q", "a"):
-        assert_bytes(getattr(tape, key), want[key], key)
+    for key, got in (("p", tape.d.p), ("q", tape.q), ("a", tape.a)):
+        assert_bytes(got, want[key], key)
     assert tape.terminal == terminal
     assert_bytes(dense_vertices(tape), [v.to_vector() for v in want["vertices"]], "vertices")
     rows = [(i, w) for i, w in zip(want["w_idx"], want["w_coef"]) if i is not None]
@@ -153,7 +157,7 @@ def test_decompose_matches_tape_decomposition():
             dt, tape = decompose_with_tape(x, c, cfg)
             assert d.pairs == dt.pairs, c.family
             assert (d.residual, d.iterations) == (dt.residual, dt.iterations), c.family
-            assert tape_values(tape, f) == vertex_values(d, f), c.family
+            assert vertex_values(dt, f) == vertex_values(d, f), c.family
 
 
 def kernel_cases():
@@ -185,10 +189,10 @@ def test_kernel_tape_matches_reference(case):
     _, tape = decompose_with_tape(x, c, cfg)
     out, snaps = reference_kernel_run(tape.x0, c, cfg)
     T = len(out[0])
-    for key, want in zip(("p", "q", "a"), out):
-        assert_bytes(getattr(tape, key), want, key)
+    for key, got, want in zip(("p", "q", "a"), (tape.d.p, tape.q, tape.a), out):
+        assert_bytes(got, want, key)
     assert tape.terminal == out[-1]
-    assert np.array_equal(tape.vertex_rows[1].reshape(out[3].shape), out[3])
+    assert np.array_equal(tape.d.vertex_rows[1].reshape(out[3].shape), out[3])
     assert (T == 0) == (case == "T0") and (T == 1) == (case in ("k0", "kn", "terminal-only"))
     rng = stream(59, "kernel-tape-gradient", case)
     f = LinearObjective(rng.random(c.n))
@@ -196,3 +200,60 @@ def test_kernel_tape_matches_reference(case):
         want = reference_backprop_blocks(c.n, *out[:6], snaps, out[6], fvals)
         assert_close_gradient(backprop_extension(tape, None, fvals), want, case)
     assert_close_gradient(backprop_extension(tape, f), want, case)
+
+
+def round_trip_cases():
+    """(spec, point, config) triples covering every producer of a
+    decomposition, with the edge cases of each."""
+    rng = stream(61, "pairs-rows")
+    g = connected_graph(rng, 5, 4)
+    split = Graph(8, g.edges + ((5, 6), (5, 7), (6, 7)))
+    forests = [max_spanning_forest(rng.random(split.m), split).to_vector() for _ in range(3)]
+    pm = PartitionMatroid([(0, 2, 4), (1, 3, 5, 6)], [1, 2])
+    bowtie = Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
+    return {
+        "card-exact": (Cardinality(9, 4), project_to_hypersimplex(rng.random(9), 4).values, EXACT),
+        "card-rescaled": (Cardinality(9, 4), project_to_hypersimplex(rng.random(9), 4).values, RESCALED),
+        "partition": (pm, project_to_partition_polytope(rng.random(7), pm).values, EXACT),
+        "kernel-T0": (Cardinality(20, 5), project_to_hypersimplex(rng.random(20), 5).values,
+                      DecompositionConfig(max_iterations=0)),
+        "graphic-connected": (GraphicMatroid(g), next(graphic_points(rng, g)), EXACT),
+        "graphic-disconnected": (GraphicMatroid(split), 0.5 * forests[0] + 0.3 * forests[1] + 0.2 * forests[2], EXACT),
+        "fstab-half": (FractionalStableSet(bowtie), np.array([0.4, 0.4, 0.4, 0.3, 0.5]), EXACT),
+    }
+
+
+@pytest.mark.parametrize("case", list(round_trip_cases()))
+def test_pairs_and_rows_agree(case):
+    """Rebuilding a produced decomposition from its pairs gives the same
+    arrays, byte for byte, and the same JSON."""
+    c, x, cfg = round_trip_cases()[case]
+    d = decompose(x, c, cfg)
+    back = Decomposition(d.pairs, d.residual, d.iterations)
+    for got, want in zip((back.p, *back.vertex_rows), (d.p, *d.vertex_rows)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+    assert back.to_json() == d.to_json(), case
+    assert (len(d.p) == 0) == (case == "kernel-T0")
+    if case == "graphic-disconnected":
+        assert c.graph.n_components() == 2
+    if case == "fstab-half":
+        assert {v.is_integral for _, v in d.pairs} == {True, False} and () in d.sets
+
+
+def test_no_vertex_set_per_row(monkeypatch):
+    """One solver pass on the block kernel builds no VertexSet; rounding
+    builds one, for the winner."""
+    rng = stream(67, "no-vertex-set")
+    c = Cardinality(500, 10)
+    x = project_to_hypersimplex(rng.random(500), 10).values
+    f = LinearObjective(rng.random(500))
+    calls = []
+    post_init = VertexSet.__post_init__
+    monkeypatch.setattr(VertexSet, "__post_init__", lambda v: calls.append(post_init(v)))
+    d, tape = decompose_with_tape(x, c)
+    fvals = vertex_values(d, f)
+    evaluate_extension(d, f, fvals)
+    backprop_extension(tape, f, fvals)
+    assert len(d.p) > 1 and len(calls) == 0
+    best_set(d, f, fvals)
+    assert len(calls) == 1
