@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -156,12 +157,14 @@ def cmd_solve(args) -> int:
     if args.method == "greedy":
         if not args.instance:
             raise InfeasibleConfigError("greedy needs a coverage instance")
+        t0 = time.perf_counter()
         v, val = greedy_coverage(inst, args.k)
-        result = {"method": "greedy", "set": list(v.indices), "objective": val}
+        result = {"method": "greedy", "set": list(v.indices), "objective": val,
+                  "time_ms": (time.perf_counter() - t0) * 1e3, "iterations": args.k}
     elif args.method == "random":
         res = random_baseline(f, c, trials=args.trials, seconds=args.seconds, seed=args.seed)
-        result = {"method": "random", "set": list(res.best.indices),
-                  "objective": res.objective, "iterations": res.iterations}
+        result = {"method": "random", "set": list(res.best.indices), "objective": res.objective,
+                  "time_ms": res.time_ms, "iterations": res.iterations}
     else:  # direct / direct+local
         cfg = OptimizeConfig(steps=args.steps, lr=args.lr, seed=args.seed, init=args.init)
         if args.method == "direct+local":
@@ -184,8 +187,7 @@ def cmd_solve(args) -> int:
         text = ",".join(CSV_HEADER) + "\n" + (
             f"{name},{result['method']},{args.k or len(result['set'])},"
             f"{result['objective']:.6f},{result.get('extension', result['objective']):.6f},"
-            f"{result.get('time_ms', 0.0):.3f},{args.seed},"
-            f"{result.get('iterations', args.steps)}\n"
+            f"{result['time_ms']:.3f},{args.seed},{result['iterations']}\n"
         )
     else:
         text = json.dumps(result, separators=(",", ":"))

@@ -2,43 +2,39 @@
 (cardinality and partition matroid), and the one reverse pass that every
 family's gradient tape shares (``backprop_blocks``).
 
-Two interchangeable forward kernels exist: a Cython extension
-(``_speedups``) and a pure-numpy fallback (``_purepy``), picked at import
-time (set ``CARADEC_PURE=1`` to force the fallback).  They follow the same
-arithmetic step for step, so results agree to the last few ulps and all
-tie-breaking is identical: each block takes its k largest coordinates,
-ties to the smaller index.  The pure kernel re-sorts the previous step's
-order by (block, value descending) with one stable sort, and falls back to
-the full stable sort on (block, value descending, index) when a block's
-entries at positions k-1 and k tie.  Timings: ``perfbench/``.
+Two interchangeable forward kernels exist: plain C (``_blocks.c``, built
+and loaded by ``_compiled`` on first import) and pure numpy (``_purepy``),
+the reference and the fallback.  The C kernel is the default; without a
+working C compiler or a writable cache the package warns once and uses the
+pure one, and ``CARADEC_PURE=1`` forces it.  Both give byte-identical
+outputs: each block takes its k largest coordinates, ties to the smaller
+index, and every later floating-point operation is the same in both, in
+the same order.  The pure kernel re-sorts the previous step's order by
+(block, value descending) with one stable sort, and falls back to the full
+stable sort on (block, value descending, index) when a block's entries at
+positions k-1 and k tie; the C kernel restores each block's order with one
+merge of its two descending runs and sorts afresh on such ties.
+The one reduction, the eps test's x.x, is a sequential sum in both kernels
+(BLAS dot would add in an order of its own).  Timings: ``perfbench/``.
 """
 
 import os
+import warnings
 from operator import mul
 
 import numpy as np
 
-if os.environ.get("CARADEC_PURE", "") not in ("", "0"):
-    from . import _purepy as _impl
+from . import _purepy
 
-    BACKEND = "pure"
-else:
+decompose_blocks, BACKEND = _purepy.decompose_blocks, "pure"
+if os.environ.get("CARADEC_PURE", "") in ("", "0"):
+    from . import _compiled
+
     try:
-        from . import _speedups as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _purepy as _impl
-
-        BACKEND = "pure"
-
-decompose_blocks = _impl.decompose_blocks
-if BACKEND == "compiled":
-
-    def decompose_blocks(*args, _kernel=_impl.decompose_blocks):
-        """The compiled kernel without its snapshot output (want_tape off)."""
-        res = _kernel(*args, False)
-        return res[:6] + res[7:]
+        decompose_blocks, BACKEND = _compiled.load(), "compiled"
+    except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory for the cache
+        warnings.warn(f"caradec: the C kernel is unavailable ({exc}); using the pure-numpy kernel",
+                      RuntimeWarning, stacklevel=2)
 
 
 def backprop_blocks(n, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal):

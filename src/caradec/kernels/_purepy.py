@@ -1,5 +1,6 @@
-"""Pure-numpy decomposition kernel; the reference the Cython extension
-must match.
+"""Pure-numpy decomposition kernel: the reference that the C kernel
+(``_blocks.c``) must match byte for byte, and the fallback when it cannot
+be built.
 
 ``decompose_blocks`` runs the iterative vertex-peeling loop for box +
 per-block-sum polytopes: at each step the vertex is the per-block top-k
@@ -140,12 +141,15 @@ def decompose_blocks(
             x[bi] = 0.0 if br == BRANCH_MIN_IN else 1.0
         x.clip(0.0, 1.0, out=x)
         q *= om
-        if eps > 0.0 and q * math.sqrt(x.dot(x)) <= eps:
+        # x.x as a sequential sum, which the C kernel repeats exactly (BLAS
+        # dot adds in an order of its own); cumsum adds left to right.
+        if eps > 0.0 and q * math.sqrt(np.cumsum(x * x)[-1]) <= eps:
             break
 
     T = len(probs)
     if T and not terminal:
-        residual_inf = q * float(np.max(x, initial=0.0))
+        # max|x|, not max(x): numpy's max of +0.0 and -0.0 may be either.
+        residual_inf = q * float(np.max(np.abs(x), initial=0.0))
     return (
         np.asarray(probs, dtype=np.float64),
         np.asarray(qs, dtype=np.float64),

@@ -69,8 +69,8 @@ def reference_decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_ite
         np.clip(x, 0.0, 1.0, out=x)
         q *= 1.0 - a
         rec["snap"][-1] = x.copy()
-        residual = q * float(np.max(x, initial=0.0))
-        if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
+        residual = q * float(np.max(np.abs(x), initial=0.0))
+        if eps > 0.0 and q * float(np.sqrt(np.cumsum(x * x)[-1])) <= eps:
             break
     T = len(rec["p"])
     out = (

@@ -1,22 +1,51 @@
-"""The compiled kernel and the pure-numpy fallback must agree step for
-step: same vertices, same branches, probabilities to float accuracy.  The
-pure kernel must also match, bit for bit, the per-element selection loop
-kept in ``reference_loops`` as its reference."""
+"""The C kernel and the pure-numpy kernel must agree byte for byte on every
+output; the pure kernel must also match, bit for bit, the per-element
+selection loop kept in ``reference_loops`` as its reference.  The C
+kernel's tests skip only when no C compiler exists."""
+
+import functools
+import os
+import shlex
+import shutil
 
 import numpy as np
 import pytest
 from reference_loops import reference_decompose_blocks
 
+from caradec.core import Cardinality
 from caradec.extension import backprop_extension
+from caradec.generators import gen_random_uniform
 from caradec.hypersimplex import kernel_tape
-from caradec.kernels import _purepy
+from caradec.kernels import _compiled, _purepy
+from caradec.objectives import CoverageObjective
+from caradec.solvers import OptimizeConfig, direct_optimize
 
-try:
-    from caradec.kernels import _speedups
-except ImportError:  # pure-Python install
-    _speedups = None
+HAVE_CC = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0]) is not None
+needs_compiled = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
 
-needs_compiled = pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
+
+@functools.cache
+def compiled_decompose_blocks():
+    """The C kernel, built into the user's cache (not the repository) on
+    first use; a build that fails fails the test that asked for it."""
+    return _compiled.load()
+
+
+def assert_bytes_equal(got, want):
+    """Every output equal as bytes, dtype and shape: the sign of zero counts."""
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape, i
+        assert g.tobytes() == w.tobytes(), i
+
+
+def assert_compiled_matches_pure(*args):
+    assert_bytes_equal(compiled_decompose_blocks()(*args), _purepy.decompose_blocks(*args))
+
+
+def assert_pure_matches_reference(*args):
+    assert_bytes_equal(_purepy.decompose_blocks(*args), reference_decompose_blocks(*args)[0])
 
 
 def random_blocks(rng, max_n=30):
@@ -44,13 +73,6 @@ def random_blocks(rng, max_n=30):
     return x, block_of, budgets
 
 
-def compiled_decompose_blocks(*args):
-    """The compiled kernel without its snapshot tape, in the pure
-    kernel's output order."""
-    res = _speedups.decompose_blocks(*args, False)
-    return res[:6] + res[7:]
-
-
 @needs_compiled
 class TestExactParity:
     def test_identical_runs(self):
@@ -58,31 +80,20 @@ class TestExactParity:
         for _ in range(300):
             x, block_of, budgets = random_blocks(rng)
             n = x.shape[0]
-            args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
-            rp = _purepy.decompose_blocks(*args)
-            rc = compiled_decompose_blocks(*args)
-            assert len(rp[0]) == len(rc[0])
-            assert np.allclose(rp[0], rc[0], atol=1e-14)
-            assert np.allclose(rp[1], rc[1], atol=1e-14)
-            assert np.array_equal(rp[3], rc[3])
-            assert np.array_equal(rp[4], rc[4])
-            assert np.array_equal(rp[5], rc[5])
-            assert rp[8] == rc[8]
+            assert_compiled_matches_pure(x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
 
     def test_backprop_parity(self):
-        """Tapes of the two kernels give the same gradient through the
-        shared reverse loop."""
+        """Tapes of the two kernels give the same gradient bytes through
+        the shared reverse loop."""
         rng = np.random.default_rng(1)
         for _ in range(200):
             x, block_of, budgets = random_blocks(rng)
             n = x.shape[0]
             args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
             tp = kernel_tape(_purepy.decompose_blocks(*args), x)[1]
-            tc = kernel_tape(compiled_decompose_blocks(*args), x)[1]
+            tc = kernel_tape(compiled_decompose_blocks()(*args), x)[1]
             f = rng.standard_normal(len(tp.d.p))
-            gp = backprop_extension(tp, None, f)
-            gc = backprop_extension(tc, None, f)
-            assert np.allclose(gp, gc, atol=1e-10, rtol=1e-10)
+            assert backprop_extension(tp, None, f).tobytes() == backprop_extension(tc, None, f).tobytes()
 
 
 @needs_compiled
@@ -92,12 +103,23 @@ class TestRescaledParity:
         for _ in range(100):
             x, block_of, budgets = random_blocks(rng, max_n=16)
             n = x.shape[0]
-            args = (x, block_of, budgets, 0.5, 0.02, 1e-5, 4 * n, 1e-12)
-            rp = _purepy.decompose_blocks(*args)
-            rc = compiled_decompose_blocks(*args)
-            assert len(rp[0]) == len(rc[0])
-            assert np.array_equal(rp[3], rc[3])
-            assert np.allclose(rp[0], rc[0], atol=1e-13)
+            assert_compiled_matches_pure(x, block_of, budgets, 0.5, 0.02, 1e-5, 4 * n, 1e-12)
+
+    def test_iteration_cap_beyond_one_call(self):
+        """A cap larger than one C call's 4n + 256 steps: the run continues
+        across calls as one."""
+        rng = np.random.default_rng(3)
+        block_of, budgets = np.zeros(30, dtype=np.int32), np.array([7])
+        x = projected_point(rng, block_of, budgets)
+        for max_iter in (0, 1, 376, 377, 2000):
+            assert_compiled_matches_pure(x, block_of, budgets, 0.02, 0.0, 0.0, max_iter, 1e-300)
+
+    def test_out_of_range_blocks_and_budgets_are_refused(self):
+        x = np.full(4, 0.5)
+        for block_of, budgets in (([0, 0, 1, 2], [1, 1]), ([0, 0, 1, -1], [1, 1]), ([0, 0, 1, 1], [3, 0]),
+                                  ([0, 0, 1, 1], [-1, 3])):
+            with pytest.raises(ValueError):
+                compiled_decompose_blocks()(x, np.array(block_of), np.array(budgets), 1.0, 0.0, 0.0, 5, 1e-12)
 
 
 def scattered_blocks(rng, n=24):
@@ -135,28 +157,17 @@ def pinned_point(rng, block_of, budgets):
     return x
 
 
-def assert_same_outputs(*args):
-    """Every output of the pure kernel equals the reference loop's."""
-    got = _purepy.decompose_blocks(*args)
-    want, _ = reference_decompose_blocks(*args)
-    assert len(got) == len(want)
-    for i, (g, w) in enumerate(zip(got, want)):
-        # Bytes, not values: the sign of zero counts too.
-        g, w = np.asarray(g), np.asarray(w)
-        assert g.dtype == w.dtype and g.shape == w.shape, i
-        assert g.tobytes() == w.tobytes(), i
-
-
 class TestPureKernelMatchesReference:
     """Every output of ``_purepy.decompose_blocks`` equals the reference
     loop's exactly, exact and rescaled."""
 
-    @staticmethod
-    def assert_same(x, block_of, budgets):
+    assert_same_outputs = staticmethod(assert_pure_matches_reference)
+
+    def assert_same(self, x, block_of, budgets):
         n = x.shape[0]
         # (scale, floor, eps, max_iter): exact, then rescaled
         for mode in ((1.0, 0.0, 0.0, n + 1), (0.5, 0.02, 1e-5, 4 * n)):
-            assert_same_outputs(x, block_of, budgets, *mode, 1e-12)
+            self.assert_same_outputs(x, block_of, budgets, *mode, 1e-12)
 
     def test_random_blocks(self):
         rng = np.random.default_rng(10)
@@ -229,28 +240,57 @@ class TestPureKernelAtBenchmarkScale:
     """The benchmark's sizes: long runs, where the kernel carries each step's
     sorted order into the next one."""
 
+    assert_same_outputs = staticmethod(assert_pure_matches_reference)
+
     def test_cardinality_500_exact_with_tape(self):
         rng = np.random.default_rng(20)
         block_of, budgets = np.zeros(500, dtype=np.int32), np.array([10])
         for _ in range(2):
             x = projected_point(rng, block_of, budgets)
-            assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 501, 1e-12)
+            self.assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 501, 1e-12)
 
     def test_cardinality_500_rescaled(self):
         rng = np.random.default_rng(20)
         block_of, budgets = np.zeros(500, dtype=np.int32), np.array([10])
         x = projected_point(rng, block_of, budgets)
-        assert_same_outputs(x, block_of, budgets, 0.1, 0.0, 1e-4, 2000, 1e-12)
+        self.assert_same_outputs(x, block_of, budgets, 0.1, 0.0, 1e-4, 2000, 1e-12)
 
     def test_partition_2000_in_20_blocks(self):
         rng = np.random.default_rng(21)
         block_of, budgets = np.repeat(np.arange(20), 100).astype(np.int32), np.full(20, 10)
         x = projected_point(rng, block_of, budgets)
-        assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 2001, 1e-12)
+        self.assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 2001, 1e-12)
 
     def test_scattered_blocks_300(self):
         rng = np.random.default_rng(22)
         block_of, budgets = scattered_blocks(rng, n=300)
         x = projected_point(rng, block_of, budgets)
-        assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 301, 1e-12)
-        assert_same_outputs(x, block_of, budgets, 0.5, 0.02, 1e-5, 1200, 1e-12)
+        self.assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 301, 1e-12)
+        self.assert_same_outputs(x, block_of, budgets, 0.5, 0.02, 1e-5, 1200, 1e-12)
+
+
+@needs_compiled
+class TestCompiledMatchesPure(TestPureKernelMatchesReference):
+    """The same corpus, C kernel against pure kernel."""
+
+    assert_same_outputs = staticmethod(assert_compiled_matches_pure)
+
+
+@needs_compiled
+class TestCompiledAtBenchmarkScale(TestPureKernelAtBenchmarkScale):
+    assert_same_outputs = staticmethod(assert_compiled_matches_pure)
+
+
+@needs_compiled
+def test_direct_optimize_same_under_both_kernels(monkeypatch):
+    """A short direct_optimize on a Random500-style coverage instance ends on
+    the same set, objective and extension value bytes with either kernel."""
+    f = CoverageObjective(gen_random_uniform(500, 1000, seed=42, instance_id=0))
+    c, cfg = Cardinality(500, 10), OptimizeConfig(steps=8, lr=0.015, seed=0, init="random")
+    results = []
+    for kernel in (_purepy.decompose_blocks, compiled_decompose_blocks()):
+        monkeypatch.setattr("caradec.kernels.decompose_blocks", kernel)
+        res = direct_optimize(f, c, cfg)
+        results.append((res.best.indices, np.float64(res.objective).tobytes(),
+                        np.float64(res.extension_value).tobytes()))
+    assert results[0] == results[1]
