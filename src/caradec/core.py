@@ -167,23 +167,32 @@ class Decomposition:
         return d
 
     @cached_property
+    def integral(self) -> np.ndarray:
+        """Whether row t is an index set (every entry 1) rather than a
+        half-integral vertex, as a read-only bool array."""
+        indptr, _, data = self.vertex_rows
+        out = np.ones(len(self.p), dtype=bool)
+        out[np.searchsorted(indptr, np.flatnonzero(data != 1.0), "right") - 1] = False
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def sets(self) -> tuple[tuple[int, ...] | None, ...]:
         """Row t's sorted index tuple, or None where the vertex is
         half-integral."""
-        indptr, indices, data = self.vertex_rows
+        indptr, indices, _ = self.vertex_rows
         ptr, idx = indptr.tolist(), indices.tolist()
-        sets = [tuple(idx[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
-        for t in (np.searchsorted(indptr, np.flatnonzero(data != 1.0), "right") - 1).tolist():
-            sets[t] = None
-        return tuple(sets)
+        return tuple(tuple(idx[lo:hi]) if ok else None
+                     for lo, hi, ok in zip(ptr, ptr[1:], self.integral.tolist()))
 
     def vertex(self, t: int) -> VertexSet:
         """Row t as a VertexSet."""
-        if self.sets[t] is not None:
-            return VertexSet(self.n, self.sets[t])
         indptr, indices, data = self.vertex_rows
+        lo, hi = indptr[t], indptr[t + 1]
+        if self.integral[t]:
+            return VertexSet(self.n, tuple(indices[lo:hi].tolist()))
         row = np.zeros(self.n)
-        row[indices[indptr[t]:indptr[t + 1]]] = data[indptr[t]:indptr[t + 1]]
+        row[indices[lo:hi]] = data[lo:hi]
         return VertexSet.half_integral(row)
 
     @cached_property

@@ -4,6 +4,8 @@ through the recorded piecewise-linear tape."""
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from . import kernels
@@ -27,16 +29,28 @@ from .matroids import check_graphic_membership, decompose_graphic, graphic_step
 
 class SetObjective:
     """A deterministic set function; half-integral vertices score via the
-    policy hook (default 0, the penalizing option)."""
+    policy hook (default 0, the penalizing option).
+
+    values_of_rows is the one batch hook: a subclass with a vectorised
+    formula overrides it, and every solver scores through it."""
 
     def value_of(self, indices: tuple[int, ...]) -> float:
         raise NotImplementedError
 
+    def values_of_rows(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """f at each row of a CSR batch (row r is the index set
+        indices[indptr[r]:indptr[r + 1]]), as a float array in order.  The
+        default passes each row to value_of as a sorted tuple."""
+        ptr, idx = np.asarray(indptr).tolist(), np.asarray(indices).tolist()
+        return np.array([float(self.value_of(tuple(sorted(idx[lo:hi])))) for lo, hi in zip(ptr, ptr[1:])],
+                        dtype=np.float64)
+
     def values_of(self, sets) -> np.ndarray:
-        """f at each sorted index set of a sequence, as a float array in
-        order.  The default loops over value_of; objectives with a
-        vectorised formula override it."""
-        return np.array([float(self.value_of(s)) for s in sets], dtype=np.float64)
+        """f at each index set of a sequence, as a float array in order:
+        values_of_rows of the sets packed into CSR rows."""
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in sets], out=indptr[1:])
+        return self.values_of_rows(indptr, np.fromiter(chain.from_iterable(sets), np.int64, int(indptr[-1])))
 
     def half_integral_value(self, v: VertexSet) -> float:
         return 0.0
@@ -105,18 +119,21 @@ def decompose_with_tape(
     raise TypeError(f"unsupported constraint {type(c).__name__}")
 
 
-def vertex_values(d: Decomposition, f: SetObjective) -> list[float]:
-    """f at every vertex of d, in pair order: one values_of call for the
-    integral vertices, read from d's rows, and f.half_integral_value for
-    the others.  evaluate_extension, best_set and backprop_extension (on
-    the tape of d) can share the result."""
-    rows = [t for t, s in enumerate(d.sets) if s is not None]
-    out = [0.0] * len(d.sets)
-    for t, val in zip(rows, f.values_of([d.sets[t] for t in rows]).tolist()):
-        out[t] = val
-    for t, s in enumerate(d.sets):
-        if s is None:
-            out[t] = float(f.half_integral_value(d.vertex(t)))
+def vertex_values(d: Decomposition, f: SetObjective) -> np.ndarray:
+    """f at every vertex of d, in pair order: one values_of_rows call on d's
+    integral rows, and f.half_integral_value for the others.
+    evaluate_extension, best_set and backprop_extension (on the tape of d)
+    can share the result."""
+    indptr, indices, _ = d.vertex_rows
+    integral = d.integral
+    if integral.all():
+        return f.values_of_rows(indptr, indices)
+    lens = np.diff(indptr)[integral]
+    out = np.zeros(len(integral))
+    out[integral] = f.values_of_rows(np.concatenate(([0], np.cumsum(lens))),
+                                     indices[np.repeat(integral, np.diff(indptr))])
+    for t in np.flatnonzero(~integral).tolist():
+        out[t] = f.half_integral_value(d.vertex(t))
     return out
 
 
@@ -125,7 +142,7 @@ def evaluate_extension(d: Decomposition, f: SetObjective, fvals=None) -> float:
     fvals, when given, are the vertex values of d (see vertex_values)."""
     if fvals is None:
         fvals = vertex_values(d, f)
-    return float(sum(p * fv for p, fv in zip(d.p.tolist(), fvals)))
+    return float(sum(p * fv for p, fv in zip(d.p.tolist(), np.asarray(fvals).tolist())))
 
 
 def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, float]:
@@ -134,13 +151,12 @@ def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, 
     >= evaluate_extension(d, f).  fvals as in evaluate_extension."""
     if fvals is None:
         fvals = vertex_values(d, f)
-    best = None
-    for t, (s, val) in enumerate(zip(d.sets, fvals)):
-        if s is not None and (best is None or val > fvals[best]):
-            best = t
-    if best is None:
+    rows = np.flatnonzero(d.integral)
+    if not rows.size:
         raise ValueError("decomposition has no integral vertex")
-    return d.vertex(best), fvals[best]
+    # argmax keeps the first of equal values.
+    best = int(rows[np.argmax(np.asarray(fvals)[rows])])
+    return d.vertex(best), float(fvals[best])
 
 
 def backprop_extension(tape: GradientTape, f: SetObjective, fvals=None) -> np.ndarray:

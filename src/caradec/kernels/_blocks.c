@@ -1,18 +1,22 @@
-/* Forward block kernel of caradec in plain C: the twin of _purepy.py's
- * decompose_blocks, step for step and bit for bit.  The package compiles
- * this file on first import and calls it through ctypes (see _compiled.py);
- * it uses no Python or numpy header.
+/* The compiled kernels of caradec in plain C: the forward block kernel
+ * (caradec_decompose_blocks), the batch scorer of coverage and cut
+ * objectives (caradec_score_rows) and the reverse pass shared by every
+ * family's tape (caradec_backprop_blocks).  Each is the twin of a function
+ * in _purepy.py, step for step and bit for bit.  The package compiles this
+ * file on first import and calls it through ctypes (see _compiled.py); it
+ * uses no Python or numpy header.
  *
- * Each step takes, per block, the k largest coordinates under the strict
- * order (value descending, index ascending), which is the set the pure
- * kernel's sorts pick; like the pure kernel, it carries each block's order
- * from one step to the next.  Everything after the selection repeats the
- * pure kernel's floating-point operations in the same order: the
- * first-index argmin over the index-sorted vertex and argmax outside it,
- * x[v] -= a, x /= 1 - a, the pin, numpy's clip (which keeps -0.0),
- * q *= 1 - a, and the eps test's sequential sum of squares.  It must be
- * compiled without contraction of a*b+c into fused multiply-adds
- * (-ffp-contract=off) and without -ffast-math. */
+ * Each step of the forward kernel takes, per block, the k largest
+ * coordinates under the strict order (value descending, index ascending),
+ * which is the set the pure kernel's sorts pick; like the pure kernel, it
+ * carries each block's order from one step to the next.  Everything after
+ * the selection repeats the pure kernel's floating-point operations in the
+ * same order: the first-index argmin over the index-sorted vertex and
+ * argmax outside it, x[v] -= a, x /= 1 - a, the pin, numpy's clip (which
+ * keeps -0.0), q *= 1 - a, and the eps test's sequential sum of squares.
+ * The scorer and the reverse pass add in the fixed orders that their twins
+ * state.  The file must be compiled without contraction of a*b+c into fused
+ * multiply-adds (-ffp-contract=off) and without -ffast-math. */
 
 #include <math.h>
 #include <stdint.h>
@@ -241,4 +245,128 @@ done:
     free(start);
     free(in_set);
     return T;
+}
+
+enum { KIND_COVERAGE = 0, KIND_CUT = 1 };
+
+/* 0 when indptr[0 .. rows] is a CSR row pointer over nnz entries (starts at
+ * 0, never falls, ends at nnz) and every entry of idx lies in [0, n); -3
+ * when the pointer is not, -2 when an entry is not. */
+static int check_rows(const int64_t *indptr, const int64_t *idx, int64_t rows, int64_t nnz,
+                      int64_t n)
+{
+    int64_t r, i;
+    if (indptr[0] != 0 || indptr[rows] != nnz)
+        return -3;
+    for (r = 0; r < rows; r++)
+        if (indptr[r + 1] < indptr[r])
+            return -3;
+    for (i = 0; i < nnz; i++)
+        if (idx[i] < 0 || idx[i] >= n)
+            return -2;
+    return 0;
+}
+
+/* Values of a batch of rows: row r is the id set indices[indptr[r] ..
+ * indptr[r + 1]), ids in [0, n), members in any order and repeats allowed.
+ *   Coverage (kind 0): id s covers the elements
+ *     b[a[s] .. a[s + 1]) of m weighted elements; a row's value adds the
+ *     weights w[e] of the elements it covers in ascending e from 0.0.  The
+ *     covered elements are marked in a bitmap of ceil(m/64) words.
+ *   Cut (kind 1): the ids are nodes of a graph whose m edges join a[e] and
+ *     b[e]; a row's value adds w[e] in edge order from 0.0 over the edges
+ *     with exactly one endpoint among its ids.
+ * Returns 0, -1 when scratch memory cannot be had, and check_rows's -3 or
+ * -2 for a bad pointer or id, before reading anything through them. */
+int caradec_score_rows(int kind, int64_t n, int64_t m, const int64_t *a, const int64_t *b,
+                       const double *w, int64_t rows, int64_t nnz, const int64_t *indptr,
+                       const int64_t *indices, double *out)
+{
+    int64_t words = ((kind == KIND_COVERAGE ? m : n) + 63) / 64, r, i, e;
+    uint64_t *bits;
+    int err = check_rows(indptr, indices, rows, nnz, n);
+
+    if (err)
+        return err;
+    bits = calloc((size_t)words + 1, sizeof *bits);
+    if (!bits)
+        return -1;
+    for (r = 0; r < rows; r++) {
+        double s = 0.0;
+        if (kind == KIND_COVERAGE) {
+            for (i = indptr[r]; i < indptr[r + 1]; i++)
+                for (e = a[indices[i]]; e < a[indices[i] + 1]; e++)
+                    bits[b[e] >> 6] |= (uint64_t)1 << (b[e] & 63);
+            /* Reads each word and clears it for the next row. */
+            for (i = 0; i < words; i++) {
+                uint64_t word = bits[i];
+                bits[i] = 0;
+                for (; word; word &= word - 1)
+                    s += w[i * 64 + __builtin_ctzll(word)];
+            }
+        } else {
+            for (i = indptr[r]; i < indptr[r + 1]; i++)
+                bits[indices[i] >> 6] |= (uint64_t)1 << (indices[i] & 63);
+            for (e = 0; e < m; e++)
+                if (((bits[a[e] >> 6] >> (a[e] & 63)) ^ (bits[b[e] >> 6] >> (b[e] & 63))) & 1)
+                    s += w[e];
+            memset(bits, 0, (size_t)words * sizeof *bits);
+        }
+        out[r] = s;
+    }
+    free(bits);
+    return 0;
+}
+
+/* The reverse pass of _purepy.backprop_blocks over a tape of T steps, with
+ * the same operations in the same order: each dot product g.v_t is a
+ * sequential sum from 0.0 of h[i] * v_i (the twin skips the product when
+ * every entry is 1, which changes no bit), and c, the scale, c / scale and
+ * D are formed as the twin's expressions form them.  The caller packs the
+ * arguments into two buffers:
+ *   f  = p[T], q[T], a[T], fvals[T], wx[T], vertex data[nv],
+ *        functional data[nw];
+ *   iw = vertex indptr[T + 1], vertex indices[nv],
+ *        functional indptr[T + 1], functional indices[nw].
+ * h[n] receives the gradient.  Returns 0, -2 when an index lies outside
+ * [0, n) (or a terminal tape has no step) and -3 when a row pointer is not
+ * one, before reading anything through them. */
+int caradec_backprop_blocks(int64_t n, int64_t T, int terminal, int64_t nv, int64_t nw,
+                            const double *f, const int64_t *iw, double *h)
+{
+    const double *p = f, *q = p + T, *a = q + T, *fv = a + T, *wx = fv + T, *vval = wx + T,
+                 *wval = vval + nv;
+    const int64_t *vptr = iw, *vidx = vptr + T + 1, *wptr = vidx + nv, *widx = wptr + T + 1;
+    double scale = 1.0, D = 0.0, R = 0.0;
+    int64_t t, i;
+    int err = check_rows(vptr, vidx, T, nv, n);
+
+    if (!err)
+        err = check_rows(wptr, widx, T, nw, n);
+    if (!err && terminal && T == 0)
+        err = -2;
+    if (err)
+        return err;
+    for (i = 0; i < n; i++)
+        h[i] = 0.0;
+    if (terminal) {
+        T--;
+        R = p[T] * fv[T];
+    }
+    for (t = T - 1; t >= 0; t--) {
+        double o = 1.0 - a[t], s = 0.0, gv, c, cs;
+        for (i = vptr[t]; i < vptr[t + 1]; i++)
+            s += h[vidx[i]] * vval[i];
+        gv = scale * s;
+        c = (D - gv) / o + (q[t] * fv[t] - R / o);
+        scale /= o;
+        cs = c / scale;
+        for (i = wptr[t]; i < wptr[t + 1]; i++)
+            h[widx[i]] += cs * wval[i];
+        D += a[t] * gv / o + c * wx[t];
+        R += p[t] * fv[t];
+    }
+    for (i = 0; i < n; i++)
+        h[i] = scale * h[i];
+    return 0;
 }

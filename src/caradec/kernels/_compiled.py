@@ -1,4 +1,4 @@
-"""Build, cache and call the plain-C forward kernel ``_blocks.c``.
+"""Build, cache and call the plain-C kernels of ``_blocks.c``.
 
 ``load()`` compiles the C file with the system compiler (``$CC``, else
 ``cc``) into the user's cache directory (``$XDG_CACHE_HOME/caradec``, else
@@ -20,6 +20,7 @@ import shlex
 import subprocess
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,17 +69,47 @@ def build(path: Path) -> None:
             os.unlink(tmp)
 
 
-def load():
-    """The C kernel as a function with ``_purepy.decompose_blocks``'s
-    signature and outputs; built first when the cache lacks it.  Raises
-    OSError when it can be neither found nor built."""
+def address(arr: np.ndarray) -> int:
+    """Address of a C-contiguous array's data.  A writable array's costs a
+    third of what ``arr.ctypes.data`` costs; read-only and empty arrays
+    take that slower path."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
+
+
+def raise_for(code: int, what: str) -> None:
+    """The exception for a kernel's negative return code."""
+    if code == -1:
+        raise MemoryError(f"{what}: no scratch memory")
+    if code == -2:
+        raise IndexError(f"{what}: an index lies outside its range")
+    raise ValueError(f"{what}: a row pointer is not a CSR row pointer over its indices")
+
+
+def load() -> SimpleNamespace:
+    """The C kernels, with ``_purepy``'s names, signatures and outputs:
+    ``decompose_blocks``, ``coverage_values``, ``cut_values`` and
+    ``backprop_blocks``.  The library is built first when the cache lacks
+    it.  Raises OSError when it can be neither found nor built, or when it
+    lacks one of its three symbols."""
     path = library_path()
     if not (path.is_file() and intact(path)):
         build(path)
-    run = ctypes.CDLL(str(path)).caradec_decompose_blocks
-    i, d, p = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    lib = ctypes.CDLL(str(path))
+    try:
+        run, score, back = (getattr(lib, f"caradec_{name}")
+                            for name in ("decompose_blocks", "score_rows", "backprop_blocks"))
+    except AttributeError as exc:
+        raise OSError(f"the kernel library is incomplete: {exc}") from exc
+    i, i64, d, p = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     run.argtypes = (i, i, i, d, d, d, d, p, p)
     run.restype = i
+    score.argtypes = (i, i64, i64, p, p, p, i64, i64, p, p, p)
+    score.restype = i
+    back.argtypes = (i64, i64, i, i64, i64, p, p, p)
+    back.restype = i
 
     def decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
@@ -100,7 +131,7 @@ def load():
             iw = np.empty(n + nb + cap * (K + 2), dtype=np.int32)
             iw[:n] = block_of
             iw[n : n + nb] = bl
-            T = run(n, nb, cap, scale, floor, eps, guard, f.ctypes.data, iw.ctypes.data)
+            T = run(n, nb, cap, scale, floor, eps, guard, address(f), address(iw))
             if T == -1:
                 raise MemoryError("decompose_blocks: no scratch memory")
             if T == -2:
@@ -119,4 +150,49 @@ def load():
             parts = [tuple(np.concatenate(col) for col in zip(*parts))]
         return (*parts[0], residual, stop == 2.0)
 
-    return decompose_blocks
+    def score_rows(kind, n, a, b, w, indptr, indices):
+        """Runs caradec_score_rows; the C function trusts a, b and w (the
+        objective's own arrays, which it built and checked) and checks the
+        rows."""
+        a, b = np.ascontiguousarray(a, dtype=np.int64), np.ascontiguousarray(b, dtype=np.int64)
+        w = np.ascontiguousarray(w, dtype=np.float64)
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        if indptr.ndim != 1 or indices.ndim != 1 or indptr.shape[0] == 0:
+            raise ValueError("rows must be a CSR row pointer over the indices")
+        rows = indptr.shape[0] - 1
+        out = np.empty(rows)
+        code = score(kind, n, w.shape[0], address(a), address(b), address(w), rows, indices.shape[0],
+                     address(indptr), address(indices), address(out))
+        if code:
+            raise_for(code, "score_rows")
+        return out
+
+    def coverage_values(set_ptr, elements, weights, indptr, indices):
+        """The C twin of ``_purepy.coverage_values``."""
+        return score_rows(0, set_ptr.shape[0] - 1, set_ptr, elements, weights, indptr, indices)
+
+    def cut_values(n, edge_u, edge_v, weights, indptr, indices):
+        """The C twin of ``_purepy.cut_values``."""
+        return score_rows(1, n, edge_u, edge_v, weights, indptr, indices)
+
+    def backprop_blocks(n, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal):
+        """The C twin of ``_purepy.backprop_blocks``: same arguments, same
+        gradient, byte for byte."""
+        vptr, vidx, vval = vertex_rows
+        wptr, widx, wval = functional_rows
+        T = len(p)
+        if not (len(q) == len(a) == len(wx) == len(fvals) == T == len(vptr) - 1 == len(wptr) - 1
+                and len(vval) == len(vidx) and len(wval) == len(widx)):
+            raise ValueError("backprop_blocks needs T steps in every argument and one value per index")
+        # The two buffers of the C function, laid out as _blocks.c says.
+        f = np.concatenate((p, q, a, fvals, wx, vval, wval), dtype=np.float64)
+        iw = np.concatenate((vptr, vidx, wptr, widx), dtype=np.int64)
+        h = np.empty(n)
+        code = back(n, T, bool(terminal), len(vidx), len(widx), address(f), address(iw), address(h))
+        if code:
+            raise_for(code, "backprop_blocks")
+        return h
+
+    return SimpleNamespace(decompose_blocks=decompose_blocks, coverage_values=coverage_values,
+                           cut_values=cut_values, backprop_blocks=backprop_blocks)

@@ -9,6 +9,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
+from . import kernels
 from .core import ConstraintSpec, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
 from .extension import SetObjective
 from .graphs import Graph, UnionFind
@@ -64,66 +65,28 @@ class CoverageInstance:
         )
 
 
-# Rows per block of a batched evaluation: a block's dense (rows, n) matrix
-# stays near 1 MB at n = 1000, whatever the batch size.
-CHUNK = 128
-
-
-def _by_blocks(block_values, sets) -> np.ndarray:
-    """Values of a batch of index sets, CHUNK rows at a time:
-    block_values(rows, row id of every member, the members) gives one
-    block's values.  Its arrays are freed before the next block starts."""
-    out = np.empty(len(sets))
-    for lo in range(0, len(sets), CHUNK):
-        rows = sets[lo:lo + CHUNK]
-        lens = np.fromiter(map(len, rows), np.intp, len(rows))
-        members = np.fromiter(chain.from_iterable(rows), np.intp, int(lens.sum()))
-        out[lo:lo + len(rows)] = block_values(len(rows), np.repeat(np.arange(len(rows)), lens), members)
-    return out
-
-
 def coverage_value(inst: CoverageInstance, selected) -> float:
     """Total weight of elements adjacent to at least one selected set."""
-    selected = tuple(selected)
-    for i in selected:
-        if not (0 <= i < inst.n_sets):
-            raise IndexError(f"set index {i} out of range")
-    return CoverageObjective(inst).value_of(selected)
+    return CoverageObjective(inst).value_of(tuple(selected))
 
 
 class CoverageObjective(SetObjective):
     """Weighted coverage.  The set->element incidence is held in CSR form;
-    a batch marks each row's covered elements in a 0/1 mask and sums the
-    weights with one mat-vec (einsum on a C-order mask, so a row's sum does
-    not depend on the other rows of the batch, as BLAS gemv's may)."""
+    a batch goes to ``kernels.coverage_values``, which adds each row's
+    covered weights in ascending element order."""
 
     def __init__(self, inst: CoverageInstance):
         self.inst = inst
-        self._weights = inst.weight_array()
+        self._weights = np.array(inst.weights, dtype=np.float64)
         lens = [len(m) for m in inst.sets]
-        self._indptr = np.concatenate(([0], np.cumsum(lens, dtype=np.intp)))
-        self._elements = np.fromiter(chain.from_iterable(inst.sets), np.intp, int(self._indptr[-1]))
+        self._indptr = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+        self._elements = np.fromiter(chain.from_iterable(inst.sets), np.int64, int(self._indptr[-1]))
 
     def value_of(self, indices):
         return float(self.values_of([indices])[0])
 
-    def values_of(self, sets):
-        return _by_blocks(self._block_values, sets)
-
-    def _block_values(self, rows, row, picked):
-        n_el = self.inst.n_elements
-        start = self._indptr[picked]
-        deg = self._indptr[picked + 1] - start
-        # Position in _elements of every member element of every picked set,
-        # then its cell in the flat (rows, n_el) mask; in place, as these
-        # are the largest arrays after the mask.
-        cell = np.repeat(start - np.cumsum(deg) + deg, deg)
-        cell += np.arange(cell.shape[0])
-        cell = self._elements[cell]
-        cell += np.repeat(row * n_el, deg)
-        mask = np.zeros((rows, n_el))
-        mask.ravel()[cell] = 1.0
-        return np.einsum("ij,j->i", mask, self._weights)
+    def values_of_rows(self, indptr, indices):
+        return kernels.coverage_values(self._indptr, self._elements, self._weights, indptr, indices)
 
 
 def cut_value(g: Graph, selected) -> float:
@@ -132,27 +95,20 @@ def cut_value(g: Graph, selected) -> float:
 
 
 class CutObjective(SetObjective):
-    """Weighted cut.  A batch marks each row's side of every node in a
-    (rows, n) matrix, compares the two endpoints of every edge, and sums the
-    cut edges' weights with one mat-vec (einsum, as for coverage)."""
+    """Weighted cut.  A batch goes to ``kernels.cut_values``, which adds the
+    weights of each row's cut edges in edge order."""
 
     def __init__(self, g: Graph):
         self.graph = g
         self._w = g.weight_array()
-        self._u, self._v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+        self._u, self._v = (np.ascontiguousarray(col) for col in
+                            np.array(g.edges, dtype=np.int64).reshape(-1, 2).T)
 
     def value_of(self, indices):
         return float(self.values_of([indices])[0])
 
-    def values_of(self, sets):
-        return _by_blocks(self._block_values, sets)
-
-    def _block_values(self, rows, row, picked):
-        side = np.zeros((rows, self.graph.n_nodes), dtype=bool)
-        side[row, picked] = True
-        # C order, like the coverage mask (a[:, idx] need not be).
-        cut = np.not_equal(side[:, self._u], side[:, self._v], order="C")
-        return np.einsum("ij,j->i", cut.astype(np.float64), self._w)
+    def values_of_rows(self, indptr, indices):
+        return kernels.cut_values(self.graph.n_nodes, self._u, self._v, self._w, indptr, indices)
 
 
 ENUMERATION_CAP = 10**6

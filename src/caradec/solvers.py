@@ -221,7 +221,7 @@ def multi_scale_solve(
     rng = stream(sched.seed, "multi-scale")
     best_pair: tuple[VertexSet, float] | None = None
     pool: list[int] = []
-    seen_pool = set()
+    seen_pool = np.zeros(c.dim, dtype=bool)
     extension_value = None
     total_iters = 0
     for b in sched.factors:
@@ -240,11 +240,14 @@ def multi_scale_solve(
             fvals = vertex_values(d, f)
             if b == 1.0 and rep == 0:
                 extension_value = evaluate_extension(d, f, fvals)
-            for s in d.sets:
-                for i in s or ():
-                    if i not in seen_pool:
-                        seen_pool.add(i)
-                        pool.append(i)
+            # The support's elements in order of first appearance (rows in
+            # order, each in index order), integral rows only.
+            indptr, indices, _ = d.vertex_rows
+            members = indices[np.repeat(d.integral, np.diff(indptr))]
+            members = members[np.sort(np.unique(members, return_index=True)[1])]
+            members = members[~seen_pool[members]]
+            seen_pool[members] = True
+            pool += members.tolist()
             try:
                 v, val = best_set(d, f, fvals)
             except ValueError:
@@ -293,24 +296,28 @@ def _rejitter(xv, c, scale, rng):
     return xv  # graphic points are not jittered; marginals stay valid
 
 
-def _swap_feasible(c: ConstraintSpec, current: set, out_i: int, in_j: int) -> bool:
+def _swap_mask(c: ConstraintSpec, members: np.ndarray, candidates: np.ndarray, adjacency) -> np.ndarray:
+    """(member, candidate) pairs whose swap keeps the set feasible, as a
+    (len(members), len(candidates)) bool array; adjacency is the stable-set
+    graph's neighbour sets (None for the other families)."""
     if isinstance(c, PartitionMatroid):
         blocks = c.block_of()
-        return blocks[out_i] == blocks[in_j]
-    if isinstance(c, GraphicMatroid):
+        return blocks[members][:, None] == blocks[candidates][None, :]
+    if not isinstance(c, (GraphicMatroid, FractionalStableSet)):
+        raise TypeError(f"unsupported constraint {type(c).__name__}")
+    mask = np.zeros((len(members), len(candidates)), dtype=bool)
+    for r, i in enumerate(members.tolist()):
+        rest = [m for m in members.tolist() if m != i]
+        if isinstance(c, FractionalStableSet):
+            mask[r] = [adjacency[j].isdisjoint(rest) for j in candidates.tolist()]
+            continue
+        # Feasible when the rest is a forest and the candidate joins two of
+        # its trees.
         g = c.graph
         uf = UnionFind(g.n_nodes)
-        for e in current:
-            if e == out_i:
-                continue
-            if not uf.union(*g.edges[e]):
-                return False
-        return uf.union(*g.edges[in_j])
-    if isinstance(c, FractionalStableSet):
-        adj = {v for u, v in c.graph.edges if u == in_j}
-        adj |= {u for u, v in c.graph.edges if v == in_j}
-        return not any(m in adj for m in current if m != out_i)
-    raise TypeError(f"unsupported constraint {type(c).__name__}")
+        if all(uf.union(*g.edges[e]) for e in rest):
+            mask[r] = [uf.find(g.edges[j][0]) != uf.find(g.edges[j][1]) for j in candidates.tolist()]
+    return mask
 
 
 def local_improve(
@@ -318,32 +325,42 @@ def local_improve(
 ) -> tuple[VertexSet, float]:
     """Best-improvement single swaps (drop one member, add one candidate)
     preserving feasibility; stops at a local optimum or after max_iter.
-    Each sweep makes one values_of call per dropped member, over all its
-    feasible candidates, and scans the values in (member, candidate) order:
-    a swap wins only if it beats the best so far by more than 1e-12."""
-    current = set(s.indices)
-    value = f.value_of(tuple(sorted(current)))
-    n = s.n
-    candidates = [j for j in pool if j not in current]
+    Each sweep scores all its feasible swaps with one values_of_rows call
+    and scans the values in (member, candidate) order: a swap wins only if
+    it beats the best so far by more than 1e-12."""
+    members = np.array(s.indices, dtype=np.int64)
+    value = f.value_of(s.indices)
+    start = set(s.indices)
+    candidates = np.array([j for j in pool if j not in start], dtype=np.int64)
+    adjacency = None
+    if isinstance(c, FractionalStableSet):
+        adjacency = [set() for _ in range(c.graph.n_nodes)]
+        for u, v in c.graph.edges:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    k = len(members)
     for _ in range(max_iter):
-        best_swap, best_val = None, value
-        for i in sorted(current):
-            swaps = [j for j in candidates if j not in current and _swap_feasible(c, current, i, j)]
-            if not swaps:
-                continue
-            rest = current - {i}
-            vals = f.values_of([tuple(sorted(rest | {j})) for j in swaps]).tolist()
-            for j, val in zip(swaps, vals):
-                if val > best_val + 1e-12:
-                    best_swap, best_val = (i, j), val
-        if best_swap is None:
+        drop, add = np.nonzero(_swap_mask(c, members, candidates, adjacency))
+        if not drop.size:
             break
-        i, j = best_swap
-        current.remove(i)
-        current.add(j)
-        candidates = [cnd for cnd in candidates if cnd != j] + [i]
+        # Row r of `rest` is the members without member r.
+        rest = np.broadcast_to(members, (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+        batch = np.sort(np.concatenate((rest[drop], candidates[add, None]), axis=1), axis=1)
+        vals = f.values_of_rows(np.arange(drop.size + 1) * k, batch.ravel())
+        # The scan: the first swap that beats the start by more than 1e-12,
+        # then the first after it that beats that one, and so on.
+        best, best_val, pos = None, value, 0
+        while (hits := np.flatnonzero(vals[pos:] > best_val + 1e-12)).size:
+            best = pos + int(hits[0])
+            best_val, pos = float(vals[best]), best + 1
+        if best is None:
+            break
+        i, j = members[drop[best]], candidates[add[best]]
+        members[drop[best]] = j
+        members.sort()
+        candidates = np.append(candidates[candidates != j], i)
         value = best_val
-    return VertexSet.integral(sorted(current), n), value
+    return VertexSet.integral(members.tolist(), s.n), value
 
 
 def greedy_coverage(inst: CoverageInstance, k: int) -> tuple[VertexSet, float]:

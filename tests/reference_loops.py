@@ -1,7 +1,8 @@
 """Reference loops the production code is checked against: the block
 kernel as a per-element selection loop, the per-family graph loops with
-their list tapes, and the two reverse loops that read the iterate after
-every step (the kernel's snapshot loop and the graph list loop).
+their list tapes, the two reverse loops that read the iterate after
+every step (the kernel's snapshot loop and the graph list loop), and
+local search with one value_of call and one edge scan per swap.
 
 The references record the iterates that production tapes no longer keep,
 so tests that inspect iterates take them from here, after checking that
@@ -11,12 +12,14 @@ import numpy as np
 
 from caradec.core import (
     DecompositionConfig,
+    FractionalStableSet,
     GraphicMatroid,
     PartitionMatroid,
     VertexSet,
 )
 from caradec.extension import decompose_with_tape
 from caradec.fstab import check_fstab_membership, fstab_step_coefficient, fstab_vertex
+from caradec.graphs import UnionFind
 from caradec.matroids import (
     _face_respecting_forest,
     check_graphic_membership,
@@ -229,6 +232,56 @@ def reference_backprop(tape, n, fvals):
         g[tape["w_idx"][t]] += coeff * tape["w_coef"][t]
         rest += tape["p"][t] * fvals[t]
     return g
+
+
+# ---------------------------------------------------------------------------
+# Local search
+
+
+def reference_swap_feasible(c, current: set, out_i: int, in_j: int) -> bool:
+    """The former swap test: a union-find over the kept members per pair
+    (graphic), and a scan of every edge per pair (stable set)."""
+    if isinstance(c, PartitionMatroid):
+        blocks = c.block_of()
+        return blocks[out_i] == blocks[in_j]
+    if isinstance(c, GraphicMatroid):
+        g = c.graph
+        uf = UnionFind(g.n_nodes)
+        for e in current:
+            if e == out_i:
+                continue
+            if not uf.union(*g.edges[e]):
+                return False
+        return uf.union(*g.edges[in_j])
+    if isinstance(c, FractionalStableSet):
+        adj = {v for u, v in c.graph.edges if u == in_j}
+        adj |= {u for u, v in c.graph.edges if v == in_j}
+        return not any(m in adj for m in current if m != out_i)
+    raise TypeError(f"unsupported constraint {type(c).__name__}")
+
+
+def reference_local_improve(s, pool, f, c, max_iter=10):
+    """The former local_improve: one value_of call per feasible swap."""
+    current = set(s.indices)
+    value = f.value_of(tuple(sorted(current)))
+    candidates = [j for j in pool if j not in current]
+    for _ in range(max_iter):
+        best_swap, best_val = None, value
+        for i in sorted(current):
+            for j in candidates:
+                if j in current or not reference_swap_feasible(c, current, i, j):
+                    continue
+                val = f.value_of(tuple(sorted(current - {i} | {j})))
+                if val > best_val + 1e-12:
+                    best_swap, best_val = (i, j), val
+        if best_swap is None:
+            break
+        i, j = best_swap
+        current.remove(i)
+        current.add(j)
+        candidates = [cnd for cnd in candidates if cnd != j] + [i]
+        value = best_val
+    return VertexSet.integral(sorted(current), s.n), value
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """How the C kernel is built, cached and given up: each case imports the
 package in a fresh interpreter whose cache directory is a temporary one."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -81,3 +82,21 @@ def test_truncated_library_without_compiler_falls_back(tmp_path):
     lib.write_bytes(b"\x7fELF" + bytes(60))
     res = probe(tmp_path, CC="/bin/false")
     assert res["backend"] == "pure" and res["ok"] and len(res["warnings"]) == 1
+
+
+@needs_cc
+def test_library_missing_a_symbol_falls_back(tmp_path):
+    """An intact library that lacks one of the three kernels gives the pure
+    kernels with one warning (and is not rebuilt)."""
+    lib = Path(probe(tmp_path, CC="/bin/false")["library"])
+    stub = tmp_path / "stub.c"
+    stub.write_text("int caradec_decompose_blocks(void) { return 0; }\n"
+                    "int caradec_score_rows(void) { return 0; }\n")
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    subprocess.run([*cc, "-shared", "-fPIC", "-o", str(lib), str(stub)], check=True, timeout=120)
+    lib.write_bytes(lib.read_bytes() + hashlib.sha256(lib.read_bytes()).digest())
+    data = lib.read_bytes()
+    res = probe(tmp_path)
+    assert res["backend"] == "pure" and res["ok"] and len(res["warnings"]) == 1
+    assert "caradec_backprop_blocks" in res["warnings"][0]
+    assert lib.read_bytes() == data

@@ -1,34 +1,36 @@
-"""The C kernel and the pure-numpy kernel must agree byte for byte on every
-output; the pure kernel must also match, bit for bit, the per-element
+"""The C kernels and the pure kernels must agree byte for byte on every
+output: the forward block kernel, the batch scorers and the reverse pass.
+The pure block kernel must also match, bit for bit, the per-element
 selection loop kept in ``reference_loops`` as its reference.  The C
-kernel's tests skip only when no C compiler exists."""
+kernels' tests skip only when no C compiler exists."""
 
 import functools
-import os
-import shlex
-import shutil
 
 import numpy as np
 import pytest
+from kernel_backends import compiled, needs_cc, use
 from reference_loops import reference_decompose_blocks
 
-from caradec.core import Cardinality
-from caradec.extension import backprop_extension
-from caradec.generators import gen_random_uniform
-from caradec.hypersimplex import kernel_tape
-from caradec.kernels import _compiled, _purepy
+from caradec.core import (
+    Cardinality,
+    DecompositionConfig,
+    FractionalStableSet,
+    GraphicMatroid,
+    PartitionMatroid,
+)
+from caradec.extension import backprop_extension, decompose_with_tape
+from caradec.fstab import project_to_fstab
+from caradec.generators import gen_er_graph, gen_random_uniform
+from caradec.graphs import Graph
+from caradec.hypersimplex import kernel_tape, project_to_partition_polytope
+from caradec.kernels import _purepy
+from caradec.matroids import spanning_tree_marginals
 from caradec.objectives import CoverageObjective
-from caradec.solvers import OptimizeConfig, direct_optimize
+from caradec.rng import stream
+from caradec.solvers import OptimizeConfig, ScaleSchedule, solve_pipeline
 
-HAVE_CC = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0]) is not None
-needs_compiled = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
-
-
-@functools.cache
 def compiled_decompose_blocks():
-    """The C kernel, built into the user's cache (not the repository) on
-    first use; a build that fails fails the test that asked for it."""
-    return _compiled.load()
+    return compiled().decompose_blocks
 
 
 def assert_bytes_equal(got, want):
@@ -73,7 +75,7 @@ def random_blocks(rng, max_n=30):
     return x, block_of, budgets
 
 
-@needs_compiled
+@needs_cc
 class TestExactParity:
     def test_identical_runs(self):
         rng = np.random.default_rng(0)
@@ -96,7 +98,7 @@ class TestExactParity:
             assert backprop_extension(tp, None, f).tobytes() == backprop_extension(tc, None, f).tobytes()
 
 
-@needs_compiled
+@needs_cc
 class TestRescaledParity:
     def test_same_supports(self):
         rng = np.random.default_rng(2)
@@ -269,28 +271,186 @@ class TestPureKernelAtBenchmarkScale:
         self.assert_same_outputs(x, block_of, budgets, 0.5, 0.02, 1e-5, 1200, 1e-12)
 
 
-@needs_compiled
+@needs_cc
 class TestCompiledMatchesPure(TestPureKernelMatchesReference):
     """The same corpus, C kernel against pure kernel."""
 
     assert_same_outputs = staticmethod(assert_compiled_matches_pure)
 
 
-@needs_compiled
+@needs_cc
 class TestCompiledAtBenchmarkScale(TestPureKernelAtBenchmarkScale):
     assert_same_outputs = staticmethod(assert_compiled_matches_pure)
 
 
-@needs_compiled
+@needs_cc
 def test_direct_optimize_same_under_both_kernels(monkeypatch):
-    """A short direct_optimize on a Random500-style coverage instance ends on
-    the same set, objective and extension value bytes with either kernel."""
+    """A short solve_pipeline (direct ascent, multi-scale rounding, local
+    search) on a Random500-style coverage instance ends on the same sets,
+    values and final point bytes with either backend's kernels."""
     f = CoverageObjective(gen_random_uniform(500, 1000, seed=42, instance_id=0))
     c, cfg = Cardinality(500, 10), OptimizeConfig(steps=8, lr=0.015, seed=0, init="random")
+    sched = ScaleSchedule(max_iterations=500, seed=0)
     results = []
-    for kernel in (_purepy.decompose_blocks, compiled_decompose_blocks()):
-        monkeypatch.setattr("caradec.kernels.decompose_blocks", kernel)
-        res = direct_optimize(f, c, cfg)
+    for backend in ("pure", "compiled"):
+        use(monkeypatch, backend)
+        res = solve_pipeline(f, c, cfg, sched)
         results.append((res.best.indices, np.float64(res.objective).tobytes(),
-                        np.float64(res.extension_value).tobytes()))
+                        np.float64(res.extension_value).tobytes(), res.final_point.tobytes(),
+                        res.iterations))
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Batch scorers
+
+
+def random_rows(rng, rows, n):
+    """CSR rows of ids in [0, n): sizes 0..min(n, 12), members unsorted and
+    sometimes repeated, the first row empty."""
+    sizes = rng.integers(0, min(n, 12) + 1, rows)
+    if rows:
+        sizes[0] = 0
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    return indptr, (rng.integers(0, n, indptr[-1]) if n else np.zeros(0, dtype=np.int64))
+
+
+def coverage_arrays(rng, n_sets, n_el, weights):
+    """An incidence of n_sets sets over n_el elements (some sets empty), as
+    the CSR arrays of CoverageObjective."""
+    lens = rng.integers(0, min(n_el, 20) + 1, n_sets) if n_el else np.zeros(n_sets, dtype=np.int64)
+    lens[::7] = 0
+    elements = np.concatenate([np.sort(rng.choice(n_el, k, replace=False)) for k in lens] + [[]])
+    return np.concatenate(([0], np.cumsum(lens))), elements.astype(np.int64), weights
+
+
+def weight_kinds(rng, m):
+    """Integer, non-integer, and non-integer with -0.0 and 0.0 entries."""
+    mixed = rng.random(m) * 10.0 ** rng.integers(-3, 4, m)
+    mixed[::3] = -0.0
+    mixed[1::5] = 0.0
+    return rng.integers(0, 9, m).astype(float), rng.random(m), mixed
+
+
+def assert_scores_equal(kernel, *args):
+    want = getattr(_purepy, kernel)(*args)
+    got = getattr(compiled(), kernel)(*args)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_cc
+class TestScorerParity:
+    @pytest.mark.parametrize("rows", (0, 1, 128, 129, 300))
+    @pytest.mark.parametrize("n_el", (0, 63, 64, 65, 1000))
+    def test_coverage(self, rows, n_el):
+        rng = np.random.default_rng(rows * 1009 + n_el)
+        for weights in weight_kinds(rng, n_el):
+            arrays = coverage_arrays(rng, 40, n_el, weights)
+            assert_scores_equal("coverage_values", *arrays, *random_rows(rng, rows, 40))
+
+    @pytest.mark.parametrize("rows", (0, 1, 128, 129, 300))
+    @pytest.mark.parametrize("n", (1, 20, 63, 64, 65))
+    def test_cut(self, rows, n):
+        rng = np.random.default_rng(rows * 1013 + n)
+        for p in (0.0, 0.3):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            u, v = (np.array([e[i] for e in pairs], dtype=np.int64) for i in (0, 1))
+            for weights in weight_kinds(rng, len(pairs)):
+                assert_scores_equal("cut_values", n, u, v, weights, *random_rows(rng, rows, n))
+
+    def test_a_row_is_its_set(self):
+        """Member order, repeats and the rows beside a row change no bit."""
+        rng = np.random.default_rng(5)
+        arrays = coverage_arrays(rng, 30, 257, rng.random(257))
+        indptr, indices = random_rows(rng, 300, 30)
+        for impl in (_purepy, compiled()):
+            whole = impl.coverage_values(*arrays, indptr, indices)
+            for r in (0, 5, 128, 299):
+                row = indices[indptr[r]:indptr[r + 1]]
+                for variant in (row, np.sort(row)[::-1], np.concatenate((row, row[:2]))):
+                    alone = impl.coverage_values(*arrays, np.array([0, len(variant)]), variant)
+                    assert alone.tobytes() == whole[r:r + 1].tobytes()
+
+    def test_bad_rows_are_refused_alike(self):
+        rng = np.random.default_rng(6)
+        arrays = coverage_arrays(rng, 10, 64, rng.random(64))
+        for indptr, indices, error in (([0, 2], [3, 10], IndexError), ([0, 1], [-1], IndexError),
+                                       ([0, 2, 1], [1, 2], ValueError), ([0, 3], [1, 2], ValueError),
+                                       ([1, 2], [1, 2], ValueError), ([], [], ValueError)):
+            for impl in (_purepy, compiled()):
+                with pytest.raises(error):
+                    impl.coverage_values(*arrays, np.array(indptr, dtype=np.int64),
+                                         np.array(indices, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Reverse pass
+
+
+@functools.cache
+def family_tapes():
+    """{label: tape} of every family: cardinality exact and rescaled, wide
+    partition rows, graphic, and stable sets with half-integral rows; the
+    runs cover tapes that end on a terminal step and tapes that do not."""
+    rng = stream(61, "backprop-parity")
+    rescaled = DecompositionConfig(scale=0.3, floor=0.01, tolerance=1e-5)
+    card = Cardinality(500, 10)
+    x = project_to_partition_polytope(rng.random(500), card).values
+    tapes = {
+        "card500-exact": decompose_with_tape(x, card)[1],
+        "card500-rescaled": decompose_with_tape(x, card, rescaled)[1],
+    }
+    part = PartitionMatroid(np.arange(2000).reshape(20, 100).tolist(), [10] * 20)
+    x = project_to_partition_polytope(rng.random(2000), part).values
+    tapes["partition2000"] = decompose_with_tape(x, part)[1]
+    for seed in range(3):
+        g = gen_er_graph(7, 0.6, seed=seed)
+        if g.n_components() == 1:
+            x = spanning_tree_marginals(g, 0.05 + rng.random(g.m)).values
+            tapes[f"graphic-{seed}"] = decompose_with_tape(x, GraphicMatroid(g))[1]
+            tapes[f"graphic-{seed}-rescaled"] = decompose_with_tape(x, GraphicMatroid(g), rescaled)[1]
+        g = gen_er_graph(12, 0.3, seed=seed)
+        x = project_to_fstab(rng.random(12), g).values
+        tapes[f"fstab-{seed}"] = decompose_with_tape(x, FractionalStableSet(g))[1]
+    # Two triangles sharing node 2: this point peels a half-integral vertex.
+    bowtie = FractionalStableSet(Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))))
+    tapes["fstab-half"] = decompose_with_tape(np.array([0.4, 0.4, 0.4, 0.3, 0.5]), bowtie)[1]
+    return tapes
+
+
+def backprop_args(tape, fvals):
+    d = tape.d
+    return (d.n, d.p, tape.q, tape.a, d.vertex_rows, tape.functional_rows, tape.wx, fvals,
+            tape.terminal)
+
+
+@needs_cc
+def test_backprop_parity_on_every_family():
+    rng = np.random.default_rng(7)
+    terminal, half = set(), False
+    for label, tape in family_tapes().items():
+        terminal.add(tape.terminal)
+        half |= bool((tape.d.vertex_rows[2] != 1.0).any())
+        T = len(tape.d.p)
+        for fvals in (rng.standard_normal(T), rng.integers(0, 50, T).astype(float),
+                      (10.0 ** rng.integers(-8, 9, T)) * rng.standard_normal(T)):
+            want = _purepy.backprop_blocks(*backprop_args(tape, fvals))
+            got = compiled().backprop_blocks(*backprop_args(tape, fvals.tolist()))
+            assert got.tobytes() == want.tobytes(), label
+    assert terminal == {True, False} and half
+
+
+@needs_cc
+def test_backprop_refuses_bad_tapes_alike():
+    tape = family_tapes()["fstab-0"]
+    n = tape.d.n
+    for wrong in (-1, n):
+        vptr, vidx, vval = tape.d.vertex_rows
+        bad = vidx.copy()
+        bad[0] = wrong
+        args = list(backprop_args(tape, np.ones(len(tape.d.p))))
+        args[4] = (vptr, bad, vval)
+        for impl in (_purepy, compiled()):
+            with pytest.raises(IndexError):
+                impl.backprop_blocks(*args)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from kernel_backends import BACKENDS, available, use
 
 from caradec.core import Cardinality, FractionalStableSet, GraphicMatroid
 from caradec.extension import LinearObjective
@@ -112,7 +113,7 @@ def random_sets(rng, rows, n):
     return out[:rows]
 
 
-ROW_COUNTS = (0, 1, 128, 129, 300)  # around the 128-row block edges
+ROW_COUNTS = (0, 1, 128, 129, 300)  # around the pure scorer's 64-row block edges
 
 
 class TestBatchedValues:
@@ -141,8 +142,8 @@ class TestBatchedValues:
                 assert got.tolist() == [reference_cut(g, s) for s in sets]
 
     def test_row_value_independent_of_batch(self):
-        # Non-integer weights: a row's sum may differ from the loop's in the
-        # last ulp, but never with the rows batched beside it.
+        # Non-integer weights: a row's value is its sum in index order,
+        # whatever the rows batched beside it.
         rng = stream(29, "batch-independent")
         inst = random_coverage(rng, 30, 257, max_deg=40)
         inst = CoverageInstance(30, 257, tuple(rng.random(257).tolist()), inst.sets)
@@ -154,20 +155,51 @@ class TestBatchedValues:
             assert batch.tolist() == [f.value_of(s) for s in sets]
             assert batch[5:140].tolist() == f.values_of(sets[5:140]).tolist()
 
-    def test_coverage_batch_memory_bounded(self):
-        # 2000 rows in blocks of 128: the dense mask of one block, not of
-        # the whole batch, bounds the peak.
+    def test_coverage_batch_memory_bounded(self, monkeypatch):
+        # 2000 rows: the pure scorer's dense block of 64 rows, not a dense
+        # matrix of the whole batch, bounds the peak; the C scorer needs a
+        # bitmap of one row.
         inst = gen_random_uniform(500, 1000, seed=3)
         f = CoverageObjective(inst)
         rng = stream(31, "batch-memory")
         sets = [tuple(sorted(rng.choice(500, 10, replace=False).tolist())) for _ in range(2000)]
-        tracemalloc.start()
-        try:
-            f.values_of(sets)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20, peak
+        for backend in available():
+            use(monkeypatch, backend)
+            tracemalloc.start()
+            try:
+                f.values_of(sets)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, (backend, peak)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestIdsOutOfRange:
+    """Ids outside [0, n) raise IndexError on both backends; an empty row
+    scores 0."""
+
+    def test_coverage(self, backend, monkeypatch):
+        use(monkeypatch, backend)
+        inst = CoverageInstance(4, 3, (1.0, 2.0, 4.0), ((0,), (1,), (2,), (0, 2)))
+        f = CoverageObjective(inst)
+        for bad in ((-1,), (4,), (0, -1), (3, 4)):
+            with pytest.raises(IndexError):
+                f.values_of([(1,), bad])
+            with pytest.raises(IndexError):
+                coverage_value(inst, bad)
+        assert f.values_of([(), (3,), ()]).tolist() == [0.0, 5.0, 0.0]
+
+    def test_cut(self, backend, monkeypatch):
+        use(monkeypatch, backend)
+        g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        for bad in ((-1,), (4,), (1, -1), (0, 4)):
+            with pytest.raises(IndexError):
+                cut_value(g, bad)
+            with pytest.raises(IndexError):
+                CutObjective(g).values_of([(1,), bad])
+        assert CutObjective(g).values_of([(), (3,), ()]).tolist() == [0.0, 1.0, 0.0]
+        assert CutObjective(Graph(3, ())).values_of([(), (0, 2)]).tolist() == [0.0, 0.0]
 
 
 class TestBruteForce:

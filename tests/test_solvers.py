@@ -3,6 +3,7 @@ improvement, greedy, and the random baselines."""
 
 import numpy as np
 import pytest
+from reference_loops import reference_local_improve
 
 from caradec.core import Cardinality, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
 from caradec import solvers
@@ -115,17 +116,17 @@ class TestDirectOptimize:
 
 
 class CountingCut(CutObjective):
-    """Counts batched evaluations and the index sets they cover."""
+    """Counts calls of the batch hook and the rows they score."""
 
     def __init__(self, g):
         super().__init__(g)
         self.calls = 0
         self.rows = 0
 
-    def values_of(self, sets):
+    def values_of_rows(self, indptr, indices):
         self.calls += 1
-        self.rows += len(sets)
-        return super().values_of(sets)
+        self.rows += len(indptr) - 1
+        return super().values_of_rows(indptr, indices)
 
 
 def reference_direct(f, c, cfg):
@@ -292,30 +293,6 @@ class TestLocalImprove:
             assert val >= v0 - 1e-12
 
 
-def reference_local_improve(s, pool, f, c, max_iter=10):
-    """The former local_improve: one value_of call per feasible swap."""
-    current = set(s.indices)
-    value = f.value_of(tuple(sorted(current)))
-    candidates = [j for j in pool if j not in current]
-    for _ in range(max_iter):
-        best_swap, best_val = None, value
-        for i in sorted(current):
-            for j in candidates:
-                if j in current or not solvers._swap_feasible(c, current, i, j):
-                    continue
-                val = f.value_of(tuple(sorted(current - {i} | {j})))
-                if val > best_val + 1e-12:
-                    best_swap, best_val = (i, j), val
-        if best_swap is None:
-            break
-        i, j = best_swap
-        current.remove(i)
-        current.add(j)
-        candidates = [cnd for cnd in candidates if cnd != j] + [i]
-        value = best_val
-    return VertexSet.integral(sorted(current), s.n), value
-
-
 class TestBatchedLocalImprove:
     """Batched sweeps pick the same swaps, ties included, as the loop."""
 
@@ -367,6 +344,25 @@ class TestBatchedLocalImprove:
             f = LinearObjective(rng.integers(0, 3, g.m).astype(float))
             start = solvers._sample_feasible(c, rng)
             self.assert_same(VertexSet.integral(start, g.m), rng.permutation(g.m).tolist(), f, c)
+
+    def test_stable_set_and_graphic_instances(self):
+        """The adjacency built once per call and the per-member forests give
+        the swaps of the per-pair edge scans."""
+        rng = stream(47, "batched-li-graph-families")
+        for trial in range(12):
+            g = gen_er_graph(14, 0.25, seed=trial)
+            c = FractionalStableSet(g)
+            f = CutObjective(g) if trial % 2 else LinearObjective(rng.integers(0, 4, 14).astype(float))
+            start = solvers._sample_feasible(c, rng)
+            v, _ = self.assert_same(VertexSet.integral(start, 14), rng.permutation(14).tolist(), f, c)
+            assert c.vertex_feasible(v)
+            g = gen_er_graph(8, 0.5, seed=trial)
+            if g.m and g.n_components() == 1:
+                c = GraphicMatroid(g)
+                start = solvers._sample_feasible(c, rng)
+                v, _ = self.assert_same(VertexSet.integral(start, g.m), rng.permutation(g.m).tolist(),
+                                        LinearObjective(rng.random(g.m)), c)
+                assert c.vertex_feasible(v)
 
 
 class TestCardinalityAsOneBlock:
