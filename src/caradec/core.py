@@ -13,7 +13,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -200,7 +200,8 @@ class Decomposition:
         return tuple(zip(self.p.tolist(), map(self.vertex, range(len(self.p)))))
 
     def probability_sum(self) -> float:
-        return float(sum(self.p.tolist()))
+        """sum(p), added in pair order from 0.0."""
+        return reduce(operator.add, self.p.tolist(), 0.0)
 
     def reconstruct(self, n: int | None = None) -> np.ndarray:
         n = self.n if n is None else n
@@ -238,9 +239,8 @@ class Decomposition:
 class GradientTape:
     """What the reverse pass needs of a recorded decomposition d of x0 that
     d does not hold.  Row t belongs to step t of T: q (the mass left before
-    it) and a (its applied coefficient, 1 on a terminal last step).
-    Replaying the coefficients reproduces d's probabilities exactly:
-    p_t = a_t * prod_{i<t}(1 - a_i).
+    it) and a (its applied coefficient, 1 on a terminal last step), with
+    p_t = a_t * q_t exactly and q_{t+1} = q_t * (1 - a_t) up to rounding.
 
     Row t of the CSR triple functional_rows is step t's binding constraint
     as a linear functional of its iterate, a_t = const + w_t.x_t (a
@@ -343,7 +343,7 @@ def peel(x: np.ndarray, cfg: DecompositionConfig, step) -> tuple[Decomposition, 
         # a_t = r (b - z.x_t)/(b - z.v_t) with r = a_t/a_exact, so w_t = -r z/(b - z.v_t).
         r = a / a_exact if a_exact > 0 else 1.0
         den = record.denominator()
-        zx = sum(z * x[i] for i, z in zip(record.indices, record.coeffs))
+        zx = reduce(operator.add, np.multiply(record.coeffs, x[list(record.indices)]).tolist(), 0.0)
         lens.append(len(record.indices))
         w_idx.extend(record.indices)
         w_rows.append(-r * np.asarray(record.coeffs) / den)

@@ -4,7 +4,9 @@ through the recorded piecewise-linear tape."""
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -138,11 +140,12 @@ def vertex_values(d: Decomposition, f: SetObjective) -> np.ndarray:
 
 
 def evaluate_extension(d: Decomposition, f: SetObjective, fvals=None) -> float:
-    """F = sum p_t f(S_t); half-integral vertices contribute per policy.
-    fvals, when given, are the vertex values of d (see vertex_values)."""
+    """F = sum p_t f(S_t), added in pair order from 0.0; half-integral
+    vertices contribute per policy.  fvals, when given, are the vertex
+    values of d (see vertex_values)."""
     if fvals is None:
         fvals = vertex_values(d, f)
-    return float(sum(p * fv for p, fv in zip(d.p.tolist(), np.asarray(fvals).tolist())))
+    return reduce(add, (d.p * np.asarray(fvals, dtype=np.float64)).tolist(), 0.0)
 
 
 def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, float]:

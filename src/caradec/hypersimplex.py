@@ -91,11 +91,11 @@ def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig):
-    """Membership-checked run of the block kernel on x; returns its
-    decomposition and tape."""
+def run_kernel(x, spec: PartitionMatroid, cfg: DecompositionConfig):
+    """The membership-checked point x and the block kernel's raw result on
+    it."""
     xv = check_partition_membership(x.values if isinstance(x, Point) else x, spec)
-    res = kernels.decompose_blocks(
+    return xv, kernels.decompose_blocks(
         xv,
         spec.block_of(),
         spec.budget_array,
@@ -105,21 +105,34 @@ def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig):
         cfg.iteration_cap(spec.n),
         cfg.guard,
     )
+
+
+def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig):
+    """Membership-checked run of the block kernel on x; returns its
+    decomposition and tape."""
+    xv, res = run_kernel(x, spec, cfg)
     return kernel_tape(res, xv)
 
 
-def kernel_tape(res, x0: np.ndarray) -> tuple[Decomposition, GradientTape]:
-    """The decomposition and tape of a raw block-kernel result on x0: one
-    vertex per row of the kernel's (T, K) index matrix.  Step t binds one
-    coordinate, so w_t is +-r e_bind with r = a_t/a_exact on rescaled
-    steps: +r when the smallest in-set value x_t[bind] = a_exact binds,
-    -r when the largest out-of-set value x_t[bind] = 1 - a_exact does."""
-    probs, qs, avals, verts, branch, bind, aex, residual, terminal = res
+def kernel_decomposition(res, n: int) -> Decomposition:
+    """The decomposition of a raw block-kernel result on n coordinates: one
+    vertex per row of the kernel's (T, K) index matrix."""
+    probs, verts, residual = res[0], res[3], res[7]
     T, K = verts.shape
-    d = Decomposition.from_rows(
-        probs, (np.arange(T + 1) * K, verts.ravel().astype(np.int64), np.ones(T * K)),
-        x0.shape[0], residual,
+    return Decomposition.from_rows(
+        probs, (np.arange(T + 1) * K, verts.ravel().astype(np.int64), np.ones(T * K)), n, residual,
     )
+
+
+def kernel_tape(res, x0: np.ndarray) -> tuple[Decomposition, GradientTape]:
+    """The decomposition and tape of a raw block-kernel result on x0.  Step
+    t binds one coordinate, so w_t is +-r e_bind with r = a_t/a_exact on
+    rescaled steps: +r when the smallest in-set value x_t[bind] = a_exact
+    binds, -r when the largest out-of-set value x_t[bind] = 1 - a_exact
+    does."""
+    _, qs, avals, _, branch, bind, aex, _, terminal = res
+    d = kernel_decomposition(res, x0.shape[0])
+    T = len(qs)
     live = np.arange(T) < T - bool(terminal)
     r = np.divide(avals, aex, out=np.ones(T), where=(aex > 0.0) & (avals != aex))
     min_in = branch == BRANCH_MIN_IN
@@ -138,8 +151,8 @@ def decompose_partition(
     Exact configs give at most n pairs that reconstruct x to float accuracy;
     rescaled ones take b*a_t per step (a_t when b*a_t falls below the
     floor), stop at l2 residual <= tolerance or the iteration cap, and
-    leave the leftover mass unreported in the pair list."""
-    return kernel_decompose(x, spec, cfg)[0]
+    leave the leftover mass unreported in the pair list.  Builds no tape."""
+    return kernel_decomposition(run_kernel(x, spec, cfg)[1], spec.n)
 
 
 def decompose_hypersimplex(

@@ -12,13 +12,20 @@ symbol, the package warns once and uses the pure ones, and
 every floating-point operation is the same in both, in the same order:
 
 - ``decompose_blocks``: each block takes its k largest coordinates, ties to
-  the smaller index.  The pure kernel re-sorts the previous step's order by
-  (block, value descending) with one stable sort, and falls back to the
-  full stable sort on (block, value descending, index) when a block's
-  entries at positions k-1 and k tie; the C kernel restores each block's
-  order with one merge of its two descending runs and sorts afresh on such
-  ties.  The eps test's x.x is a sequential sum in both (BLAS dot would add
-  in an order of its own).
+  the smaller index.  Both kernels keep y = q x, where q is the mass left,
+  so a step changes only the k members' y (each loses a q) and q (which
+  becomes q - a q); the coordinates outside the vertex keep theirs, which
+  also keeps their order.  The C kernel holds them in one heap per block,
+  so a step costs O(k log n) plus a look at each block, not O(n): an exact
+  k=10 decomposition takes about 6 ms at n=10,000 instead of 300 ms.  The
+  pure kernel re-sorts the previous step's order by (block, y descending)
+  with one stable sort, and falls back to the full stable sort on (block,
+  y descending, index) when a block's entries at positions k-1 and k tie.
+  The residual is taken once at the end, and the eps test reads a running
+  sum of squares of y, added in the same order in both.  Because a step
+  no longer divides every coordinate by 1 - a, the iterates differ in the
+  last bits from those of the kernel that did, and near-ties can pick
+  other vertices than it picked.
 - ``coverage_values`` and ``cut_values`` score a batch of index sets given
   as CSR rows (indptr, indices).  A row's value adds its covered elements'
   (or cut edges') weights in ascending element (edge) order from 0.0: a

@@ -6,17 +6,33 @@
  * file on first import and calls it through ctypes (see _compiled.py); it
  * uses no Python or numpy header.
  *
- * Each step of the forward kernel takes, per block, the k largest
- * coordinates under the strict order (value descending, index ascending),
- * which is the set the pure kernel's sorts pick; like the pure kernel, it
- * carries each block's order from one step to the next.  Everything after
- * the selection repeats the pure kernel's floating-point operations in the
- * same order: the first-index argmin over the index-sorted vertex and
- * argmax outside it, x[v] -= a, x /= 1 - a, the pin, numpy's clip (which
- * keeps -0.0), q *= 1 - a, and the eps test's sequential sum of squares.
- * The scorer and the reverse pass add in the fixed orders that their twins
- * state.  The file must be compiled without contraction of a*b+c into fused
- * multiply-adds (-ffp-contract=off) and without -ffast-math. */
+ * The forward kernel keeps y = q x instead of the iterate x, where q is
+ * the mass left.  A step with coefficient a maps x to (x - a v)/(1 - a) and
+ * q to q (1 - a), so y loses a q on the vertex's members and keeps its
+ * value everywhere else: the kernel updates the k members only and sets
+ * q' = q - a q.  As a step never moves a coordinate outside the vertex,
+ * each block keeps those coordinates in a heap under the strict order (y
+ * descending, index ascending).  A step sorts the old members, which all
+ * lost the same amount, and each heap top that comes before the best member
+ * left joins the vertex, the worst member left taking its place in the
+ * heap.  The argmax outside the vertex is the best of the block tops, and
+ * the clip to [0, q'] touches only the members and the heap tops above q'.
+ * So a step costs O(k log n) plus a look at each block, instead of several
+ * passes over all n coordinates.  The residual (max |y|, or max |y - q v|
+ * after a terminal step) is taken once at the end, and the eps test reads a
+ * running sum of squares of y, summed afresh whenever it falls below a
+ * quarter of its last exact value.
+ *
+ * The pure kernel selects with numpy sorts instead of heaps.  Both select
+ * the same vertex, because the order has no ties, and both repeat the same
+ * floating-point operations in the same order: the first-index argmin over
+ * the index-sorted vertex and the argmax outside it, y/q and 1 - y/q, a q
+ * taken from each member in index order, the pin, the clip (which keeps
+ * -0.0), q - a q, and each change to the sum of squares, members first and
+ * then the coordinates outside, in index order.  The scorer and the reverse
+ * pass add in the fixed orders that their twins state.  The file must be
+ * compiled without contraction of a*b+c into fused multiply-adds
+ * (-ffp-contract=off) and without -ffast-math. */
 
 #include <math.h>
 #include <stdint.h>
@@ -24,84 +40,176 @@
 #include <string.h>
 
 enum { BRANCH_MIN_IN = 0, BRANCH_MAX_OUT = 1, BRANCH_TERMINAL = 2 };
+/* Children per node of the block heaps. */
+enum { ARITY = 4 };
 
-/* Coordinate i comes before j: larger value, or equal value and smaller
- * index. */
-static int before(const double *x, int32_t i, int32_t j)
+/* A block coordinate i with its y: a key that grows with y and a tie that
+ * falls with i.  first(a, b) says whether a comes before b under the strict
+ * order (y descending, index ascending): the larger key, or on equal keys
+ * the larger tie.  Keys are rarely equal, so that test is a branch the
+ * processor predicts. */
+typedef struct {
+    uint64_t key;
+    uint32_t tie;
+} entry;
+
+static int first(entry a, entry b)
 {
-    return x[i] > x[j] || (x[i] == x[j] && i < j);
+    return a.key != b.key ? a.key > b.key : a.tie > b.tie;
 }
 
-/* Sorts idx[0..size) under `before`, with tmp as scratch (merge sort). */
-static void sort_strict(const double *x, int32_t *idx, int32_t *tmp, int size)
+static entry make(double y, int32_t i)
 {
-    int mid = size / 2, i = 0, j = mid, o = 0;
-    if (size < 2)
-        return;
-    sort_strict(x, idx, tmp, mid);
-    sort_strict(x, idx + mid, tmp, size - mid);
-    memcpy(tmp, idx, (size_t)mid * sizeof *idx);
-    while (i < mid && j < size)
-        idx[o++] = before(x, idx[j], tmp[i]) ? idx[j++] : tmp[i++];
-    while (i < mid)
-        idx[o++] = tmp[i++];
+    entry e;
+    uint64_t u;
+    y += 0.0; /* -0.0 ranks as 0.0 */
+    memcpy(&u, &y, sizeof u);
+    /* Flipping the sign bit of a positive double and every bit of a
+     * negative one makes the unsigned order the order of the values. */
+    e.key = u >> 63 ? ~u : u | (uint64_t)1 << 63;
+    e.tie = ~(uint32_t)i;
+    return e;
 }
 
-/* Brings a block's coordinates idx[0..size) into descending order of value
- * so that its first k are the k first under `before`.  On entry (unless
- * `fresh`) idx holds the previous step's order: a step maps the previous
- * vertex and the rest by two increasing maps, so each part is still
- * descending, and one merge restores the order.  Where that does not hold
- * (the pin can break it), or where positions k-1 and k tie in value, the
- * block is sorted afresh under `before`. */
-static void order_block(const double *x, int32_t *idx, int32_t *tmp, int size, int k, int fresh)
+static int32_t id_of(entry e)
 {
-    if (!fresh) {
-        int i = 0, j = k, o = 0;
-        memcpy(tmp, idx, (size_t)k * sizeof *idx);
-        while (i < k && j < size)
-            idx[o++] = x[tmp[i]] >= x[idx[j]] ? tmp[i++] : idx[j++];
-        while (i < k)
-            idx[o++] = tmp[i++];
-        for (i = 1; i < size && x[idx[i - 1]] >= x[idx[i]]; i++)
-            ;
-        fresh = i < size;
+    return (int32_t)~e.tie;
+}
+
+/* A heap is heap[0 .. h) with every entry before its ARITY children, so
+ * that heap[0] comes first.  Puts e at heap[pos], whose subtrees are heaps,
+ * and moves it down to its place.  A non-member's y changes only while it
+ * is its heap's top, so the y packed in a heap entry is its y. */
+static void sift_down(entry *heap, int h, int pos, entry e)
+{
+    int c, best;
+    /* Nodes with all their children: the first of each pair, then of the
+     * two winners, with no branch but the loop's. */
+    while ((c = ARITY * pos + 1) + ARITY <= h) {
+        int l = c + first(heap[c + 1], heap[c]), r = c + 2 + first(heap[c + 3], heap[c + 2]);
+        best = first(heap[r], heap[l]) ? r : l;
+        if (!first(heap[best], e))
+            break;
+        heap[pos] = heap[best];
+        pos = best;
     }
-    if (fresh || x[idx[k - 1]] == x[idx[k]])
-        sort_strict(x, idx, tmp, size);
+    if (c < h && c + ARITY > h) {
+        for (best = c++; c < h; c++)
+            best = first(heap[c], heap[best]) ? c : best;
+        if (first(heap[best], e)) {
+            heap[pos] = heap[best];
+            pos = best;
+        }
+    }
+    heap[pos] = e;
 }
 
-/* Runs at most `cap` steps of the peeling loop.  The caller packs the
- * arguments into two buffers:
- *   f  = x[n] (updated in place), state[3], probs[cap], qs[cap],
+/* Brings the block es[0 .. size) to its selected state for budget k: the
+ * heap of the size - k coordinates outside the vertex in es[0 .. size - k),
+ * and the k members, first to last, in es[size - k .. size).  Unless
+ * `fresh`, es holds the previous selection with the members' y updated:
+ * the members are sorted (their order barely moves, as they all lose the
+ * same amount), and each heap top that comes before the best member left
+ * takes a place in the vertex and is replaced by the last member left.
+ * `fresh` builds the heap of the whole block and pops k.  out[0 .. k) is
+ * scratch. */
+static void select_block(entry *es, int size, int k, int fresh, entry *out)
+{
+    entry *heap = es, *mem = es + size - k;
+    int h = size - k, i, j, end = k;
+    if (fresh) {
+        for (i = (size - 2) / ARITY; i >= 0 && size > 1; i--)
+            sift_down(es, size, i, es[i]);
+        for (i = 0; i < k; i++) {
+            out[i] = es[0];
+            sift_down(es, size - i - 1, 0, es[size - i - 1]);
+        }
+    } else {
+        for (i = 1; i < k; i++) {
+            entry e = mem[i];
+            for (j = i; j > 0 && first(e, mem[j - 1]); j--)
+                mem[j] = mem[j - 1];
+            mem[j] = e;
+        }
+        for (i = j = 0; i < k; i++)
+            if (h > 0 && first(heap[0], mem[j])) {
+                out[i] = heap[0];
+                sift_down(heap, h, 0, mem[--end]);
+            } else {
+                out[i] = mem[j++];
+            }
+    }
+    memcpy(mem, out, (size_t)k * sizeof *out);
+}
+
+/* Sorts a[0 .. size) ascending, with tmp[0 .. size / 2) as scratch. */
+static void sort_ints(int32_t *a, int32_t *tmp, int size)
+{
+    int mid = size / 2, i, j, o = 0;
+    if (size <= 16) {
+        for (i = 1; i < size; i++) {
+            int32_t e = a[i];
+            for (j = i; j > 0 && a[j - 1] > e; j--)
+                a[j] = a[j - 1];
+            a[j] = e;
+        }
+        return;
+    }
+    sort_ints(a, tmp, mid);
+    sort_ints(a + mid, tmp, size - mid);
+    memcpy(tmp, a, (size_t)mid * sizeof *a);
+    for (i = 0, j = mid; i < mid && j < size;)
+        a[o++] = a[j] < tmp[i] ? a[j++] : tmp[i++];
+    while (i < mid)
+        a[o++] = tmp[i++];
+}
+
+/* The sum of y[i] * y[i] over i in [0, n), added in index order from 0.0. */
+static double sum_squares(const double *y, int n)
+{
+    double s = 0.0;
+    int i;
+    for (i = 0; i < n; i++)
+        s += y[i] * y[i];
+    return s;
+}
+
+/* Runs at most `cap` steps of the peeling loop on y = q x.  The caller
+ * packs the arguments into two buffers:
+ *   f  = y[n] (updated in place), state[5], probs[cap], qs[cap],
  *        avals[cap], aexs[cap];
  *   iw = block_of[n], budgets[nb], verts[cap][K], bind[cap], branch[cap],
- * where K is the sum of the budgets.  state[0] is the mass q on entry and
- * on return.  On return state[1] is the residual's sup norm: q times the
- * distance of x from the last vertex after a terminal step, q max|x| after
- * another step, 0 when no step ran.  state[2] is 0 when the steps
- * ran out, 1 after the eps stop and 2 after a terminal step.  Returns the
- * number of steps taken, -1 when scratch memory cannot be had, or -2 when
- * a block id lies outside [0, nb) or a budget outside [0, block size]. */
+ * where K is the sum of the budgets.  On entry and on return, state[0] is
+ * the mass q, state[3] the running sum of squares of y and state[4] its
+ * value at its last exact summation; a negative state[4] asks for a first
+ * summation (when eps > 0).  A run split over several calls that pass this
+ * state on equals one call.  On return state[1] is the residual's sup norm:
+ * max |y - q v| over the last vertex v after a terminal step, max |y| after
+ * another step, 0 when no step ran.  state[2] is 0 when the steps ran out,
+ * 1 after the eps stop and 2 after a terminal step.  Returns the number of
+ * steps taken, -1 when scratch memory cannot be had, or -2 when a block id
+ * lies outside [0, nb) or a budget outside [0, block size]. */
 int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_, double eps,
                              double guard, double *f, int32_t *iw)
 {
-    double *x = f, *state = f + n, *probs = state + 3, *qs = probs + cap, *avals = qs + cap,
+    double *y = f, *state = f + n, *probs = state + 5, *qs = probs + cap, *avals = qs + cap,
            *aexs = avals + cap;
     const int32_t *block_of = iw, *budgets = iw + n;
     int32_t *verts = iw + n + nb, *bind, *branch;
-    int32_t *idx = malloc((size_t)(n + 1) * sizeof *idx);
+    entry *es = malloc((size_t)(n + 1) * sizeof *es), *out = malloc((size_t)(n + 1) * sizeof *out);
+    int32_t *moved = malloc((size_t)(n + 1) * sizeof *moved);
     int32_t *tmp = malloc((size_t)(n + 1) * sizeof *tmp);
+    double *old = malloc((size_t)(n + 1) * sizeof *old);
     int *start = malloc((size_t)(nb + 1) * sizeof *start);
-    char *in_set = malloc((size_t)n + 1);
-    double q = state[0], mx;
+    double q = state[0], ss = state[3], ss_ref = state[4], mx = 0.0;
     int K = 0, T = 0, stop = 0, b, i, t;
 
-    if (!idx || !tmp || !start || !in_set) {
+    if (!es || !out || !moved || !tmp || !old || !start) {
         T = -1;
         goto done;
     }
-    /* Block b's coordinates are idx[start[b] .. start[b + 1]). */
+    /* Block b's coordinates are es[start[b] .. start[b + 1]): first the
+     * heap of those outside the vertex, then the vertex's members. */
     memset(start, 0, (size_t)(nb + 1) * sizeof *start);
     for (i = 0; i < n && 0 <= block_of[i] && block_of[i] < nb; i++)
         start[block_of[i] + 1]++;
@@ -115,48 +223,43 @@ int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_
     }
     bind = verts + (size_t)cap * K;
     branch = bind + cap;
-    for (i = 0; i < n; i++)
-        idx[start[block_of[i]]++] = i;
+    for (i = 0; i < n; i++) {
+        entry e = make(y[i], i);
+        es[start[block_of[i]]++] = e;
+    }
     for (b = nb; b > 0; b--)
         start[b] = start[b - 1];
     start[0] = 0;
+    if (eps > 0.0 && ss_ref < 0.0)
+        ss = ss_ref = sum_squares(y, n);
 
     for (t = 0; t < cap; t++) {
         int32_t *v = verts + (size_t)t * K;
-        double a_in = INFINITY, a_out = INFINITY, a_exact, a_scaled, a, om;
-        int32_t idx_in = -1, idx_out = -1, bi;
-        int br, exact_step, pos = 0;
+        double a_in = INFINITY, a_out = INFINITY, a_exact, a_scaled, a, aq, qn;
+        int32_t idx_in = -1, bi;
+        int br, exact_step, pos = 0, nm = 0, b_out = -1;
 
-        memset(in_set, 0, (size_t)n);
+        /* The vertex: each block's members, then the whole row sorted. */
         for (b = 0; b < nb; b++) {
             int lo = start[b], size = start[b + 1] - lo, k = budgets[b];
-            if (0 < k && k < size)
-                order_block(x, idx + lo, tmp, size, k, t == 0);
-            for (i = lo; i < lo + k; i++)
-                in_set[idx[i]] = 1;
+            if (t == 0 ? k < size : 0 < k && k < size)
+                select_block(es + lo, size, k, t == 0, out);
+            for (i = lo + size - k; i < lo + size; i++)
+                v[pos++] = id_of(es[i]);
+            if (k < size && (b_out < 0 || first(es[lo], es[start[b_out]])))
+                b_out = b;
         }
-        for (i = 0; i < n; i++)
-            if (in_set[i])
-                v[pos++] = i;
+        sort_ints(v, tmp, K);
 
         if (K > 0) {
-            a_in = x[v[0]];
             idx_in = v[0];
             for (i = 1; i < K; i++)
-                if (x[v[i]] < a_in) {
-                    a_in = x[v[i]];
+                if (y[v[i]] < y[idx_in])
                     idx_in = v[i];
-                }
+            a_in = y[idx_in] / q;
         }
-        if (K < n) {
-            for (i = 0; in_set[i]; i++)
-                ;
-            idx_out = i;
-            for (i++; i < n; i++)
-                if (!in_set[i] && x[i] > x[idx_out])
-                    idx_out = i;
-            a_out = 1.0 - x[idx_out];
-        }
+        if (b_out >= 0)
+            a_out = 1.0 - y[id_of(es[start[b_out]])] / q;
 
         if (a_in <= a_out) {
             a_exact = a_in;
@@ -165,7 +268,7 @@ int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_
         } else {
             a_exact = a_out;
             br = BRANCH_MAX_OUT;
-            bi = idx_out;
+            bi = id_of(es[start[b_out]]);
         }
         if (a_exact < 0.0) /* Python's max(a_exact, 0.0): keeps -0.0 */
             a_exact = 0.0;
@@ -186,64 +289,99 @@ int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_
             aexs[t] = 1.0;
             branch[t] = BRANCH_TERMINAL;
             bind[t] = -1;
-            mx = 0.0;
-            for (i = 0; i < n; i++) {
-                double d = fabs(in_set[i] ? x[i] - 1.0 : x[i]);
-                if (d > mx)
-                    mx = d;
+            for (b = 0; b < nb; b++) {
+                int h = start[b + 1] - budgets[b];
+                for (i = start[b]; i < start[b + 1]; i++) {
+                    double d = fabs(i < h ? y[id_of(es[i])] : y[id_of(es[i])] - q);
+                    if (d > mx)
+                        mx = d;
+                }
             }
-            state[1] = q * mx;
+            state[1] = mx;
             stop = 2;
             T = t + 1;
             break;
         }
 
-        probs[t] = a * q;
+        aq = a * q;
+        qn = q - aq;
+        probs[t] = aq;
         avals[t] = a;
         aexs[t] = a_exact;
         branch[t] = br;
         bind[t] = bi;
 
-        om = 1.0 - a;
-        for (i = 0; i < K; i++)
-            x[v[i]] -= a;
-        for (i = 0; i < n; i++)
-            x[i] /= om;
-        if (exact_step)
-            /* The binding coordinate is algebraically exactly 0 or 1. */
-            x[bi] = br == BRANCH_MIN_IN ? 0.0 : 1.0;
-        for (i = 0; i < n; i++) {
-            if (x[i] < 0.0)
-                x[i] = 0.0;
-            else if (x[i] > 1.0)
-                x[i] = 1.0;
+        for (i = 0; i < K; i++) {
+            double y0 = y[v[i]], y1 = y0 - aq;
+            if (exact_step && v[i] == bi)
+                /* The binding member is algebraically exactly 0. */
+                y1 = 0.0;
+            if (y1 < 0.0)
+                y1 = 0.0;
+            else if (y1 > qn)
+                y1 = qn;
+            y[v[i]] = y1;
+            if (eps > 0.0)
+                ss += y1 * y1 - y0 * y0;
         }
-        q *= om;
+        /* Outside the vertex, the binding coordinate of an exact max-out
+         * step is algebraically exactly q', and the clip lowers what lies
+         * above q' to q'.  Each such coordinate is its heap's top when it
+         * changes. */
+        for (b = 0; b < nb; b++) {
+            entry *heap = es + start[b];
+            int h = start[b + 1] - start[b] - budgets[b];
+            for (i = h; i < h + budgets[b]; i++)
+                heap[i] = make(y[id_of(heap[i])], id_of(heap[i]));
+            if (exact_step && br == BRANCH_MAX_OUT && b == b_out) {
+                entry e = make(qn, bi);
+                moved[nm++] = bi;
+                old[bi] = y[bi];
+                y[bi] = qn;
+                sift_down(heap, h, 0, e);
+            }
+            while (h > 0 && y[id_of(heap[0])] > qn) {
+                int32_t j = id_of(heap[0]);
+                entry e = make(qn, j);
+                moved[nm++] = j;
+                old[j] = y[j];
+                y[j] = qn;
+                sift_down(heap, h, 0, e);
+            }
+        }
+        q = qn;
         T = t + 1;
         if (eps > 0.0) {
-            double ss = 0.0;
-            for (i = 0; i < n; i++)
-                ss += x[i] * x[i];
-            if (q * sqrt(ss) <= eps) {
+            sort_ints(moved, tmp, nm);
+            for (i = 0; i < nm; i++)
+                ss += qn * qn - old[moved[i]] * old[moved[i]];
+            if (ss < 0.25 * ss_ref)
+                /* Drift stays far below the sum while it is at least a
+                 * quarter of an exact one. */
+                ss = ss_ref = sum_squares(y, n);
+            if (sqrt(ss) <= eps) {
                 stop = 1;
                 break;
             }
         }
     }
     if (stop != 2) {
-        mx = 0.0;
         for (i = 0; i < n; i++)
-            if (fabs(x[i]) > mx)
-                mx = fabs(x[i]);
-        state[1] = T > 0 ? q * mx : 0.0;
+            if (fabs(y[i]) > mx)
+                mx = fabs(y[i]);
+        state[1] = T > 0 ? mx : 0.0;
     }
     state[0] = q;
     state[2] = stop;
+    state[3] = ss;
+    state[4] = ss_ref;
 done:
-    free(idx);
+    free(es);
+    free(out);
+    free(moved);
     free(tmp);
+    free(old);
     free(start);
-    free(in_set);
     return T;
 }
 

@@ -29,9 +29,17 @@ SOURCE = Path(__file__).with_name("_blocks.c")
 # reassociation, would break bit-identity with the pure kernel.
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 DIGEST_BYTES = 32
-# Steps per kernel call: every default iteration cap (n + 1 exact,
-# max(4n, 256) rescaled) fits in one call; larger caps take several.
-CHUNK_EXTRA = 256
+# The 4-byte words of output that a run's first kernel call makes room for
+# (K + 10 per step: a vertex row, its branch and binding coordinate, and
+# four doubles), 256 KB in all: a run with k=10 usually fits in one call.
+FIRST_CALL_WORDS = 1 << 16
+
+
+def first_call_steps(K: int) -> int:
+    """The steps that a run's first kernel call makes room for, K being the
+    sum of the budgets; each later call makes room for twice the steps of
+    the one before."""
+    return max(64, FIRST_CALL_WORDS // (K + 10))
 
 
 def library_path() -> Path:
@@ -120,14 +128,18 @@ def load() -> SimpleNamespace:
         if x0.ndim != 1 or block_of.shape != x0.shape or max(bl, default=0) > x0.shape[0]:
             raise ValueError("decompose_blocks needs x0 and block_of of one length, and budgets <= n")
         n, nb, K = x0.shape[0], len(bl), sum(bl)
-        # The two buffers of the C function, laid out as _blocks.c says; the
-        # outputs are views of them.
-        parts, done, q = [], 0, 1.0
+        # A run continues over calls, each with room for twice the steps of
+        # the one before.  y and the state (q, residual, stop, and the sum
+        # of squares with its last exact value, -1 for none yet) pass from
+        # call to call.
+        parts, done, y, state = [], 0, x0, [1.0, 0.0, 0.0, 0.0, -1.0]
+        chunk = first_call_steps(K)
         while True:
-            cap = max(0, min(max_iter - done, 4 * n + CHUNK_EXTRA))
-            f = np.empty(n + 3 + 4 * cap)
-            f[:n] = x0
-            f[n] = q
+            cap = max(0, min(max_iter - done, chunk))
+            # The two buffers of the C function, laid out as _blocks.c says.
+            f = np.empty(n + 5 + 4 * cap)
+            f[:n] = y
+            f[n : n + 5] = state
             iw = np.empty(n + nb + cap * (K + 2), dtype=np.int32)
             iw[:n] = block_of
             iw[n : n + nb] = bl
@@ -136,19 +148,19 @@ def load() -> SimpleNamespace:
                 raise MemoryError("decompose_blocks: no scratch memory")
             if T == -2:
                 raise ValueError("decompose_blocks: block id or budget out of range")
-            q, residual, stop = f[n : n + 3].tolist()
-            p, o = n + 3, n + nb
+            state = f[n : n + 5].tolist()
+            p, o = n + 5, n + nb
             w = o + cap * K
             parts.append((f[p : p + T], f[p + cap : p + cap + T], f[p + 2 * cap : p + 2 * cap + T],
-                          iw[o : o + T * K].reshape(T, K), iw[w + cap : w + cap + T].astype(np.int8),
+                          iw[o : o + T * K].reshape(T, K), iw[w + cap : w + cap + T],
                           iw[w : w + T], f[p + 3 * cap : p + 3 * cap + T]))
             done += T
-            if stop or done >= max_iter:
+            if state[2] or done >= max_iter:
                 break
-            x0 = f[:n]
-        if len(parts) > 1:
-            parts = [tuple(np.concatenate(col) for col in zip(*parts))]
-        return (*parts[0], residual, stop == 2.0)
+            y, chunk = f[:n], 2 * chunk
+        # The outputs are views of the buffers of a run that took one call.
+        out = parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+        return (*out[:4], out[4].astype(np.int8), *out[5:], state[1], state[2] == 2.0)
 
     def score_rows(kind, n, a, b, w, indptr, indices):
         """Runs caradec_score_rows; the C function trusts a, b and w (the

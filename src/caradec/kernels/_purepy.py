@@ -2,12 +2,13 @@
 must match byte for byte, and the fallback when they cannot be built.
 
 ``decompose_blocks`` runs the iterative vertex-peeling loop for box +
-per-block-sum polytopes: at each step the vertex is the per-block top-k
-of the iterate (value descending, index ascending on ties), the step
-coefficient is min(min-in-set, 1 - max-out-of-set) optionally rescaled,
-and the iterate is renormalized.  ``coverage_values`` and ``cut_values``
-score batches of index sets given as CSR rows, and ``backprop_blocks`` is
-the reverse pass of every family's gradient tape.
+per-block-sum polytopes on y = q x, where q is the mass left: at each step
+the vertex is the per-block top-k of y (value descending, index ascending
+on ties), the step coefficient is min(min-in-set, 1 - max-out-of-set) of
+x = y/q, optionally rescaled, and only the vertex's members change.
+``coverage_values`` and ``cut_values`` score batches of index sets given
+as CSR rows, and ``backprop_blocks`` is the reverse pass of every family's
+gradient tape.
 """
 
 from __future__ import annotations
@@ -40,20 +41,27 @@ def decompose_blocks(
     coefficient and aex[t] the unscaled one (they differ only on rescaled
     steps, where the gradient of the applied coefficient carries the extra
     factor).
+
+    The loop keeps y = q x rather than the iterate x.  A step with
+    coefficient a takes a q from each member's y (x' = (x - a v)/(1 - a)
+    makes y' = y - a q v), pins the binding coordinate, clips y to [0, q']
+    with q' = q - a q, and leaves every other y alone.  The eps test reads
+    a running sum of squares of y, summed afresh whenever it falls below a
+    quarter of its last exact value; the C kernel repeats every operation.
     """
-    x = np.array(x0, dtype=np.float64)
-    n = x.shape[0]
+    y = np.array(x0, dtype=np.float64)
+    n = y.shape[0]
     block_of = np.asarray(block_of, dtype=np.int32)
     budgets = np.asarray(budgets, dtype=np.int64)
-    # `order` lists the coordinates by (block, value descending); each
-    # block's first budget entries form the vertex.  A step maps in-set and
-    # out-of-set values through two increasing maps and the pin and clip
-    # keep their order, so x[order] is at most two descending runs per block
-    # and one stable re-sort of the previous order is cheap.  Equal values
-    # then keep the previous order rather than the index order.  That can
-    # change the vertex only when a block's entries at positions k-1 and k
-    # tie, and on such a step the full stable sort by (block, value
-    # descending, index) picks it instead.
+    # `order` lists the coordinates by (block, y descending); each block's
+    # first budget entries form the vertex.  A step moves the members down
+    # by one amount and leaves the rest (the pin and the clip keep the
+    # order), so y[order] is at most two descending runs per block and one
+    # stable re-sort of the previous order is cheap.  Equal values then keep
+    # the previous order rather than the index order.  That can change the
+    # vertex only when a block's entries at positions k-1 and k tie, and on
+    # such a step the full stable sort by (block, y descending, index)
+    # picks it instead.
     order = np.argsort(block_of, kind="stable")
     # The smallest unsigned type of the block ids: numpy's stable sort of 8-
     # and 16-bit keys is a radix sort.
@@ -76,25 +84,26 @@ def decompose_blocks(
     q = 1.0
     terminal = False
     residual_inf = 0.0
+    ss = ss_ref = reduce(add, (y * y).tolist(), 0.0) if eps > 0.0 else 0.0
 
     for _ in range(max_iter):
-        order = order[np.lexsort((-x[order], blocks))]
-        ends = x[order[edges]]
+        order = order[np.lexsort((-y[order], blocks))]
+        ends = y[order[edges]]
         if np.count_nonzero(ends[0] == ends[1]):
-            order = np.lexsort((-x, block_of))
+            order = np.lexsort((-y, block_of))
         v = np.sort(order[take])
 
+        y_in = y[v]
         if K > 0:
-            xv = x[v]
-            rel = int(xv.argmin())
-            a_in, idx_in = float(xv[rel]), int(v[rel])
+            rel = int(y_in.argmin())
+            a_in, idx_in = float(y_in[rel]) / q, int(v[rel])
         else:
             a_in, idx_in = np.inf, -1
         if K < n:
-            x_out = x.copy()
-            x_out[v] = -np.inf
-            idx_out = int(x_out.argmax())
-            a_out = 1.0 - float(x[idx_out])
+            y_out = y.copy()
+            y_out[v] = -np.inf
+            idx_out = int(y_out.argmax())
+            a_out = 1.0 - float(y[idx_out]) / q
         else:
             a_out, idx_out = np.inf, -1
 
@@ -121,13 +130,15 @@ def decompose_blocks(
             verts.append(v)
             branch.append(BRANCH_TERMINAL)
             bind.append(-1)
-            diff = x.copy()
-            diff[v] -= 1.0
-            residual_inf = q * float(np.max(np.abs(diff), initial=0.0))
+            diff = y.copy()
+            diff[v] -= q
+            residual_inf = float(np.max(np.abs(diff), initial=0.0))
             terminal = True
             break
 
-        probs.append(a * q)
+        aq = a * q
+        qn = q - aq
+        probs.append(aq)
         qs.append(q)
         avals.append(a)
         aexs.append(a_exact)
@@ -135,24 +146,37 @@ def decompose_blocks(
         branch.append(br)
         bind.append(bi)
 
-        om = 1.0 - a
-        x[v] -= a
-        x /= om
-        if exact_step:
-            # The binding coordinate is algebraically exactly 0 or 1; pin it
-            # so float drift cannot resurrect it in later top-k selections.
-            x[bi] = 0.0 if br == BRANCH_MIN_IN else 1.0
-        x.clip(0.0, 1.0, out=x)
-        q *= om
-        # x.x as a sequential sum, which the C kernel repeats exactly (BLAS
-        # dot adds in an order of its own); cumsum adds left to right.
-        if eps > 0.0 and q * math.sqrt(np.cumsum(x * x)[-1]) <= eps:
-            break
+        new_in = y_in - aq
+        if exact_step and br == BRANCH_MIN_IN:
+            # The binding member is algebraically exactly 0; pin it so float
+            # drift cannot resurrect it in later top-k selections.
+            new_in[rel] = 0.0
+        # The clip to [0, q'], written so that it keeps -0.0, as C's does.
+        new_in[new_in < 0.0] = 0.0
+        np.minimum(new_in, qn, out=new_in)
+        y[v] = new_in
+        # Outside the vertex (no member lies above q' now) the clip lowers
+        # what lies above q', and an exact max-out step pins its binding
+        # coordinate to q'.
+        above = y > qn
+        if exact_step and br == BRANCH_MAX_OUT:
+            above[bi] = True
+        y_moved = y[above]
+        y[above] = qn
+        q = qn
+        if eps > 0.0:
+            # Members first, then the coordinates outside, in index order.
+            terms = (new_in * new_in - y_in * y_in).tolist() + (qn * qn - y_moved * y_moved).tolist()
+            ss = reduce(add, terms, ss)
+            if ss < 0.25 * ss_ref:
+                ss = ss_ref = reduce(add, (y * y).tolist(), 0.0)
+            if math.sqrt(ss) <= eps:
+                break
 
     T = len(probs)
     if T and not terminal:
-        # max|x|, not max(x): numpy's max of +0.0 and -0.0 may be either.
-        residual_inf = q * float(np.max(np.abs(x), initial=0.0))
+        # max|y|, not max(y): numpy's max of +0.0 and -0.0 may be either.
+        residual_inf = float(np.max(np.abs(y), initial=0.0))
     return (
         np.asarray(probs, dtype=np.float64),
         np.asarray(qs, dtype=np.float64),

@@ -1,12 +1,15 @@
 """Reference loops the production code is checked against: the block
-kernel as a per-element selection loop, the per-family graph loops with
-their list tapes, the two reverse loops that read the iterate after
-every step (the kernel's snapshot loop and the graph list loop), and
-local search with one value_of call and one edge scan per swap.
+kernel as a per-element selection loop (and its former divided form, the
+contract reference), the per-family graph loops with their list tapes,
+the two reverse loops that read the iterate after every step (the
+kernel's snapshot loop and the graph list loop), and local search with
+one value_of call and one edge scan per swap.
 
 The references record the iterates that production tapes no longer keep,
 so tests that inspect iterates take them from here, after checking that
 the reference ran the same steps as the production tape."""
+
+import math
 
 import numpy as np
 
@@ -33,23 +36,113 @@ BRANCH_MIN_IN, BRANCH_TERMINAL = 0, 2
 # Block kernel
 
 
+def _select(y, block_of, budgets, K):
+    """Each block's top budget coordinates of y under (value descending,
+    index ascending): walk the stable descending order and take an index
+    while its block has budget left.  Sorted ascending."""
+    cnt, chosen = [0] * len(budgets), []
+    for i in np.argsort(-y, kind="stable").tolist():
+        b = block_of[i]
+        if cnt[b] < budgets[b] and len(chosen) < K:
+            cnt[b] += 1
+            chosen.append(i)
+    return sorted(chosen)
+
+
+def _squares(y):
+    """sum(y * y), added in index order from 0.0."""
+    s = 0.0
+    for yi in y:
+        s += yi * yi
+    return s
+
+
 def reference_decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_iter, guard):
-    """The pure kernel as a per-element selection loop: walk the stable
-    descending order and take an index while its block has budget left.
-    Returns the kernel's outputs and the (T, n) snapshots: row t is the
-    iterate after step t (a terminal step's row is the iterate it ends on)."""
+    """The pure kernel as a per-element loop on y = q x: select as
+    _select does, then change one coordinate at a time: each member loses
+    a q, is pinned and clipped to [0, q'] (q' = q - a q), and a coordinate
+    outside the vertex changes only when it lies above q' or is the pinned
+    max-out coordinate.  Returns the kernel's outputs and the (T, n)
+    iterates x = y/q: row t is the iterate after step t (a terminal step's
+    row is the iterate it ends on)."""
+    y = [float(v) for v in np.asarray(x0, dtype=np.float64)]
+    n, K = len(y), int(np.sum(budgets))
+    block_of, budgets = [int(b) for b in block_of], [int(k) for k in budgets]
+    rec = {key: [] for key in ("p", "q", "a", "v", "br", "bi", "snap", "aex")}
+    q, terminal, residual = 1.0, False, 0.0
+    ss = ss_ref = _squares(y) if eps > 0.0 else 0.0
+    for _ in range(max_iter):
+        v = _select(np.array(y), block_of, budgets, K)
+        members = set(v)
+        outside = [i for i in range(n) if i not in members]
+        # min() and max() keep the first of equal values.
+        i_in = min(v, key=y.__getitem__) if v else -1
+        i_out = max(outside, key=y.__getitem__) if outside else -1
+        a_in = y[i_in] / q if v else np.inf
+        a_out = 1.0 - y[i_out] / q if outside else np.inf
+        a_exact, br, bi = (a_in, 0, i_in) if a_in <= a_out else (a_out, 1, i_out)
+        a_exact = max(a_exact, 0.0)
+        a, exact_step = (scale * a_exact, scale == 1.0) if scale * a_exact >= floor else (a_exact, True)
+        terminal = a > 1.0 - guard or q * (1.0 - a) < guard
+        if terminal:
+            step = (q, q, 1.0, v, 2, -1, np.array(y) / q, 1.0)
+        else:
+            step = (a * q, q, a, v, br, bi, None, a_exact)
+        for key, val in zip(rec, step):
+            rec[key].append(val)
+        if terminal:
+            residual = max((abs(y[i] - q) if i in members else abs(y[i]) for i in range(n)), default=0.0)
+            break
+        aq = a * q
+        qn = q - aq
+        for i in v:
+            new = 0.0 if exact_step and i == bi else y[i] - aq
+            new = 0.0 if new < 0.0 else qn if new > qn else new
+            if eps > 0.0:
+                ss += new * new - y[i] * y[i]
+            y[i] = new
+        for i in outside:
+            if y[i] > qn or (exact_step and br == 1 and i == bi):
+                if eps > 0.0:
+                    ss += qn * qn - y[i] * y[i]
+                y[i] = qn
+        q = qn
+        rec["snap"][-1] = np.array(y) / q
+        if eps > 0.0:
+            if ss < 0.25 * ss_ref:
+                ss = ss_ref = _squares(y)
+            if math.sqrt(ss) <= eps:
+                break
+    T = len(rec["p"])
+    if T and not terminal:
+        residual = max(map(abs, y), default=0.0)
+    out = (
+        np.asarray(rec["p"], dtype=np.float64),
+        np.asarray(rec["q"], dtype=np.float64),
+        np.asarray(rec["a"], dtype=np.float64),
+        np.asarray(rec["v"], dtype=np.int32).reshape(T, K),
+        np.asarray(rec["br"], dtype=np.int8),
+        np.asarray(rec["bi"], dtype=np.int32),
+        np.asarray(rec["aex"], dtype=np.float64),
+        residual,
+        terminal,
+    )
+    return out, np.asarray(rec["snap"], dtype=np.float64).reshape(T, n)
+
+
+def reference_divided_blocks(x0, block_of, budgets, scale, floor, eps, max_iter, guard):
+    """The block kernel as it was before it kept y = q x: a per-element
+    selection loop that divides the whole iterate by 1 - a at every step.
+    It is the contract reference: where no near-tie decides a step, it
+    gives the kernel's supports and probabilities to rounding.  Returns
+    the kernel's outputs and the (T, n) snapshots: row t is the iterate
+    after step t (a terminal step's row is the iterate it ends on)."""
     x = np.array(x0, dtype=np.float64)
     n, K = x.shape[0], int(np.sum(budgets))
     rec = {key: [] for key in ("p", "q", "a", "v", "br", "bi", "snap", "aex")}
     q, terminal, residual = 1.0, False, 0.0
     for _ in range(max_iter):
-        cnt, chosen = [0] * len(budgets), []
-        for i in np.argsort(-x, kind="stable"):
-            b = block_of[i]
-            if cnt[b] < budgets[b] and len(chosen) < K:
-                cnt[b] += 1
-                chosen.append(int(i))
-        v = np.array(sorted(chosen), dtype=np.int32)
+        v = np.array(_select(x, block_of, budgets, K), dtype=np.int32)
         comp = np.setdiff1d(np.arange(n), v)
         a_in, i_in = (float(x[v].min()), int(v[np.argmin(x[v])])) if K else (np.inf, -1)
         a_out, i_out = (1.0 - float(x[comp].max()), int(comp[np.argmax(x[comp])])) if comp.size else (np.inf, -1)

@@ -5,6 +5,7 @@ import pytest
 
 from caradec.core import (
     Cardinality,
+    Decomposition,
     FractionalStableSet,
     GraphicMatroid,
     PartitionMatroid,
@@ -39,6 +40,17 @@ def quadratic_objective(rng, n, bonus=0.25):
         return val
 
     return CallableObjective(fn)
+
+
+def test_sums_add_in_pair_order():
+    """F and the mass add term by term from 0.0, as the C kernels add.  On
+    [1e16, 1.0, -1e16] that gives 0.0: sum() compensates float sums from
+    Python 3.12 on and would give 1.0."""
+    v = VertexSet.integral([0], 2)
+    d = Decomposition(((0.5, v), (0.25, v), (0.25, v)))
+    assert evaluate_extension(d, None, [2e16, 4.0, -4e16]) == 0.0
+    assert Decomposition(((1e16, v), (1.0, v), (-1e16, v))).probability_sum() == 0.0
+    assert Decomposition().probability_sum() == 0.0
 
 
 def random_point(rng, c):

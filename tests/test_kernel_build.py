@@ -100,3 +100,15 @@ def test_library_missing_a_symbol_falls_back(tmp_path):
     assert res["backend"] == "pure" and res["ok"] and len(res["warnings"]) == 1
     assert "caradec_backprop_blocks" in res["warnings"][0]
     assert lib.read_bytes() == data
+
+
+@needs_cc
+def test_kernel_source_builds_without_warnings(tmp_path):
+    """The kernel compiles cleanly with the package's flags plus -Wall
+    -Wextra -Werror."""
+    from caradec.kernels._compiled import CFLAGS, SOURCE
+
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    cmd = [*cc, *CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(SOURCE), "-lm"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

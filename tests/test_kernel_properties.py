@@ -1,0 +1,105 @@
+"""Property tests of the block kernel's decomposition contract, on both
+backends: every decomposition reconstructs its point to 1e-9, its masses
+sum to 1 (a rescaled run's to at most 1, the rest left in its residual),
+every vertex meets the budgets, and a run takes at most n + 1 exact steps
+or its cap.  The C and pure kernels give the same bytes.  Inputs come from
+hypothesis: scattered, empty and single-element blocks, budgets of 0 and
+of the whole block, points on a coarse grid (exact ties and pinned
+coordinates) or mixtures of vertices, and -0.0 in place of 0.0."""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from kernel_backends import available, implementation
+
+from caradec.core import PartitionMatroid, validate_decomposition
+from caradec.hypersimplex import kernel_decomposition
+
+EXACT = (1.0, 0.0, 0.0)  # scale, floor, eps
+RESCALED = (0.5, 0.02, 1e-5)
+
+
+@st.composite
+def block_points(draw):
+    """(x, block_of, budgets): a point of a partition base polytope whose
+    blocks interleave over the index range."""
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    if sum(sizes) == 0:
+        sizes[0] = 1
+    budgets = [draw(st.integers(0, s)) for s in sizes]
+    n = sum(sizes)
+    block_of = np.array(draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist())),
+                        dtype=np.int32)
+    x = np.zeros(n)
+    grid = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    mixture = draw(st.booleans())
+    for b, k in enumerate(budgets):
+        idx = np.flatnonzero(block_of == b)
+        if mixture:
+            # A convex combination of vertices: float weights give generic
+            # points, integer ones ties.
+            weights = draw(st.lists(st.floats(0.01, 1.0) | st.integers(1, 3), min_size=1, max_size=5))
+            for w in weights:
+                x[draw(st.permutations(idx.tolist()))[:k]] += w / sum(weights)
+        else:
+            # k*grid units, at most grid per coordinate, moved one at a time
+            # from the first k coordinates: multiples of 1/grid.
+            units = np.zeros(idx.size, dtype=np.int64)
+            units[:k] = grid
+            for i, j in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12)):
+                if i < idx.size and j < idx.size and units[i] > 0 and units[j] < grid:
+                    units[i] -= 1
+                    units[j] += 1
+            x[idx] = units / grid
+    x = np.clip(x, 0.0, 1.0)
+    if draw(st.booleans()):
+        x[x == 0.0] = -0.0
+    return x, block_of, np.array(budgets, dtype=np.int64)
+
+
+def assert_contract(out, x, block_of, budgets, mode, cap):
+    n = x.shape[0]
+    spec = PartitionMatroid([np.flatnonzero(block_of == b) for b in range(len(budgets))], budgets)
+    d = kernel_decomposition(out, n)
+    rep = validate_decomposition(d, spec, x)
+    assert rep.all_feasible
+    assert rep.reconstruction_error <= max(1e-9, d.residual + 1e-9)
+    mass = d.probability_sum()
+    if mode is EXACT:
+        assert out[-1], "an exact run ends on a terminal step"
+        assert rep.reconstruction_error <= 1e-9 and abs(mass - 1.0) <= 1e-9
+        assert d.iterations <= n + 1
+    else:
+        assert mass <= 1.0 + 1e-9 and d.iterations <= cap
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(block_points(), st.sampled_from([EXACT, RESCALED]))
+def test_contract_on_both_backends(point, mode):
+    x, block_of, budgets = point
+    n = x.shape[0]
+    cap = n + 1 if mode is EXACT else 4 * n + 16
+    args = (x, block_of, budgets, *mode, cap, 1e-12)
+    outs = [implementation(backend).decompose_blocks(*args) for backend in available()]
+    assert_contract(outs[0], x, block_of, budgets, mode, cap)
+    for out in outs[1:]:
+        for got, want in zip(out, outs[0]):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_points(), st.integers(0, 40))
+def test_iteration_cap(point, cap):
+    """A run never takes more steps than its cap, and a capped exact run is
+    the first steps of the uncapped one."""
+    x, block_of, budgets = point
+    for backend in available():
+        kernel = implementation(backend).decompose_blocks
+        full = kernel(x, block_of, budgets, *EXACT, x.shape[0] + 1, 1e-12)
+        part = kernel(x, block_of, budgets, *EXACT, cap, 1e-12)
+        T = len(part[0])
+        assert T <= cap
+        for got, want in zip(part[:7], full[:7]):
+            assert np.asarray(got).tobytes() == np.asarray(want)[:T].tobytes()

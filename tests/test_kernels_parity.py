@@ -9,7 +9,7 @@ import functools
 import numpy as np
 import pytest
 from kernel_backends import compiled, needs_cc, use
-from reference_loops import reference_decompose_blocks
+from reference_loops import reference_decompose_blocks, reference_divided_blocks
 
 from caradec.core import (
     Cardinality,
@@ -17,13 +17,14 @@ from caradec.core import (
     FractionalStableSet,
     GraphicMatroid,
     PartitionMatroid,
+    validate_decomposition,
 )
 from caradec.extension import backprop_extension, decompose_with_tape
 from caradec.fstab import project_to_fstab
 from caradec.generators import gen_er_graph, gen_random_uniform
 from caradec.graphs import Graph
-from caradec.hypersimplex import kernel_tape, project_to_partition_polytope
-from caradec.kernels import _purepy
+from caradec.hypersimplex import kernel_decomposition, kernel_tape, project_to_partition_polytope
+from caradec.kernels import _compiled, _purepy
 from caradec.matroids import spanning_tree_marginals
 from caradec.objectives import CoverageObjective
 from caradec.rng import stream
@@ -108,12 +109,13 @@ class TestRescaledParity:
             assert_compiled_matches_pure(x, block_of, budgets, 0.5, 0.02, 1e-5, 4 * n, 1e-12)
 
     def test_iteration_cap_beyond_one_call(self):
-        """A cap larger than one C call's 4n + 256 steps: the run continues
-        across calls as one."""
+        """A cap larger than one C call's steps: the run continues across
+        calls (each with twice the steps of the one before) as one."""
         rng = np.random.default_rng(3)
         block_of, budgets = np.zeros(30, dtype=np.int32), np.array([7])
         x = projected_point(rng, block_of, budgets)
-        for max_iter in (0, 1, 376, 377, 2000):
+        first = _compiled.first_call_steps(7)
+        for max_iter in (0, 1, 376, 377, 2000, first, first + 1, 3 * first + 1):
             assert_compiled_matches_pure(x, block_of, budgets, 0.02, 0.0, 0.0, max_iter, 1e-300)
 
     def test_out_of_range_blocks_and_budgets_are_refused(self):
@@ -269,6 +271,56 @@ class TestPureKernelAtBenchmarkScale:
         x = projected_point(rng, block_of, budgets)
         self.assert_same_outputs(x, block_of, budgets, 1.0, 0.0, 0.0, 301, 1e-12)
         self.assert_same_outputs(x, block_of, budgets, 0.5, 0.02, 1e-5, 1200, 1e-12)
+
+
+def near_tie(x0, snaps, block_of, delta=1e-9):
+    """Whether some step of a divided run (x0, then its iterates) compares
+    two different values closer than delta: two coordinates of a block (the
+    vertex choice and argmin/argmax), or x_i and 1 - x_j (min-in against
+    max-out, where an exact tie counts too)."""
+    same_block = block_of[:, None] == block_of[None, :]
+    for x in (x0, *snaps):
+        gap = np.abs(np.subtract.outer(x, x))
+        if ((gap > 0) & (gap < delta) & same_block).any():
+            return True
+        if (np.abs(np.add.outer(x, x) - 1.0) < delta).any():
+            return True
+    return False
+
+
+class TestContractReference:
+    """The divided loop that the kernel replaced: where no near-tie decides
+    a step, both pick the same vertices in the same order, with the same
+    binding coordinates, and probabilities equal to 1e-12."""
+
+    def test_same_supports_without_near_ties(self):
+        rng = np.random.default_rng(30)
+        checked = 0
+        for _ in range(150):
+            x, block_of, budgets = random_blocks(rng, max_n=20)
+            n = x.shape[0]
+            for mode in ((1.0, 0.0, 0.0, n + 1), (0.5, 0.02, 1e-5, 4 * n)):
+                args = (x, block_of, budgets, *mode, 1e-12)
+                want, snaps = reference_divided_blocks(*args)
+                if near_tie(x, snaps, block_of):
+                    continue
+                got = _purepy.decompose_blocks(*args)
+                for i in (3, 4, 5):  # vertices, branches, binding coordinates
+                    assert np.array_equal(got[i], want[i])
+                assert np.allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+                checked += 1
+        assert checked >= 100
+
+
+@needs_cc
+def test_compiled_cardinality_10000_meets_the_contract():
+    """An exact k=10 run at n=10,000 (about 3,600 steps) reconstructs its
+    point and sums to mass 1."""
+    block_of, budgets = np.zeros(10_000, dtype=np.int32), np.array([10])
+    x = projected_point(np.random.default_rng(31), block_of, budgets)
+    out = compiled_decompose_blocks()(x, block_of, budgets, 1.0, 0.0, 0.0, 10_001, 1e-12)
+    rep = validate_decomposition(kernel_decomposition(out, 10_000), Cardinality(10_000, 10), x)
+    assert out[-1] and rep.ok(), rep.messages
 
 
 @needs_cc
