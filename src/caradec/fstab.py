@@ -1,11 +1,17 @@
-"""Fractional stable set polytope: gradient-step projection, the
-half-integral vertex oracle (min s-t cut on the bipartite double cover
-with exact lexicographic refinement), step coefficients, and the
-decomposition into independent sets and half-integral vertices."""
+"""Fractional stable set polytope FSTAB(g) = {x in [0, 1]^n : x_u + x_v <= 1
+for every edge}: the gradient-step projection and its VJP, the vertex
+oracle, step coefficients, and the decomposition into independent sets and
+half-integral vertices.
+
+The vertex oracle returns the lexicographically largest of the
+half-integral optima of a linear program over the minimal face of x.  A
+call solves one max-flow on the bipartite double cover (Nemhauser &
+Trotter 1975) and then fixes the coordinates in order by reachability in
+its residual graph, whose closed sets are exactly the minimum cuts (Picard
+& Queyranne 1980).  The per-edge sums (tight edges, ratios, excesses) are
+array operations over ``Graph.edge_u`` and ``Graph.edge_v``."""
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -25,7 +31,6 @@ from .graphs import Graph
 
 ZERO_TOL = 1e-9
 TIGHT_TOL = 1e-9
-ENUM_LIMIT = 14
 
 
 class Dinic:
@@ -88,29 +93,6 @@ class Dinic:
         return 0.0
 
 
-def _lp_value(c: np.ndarray, caps: np.ndarray, edges) -> float:
-    """max c.y over y_u + y_v <= 1 per edge, 0 <= y_u <= caps_u, caps in
-    {1, 1/2}, c >= 0; solved as bipartite max-weight independent set on the
-    double cover via min cut."""
-    n = c.shape[0]
-    src, snk = 2 * n, 2 * n + 1
-    net = Dinic(2 * n + 2)
-    total = 0.0
-    for u in range(n):
-        if c[u] > 0:
-            net.add_edge(src, u, c[u] / 2.0)
-            net.add_edge(n + u, snk, c[u] / 2.0)
-            total += c[u]
-    inf = float(c.sum()) + 1.0
-    for u, v in edges:
-        net.add_edge(u, n + v, inf)
-        net.add_edge(v, n + u, inf)
-    for u in range(n):
-        if caps[u] < 1.0:
-            net.add_edge(u, n + u, inf)
-    return total - net.max_flow(src, snk)
-
-
 def _augmented_weights(x: np.ndarray, g: Graph):
     """Support restriction plus tight-edge preservation: zero coordinates
     are fixed out, and each tight edge adds a big weight on its endpoints so
@@ -119,102 +101,107 @@ def _augmented_weights(x: np.ndarray, g: Graph):
     alive = x > ZERO_TOL
     big = 4.0 * (n + 1)
     c = np.where(alive, x, 0.0)
-    tight = []
-    for u, v in g.edges:
-        if x[u] + x[v] >= 1.0 - TIGHT_TOL:
-            tight.append((u, v))
-            if alive[u]:
-                c[u] += big
-            if alive[v]:
-                c[v] += big
-    live_edges = [(u, v) for u, v in g.edges if alive[u] and alive[v]]
+    eu, ev = g.edge_u, g.edge_v
+    tight = x[eu] + x[ev] >= 1.0 - TIGHT_TOL
+    # Every add is the same big, so the order of the repeated adds does not
+    # change the sum.
+    np.add.at(c, np.concatenate((eu[tight & alive[eu]], ev[tight & alive[ev]])), big)
+    live = alive[eu] & alive[ev]
+    live_edges = list(zip(eu[live].tolist(), ev[live].tolist()))
     return c, alive, live_edges
 
 
+# The source-side patterns of (u_L, u_R) that encode y_u, in the order of
+# the lexicographic preference: (y, forced in, forced out), with 0 standing
+# for u_L and 1 for u_R.
+_TRIALS = ((1.0, (0,), (1,)), (0.5, (0, 1), ()), (0.0, (1,), (0,)), (0.5, (), (0, 1)))
+
+
 def fstab_vertex(x_t, g: Graph) -> VertexSet:
-    """Vertex of FSTAB on the minimal face containing x_t, maximizing
-    x_t.y with exact lexicographic tie-breaking (the eps -> 0 limit of the
-    geometric perturbation, computed exactly)."""
+    """Vertex of FSTAB on the minimal face containing x_t: of the
+    half-integral y that maximize c.y over y_u + y_v <= 1 (c from
+    ``_augmented_weights``; zero coordinates stay 0), the lexicographically
+    largest, with 1 > 1/2 > 0 and coordinate 0 first.  This is the eps -> 0
+    limit of the geometric perturbation, computed exactly.
+
+    The double cover of the alive nodes has a node u_L and a node u_R per
+    node u.  A cut with source side S gives a_u = [u_L in S], b_u = [u_R
+    not in S] and y = (a + b)/2, and the minimum cuts give exactly the
+    optimal y.  After one max-flow the minimum cuts are the source sides
+    closed under the residual arcs (Picard & Queyranne 1980): IN, what the
+    source reaches, lies in all of them, and OUT, what reaches the sink, in
+    none.  Each coordinate in turn takes the first y whose pattern some
+    minimum cut still meets: y = 1 is (u_L in S, u_R out), 1/2 is (in, in)
+    and 0 is (out, in).  A pattern is met when the closure of its forced-in
+    nodes reaches no OUT node and the reverse closure of its forced-out
+    nodes reaches neither an IN node nor the first closure; taking it adds
+    the two closures to IN and OUT.  With (a, b) optimal, (a or b, a and b)
+    is optimal with the same y and uses only these patterns, so they lose
+    no optimum.  A fourth pattern, (out, out), also y = 1/2, serves where
+    float residuals break that symmetry: IN always meets one of the four."""
     x = np.asarray(x_t, dtype=float)
     n = x.shape[0]
     c, alive, live_edges = _augmented_weights(x, g)
+    idx = np.flatnonzero(alive)
+    k = idx.size
+    pos = (np.cumsum(alive) - 1).tolist()
+    # Per alive node a source arc into u_L and a sink arc out of u_R, each
+    # of capacity c_u/2; then per live edge, in edge order, the infinite
+    # arcs u_L -> v_R and v_L -> u_R.
+    src, snk = 2 * k, 2 * k + 1
+    net = Dinic(2 * k + 2)
+    half = (c[idx] / 2.0).tolist()
+    for u in range(k):
+        net.add_edge(src, u, half[u])
+        net.add_edge(k + u, snk, half[u])
+    inf = float(c[idx].sum()) + 1.0
+    for u, v in live_edges:
+        net.add_edge(pos[u], k + pos[v], inf)
+        net.add_edge(pos[v], k + pos[u], inf)
+    net.max_flow(src, snk)
 
-    caps = np.ones(n)
-    fixed = np.full(n, -1.0)
-    fixed[~alive] = 0.0
+    heads, to, cap, eps = net.head, net.to, net.cap, Dinic.EPS
+    succ = [[to[e] for e in head if cap[e] > eps] for head in heads]
+    pred = [[to[e] for e in head if cap[e ^ 1] > eps] for head in heads]
+    IN, OUT = 1, 2
+    side = [0] * (2 * k + 2)
 
-    def solve(fx: np.ndarray) -> float:
-        free = fx < 0
-        base = float(np.where(fx > 0, c * fx, 0.0).sum())
-        sub_caps = caps.copy()
-        for u, v in live_edges:
-            if fx[u] >= 0:
-                sub_caps[v] = min(sub_caps[v], 1.0 - fx[u])
-            if fx[v] >= 0:
-                sub_caps[u] = min(sub_caps[u], 1.0 - fx[v])
-        idx = np.flatnonzero(free & (sub_caps > 0))
-        relabel = {int(u): i for i, u in enumerate(idx)}
-        sub_edges = [
-            (relabel[u], relabel[v])
-            for u, v in live_edges
-            if u in relabel and v in relabel
-        ]
-        return base + _lp_value(c[idx], sub_caps[idx], sub_edges)
+    def closure(starts, arcs, label, blocked):
+        """The nodes reachable from starts along arcs, stopping at nodes
+        already labelled label; None if that reaches a node with the other
+        label or in blocked."""
+        seen, stack = set(), list(starts)
+        while stack:
+            u = stack.pop()
+            if side[u] == label or u in seen:
+                continue
+            if side[u] or u in blocked:
+                return None
+            seen.add(u)
+            stack.extend(arcs[u])
+        return seen
 
-    def compatible(i: int, beta: float, fx: np.ndarray) -> bool:
-        for u, v in live_edges:
-            if u == i and fx[v] >= 0 and beta + fx[v] > 1.0 + 1e-12:
-                return False
-            if v == i and fx[u] >= 0 and beta + fx[u] > 1.0 + 1e-12:
-                return False
-        return True
+    def mark(nodes, label):
+        for w in nodes:
+            side[w] = label
 
-    best = solve(fixed)
-    tol = 1e-9 * max(1.0, abs(best))
-    for i in range(n):
-        if fixed[i] >= 0:
-            continue
-        accepted = 0.0
-        for beta in (1.0, 0.5):
-            trial = fixed.copy()
-            trial[i] = beta
-            if compatible(i, beta, fixed) and solve(trial) >= best - tol:
-                accepted = beta
-                break
-        fixed[i] = accepted
+    mark(closure([src], succ, IN, ()), IN)
+    mark(closure([snk], pred, OUT, ()), OUT)
+    fixed = np.zeros(n)
+    for u in range(k):
+        ends = (u, k + u)
+        for y, forced_in, forced_out in _TRIALS:
+            grow_in = closure([ends[j] for j in forced_in], succ, IN, ())
+            if grow_in is None:
+                continue
+            grow_out = closure([ends[j] for j in forced_out], pred, OUT, grow_in)
+            if grow_out is None:
+                continue
+            mark(grow_in, IN)
+            mark(grow_out, OUT)
+            fixed[idx[u]] = y
+            break
     return VertexSet.half_integral(fixed)
-
-
-def fstab_vertex_enumerate(x_t, g: Graph) -> VertexSet:
-    """Validation oracle: brute force over feasible {0, 1/2, 1}^n points with
-    the same augmented objective and lexicographic preference."""
-    x = np.asarray(x_t, dtype=float)
-    n = x.shape[0]
-    if n > ENUM_LIMIT:
-        raise ValueError(f"enumeration limited to n <= {ENUM_LIMIT}")
-    c, alive, live_edges = _augmented_weights(x, g)
-    feasible = []
-    for combo in product((1.0, 0.5, 0.0), repeat=n):
-        y = np.asarray(combo)
-        if np.any(y[~alive] > 0):
-            continue
-        if any(y[u] + y[v] > 1.0 + 1e-12 for u, v in live_edges):
-            continue
-        feasible.append((float(c @ y), y))
-    vmax = max(val for val, _ in feasible)
-    tol = 1e-9 * max(1.0, abs(vmax))
-    best_y = None
-    for val, y in feasible:
-        if val >= vmax - tol and (best_y is None or _lex_greater(y, best_y)):
-            best_y = y
-    return VertexSet.half_integral(best_y)
-
-
-def _lex_greater(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x > y
-    return False
 
 
 def fstab_step_coefficient(
@@ -225,32 +212,26 @@ def fstab_step_coefficient(
     half-integral, vertex values in the denominators."""
     x = np.asarray(x_t, dtype=float)
     vv = v.to_vector()
-    best, record = np.inf, None
-    for i in range(x.shape[0]):
-        den = vv[i]  # constraint -x_i <= 0
-        if den > 1e-15:
-            ratio = x[i] / den
-            if ratio < best:
-                best = ratio
-                record = ActiveConstraintRecord("lower", (i,), (-1.0,), 0.0, -float(vv[i]))
-        den = 1.0 - vv[i]  # constraint x_i <= 1
-        if den > 1e-15:
-            ratio = (1.0 - x[i]) / den
-            if ratio < best:
-                best = ratio
-                record = ActiveConstraintRecord("upper", (i,), (1.0,), 1.0, float(vv[i]))
-    for u, w in g.edges:
-        den = 1.0 - vv[u] - vv[w]
-        if den > 1e-15:
-            ratio = (1.0 - x[u] - x[w]) / den
-            if ratio < best:
-                best = ratio
-                record = ActiveConstraintRecord(
-                    "edge", (u, w), (1.0, 1.0), 1.0, float(vv[u] + vv[w])
-                )
-    if record is None:
+    n, eu, ev = x.shape[0], g.edge_u, g.edge_v
+    # One candidate per constraint, in the order lower_i, upper_i for each
+    # i, then the edges; the first minimum binds.
+    num = np.concatenate((np.stack((x, 1.0 - x), axis=1).ravel(), 1.0 - x[eu] - x[ev]))
+    den = np.concatenate((np.stack((vv, 1.0 - vv), axis=1).ravel(), 1.0 - vv[eu] - vv[ev]))
+    usable = den > 1e-15
+    if not usable.any():
         raise ValueError("no constraint with positive denominator: x_t equals v")
-    return float(max(min(best, 1.0), 0.0)), record
+    ratio = np.divide(num, den, out=np.full(den.shape, np.inf), where=usable)
+    j = int(np.argmin(ratio))
+    if j < 2 * n:
+        i = j // 2
+        if j % 2 == 0:  # constraint -x_i <= 0
+            record = ActiveConstraintRecord("lower", (i,), (-1.0,), 0.0, -float(vv[i]))
+        else:  # constraint x_i <= 1
+            record = ActiveConstraintRecord("upper", (i,), (1.0,), 1.0, float(vv[i]))
+    else:
+        u, w = g.edges[j - 2 * n]
+        record = ActiveConstraintRecord("edge", (u, w), (1.0, 1.0), 1.0, float(vv[u] + vv[w]))
+    return float(max(min(ratio[j], 1.0), 0.0)), record
 
 
 def project_to_fstab(x, g: Graph, slack: float = 0.0) -> Point:
@@ -273,23 +254,19 @@ def project_to_fstab_trace(x, g: Graph, slack: float = 0.0):
     entry_active = (x_in > 0.0) & (x_in < 1.0)
     x = np.clip(x_in, 0.0, 1.0)
     steps = []
+    eu, ev = g.edge_u, g.edge_v
     for _ in range(200):
-        excess = np.array([x[u] + x[v] + slack - 1.0 for u, v in g.edges])
-        violated = excess > 0
-        if not violated.any():
+        excess = x[eu] + x[ev] + slack - 1.0
+        violated = np.flatnonzero(excess > 0)
+        if not violated.size:
             break
-        d = np.zeros_like(x)
-        for e, (u, v) in enumerate(g.edges):
-            if violated[e]:
-                d[u] += 1.0
-                d[v] += 1.0
-        ratios = [
-            (excess[e] / (d[u] + d[v]), e)
-            for e, (u, v) in enumerate(g.edges)
-            if violated[e]
-        ]
-        eta, ebest = max(ratios)
-        ub, vb = g.edges[ebest]
+        vu, vv = eu[violated], ev[violated]
+        d = np.bincount(np.concatenate((vu, vv)), minlength=x.shape[0]).astype(float)
+        ratios = excess[violated] / (d[vu] + d[vv])
+        # The largest ratio; a tie goes to the larger edge index.
+        j = ratios.size - 1 - int(np.argmax(ratios[::-1]))
+        eta = ratios[j]
+        ub, vb = g.edges[violated[j]]
         raw = x - eta * d
         steps.append((d, ub, vb, raw > 0.0))
         x = np.clip(np.maximum(raw, 0.0), 0.0, 1.0)
@@ -325,9 +302,10 @@ def fstab_projection_vjp(trace, gx: np.ndarray) -> np.ndarray:
 
 def check_fstab_membership(x, g: Graph) -> np.ndarray:
     x = check_box(x)
-    for u, v in g.edges:
-        if x[u] + x[v] > 1.0 + 1e-9:
-            raise MembershipError(f"edge ({u},{v}) sum {x[u] + x[v]:.9f} > 1")
+    over = x[g.edge_u] + x[g.edge_v] > 1.0 + 1e-9
+    if over.any():
+        u, v = g.edges[int(np.argmax(over))]
+        raise MembershipError(f"edge ({u},{v}) sum {x[u] + x[v]:.9f} > 1")
     return np.clip(x, 0.0, 1.0)
 
 

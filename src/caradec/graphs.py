@@ -3,7 +3,7 @@ constraints, plus the edge-list file format shared by the CLI."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,12 +18,15 @@ class Graph:
 
     Edges are stored as (u, v) with u < v, no duplicates, no self-loops.
     Edge indices (their position in ``edges``) identify coordinates of
-    edge-indexed vectors throughout the package.
+    edge-indexed vectors throughout the package.  ``edge_u`` and ``edge_v``
+    are the edges' endpoints as read-only int64 arrays, in edge order.
     """
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...] | None = None
+    edge_u: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -41,6 +44,10 @@ class Graph:
             # NaN fails the comparison.
             if not all(0 < w < np.inf for w in self.weights):
                 raise GraphFormatError("weights must be positive and finite")
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
+        ends.flags.writeable = False
+        object.__setattr__(self, "edge_u", ends[0])
+        object.__setattr__(self, "edge_v", ends[1])
 
     @property
     def m(self) -> int:

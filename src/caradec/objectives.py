@@ -101,8 +101,9 @@ class CutObjective(SetObjective):
     def __init__(self, g: Graph):
         self.graph = g
         self._w = g.weight_array()
-        self._u, self._v = (np.ascontiguousarray(col) for col in
-                            np.array(g.edges, dtype=np.int64).reshape(-1, 2).T)
+        # Writable copies: the C wrapper takes a writable buffer's address
+        # faster than a read-only one's.
+        self._u, self._v = g.edge_u.copy(), g.edge_v.copy()
 
     def value_of(self, indices):
         return float(self.values_of([indices])[0])

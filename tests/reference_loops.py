@@ -2,18 +2,22 @@
 kernel as a per-element selection loop (and its former divided form, the
 contract reference), the per-family graph loops with their list tapes,
 the two reverse loops that read the iterate after every step (the
-kernel's snapshot loop and the graph list loop), and local search with
-one value_of call and one edge scan per swap.
+kernel's snapshot loop and the graph list loop), the stable-set vertex
+oracle as one LP re-solve per coordinate (the contract reference) and by
+enumeration, the stable-set per-edge loops, and local search with one
+value_of call and one edge scan per swap.
 
 The references record the iterates that production tapes no longer keep,
 so tests that inspect iterates take them from here, after checking that
 the reference ran the same steps as the production tape."""
 
 import math
+from itertools import product
 
 import numpy as np
 
 from caradec.core import (
+    ActiveConstraintRecord,
     DecompositionConfig,
     FractionalStableSet,
     GraphicMatroid,
@@ -21,7 +25,14 @@ from caradec.core import (
     VertexSet,
 )
 from caradec.extension import decompose_with_tape
-from caradec.fstab import check_fstab_membership, fstab_step_coefficient, fstab_vertex
+from caradec.fstab import (
+    TIGHT_TOL,
+    ZERO_TOL,
+    Dinic,
+    check_fstab_membership,
+    fstab_step_coefficient,
+    fstab_vertex,
+)
 from caradec.graphs import UnionFind
 from caradec.matroids import (
     _face_respecting_forest,
@@ -325,6 +336,211 @@ def reference_backprop(tape, n, fvals):
         g[tape["w_idx"][t]] += coeff * tape["w_coef"][t]
         rest += tape["p"][t] * fvals[t]
     return g
+
+
+# ---------------------------------------------------------------------------
+# Stable-set loops: the vertex oracle as one LP solve per coordinate and
+# value (the contract reference), its brute-force enumeration, and the
+# per-edge loops that fstab now runs as array operations.
+
+ENUM_LIMIT = 14
+
+
+def _lp_value(c: np.ndarray, caps: np.ndarray, edges) -> float:
+    """max c.y over y_u + y_v <= 1 per edge, 0 <= y_u <= caps_u, caps in
+    {1, 1/2}, c >= 0; solved as bipartite max-weight independent set on the
+    double cover via min cut."""
+    n = c.shape[0]
+    src, snk = 2 * n, 2 * n + 1
+    net = Dinic(2 * n + 2)
+    total = 0.0
+    for u in range(n):
+        if c[u] > 0:
+            net.add_edge(src, u, c[u] / 2.0)
+            net.add_edge(n + u, snk, c[u] / 2.0)
+            total += c[u]
+    inf = float(c.sum()) + 1.0
+    for u, v in edges:
+        net.add_edge(u, n + v, inf)
+        net.add_edge(v, n + u, inf)
+    for u in range(n):
+        if caps[u] < 1.0:
+            net.add_edge(u, n + u, inf)
+    return total - net.max_flow(src, snk)
+
+
+def reference_augmented_weights(x: np.ndarray, g):
+    """Support restriction plus tight-edge preservation, one edge at a time."""
+    n = x.shape[0]
+    alive = x > ZERO_TOL
+    big = 4.0 * (n + 1)
+    c = np.where(alive, x, 0.0)
+    tight = []
+    for u, v in g.edges:
+        if x[u] + x[v] >= 1.0 - TIGHT_TOL:
+            tight.append((u, v))
+            if alive[u]:
+                c[u] += big
+            if alive[v]:
+                c[v] += big
+    live_edges = [(u, v) for u, v in g.edges if alive[u] and alive[v]]
+    return c, alive, live_edges
+
+
+def reference_fstab_vertex(x_t, g) -> VertexSet:
+    """The former vertex oracle: fix the coordinates in order, each to the
+    first of 1, 1/2 whose LP re-solve stays within 1e-9 |best| of the
+    optimum, else to 0; n max-flows on fresh networks per call."""
+    x = np.asarray(x_t, dtype=float)
+    n = x.shape[0]
+    c, alive, live_edges = reference_augmented_weights(x, g)
+
+    caps = np.ones(n)
+    fixed = np.full(n, -1.0)
+    fixed[~alive] = 0.0
+
+    def solve(fx: np.ndarray) -> float:
+        free = fx < 0
+        base = float(np.where(fx > 0, c * fx, 0.0).sum())
+        sub_caps = caps.copy()
+        for u, v in live_edges:
+            if fx[u] >= 0:
+                sub_caps[v] = min(sub_caps[v], 1.0 - fx[u])
+            if fx[v] >= 0:
+                sub_caps[u] = min(sub_caps[u], 1.0 - fx[v])
+        idx = np.flatnonzero(free & (sub_caps > 0))
+        relabel = {int(u): i for i, u in enumerate(idx)}
+        sub_edges = [
+            (relabel[u], relabel[v])
+            for u, v in live_edges
+            if u in relabel and v in relabel
+        ]
+        return base + _lp_value(c[idx], sub_caps[idx], sub_edges)
+
+    def compatible(i: int, beta: float, fx: np.ndarray) -> bool:
+        for u, v in live_edges:
+            if u == i and fx[v] >= 0 and beta + fx[v] > 1.0 + 1e-12:
+                return False
+            if v == i and fx[u] >= 0 and beta + fx[u] > 1.0 + 1e-12:
+                return False
+        return True
+
+    best = solve(fixed)
+    tol = 1e-9 * max(1.0, abs(best))
+    for i in range(n):
+        if fixed[i] >= 0:
+            continue
+        accepted = 0.0
+        for beta in (1.0, 0.5):
+            trial = fixed.copy()
+            trial[i] = beta
+            if compatible(i, beta, fixed) and solve(trial) >= best - tol:
+                accepted = beta
+                break
+        fixed[i] = accepted
+    return VertexSet.half_integral(fixed)
+
+
+def fstab_vertex_enumerate(x_t, g) -> VertexSet:
+    """Validation oracle: brute force over feasible {0, 1/2, 1}^n points with
+    the same augmented objective and lexicographic preference."""
+    x = np.asarray(x_t, dtype=float)
+    n = x.shape[0]
+    if n > ENUM_LIMIT:
+        raise ValueError(f"enumeration limited to n <= {ENUM_LIMIT}")
+    c, alive, live_edges = reference_augmented_weights(x, g)
+    feasible = []
+    for combo in product((1.0, 0.5, 0.0), repeat=n):
+        y = np.asarray(combo)
+        if np.any(y[~alive] > 0):
+            continue
+        if any(y[u] + y[v] > 1.0 + 1e-12 for u, v in live_edges):
+            continue
+        feasible.append((float(c @ y), y))
+    vmax = max(val for val, _ in feasible)
+    tol = 1e-9 * max(1.0, abs(vmax))
+    best_y = None
+    for val, y in feasible:
+        if val >= vmax - tol and (best_y is None or _lex_greater(y, best_y)):
+            best_y = y
+    return VertexSet.half_integral(best_y)
+
+
+def _lex_greater(a: np.ndarray, b: np.ndarray) -> bool:
+    for x, y in zip(a, b):
+        if x != y:
+            return x > y
+    return False
+
+
+def reference_fstab_step_coefficient(x_t, v: VertexSet, g):
+    """Step coefficient and binding inequality, one constraint at a time in
+    the order lower_i, upper_i per i, then the edges; the first minimum wins."""
+    x = np.asarray(x_t, dtype=float)
+    vv = v.to_vector()
+    best, record = np.inf, None
+    for i in range(x.shape[0]):
+        den = vv[i]  # constraint -x_i <= 0
+        if den > 1e-15:
+            ratio = x[i] / den
+            if ratio < best:
+                best = ratio
+                record = ActiveConstraintRecord("lower", (i,), (-1.0,), 0.0, -float(vv[i]))
+        den = 1.0 - vv[i]  # constraint x_i <= 1
+        if den > 1e-15:
+            ratio = (1.0 - x[i]) / den
+            if ratio < best:
+                best = ratio
+                record = ActiveConstraintRecord("upper", (i,), (1.0,), 1.0, float(vv[i]))
+    for u, w in g.edges:
+        den = 1.0 - vv[u] - vv[w]
+        if den > 1e-15:
+            ratio = (1.0 - x[u] - x[w]) / den
+            if ratio < best:
+                best = ratio
+                record = ActiveConstraintRecord(
+                    "edge", (u, w), (1.0, 1.0), 1.0, float(vv[u] + vv[w])
+                )
+    if record is None:
+        raise ValueError("no constraint with positive denominator: x_t equals v")
+    return float(max(min(best, 1.0), 0.0)), record
+
+
+def reference_project_to_fstab_trace(x, g, slack: float = 0.0):
+    """The projection with its excess, degree and ratio sums edge by edge;
+    the largest ratio wins, ties to the larger edge index."""
+    x_in = np.asarray(x, dtype=float)
+    entry_active = (x_in > 0.0) & (x_in < 1.0)
+    x = np.clip(x_in, 0.0, 1.0)
+    steps = []
+    for _ in range(200):
+        excess = np.array([x[u] + x[v] + slack - 1.0 for u, v in g.edges])
+        violated = excess > 0
+        if not violated.any():
+            break
+        d = np.zeros_like(x)
+        for e, (u, v) in enumerate(g.edges):
+            if violated[e]:
+                d[u] += 1.0
+                d[v] += 1.0
+        ratios = [
+            (excess[e] / (d[u] + d[v]), e)
+            for e, (u, v) in enumerate(g.edges)
+            if violated[e]
+        ]
+        eta, ebest = max(ratios)
+        ub, vb = g.edges[ebest]
+        raw = x - eta * d
+        steps.append((d, ub, vb, raw > 0.0))
+        x = np.clip(np.maximum(raw, 0.0), 0.0, 1.0)
+    finishers = []
+    for u, v in g.edges:
+        over = x[u] + x[v] + slack - 1.0
+        if over > 0:
+            i = u if x[u] >= x[v] else v
+            finishers.append((i, u, v))
+            x[i] = max(x[i] - over, 0.0)
+    return x, (entry_active, steps, finishers)
 
 
 # ---------------------------------------------------------------------------

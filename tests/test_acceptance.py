@@ -11,7 +11,7 @@ import time
 from itertools import combinations
 
 import numpy as np
-from reference_loops import reference_iterates
+from reference_loops import fstab_vertex_enumerate, reference_iterates
 
 from caradec.core import (
     Cardinality,
@@ -34,7 +34,6 @@ from caradec.extension import (
 from caradec.fstab import (
     decompose_fstab,
     fstab_vertex,
-    fstab_vertex_enumerate,
     project_to_fstab,
 )
 from caradec.generators import gen_er_graph, gen_random_uniform

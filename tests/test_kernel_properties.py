@@ -5,14 +5,22 @@ every vertex meets the budgets, and a run takes at most n + 1 exact steps
 or its cap.  The C and pure kernels give the same bytes.  Inputs come from
 hypothesis: scattered, empty and single-element blocks, budgets of 0 and
 of the whole block, points on a coarse grid (exact ties and pinned
-coordinates) or mixtures of vertices, and -0.0 in place of 0.0."""
+coordinates) or mixtures of vertices, and -0.0 in place of 0.0.
+
+The stable-set vertex oracle, on drawn graphs and on projected points
+(generic or on a coarse grid), returns a feasible half-integral vertex
+that keeps every zero coordinate at 0 and every tight edge tight, and
+whose augmented weight is the LP optimum."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from kernel_backends import available, implementation
+from reference_loops import _lp_value
 
 from caradec.core import PartitionMatroid, validate_decomposition
+from caradec.fstab import TIGHT_TOL, _augmented_weights, fstab_vertex, project_to_fstab
+from caradec.graphs import Graph
 from caradec.hypersimplex import kernel_decomposition
 
 EXACT = (1.0, 0.0, 0.0)  # scale, floor, eps
@@ -103,3 +111,36 @@ def test_iteration_cap(point, cap):
         assert T <= cap
         for got, want in zip(part[:7], full[:7]):
             assert np.asarray(got).tobytes() == np.asarray(want)[:T].tobytes()
+
+
+@st.composite
+def stable_set_points(draw):
+    """(graph, x): a drawn graph on 1..12 nodes and the projection of a
+    drawn point, kept generic or rounded down to a grid of 1/2 or 1/4
+    (rounding down keeps it feasible and makes exact ties)."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, tuple(pair for pair, k in zip(pairs, keep) if k))
+    z = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n)))
+    x = project_to_fstab(z, g).values
+    grid = draw(st.sampled_from([0, 2, 4]))
+    if grid:
+        x = np.floor(grid * x) / grid
+    return g, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(stable_set_points())
+def test_stable_set_vertex_is_an_optimal_vertex_of_the_face(case):
+    g, x = case
+    y = fstab_vertex(x, g).to_vector()
+    c, alive, live_edges = _augmented_weights(x, g)
+    assert set(y.tolist()) <= {0.0, 0.5, 1.0}
+    assert all(y[u] + y[v] <= 1.0 for u, v in g.edges)
+    assert (y[~alive] == 0.0).all()
+    for u, v in g.edges:
+        if x[u] + x[v] >= 1.0 - TIGHT_TOL:
+            assert y[u] + y[v] == 1.0, (u, v)
+    best = _lp_value(c, np.ones(x.shape[0]), live_edges)
+    assert abs(float(c @ y) - best) <= 1e-9 * max(1.0, abs(best))
