@@ -17,10 +17,10 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .graphs import Graph
-
 MEMBERSHIP_TOL = 1e-9
 SUM_TOL = 1e-7
+# The most feasible sets a family's feasible_sets() enumerates.
+ENUMERATION_CAP = 10**6
 
 
 class MembershipError(ValueError):
@@ -35,10 +35,13 @@ class SizeLimitError(ValueError):
     """The instance is larger than a family's exact oracle accepts."""
 
 
-def check_box(x, space: str = "[0,1]^n") -> np.ndarray:
-    """x as a float array, refusing NaN, infinities and entries outside
-    [0, 1] by more than MEMBERSHIP_TOL (MembershipError)."""
+def check_box(x, dim: int | None = None, space: str = "[0,1]^n") -> np.ndarray:
+    """x as a float array, refusing a shape other than (dim,) when dim is
+    given (DimensionError), and NaN, infinities and entries outside [0, 1]
+    by more than MEMBERSHIP_TOL (MembershipError)."""
     x = np.asarray(x, dtype=float)
+    if dim is not None and x.shape != (dim,):
+        raise DimensionError(f"point of shape {x.shape} for a spec of dimension {dim}")
     # NaN fails both comparisons, so in-box input pays for no extra pass.
     if not (x.min(initial=0.0) >= -MEMBERSHIP_TOL and x.max(initial=0.0) <= 1 + MEMBERSHIP_TOL):
         if not np.isfinite(x).all():
@@ -371,140 +374,6 @@ def peel(x: np.ndarray, cfg: DecompositionConfig, step) -> tuple[Decomposition, 
 
 
 # ---------------------------------------------------------------------------
-# Constraint specifications
-
-
-@dataclass(frozen=True)
-class PartitionMatroid:
-    """Per-block exact budgets over a partitioned ground set.
-
-    The per-element block array and the per-block index arrays are built
-    once here (read-only, outside the compared fields) for the kernel, the
-    projection and swap checks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    budgets: tuple[int, ...]
-
-    def __init__(self, blocks, budgets):
-        object.__setattr__(self, "blocks", tuple(tuple(int(i) for i in b) for b in blocks))
-        object.__setattr__(self, "budgets", tuple(int(k) for k in budgets))
-        if len(self.blocks) != len(self.budgets):
-            raise ValueError("one budget per block required")
-        flat = [i for b in self.blocks for i in b]
-        n = len(flat)
-        if sorted(flat) != list(range(n)):
-            raise ValueError("blocks must partition {0..n-1}")
-        for b, k in zip(self.blocks, self.budgets):
-            if not (0 <= k <= len(b)):
-                raise ValueError(f"budget {k} out of range for block of size {len(b)}")
-        block_of = np.empty(n, dtype=np.int32)
-        block_indices = tuple(np.array(b, dtype=np.int64) for b in self.blocks)
-        for bi, idx in enumerate(block_indices):
-            block_of[idx] = bi
-            idx.setflags(write=False)
-        block_of.setflags(write=False)
-        budget_array = np.array(self.budgets, dtype=np.int64)
-        budget_array.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "block_indices", block_indices)
-        object.__setattr__(self, "budget_array", budget_array)
-        object.__setattr__(self, "_block_of", block_of)
-
-    family = "partition"
-
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    def iteration_bound(self) -> int:
-        return self.n
-
-    def block_of(self) -> np.ndarray:
-        """Block number of every element (read-only)."""
-        return self._block_of
-
-    def vertex_feasible(self, v: VertexSet) -> bool:
-        if not v.is_integral or (v.indices and v.indices[-1] >= self.n):
-            return False
-        counts = np.bincount(self._block_of[list(v.indices)], minlength=len(self.budgets))
-        return bool((counts == self.budget_array).all())
-
-
-class Cardinality(PartitionMatroid):
-    """Exactly-k subsets of an n-element ground set (hypersimplex): the
-    partition matroid with the single block {0..n-1} of budget k."""
-
-    family = "cardinality"
-
-    def __init__(self, n: int, k: int):
-        if not (0 <= k <= n):
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        super().__init__((range(n),), (k,))
-        object.__setattr__(self, "k", int(k))
-
-    def __repr__(self) -> str:
-        return f"Cardinality(n={self.n}, k={self.k})"
-
-
-@dataclass(frozen=True)
-class GraphicMatroid:
-    """Full spanning forests of a graph (graphical matroid base polytope),
-    over edge-indexed vectors."""
-
-    graph: Graph
-
-    family = "graphic"
-
-    @property
-    def dim(self) -> int:
-        return self.graph.m
-
-    def iteration_bound(self) -> int:
-        return self.graph.m + 1
-
-    def forest_size(self) -> int:
-        return self.graph.n_nodes - self.graph.n_components()
-
-    def vertex_feasible(self, v: VertexSet) -> bool:
-        if not v.is_integral:
-            return False
-        if len(v.indices) != self.forest_size():
-            return False
-        return self.graph.is_forest(v.indices)
-
-
-@dataclass(frozen=True)
-class FractionalStableSet:
-    """Box plus per-edge x_u + x_v <= 1 constraints; integral vertices are
-    independent sets, other vertices are half-integral."""
-
-    graph: Graph
-    slack: float = 0.0
-
-    def __post_init__(self):
-        if self.slack < 0:
-            raise ValueError("slack must be >= 0")
-
-    family = "fstab"
-
-    @property
-    def dim(self) -> int:
-        return self.graph.n_nodes
-
-    def iteration_bound(self) -> int:
-        return self.graph.n_nodes + 1
-
-    def vertex_feasible(self, v: VertexSet) -> bool:
-        if v.is_integral:
-            return self.graph.is_independent_set(v.indices)
-        vec = v.to_vector()
-        return all(vec[u] + vec[w] <= 1.0 for u, w in self.graph.edges)
-
-
-ConstraintSpec = Cardinality | PartitionMatroid | GraphicMatroid | FractionalStableSet
-
-
-# ---------------------------------------------------------------------------
 # Operations
 
 
@@ -579,3 +448,14 @@ def validate_decomposition(
         iteration_bound=c.iteration_bound(),
         messages=tuple(msgs),
     )
+
+
+# The family classes live next to their oracles.  Each one supplies the
+# family protocol that the solvers, the extension and the objectives call:
+# project, decompose, decompose_with_tape, vertex_feasible, swap_mask,
+# jitter, sample_feasible, random_point and feasible_sets.
+from .fstab import FractionalStableSet  # noqa: E402
+from .hypersimplex import Cardinality, PartitionMatroid  # noqa: E402
+from .matroids import GraphicMatroid  # noqa: E402
+
+ConstraintSpec = Cardinality | PartitionMatroid | GraphicMatroid | FractionalStableSet

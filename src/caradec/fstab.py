@@ -1,6 +1,6 @@
 """Fractional stable set polytope FSTAB(g) = {x in [0, 1]^n : x_u + x_v <= 1
-for every edge}: the gradient-step projection and its VJP, the vertex
-oracle, step coefficients, and the decomposition into independent sets and
+for every edge}: the family class, the gradient-step projection and its
+VJP, the vertex oracle, step coefficients, and the decomposition into independent sets and
 half-integral vertices.
 
 The vertex oracle returns the lexicographically largest of the
@@ -13,9 +13,12 @@ array operations over ``Graph.edge_u`` and ``Graph.edge_v``."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import (
+    ENUMERATION_CAP,
     EXACT,
     ActiveConstraintRecord,
     Decomposition,
@@ -31,6 +34,106 @@ from .graphs import Graph
 
 ZERO_TOL = 1e-9
 TIGHT_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class FractionalStableSet:
+    """Box plus per-edge x_u + x_v <= 1 constraints; integral vertices are
+    independent sets, other vertices are half-integral.  slack tightens the
+    edge constraints of the projection only."""
+
+    graph: Graph
+    slack: float = 0.0
+
+    def __post_init__(self):
+        if self.slack < 0:
+            raise ValueError("slack must be >= 0")
+
+    family = "fstab"
+
+    @property
+    def dim(self) -> int:
+        return self.graph.n_nodes
+
+    def iteration_bound(self) -> int:
+        return self.graph.n_nodes + 1
+
+    def vertex_feasible(self, v: VertexSet) -> bool:
+        if v.n != self.dim:
+            return False
+        vec = v.to_vector()
+        return bool(np.all(vec[self.graph.edge_u] + vec[self.graph.edge_v] <= 1.0))
+
+    def project(self, z):
+        x, trace = project_to_fstab_trace(z, self.graph, self.slack)
+        return x, lambda gx: fstab_projection_vjp(trace, gx)
+
+    def decompose(self, x, cfg):
+        return self.decompose_with_tape(x, cfg)[0]
+
+    def decompose_with_tape(self, x, cfg):
+        return peel(check_fstab_membership(x, self.graph), cfg, self.peel_step)
+
+    def peel_step(self, x):
+        """The lexicographic vertex of x, its step coefficient and binding
+        inequality, and the pin of a binding box constraint."""
+        v = fstab_vertex(x, self.graph)
+        a_exact, record = fstab_step_coefficient(x, v, self.graph)
+        pin = None
+        if record.kind in ("lower", "upper"):
+            pin = (record.indices[0], 0.0 if record.kind == "lower" else 1.0)
+        return v, a_exact, record, pin
+
+    def swap_mask(self, members, candidates):
+        """Swapping member r for a candidate keeps the set independent when
+        the candidate has no neighbour among the other members."""
+        g, k = self.graph, len(members)
+        slot = np.full(self.dim, -1)
+        slot[members] = np.arange(k)
+        # near[v, r]: node v is adjacent to member r.
+        near = np.zeros((self.dim, k), dtype=bool)
+        for a, b in ((g.edge_u, g.edge_v), (g.edge_v, g.edge_u)):
+            hit = slot[b] >= 0
+            near[a[hit], slot[b[hit]]] = True
+        near = near[candidates]
+        return near.sum(axis=1) - near.T == 0
+
+    def jitter(self, x, noise):
+        return project_to_fstab(np.clip(x + noise, 0.0, 1.0), self.graph, self.slack).values
+
+    def sample_feasible(self, rng):
+        """Greedy independent set over a random node order."""
+        indptr, nbrs = self.graph.adjacency()
+        blocked = np.zeros(self.dim, dtype=bool)
+        chosen = []
+        for v in rng.permutation(self.dim).tolist():
+            if not blocked[v]:
+                chosen.append(v)
+                blocked[nbrs[indptr[v]:indptr[v + 1]]] = True
+        return tuple(sorted(chosen))
+
+    def random_point(self, rng):
+        return project_to_fstab(rng.random(self.dim), self.graph, self.slack).values
+
+    def feasible_sets(self):
+        """Every independent set, depth first in lexicographic order."""
+        n = self.dim
+        if 2**n > ENUMERATION_CAP:
+            raise ValueError("enumeration cap exceeded")
+        indptr, nbrs = self.graph.adjacency()
+        blocked = np.zeros(n, dtype=np.int64)  # members adjacent to each node
+
+        def extend(prefix, start):
+            yield tuple(prefix)
+            for v in range(start, n):
+                if not blocked[v]:
+                    prefix.append(v)
+                    blocked[nbrs[indptr[v]:indptr[v + 1]]] += 1
+                    yield from extend(prefix, v + 1)
+                    blocked[nbrs[indptr[v]:indptr[v + 1]]] -= 1
+                    prefix.pop()
+
+        yield from extend([], 0)
 
 
 class Dinic:
@@ -301,7 +404,7 @@ def fstab_projection_vjp(trace, gx: np.ndarray) -> np.ndarray:
 
 
 def check_fstab_membership(x, g: Graph) -> np.ndarray:
-    x = check_box(x)
+    x = check_box(x, g.n_nodes)
     over = x[g.edge_u] + x[g.edge_v] > 1.0 + 1e-9
     if over.any():
         u, v = g.edges[int(np.argmax(over))]
@@ -309,24 +412,8 @@ def check_fstab_membership(x, g: Graph) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def fstab_step(g: Graph):
-    """The peel step of FSTAB(g): the lexicographic vertex, its step
-    coefficient and binding inequality, and the pin of a binding box
-    constraint."""
-
-    def step(x):
-        v = fstab_vertex(x, g)
-        a_exact, record = fstab_step_coefficient(x, v, g)
-        pin = None
-        if record.kind in ("lower", "upper"):
-            pin = (record.indices[0], 0.0 if record.kind == "lower" else 1.0)
-        return v, a_exact, record, pin
-
-    return step
-
-
 def decompose_fstab(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decomposition:
     """Decompose a FSTAB point into at most n+1 vertices; each step
     tightens one inequality that stays tight afterwards."""
     xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
-    return peel(check_fstab_membership(xv, g), cfg, fstab_step(g))[0]
+    return FractionalStableSet(g).decompose(xv, cfg)

@@ -67,10 +67,6 @@ class Graph:
             uf.union(u, v)
         return uf.n_components
 
-    def rank(self, edge_subset) -> int:
-        """Graphic matroid rank r(F) = n - c(F)."""
-        return self.n_nodes - self.n_components(edge_subset)
-
     def is_forest(self, edge_subset) -> bool:
         uf = UnionFind(self.n_nodes)
         for e in edge_subset:
@@ -80,8 +76,16 @@ class Graph:
         return True
 
     def is_independent_set(self, nodes) -> bool:
-        s = set(nodes)
-        return not any(u in s and v in s for u, v in self.edges)
+        nodes = list(nodes)
+        return not (np.isin(self.edge_u, nodes) & np.isin(self.edge_v, nodes)).any()
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbour lists in CSR form: node v's neighbours are
+        nbrs[indptr[v]:indptr[v + 1]]."""
+        ends = np.concatenate((self.edge_u, self.edge_v))
+        order = np.argsort(ends, kind="stable")
+        indptr = np.searchsorted(ends[order], np.arange(self.n_nodes + 1))
+        return indptr, np.concatenate((self.edge_v, self.edge_u))[order]
 
 
 class UnionFind:

@@ -1,27 +1,137 @@
 """Box-plus-sum polytopes: partition-matroid bases, with exact cardinality
-(the hypersimplex) as the one-block case.  Mean-centred projection and its
-VJP, the membership check, and exact / rescaled decomposition of their
-points into feasible sets through the block kernel."""
+(the hypersimplex) as the one-block case.  The family classes, the
+mean-centred projection and its VJP, the membership check, and exact /
+rescaled decomposition of their points into feasible sets through the
+block kernel."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import chain, combinations, product
 
 import numpy as np
 
 from . import kernels
 from .core import (
+    ENUMERATION_CAP,
     EXACT,
     SUM_TOL,
-    Cardinality,
     Decomposition,
     DecompositionConfig,
-    DimensionError,
     GradientTape,
     MembershipError,
-    PartitionMatroid,
     Point,
+    VertexSet,
     check_box,
 )
 from .kernels._purepy import BRANCH_MIN_IN
+
+
+@dataclass(frozen=True)
+class PartitionMatroid:
+    """Per-block exact budgets over a partitioned ground set.
+
+    The per-element block array and the per-block index arrays are built
+    once here (read-only, outside the compared fields) for the kernel, the
+    projection and swap checks."""
+
+    blocks: tuple[tuple[int, ...], ...]
+    budgets: tuple[int, ...]
+
+    def __init__(self, blocks, budgets):
+        object.__setattr__(self, "blocks", tuple(tuple(int(i) for i in b) for b in blocks))
+        object.__setattr__(self, "budgets", tuple(int(k) for k in budgets))
+        if len(self.blocks) != len(self.budgets):
+            raise ValueError("one budget per block required")
+        flat = [i for b in self.blocks for i in b]
+        n = len(flat)
+        if sorted(flat) != list(range(n)):
+            raise ValueError("blocks must partition {0..n-1}")
+        for b, k in zip(self.blocks, self.budgets):
+            if not (0 <= k <= len(b)):
+                raise ValueError(f"budget {k} out of range for block of size {len(b)}")
+        block_of = np.empty(n, dtype=np.int32)
+        block_indices = tuple(np.array(b, dtype=np.int64) for b in self.blocks)
+        for bi, idx in enumerate(block_indices):
+            block_of[idx] = bi
+            idx.setflags(write=False)
+        block_of.setflags(write=False)
+        budget_array = np.array(self.budgets, dtype=np.int64)
+        budget_array.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "block_indices", block_indices)
+        object.__setattr__(self, "budget_array", budget_array)
+        object.__setattr__(self, "_block_of", block_of)
+
+    family = "partition"
+
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    def iteration_bound(self) -> int:
+        return self.n
+
+    def block_of(self) -> np.ndarray:
+        """Block number of every element (read-only)."""
+        return self._block_of
+
+    def vertex_feasible(self, v: VertexSet) -> bool:
+        if not v.is_integral or v.n != self.n:
+            return False
+        counts = np.bincount(self._block_of[list(v.indices)], minlength=len(self.budgets))
+        return bool((counts == self.budget_array).all())
+
+    def project(self, z):
+        x, _ = project_blocks(z, self)
+        return x, lambda gx: project_blocks(z, self, gx)[1]
+
+    def decompose(self, x, cfg):
+        return decompose_partition(x, self, cfg)
+
+    def decompose_with_tape(self, x, cfg):
+        xv, res = run_kernel(x, self, cfg)
+        return kernel_tape(res, xv)
+
+    def swap_mask(self, members, candidates):
+        return self._block_of[members][:, None] == self._block_of[candidates][None, :]
+
+    def jitter(self, x, noise):
+        return project_to_partition_polytope(np.clip(x + noise, 0.0, 1.0), self).values
+
+    def sample_feasible(self, rng):
+        out = []
+        for idx, k in zip(self.block_indices, self.budgets):
+            out.extend(rng.choice(idx, size=k, replace=False).tolist())
+        return tuple(sorted(out))
+
+    def random_point(self, rng):
+        return project_to_partition_polytope(rng.random(self.n), self).values
+
+    def feasible_sets(self):
+        if math.prod(math.comb(len(b), k) for b, k in zip(self.blocks, self.budgets)) > ENUMERATION_CAP:
+            raise ValueError("enumeration cap exceeded")
+        # The order decides ties in brute_force_optimum.
+        per_block = [combinations(sorted(b), k) for b, k in zip(self.blocks, self.budgets)]
+        for chosen in product(*per_block):
+            yield tuple(sorted(chain.from_iterable(chosen)))
+
+
+class Cardinality(PartitionMatroid):
+    """Exactly-k subsets of an n-element ground set (hypersimplex): the
+    partition matroid with the single block {0..n-1} of budget k."""
+
+    family = "cardinality"
+
+    def __init__(self, n: int, k: int):
+        if not (0 <= k <= n):
+            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+        super().__init__((range(n),), (k,))
+        object.__setattr__(self, "k", int(k))
+
+    def __repr__(self) -> str:
+        return f"Cardinality(n={self.n}, k={self.k})"
 
 
 def _project_block(z, idx, k, gx=None):
@@ -81,9 +191,7 @@ def project_to_hypersimplex(z, k: int) -> Point:
 
 
 def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
-    x = check_box(x)
-    if x.shape != (spec.n,):
-        raise DimensionError(f"point of shape {x.shape} for a spec of dimension {spec.n}")
+    x = check_box(x, spec.n)
     for idx, k in zip(spec.block_indices, spec.budgets):
         s = float(x[idx].sum())
         if abs(s - k) > SUM_TOL:
@@ -105,13 +213,6 @@ def run_kernel(x, spec: PartitionMatroid, cfg: DecompositionConfig):
         cfg.iteration_cap(spec.n),
         cfg.guard,
     )
-
-
-def kernel_decompose(x, spec: PartitionMatroid, cfg: DecompositionConfig):
-    """Membership-checked run of the block kernel on x; returns its
-    decomposition and tape."""
-    xv, res = run_kernel(x, spec, cfg)
-    return kernel_tape(res, xv)
 
 
 def kernel_decomposition(res, n: int) -> Decomposition:

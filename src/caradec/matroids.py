@@ -1,15 +1,19 @@
-"""Graphical-matroid base polytope: vertex oracle, step coefficients,
-decompositions, and spanning-tree marginals via the reduced Laplacian."""
+"""Graphical-matroid base polytope: the family class, vertex oracle, step
+coefficients, decompositions, and spanning-tree marginals via the reduced
+Laplacian."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
+    ENUMERATION_CAP,
     EXACT,
     SUM_TOL,
     ActiveConstraintRecord,
@@ -27,6 +31,109 @@ from .graphs import Graph, UnionFind
 
 SFM_CUTOFF = 20
 ZERO_WEIGHT = 1e-12
+
+
+@dataclass(frozen=True)
+class GraphicMatroid:
+    """Full spanning forests of a graph (graphical matroid base polytope),
+    over edge-indexed vectors."""
+
+    graph: Graph
+
+    family = "graphic"
+
+    @property
+    def dim(self) -> int:
+        return self.graph.m
+
+    def iteration_bound(self) -> int:
+        return self.graph.m + 1
+
+    def forest_size(self) -> int:
+        return self.graph.n_nodes - self.graph.n_components()
+
+    def vertex_feasible(self, v: VertexSet) -> bool:
+        if not v.is_integral or v.n != self.dim or len(v.indices) != self.forest_size():
+            return False
+        return self.graph.is_forest(v.indices)
+
+    def project(self, z):
+        """Spanning-tree marginals of the edge weights max(z, 1e-6); the vjp
+        differentiates them by central differences on the weights."""
+        g = self.graph
+        w = np.maximum(z, 1e-6)
+        x = spanning_tree_marginals(g, w).values.copy()
+
+        def vjp(gx, h=1e-6):
+            out = np.zeros(g.m)
+            for j in range(g.m):
+                up, dn = w.copy(), w.copy()
+                up[j] += h
+                dn[j] = max(dn[j] - h, 1e-9)
+                col = (spanning_tree_marginals(g, up).values - spanning_tree_marginals(g, dn).values) / (up[j] - dn[j])
+                out[j] = float(gx @ col)
+            return out
+
+        return x, vjp
+
+    def decompose(self, x, cfg):
+        return decompose_graphic(x, self.graph, cfg)
+
+    def decompose_with_tape(self, x, cfg):
+        if self.graph.n_components() != 1:
+            raise ValueError("gradient tape for graphic constraints needs a connected graph")
+        return peel(check_graphic_membership(x, self.graph), cfg, self.peel_step)
+
+    def peel_step(self, x):
+        """The face-respecting forest of x, its step coefficient and the
+        binding inequality z.y <= b, which is -y_e <= 0 (min in forest),
+        y_e <= 1 (max outside) or y(F) <= r(F) (rank face)."""
+        s_t = _face_respecting_forest(x, self.graph)
+        a_exact, trace = graphic_step_coefficient(self.graph, x, s_t)
+        if trace.kind == "min_in_forest":
+            record = ActiveConstraintRecord(trace.kind, (trace.edge,), (-1.0,), 0.0, -1.0)
+            pin = (trace.edge, 0.0)
+        elif trace.kind == "one_minus_max_outside":
+            record = ActiveConstraintRecord(trace.kind, (trace.edge,), (1.0,), 1.0, 0.0)
+            pin = (trace.edge, 1.0)
+        elif trace.face is None:  # nothing binds before a = 1
+            record, pin = ActiveConstraintRecord(trace.kind, (), (), 1.0, 0.0), None
+        else:
+            record = ActiveConstraintRecord(
+                trace.kind, trace.face, (1.0,) * len(trace.face),
+                float(trace.face_rank), float(trace.face_inter),
+            )
+            pin = None
+        return s_t, a_exact, record, pin
+
+    def swap_mask(self, members, candidates):
+        """A swap keeps a forest when the rest is a forest and the candidate
+        joins two of its trees."""
+        g = self.graph
+        mask = np.zeros((len(members), len(candidates)), dtype=bool)
+        for r, i in enumerate(members.tolist()):
+            uf = UnionFind(g.n_nodes)
+            if all(uf.union(*g.edges[e]) for e in members.tolist() if e != i):
+                root = np.array([uf.find(v) for v in range(g.n_nodes)])
+                mask[r] = root[g.edge_u[candidates]] != root[g.edge_v[candidates]]
+        return mask
+
+    def jitter(self, x, noise):
+        return x  # marginals stay valid; graphic points are not jittered
+
+    def sample_feasible(self, rng):
+        return max_spanning_forest(0.5 + 0.5 * rng.random(self.graph.m), self.graph).indices
+
+    def random_point(self, rng):
+        return spanning_tree_marginals(self.graph, 0.05 + rng.random(self.dim)).values
+
+    def feasible_sets(self):
+        g = self.graph
+        if math.comb(g.m, self.forest_size()) > ENUMERATION_CAP:
+            raise ValueError("enumeration cap exceeded")
+        for combo in combinations(range(g.m), self.forest_size()):
+            if g.is_forest(combo):
+                yield combo
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +174,6 @@ def max_spanning_forest(weights, g: Graph, zero_tol: float = ZERO_WEIGHT) -> Ver
         if uf.union(u, v):
             chosen.append(int(e))
     return VertexSet.integral(chosen, g.m)
-
-
-def graphic_rank(g: Graph, edge_subset) -> int:
-    """r(F) = n - c(F), isolated nodes counting as components."""
-    return g.rank(edge_subset)
 
 
 @lru_cache(maxsize=64)
@@ -132,10 +234,7 @@ def min_g_lambda(g: Graph, x_t, s_t, lam: float, cutoff: int = SFM_CUTOFF):
 
 
 def check_graphic_membership(x, g: Graph) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != g.m:
-        raise ValueError("one coordinate per edge required")
-    check_box(x, "[0,1]^m")
+    x = check_box(x, g.m, "[0,1]^m")
     target = g.n_nodes - g.n_components()
     if abs(float(x.sum()) - target) > SUM_TOL:
         raise MembershipError(f"sum {x.sum():.9f} != n - c(G) = {target}")
@@ -246,34 +345,6 @@ def _face_respecting_forest(x: np.ndarray, g: Graph, zero_tol: float = ZERO_WEIG
     return VertexSet.integral(chosen, g.m)
 
 
-def graphic_step(g: Graph):
-    """The peel step of the base polytope of g: the face-respecting forest,
-    its step coefficient and the binding inequality z.y <= b, which is
-    -y_e <= 0 (min in forest), y_e <= 1 (max outside) or y(F) <= r(F)
-    (rank face)."""
-
-    def step(x):
-        s_t = _face_respecting_forest(x, g)
-        a_exact, trace = graphic_step_coefficient(g, x, s_t)
-        if trace.kind == "min_in_forest":
-            record = ActiveConstraintRecord(trace.kind, (trace.edge,), (-1.0,), 0.0, -1.0)
-            pin = (trace.edge, 0.0)
-        elif trace.kind == "one_minus_max_outside":
-            record = ActiveConstraintRecord(trace.kind, (trace.edge,), (1.0,), 1.0, 0.0)
-            pin = (trace.edge, 1.0)
-        elif trace.face is None:  # nothing binds before a = 1
-            record, pin = ActiveConstraintRecord(trace.kind, (), (), 1.0, 0.0), None
-        else:
-            record = ActiveConstraintRecord(
-                trace.kind, trace.face, (1.0,) * len(trace.face),
-                float(trace.face_rank), float(trace.face_inter),
-            )
-            pin = None
-        return s_t, a_exact, record, pin
-
-    return step
-
-
 def _merge_component_steps(parts, edge_maps):
     """Couple per-component decompositions into whole-graph pairs:
     repeatedly emit the smallest remaining head mass with the union of head
@@ -304,11 +375,11 @@ def decompose_graphic(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decompos
     xv = check_graphic_membership(xv, g)
     comps = _node_components(g)
     if len(comps) == 1:
-        return peel(xv, cfg, graphic_step(g))[0]
+        return peel(xv, cfg, GraphicMatroid(g).peel_step)[0]
     parts, edge_maps = [], []
     for nodes in comps:
         sub, edge_map = _induced_subgraph(g, nodes)
-        parts.append(peel(xv[edge_map], cfg, graphic_step(sub))[0])
+        parts.append(peel(xv[edge_map], cfg, GraphicMatroid(sub).peel_step)[0])
         edge_maps.append(edge_map)
     merged = _merge_component_steps(parts, edge_maps)
     rows, recon = np.zeros((len(merged), g.m)), np.zeros(g.m)

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 
 import numpy as np
 
 from . import kernels
-from .core import ConstraintSpec, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
+from .core import ConstraintSpec, VertexSet
 from .extension import SetObjective
-from .graphs import Graph, UnionFind
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -112,74 +112,14 @@ class CutObjective(SetObjective):
         return kernels.cut_values(self.graph.n_nodes, self._u, self._v, self._w, indptr, indices)
 
 
-ENUMERATION_CAP = 10**6
-
-
-def _feasible_sets(c: ConstraintSpec):
-    if isinstance(c, PartitionMatroid):
-        import math
-
-        count = 1
-        for blk, k in zip(c.blocks, c.budgets):
-            count *= math.comb(len(blk), k)
-            if count > ENUMERATION_CAP:
-                raise ValueError("enumeration cap exceeded")
-        blocks = [(sorted(blk), k) for blk, k in zip(c.blocks, c.budgets)]
-
-        # Lazily, in itertools.product order over the blocks' combinations.
-        def extend(bi, chosen):
-            if bi == len(blocks):
-                yield tuple(sorted(chosen))
-                return
-            for comb in combinations(*blocks[bi]):
-                yield from extend(bi + 1, chosen + comb)
-
-        yield from extend(0, ())
-        return
-    if isinstance(c, GraphicMatroid):
-        g = c.graph
-        size = g.n_nodes - g.n_components()
-        import math
-
-        if math.comb(g.m, size) > ENUMERATION_CAP:
-            raise ValueError("enumeration cap exceeded")
-        for combo in combinations(range(g.m), size):
-            uf = UnionFind(g.n_nodes)
-            if all(uf.union(*g.edges[e]) for e in combo):
-                yield combo
-        return
-    if isinstance(c, FractionalStableSet):
-        g = c.graph
-        n = g.n_nodes
-        if 2**n > ENUMERATION_CAP:
-            raise ValueError("enumeration cap exceeded")
-        adj = [set() for _ in range(n)]
-        for u, v in g.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-
-        def extend(prefix, start):
-            yield tuple(prefix)
-            for v in range(start, n):
-                if not any(u in adj[v] for u in prefix):
-                    prefix.append(v)
-                    yield from extend(prefix, v + 1)
-                    prefix.pop()
-
-        yield from extend([], 0)
-        return
-    raise TypeError(f"unsupported constraint {type(c).__name__}")
-
-
 def brute_force_optimum(f: SetObjective, c: ConstraintSpec) -> tuple[VertexSet, float]:
     """Exact maximizer over the feasible sets (desk scale only); ties go to
     the lexicographically smallest set.  The sets are scored by values_of,
     1024 at a time, and scanned in enumeration order."""
     best_set_, best_val = None, -np.inf
-    feasible = _feasible_sets(c)
+    feasible = c.feasible_sets()
     while block := list(islice(feasible, 1024)):
         for s, val in zip(block, f.values_of(block).tolist()):
             if val > best_val + 1e-12:
                 best_set_, best_val = s, val
-    n = c.dim
-    return VertexSet.integral(best_set_, n), float(best_val)
+    return VertexSet.integral(best_set_, c.dim), float(best_val)

@@ -9,15 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ConstraintSpec,
-    Decomposition,
-    DecompositionConfig,
-    FractionalStableSet,
-    GraphicMatroid,
-    PartitionMatroid,
-    VertexSet,
-)
+from .core import ConstraintSpec, Decomposition, DecompositionConfig, VertexSet
 from .extension import (
     SetObjective,
     backprop_extension,
@@ -27,10 +19,9 @@ from .extension import (
     evaluate_extension,
     vertex_values,
 )
-from .fstab import project_to_fstab
-from .graphs import UnionFind
-from .hypersimplex import project_blocks, project_to_partition_polytope
-from .matroids import max_spanning_forest, spanning_tree_marginals
+# Kept as a module attribute: the graphic projection calls it through
+# caradec.matroids, and tracing wraps it in both places.
+from .matroids import spanning_tree_marginals  # noqa: F401
 from .objectives import CoverageInstance
 from .rng import stream
 
@@ -128,39 +119,7 @@ def project_point(z: np.ndarray, c: ConstraintSpec):
     Returns (x, vjp) with vjp pulling dF/dx back to dF/dz; vertex/branch
     selections are treated as locally constant, graphic marginals are
     differentiated by central differences on the edge weights."""
-    z = np.asarray(z, dtype=float)
-    if isinstance(c, PartitionMatroid):
-        x, _ = project_blocks(z, c)
-        return x, lambda gx: project_blocks(z, c, gx)[1]
-    if isinstance(c, GraphicMatroid):
-        g = c.graph
-        w = np.maximum(z, 1e-6)
-        x = spanning_tree_marginals(g, w).values.copy()
-
-        def vjp(gx, h=1e-6):
-            out = np.zeros(g.m)
-            for j in range(g.m):
-                up, dn = w.copy(), w.copy()
-                up[j] += h
-                dn[j] = max(dn[j] - h, 1e-9)
-                col = (
-                    spanning_tree_marginals(g, up).values
-                    - spanning_tree_marginals(g, dn).values
-                ) / (up[j] - dn[j])
-                out[j] = float(gx @ col)
-            return out
-
-        return x, vjp
-    if isinstance(c, FractionalStableSet):
-        from .fstab import fstab_projection_vjp, project_to_fstab_trace
-
-        x, trace = project_to_fstab_trace(z, c.graph, c.slack)
-        return x, lambda gx: fstab_projection_vjp(trace, gx)
-    raise TypeError(f"unsupported constraint {type(c).__name__}")
-
-
-def center_start(c: ConstraintSpec) -> np.ndarray:
-    return np.zeros(c.dim)
+    return c.project(np.asarray(z, dtype=float))
 
 
 def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> SolveResult:
@@ -169,7 +128,7 @@ def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> 
     at the final iterate."""
     t0 = time.perf_counter()
     rng = stream(cfg.seed, "direct-optimize")
-    theta = center_start(c)
+    theta = np.zeros(c.dim)
     if cfg.init == "random":
         theta = cfg.init_scale * rng.standard_normal(c.dim)
     adam = Adam(c.dim, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
@@ -228,7 +187,7 @@ def multi_scale_solve(
         for rep in range(max(sched.repeats, 1)):
             xx = xv
             if sched.jitter > 0 and rep > 0:
-                xx = _rejitter(xv, c, sched.jitter, rng)
+                xx = c.jitter(xv, rng.uniform(-sched.jitter, sched.jitter, size=xv.shape[0]))
             cfg = DecompositionConfig(
                 scale=b,
                 floor=sched.floor if b < 1.0 else 0.0,
@@ -286,40 +245,6 @@ def solve_pipeline(
     )
 
 
-def _rejitter(xv, c, scale, rng):
-    noise = rng.uniform(-scale, scale, size=xv.shape[0])
-    z = np.clip(xv + noise, 0.0, 1.0)
-    if isinstance(c, PartitionMatroid):
-        return project_to_partition_polytope(z, c).values
-    if isinstance(c, FractionalStableSet):
-        return project_to_fstab(z, c.graph, c.slack).values
-    return xv  # graphic points are not jittered; marginals stay valid
-
-
-def _swap_mask(c: ConstraintSpec, members: np.ndarray, candidates: np.ndarray, adjacency) -> np.ndarray:
-    """(member, candidate) pairs whose swap keeps the set feasible, as a
-    (len(members), len(candidates)) bool array; adjacency is the stable-set
-    graph's neighbour sets (None for the other families)."""
-    if isinstance(c, PartitionMatroid):
-        blocks = c.block_of()
-        return blocks[members][:, None] == blocks[candidates][None, :]
-    if not isinstance(c, (GraphicMatroid, FractionalStableSet)):
-        raise TypeError(f"unsupported constraint {type(c).__name__}")
-    mask = np.zeros((len(members), len(candidates)), dtype=bool)
-    for r, i in enumerate(members.tolist()):
-        rest = [m for m in members.tolist() if m != i]
-        if isinstance(c, FractionalStableSet):
-            mask[r] = [adjacency[j].isdisjoint(rest) for j in candidates.tolist()]
-            continue
-        # Feasible when the rest is a forest and the candidate joins two of
-        # its trees.
-        g = c.graph
-        uf = UnionFind(g.n_nodes)
-        if all(uf.union(*g.edges[e]) for e in rest):
-            mask[r] = [uf.find(g.edges[j][0]) != uf.find(g.edges[j][1]) for j in candidates.tolist()]
-    return mask
-
-
 def local_improve(
     s: VertexSet, pool, f: SetObjective, c: ConstraintSpec, max_iter: int = 10
 ) -> tuple[VertexSet, float]:
@@ -332,15 +257,9 @@ def local_improve(
     value = f.value_of(s.indices)
     start = set(s.indices)
     candidates = np.array([j for j in pool if j not in start], dtype=np.int64)
-    adjacency = None
-    if isinstance(c, FractionalStableSet):
-        adjacency = [set() for _ in range(c.graph.n_nodes)]
-        for u, v in c.graph.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
     k = len(members)
     for _ in range(max_iter):
-        drop, add = np.nonzero(_swap_mask(c, members, candidates, adjacency))
+        drop, add = np.nonzero(c.swap_mask(members, candidates))
         if not drop.size:
             break
         # Row r of `rest` is the members without member r.
@@ -392,35 +311,6 @@ def greedy_coverage(inst: CoverageInstance, k: int) -> tuple[VertexSet, float]:
     return VertexSet.integral(sorted(chosen), inst.n_sets), total
 
 
-def _sample_feasible(c: ConstraintSpec, rng) -> tuple[int, ...]:
-    if isinstance(c, PartitionMatroid):
-        out = []
-        for idx, k in zip(c.block_indices, c.budgets):
-            out.extend(rng.choice(idx, size=k, replace=False).tolist())
-        return tuple(sorted(out))
-    if isinstance(c, GraphicMatroid):
-        forest = max_spanning_forest(0.5 + 0.5 * rng.random(c.graph.m), c.graph)
-        return forest.indices
-    if isinstance(c, FractionalStableSet):
-        g = c.graph
-        order = rng.permutation(g.n_nodes)
-        chosen: set = set()
-        for v in order:
-            v = int(v)
-            if all((min(u, v), max(u, v)) not in _edge_set(g) for u in chosen):
-                chosen.add(v)
-        return tuple(sorted(chosen))
-    raise TypeError(f"unsupported constraint {type(c).__name__}")
-
-
-def _edge_set(g):
-    cached = getattr(g, "_edge_lookup", None)
-    if cached is None:
-        cached = set(g.edges)
-        object.__setattr__(g, "_edge_lookup", cached)
-    return cached
-
-
 def random_baseline(
     f: SetObjective,
     c: ConstraintSpec,
@@ -441,7 +331,7 @@ def random_baseline(
     done = 0
     while True:
         batch = 64 if trials is None else min(64, trials - done)
-        sets = [_sample_feasible(c, rng) for _ in range(batch)]
+        sets = [c.sample_feasible(rng) for _ in range(batch)]
         for s, val in zip(sets, f.values_of(sets).tolist()):
             if best is None or val > best[1]:
                 best = (s, val)
@@ -459,14 +349,7 @@ def random_baseline(
 
 
 def random_point_in_polytope(c: ConstraintSpec, rng) -> np.ndarray:
-    z = rng.random(c.dim)
-    if isinstance(c, PartitionMatroid):
-        return project_to_partition_polytope(z, c).values
-    if isinstance(c, GraphicMatroid):
-        return spanning_tree_marginals(c.graph, 0.05 + z).values
-    if isinstance(c, FractionalStableSet):
-        return project_to_fstab(z, c.graph, c.slack).values
-    raise TypeError(f"unsupported constraint {type(c).__name__}")
+    return c.random_point(rng)
 
 
 def random_decomp_baseline(f: SetObjective, c: ConstraintSpec, seed: int = 0) -> SolveResult:

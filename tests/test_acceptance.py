@@ -11,6 +11,7 @@ import time
 from itertools import combinations
 
 import numpy as np
+from gradient_checks import finite_diff_gradient, project_to_tangent, tie_margin
 from reference_loops import fstab_vertex_enumerate, reference_iterates
 
 from caradec.core import (
@@ -27,9 +28,6 @@ from caradec.extension import (
     decompose,
     decompose_with_tape,
     evaluate_extension,
-    finite_diff_gradient,
-    project_to_tangent,
-    tie_margin,
 )
 from caradec.fstab import (
     decompose_fstab,

@@ -105,6 +105,39 @@ class TestNonFiniteInput:
                 decompose(y, c)
 
 
+class TestDimensionMismatch:
+    """A point or vertex of another dimension than the spec's is refused:
+    membership checks and decompose raise DimensionError, and
+    vertex_feasible is False."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_point_rejected(self, family):
+        c, check, x = FAMILIES[family]
+        for y in (np.resize(np.asarray(x), len(x) + 2), np.asarray(x)[:-1], np.asarray([x])):
+            with pytest.raises(DimensionError):
+                check(y)
+            with pytest.raises(DimensionError):
+                decompose(y, c)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_vertex_infeasible(self, family):
+        c, _, x = FAMILIES[family]
+        for _, v in decompose(x, c).pairs:
+            assert c.vertex_feasible(v)
+            vec = v.to_vector()
+            for other in (np.append(vec, [0.0, 0.0]), np.append(vec, 1.0), vec[:-1]):
+                assert not c.vertex_feasible(VertexSet.half_integral(other))
+
+    def test_examples(self):
+        path = FractionalStableSet(Graph(3, ((0, 1), (1, 2))))
+        assert not path.vertex_feasible(VertexSet.integral([0, 2, 5], 8))
+        assert not Cardinality(3, 1).vertex_feasible(VertexSet.integral([0], 5))
+        with pytest.raises(DimensionError):
+            decompose(np.array([0.3, 0.6, 0.2, 0.9, 0.5]), path)
+        with pytest.raises(DimensionError):
+            decompose(np.array([0.3, 0.6]), path)
+
+
 class TestReconstruct:
     def test_single_vertex(self):
         out = reconstruct([(1.0, VertexSet.integral([0, 2], 4))], 4)

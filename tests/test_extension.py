@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from gradient_checks import finite_diff_gradient, project_to_tangent, tie_margin
 
 from caradec.core import (
     Cardinality,
@@ -19,9 +20,6 @@ from caradec.extension import (
     decompose,
     decompose_with_tape,
     evaluate_extension,
-    finite_diff_gradient,
-    project_to_tangent,
-    tie_margin,
 )
 from caradec.fstab import project_to_fstab
 from caradec.graphs import Graph

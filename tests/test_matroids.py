@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from gradient_checks import graphic_rank
 
 from caradec.core import (
     GraphicMatroid,
@@ -20,7 +21,6 @@ from caradec.hypersimplex import (
 )
 from caradec.matroids import (
     decompose_graphic,
-    graphic_rank,
     graphic_step_coefficient,
     max_spanning_forest,
     min_g_lambda,

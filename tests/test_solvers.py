@@ -342,24 +342,24 @@ class TestBatchedLocalImprove:
         c = GraphicMatroid(g)
         for _ in range(10):
             f = LinearObjective(rng.integers(0, 3, g.m).astype(float))
-            start = solvers._sample_feasible(c, rng)
+            start = c.sample_feasible(rng)
             self.assert_same(VertexSet.integral(start, g.m), rng.permutation(g.m).tolist(), f, c)
 
     def test_stable_set_and_graphic_instances(self):
-        """The adjacency built once per call and the per-member forests give
-        the swaps of the per-pair edge scans."""
+        """The stable-set mask over the edge arrays and the per-member
+        forests give the swaps of the per-pair edge scans."""
         rng = stream(47, "batched-li-graph-families")
         for trial in range(12):
             g = gen_er_graph(14, 0.25, seed=trial)
             c = FractionalStableSet(g)
             f = CutObjective(g) if trial % 2 else LinearObjective(rng.integers(0, 4, 14).astype(float))
-            start = solvers._sample_feasible(c, rng)
+            start = c.sample_feasible(rng)
             v, _ = self.assert_same(VertexSet.integral(start, 14), rng.permutation(14).tolist(), f, c)
             assert c.vertex_feasible(v)
             g = gen_er_graph(8, 0.5, seed=trial)
             if g.m and g.n_components() == 1:
                 c = GraphicMatroid(g)
-                start = solvers._sample_feasible(c, rng)
+                start = c.sample_feasible(rng)
                 v, _ = self.assert_same(VertexSet.integral(start, g.m), rng.permutation(g.m).tolist(),
                                         LinearObjective(rng.random(g.m)), c)
                 assert c.vertex_feasible(v)
@@ -454,7 +454,7 @@ class TestRandomBaselines:
         for c in c_list:
             f = LinearObjective(np.ones(c.dim))
             res = random_baseline(f, c, trials=32, seed=0)
-            assert c.vertex_feasible(res.best) or isinstance(c, FractionalStableSet)
+            assert c.vertex_feasible(res.best)
 
     def test_random_decomp_baseline(self):
         for c in (
