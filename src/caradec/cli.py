@@ -23,7 +23,6 @@ from .core import (
     GraphicMatroid,
     MembershipError,
     PartitionMatroid,
-    SizeLimitError,
     validate_decomposition,
 )
 from .extension import LinearObjective, decompose
@@ -285,7 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleConfigError, SizeLimitError) as exc:
+    except InfeasibleConfigError as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return 2
     except (MembershipError, ValueError, FileNotFoundError) as exc:

@@ -31,10 +31,6 @@ class DimensionError(ValueError):
     pass
 
 
-class SizeLimitError(ValueError):
-    """The instance is larger than a family's exact oracle accepts."""
-
-
 def check_box(x, dim: int | None = None, space: str = "[0,1]^n") -> np.ndarray:
     """x as a float array, refusing a shape other than (dim,) when dim is
     given (DimensionError), and NaN, infinities and entries outside [0, 1]

@@ -1,6 +1,17 @@
 """Graphical-matroid base polytope: the family class, vertex oracle, step
 coefficients, decompositions, and spanning-tree marginals via the reduced
-Laplacian."""
+Laplacian.
+
+The rank oracle works on node sets (Cunningham, "Optimal attack and
+reinforcement of a network", JACM 1985).  The minimum over edge sets F of
+(1 - lam) r(F) - x(F) + lam |F ∩ S| splits into the node blocks that F
+connects, and an edge whose weight x_e - lam [e in S] is negative never
+lowers it.  So it is negative exactly when some node set U has
+(1 - lam)(|U| - 1) - y(E(U)) < 0, with y = max(x - lam 1_S, 0), and one
+max-flow per node i finds the lowest such U among the sets whose smallest
+node is i.  The step coefficient is the root in lam of that minimum; a
+Dinkelbach/Newton iteration (Dinkelbach, Mgmt. Sci. 1967) reaches it from
+above through the ratios of the minimising blocks."""
 
 from __future__ import annotations
 
@@ -21,7 +32,6 @@ from .core import (
     DecompositionConfig,
     MembershipError,
     Point,
-    SizeLimitError,
     VertexSet,
     check_box,
     csr_rows,
@@ -29,8 +39,9 @@ from .core import (
 )
 from .graphs import Graph, UnionFind
 
-SFM_CUTOFF = 20
 ZERO_WEIGHT = 1e-12
+TIGHT_TOL = 1e-9  # slack tolerance of the rank tests, before any drift allowance
+FLOW_EPS = 1e-12  # residual capacities at most this count as saturated
 
 
 @dataclass(frozen=True)
@@ -58,21 +69,17 @@ class GraphicMatroid:
         return self.graph.is_forest(v.indices)
 
     def project(self, z):
-        """Spanning-tree marginals of the edge weights max(z, 1e-6); the vjp
-        differentiates them by central differences on the weights."""
-        g = self.graph
+        """Spanning-tree marginals of the edge weights w = max(z, 1e-6),
+        and their exact vjp in w by the transfer-current identity (Burton &
+        Pemantle 1993): d mu_e / d w_f = [e = f] R_e - w_e M_ef^2, with
+        M = B^T L^+ B and R its diagonal, from the marginals' one solve."""
         w = np.maximum(z, 1e-6)
-        x = spanning_tree_marginals(g, w).values.copy()
+        x, reff, b, sol = _tree_currents(self.graph, w)
 
-        def vjp(gx, h=1e-6):
-            out = np.zeros(g.m)
-            for j in range(g.m):
-                up, dn = w.copy(), w.copy()
-                up[j] += h
-                dn[j] = max(dn[j] - h, 1e-9)
-                col = (spanning_tree_marginals(g, up).values - spanning_tree_marginals(g, dn).values) / (up[j] - dn[j])
-                out[j] = float(gx @ col)
-            return out
+        def vjp(gx):
+            gx = np.asarray(gx, dtype=float)
+            cur = b.T @ sol
+            return reff * gx - (w * gx) @ (cur * cur)
 
         return x, vjp
 
@@ -87,9 +94,12 @@ class GraphicMatroid:
     def peel_step(self, x):
         """The face-respecting forest of x, its step coefficient and the
         binding inequality z.y <= b, which is -y_e <= 0 (min in forest),
-        y_e <= 1 (max outside) or y(F) <= r(F) (rank face)."""
-        s_t = _face_respecting_forest(x, self.graph)
-        a_exact, trace = graphic_step_coefficient(self.graph, x, s_t)
+        y_e <= 1 (max outside) or y(F) <= r(F) (rank face).  One scan of
+        the node blocks at lam = 0 serves both the forest and the
+        coefficient."""
+        zero = _tight_blocks(self.graph, x)
+        s_t = _face_respecting_forest(x, self.graph, zero)
+        a_exact, trace = graphic_step_coefficient(self.graph, x, s_t, zero)
         if trace.kind == "min_in_forest":
             record = ActiveConstraintRecord(trace.kind, (trace.edge,), (-1.0,), 0.0, -1.0)
             pin = (trace.edge, 0.0)
@@ -147,6 +157,7 @@ class GraphicCoefficientTrace:
     kind is one of "min_in_forest", "one_minus_max_outside", "rank_face";
     for rank faces the face, its rank and |S_t ∩ F| make the
     coefficient recoverable as the affine form (r(F) - x(F))/(r(F) - |S∩F|).
+    search_iterations counts the Newton steps taken towards lambda*.
     """
 
     kind: str
@@ -177,60 +188,281 @@ def max_spanning_forest(weights, g: Graph, zero_tol: float = ZERO_WEIGHT) -> Ver
 
 
 @lru_cache(maxsize=64)
-def _rank_table(n_nodes: int, edges: tuple) -> np.ndarray:
-    """Rank of every edge subset, indexed by bitmask; partitions are
-    interned so the table builds in O(2^m) dictionary steps."""
-    m = len(edges)
-    full = 1 << m
-    rank = np.zeros(full, dtype=np.int8)
-    parts: list = [None] * full
-    parts[0] = tuple(range(n_nodes))
-    merge_memo: dict = {}
-    for mask in range(1, full):
-        low = mask & -mask
-        e = low.bit_length() - 1
-        prev = mask ^ low
-        base = parts[prev]
-        key = (base, e)
-        hit = merge_memo.get(key)
-        if hit is None:
-            u, v = edges[e]
-            ru, rv = base[u], base[v]
-            if ru == rv:
-                hit = (base, 0)
-            else:
-                a, b = (ru, rv) if ru < rv else (rv, ru)
-                hit = (tuple(a if lbl == b else lbl for lbl in base), 1)
-            merge_memo[key] = hit
-        parts[mask] = hit[0]
-        rank[mask] = rank[prev] + hit[1]
-    return rank
+def _arcs(n_nodes: int, edges: tuple) -> tuple:
+    """Each node's (neighbour, arc) pairs.  Edge e = (u, v) has arc 2e from
+    u to v and arc 2e + 1 back, so arc a's reverse is a ^ 1."""
+    adj: list[list] = [[] for _ in range(n_nodes)]
+    for e, (u, v) in enumerate(edges):
+        adj[u].append((v, 2 * e))
+        adj[v].append((u, 2 * e + 1))
+    return tuple(tuple(nbrs) for nbrs in adj)
 
 
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """sums[mask] = sum of values over the bits of mask, for all masks."""
-    m = values.shape[0]
-    out = np.zeros(1 << m)
-    for b in range(m):
-        step = 1 << b
-        out[step : 2 * step] = out[:step] + values[b]
+def _block_flow(adj, arc_cap: list, src_cap: list, cost: float, i: int):
+    """Maximum flow of node i's block network, returned as the residual
+    capacities (source arcs, sink arcs, edge arcs).
+
+    Node v has a source arc of capacity d_v/2 (d_v its y-degree) and a sink
+    arc of capacity cost, and each edge an arc of capacity y_e/2 each way.
+    The source arc of i and the sink arcs of the nodes below i are
+    unbounded, which forces i in and those nodes out.  A cut with source
+    side U then costs cost (|U| - 1) - y(E(U)) plus a constant.  Dinic's
+    algorithm, after each node's direct path to the sink is filled."""
+    n, eps = len(adj), FLOW_EPS
+    rs = list(src_cap)
+    rs[i] = math.inf
+    rt = [math.inf] * i + [cost] * (n - i)
+    for v in range(n):
+        p = rs[v] if rs[v] < rt[v] else rt[v]
+        rs[v] -= p
+        rt[v] -= p
+    r = list(arc_cap)
+    while True:
+        level = [-1] * n
+        queue = [v for v in range(n) if rs[v] > eps]
+        roots = list(queue)
+        for v in roots:
+            level[v] = 0
+        found = False
+        for u in queue:
+            if rt[u] > eps:
+                found = True
+                continue
+            nxt = level[u] + 1
+            for w, a in adj[u]:
+                if level[w] < 0 and r[a] > eps:
+                    level[w] = nxt
+                    queue.append(w)
+        if not found:
+            return rs, rt, r
+        it = [0] * n
+        for v in roots:
+            while rs[v] > eps:
+                # One augmenting path along the levels, by depth-first
+                # search from v with a current-arc pointer per node.
+                nodes, arcs = [v], []
+                while nodes and rt[nodes[-1]] <= eps:
+                    u = nodes[-1]
+                    nbrs, k, nxt = adj[u], it[u], level[u] + 1
+                    while k < len(nbrs):
+                        w, a = nbrs[k]
+                        if level[w] == nxt and r[a] > eps:
+                            break
+                        k += 1
+                    it[u] = k
+                    if k < len(nbrs):
+                        nodes.append(w)
+                        arcs.append(a)
+                    else:  # a dead end: back past the arc into it
+                        nodes.pop()
+                        if arcs:
+                            arcs.pop()
+                            it[nodes[-1]] += 1
+                if not nodes:
+                    break
+                d = rs[v]
+                for a in arcs:
+                    if r[a] < d:
+                        d = r[a]
+                t = nodes[-1]
+                if rt[t] < d:
+                    d = rt[t]
+                rt[t] -= d
+                for a in arcs:
+                    r[a] -= d
+                    r[a ^ 1] += d
+                rs[v] -= d
+
+
+def _networks(g: Graph, y: np.ndarray):
+    """Edge-arc capacities y_e/2 (both arcs of each edge) and source-arc
+    capacities d_v/2 of the block networks, as lists."""
+    half = y / 2.0
+    deg = np.bincount(np.concatenate((g.edge_u, g.edge_v)), weights=np.tile(half, 2),
+                      minlength=g.n_nodes)
+    return np.repeat(half, 2).tolist(), deg.tolist()
+
+
+def _source_side(adj, rs, r, tol: float) -> int:
+    """The nodes the source reaches through residual capacities above tol,
+    as a bitmask."""
+    stack = [v for v in range(len(adj)) if rs[v] > tol]
+    seen = 0
+    for v in stack:
+        seen |= 1 << v
+    while stack:
+        u = stack.pop()
+        for w, a in adj[u]:
+            if r[a] > tol and not seen >> w & 1:
+                seen |= 1 << w
+                stack.append(w)
+    return seen
+
+
+def _block(g: Graph, y: np.ndarray, cost: float, side: int):
+    """cost (|U| - 1) - y(E(U)) of the node set U given as a bitmask, and
+    its face: the edges of E(U) with y_e > 0, ascending."""
+    if side & (side - 1) == 0:  # one node
+        return 0.0, ()
+    inside = np.array([side >> v & 1 for v in range(g.n_nodes)], dtype=bool)
+    face = np.flatnonzero(inside[g.edge_u] & inside[g.edge_v] & (y > 0))
+    return cost * (side.bit_count() - 1) - float(y[face].sum()), tuple(face.tolist())
+
+
+def _scan(g: Graph, y: np.ndarray, cost: float, starts):
+    """Per start i, the lowest block among the node sets whose smallest node
+    is i: (value, face), from the smallest minimum cut of i's flow.  A node
+    with no edge of positive weight to a later node needs no flow: without
+    it, each of its blocks is at least as low."""
+    adj = _arcs(g.n_nodes, g.edges)
+    arc_cap, src_cap = _networks(g, y)
+    leads = _leads(g, y)
+    out = {}
+    for i in starts:
+        if leads[i]:
+            rs, _, r = _block_flow(adj, arc_cap, src_cap, cost, i)
+            out[i] = _block(g, y, cost, _source_side(adj, rs, r, FLOW_EPS))
+        else:
+            out[i] = (0.0, ())
     return out
 
 
-def min_g_lambda(g: Graph, x_t, s_t, lam: float, cutoff: int = SFM_CUTOFF):
-    """Exact minimum of (1-lam)*r(F) - x_t(F) + lam*|F ∩ S_t| over all edge
-    subsets; ties go to the smallest bitmask.  Returns (value, subset)."""
-    if g.m > cutoff:
-        raise SizeLimitError(f"m={g.m} exceeds the brute-force SFM cutoff {cutoff}")
-    x_t = np.asarray(x_t, dtype=float)
-    indicator = np.zeros(g.m)
-    s_idx = s_t.indices if isinstance(s_t, VertexSet) else tuple(s_t)
-    indicator[list(s_idx)] = 1.0
-    rank = _rank_table(g.n_nodes, g.edges).astype(np.float64)
-    vals = (1.0 - lam) * rank - _subset_sums(x_t) + lam * _subset_sums(indicator)
-    best = int(np.argmin(vals))
-    face = tuple(e for e in range(g.m) if best >> e & 1)
-    return float(vals[best]), face
+def _leads(g: Graph, y: np.ndarray) -> list:
+    """Per node, whether an edge of positive weight joins it to a later
+    node."""
+    return np.bincount(g.edge_u[y > 0], minlength=g.n_nodes).astype(bool).tolist()
+
+
+def _lowest(blocks: dict):
+    """The lowest (value, face) of a scan; the empty face at 0 when no block
+    is negative, ties to the smallest start."""
+    best = (0.0, ())
+    for val, face in blocks.values():
+        if val < best[0]:
+            best = (val, face)
+    return best
+
+
+def _weights(g: Graph, x_t, s_t, lam: float) -> np.ndarray:
+    """y = max(x - lam 1_S, 0)."""
+    y = np.array(x_t, dtype=float)
+    y[list(s_t.indices if isinstance(s_t, VertexSet) else s_t)] -= lam
+    return np.maximum(y, 0.0, out=y)
+
+
+def min_g_lambda(g: Graph, x_t, s_t, lam: float):
+    """Minimum over node sets U of (1-lam)(|U|-1) - y(E(U)), y = max(x_t -
+    lam 1_S, 0), by one max-flow per node.  It is 0 or negative, and
+    negative exactly when the minimum of (1-lam) r(F) - x_t(F) + lam |F ∩ S|
+    over edge sets F is.  Returns (value, face), the face being the lowest
+    block's edges with y_e > 0 (empty at 0); ties go to the block with the
+    smaller smallest node, then to the smaller set."""
+    y = _weights(g, x_t, s_t, lam)
+    return _lowest(_scan(g, y, 1.0 - lam, range(g.n_nodes)))
+
+
+@dataclass(frozen=True)
+class _TightBlocks:
+    """The node blocks of x at lam = 0: the lowest slack (|U| - 1) - x(E(U))
+    with its face, the drift max(0, -lowest slack), the tight limit and per
+    edge e the size |M_e| of the smallest node set with slack at most the
+    limit that holds both ends of e (n when none)."""
+
+    value: float
+    face: tuple
+    drift: float
+    limit: float
+    sizes: np.ndarray
+
+
+def _tight_blocks(g: Graph, x) -> _TightBlocks:
+    """One flow per node at lam = 0, read twice.  The smallest minimum cuts
+    give the lowest block.  M_e comes from the residual graphs: a node set
+    of flow i whose cut exceeds the minimum by at most tau has no residual
+    arc above tau leaving it, so the closure of {i, u, v} under those arcs
+    lies inside every such set that holds the edge's ends u and v.  With
+    tau = (the tight limit) - (flow i's minimum), that covers every tight
+    set whose smallest node is i, and the closure is M_e when it is tight
+    itself (tight sets that meet are closed under intersection).  The
+    smallest tight closure over the flows wins.
+
+    The tight limit is TIGHT_TOL plus eight times the drift.  Rounding,
+    which each step divides by 1 - a, spreads the slacks of tight sets to
+    both sides of 0; in decompositions with m up to 60 the positive side
+    reached 2.1 times the drift.  Counting a set as tight too early only
+    reorders the forest's edges."""
+    x = np.asarray(x, dtype=float)
+    y = np.maximum(x, 0.0)
+    n, eu, ev = g.n_nodes, g.edge_u.tolist(), g.edge_v.tolist()
+    adj = _arcs(n, g.edges)
+    arc_cap, src_cap = _networks(g, y)
+    best, flows = (0.0, ()), []
+    for i in np.flatnonzero(_leads(g, y)).tolist():  # no tight set starts elsewhere
+        rs, rt, r = _block_flow(adj, arc_cap, src_cap, 1.0, i)
+        val, face = _block(g, y, 1.0, _source_side(adj, rs, r, FLOW_EPS))
+        if val < best[0]:
+            best = (val, face)
+        flows.append((i, val, rs, rt, r))
+    drift = -best[0]
+    limit = TIGHT_TOL + 8 * drift
+    found = []  # (size, i, e, closure)
+    for i, val, rs, rt, r in flows:
+        tau = limit - val
+        # A node that reaches a sink arc lies in no closed set, and the rest
+        # are closed under the arcs, so only the rest need closures.
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for u in range(i, n):
+            for w, a in adj[u]:
+                if r[a] > tau:
+                    pred[w].append(u)
+        doomed = [rt[v] > tau for v in range(n)]
+        queue = [v for v in range(n) if doomed[v]]
+        for w in queue:
+            for u in pred[w]:
+                if not doomed[u]:
+                    doomed[u] = True
+                    queue.append(u)
+        sources = [v for v in range(i, n) if rs[v] > tau]
+        if any(doomed[v] for v in sources):
+            continue
+        live = [u for u in range(i, n) if not doomed[u]]
+        reach = [0] * n
+        for u in live:
+            bits = 1 << u
+            for w, a in adj[u]:
+                if r[a] > tau:
+                    bits |= 1 << w
+            reach[u] = bits
+        for k in live:  # transitive closure (Warshall)
+            bit, rk = 1 << k, reach[k]
+            for u in live:
+                if reach[u] & bit:
+                    reach[u] |= rk
+        base = 0
+        for v in sources:
+            base |= reach[v]
+        for e in range(g.m):
+            u, v = eu[e], ev[e]
+            if u >= i and not (doomed[u] or doomed[v]):
+                closed = base | reach[u] | reach[v]
+                found.append((closed.bit_count(), i, e, closed))
+    sizes = np.full(g.m, n, dtype=np.int64)
+    slack_of: dict = {}
+    for size, _, e, closed in sorted(found):
+        if size >= sizes[e]:
+            continue
+        if closed not in slack_of:
+            inner = sum(x[f] for f in range(g.m) if closed >> eu[f] & 1 and closed >> ev[f] & 1)
+            slack_of[closed] = size - 1 - inner
+        if slack_of[closed] <= limit:
+            sizes[e] = size
+    return _TightBlocks(best[0], best[1], drift, limit, sizes)
+
+
+def _rank(g: Graph, face) -> int:
+    """r(F), the size of a spanning forest of the edge set F."""
+    uf = UnionFind(g.n_nodes)
+    return sum(uf.union(*g.edges[e]) for e in face)
 
 
 def check_graphic_membership(x, g: Graph) -> np.ndarray:
@@ -245,12 +477,25 @@ def check_graphic_membership(x, g: Graph) -> np.ndarray:
 
 
 def graphic_step_coefficient(
-    g: Graph, x_t, s_t: VertexSet, tol: float = 1e-10
+    g: Graph, x_t, s_t: VertexSet, zero: _TightBlocks | None = None
 ) -> tuple[float, GraphicCoefficientTrace]:
     """Largest coefficient keeping (x - a*1_S)/(1-a) in the base polytope:
-    min of the two box terms and the rank-face term lambda*, the latter
-    located by binary search over the submodular oracle and then recovered
-    in closed form from the violating face."""
+    min of the two box terms and the rank-face term lambda*.
+
+    lambda* is the root of lam -> min_g_lambda(lam), reached from above by
+    Newton steps lam <- N(F)/D(F) on the minimising block's face F, with
+    N = r(F) - x(F) and D = r(F) - |S ∩ F|, until the minimum is at least
+    -tol.  A scan only reruns the starts that were below -tol at the lam
+    before, since every block's value falls as lam grows.  The face of a
+    final probe just past lambda* gives the coefficient in closed form.
+
+    A block the forest spans (D = 0) cannot bind: its value does not depend
+    on lam, and a negative slack there is rounding drift that the division
+    by 1 - a amplifies from step to step.  So the drift of the lowest block
+    at lam = 0 is added to the 1e-9 tolerance of this step's tests (the
+    Newton stop and the probe's offset), and only a block with D > 0 below
+    -1e-9 at lam = 0 raises MembershipError.  zero is the lam = 0 scan of
+    x, when the caller has it."""
     x = np.asarray(x_t, dtype=float)
     s_idx = list(s_t.indices)
     in_set = np.zeros(g.m, dtype=bool)
@@ -269,36 +514,39 @@ def graphic_step_coefficient(
         a_out, e_out = np.inf, -1
     upper = min(a_in, a_out, 1.0)
 
-    def feasible(lam: float) -> bool:
-        # slack absorbs renormalization drift on faces tightened earlier
-        return min_g_lambda(g, x, s_t, lam)[0] >= -1e-9
+    def deficit(face):
+        return _rank(g, face) - int(np.count_nonzero(in_set[list(face)]))
 
-    if not feasible(0.0):
+    if zero is None:
+        zero = _tight_blocks(g, x)
+    if zero.value < -TIGHT_TOL and deficit(zero.face) > 0:
         raise MembershipError("iterate violates a rank constraint at lambda=0")
+    tol = TIGHT_TOL + zero.drift
 
-    iters = 0
+    iters, lam, starts = 0, upper, range(g.n_nodes)
+    while True:
+        blocks = _scan(g, _weights(g, x, s_idx, lam), 1.0 - lam, starts)
+        starts = [i for i, (val, _) in blocks.items() if val < -tol]
+        if not starts:
+            break
+        _, face = _lowest(blocks)
+        d = deficit(face)
+        if d <= 0:
+            break
+        lam = max((_rank(g, face) - float(x[list(face)].sum())) / d, 0.0)
+        iters += 1
+    lam_star = lam
+
+    # The face just past lambda* gives the exact affine piece the gradient
+    # needs.
     a_rank, face, face_rank, face_inter = np.inf, None, None, None
-    lam_star = upper
-    if not feasible(upper):
-        lo, hi = 0.0, upper
-        for iters in range(1, 61):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol:
-                break
-        lam_star = lo
-    # Recover the binding face just past lambda*; the closed form from that
-    # face is the exact affine piece the gradient needs.
-    val, probe_face = min_g_lambda(g, x, s_t, min(lam_star + 10 * tol, 1.0))
+    val, probe_face = min_g_lambda(g, x, s_t, min(lam_star + tol, 1.0))
     if val < -1e-15 and probe_face:
-        rF = float(_rank_table(g.n_nodes, g.edges)[sum(1 << e for e in probe_face)])
-        inter = sum(1 for e in probe_face if in_set[e])
+        rF = _rank(g, probe_face)
+        inter = int(np.count_nonzero(in_set[list(probe_face)]))
         if rF - inter > 0:
             a_rank = (rF - float(x[list(probe_face)].sum())) / (rF - inter)
-            face, face_rank, face_inter = probe_face, int(rF), int(inter)
+            face, face_rank, face_inter = probe_face, rF, inter
 
     candidates = [
         (a_rank, "rank_face"),
@@ -321,19 +569,22 @@ def graphic_step_coefficient(
     return float(max(min(a, 1.0), 0.0)), trace
 
 
-def _face_respecting_forest(x: np.ndarray, g: Graph, zero_tol: float = ZERO_WEIGHT) -> VertexSet:
+def _face_respecting_forest(x: np.ndarray, g: Graph, zero: _TightBlocks | None = None,
+                            zero_tol: float = ZERO_WEIGHT) -> VertexSet:
     """Maximum-weight spanning forest that is a vertex of the minimal face
-    containing x: edges are ordered by (# tight rank sets containing them
-    desc, weight desc, index asc), so every x-tight set F keeps
-    |S cap F| = r(F) and the step coefficient stays positive.
+    containing x: edges are ordered by (|M_e| asc, weight desc, index asc),
+    M_e the smallest tight node set holding both ends of e, so Kruskal
+    spans every tight set U before it leaves it, |S cap E(U)| = |U| - 1,
+    and the step coefficient stays positive.  Edges with weight at most the
+    tight limit come after all others: they are rounding noise around 0,
+    and no tight set needs them to be spanned.  zero is the lam = 0 scan
+    of x, when the caller has it.
 
     At interior points no proper set is tight and this reduces to plain
     Kruskal on (weight desc, index asc)."""
-    rank = _rank_table(g.n_nodes, g.edges).astype(np.float64)
-    slack = rank - _subset_sums(np.asarray(x, dtype=float))
-    tight = np.flatnonzero(slack <= 1e-9)
-    t = np.array([np.count_nonzero(tight & (1 << b)) for b in range(g.m)], dtype=float)
-    order = np.lexsort((np.arange(g.m), -np.asarray(x), -t))
+    if zero is None:
+        zero = _tight_blocks(g, x)
+    order = np.lexsort((np.arange(g.m), -np.asarray(x), zero.sizes, x <= zero.limit))
     uf = UnionFind(g.n_nodes)
     chosen = []
     for e in order:
@@ -413,8 +664,15 @@ def _induced_subgraph(g: Graph, nodes: list[int]):
 
 def spanning_tree_marginals(g: Graph, w=None) -> Point:
     """Edge marginals of the w-weighted spanning tree distribution,
-    mu_e = w_e * b_e^T L^+ b_e, via one SPD factorization of the reduced
-    Laplacian (last node's row/column deleted) and one solve per edge."""
+    mu_e = w_e * b_e^T L^+ b_e."""
+    return Point(_tree_currents(g, w)[0], "graphic")
+
+
+def _tree_currents(g: Graph, w=None):
+    """The marginals mu_e = w_e * b_e^T L^+ b_e (clipped to [0, 1]), the
+    effective resistances b_e^T L^+ b_e, the incidence B and L^-1 B, via
+    one SPD factorization of the reduced Laplacian (last node's row/column
+    deleted) and one solve per edge."""
     if g.n_components() != 1:
         raise ValueError("marginals require a connected graph")
     w = g.weight_array() if w is None else np.asarray(w, dtype=float)
@@ -436,8 +694,9 @@ def spanning_tree_marginals(g: Graph, w=None) -> Point:
         if v < n - 1:
             b[v, e] -= 1.0
     sol = cho_solve(factor, b)
-    mu = w * np.einsum("ie,ie->e", b, sol)
+    reff = np.einsum("ie,ie->e", b, sol)
+    mu = w * reff
     total = float(mu.sum())
     if abs(total - (n - 1)) > 1e-8:
         raise ArithmeticError(f"marginal mass {total:.12f} != n-1; Laplacian solve unstable")
-    return Point(np.clip(mu, 0.0, 1.0), "graphic")
+    return np.clip(mu, 0.0, 1.0), reff, b, sol

@@ -9,7 +9,7 @@ import numpy as np
 from caradec.core import ConstraintSpec, FractionalStableSet, GraphicMatroid, PartitionMatroid, Point
 from caradec.extension import SetObjective, decompose, evaluate_extension
 from caradec.graphs import Graph
-from caradec.matroids import _rank_table, _subset_sums
+from reference_loops import _rank_table, _subset_sums
 
 
 def graphic_rank(g: Graph, edge_subset) -> int:

@@ -4,8 +4,9 @@ contract reference), the per-family graph loops with their list tapes,
 the two reverse loops that read the iterate after every step (the
 kernel's snapshot loop and the graph list loop), the stable-set vertex
 oracle as one LP re-solve per coordinate (the contract reference) and by
-enumeration, the stable-set per-edge loops, and local search with one
-value_of call and one edge scan per swap.
+enumeration, the stable-set per-edge loops, the graphic rank oracle,
+step coefficient and forest by enumeration of all 2^m edge subsets, and
+local search with one value_of call and one edge scan per swap.
 
 The references record the iterates that production tapes no longer keep,
 so tests that inspect iterates take them from here, after checking that
@@ -21,6 +22,7 @@ from caradec.core import (
     DecompositionConfig,
     FractionalStableSet,
     GraphicMatroid,
+    MembershipError,
     PartitionMatroid,
     VertexSet,
 )
@@ -35,6 +37,8 @@ from caradec.fstab import (
 )
 from caradec.graphs import UnionFind
 from caradec.matroids import (
+    ZERO_WEIGHT,
+    GraphicCoefficientTrace,
     _face_respecting_forest,
     check_graphic_membership,
     graphic_step_coefficient,
@@ -592,6 +596,141 @@ def reference_local_improve(s, pool, f, c, max_iter=10):
         candidates = [cnd for cnd in candidates if cnd != j] + [i]
         value = best_val
     return VertexSet.integral(sorted(current), s.n), value
+
+
+# ---------------------------------------------------------------------------
+# Graphic matroid by enumeration of all 2^m edge subsets
+
+
+@lru_cache(maxsize=64)
+def _rank_table(n_nodes: int, edges: tuple) -> np.ndarray:
+    """Rank of every edge subset, indexed by bitmask; partitions are
+    interned so the table builds in O(2^m) dictionary steps."""
+    m = len(edges)
+    full = 1 << m
+    rank = np.zeros(full, dtype=np.int8)
+    parts: list = [None] * full
+    parts[0] = tuple(range(n_nodes))
+    merge_memo: dict = {}
+    for mask in range(1, full):
+        low = mask & -mask
+        e = low.bit_length() - 1
+        prev = mask ^ low
+        base = parts[prev]
+        key = (base, e)
+        hit = merge_memo.get(key)
+        if hit is None:
+            u, v = edges[e]
+            ru, rv = base[u], base[v]
+            if ru == rv:
+                hit = (base, 0)
+            else:
+                a, b = (ru, rv) if ru < rv else (rv, ru)
+                hit = (tuple(a if lbl == b else lbl for lbl in base), 1)
+            merge_memo[key] = hit
+        parts[mask] = hit[0]
+        rank[mask] = rank[prev] + hit[1]
+    return rank
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """sums[mask] = sum of values over the bits of mask, for all masks."""
+    m = values.shape[0]
+    out = np.zeros(1 << m)
+    for b in range(m):
+        step = 1 << b
+        out[step : 2 * step] = out[:step] + values[b]
+    return out
+
+
+def reference_min_g_lambda(g, x_t, s_t, lam: float):
+    """Exact minimum of (1-lam)*r(F) - x_t(F) + lam*|F ∩ S_t| over all edge
+    subsets; ties go to the smallest bitmask.  Returns (value, subset)."""
+    x_t = np.asarray(x_t, dtype=float)
+    indicator = np.zeros(g.m)
+    s_idx = s_t.indices if isinstance(s_t, VertexSet) else tuple(s_t)
+    indicator[list(s_idx)] = 1.0
+    rank = _rank_table(g.n_nodes, g.edges).astype(np.float64)
+    vals = (1.0 - lam) * rank - _subset_sums(x_t) + lam * _subset_sums(indicator)
+    best = int(np.argmin(vals))
+    face = tuple(e for e in range(g.m) if best >> e & 1)
+    return float(vals[best]), face
+
+
+def reference_graphic_step_coefficient(g, x_t, s_t: VertexSet, tol: float = 1e-10):
+    """The step coefficient by bisection over the enumeration: lambda* to
+    within tol, then the closed form from the face of a probe 10 tol past
+    it.  Returns (a, trace) like ``graphic_step_coefficient``."""
+    x = np.asarray(x_t, dtype=float)
+    s_idx = list(s_t.indices)
+    in_set = np.zeros(g.m, dtype=bool)
+    in_set[s_idx] = True
+    if s_idx:
+        rel = int(np.argmin(x[s_idx]))
+        a_in, e_in = float(x[s_idx][rel]), int(s_idx[rel])
+    else:
+        a_in, e_in = np.inf, -1
+    comp = np.flatnonzero(~in_set)
+    if comp.size:
+        rel = int(np.argmax(x[comp]))
+        a_out, e_out = 1.0 - float(x[comp][rel]), int(comp[rel])
+    else:
+        a_out, e_out = np.inf, -1
+    upper = min(a_in, a_out, 1.0)
+
+    def feasible(lam: float) -> bool:
+        return reference_min_g_lambda(g, x, s_t, lam)[0] >= -1e-9
+
+    if not feasible(0.0):
+        raise MembershipError("iterate violates a rank constraint at lambda=0")
+    iters, lam_star = 0, upper
+    if not feasible(upper):
+        lo, hi = 0.0, upper
+        for iters in range(1, 61):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= tol:
+                break
+        lam_star = lo
+    a_rank, face, face_rank, face_inter = np.inf, None, None, None
+    val, probe_face = reference_min_g_lambda(g, x, s_t, min(lam_star + 10 * tol, 1.0))
+    if val < -1e-15 and probe_face:
+        rF = float(_rank_table(g.n_nodes, g.edges)[sum(1 << e for e in probe_face)])
+        inter = sum(1 for e in probe_face if in_set[e])
+        if rF - inter > 0:
+            a_rank = (rF - float(x[list(probe_face)].sum())) / (rF - inter)
+            face, face_rank, face_inter = probe_face, int(rF), int(inter)
+    candidates = [(a_rank, "rank_face"), (a_in, "min_in_forest"), (a_out, "one_minus_max_outside")]
+    a = min(c for c, _ in candidates)
+    kind = next(name for c, name in candidates if c == a)
+    edge = {"min_in_forest": e_in, "one_minus_max_outside": e_out}.get(kind)
+    trace = GraphicCoefficientTrace(kind, edge=edge, face=face if kind == "rank_face" else None,
+                                    face_rank=face_rank if kind == "rank_face" else None,
+                                    face_inter=face_inter if kind == "rank_face" else None,
+                                    lambda_star=lam_star, search_iterations=iters)
+    return float(max(min(a, 1.0), 0.0)), trace
+
+
+def reference_face_respecting_forest(x, g, zero_tol: float = ZERO_WEIGHT) -> VertexSet:
+    """Kruskal with edges ordered by (# tight edge subsets containing them
+    desc, weight desc, index asc), a subset being tight at slack <= 1e-9."""
+    rank = _rank_table(g.n_nodes, g.edges).astype(np.float64)
+    slack = rank - _subset_sums(np.asarray(x, dtype=float))
+    tight = np.flatnonzero(slack <= 1e-9)
+    t = np.array([np.count_nonzero(tight & (1 << b)) for b in range(g.m)], dtype=float)
+    order = np.lexsort((np.arange(g.m), -np.asarray(x), -t))
+    uf = UnionFind(g.n_nodes)
+    chosen = []
+    for e in order:
+        if x[e] <= zero_tol:
+            continue
+        u, v = g.edges[e]
+        if uf.union(u, v):
+            chosen.append(int(e))
+    return VertexSet.integral(chosen, g.m)
 
 
 # ---------------------------------------------------------------------------

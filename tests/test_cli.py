@@ -110,14 +110,15 @@ def test_infeasible_exit_code(workdir):
     assert rc == 2
 
 
-def test_size_limit_exit_code(workdir, capsys):
-    # 21 edges: one more than the graphic oracle's brute-force cutoff
+def test_forest_ring_has_no_size_limit(workdir):
+    # 21 edges: one more than the former brute-force oracle accepted
     edges = "".join(f"{u} {(u + 1) % 21}\n" for u in range(21))
     (workdir / "ring.edges").write_text(f"21 21\n{edges}")
     rc = main(["solve", "--graph", "ring.edges", "--constraint", "forest",
-               "--method", "direct", "--steps", "2", "--seed", "0"])
-    assert rc == 2
-    assert "infeasible configuration" in capsys.readouterr().err
+               "--method", "direct", "--steps", "2", "--seed", "0", "--out", "ring.json"])
+    assert rc == 0
+    tree = json.loads((workdir / "ring.json").read_text())["set"]
+    assert len(tree) == 20 and len(set(tree)) == 20 and set(tree) <= set(range(21))
 
 
 def test_bench(workdir):

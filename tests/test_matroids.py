@@ -1,18 +1,31 @@
-"""Partition and graphical matroid decompositions, SFM oracle, and
-spanning-tree marginals against enumeration oracles."""
+"""Partition and graphical matroid decompositions, the node-block rank
+oracle and its Newton step against the 2^m enumeration in
+reference_loops, and spanning-tree marginals against enumeration
+oracles."""
 
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
 from gradient_checks import graphic_rank
+from reference_loops import (
+    _rank_table,
+    _subset_sums,
+    reference_face_respecting_forest,
+    reference_graphic_steps,
+    reference_graphic_step_coefficient,
+    reference_min_g_lambda,
+)
 
 from caradec.core import (
+    EXACT,
     GraphicMatroid,
     MembershipError,
     PartitionMatroid,
     validate_decomposition,
 )
+from caradec.extension import decompose_with_tape
 from caradec.graphs import Graph, UnionFind
 from caradec.hypersimplex import (
     decompose_hypersimplex,
@@ -20,6 +33,7 @@ from caradec.hypersimplex import (
     project_to_partition_polytope,
 )
 from caradec.matroids import (
+    _face_respecting_forest,
     decompose_graphic,
     graphic_step_coefficient,
     max_spanning_forest,
@@ -195,10 +209,11 @@ class TestMinG:
             val, _ = min_g_lambda(g, x, (), float(rng.random()))
             assert val <= 1e-12
 
-    def test_cutoff(self):
+    def test_no_size_limit(self):
+        # A 21-edge star at its only vertex: every block is tight.
         big = Graph(22, tuple((0, v) for v in range(1, 22)))
-        with pytest.raises(ValueError):
-            min_g_lambda(big, np.ones(21), (), 0.0)
+        val, face = min_g_lambda(big, np.ones(21), (), 0.0)
+        assert val == 0.0 and face == ()
 
     def test_submodularity_spot_check(self):
         rng = stream(37, "submod")
@@ -330,9 +345,161 @@ class TestMarginals:
         d = decompose_graphic(x.values, g)
         assert np.max(np.abs(d.reconstruct(g.m) - x.values)) <= 1e-8
 
+    def test_projection_vjp_matches_central_differences(self):
+        rng = stream(59, "graphic-vjp")
+        for _ in range(12):
+            g = random_connected_graph(rng, int(rng.integers(3, 8)), int(rng.integers(0, 8)))
+            c = GraphicMatroid(g)
+            z = 0.1 + rng.random(g.m)  # above the 1e-6 floor of the weights
+            gx = rng.standard_normal(g.m)
+            _, vjp = c.project(z)
+            h, fd = 1e-6, np.zeros(g.m)
+            for j in range(g.m):
+                up, dn = z.copy(), z.copy()
+                up[j] += h
+                dn[j] -= h
+                fd[j] = gx @ (c.project(up)[0] - c.project(dn)[0]) / (2 * h)
+            got = vjp(gx)
+            assert np.max(np.abs(got - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
     def test_errors(self):
         disconnected = Graph(4, ((0, 1), (2, 3)))
         with pytest.raises(ValueError):
             spanning_tree_marginals(disconnected)
         with pytest.raises(ValueError):
             spanning_tree_marginals(TRIANGLE, np.array([1.0, -1.0, 1.0]))
+
+
+def connected_graph(n, m, rng):
+    """Random spanning tree on n nodes plus random extra edges up to m (the
+    construction of perfbench's ``workloads.connected_graph``)."""
+    perm = rng.permutation(n)
+    edges = set()
+    for i in range(1, n):
+        u, v = int(perm[i]), int(perm[rng.integers(0, i)])
+        edges.add((min(u, v), max(u, v)))
+    while len(edges) < m:
+        u, v = (int(a) for a in rng.choice(n, 2, replace=False))
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, tuple(sorted(edges)))
+
+
+def parity_corpus():
+    """(graph, point) pairs with m <= 16: spanning-tree marginals, and
+    mixtures of 2-4 spanning trees, whose iterates have many tight sets."""
+    out = []
+    for k in range(36):
+        rng = stream(53, "graphic-parity", k)
+        n = int(rng.integers(4, 9))
+        g = random_connected_graph(rng, n, int(rng.integers(0, 17 - n)))
+        if k % 2:
+            weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+            x = sum(w * max_spanning_forest(rng.random(g.m), g).to_vector() for w in weights)
+        else:
+            x = spanning_tree_marginals(g, 0.05 + rng.random(g.m)).values
+        out.append((g, x))
+    return out
+
+
+def parity_iterates():
+    """(point number, step, graph, iterate) for every step of the exact
+    decompositions of the parity corpus."""
+    out = []
+    for k, (g, x) in enumerate(parity_corpus()):
+        steps, _ = reference_graphic_steps(x, g, EXACT)
+        iterates = [x] + [s[6] for s in steps if s[6] is not None]
+        out.extend((k, t, g, xt) for t, xt in enumerate(iterates[:len(steps)]))
+    return out
+
+
+# (point, step) of the corpus where the coefficients differ by more than
+# 1e-12: the enumeration's probe face is E minus one edge and ties with both
+# box terms to within 5e-12, a box constraint in disguise, while the node
+# blocks report a smaller face of the same tie.
+RANK_BOX_TIES = {(16, 12)}
+
+
+class TestBlockOracleParity:
+    """The node-block oracle against the 2^m enumeration, on every iterate
+    of the exact decompositions of the parity corpus."""
+
+    @pytest.fixture(scope="class")
+    def iterates(self):
+        return parity_iterates()
+
+    def test_corpus_has_proper_tight_sets(self, iterates):
+        proper = 0
+        for _, _, g, x in iterates:
+            rank = _rank_table(g.n_nodes, g.edges)
+            slack = rank - _subset_sums(x)
+            proper += bool(np.any((slack[1:] <= 1e-9) & (rank[1:] < g.n_nodes - 1)))
+        assert len(iterates) == 201 and proper >= 150
+
+    def test_forests_byte_equal(self, iterates):
+        for k, t, g, x in iterates:
+            got = _face_respecting_forest(x, g)
+            want = reference_face_respecting_forest(x, g)
+            assert got.indices == want.indices, (k, t)
+
+    def test_sign_and_minimum_ratio(self, iterates):
+        for k, t, g, x in iterates:
+            s = _face_respecting_forest(x, g)
+            for lam in (0.0, 0.2, 0.5, 0.8, 1.0):
+                got, _ = min_g_lambda(g, x, s, lam)
+                want, _ = reference_min_g_lambda(g, x, s, lam)
+                assert (got < -1e-9) == (want < -1e-9), (k, t, lam)
+                assert got >= want - 1e-12, (k, t, lam)
+            # lambda* is the least ratio N(F)/D(F) over the edge sets with
+            # D(F) > 0, or the box bound when that is lower; Newton stops
+            # once the minimum is at least -1e-9, within 1e-9 above it.
+            _, trace = graphic_step_coefficient(g, x, s)
+            rank = _rank_table(g.n_nodes, g.edges).astype(float)
+            den = rank - _subset_sums(s.to_vector())
+            ratio = (rank - _subset_sums(x))[den > 0] / den[den > 0]
+            box = min(x[list(s.indices)].min(), 1.0 - np.delete(x, list(s.indices)).max(initial=0.0))
+            least = min(ratio.min(initial=np.inf), box, 1.0)
+            assert least - 1e-12 <= trace.lambda_star <= least + 1e-9, (k, t)
+
+    def test_coefficients_agree_except_listed_ties(self, iterates):
+        ties = set()
+        for k, t, g, x in iterates:
+            s = _face_respecting_forest(x, g)
+            a, trace = graphic_step_coefficient(g, x, s)
+            a_ref, ref = reference_graphic_step_coefficient(g, x, s)
+            if abs(a - a_ref) <= 1e-12:
+                continue
+            ties.add((k, t))
+            assert abs(a - a_ref) <= 1e-9, (k, t)
+            box = min(x[list(s.indices)].min(), 1.0 - np.delete(x, list(s.indices)).max(initial=0.0))
+            assert ref.kind == "rank_face" and abs(box - a_ref) <= 1e-9, (k, t)
+        assert ties == RANK_BOX_TIES
+
+
+class TestDriftCorpus:
+    """Decompositions whose late steps divide rounding error by a small
+    1 - a: the slack of the blocks the forest spans drifts below 0 by up to
+    1e-8, which must neither raise nor stall the peel."""
+
+    @pytest.mark.parametrize("n,m", [(10, 18), (11, 20)])
+    def test_decomposes(self, n, m):
+        for seed in range(20):
+            rng = stream(seed, "y", m)
+            g = connected_graph(n, m, rng)
+            c = GraphicMatroid(g)
+            x, _ = c.project(rng.random(m))
+            d, _ = decompose_with_tape(x, c)
+            assert np.max(np.abs(d.reconstruct(m) - x)) <= 1e-8, seed
+            assert d.p.sum() == pytest.approx(1.0, abs=1e-9), seed
+            assert d.iterations <= c.iteration_bound(), seed
+            assert all(c.vertex_feasible(v) for _, v in d.pairs), seed
+
+    def test_forty_edges(self):
+        rng = stream(0, "y", 40)
+        g = connected_graph(21, 40, rng)
+        c = GraphicMatroid(g)
+        x, _ = c.project(rng.random(40))
+        t0 = time.perf_counter()
+        d = decompose_graphic(x, g)
+        print(f"m=40 exact decomposition: {len(d.p)} steps in {time.perf_counter() - t0:.3f} s")
+        rep = validate_decomposition(d, c, x)
+        assert rep.ok(1e-9), rep
