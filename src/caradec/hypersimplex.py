@@ -134,17 +134,24 @@ class Cardinality(PartitionMatroid):
         return f"Cardinality(n={self.n}, k={self.k})"
 
 
+def sequential_sum(v) -> float:
+    """sum(v), added in order from 0.0.  numpy's cumsum adds in order; the
+    + 0.0 turns its -0.0 into the 0.0 that a sum from 0.0 gives."""
+    return float(np.cumsum(v)[-1]) + 0.0 if len(v) else 0.0
+
+
 def _project_block(z, idx, k, gx=None):
     """Mean-centred scaling of z[idx] onto the block sum k:
     x = s*(z - mean) + k/ni with s = min(k/(ni*mu), (ni-k)/(ni*(1-mu))); the
-    degenerate all-zero / all-one blocks map to the uniform center.  Returns
+    degenerate all-zero / all-one blocks map to the uniform center.  The
+    mean and the VJP's dot product add in index order from 0.0.  Returns
     the projected values and, when gx is given, the pulled-back gradient."""
     ni = len(idx)
     zb = z[idx]
     u = k / ni
     if k == 0 or k == ni:
         return np.full(ni, u), (np.zeros(ni) if gx is not None else None)
-    m = float(zb.mean())
+    m = sequential_sum(zb) / ni
     if m <= 0.0 or m >= 1.0:
         return np.full(ni, u), (np.zeros(ni) if gx is not None else None)
     s1 = (k / ni) / m
@@ -152,21 +159,24 @@ def _project_block(z, idx, k, gx=None):
     if s1 <= s2:
         s, ds = s1, -(k / ni) / (m * m)
     else:
-        s, ds = s2, ((ni - k) / ni) / ((1.0 - m) ** 2)
+        s, ds = s2, ((ni - k) / ni) / ((1.0 - m) * (1.0 - m))
     xb = s * (zb - m) + u
     if gx is None:
         return xb, None
     gb = gx[idx]
-    pulled = s * (gb - gb.mean()) + (ds / ni) * float(gb @ (zb - m))
+    pulled = s * (gb - sequential_sum(gb) / ni) + (ds / ni) * sequential_sum(gb * (zb - m))
     return xb, pulled
 
 
 def project_blocks(z: np.ndarray, spec: PartitionMatroid, gx=None):
     """Block-wise projection of z (unchecked); returns x and, when gx is
-    given, dF/dz for dF/dx = gx."""
+    given, dF/dz for dF/dx = gx.  An empty block is skipped."""
     x = np.empty_like(z)
     pulled = None if gx is None else np.zeros_like(z)
     for idx, k in zip(spec.block_indices, spec.budgets):
+        if not len(idx):
+            continue
+        idx = np.sort(idx)
         x[idx], pb = _project_block(z, idx, k, gx)
         if gx is not None:
             pulled[idx] = pb
@@ -193,7 +203,7 @@ def project_to_hypersimplex(z, k: int) -> Point:
 def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
     x = check_box(x, spec.n)
     for idx, k in zip(spec.block_indices, spec.budgets):
-        s = float(x[idx].sum())
+        s = sequential_sum(x[np.sort(idx)])
         if abs(s - k) > SUM_TOL:
             raise MembershipError(f"block sum {s:.9f} != k_i={k}")
     return np.clip(x, 0.0, 1.0)
