@@ -13,7 +13,6 @@ from .core import (
     GraphicMatroid,
     MembershipError,
     PartitionMatroid,
-    Point,
     ValidationReport,
     VertexSet,
     reconstruct,

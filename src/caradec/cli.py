@@ -126,7 +126,7 @@ def cmd_decompose(args) -> int:
 def cmd_marginals(args) -> int:
     g = read_edge_list(args.graph)
     mu = spanning_tree_marginals(g)
-    text = json.dumps([float(v) for v in mu.values], separators=(",", ":"))
+    text = json.dumps([float(v) for v in mu], separators=(",", ":"))
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -102,25 +102,18 @@ class VertexSet:
         return self.n
 
 
-@dataclass(frozen=True)
-class Point:
-    """A vector in [0,1]^n tagged with its constraint family."""
+_ONES: dict = {}
 
-    values: np.ndarray
-    family: str
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise DimensionError("point must be a 1-d vector")
-        check_box(vals)
-        np.clip(vals, 0.0, 1.0, out=vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
+def ones(size: int, dtype=np.float64) -> np.ndarray:
+    """A read-only array of size ones: a view of one array kept per dtype,
+    which grows as needed."""
+    base = _ONES.get(dtype)
+    if base is None or base.shape[0] < size:
+        base = np.ones(max(size, 1024, 2 * (0 if base is None else base.shape[0])), dtype=dtype)
+        base.setflags(write=False)
+        _ONES[dtype] = base
+    return base[:size]
 
 
 def csr_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,11 +151,15 @@ class Decomposition:
                              residual=residual, iterations=iterations)
 
     @classmethod
-    def from_rows(cls, p, vertex_rows, n: int, residual: float) -> "Decomposition":
-        """The decomposition of a producer's len(p) steps."""
+    def from_rows(cls, p, vertex_rows, n: int, residual: float,
+                  all_integral: bool = False) -> "Decomposition":
+        """The decomposition of a producer's len(p) steps; a producer whose
+        rows are all index sets says so, and then nothing scans them."""
         d = cls.__new__(cls)
         d.__dict__.update(p=p, vertex_rows=vertex_rows, n=n,
                           residual=float(residual), iterations=len(p))
+        if all_integral:
+            d.__dict__.update(integral=ones(len(p), bool), all_integral=True)
         return d
 
     @cached_property
@@ -174,6 +171,11 @@ class Decomposition:
         out[np.searchsorted(indptr, np.flatnonzero(data != 1.0), "right") - 1] = False
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def all_integral(self) -> bool:
+        """Whether every row is an index set."""
+        return bool(self.integral.all())
 
     @cached_property
     def sets(self) -> tuple[tuple[int, ...] | None, ...]:
@@ -420,7 +422,7 @@ def validate_decomposition(
 ) -> ValidationReport:
     """Check probability mass, reconstruction, per-vertex feasibility, and
     the iteration bound of a decomposition of x under constraint c."""
-    xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     recon = reconstruct(d.pairs, xv.shape[0])
     recon_err = float(np.max(np.abs(recon - xv), initial=0.0))
     # In exact mode the masses telescope to 1; a rescaled run leaves

@@ -17,7 +17,6 @@ from .core import (
     Decomposition,
     DecompositionConfig,
     GradientTape,
-    Point,
     VertexSet,
 )
 
@@ -88,15 +87,15 @@ class CallableObjective(SetObjective):
 
 
 def decompose(x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT) -> Decomposition:
-    """The decomposition of x (an array or a Point) under c."""
-    return c.decompose(x.values if isinstance(x, Point) else np.asarray(x, dtype=float), cfg)
+    """The decomposition of x under c."""
+    return c.decompose(np.asarray(x, dtype=float), cfg)
 
 
 def decompose_with_tape(
     x, c: ConstraintSpec, cfg: DecompositionConfig = EXACT
 ) -> tuple[Decomposition, GradientTape]:
     """The decomposition of x under c and its gradient tape."""
-    return c.decompose_with_tape(x.values if isinstance(x, Point) else np.asarray(x, dtype=float), cfg)
+    return c.decompose_with_tape(np.asarray(x, dtype=float), cfg)
 
 
 def vertex_values(d: Decomposition, f: SetObjective) -> np.ndarray:
@@ -105,9 +104,9 @@ def vertex_values(d: Decomposition, f: SetObjective) -> np.ndarray:
     evaluate_extension, best_set and backprop_extension (on the tape of d)
     can share the result."""
     indptr, indices, _ = d.vertex_rows
-    integral = d.integral
-    if integral.all():
+    if d.all_integral:
         return f.values_of_rows(indptr, indices)
+    integral = d.integral
     lens = np.diff(indptr)[integral]
     out = np.zeros(len(integral))
     out[integral] = f.values_of_rows(np.concatenate(([0], np.cumsum(lens))),
@@ -126,17 +125,26 @@ def evaluate_extension(d: Decomposition, f: SetObjective, fvals=None) -> float:
     return reduce(add, (d.p * np.asarray(fvals, dtype=np.float64)).tolist(), 0.0)
 
 
+def best_row(d: Decomposition, fvals) -> int:
+    """The pair of d's best integral vertex under its vertex values fvals,
+    the earliest of equal values, or -1 when no vertex is integral."""
+    fvals = np.asarray(fvals)
+    if d.all_integral:
+        # argmax keeps the first of equal values.
+        return int(fvals.argmax()) if fvals.size else -1
+    rows = np.flatnonzero(d.integral)
+    return int(rows[fvals[rows].argmax()]) if rows.size else -1
+
+
 def best_set(d: Decomposition, f: SetObjective, fvals=None) -> tuple[VertexSet, float]:
     """Best integral vertex in the support; ties keep the earliest pair.
     With the zero half-integral policy and f >= 0 the returned value is
     >= evaluate_extension(d, f).  fvals as in evaluate_extension."""
     if fvals is None:
         fvals = vertex_values(d, f)
-    rows = np.flatnonzero(d.integral)
-    if not rows.size:
+    best = best_row(d, fvals)
+    if best < 0:
         raise ValueError("decomposition has no integral vertex")
-    # argmax keeps the first of equal values.
-    best = int(rows[np.argmax(np.asarray(fvals)[rows])])
     return d.vertex(best), float(fvals[best])
 
 

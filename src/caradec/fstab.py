@@ -24,7 +24,6 @@ from .core import (
     Decomposition,
     DecompositionConfig,
     MembershipError,
-    Point,
     VertexSet,
     check_box,
     peel,
@@ -99,7 +98,7 @@ class FractionalStableSet:
         return near.sum(axis=1) - near.T == 0
 
     def jitter(self, x, noise):
-        return project_to_fstab(np.clip(x + noise, 0.0, 1.0), self.graph, self.slack).values
+        return project_to_fstab(np.clip(x + noise, 0.0, 1.0), self.graph, self.slack)
 
     def sample_feasible(self, rng):
         """Greedy independent set over a random node order."""
@@ -113,7 +112,7 @@ class FractionalStableSet:
         return tuple(sorted(chosen))
 
     def random_point(self, rng):
-        return project_to_fstab(rng.random(self.dim), self.graph, self.slack).values
+        return project_to_fstab(rng.random(self.dim), self.graph, self.slack)
 
     def feasible_sets(self):
         """Every independent set, depth first in lexicographic order."""
@@ -337,14 +336,14 @@ def fstab_step_coefficient(
     return float(max(min(ratio[j], 1.0), 0.0)), record
 
 
-def project_to_fstab(x, g: Graph, slack: float = 0.0) -> Point:
+def project_to_fstab(x, g: Graph, slack: float = 0.0) -> np.ndarray:
     """Gradient-correction projection into {x >= 0, x_u + x_v + slack <= 1}.
 
     The step size zeroes every violated edge in one move unless the relu
     clips an endpoint at 0 (the clipped mass is lost); the step is repeated
     in that case and a final exact pass shaves off any float-level rest."""
     out, _ = project_to_fstab_trace(x, g, slack)
-    return Point(out, "fstab")
+    return np.clip(check_box(out), 0.0, 1.0)
 
 
 def project_to_fstab_trace(x, g: Graph, slack: float = 0.0):
@@ -415,5 +414,5 @@ def check_fstab_membership(x, g: Graph) -> np.ndarray:
 def decompose_fstab(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decomposition:
     """Decompose a FSTAB point into at most n+1 vertices; each step
     tightens one inequality that stays tight afterwards."""
-    xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     return FractionalStableSet(g).decompose(xv, cfg)

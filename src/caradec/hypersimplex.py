@@ -1,8 +1,8 @@
 """Box-plus-sum polytopes: partition-matroid bases, with exact cardinality
-(the hypersimplex) as the one-block case.  The family classes, the
-mean-centred projection and its VJP, the membership check, and exact /
-rescaled decomposition of their points into feasible sets through the
-block kernel."""
+(the hypersimplex) as the one-block case.  The family classes, and through
+the block kernels the mean-centred projection and its VJP, the membership
+check, and exact / rescaled decomposition of their points into feasible
+sets with the gradient tape."""
 
 from __future__ import annotations
 
@@ -16,16 +16,11 @@ from . import kernels
 from .core import (
     ENUMERATION_CAP,
     EXACT,
-    SUM_TOL,
     Decomposition,
     DecompositionConfig,
     GradientTape,
-    MembershipError,
-    Point,
     VertexSet,
-    check_box,
 )
-from .kernels._purepy import BRANCH_MIN_IN
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,8 @@ class PartitionMatroid:
         return self.n
 
     def iteration_bound(self) -> int:
-        return self.n
+        # n = 0 still takes one pair: the empty set, with mass 1.
+        return max(self.n, 1)
 
     def block_of(self) -> np.ndarray:
         """Block number of every element (read-only)."""
@@ -84,21 +80,20 @@ class PartitionMatroid:
         return bool((counts == self.budget_array).all())
 
     def project(self, z):
-        x, _ = project_blocks(z, self)
-        return x, lambda gx: project_blocks(z, self, gx)[1]
+        x = kernels.project_blocks(z, self._block_of, self.budget_array)
+        return x, lambda gx: kernels.project_blocks_vjp(z, self._block_of, self.budget_array, gx)
 
     def decompose(self, x, cfg):
         return decompose_partition(x, self, cfg)
 
     def decompose_with_tape(self, x, cfg):
-        xv, res = run_kernel(x, self, cfg)
-        return kernel_tape(res, xv)
+        return kernel_tape(run_kernel(x, self, cfg))
 
     def swap_mask(self, members, candidates):
         return self._block_of[members][:, None] == self._block_of[candidates][None, :]
 
     def jitter(self, x, noise):
-        return project_to_partition_polytope(np.clip(x + noise, 0.0, 1.0), self).values
+        return project_to_partition_polytope(np.clip(x + noise, 0.0, 1.0), self)
 
     def sample_feasible(self, rng):
         out = []
@@ -107,7 +102,7 @@ class PartitionMatroid:
         return tuple(sorted(out))
 
     def random_point(self, rng):
-        return project_to_partition_polytope(rng.random(self.n), self).values
+        return project_to_partition_polytope(rng.random(self.n), self)
 
     def feasible_sets(self):
         if math.prod(math.comb(len(b), k) for b, k in zip(self.blocks, self.budgets)) > ENUMERATION_CAP:
@@ -134,56 +129,7 @@ class Cardinality(PartitionMatroid):
         return f"Cardinality(n={self.n}, k={self.k})"
 
 
-def sequential_sum(v) -> float:
-    """sum(v), added in order from 0.0.  numpy's cumsum adds in order; the
-    + 0.0 turns its -0.0 into the 0.0 that a sum from 0.0 gives."""
-    return float(np.cumsum(v)[-1]) + 0.0 if len(v) else 0.0
-
-
-def _project_block(z, idx, k, gx=None):
-    """Mean-centred scaling of z[idx] onto the block sum k:
-    x = s*(z - mean) + k/ni with s = min(k/(ni*mu), (ni-k)/(ni*(1-mu))); the
-    degenerate all-zero / all-one blocks map to the uniform center.  The
-    mean and the VJP's dot product add in index order from 0.0.  Returns
-    the projected values and, when gx is given, the pulled-back gradient."""
-    ni = len(idx)
-    zb = z[idx]
-    u = k / ni
-    if k == 0 or k == ni:
-        return np.full(ni, u), (np.zeros(ni) if gx is not None else None)
-    m = sequential_sum(zb) / ni
-    if m <= 0.0 or m >= 1.0:
-        return np.full(ni, u), (np.zeros(ni) if gx is not None else None)
-    s1 = (k / ni) / m
-    s2 = ((ni - k) / ni) / (1.0 - m)
-    if s1 <= s2:
-        s, ds = s1, -(k / ni) / (m * m)
-    else:
-        s, ds = s2, ((ni - k) / ni) / ((1.0 - m) * (1.0 - m))
-    xb = s * (zb - m) + u
-    if gx is None:
-        return xb, None
-    gb = gx[idx]
-    pulled = s * (gb - sequential_sum(gb) / ni) + (ds / ni) * sequential_sum(gb * (zb - m))
-    return xb, pulled
-
-
-def project_blocks(z: np.ndarray, spec: PartitionMatroid, gx=None):
-    """Block-wise projection of z (unchecked); returns x and, when gx is
-    given, dF/dz for dF/dx = gx.  An empty block is skipped."""
-    x = np.empty_like(z)
-    pulled = None if gx is None else np.zeros_like(z)
-    for idx, k in zip(spec.block_indices, spec.budgets):
-        if not len(idx):
-            continue
-        idx = np.sort(idx)
-        x[idx], pb = _project_block(z, idx, k, gx)
-        if gx is not None:
-            pulled[idx] = pb
-    return x, pulled
-
-
-def project_to_partition_polytope(z, spec: PartitionMatroid) -> Point:
+def project_to_partition_polytope(z, spec: PartitionMatroid) -> np.ndarray:
     """Block-wise mean-centered scaling into the partition base polytope;
     each block lands on sum k_i, degenerate blocks on their centers."""
     z = np.asarray(z, dtype=float)
@@ -192,29 +138,36 @@ def project_to_partition_polytope(z, spec: PartitionMatroid) -> Point:
     # NaN fails both comparisons.
     if not (z.min(initial=0.0) >= 0.0 and z.max(initial=0.0) <= 1.0):
         raise ValueError("projection input must be finite and lie in [0, 1]^n")
-    return Point(project_blocks(z, spec)[0], spec.family)
+    return kernels.project_blocks(z, spec.block_of(), spec.budget_array)
 
 
-def project_to_hypersimplex(z, k: int) -> Point:
+class _ProjectedPoint(np.ndarray):
+    """A projected point that also answers ``.values`` (itself, as a plain
+    array), the attribute of the point type that projections returned
+    before they returned arrays; ``perfbench/test_smoke.py`` still reads
+    it."""
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.view(np.ndarray)
+
+
+def project_to_hypersimplex(z, k: int) -> np.ndarray:
     """Mean-centred scaling of z into the exact-k polytope."""
-    return project_to_partition_polytope(z, Cardinality(np.shape(z)[0], k))
+    return project_to_partition_polytope(z, Cardinality(np.shape(z)[0], k)).view(_ProjectedPoint)
 
 
 def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
-    x = check_box(x, spec.n)
-    for idx, k in zip(spec.block_indices, spec.budgets):
-        s = sequential_sum(x[np.sort(idx)])
-        if abs(s - k) > SUM_TOL:
-            raise MembershipError(f"block sum {s:.9f} != k_i={k}")
-    return np.clip(x, 0.0, 1.0)
+    """x clipped to [0, 1], once it is a point of spec's polytope: the block
+    kernel's entry check (DimensionError, MembershipError), run for no
+    step."""
+    return kernels.decompose_blocks(x, spec.block_of(), spec.budget_array, 1.0, 0.0, 0.0, 0, 1.0)[6]
 
 
 def run_kernel(x, spec: PartitionMatroid, cfg: DecompositionConfig):
-    """The membership-checked point x and the block kernel's raw result on
-    it."""
-    xv = check_partition_membership(x.values if isinstance(x, Point) else x, spec)
-    return xv, kernels.decompose_blocks(
-        xv,
+    """The block kernel's raw result on x, which it checks first."""
+    return kernels.decompose_blocks(
+        x,
         spec.block_of(),
         spec.budget_array,
         cfg.scale,
@@ -225,34 +178,17 @@ def run_kernel(x, spec: PartitionMatroid, cfg: DecompositionConfig):
     )
 
 
-def kernel_decomposition(res, n: int) -> Decomposition:
-    """The decomposition of a raw block-kernel result on n coordinates: one
-    vertex per row of the kernel's (T, K) index matrix."""
-    probs, verts, residual = res[0], res[3], res[7]
-    T, K = verts.shape
-    return Decomposition.from_rows(
-        probs, (np.arange(T + 1) * K, verts.ravel().astype(np.int64), np.ones(T * K)), n, residual,
-    )
+def kernel_decomposition(res) -> Decomposition:
+    """The decomposition of a raw block-kernel result: its vertex rows, all
+    of them index sets."""
+    return Decomposition.from_rows(res[0], res[3], res[6].shape[0], res[7], all_integral=True)
 
 
-def kernel_tape(res, x0: np.ndarray) -> tuple[Decomposition, GradientTape]:
-    """The decomposition and tape of a raw block-kernel result on x0.  Step
-    t binds one coordinate, so w_t is +-r e_bind with r = a_t/a_exact on
-    rescaled steps: +r when the smallest in-set value x_t[bind] = a_exact
-    binds, -r when the largest out-of-set value x_t[bind] = 1 - a_exact
-    does."""
-    _, qs, avals, _, branch, bind, aex, _, terminal = res
-    d = kernel_decomposition(res, x0.shape[0])
-    T = len(qs)
-    live = np.arange(T) < T - bool(terminal)
-    r = np.divide(avals, aex, out=np.ones(T), where=(aex > 0.0) & (avals != aex))
-    min_in = branch == BRANCH_MIN_IN
-    w = np.where(min_in, r, -r)
-    return d, GradientTape(
-        d, q=qs, a=avals, terminal=bool(terminal), x0=x0,
-        functional_rows=(np.concatenate(([0], np.cumsum(live))), bind[live], w[live]),
-        wx=np.where(live, w * np.where(min_in, aex, 1.0 - aex), 0.0),
-    )
+def kernel_tape(res) -> tuple[Decomposition, GradientTape]:
+    """The decomposition and tape of a raw block-kernel result, which holds
+    the tape's rows already."""
+    d = kernel_decomposition(res)
+    return d, GradientTape(d, res[1], res[2], res[8], res[6], res[4], res[5])
 
 
 def decompose_partition(
@@ -262,8 +198,8 @@ def decompose_partition(
     Exact configs give at most n pairs that reconstruct x to float accuracy;
     rescaled ones take b*a_t per step (a_t when b*a_t falls below the
     floor), stop at l2 residual <= tolerance or the iteration cap, and
-    leave the leftover mass unreported in the pair list.  Builds no tape."""
-    return kernel_decomposition(run_kernel(x, spec, cfg)[1], spec.n)
+    leave the leftover mass unreported in the pair list."""
+    return kernel_decomposition(run_kernel(x, spec, cfg))
 
 
 def decompose_hypersimplex(
@@ -271,5 +207,4 @@ def decompose_hypersimplex(
 ) -> Decomposition:
     """decompose_partition of x in the k-hypersimplex: every set of size
     exactly k."""
-    xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
-    return decompose_partition(xv, Cardinality(xv.shape[0], k), cfg)
+    return decompose_partition(x, Cardinality(np.shape(x)[0], k), cfg)

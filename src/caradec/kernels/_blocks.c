@@ -1,8 +1,10 @@
 /* The compiled kernels of caradec in plain C: the forward block kernel
- * (caradec_decompose_blocks), the batch scorer of coverage and cut
- * objectives (caradec_score_rows) and the reverse pass shared by every
- * family's tape (caradec_backprop_blocks).  Each is the twin of a function
- * in _purepy.py, step for step and bit for bit.  The package compiles this
+ * with its entry check and tape rows (caradec_decompose_blocks), the block
+ * projection and its VJP (caradec_project_blocks), the batch scorer of
+ * coverage and cut objectives (caradec_score_rows), the reverse pass
+ * shared by every family's tape (caradec_backprop_blocks) and the Adam
+ * step (caradec_adam_ascend).  Each is the twin of a function in
+ * _purepy.py, step for step and bit for bit.  The package compiles this
  * file on first import and calls it through ctypes (see _compiled.py); it
  * uses no Python or numpy header.
  *
@@ -58,7 +60,7 @@ static int first(entry a, entry b)
     return a.key != b.key ? a.key > b.key : a.tie > b.tie;
 }
 
-static entry make(double y, int32_t i)
+static entry make(double y, int64_t i)
 {
     entry e;
     uint64_t u;
@@ -71,9 +73,9 @@ static entry make(double y, int32_t i)
     return e;
 }
 
-static int32_t id_of(entry e)
+static int64_t id_of(entry e)
 {
-    return (int32_t)~e.tie;
+    return (int64_t)~e.tie;
 }
 
 /* A heap is heap[0 .. h) with every entry before its ARITY children, so
@@ -143,12 +145,12 @@ static void select_block(entry *es, int size, int k, int fresh, entry *out)
 }
 
 /* Sorts a[0 .. size) ascending, with tmp[0 .. size / 2) as scratch. */
-static void sort_ints(int32_t *a, int32_t *tmp, int size)
+static void sort_ints(int64_t *a, int64_t *tmp, int size)
 {
     int mid = size / 2, i, j, o = 0;
     if (size <= 16) {
         for (i = 1; i < size; i++) {
-            int32_t e = a[i];
+            int64_t e = a[i];
             for (j = i; j > 0 && a[j - 1] > e; j--)
                 a[j] = a[j - 1];
             a[j] = e;
@@ -165,91 +167,135 @@ static void sort_ints(int32_t *a, int32_t *tmp, int size)
 }
 
 /* The sum of y[i] * y[i] over i in [0, n), added in index order from 0.0. */
-static double sum_squares(const double *y, int n)
+static double sum_squares(const double *y, int64_t n)
 {
     double s = 0.0;
-    int i;
+    int64_t i;
     for (i = 0; i < n; i++)
         s += y[i] * y[i];
     return s;
 }
 
-/* Runs at most `cap` steps of the peeling loop on y = q x.  The caller
- * packs the arguments into two buffers:
- *   f  = y[n] (updated in place), state[5], probs[cap], qs[cap],
- *        avals[cap], aexs[cap];
- *   iw = block_of[n], budgets[nb], verts[cap][K], bind[cap], branch[cap],
- * where K is the sum of the budgets.  On entry and on return, state[0] is
- * the mass q, state[3] the running sum of squares of y and state[4] its
- * value at its last exact summation; a negative state[4] asks for a first
- * summation (when eps > 0).  A run split over several calls that pass this
- * state on equals one call.  On return state[1] is the residual's sup norm:
- * max |y - q v| over the last vertex v after a terminal step, max |y| after
- * another step, 0 when no step ran.  state[2] is 0 when the steps ran out,
- * 1 after the eps stop and 2 after a terminal step.  Returns the number of
- * steps taken, -1 when scratch memory cannot be had, or -2 when a block id
- * lies outside [0, nb) or a budget outside [0, block size]. */
-int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_, double eps,
-                             double guard, double *f, int32_t *iw)
+/* Checks the point x[0 .. n) of the box + per-block-sum polytope given by
+ * block_of[n] and budgets[nb] (block b holds start[b + 1] - start[b]
+ * coordinates, start[0 .. nb] being scratch) and clips it to [0, 1] in
+ * place, keeping -0.0.  Returns the sum of the budgets, -2 when a block id
+ * lies outside [0, nb) or a budget outside [0, block size], -4 when an
+ * entry is NaN, infinite or outside [0, 1] by more than box_tol, and -5
+ * when a block's sum, added in index order from 0.0, is off its budget by
+ * more than sum_tol; then bad[0] is that sum and bad[1] the block.  -1:
+ * no scratch memory. */
+static int64_t check_point(int64_t n, int64_t nb, const int64_t *block_of, const int64_t *budgets,
+                           double *x, double box_tol, double sum_tol, int64_t *start, double *bad)
 {
-    double *y = f, *state = f + n, *probs = state + 5, *qs = probs + cap, *avals = qs + cap,
-           *aexs = avals + cap;
-    const int32_t *block_of = iw, *budgets = iw + n;
-    int32_t *verts = iw + n + nb, *bind, *branch;
-    entry *es = malloc((size_t)(n + 1) * sizeof *es), *out = malloc((size_t)(n + 1) * sizeof *out);
-    int32_t *moved = malloc((size_t)(n + 1) * sizeof *moved);
-    int32_t *tmp = malloc((size_t)(n + 1) * sizeof *tmp);
-    double *old = malloc((size_t)(n + 1) * sizeof *old);
-    int *start = malloc((size_t)(nb + 1) * sizeof *start);
-    double q = state[0], ss = state[3], ss_ref = state[4], mx = 0.0;
-    int K = 0, T = 0, stop = 0, b, i, t;
+    double *sum = calloc((size_t)nb + 1, sizeof *sum);
+    int64_t i, b, K = 0, err = 0;
 
-    if (!es || !out || !moved || !tmp || !old || !start) {
-        T = -1;
-        goto done;
-    }
-    /* Block b's coordinates are es[start[b] .. start[b + 1]): first the
-     * heap of those outside the vertex, then the vertex's members. */
+    if (!sum)
+        return -1;
     memset(start, 0, (size_t)(nb + 1) * sizeof *start);
-    for (i = 0; i < n && 0 <= block_of[i] && block_of[i] < nb; i++)
-        start[block_of[i] + 1]++;
-    for (b = 0; b < nb && i == n && 0 <= budgets[b] && budgets[b] <= start[b + 1]; b++) {
+    for (i = 0; i < n && !err; i++)
+        if (block_of[i] < 0 || block_of[i] >= nb)
+            err = -2;
+        else
+            start[block_of[i] + 1]++;
+    for (b = 0; b < nb && !err; b++) {
+        if (budgets[b] < 0 || budgets[b] > start[b + 1])
+            err = -2;
         K += budgets[b];
         start[b + 1] += start[b];
     }
-    if (i < n || b < nb) {
-        T = -2;
+    for (i = 0; i < n && !err; i++)
+        if (!(x[i] >= -box_tol && x[i] <= 1.0 + box_tol)) /* NaN fails both */
+            err = -4;
+    for (i = 0; i < n && !err; i++)
+        sum[block_of[i]] += x[i];
+    for (b = 0; b < nb && !err; b++)
+        if (fabs(sum[b] - (double)budgets[b]) > sum_tol) {
+            bad[0] = sum[b];
+            bad[1] = (double)b;
+            err = -5;
+        }
+    for (i = 0; i < n && !err; i++)
+        x[i] = x[i] < 0.0 ? 0.0 : x[i] > 1.0 ? 1.0 : x[i];
+    free(sum);
+    return err ? err : K;
+}
+
+/* Checks the point x0 (see check_point), then runs at most `cap` steps of
+ * the peeling loop on y = q x from the clipped point and writes the
+ * decomposition's rows and the gradient tape's.  The caller packs the
+ * arguments into two buffers:
+ *   f  = x0[n] (clipped in place), y[n], state[4], probs[cap], qs[cap],
+ *        avals[cap], aexs[cap], wx[cap], wval[cap];
+ *   iw = block_of[n], budgets[nb], vptr[cap + 1], vidx[cap][K],
+ *        wptr[cap + 1], widx[cap], branch[cap],
+ * where K is the sum of the budgets.  Row t of the vertex rows (vptr,
+ * vidx) is step t's vertex, in index order.  Row t of the functional rows
+ * (wptr, widx, wval) is its binding constraint w_t = +-r e_bind, with
+ * r = a_t/a_exact on a rescaled step (1 otherwise) and + on a min-in
+ * step, and wx[t] = w_t.x_t = +-r (a_exact or 1 - a_exact); a terminal
+ * step's row is empty and its wx 0.  On return state[0] is the residual's
+ * sup norm: max |y - q v| over the last vertex v after a terminal step,
+ * max |y| after another step, 0 when no step ran.  state[1] is 0 when the
+ * steps ran out, 1 after the eps stop and 2 after a terminal step.
+ * Returns the number of steps taken, or check_point's negative code (with
+ * state[2], state[3] = the bad sum and its block on -5). */
+int caradec_decompose_blocks(int64_t n, int64_t nb, int64_t cap, double scale, double floor_,
+                             double eps, double guard, double box_tol, double sum_tol, double *f,
+                             int64_t *iw)
+{
+    double *x0 = f, *y = f + n, *state = y + n, *probs = state + 4, *qs = probs + cap,
+           *avals = qs + cap, *aexs = avals + cap, *wx = aexs + cap, *wval = wx + cap;
+    const int64_t *block_of = iw, *budgets = iw + n;
+    int64_t *vptr = iw + n + nb, *verts = vptr + cap + 1, *wptr, *widx, *branch;
+    entry *es = malloc((size_t)(n + 1) * sizeof *es), *out = malloc((size_t)(n + 1) * sizeof *out);
+    int64_t *moved = malloc((size_t)(n + 1) * sizeof *moved);
+    int64_t *tmp = malloc((size_t)(n + 1) * sizeof *tmp);
+    double *old = malloc((size_t)(n + 1) * sizeof *old);
+    int64_t *start = malloc((size_t)(nb + 1) * sizeof *start);
+    double q = 1.0, ss = 0.0, ss_ref = 0.0, mx = 0.0;
+    int64_t K = -1, T = 0, b, i, t;
+    int stop = 0;
+
+    if (!es || !out || !moved || !tmp || !old || !start)
         goto done;
-    }
-    bind = verts + (size_t)cap * K;
-    branch = bind + cap;
+    K = check_point(n, nb, block_of, budgets, x0, box_tol, sum_tol, start, state + 2);
+    if (K < 0)
+        goto done;
+    wptr = verts + cap * K;
+    widx = wptr + cap + 1;
+    branch = widx + cap;
+    vptr[0] = wptr[0] = 0;
+    /* Block b's coordinates are es[start[b] .. start[b + 1]): first the
+     * heap of those outside the vertex, then the vertex's members. */
     for (i = 0; i < n; i++) {
-        entry e = make(y[i], i);
-        es[start[block_of[i]]++] = e;
+        y[i] = x0[i];
+        es[start[block_of[i]]++] = make(y[i], i);
     }
     for (b = nb; b > 0; b--)
         start[b] = start[b - 1];
     start[0] = 0;
-    if (eps > 0.0 && ss_ref < 0.0)
+    if (eps > 0.0)
         ss = ss_ref = sum_squares(y, n);
 
     for (t = 0; t < cap; t++) {
-        int32_t *v = verts + (size_t)t * K;
-        double a_in = INFINITY, a_out = INFINITY, a_exact, a_scaled, a, aq, qn;
-        int32_t idx_in = -1, bi;
-        int br, exact_step, pos = 0, nm = 0, b_out = -1;
+        int64_t *v = verts + t * K, idx_in = -1, bi, b_out = -1, pos = 0;
+        double a_in = INFINITY, a_out = INFINITY, a_exact, a_scaled, a, aq, qn, r, w;
+        int br, exact_step, nm = 0;
 
         /* The vertex: each block's members, then the whole row sorted. */
         for (b = 0; b < nb; b++) {
-            int lo = start[b], size = start[b + 1] - lo, k = budgets[b];
+            int64_t lo = start[b], size = start[b + 1] - lo, k = budgets[b];
             if (t == 0 ? k < size : 0 < k && k < size)
-                select_block(es + lo, size, k, t == 0, out);
+                select_block(es + lo, (int)size, (int)k, t == 0, out);
             for (i = lo + size - k; i < lo + size; i++)
                 v[pos++] = id_of(es[i]);
             if (k < size && (b_out < 0 || first(es[lo], es[start[b_out]])))
                 b_out = b;
         }
-        sort_ints(v, tmp, K);
+        sort_ints(v, tmp, (int)K);
+        vptr[t + 1] = (t + 1) * K;
 
         if (K > 0) {
             idx_in = v[0];
@@ -288,16 +334,16 @@ int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_
             avals[t] = 1.0;
             aexs[t] = 1.0;
             branch[t] = BRANCH_TERMINAL;
-            bind[t] = -1;
+            wptr[t + 1] = t;
+            wx[t] = 0.0;
             for (b = 0; b < nb; b++) {
-                int h = start[b + 1] - budgets[b];
+                int64_t h = start[b + 1] - budgets[b];
                 for (i = start[b]; i < start[b + 1]; i++) {
                     double d = fabs(i < h ? y[id_of(es[i])] : y[id_of(es[i])] - q);
                     if (d > mx)
                         mx = d;
                 }
             }
-            state[1] = mx;
             stop = 2;
             T = t + 1;
             break;
@@ -309,7 +355,12 @@ int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_
         avals[t] = a;
         aexs[t] = a_exact;
         branch[t] = br;
-        bind[t] = bi;
+        r = a_exact > 0.0 && a != a_exact ? a / a_exact : 1.0;
+        w = br == BRANCH_MIN_IN ? r : -r;
+        wptr[t + 1] = t + 1;
+        widx[t] = bi;
+        wval[t] = w;
+        wx[t] = w * (br == BRANCH_MIN_IN ? a_exact : 1.0 - a_exact);
 
         for (i = 0; i < K; i++) {
             double y0 = y[v[i]], y1 = y0 - aq;
@@ -330,7 +381,7 @@ int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_
          * changes. */
         for (b = 0; b < nb; b++) {
             entry *heap = es + start[b];
-            int h = start[b + 1] - start[b] - budgets[b];
+            int h = (int)(start[b + 1] - start[b] - budgets[b]);
             for (i = h; i < h + budgets[b]; i++)
                 heap[i] = make(y[id_of(heap[i])], id_of(heap[i]));
             if (exact_step && br == BRANCH_MAX_OUT && b == b_out) {
@@ -341,7 +392,7 @@ int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_
                 sift_down(heap, h, 0, e);
             }
             while (h > 0 && y[id_of(heap[0])] > qn) {
-                int32_t j = id_of(heap[0]);
+                int64_t j = id_of(heap[0]);
                 entry e = make(qn, j);
                 moved[nm++] = j;
                 old[j] = y[j];
@@ -365,16 +416,12 @@ int caradec_decompose_blocks(int n, int nb, int cap, double scale, double floor_
             }
         }
     }
-    if (stop != 2) {
+    if (stop != 2 && T > 0)
         for (i = 0; i < n; i++)
             if (fabs(y[i]) > mx)
                 mx = fabs(y[i]);
-        state[1] = T > 0 ? mx : 0.0;
-    }
-    state[0] = q;
-    state[2] = stop;
-    state[3] = ss;
-    state[4] = ss_ref;
+    state[0] = mx;
+    state[1] = stop;
 done:
     free(es);
     free(out);
@@ -382,7 +429,109 @@ done:
     free(tmp);
     free(old);
     free(start);
-    return T;
+    return K < 0 ? (int)K : (int)T;
+}
+
+/* The mean-centred projection of _purepy.project_blocks (gx NULL) or its
+ * VJP, project_blocks_vjp (gx given), with the same operations in the same
+ * order: each block's mean of z, and for the VJP its sum of g and its dot
+ * product g.(z - m), added in index order from 0.0.  iw = block_of[n],
+ * budgets[nb].  Writes x, or dF/dz for dF/dx = gx, to out[n].  Returns 0,
+ * -1 when scratch memory cannot be had, or -2 when a block id lies outside
+ * [0, nb) or a budget outside [0, block size]. */
+int caradec_project_blocks(int64_t n, int64_t nb, const double *z, const int64_t *iw,
+                           const double *gx, double *out)
+{
+    const int64_t *block_of = iw, *budgets = iw + n;
+    double *sc = malloc((size_t)(5 * nb + 1) * sizeof *sc);
+    double *m = sc, *s = m + nb, *ds = s + nb, *gm = ds + nb, *dot = gm + nb;
+    int64_t *size = calloc((size_t)nb + 1, sizeof *size), i, b;
+    char *deg = malloc((size_t)nb + 1);
+    int err = 0;
+
+    if (!sc || !size || !deg) {
+        err = -1;
+        goto done;
+    }
+    for (b = 0; b < nb; b++)
+        m[b] = gm[b] = dot[b] = 0.0;
+    for (i = 0; i < n && !err; i++)
+        if (block_of[i] < 0 || block_of[i] >= nb)
+            err = -2;
+        else {
+            size[block_of[i]]++;
+            m[block_of[i]] += z[i];
+        }
+    for (b = 0; b < nb && !err; b++)
+        if (budgets[b] < 0 || budgets[b] > size[b])
+            err = -2;
+    if (err)
+        goto done;
+    for (b = 0; b < nb; b++) {
+        int64_t k = budgets[b], ni = size[b];
+        double u, s1, s2;
+        deg[b] = k == 0 || k == ni;
+        if (deg[b])
+            continue;
+        m[b] /= (double)ni;
+        deg[b] = m[b] <= 0.0 || m[b] >= 1.0;
+        if (deg[b])
+            continue;
+        u = (double)k / (double)ni;
+        s1 = u / m[b];
+        s2 = ((double)(ni - k) / (double)ni) / (1.0 - m[b]);
+        if (s1 <= s2) {
+            s[b] = s1;
+            ds[b] = -u / (m[b] * m[b]);
+        } else {
+            s[b] = s2;
+            ds[b] = ((double)(ni - k) / (double)ni) / ((1.0 - m[b]) * (1.0 - m[b]));
+        }
+    }
+    if (!gx) {
+        for (i = 0; i < n; i++) {
+            b = block_of[i];
+            out[i] = deg[b] ? (double)budgets[b] / (double)size[b]
+                            : s[b] * (z[i] - m[b]) + (double)budgets[b] / (double)size[b];
+        }
+        goto done;
+    }
+    for (i = 0; i < n; i++) {
+        b = block_of[i];
+        if (!deg[b]) {
+            gm[b] += gx[i];
+            dot[b] += gx[i] * (z[i] - m[b]);
+        }
+    }
+    for (b = 0; b < nb; b++)
+        if (!deg[b]) {
+            gm[b] /= (double)size[b];
+            ds[b] /= (double)size[b];
+        }
+    for (i = 0; i < n; i++) {
+        b = block_of[i];
+        out[i] = deg[b] ? 0.0 : s[b] * (gx[i] - gm[b]) + ds[b] * dot[b];
+    }
+done:
+    free(sc);
+    free(size);
+    free(deg);
+    return err;
+}
+
+/* One Adam ascent step of _purepy.adam_ascend, in place on theta, m and v
+ * (n entries each): m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+ * theta += (lr (m / c1)) / (sqrt(v / c2) + eps), where c1 = 1 - b1^t and
+ * c2 = 1 - b2^t come from the caller. */
+void caradec_adam_ascend(int64_t n, double *theta, double *m, double *v, const double *g, double lr,
+                         double b1, double b2, double eps, double c1, double c2)
+{
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        m[i] = b1 * m[i] + (1.0 - b1) * g[i];
+        v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
+        theta[i] = theta[i] + lr * (m[i] / c1) / (sqrt(v[i] / c2) + eps);
+    }
 }
 
 enum { KIND_COVERAGE = 0, KIND_CUT = 1 };

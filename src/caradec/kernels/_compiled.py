@@ -24,21 +24,38 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ..core import MEMBERSHIP_TOL, SUM_TOL, check_box, ones
+from ._purepy import BAD_BLOCKS, block_sum_error, check_adam_arrays, check_shape
+
 SOURCE = Path(__file__).with_name("_blocks.c")
 # Contracting a*b+c into a fused multiply-add, or any -ffast-math
 # reassociation, would break bit-identity with the pure kernel.
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 DIGEST_BYTES = 32
-# The 4-byte words of output that a run's first kernel call makes room for
-# (K + 10 per step: a vertex row, its branch and binding coordinate, and
-# four doubles), 256 KB in all: a run with k=10 usually fits in one call.
+# The 8-byte words of output that a run's first kernel call makes room for
+# (K + 10 per step: a vertex row, its pointer, the functional row's index
+# and pointer, the branch and six doubles), 512 KB in all: a run with k=10
+# usually fits in one call.
 FIRST_CALL_WORDS = 1 << 16
+
+i64, d, p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+# Each C entry point, ``caradec_<name>``, with its argument types and return
+# type.  ``load`` declares them from here, and refuses a library that lacks
+# one of them.
+SIGNATURES = {
+    "decompose_blocks": ((i64, i64, i64, d, d, d, d, d, d, p, p), ctypes.c_int),
+    "score_rows": ((ctypes.c_int, i64, i64, p, p, p, i64, i64, p, p, p), ctypes.c_int),
+    "backprop_blocks": ((i64, i64, ctypes.c_int, i64, i64, p, p, p), ctypes.c_int),
+    "project_blocks": ((i64, i64, p, p, p, p), ctypes.c_int),
+    "adam_ascend": ((i64, p, p, p, p, d, d, d, d, d, d), None),
+}
+del i64, d, p
 
 
 def first_call_steps(K: int) -> int:
     """The steps that a run's first kernel call makes room for, K being the
-    sum of the budgets; each later call makes room for twice the steps of
-    the one before."""
+    sum of the budgets; a run that needs more is run again from its start
+    with room for twice the steps, up to its cap."""
     return max(64, FIRST_CALL_WORDS // (K + 10))
 
 
@@ -77,12 +94,17 @@ def build(path: Path) -> None:
             os.unlink(tmp)
 
 
+def buffer_address(arr: np.ndarray) -> int:
+    """Address of a writable, C-contiguous, non-empty array's data, at a
+    third of what ``arr.ctypes.data`` costs."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+
+
 def address(arr: np.ndarray) -> int:
-    """Address of a C-contiguous array's data.  A writable array's costs a
-    third of what ``arr.ctypes.data`` costs; read-only and empty arrays
-    take that slower path."""
+    """Address of a C-contiguous array's data; read-only and empty arrays
+    take the slower path of ``arr.ctypes.data``."""
     try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+        return buffer_address(arr)
     except (TypeError, ValueError):
         return arr.ctypes.data
 
@@ -98,69 +120,100 @@ def raise_for(code: int, what: str) -> None:
 
 def load() -> SimpleNamespace:
     """The C kernels, with ``_purepy``'s names, signatures and outputs:
-    ``decompose_blocks``, ``coverage_values``, ``cut_values`` and
-    ``backprop_blocks``.  The library is built first when the cache lacks
-    it.  Raises OSError when it can be neither found nor built, or when it
-    lacks one of its three symbols."""
+    ``decompose_blocks``, ``project_blocks``, ``project_blocks_vjp``,
+    ``coverage_values``, ``cut_values``, ``backprop_blocks`` and
+    ``adam_ascend``.  The library is built first when the cache lacks it.
+    Raises OSError when it can be neither found nor built, or when it lacks
+    one of the entry points of SIGNATURES."""
     path = library_path()
     if not (path.is_file() and intact(path)):
         build(path)
     lib = ctypes.CDLL(str(path))
-    try:
-        run, score, back = (getattr(lib, f"caradec_{name}")
-                            for name in ("decompose_blocks", "score_rows", "backprop_blocks"))
-    except AttributeError as exc:
-        raise OSError(f"the kernel library is incomplete: {exc}") from exc
-    i, i64, d, p = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    run.argtypes = (i, i, i, d, d, d, d, p, p)
-    run.restype = i
-    score.argtypes = (i, i64, i64, p, p, p, i64, i64, p, p, p)
-    score.restype = i
-    back.argtypes = (i64, i64, i, i64, i64, p, p, p)
-    back.restype = i
+    c = {}
+    for name, (argtypes, restype) in SIGNATURES.items():
+        try:
+            c[name] = getattr(lib, f"caradec_{name}")
+        except AttributeError as exc:
+            raise OSError(f"the kernel library is incomplete: {exc}") from exc
+        c[name].argtypes, c[name].restype = argtypes, restype
+    run, score, back, project, adam = (c[name] for name in SIGNATURES)
 
     def decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
-        outputs, byte for byte."""
-        x0 = np.asarray(x0, dtype=np.float64)
-        block_of = np.asarray(block_of, dtype=np.int32)
-        bl = np.asarray(budgets, dtype=np.int64).tolist()
-        if x0.ndim != 1 or block_of.shape != x0.shape or max(bl, default=0) > x0.shape[0]:
-            raise ValueError("decompose_blocks needs x0 and block_of of one length, and budgets <= n")
-        n, nb, K = x0.shape[0], len(bl), sum(bl)
-        # A run continues over calls, each with room for twice the steps of
-        # the one before.  y and the state (q, residual, stop, and the sum
-        # of squares with its last exact value, -1 for none yet) pass from
-        # call to call.
-        parts, done, y, state = [], 0, x0, [1.0, 0.0, 0.0, 0.0, -1.0]
-        chunk = first_call_steps(K)
+        outputs and exceptions, byte for byte."""
+        n = len(block_of)
+        x0 = check_shape(x0, n)
+        bl = np.asarray(budgets, dtype=np.int64)
+        if np.ndim(block_of) != 1 or bl.ndim != 1:
+            raise ValueError(BAD_BLOCKS)
+        nb, K = bl.shape[0], sum(bl.tolist())
+        if not 0 <= K <= n:
+            raise ValueError(BAD_BLOCKS)
+        cap = max(0, min(max_iter, first_call_steps(K)))
         while True:
-            cap = max(0, min(max_iter - done, chunk))
             # The two buffers of the C function, laid out as _blocks.c says.
-            f = np.empty(n + 5 + 4 * cap)
-            f[:n] = y
-            f[n : n + 5] = state
-            iw = np.empty(n + nb + cap * (K + 2), dtype=np.int32)
+            f = np.empty(2 * n + 4 + 6 * cap)
+            f[:n] = x0
+            iw = np.empty(n + nb + (K + 4) * cap + 2, dtype=np.int64)
             iw[:n] = block_of
             iw[n : n + nb] = bl
-            T = run(n, nb, cap, scale, floor, eps, guard, address(f), address(iw))
-            if T == -1:
-                raise MemoryError("decompose_blocks: no scratch memory")
-            if T == -2:
-                raise ValueError("decompose_blocks: block id or budget out of range")
-            state = f[n : n + 5].tolist()
-            p, o = n + 5, n + nb
-            w = o + cap * K
-            parts.append((f[p : p + T], f[p + cap : p + cap + T], f[p + 2 * cap : p + 2 * cap + T],
-                          iw[o : o + T * K].reshape(T, K), iw[w + cap : w + cap + T],
-                          iw[w : w + T], f[p + 3 * cap : p + 3 * cap + T]))
-            done += T
-            if state[2] or done >= max_iter:
+            T = run(n, nb, cap, scale, floor, eps, guard, MEMBERSHIP_TOL, SUM_TOL, buffer_address(f),
+                    buffer_address(iw))
+            if T < 0:
+                if T == -1:
+                    raise MemoryError("decompose_blocks: no scratch memory")
+                if T == -2:
+                    raise ValueError(BAD_BLOCKS)
+                if T == -4:
+                    check_box(x0)
+                raise block_sum_error(float(f[2 * n + 2]), int(bl[int(f[2 * n + 3])]))
+            residual, stop = f[2 * n : 2 * n + 2].tolist()
+            if stop or cap >= max_iter:
                 break
-            y, chunk = f[:n], 2 * chunk
-        # The outputs are views of the buffers of a run that took one call.
-        out = parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
-        return (*out[:4], out[4].astype(np.int8), *out[5:], state[1], state[2] == 2.0)
+            cap = min(max_iter, 2 * cap)
+        live = T - (stop == 2.0)
+        o, v = 2 * n + 4, n + nb
+        w = v + cap + 1 + cap * K
+        return (f[o : o + T], f[o + cap : o + cap + T], f[o + 2 * cap : o + 2 * cap + T],
+                (iw[v : v + T + 1], iw[v + cap + 1 : v + cap + 1 + T * K], ones(T * K)),
+                (iw[w : w + T + 1], iw[w + cap + 1 : w + cap + 1 + live], f[o + 5 * cap : o + 5 * cap + live]),
+                f[o + 4 * cap : o + 4 * cap + T], f[:n], residual, stop == 2.0,
+                iw[w + 2 * cap + 1 : w + 2 * cap + 1 + T], f[o + 3 * cap : o + 3 * cap + T])
+
+    def project_call(z, block_of, budgets, gx):
+        n = np.shape(block_of)[0]
+        z = np.ascontiguousarray(check_shape(z, n))
+        if gx is not None:
+            gx = np.ascontiguousarray(check_shape(gx, n))
+        bl = np.asarray(budgets, dtype=np.int64)
+        if np.ndim(block_of) != 1 or bl.ndim != 1:
+            raise ValueError(BAD_BLOCKS)
+        iw = np.empty(n + bl.shape[0], dtype=np.int64)
+        iw[:n] = block_of
+        iw[n:] = bl
+        out = np.empty(n)
+        code = project(n, bl.shape[0], address(z), address(iw), None if gx is None else address(gx),
+                       address(out))
+        if code == -1:
+            raise MemoryError("project_blocks: no scratch memory")
+        if code:
+            raise ValueError(BAD_BLOCKS)
+        return out
+
+    def project_blocks(z, block_of, budgets):
+        """The C twin of ``_purepy.project_blocks``."""
+        return project_call(z, block_of, budgets, None)
+
+    def project_blocks_vjp(z, block_of, budgets, gx):
+        """The C twin of ``_purepy.project_blocks_vjp``."""
+        return project_call(z, block_of, budgets, gx)
+
+    def adam_ascend(theta, m, v, grad, lr, beta1, beta2, eps, t):
+        """The C twin of ``_purepy.adam_ascend``: in place, byte for byte."""
+        n, grad = check_adam_arrays(theta, m, v, grad)
+        adam(n, address(theta), address(m), address(v), address(np.ascontiguousarray(grad)), lr, beta1,
+             beta2, eps, 1 - beta1**t, 1 - beta2**t)
+        return theta
 
     def score_rows(kind, n, a, b, w, indptr, indices):
         """Runs caradec_score_rows; the C function trusts a, b and w (the
@@ -206,5 +259,6 @@ def load() -> SimpleNamespace:
             raise_for(code, "backprop_blocks")
         return h
 
-    return SimpleNamespace(decompose_blocks=decompose_blocks, coverage_values=coverage_values,
-                           cut_values=cut_values, backprop_blocks=backprop_blocks)
+    return SimpleNamespace(decompose_blocks=decompose_blocks, project_blocks=project_blocks,
+                           project_blocks_vjp=project_blocks_vjp, coverage_values=coverage_values,
+                           cut_values=cut_values, backprop_blocks=backprop_blocks, adam_ascend=adam_ascend)

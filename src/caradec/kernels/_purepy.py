@@ -1,14 +1,17 @@
 """Pure-Python kernels: the references that the C kernels (``_blocks.c``)
 must match byte for byte, and the fallback when they cannot be built.
 
-``decompose_blocks`` runs the iterative vertex-peeling loop for box +
-per-block-sum polytopes on y = q x, where q is the mass left: at each step
-the vertex is the per-block top-k of y (value descending, index ascending
-on ties), the step coefficient is min(min-in-set, 1 - max-out-of-set) of
-x = y/q, optionally rescaled, and only the vertex's members change.
-``coverage_values`` and ``cut_values`` score batches of index sets given
-as CSR rows, and ``backprop_blocks`` is the reverse pass of every family's
-gradient tape.
+``project_blocks`` and ``project_blocks_vjp`` are the mean-centred
+projection onto box + per-block-sum polytopes and its pull-back.
+``decompose_blocks`` checks a point of such a polytope and runs the
+iterative vertex-peeling loop on y = q x, where q is the mass left: at each
+step the vertex is the per-block top-k of y (value descending, index
+ascending on ties), the step coefficient is min(min-in-set,
+1 - max-out-of-set) of x = y/q, optionally rescaled, and only the vertex's
+members change; it returns the decomposition's rows and the gradient
+tape's.  ``coverage_values`` and ``cut_values`` score batches of index sets
+given as CSR rows, ``backprop_blocks`` is the reverse pass of every
+family's gradient tape, and ``adam_ascend`` is one Adam step.
 """
 
 from __future__ import annotations
@@ -19,9 +22,133 @@ from operator import add, mul
 
 import numpy as np
 
+from ..core import SUM_TOL, DimensionError, MembershipError, check_box, ones
+
 BRANCH_MIN_IN = 0
 BRANCH_MAX_OUT = 1
 BRANCH_TERMINAL = 2
+
+
+BAD_BLOCKS = "block id or budget out of range"
+
+
+def sequential_sum(v) -> float:
+    """sum(v), added in order from 0.0, as a C loop adds it.  numpy's cumsum
+    adds in order; the + 0.0 turns its -0.0 into the 0.0 that a sum from
+    0.0 gives."""
+    return float(np.cumsum(v)[-1]) + 0.0 if len(v) else 0.0
+
+
+def check_shape(x, n: int) -> np.ndarray:
+    """x as a float array, once its shape is (n,) (DimensionError)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise DimensionError(f"point of shape {x.shape} for a spec of dimension {n}")
+    return x
+
+
+def block_sum_error(s: float, k: int) -> MembershipError:
+    return MembershipError(f"block sum {s:.9f} != k_i={k}")
+
+
+def block_members(block_of, budgets):
+    """Each block's coordinates in index order, once every block id lies in
+    [0, nb) and every budget in [0, block size] (ValueError otherwise)."""
+    block_of = np.asarray(block_of)
+    budgets = np.asarray(budgets, dtype=np.int64)
+    nb = budgets.shape[0]
+    if block_of.ndim != 1 or block_of.size and (block_of.min() < 0 or block_of.max() >= nb):
+        raise ValueError(BAD_BLOCKS)
+    sizes = np.bincount(block_of, minlength=nb)
+    if ((budgets < 0) | (budgets > sizes)).any():
+        raise ValueError(BAD_BLOCKS)
+    return np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def _block_scales(zb, k):
+    """The projection's (m, s, ds) of a block's z values zb with budget k
+    (m its mean, added in order), or None when the block is degenerate: k
+    is 0 or the block size, or the mean is not inside (0, 1)."""
+    ni = len(zb)
+    if k == 0 or k == ni:
+        return None
+    m = sequential_sum(zb) / ni
+    if m <= 0.0 or m >= 1.0:
+        return None
+    u = k / ni
+    s1 = u / m
+    s2 = ((ni - k) / ni) / (1.0 - m)
+    if s1 <= s2:
+        return m, s1, -u / (m * m)
+    return m, s2, ((ni - k) / ni) / ((1.0 - m) * (1.0 - m))
+
+
+def project_blocks(z, block_of, budgets) -> np.ndarray:
+    """Mean-centred scaling of each block of z onto its budget k: x = s (z -
+    m) + k/ni with m the block mean and s = min(k/(ni m), (ni - k)/(ni (1 -
+    m))); a degenerate block (budget 0 or full, or mean outside (0, 1)) maps
+    to its centre k/ni, and an empty block is skipped.  The mean adds the
+    block's z in index order from 0.0.  z is not checked."""
+    z = check_shape(z, np.shape(block_of)[0])
+    x = np.empty_like(z)
+    for idx, k in zip(block_members(block_of, budgets), np.asarray(budgets).tolist()):
+        if not idx.size:
+            continue
+        zb = z[idx]
+        scales = _block_scales(zb, k)
+        if scales is None:
+            x[idx] = k / idx.size
+        else:
+            m, s, _ = scales
+            x[idx] = s * (zb - m) + k / idx.size
+    return x
+
+
+def project_blocks_vjp(z, block_of, budgets, gx) -> np.ndarray:
+    """dF/dz for dF/dx = gx at x = project_blocks(z, ...): on a block,
+    s (g - mean g) + (ds/ni) g.(z - m), with ds the derivative of s in m;
+    0.0 on a degenerate block.  Both the mean of g and the dot product add
+    in index order from 0.0."""
+    z = check_shape(z, np.shape(block_of)[0])
+    gx = check_shape(gx, z.shape[0])
+    out = np.zeros_like(z)
+    for idx, k in zip(block_members(block_of, budgets), np.asarray(budgets).tolist()):
+        if not idx.size:
+            continue
+        zb = z[idx]
+        scales = _block_scales(zb, k)
+        if scales is not None:
+            m, s, ds = scales
+            gb = gx[idx]
+            ni = idx.size
+            out[idx] = s * (gb - sequential_sum(gb) / ni) + (ds / ni) * sequential_sum(gb * (zb - m))
+    return out
+
+
+def check_adam_arrays(theta, m, v, grad):
+    """n and grad as a float array, once theta, m and v are writable
+    contiguous float arrays of one shape (n,) and grad has that shape
+    (ValueError otherwise)."""
+    n = np.shape(theta)[0]
+    for a in (theta, m, v):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n,)
+                and a.flags.c_contiguous and a.flags.writeable):
+            raise ValueError("Adam needs writable contiguous float arrays theta, m and v of one shape (n,)")
+    return n, check_shape(grad, n)
+
+
+def adam_ascend(theta, m, v, grad, lr, beta1, beta2, eps, t):
+    """One Adam ascent step, in place on theta and the moments m and v:
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and theta += lr mhat /
+    (sqrt(vhat) + eps) with mhat = m/(1 - b1^t) and vhat = v/(1 - b2^t).
+    Returns theta."""
+    _, grad = check_adam_arrays(theta, m, v, grad)
+    m *= beta1
+    m += (1 - beta1) * grad
+    v *= beta2
+    v += (1 - beta2) * grad * grad
+    theta += lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+    return theta
 
 
 def decompose_blocks(
@@ -34,13 +161,26 @@ def decompose_blocks(
     max_iter: int,
     guard: float,
 ):
-    """Decompose x0 into per-block top-k vertices.
+    """Decompose a point x0 of the box + per-block-sum polytope into
+    per-block top-k vertices, with the rows of its gradient tape.
 
-    Returns (probs, qs, avals, verts, branch, bind, aex, residual_inf,
-    terminal).  qs[t] is the mass left before step t; avals[t] the applied
-    coefficient and aex[t] the unscaled one (they differ only on rescaled
-    steps, where the gradient of the applied coefficient carries the extra
-    factor).
+    x0 is checked first: DimensionError for a shape other than (n,),
+    MembershipError for NaN, infinities, entries outside [0, 1] by more
+    than MEMBERSHIP_TOL, or a block sum (added in index order from 0.0)
+    off its budget by more than SUM_TOL.  The run starts from x0 clipped to
+    [0, 1].
+
+    Returns (probs, qs, avals, vertex_rows, functional_rows, wx, x0,
+    residual_inf, terminal, branch, aex).  qs[t] is the mass left before
+    step t; avals[t] the applied coefficient and aex[t] the unscaled one
+    (they differ only on rescaled steps, where the gradient of the applied
+    coefficient carries the extra factor).  vertex_rows is the CSR triple of
+    the vertices.  Step t binds one coordinate, so its functional row is
+    +-r e_bind with r = a_t/a_exact on rescaled steps (1 otherwise): +r
+    when the smallest in-set value x_t[bind] = a_exact binds, -r when the
+    largest out-of-set value x_t[bind] = 1 - a_exact does; a terminal row
+    is empty, and wx[t] = w_t.x_t (0 on a terminal row).  x0 is the
+    clipped point.
 
     The loop keeps y = q x rather than the iterate x.  A step with
     coefficient a takes a q from each member's y (x' = (x - a v)/(1 - a)
@@ -49,10 +189,21 @@ def decompose_blocks(
     a running sum of squares of y, summed afresh whenever it falls below a
     quarter of its last exact value; the C kernel repeats every operation.
     """
-    y = np.array(x0, dtype=np.float64)
-    n = y.shape[0]
+    n = np.shape(block_of)[0]
+    x = check_shape(x0, n)
+    members = block_members(block_of, budgets)
     block_of = np.asarray(block_of, dtype=np.int32)
     budgets = np.asarray(budgets, dtype=np.int64)
+    check_box(x)
+    for idx, k in zip(members, budgets.tolist()):
+        s = sequential_sum(x[idx])
+        if abs(s - k) > SUM_TOL:
+            raise block_sum_error(s, k)
+    # The clip to [0, 1], written so that it keeps -0.0, as C's does.
+    x0 = x.copy()
+    x0[x0 < 0.0] = 0.0
+    np.minimum(x0, 1.0, out=x0)
+    y = x0.copy()
     # `order` lists the coordinates by (block, y descending); each block's
     # first budget entries form the vertex.  A step moves the members down
     # by one amount and leaves the rest (the pin and the clip keep the
@@ -177,17 +328,19 @@ def decompose_blocks(
     if T and not terminal:
         # max|y|, not max(y): numpy's max of +0.0 and -0.0 may be either.
         residual_inf = float(np.max(np.abs(y), initial=0.0))
-    return (
-        np.asarray(probs, dtype=np.float64),
-        np.asarray(qs, dtype=np.float64),
-        np.asarray(avals, dtype=np.float64),
-        np.asarray(verts, dtype=np.int32).reshape(T, K),
-        np.asarray(branch, dtype=np.int8),
-        np.asarray(bind, dtype=np.int32),
-        np.asarray(aexs, dtype=np.float64),
-        residual_inf,
-        terminal,
-    )
+    probs, qs, avals, aexs = (np.asarray(col, dtype=np.float64) for col in (probs, qs, avals, aexs))
+    branch = np.asarray(branch, dtype=np.int64)
+    live = T - terminal
+    r = np.divide(avals, aexs, out=np.ones(T), where=(aexs > 0.0) & (avals != aexs))
+    min_in = branch == BRANCH_MIN_IN
+    w = np.where(min_in, r, -r)
+    wx = w * np.where(min_in, aexs, 1.0 - aexs)
+    wx[live:] = 0.0
+    vertex_rows = (np.arange(T + 1, dtype=np.int64) * K, np.asarray(verts, dtype=np.int64).reshape(T * K),
+                   ones(T * K))
+    functional_rows = (np.minimum(np.arange(T + 1, dtype=np.int64), live),
+                       np.asarray(bind[:live], dtype=np.int64), w[:live])
+    return probs, qs, avals, vertex_rows, functional_rows, wx, x0, residual_inf, terminal, branch, aexs
 
 
 # Rows per block of a batch score: a block's (rows, m) arrays stay near

@@ -31,7 +31,6 @@ from .core import (
     Decomposition,
     DecompositionConfig,
     MembershipError,
-    Point,
     VertexSet,
     check_box,
     csr_rows,
@@ -135,7 +134,7 @@ class GraphicMatroid:
         return max_spanning_forest(0.5 + 0.5 * rng.random(self.graph.m), self.graph).indices
 
     def random_point(self, rng):
-        return spanning_tree_marginals(self.graph, 0.05 + rng.random(self.dim)).values
+        return spanning_tree_marginals(self.graph, 0.05 + rng.random(self.dim))
 
     def feasible_sets(self):
         g = self.graph
@@ -622,7 +621,7 @@ def _merge_component_steps(parts, edge_maps):
 def decompose_graphic(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decomposition:
     """Decompose a base-polytope point into spanning forests, one connected
     component at a time (component couplings are merged pairwise)."""
-    xv = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     xv = check_graphic_membership(xv, g)
     comps = _node_components(g)
     if len(comps) == 1:
@@ -662,10 +661,10 @@ def _induced_subgraph(g: Graph, nodes: list[int]):
     return Graph(len(nodes), tuple(edges)), np.asarray(edge_map, dtype=np.int64)
 
 
-def spanning_tree_marginals(g: Graph, w=None) -> Point:
+def spanning_tree_marginals(g: Graph, w=None) -> np.ndarray:
     """Edge marginals of the w-weighted spanning tree distribution,
     mu_e = w_e * b_e^T L^+ b_e."""
-    return Point(_tree_currents(g, w)[0], "graphic")
+    return np.clip(check_box(_tree_currents(g, w)[0]), 0.0, 1.0)
 
 
 def _tree_currents(g: Graph, w=None):

@@ -9,10 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .core import ConstraintSpec, Decomposition, DecompositionConfig, VertexSet
 from .extension import (
     SetObjective,
     backprop_extension,
+    best_row,
     best_set,
     decompose,
     decompose_with_tape,
@@ -96,21 +98,18 @@ class Adam:
         self.t = 0
 
     def ascend(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """One step, in place on theta (a writable float array), which it
+        returns."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        mhat = self.m / (1 - self.beta1**self.t)
-        vhat = self.v / (1 - self.beta2**self.t)
-        return theta + self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        return kernels.adam_ascend(theta, self.m, self.v, grad, self.lr, self.beta1, self.beta2,
+                                   self.eps, self.t)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1/(1 + exp(-t)) for t >= 0 and exp(t)/(1 + exp(t)) below, so that
+    exp never overflows."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def project_point(z: np.ndarray, c: ConstraintSpec):
@@ -135,13 +134,11 @@ def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> 
     incumbent: tuple[VertexSet, float] | None = None
 
     def consider(d: Decomposition, fvals):
+        # best_set, with the VertexSet built only for a new incumbent.
         nonlocal incumbent
-        try:
-            v, val = best_set(d, f, fvals)
-        except ValueError:
-            return
-        if incumbent is None or val > incumbent[1]:
-            incumbent = (v, val)
+        t = best_row(d, fvals)
+        if t >= 0 and (incumbent is None or fvals[t] > incumbent[1]):
+            incumbent = (d.vertex(t), float(fvals[t]))
 
     F = 0.0
     x = None
@@ -176,7 +173,7 @@ def multi_scale_solve(
     to the best integral vertex across all supports, and return the ordered
     union of support elements as the local-improvement candidate pool."""
     t0 = time.perf_counter()
-    xv = np.asarray(x.values if hasattr(x, "values") else x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     rng = stream(sched.seed, "multi-scale")
     best_pair: tuple[VertexSet, float] | None = None
     pool: list[int] = []

@@ -6,7 +6,7 @@ graphic rank function."""
 
 import numpy as np
 
-from caradec.core import ConstraintSpec, FractionalStableSet, GraphicMatroid, PartitionMatroid, Point
+from caradec.core import ConstraintSpec, FractionalStableSet, GraphicMatroid, PartitionMatroid
 from caradec.extension import SetObjective, decompose, evaluate_extension
 from caradec.graphs import Graph
 from reference_loops import _rank_table, _subset_sums
@@ -43,7 +43,7 @@ def tie_margin(x, c: ConstraintSpec) -> float:
     """Distance of x from the nearest selection/branch tie the decomposition
     could kink on: pairwise value gaps, complement gaps, and boundary gaps
     within each comparison pool."""
-    xv = np.asarray(x.values if isinstance(x, Point) else x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     blocks = blocks_of(c)
     margin = np.inf
     pools = blocks if blocks is not None else [list(range(xv.shape[0]))]
@@ -76,7 +76,7 @@ def finite_diff_gradient(x, c: ConstraintSpec, f: SetObjective, h: float = 1e-6)
     is the tangent-space representative of the gradient.  Returns
     (gradient, reliable) where reliable is False for coordinates within
     10h of a tie."""
-    xv = np.asarray(x.values if isinstance(x, Point) else x, dtype=float)
+    xv = np.asarray(x, dtype=float)
     n = xv.shape[0]
 
     def F(vec):

@@ -13,7 +13,8 @@ from caradec.kernels import _compiled, _purepy
 
 HAVE_CC = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0]) is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
-KERNELS = ("decompose_blocks", "coverage_values", "cut_values", "backprop_blocks")
+KERNELS = ("decompose_blocks", "project_blocks", "project_blocks_vjp", "coverage_values", "cut_values",
+           "backprop_blocks", "adam_ascend")
 BACKENDS = (pytest.param("pure"), pytest.param("compiled", marks=needs_cc))
 
 
@@ -37,3 +38,8 @@ def use(monkeypatch, backend: str) -> None:
     impl = implementation(backend)
     for name in KERNELS:
         monkeypatch.setattr(kernels, name, getattr(impl, name))
+
+
+def flat(out):
+    """A kernel's outputs with the CSR triples spread out."""
+    return [a for item in out for a in (item if isinstance(item, tuple) else (item,))]

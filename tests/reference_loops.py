@@ -145,6 +145,36 @@ def reference_decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_ite
     return out, np.asarray(rec["snap"], dtype=np.float64).reshape(T, n)
 
 
+def as_kernel_outputs(out, x0):
+    """The block kernel's outputs (probs, qs, avals, vertex_rows,
+    functional_rows, wx, x0, residual, terminal, branch, aex) of a
+    reference run's columns (probs, qs, avals, verts, branch, bind, aex,
+    residual, terminal) on x0, a point in [0, 1]^n.  The tape rows are
+    formed one step at a time: step t's functional row is +-r at its
+    binding coordinate, r = a_t/a_exact on a rescaled step (1 otherwise), +
+    on a min-in step, and wx[t] is +-r times a_exact (min-in) or 1 - a_exact
+    (max-out); a terminal step has no row and wx 0."""
+    probs, qs, avals, verts, branch, bind, aex, residual, terminal = out
+    T, K = verts.shape
+    w, wx = [], []
+    for t in range(T):
+        if branch[t] == BRANCH_TERMINAL:
+            wx.append(0.0)
+            continue
+        a, a_exact = float(avals[t]), float(aex[t])
+        r = a / a_exact if a_exact > 0.0 and a != a_exact else 1.0
+        min_in = branch[t] == BRANCH_MIN_IN
+        w.append(r if min_in else -r)
+        wx.append(w[-1] * (a_exact if min_in else 1.0 - a_exact))
+    live = len(w)
+    return (probs, qs, avals,
+            (np.arange(T + 1, dtype=np.int64) * K, verts.astype(np.int64).ravel(), np.ones(T * K)),
+            (np.minimum(np.arange(T + 1, dtype=np.int64), live), bind[:live].astype(np.int64),
+             np.array(w, dtype=np.float64)),
+            np.array(wx, dtype=np.float64), np.array(x0, dtype=np.float64), residual, terminal,
+            branch.astype(np.int64), aex)
+
+
 def reference_divided_blocks(x0, block_of, budgets, scale, floor, eps, max_iter, guard):
     """The block kernel as it was before it kept y = q x: a per-element
     selection loop that divides the whole iterate by 1 - a at every step.

@@ -81,7 +81,7 @@ def test_criterion_01_cardinality_decomposition():
     for _ in range(1000):
         n = int(rng.integers(5, 201))
         k = int(rng.integers(1, n))
-        x = project_to_hypersimplex(rng.random(n), k).values
+        x = project_to_hypersimplex(rng.random(n), k)
         d = decompose_hypersimplex(x, k)
         worst_sum = max(worst_sum, abs(d.probability_sum() - 1.0))
         worst_recon = max(worst_recon, float(np.max(np.abs(d.reconstruct(n) - x))))
@@ -109,7 +109,7 @@ def test_criterion_02_partition_decomposition():
             pos = cut
         budgets = [int(rng.integers(0, len(b) + 1)) for b in blocks]
         spec = PartitionMatroid(blocks, budgets)
-        x = project_to_partition_polytope(rng.random(n), spec).values
+        x = project_to_partition_polytope(rng.random(n), spec)
         d = decompose_partition(x, spec)
         worst_sum = max(worst_sum, abs(d.probability_sum() - 1.0))
         worst_recon = max(worst_recon, float(np.max(np.abs(d.reconstruct(n) - x))))
@@ -124,7 +124,7 @@ def test_criterion_02_partition_decomposition():
         while not (1 <= k < n):
             k = int(rng.integers(1, n))
         spec = PartitionMatroid([tuple(range(n))], [k])
-        x = project_to_partition_polytope(rng.random(n), spec).values
+        x = project_to_partition_polytope(rng.random(n), spec)
         dp = decompose_partition(x, spec)
         dh = decompose_hypersimplex(x, k)
         assert [(p, v.indices) for p, v in dp.pairs] == [
@@ -138,7 +138,7 @@ def test_criterion_03_graphic_decomposition():
     rng = stream(1003, "crit3")
     # the triangle marginals are exactly (2/3, 2/3, 2/3)
     tri = Graph(3, ((0, 1), (0, 2), (1, 2)))
-    mu = spanning_tree_marginals(tri).values
+    mu = spanning_tree_marginals(tri)
     assert np.max(np.abs(mu - 2 / 3)) <= 1e-12
     checked_iterates = 0
     for gi in range(10):
@@ -147,7 +147,7 @@ def test_criterion_03_graphic_decomposition():
         if g.m > 16:
             continue
         w = 0.2 + rng.random(g.m)
-        x = spanning_tree_marginals(g, w).values
+        x = spanning_tree_marginals(g, w)
         c = GraphicMatroid(g)
         d, tape, x_next = reference_iterates(x, c)
         assert np.max(np.abs(d.reconstruct(g.m) - x)) <= 1e-8
@@ -189,7 +189,7 @@ def test_criterion_04_marginals_vs_enumeration():
         if g.m > 10:
             continue
         w = 0.1 + 2.0 * rng.random(g.m)
-        mu = spanning_tree_marginals(g, w).values
+        mu = spanning_tree_marginals(g, w)
         ref = brute_marginals(g, w)
         worst = max(worst, float(np.max(np.abs(mu - ref))))
         assert abs(mu.sum() - (g.n_nodes - 1)) <= 1e-8
@@ -208,7 +208,7 @@ def test_criterion_05_fstab():
         ))
         x = project_to_fstab(rng.random(n), g, 0.0)
         d = decompose_fstab(x, g)
-        worst = max(worst, float(np.max(np.abs(d.reconstruct(n) - x.values))))
+        worst = max(worst, float(np.max(np.abs(d.reconstruct(n) - x))))
         assert d.iterations <= n + 1
         for _, v in d.pairs:
             if v.is_integral:
@@ -220,7 +220,7 @@ def test_criterion_05_fstab():
         g = Graph(n, tuple(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
         ))
-        x = project_to_fstab(rng.random(n), g, 0.0).values
+        x = project_to_fstab(rng.random(n), g, 0.0)
         a = fstab_vertex(x, g).to_vector()
         b = fstab_vertex_enumerate(x, g).to_vector()
         agree += bool(np.allclose(a, b))
@@ -230,15 +230,15 @@ def test_criterion_05_fstab():
 
 
 def _family_cases(rng):
-    yield Cardinality(10, 4), project_to_hypersimplex(rng.random(10), 4).values
+    yield Cardinality(10, 4), project_to_hypersimplex(rng.random(10), 4)
     spec = PartitionMatroid([(0, 1, 2, 3), (4, 5, 6), (7, 8, 9)], [2, 1, 1])
-    yield spec, project_to_partition_polytope(rng.random(10), spec).values
+    yield spec, project_to_partition_polytope(rng.random(10), spec)
     g = random_connected_graph(rng, 5, 4)
-    yield GraphicMatroid(g), spanning_tree_marginals(g, 0.2 + rng.random(g.m)).values
+    yield GraphicMatroid(g), spanning_tree_marginals(g, 0.2 + rng.random(g.m))
     gg = Graph(8, tuple(
         (u, v) for u in range(8) for v in range(u + 1, 8) if rng.random() < 0.35
     ))
-    yield FractionalStableSet(gg), project_to_fstab(rng.random(8), gg, 0.0).values
+    yield FractionalStableSet(gg), project_to_fstab(rng.random(8), gg, 0.0)
 
 
 def test_criterion_06_rounding_guarantee():
@@ -271,7 +271,7 @@ def test_criterion_07_gradient_correctness():
     makers = {
         "cardinality": lambda: (
             Cardinality(8, 3),
-            lambda: project_to_hypersimplex(rng.random(8), 3).values,
+            lambda: project_to_hypersimplex(rng.random(8), 3),
         ),
         "partition": lambda: (
             PartitionMatroid([(0, 1, 2, 3), (4, 5, 6, 7)], [2, 1]),
@@ -293,15 +293,15 @@ def test_criterion_07_gradient_correctness():
         c, maker = mk()
         if maker is None:
             if isinstance(c, PartitionMatroid):
-                maker = lambda: project_to_partition_polytope(rng.random(c.n), c).values
+                maker = lambda: project_to_partition_polytope(rng.random(c.n), c)
             elif isinstance(c, GraphicMatroid):
                 maker = lambda: spanning_tree_marginals(
                     c.graph, 0.2 + rng.random(c.graph.m)
-                ).values
+                )
             else:
                 maker = lambda: project_to_fstab(
                     rng.random(c.graph.n_nodes), c.graph, 0.0
-                ).values
+                )
         passed = 0
         lin_worst = 0.0
         for _ in range(400):
@@ -341,7 +341,7 @@ def test_criterion_08_rescaling_residual_bound():
     for _ in range(200):
         n = int(rng.integers(5, 17))
         k = int(rng.integers(1, n))
-        x = project_to_hypersimplex(rng.random(n), k).values
+        x = project_to_hypersimplex(rng.random(n), k)
         cfg = DecompositionConfig(scale=0.5, floor=ell, tolerance=1e-7,
                                   max_iterations=3000)
         _, tape, x_next = reference_iterates(x, Cardinality(n, k), cfg)

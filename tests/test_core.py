@@ -12,8 +12,8 @@ from caradec.core import (
     GraphicMatroid,
     MembershipError,
     PartitionMatroid,
-    Point,
     VertexSet,
+    check_box,
     reconstruct,
     validate_decomposition,
 )
@@ -57,20 +57,16 @@ class TestVertexSet:
         assert v.is_integral and v.indices == (0, 2)
 
 
-class TestPoint:
+class TestCheckBox:
     def test_range_check(self):
-        with pytest.raises(MembershipError):
-            Point(np.array([0.5, 1.2]), "cardinality")
-
-    def test_immutable(self):
-        p = Point(np.array([0.5, 0.5]), "cardinality")
-        with pytest.raises(ValueError):
-            p.values[0] = 0.1
+        with pytest.raises(MembershipError, match="leaves"):
+            check_box(np.array([0.5, 1.2]))
+        assert check_box(np.array([-1e-10, 1.0 + 1e-10])).tolist() == [-1e-10, 1.0 + 1e-10]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(MembershipError):
-            Point(np.array([0.5, bad]), "cardinality")
+        with pytest.raises(MembershipError, match="non-finite"):
+            check_box(np.array([0.5, bad]))
 
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -166,7 +162,7 @@ class TestReconstruct:
 class TestValidate:
     def test_exact_decomposition_passes(self):
         x = project_to_hypersimplex(np.array([0.9, 0.4, 0.1, 0.7, 0.3]), 2)
-        d = decompose_hypersimplex(x.values, 2)
+        d = decompose_hypersimplex(x, 2)
         rep = validate_decomposition(d, Cardinality(5, 2), x)
         assert rep.ok(1e-9)
         assert rep.iterations <= 5
@@ -185,7 +181,7 @@ class TestValidate:
     def test_rescaled_residual_reported(self):
         x = project_to_hypersimplex(np.array([0.8, 0.3, 0.55, 0.2]), 2)
         cfg = DecompositionConfig(scale=0.5, tolerance=1e-6, max_iterations=10_000)
-        d = decompose_hypersimplex(x.values, 2, cfg)
+        d = decompose_hypersimplex(x, 2, cfg)
         assert d.residual <= 1e-6
         rep = validate_decomposition(d, Cardinality(4, 2), x)
         assert rep.reconstruction_error <= 1e-6

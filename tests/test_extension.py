@@ -53,12 +53,12 @@ def test_sums_add_in_pair_order():
 
 def random_point(rng, c):
     if isinstance(c, Cardinality):
-        return project_to_hypersimplex(rng.random(c.n), c.k).values
+        return project_to_hypersimplex(rng.random(c.n), c.k)
     if isinstance(c, PartitionMatroid):
-        return project_to_partition_polytope(rng.random(c.n), c).values
+        return project_to_partition_polytope(rng.random(c.n), c)
     if isinstance(c, GraphicMatroid):
-        return spanning_tree_marginals(c.graph, 0.2 + rng.random(c.graph.m)).values
-    return project_to_fstab(rng.random(c.graph.n_nodes), c.graph, 0.0).values
+        return spanning_tree_marginals(c.graph, 0.2 + rng.random(c.graph.m))
+    return project_to_fstab(rng.random(c.graph.n_nodes), c.graph, 0.0)
 
 
 def generic_point(rng, c, min_margin):

@@ -46,11 +46,11 @@ def random_graph(rng, n, p=0.4):
 class TestProjection:
     def test_single_edge_violation(self):
         p = project_to_fstab(np.array([0.8, 0.8]), EDGE, 0.0)
-        assert np.allclose(p.values, [0.5, 0.5])
+        assert np.allclose(p, [0.5, 0.5])
 
     def test_feasible_unchanged(self):
         p = project_to_fstab(np.array([0.1, 0.05]), EDGE, 0.0)
-        assert np.allclose(p.values, [0.1, 0.05])
+        assert np.allclose(p, [0.1, 0.05])
 
     def test_always_feasible_after_one_step(self):
         rng = stream(3, "fstab-proj")
@@ -58,7 +58,7 @@ class TestProjection:
             n = int(rng.integers(2, 51))
             g = random_graph(rng, n, 0.15)
             slack = float(rng.choice([0.0, 0.05]))
-            x = project_to_fstab(2 * rng.random(n) - 0.5, g, slack).values
+            x = project_to_fstab(2 * rng.random(n) - 0.5, g, slack)
             assert x.min() >= 0.0
             for u, v in g.edges:
                 assert x[u] + x[v] + slack <= 1.0 + 1e-12
@@ -73,7 +73,7 @@ class TestProjection:
 
     def test_finite_out_of_box_clipped(self):
         p = project_to_fstab(np.array([1.7, -0.4, 0.3]), Graph(3, ((1, 2),)))
-        assert p.values.tolist() == [1.0, 0.0, 0.3]
+        assert p.tolist() == [1.0, 0.0, 0.3]
 
 
 class TestVertexOracle:
@@ -120,7 +120,7 @@ class TestVertexOracle:
         for _ in range(300):
             n = int(rng.integers(2, 9))
             g = random_graph(rng, n)
-            x = project_to_fstab(rng.random(n), g, 0.0).values
+            x = project_to_fstab(rng.random(n), g, 0.0)
             a = fstab_vertex(x, g).to_vector()
             b = fstab_vertex_enumerate(x, g).to_vector()
             assert np.allclose(a, b), (x, g.edges, a, b)
@@ -128,7 +128,7 @@ class TestVertexOracle:
 
 def er_point(rng, n, p):
     g = random_graph(rng, n, p)
-    return g, project_to_fstab(rng.random(n), g, 0.0).values
+    return g, project_to_fstab(rng.random(n), g, 0.0)
 
 
 def oracle_cases():
@@ -142,7 +142,7 @@ def oracle_cases():
         g, x = er_point(rng, int(rng.integers(10, 31)), float(rng.uniform(0.1, 0.4)))
         yield f"quarter-{i}", g, np.floor(4.0 * x) / 4.0
     g = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    yield "isolated-node", g, project_to_fstab(rng.random(6), g, 0.0).values
+    yield "isolated-node", g, project_to_fstab(rng.random(6), g, 0.0)
     yield "empty-graph", Graph(5, ()), rng.random(5)
     yield "all-zero", random_graph(rng, 8), np.zeros(8)
 
@@ -211,7 +211,7 @@ class TestLoopParity:
 
     def test_weights_coefficient_and_membership(self):
         for g, z in self.cases():
-            x = project_to_fstab(z, g, 0.0).values
+            x = project_to_fstab(z, g, 0.0)
             for pt in (x, np.floor(4.0 * x) / 4.0):
                 c, alive, live = _augmented_weights(pt, g)
                 rc, ralive, rlive = reference_augmented_weights(pt, g)
@@ -297,7 +297,7 @@ class TestDecomposition:
             x = project_to_fstab(rng.random(n), g, 0.0)
             d = decompose_fstab(x, g)
             rep = validate_decomposition(d, c, x)
-            assert rep.ok(1e-9), (g.edges, x.values, rep)
+            assert rep.ok(1e-9), (g.edges, x, rep)
             assert d.iterations <= n + 1
             for _, v in d.pairs:
                 if v.is_integral:

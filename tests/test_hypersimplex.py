@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from kernel_backends import available, use
 from reference_loops import reference_iterates
 
 from caradec.core import (
     Cardinality,
     DecompositionConfig,
     MembershipError,
+    PartitionMatroid,
     VertexSet,
     validate_decomposition,
 )
+from caradec.extension import LinearObjective, decompose_with_tape
 from caradec.hypersimplex import decompose_hypersimplex, project_to_hypersimplex
 from caradec.rng import stream
+from caradec.solvers import OptimizeConfig, direct_optimize
 
 
 # Reference forms of one block's vertex choice and step coefficient.
@@ -42,24 +46,24 @@ def max_step_coefficient(x, s: VertexSet) -> float:
 
 
 def random_hypersimplex_point(rng, n, k):
-    return project_to_hypersimplex(rng.random(n), k).values
+    return project_to_hypersimplex(rng.random(n), k)
 
 
 class TestProjection:
     def test_centered_input_maps_to_center(self):
         p = project_to_hypersimplex(np.full(4, 0.5), 2)
-        assert np.allclose(p.values, 0.5)
+        assert np.allclose(p, 0.5)
 
     def test_proposition_arithmetic(self):
         p = project_to_hypersimplex(np.array([1.0, 0.0, 0.0, 0.0]), 2)
-        assert np.allclose(p.values, [1.0, 1 / 3, 1 / 3, 1 / 3])
-        assert p.values.sum() == pytest.approx(2.0)
+        assert np.allclose(p, [1.0, 1 / 3, 1 / 3, 1 / 3])
+        assert p.sum() == pytest.approx(2.0)
 
     def test_degenerate_mean_returns_center(self):
         p = project_to_hypersimplex(np.zeros(3), 1)
-        assert np.allclose(p.values, 1 / 3)
+        assert np.allclose(p, 1 / 3)
         p = project_to_hypersimplex(np.ones(3), 1)
-        assert np.allclose(p.values, 1 / 3)
+        assert np.allclose(p, 1 / 3)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -235,3 +239,24 @@ class TestRescaled:
         d = decompose_hypersimplex(x, 4, cfg)
         rep = validate_decomposition(d, Cardinality(10, 4), x)
         assert rep.reconstruction_error <= 1e-6
+
+
+@pytest.mark.parametrize("backend", available())
+@pytest.mark.parametrize("spec", [PartitionMatroid([[0, 1, 2], []], [1, 0]), Cardinality(0, 0),
+                                  PartitionMatroid([[], [2, 0], [], [1]], [0, 1, 0, 1])],
+                         ids=["empty-last-block", "n0", "empty-blocks-between"])
+def test_empty_blocks_are_skipped(spec, backend, monkeypatch):
+    """A spec with an empty block (which its constructor accepts) projects,
+    jitters, draws points, decomposes and solves; the projection once
+    divided by the empty block's size."""
+    use(monkeypatch, backend)
+    rng = stream(13, "empty-blocks")
+    z = rng.random(spec.n)
+    x, vjp = spec.project(z)
+    assert np.isfinite(x).all() and np.isfinite(vjp(np.ones(spec.n))).all()
+    for point in (x, spec.jitter(x, rng.uniform(-0.1, 0.1, spec.n)), spec.random_point(rng)):
+        d, tape = decompose_with_tape(point, spec)
+        assert validate_decomposition(d, spec, point).ok()
+    f = LinearObjective(rng.random(spec.n))
+    res = direct_optimize(f, spec, OptimizeConfig(steps=5, seed=1, init="random"))
+    assert spec.vertex_feasible(res.best) and res.objective == f.value_of(res.best.indices)

@@ -5,17 +5,20 @@ selection loop kept in ``reference_loops`` as its reference.  The C
 kernels' tests skip only when no C compiler exists."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
-from kernel_backends import compiled, needs_cc, use
-from reference_loops import reference_decompose_blocks, reference_divided_blocks
+from kernel_backends import available, compiled, flat, implementation, needs_cc, use
+from reference_loops import as_kernel_outputs, reference_decompose_blocks, reference_divided_blocks
 
 from caradec.core import (
     Cardinality,
     DecompositionConfig,
+    DimensionError,
     FractionalStableSet,
     GraphicMatroid,
+    MembershipError,
     PartitionMatroid,
     validate_decomposition,
 )
@@ -36,6 +39,7 @@ def compiled_decompose_blocks():
 
 def assert_bytes_equal(got, want):
     """Every output equal as bytes, dtype and shape: the sign of zero counts."""
+    got, want = flat(got), flat(want)
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         g, w = np.asarray(g), np.asarray(w)
@@ -48,7 +52,7 @@ def assert_compiled_matches_pure(*args):
 
 
 def assert_pure_matches_reference(*args):
-    assert_bytes_equal(_purepy.decompose_blocks(*args), reference_decompose_blocks(*args)[0])
+    assert_bytes_equal(_purepy.decompose_blocks(*args), as_kernel_outputs(reference_decompose_blocks(*args)[0], args[0]))
 
 
 def random_blocks(rng, max_n=30):
@@ -93,8 +97,8 @@ class TestExactParity:
             x, block_of, budgets = random_blocks(rng)
             n = x.shape[0]
             args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
-            tp = kernel_tape(_purepy.decompose_blocks(*args), x)[1]
-            tc = kernel_tape(compiled_decompose_blocks()(*args), x)[1]
+            tp = kernel_tape(_purepy.decompose_blocks(*args))[1]
+            tc = kernel_tape(compiled_decompose_blocks()(*args))[1]
             f = rng.standard_normal(len(tp.d.p))
             assert backprop_extension(tp, None, f).tobytes() == backprop_extension(tc, None, f).tobytes()
 
@@ -109,8 +113,9 @@ class TestRescaledParity:
             assert_compiled_matches_pure(x, block_of, budgets, 0.5, 0.02, 1e-5, 4 * n, 1e-12)
 
     def test_iteration_cap_beyond_one_call(self):
-        """A cap larger than one C call's steps: the run continues across
-        calls (each with twice the steps of the one before) as one."""
+        """A cap larger than one C call's steps: the run that outgrows its
+        buffers runs again with room for twice the steps, and ends as one
+        run would."""
         rng = np.random.default_rng(3)
         block_of, budgets = np.zeros(30, dtype=np.int32), np.array([7])
         x = projected_point(rng, block_of, budgets)
@@ -149,12 +154,16 @@ def quantized_point(rng, block_of, budgets, grid):
 
 
 def pinned_point(rng, block_of, budgets):
-    """Some coordinates at exactly 0 or 1, the rest at their block's level."""
+    """Some coordinates at exactly 0 or 1, the rest at their block's level;
+    a block with no coordinate left at its level has exactly k ones, so
+    that every block sums to its budget."""
     x = np.zeros(block_of.shape[0])
     for b, k in enumerate(budgets):
         idx = rng.permutation(np.flatnonzero(block_of == b))
         ones = int(rng.integers(0, k + 1))
         zeros = int(rng.integers(0, idx.size - k + 1))
+        if ones + zeros == idx.size:
+            ones = int(k)
         free = idx[ones : idx.size - zeros]
         x[idx[:ones]] = 1.0
         x[free] = (k - ones) / free.size if free.size else 0.0
@@ -305,8 +314,10 @@ class TestContractReference:
                 if near_tie(x, snaps, block_of):
                     continue
                 got = _purepy.decompose_blocks(*args)
-                for i in (3, 4, 5):  # vertices, branches, binding coordinates
-                    assert np.array_equal(got[i], want[i])
+                T, live = len(got[0]), len(got[4][1])
+                assert np.array_equal(got[3][1].reshape(want[3].shape), want[3])  # vertices
+                assert np.array_equal(got[9], want[4])  # branches
+                assert np.array_equal(got[4][1], want[5][:live]) and (T == live or want[5][-1] == -1)
                 assert np.allclose(got[0], want[0], rtol=0.0, atol=1e-12)
                 checked += 1
         assert checked >= 100
@@ -319,8 +330,8 @@ def test_compiled_cardinality_10000_meets_the_contract():
     block_of, budgets = np.zeros(10_000, dtype=np.int32), np.array([10])
     x = projected_point(np.random.default_rng(31), block_of, budgets)
     out = compiled_decompose_blocks()(x, block_of, budgets, 1.0, 0.0, 0.0, 10_001, 1e-12)
-    rep = validate_decomposition(kernel_decomposition(out, 10_000), Cardinality(10_000, 10), x)
-    assert out[-1] and rep.ok(), rep.messages
+    rep = validate_decomposition(kernel_decomposition(out), Cardinality(10_000, 10), x)
+    assert out[8] and rep.ok(), rep.messages
 
 
 @needs_cc
@@ -448,22 +459,22 @@ def family_tapes():
     rng = stream(61, "backprop-parity")
     rescaled = DecompositionConfig(scale=0.3, floor=0.01, tolerance=1e-5)
     card = Cardinality(500, 10)
-    x = project_to_partition_polytope(rng.random(500), card).values
+    x = project_to_partition_polytope(rng.random(500), card)
     tapes = {
         "card500-exact": decompose_with_tape(x, card)[1],
         "card500-rescaled": decompose_with_tape(x, card, rescaled)[1],
     }
     part = PartitionMatroid(np.arange(2000).reshape(20, 100).tolist(), [10] * 20)
-    x = project_to_partition_polytope(rng.random(2000), part).values
+    x = project_to_partition_polytope(rng.random(2000), part)
     tapes["partition2000"] = decompose_with_tape(x, part)[1]
     for seed in range(3):
         g = gen_er_graph(7, 0.6, seed=seed)
         if g.n_components() == 1:
-            x = spanning_tree_marginals(g, 0.05 + rng.random(g.m)).values
+            x = spanning_tree_marginals(g, 0.05 + rng.random(g.m))
             tapes[f"graphic-{seed}"] = decompose_with_tape(x, GraphicMatroid(g))[1]
             tapes[f"graphic-{seed}-rescaled"] = decompose_with_tape(x, GraphicMatroid(g), rescaled)[1]
         g = gen_er_graph(12, 0.3, seed=seed)
-        x = project_to_fstab(rng.random(12), g).values
+        x = project_to_fstab(rng.random(12), g)
         tapes[f"fstab-{seed}"] = decompose_with_tape(x, FractionalStableSet(g))[1]
     # Two triangles sharing node 2: this point peels a half-integral vertex.
     bowtie = FractionalStableSet(Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))))
@@ -506,3 +517,177 @@ def test_backprop_refuses_bad_tapes_alike():
         for impl in (_purepy, compiled()):
             with pytest.raises(IndexError):
                 impl.backprop_blocks(*args)
+
+
+# ---------------------------------------------------------------------------
+# Projection, its VJP and the Adam step
+
+
+def projection_cases():
+    """(z, block_of, budgets) triples: interleaved blocks of uniform draws,
+    budgets of 0 and of the whole block, empty blocks, blocks whose mean is
+    0 or 1 (degenerate), z with exact 0.0, 1.0 and -0.0 entries, and z far
+    outside [0, 1] (the kernels do not check it)."""
+    rng = np.random.default_rng(71)
+    cases = []
+    for n in (1, 2, 7, 16, 64, 300):
+        for _ in range(6):
+            block_of, budgets = scattered_blocks(rng, n)
+            cases.append((rng.random(n), block_of, budgets))
+    block_of = np.array([0, 2, 0, 2, 3, 3, 3], dtype=np.int32)  # blocks 1 and 4 are empty
+    for budgets in ([1, 0, 1, 2, 0], [0, 0, 2, 3, 0], [2, 0, 0, 1, 0]):
+        for z in (rng.random(7), np.zeros(7), np.ones(7), np.array([0.0, 1.0, -0.0, 0.5, 1.0, 0.0, 0.25]),
+                  rng.standard_normal(7) * 10.0):
+            cases.append((z, block_of, np.array(budgets, dtype=np.int64)))
+    cases.append((np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(2, dtype=np.int64)))
+    return cases
+
+
+@needs_cc
+def test_projection_and_vjp_parity():
+    rng = np.random.default_rng(72)
+    for z, block_of, budgets in projection_cases():
+        want = _purepy.project_blocks(z, block_of, budgets)
+        got = compiled().project_blocks(z, block_of, budgets)
+        assert_bytes_equal((got,), (want,))
+        for gx in (rng.standard_normal(z.shape[0]), rng.integers(-3, 4, z.shape[0]).astype(float),
+                   (10.0 ** rng.integers(-8, 9, z.shape[0])) * rng.standard_normal(z.shape[0])):
+            want = _purepy.project_blocks_vjp(z, block_of, budgets, gx)
+            got = compiled().project_blocks_vjp(z, block_of, budgets, gx.tolist())
+            assert_bytes_equal((got,), (want,))
+
+
+@pytest.mark.parametrize("backend", ("pure", pytest.param("compiled", marks=needs_cc)))
+def test_projection_of_empty_and_degenerate_blocks(backend):
+    impl = implementation(backend)
+    block_of = np.array([0, 2, 0, 2, 3, 3, 3], dtype=np.int32)
+    budgets = np.array([1, 0, 1, 3, 0])
+    z = np.array([0.2, 0.0, 0.6, 0.0, 0.3, 0.9, 0.6])
+    x = impl.project_blocks(z, block_of, budgets)
+    # Block 0 (mean 0.4, k = 1 of 2) scales by s = min(0.5/0.4, 0.5/0.6);
+    # block 2 (mean 0) and block 3 (k = n) map to their centres; blocks 1
+    # and 4 are empty.
+    s = 0.5 / (1.0 - 0.4)
+    assert x.tolist() == [s * (0.2 - 0.4) + 0.5, 0.5, s * (0.6 - 0.4) + 0.5, 0.5, 1.0, 1.0, 1.0]
+    g = impl.project_blocks_vjp(z, block_of, budgets, np.arange(7.0))
+    assert g[[1, 3, 4, 5, 6]].tolist() == [0.0] * 5 and not np.signbit(g[[1, 3, 4, 5, 6]]).any()
+
+
+@pytest.mark.parametrize("backend", ("pure", pytest.param("compiled", marks=needs_cc)))
+def test_block_sums_are_sequential(backend):
+    """The block mean, the mean of g and the dot product g.(z - m) add in
+    index order from 0.0: on [1e16, 1.0, -1e16] the 1.0 is lost, where a
+    compensated sum would keep it."""
+    impl = implementation(backend)
+    block_of, budgets = np.zeros(3, dtype=np.int32), np.array([1])
+    # The mean is (1e16 + 1.0 - 1e16)/3 = 0 in order, 1/3 exactly: degenerate.
+    assert impl.project_blocks([1e16, 1.0, -1e16], block_of, budgets).tolist() == [1 / 3] * 3
+    # Block 1 sits in between, so the sums run in index order, not in the
+    # order of the block's list.
+    block_of = np.array([0, 1, 0, 0], dtype=np.int32)
+    z, gx = np.array([0.5, 0.3, 0.25, 0.25]), np.array([1e16, 7.0, 1.0, -1e16])
+    got = impl.project_blocks_vjp(z, block_of, np.array([1, 0]), gx)
+    m = (0.5 + 0.25) + 0.25
+    m, ni = m / 3, 3
+    s = ((ni - 1) / ni) / (1.0 - m)
+    assert s < (1 / ni) / m
+    ds = ((ni - 1) / ni) / ((1.0 - m) * (1.0 - m))
+    gm = ((0.0 + 1e16) + 1.0) + -1e16
+    dot = ((0.0 + 1e16 * (0.5 - m)) + 1.0 * (0.25 - m)) + -1e16 * (0.25 - m)
+    want = [s * (g - gm / ni) + (ds / ni) * dot for g in (1e16, 1.0, -1e16)]
+    assert got[[0, 2, 3]].tolist() == want and got[1] == 0.0
+    assert gm == 0.0 and math.fsum([1e16, 1.0, -1e16]) == 1.0
+
+
+@needs_cc
+def test_adam_parity_and_reference():
+    """adam_ascend updates theta, m and v in place, with the bytes of the
+    numpy expressions b1 m + (1 - b1) g, b2 v + (1 - b2) g g and
+    theta + lr (m/(1 - b1^t)) / (sqrt(v/(1 - b2^t)) + eps), on both
+    backends."""
+    rng = np.random.default_rng(73)
+    for n in (0, 1, 16, 500):
+        state = [rng.standard_normal(n), rng.standard_normal(n), rng.random(n)]
+        for t in (1, 2, 10, 151):
+            g = (10.0 ** rng.integers(-12, 5, n)) * rng.standard_normal(n)
+            g[::5] = 0.0
+            th, m, v = state
+            lr, b1, b2, eps = 0.015, 0.9, 0.999, 1e-8
+            m_want = b1 * m + (1 - b1) * g
+            v_want = b2 * v + (1 - b2) * g * g
+            th_want = th + lr * (m_want / (1 - b1**t)) / (np.sqrt(v_want / (1 - b2**t)) + eps)
+            outs = []
+            for impl in (_purepy, compiled()):
+                arrays = [a.copy() for a in state]
+                assert impl.adam_ascend(*arrays, g, lr, b1, b2, eps, t) is arrays[0]
+                outs.append(arrays)
+            for arrays in outs:
+                assert_bytes_equal(arrays, (th_want, m_want, v_want))
+            state = outs[0]
+
+
+def test_adam_refuses_arrays_it_cannot_update_in_place():
+    theta, m, v = np.zeros(4), np.zeros(4), np.zeros(4)
+    frozen = np.zeros(4)
+    frozen.setflags(write=False)
+    for impl in map(implementation, available()):
+        for bad in ((np.zeros(4, dtype=np.float32), m, v), (theta, np.zeros(5), v), (theta, m, frozen),
+                    (theta, m, np.zeros(8)[::2]), (theta, m, [0.0] * 4)):
+            with pytest.raises(ValueError, match="Adam needs"):
+                impl.adam_ascend(*bad, np.ones(4), 0.1, 0.9, 0.999, 1e-8, 1)
+        with pytest.raises(DimensionError):
+            impl.adam_ascend(theta, m, v, np.ones(3), 0.1, 0.9, 0.999, 1e-8, 1)
+    assert not (theta.any() or m.any() or v.any())
+
+
+# ---------------------------------------------------------------------------
+# The block kernel's entry check
+
+
+PARTITION = PartitionMatroid([(0, 2, 4), (1, 3, 5)], [2, 1])
+GOOD_POINT = np.array([0.5, 0.25, 0.5, 0.5, 1.0, 0.25])
+
+
+def bad_points():
+    """(label, x, exception type) of points that PARTITION's polytope
+    refuses: non-finite, off the box, off a block sum, or of another
+    shape."""
+    x = GOOD_POINT
+    cases = []
+    for bad in (np.nan, np.inf, -np.inf, 1.5, -0.25, 1.0 + 2e-9):
+        y = x.copy()
+        y[3] = bad
+        cases.append((f"entry {bad}", y, MembershipError))
+    y = x.copy()
+    y[[0, 2]] = np.nan, 7.0  # the non-finite entry decides, wherever it is
+    cases.append(("nan and off-box", y, MembershipError))
+    cases.append(("off-sum", x + np.array([1e-6, 0.0, 0.0, 0.0, 0.0, 0.0]), MembershipError))
+    cases.append(("both blocks off", x * 0.9, MembershipError))
+    for shape in ((5,), (7,), (2, 3), ()):
+        cases.append((f"shape {shape}", np.full(shape, 0.5), DimensionError))
+    return cases
+
+
+@pytest.mark.parametrize("label", [c[0] for c in bad_points()])
+def test_bad_points_are_refused_alike(label, monkeypatch):
+    """decompose_with_tape refuses each bad point with the same exception
+    type and message on both backends."""
+    _, x, error = next(case for case in bad_points() if case[0] == label)
+    seen = set()
+    for backend in available():
+        use(monkeypatch, backend)
+        assert validate_decomposition(decompose_with_tape(GOOD_POINT, PARTITION)[0], PARTITION, GOOD_POINT).ok()
+        with pytest.raises(error) as caught:
+            decompose_with_tape(x, PARTITION)
+        seen.add((type(caught.value), str(caught.value)))
+    assert len(seen) == 1, seen
+
+
+@pytest.mark.parametrize("backend", ("pure", pytest.param("compiled", marks=needs_cc)))
+def test_entry_clips_within_tolerance(backend):
+    """Entries off the box by at most MEMBERSHIP_TOL are clipped for the
+    run; -0.0 stays -0.0, as the clip is written to keep it."""
+    impl = implementation(backend)
+    x = np.array([-5e-10, 1.0 + 5e-10, -0.0, 1.0])
+    out = impl.decompose_blocks(x, np.array([0, 0, 1, 1]), np.array([1, 1]), 1.0, 0.0, 0.0, 5, 1e-12)
+    assert out[6].tolist() == [0.0, 1.0, 0.0, 1.0] and np.signbit(out[6][2]) and x[0] == -5e-10

@@ -83,13 +83,13 @@ class TestPartitionProjection:
     def test_constant_block_maps_to_center(self):
         spec = PartitionMatroid([(0, 1, 2), (3, 4)], [1, 1])
         x = project_to_partition_polytope(np.array([0.4, 0.4, 0.4, 0.8, 0.8]), spec)
-        assert np.allclose(x.values[:3], 1 / 3)
-        assert np.allclose(x.values[3:], 1 / 2)
+        assert np.allclose(x[:3], 1 / 3)
+        assert np.allclose(x[3:], 1 / 2)
 
     def test_vertex_passes_through(self):
         spec = PartitionMatroid([(0, 1), (2, 3)], [1, 1])
         x = project_to_partition_polytope(np.array([1.0, 0.0, 1.0, 0.0]), spec)
-        assert np.allclose(x.values, [1, 0, 1, 0])
+        assert np.allclose(x, [1, 0, 1, 0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -103,8 +103,8 @@ class TestPartitionProjection:
 
         spec = PartitionMatroid([tuple(range(6))], [2])
         z = stream(3, "pp").random(6)
-        a = project_to_partition_polytope(z, spec).values
-        b = project_to_hypersimplex(z, 2).values
+        a = project_to_partition_polytope(z, spec)
+        b = project_to_hypersimplex(z, 2)
         assert np.allclose(a, b)
 
 
@@ -128,7 +128,7 @@ class TestPartitionDecomposition:
             n, k = 7, 3
             z = rng.random(n)
             spec = PartitionMatroid([tuple(range(n))], [k])
-            x = project_to_partition_polytope(z, spec).values
+            x = project_to_partition_polytope(z, spec)
             dp = decompose_partition(x, spec)
             dh = decompose_hypersimplex(x, k)
             assert [(p, v.indices) for p, v in dp.pairs] == [
@@ -149,7 +149,7 @@ class TestPartitionDecomposition:
             budgets = [int(rng.integers(0, sz + 1)) for sz in sizes]
             spec = PartitionMatroid(blocks, budgets)
             x = project_to_partition_polytope(rng.random(n), spec)
-            d = decompose_partition(x.values, spec)
+            d = decompose_partition(x, spec)
             rep = validate_decomposition(d, spec, x)
             assert rep.ok(1e-9), rep
             for _, v in d.pairs:
@@ -287,7 +287,7 @@ class TestGraphicDecomposition:
             g = random_connected_graph(rng, int(rng.integers(3, 6)), int(rng.integers(0, 4)))
             w = 0.2 + rng.random(g.m)
             x = spanning_tree_marginals(g, w)
-            d = decompose_graphic(x.values, g)
+            d = decompose_graphic(x, g)
             rep = validate_decomposition(d, GraphicMatroid(g), x)
             assert rep.ok(1e-8), rep
             assert d.iterations <= g.m + 1
@@ -314,15 +314,15 @@ class TestMarginals:
     def test_tree_all_ones(self):
         g = Graph(4, ((0, 1), (1, 2), (1, 3)))
         mu = spanning_tree_marginals(g, np.array([2.0, 5.0, 1.0]))
-        assert np.allclose(mu.values, 1.0, atol=1e-10)
+        assert np.allclose(mu, 1.0, atol=1e-10)
 
     def test_triangle_uniform(self):
         mu = spanning_tree_marginals(TRIANGLE)
-        assert np.allclose(mu.values, 2 / 3, atol=1e-10)
+        assert np.allclose(mu, 2 / 3, atol=1e-10)
 
     def test_triangle_weighted(self):
         mu = spanning_tree_marginals(TRIANGLE, np.array([1.0, 1.0, 2.0]))
-        assert np.allclose(mu.values, [0.6, 0.6, 0.8], atol=1e-10)
+        assert np.allclose(mu, [0.6, 0.6, 0.8], atol=1e-10)
 
     def test_matches_enumeration(self):
         rng = stream(43, "marg")
@@ -332,7 +332,7 @@ class TestMarginals:
             if g.m > 10:
                 continue
             w = 0.1 + 2 * rng.random(g.m)
-            mu = spanning_tree_marginals(g, w).values
+            mu = spanning_tree_marginals(g, w)
             ref = brute_marginals(g, w)
             assert np.max(np.abs(mu - ref)) <= 1e-8
             assert mu.sum() == pytest.approx(n - 1, abs=1e-8)
@@ -342,8 +342,8 @@ class TestMarginals:
         g = random_connected_graph(rng, 5, 3)
         w = 0.3 + rng.random(g.m)
         x = spanning_tree_marginals(g, w)
-        d = decompose_graphic(x.values, g)
-        assert np.max(np.abs(d.reconstruct(g.m) - x.values)) <= 1e-8
+        d = decompose_graphic(x, g)
+        assert np.max(np.abs(d.reconstruct(g.m) - x)) <= 1e-8
 
     def test_projection_vjp_matches_central_differences(self):
         rng = stream(59, "graphic-vjp")
@@ -396,7 +396,7 @@ def parity_corpus():
             weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
             x = sum(w * max_spanning_forest(rng.random(g.m), g).to_vector() for w in weights)
         else:
-            x = spanning_tree_marginals(g, 0.05 + rng.random(g.m)).values
+            x = spanning_tree_marginals(g, 0.05 + rng.random(g.m))
         out.append((g, x))
     return out
 

@@ -62,7 +62,7 @@ def connected_graph(rng, n, extra):
 
 def graphic_points(rng, g):
     """Tree marginals (interior) and a mix of two trees (on rank faces)."""
-    yield spanning_tree_marginals(g, 0.2 + rng.random(g.m)).values
+    yield spanning_tree_marginals(g, 0.2 + rng.random(g.m))
     s1 = max_spanning_forest(rng.random(g.m), g).to_vector()
     s2 = max_spanning_forest(rng.random(g.m), g).to_vector()
     lam = float(rng.uniform(0.2, 0.8))
@@ -76,7 +76,7 @@ def fstab_cases(rng, count):
         n = int(rng.integers(3, 10))
         edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5)
         g = Graph(n, edges)
-        yield g, project_to_fstab(0.3 + rng.random(n), g, 0.0).values
+        yield g, project_to_fstab(0.3 + rng.random(n), g, 0.0)
 
 
 def assert_close_gradient(got, want, what):
@@ -139,8 +139,8 @@ def test_decompose_matches_tape_decomposition():
     fg, fx = next(fstab_cases(rng, 1))
     pm = PartitionMatroid([(0, 2, 4), (1, 3, 5, 6)], [1, 2])
     cases = [
-        (Cardinality(9, 4), project_to_hypersimplex(rng.random(9), 4).values),
-        (pm, project_to_partition_polytope(rng.random(7), pm).values),
+        (Cardinality(9, 4), project_to_hypersimplex(rng.random(9), 4)),
+        (pm, project_to_partition_polytope(rng.random(7), pm)),
         (GraphicMatroid(g), next(graphic_points(rng, g))),
         (GraphicMatroid(Graph(1, ())), np.zeros(0)),  # no edge binds any step
         (FractionalStableSet(fg), fx),
@@ -164,7 +164,7 @@ def kernel_cases():
     """(spec, point, config) triples for the block kernel's tapes."""
     rng = stream(53, "kernel-tape-parity")
     card = Cardinality(500, 10)
-    x500 = project_to_hypersimplex(rng.random(500), 10).values
+    x500 = project_to_hypersimplex(rng.random(500), 10)
     blocks = PartitionMatroid([range(i * 100, (i + 1) * 100) for i in range(20)], [10] * 20)
     mixed = PartitionMatroid([range(0, 5), range(5, 12), range(12, 17)], [0, 3, 5])
     small = Cardinality(20, 5)
@@ -173,12 +173,12 @@ def kernel_cases():
     return {
         "card500-exact": (card, x500, EXACT),
         "card500-rescaled": (card, x500, DecompositionConfig(scale=0.1, tolerance=1e-4, max_iterations=2000)),
-        "partition2000": (blocks, project_to_partition_polytope(rng.random(2000), blocks).values, EXACT),
+        "partition2000": (blocks, project_to_partition_polytope(rng.random(2000), blocks), EXACT),
         "k0": (Cardinality(12, 0), np.zeros(12), EXACT),
         "kn": (Cardinality(12, 12), np.ones(12), EXACT),
-        "blocks-k0-kn-exact": (mixed, project_to_partition_polytope(rng.random(17), mixed).values, EXACT),
-        "blocks-k0-kn-rescaled": (mixed, project_to_partition_polytope(rng.random(17), mixed).values, RESCALED),
-        "T0": (small, project_to_hypersimplex(rng.random(20), 5).values, DecompositionConfig(max_iterations=0)),
+        "blocks-k0-kn-exact": (mixed, project_to_partition_polytope(rng.random(17), mixed), EXACT),
+        "blocks-k0-kn-rescaled": (mixed, project_to_partition_polytope(rng.random(17), mixed), RESCALED),
+        "T0": (small, project_to_hypersimplex(rng.random(20), 5), DecompositionConfig(max_iterations=0)),
         "terminal-only": (Cardinality(8, 3), vertex, EXACT),
     }
 
@@ -212,10 +212,10 @@ def round_trip_cases():
     pm = PartitionMatroid([(0, 2, 4), (1, 3, 5, 6)], [1, 2])
     bowtie = Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
     return {
-        "card-exact": (Cardinality(9, 4), project_to_hypersimplex(rng.random(9), 4).values, EXACT),
-        "card-rescaled": (Cardinality(9, 4), project_to_hypersimplex(rng.random(9), 4).values, RESCALED),
-        "partition": (pm, project_to_partition_polytope(rng.random(7), pm).values, EXACT),
-        "kernel-T0": (Cardinality(20, 5), project_to_hypersimplex(rng.random(20), 5).values,
+        "card-exact": (Cardinality(9, 4), project_to_hypersimplex(rng.random(9), 4), EXACT),
+        "card-rescaled": (Cardinality(9, 4), project_to_hypersimplex(rng.random(9), 4), RESCALED),
+        "partition": (pm, project_to_partition_polytope(rng.random(7), pm), EXACT),
+        "kernel-T0": (Cardinality(20, 5), project_to_hypersimplex(rng.random(20), 5),
                       DecompositionConfig(max_iterations=0)),
         "graphic-connected": (GraphicMatroid(g), next(graphic_points(rng, g)), EXACT),
         "graphic-disconnected": (GraphicMatroid(split), 0.5 * forests[0] + 0.3 * forests[1] + 0.2 * forests[2], EXACT),
@@ -245,7 +245,7 @@ def test_no_vertex_set_per_row(monkeypatch):
     builds one, for the winner."""
     rng = stream(67, "no-vertex-set")
     c = Cardinality(500, 10)
-    x = project_to_hypersimplex(rng.random(500), 10).values
+    x = project_to_hypersimplex(rng.random(500), 10)
     f = LinearObjective(rng.random(500))
     calls = []
     post_init = VertexSet.__post_init__
