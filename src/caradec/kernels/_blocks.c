@@ -176,15 +176,15 @@ static double sum_squares(const double *y, int64_t n)
     return s;
 }
 
-/* Checks the point x[0 .. n) of the box + per-block-sum polytope given by
- * block_of[n] and budgets[nb] (block b holds start[b + 1] - start[b]
- * coordinates, start[0 .. nb] being scratch) and clips it to [0, 1] in
- * place, keeping -0.0.  Returns the sum of the budgets, -2 when a block id
- * lies outside [0, nb) or a budget outside [0, block size], -4 when an
- * entry is NaN, infinite or outside [0, 1] by more than box_tol, and -5
- * when a block's sum, added in index order from 0.0, is off its budget by
- * more than sum_tol; then bad[0] is that sum and bad[1] the block.  -1:
- * no scratch memory. */
+/* Checks the blocks given by block_of[n] and budgets[nb] (block b holds
+ * start[b + 1] - start[b] coordinates, start[0 .. nb] being scratch) and,
+ * unless x is NULL, the point x[0 .. n) of their box + per-block-sum
+ * polytope, which it then clips to [0, 1] in place, keeping -0.0.
+ * Returns the sum of the budgets, -2 when a block id lies outside [0, nb)
+ * or a budget outside [0, block size], -4 when an entry is NaN, infinite or
+ * outside [0, 1] by more than box_tol, and -5 when a block's sum, added in
+ * index order from 0.0, is off its budget by more than sum_tol; then
+ * bad[0] is that sum and bad[1] the block.  -1: no scratch memory. */
 static int64_t check_point(int64_t n, int64_t nb, const int64_t *block_of, const int64_t *budgets,
                            double *x, double box_tol, double sum_tol, int64_t *start, double *bad)
 {
@@ -205,62 +205,70 @@ static int64_t check_point(int64_t n, int64_t nb, const int64_t *block_of, const
         K += budgets[b];
         start[b + 1] += start[b];
     }
-    for (i = 0; i < n && !err; i++)
+    for (i = 0; x && i < n && !err; i++)
         if (!(x[i] >= -box_tol && x[i] <= 1.0 + box_tol)) /* NaN fails both */
             err = -4;
-    for (i = 0; i < n && !err; i++)
+    for (i = 0; x && i < n && !err; i++)
         sum[block_of[i]] += x[i];
-    for (b = 0; b < nb && !err; b++)
+    for (b = 0; x && b < nb && !err; b++)
         if (fabs(sum[b] - (double)budgets[b]) > sum_tol) {
             bad[0] = sum[b];
             bad[1] = (double)b;
             err = -5;
         }
-    for (i = 0; i < n && !err; i++)
+    for (i = 0; x && i < n && !err; i++)
         x[i] = x[i] < 0.0 ? 0.0 : x[i] > 1.0 ? 1.0 : x[i];
     free(sum);
     return err ? err : K;
 }
 
-/* Checks the point x0 (see check_point), then runs at most `cap` steps of
- * the peeling loop on y = q x from the clipped point and writes the
- * decomposition's rows and the gradient tape's.  The caller packs the
- * arguments into two buffers:
- *   f  = x0[n] (clipped in place), y[n], state[4], probs[cap], qs[cap],
- *        avals[cap], aexs[cap], wx[cap], wval[cap];
- *   iw = block_of[n], budgets[nb], vptr[cap + 1], vidx[cap][K],
- *        wptr[cap + 1], widx[cap], branch[cap],
+/* Runs at most `cap` steps of the peeling loop on y = q x and writes the
+ * decomposition's rows and the gradient tape's.  A first call checks the
+ * point x0 (see check_point) and starts from it clipped; a later call
+ * resumes a run from the y and the state of the call before, and equals
+ * its continuation.  The caller packs every argument into two buffers, the
+ * scalars in their heads (ctypes converts a scalar argument at several
+ * times the cost of a pointer):
+ *   f  = scale, floor, eps, guard, box_tol, sum_tol, state[5], x0[n],
+ *        y[n], probs[cap], qs[cap], avals[cap], aexs[cap], wx[cap],
+ *        wval[cap];
+ *   iw = n, nb, cap, block_of[n], budgets[nb], vptr[cap + 1],
+ *        vidx[cap][K], wptr[cap + 1], widx[cap], branch[cap],
  * where K is the sum of the budgets.  Row t of the vertex rows (vptr,
  * vidx) is step t's vertex, in index order.  Row t of the functional rows
  * (wptr, widx, wval) is its binding constraint w_t = +-r e_bind, with
  * r = a_t/a_exact on a rescaled step (1 otherwise) and + on a min-in
  * step, and wx[t] = w_t.x_t = +-r (a_exact or 1 - a_exact); a terminal
- * step's row is empty and its wx 0.  On return state[0] is the residual's
- * sup norm: max |y - q v| over the last vertex v after a terminal step,
- * max |y| after another step, 0 when no step ran.  state[1] is 0 when the
- * steps ran out, 1 after the eps stop and 2 after a terminal step.
- * Returns the number of steps taken, or check_point's negative code (with
- * state[2], state[3] = the bad sum and its block on -5). */
-int caradec_decompose_blocks(int64_t n, int64_t nb, int64_t cap, double scale, double floor_,
-                             double eps, double guard, double box_tol, double sum_tol, double *f,
-                             int64_t *iw)
+ * step's row is empty and its wx 0.  Both row pointers start from 0 in
+ * each call.  state[2] is the mass q (negative on a first call), state[3]
+ * the running sum of squares of y and state[4] its value at its last
+ * exact summation, in and out.  On return state[0] is the residual's sup
+ * norm: max |y - q v| over the last vertex v after a terminal step, max |y|
+ * after another step, 0 when no step ran.  state[1] is 0 when the steps
+ * ran out, 1 after the eps stop and 2 after a terminal step.  Returns the
+ * number of steps taken, or check_point's negative code (with state[0],
+ * state[1] = the bad sum and its block on -5). */
+int caradec_decompose_blocks(double *f, int64_t *iw)
 {
-    double *x0 = f, *y = f + n, *state = y + n, *probs = state + 4, *qs = probs + cap,
+    const int64_t n = iw[0], nb = iw[1], cap = iw[2];
+    const double scale = f[0], floor_ = f[1], eps = f[2], guard = f[3];
+    double *state = f + 6, *x0 = state + 5, *y = x0 + n, *probs = y + n, *qs = probs + cap,
            *avals = qs + cap, *aexs = avals + cap, *wx = aexs + cap, *wval = wx + cap;
-    const int64_t *block_of = iw, *budgets = iw + n;
-    int64_t *vptr = iw + n + nb, *verts = vptr + cap + 1, *wptr, *widx, *branch;
+    const int64_t *block_of = iw + 3, *budgets = block_of + n;
+    int64_t *vptr = iw + 3 + n + nb, *verts = vptr + cap + 1, *wptr, *widx, *branch;
+    const int first_call = state[2] < 0.0;
     entry *es = malloc((size_t)(n + 1) * sizeof *es), *out = malloc((size_t)(n + 1) * sizeof *out);
     int64_t *moved = malloc((size_t)(n + 1) * sizeof *moved);
     int64_t *tmp = malloc((size_t)(n + 1) * sizeof *tmp);
     double *old = malloc((size_t)(n + 1) * sizeof *old);
     int64_t *start = malloc((size_t)(nb + 1) * sizeof *start);
-    double q = 1.0, ss = 0.0, ss_ref = 0.0, mx = 0.0;
+    double q = first_call ? 1.0 : state[2], ss = state[3], ss_ref = state[4], mx = 0.0;
     int64_t K = -1, T = 0, b, i, t;
     int stop = 0;
 
     if (!es || !out || !moved || !tmp || !old || !start)
         goto done;
-    K = check_point(n, nb, block_of, budgets, x0, box_tol, sum_tol, start, state + 2);
+    K = check_point(n, nb, block_of, budgets, first_call ? x0 : NULL, f[4], f[5], start, state);
     if (K < 0)
         goto done;
     wptr = verts + cap * K;
@@ -270,13 +278,14 @@ int caradec_decompose_blocks(int64_t n, int64_t nb, int64_t cap, double scale, d
     /* Block b's coordinates are es[start[b] .. start[b + 1]): first the
      * heap of those outside the vertex, then the vertex's members. */
     for (i = 0; i < n; i++) {
-        y[i] = x0[i];
+        if (first_call)
+            y[i] = x0[i];
         es[start[block_of[i]]++] = make(y[i], i);
     }
     for (b = nb; b > 0; b--)
         start[b] = start[b - 1];
     start[0] = 0;
-    if (eps > 0.0)
+    if (first_call && eps > 0.0)
         ss = ss_ref = sum_squares(y, n);
 
     for (t = 0; t < cap; t++) {
@@ -422,6 +431,9 @@ int caradec_decompose_blocks(int64_t n, int64_t nb, int64_t cap, double scale, d
                 mx = fabs(y[i]);
     state[0] = mx;
     state[1] = stop;
+    state[2] = q;
+    state[3] = ss;
+    state[4] = ss_ref;
 done:
     free(es);
     free(out);
@@ -435,14 +447,13 @@ done:
 /* The mean-centred projection of _purepy.project_blocks (gx NULL) or its
  * VJP, project_blocks_vjp (gx given), with the same operations in the same
  * order: each block's mean of z, and for the VJP its sum of g and its dot
- * product g.(z - m), added in index order from 0.0.  iw = block_of[n],
- * budgets[nb].  Writes x, or dF/dz for dF/dx = gx, to out[n].  Returns 0,
- * -1 when scratch memory cannot be had, or -2 when a block id lies outside
- * [0, nb) or a budget outside [0, block size]. */
-int caradec_project_blocks(int64_t n, int64_t nb, const double *z, const int64_t *iw,
-                           const double *gx, double *out)
+ * product g.(z - m), added in index order from 0.0.  iw = n, nb,
+ * block_of[n], budgets[nb].  Writes x, or dF/dz for dF/dx = gx, to out[n].
+ * Returns 0, -1 when scratch memory cannot be had, or -2 when a block id
+ * lies outside [0, nb) or a budget outside [0, block size]. */
+int caradec_project_blocks(const int64_t *iw, const double *z, const double *gx, double *out)
 {
-    const int64_t *block_of = iw, *budgets = iw + n;
+    const int64_t n = iw[0], nb = iw[1], *block_of = iw + 2, *budgets = block_of + n;
     double *sc = malloc((size_t)(5 * nb + 1) * sizeof *sc);
     double *m = sc, *s = m + nb, *ds = s + nb, *gm = ds + nb, *dot = gm + nb;
     int64_t *size = calloc((size_t)nb + 1, sizeof *size), i, b;
@@ -519,15 +530,25 @@ done:
     return err;
 }
 
-/* One Adam ascent step of _purepy.adam_ascend, in place on theta, m and v
- * (n entries each): m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
- * theta += (lr (m / c1)) / (sqrt(v / c2) + eps), where c1 = 1 - b1^t and
- * c2 = 1 - b2^t come from the caller. */
-void caradec_adam_ascend(int64_t n, double *theta, double *m, double *v, const double *g, double lr,
-                         double b1, double b2, double eps, double c1, double c2)
+/* The int64 in the 8-byte word h[i] of a header that also holds doubles. */
+static int64_t word(const double *h, int i)
 {
+    int64_t v;
+    memcpy(&v, h + i, sizeof v);
+    return v;
+}
+
+/* One Adam ascent step of _purepy.adam_ascend, in place on theta, m and v:
+ * m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+ * theta += (lr (m / c1)) / (sqrt(v / c2) + eps), where c1 = 1 - b1^t and
+ * c2 = 1 - b2^t come from the caller.  g = lr, b1, b2, eps, c1, c2, n (an
+ * int64 word), then the gradient g[n]. */
+void caradec_adam_ascend(double *theta, double *m, double *v, const double *g)
+{
+    const double lr = g[0], b1 = g[1], b2 = g[2], eps = g[3], c1 = g[4], c2 = g[5];
+    const int64_t n = word(g, 6);
     int64_t i;
-    for (i = 0; i < n; i++) {
+    for (g += 7, i = 0; i < n; i++) {
         m[i] = b1 * m[i] + (1.0 - b1) * g[i];
         v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
         theta[i] = theta[i] + lr * (m[i] / c1) / (sqrt(v[i] / c2) + eps);
@@ -563,12 +584,14 @@ static int check_rows(const int64_t *indptr, const int64_t *idx, int64_t rows, i
  *   Cut (kind 1): the ids are nodes of a graph whose m edges join a[e] and
  *     b[e]; a row's value adds w[e] in edge order from 0.0 over the edges
  *     with exactly one endpoint among its ids.
+ * out = kind, n, m, rows, nnz (int64 words), then the values out[rows].
  * Returns 0, -1 when scratch memory cannot be had, and check_rows's -3 or
  * -2 for a bad pointer or id, before reading anything through them. */
-int caradec_score_rows(int kind, int64_t n, int64_t m, const int64_t *a, const int64_t *b,
-                       const double *w, int64_t rows, int64_t nnz, const int64_t *indptr,
+int caradec_score_rows(const int64_t *a, const int64_t *b, const double *w, const int64_t *indptr,
                        const int64_t *indices, double *out)
 {
+    const int64_t kind = word(out, 0), n = word(out, 1), m = word(out, 2), rows = word(out, 3),
+                  nnz = word(out, 4);
     int64_t words = ((kind == KIND_COVERAGE ? m : n) + 63) / 64, r, i, e;
     uint64_t *bits;
     int err = check_rows(indptr, indices, rows, nnz, n);
@@ -578,6 +601,7 @@ int caradec_score_rows(int kind, int64_t n, int64_t m, const int64_t *a, const i
     bits = calloc((size_t)words + 1, sizeof *bits);
     if (!bits)
         return -1;
+    out += 5;
     for (r = 0; r < rows; r++) {
         double s = 0.0;
         if (kind == KIND_COVERAGE) {
@@ -614,13 +638,17 @@ int caradec_score_rows(int kind, int64_t n, int64_t m, const int64_t *a, const i
  *   f  = p[T], q[T], a[T], fvals[T], wx[T], vertex data[nv],
  *        functional data[nw];
  *   iw = vertex indptr[T + 1], vertex indices[nv],
- *        functional indptr[T + 1], functional indices[nw].
- * h[n] receives the gradient.  Returns 0, -2 when an index lies outside
+ *        functional indptr[T + 1], functional indices[nw];
+ *   h  = n, T, terminal, nv, nw (int64 words), then h[n], which receives
+ *        the gradient.
+ * Returns 0, -2 when an index lies outside
  * [0, n) (or a terminal tape has no step) and -3 when a row pointer is not
  * one, before reading anything through them. */
-int caradec_backprop_blocks(int64_t n, int64_t T, int terminal, int64_t nv, int64_t nw,
-                            const double *f, const int64_t *iw, double *h)
+int caradec_backprop_blocks(const double *f, const int64_t *iw, double *h)
 {
+    const int64_t n = word(h, 0), nv = word(h, 3), nw = word(h, 4);
+    int64_t T = word(h, 1);
+    const int terminal = word(h, 2) != 0;
     const double *p = f, *q = p + T, *a = q + T, *fv = a + T, *wx = fv + T, *vval = wx + T,
                  *wval = vval + nv;
     const int64_t *vptr = iw, *vidx = vptr + T + 1, *wptr = vidx + nv, *widx = wptr + T + 1;
@@ -634,6 +662,7 @@ int caradec_backprop_blocks(int64_t n, int64_t T, int terminal, int64_t nv, int6
         err = -2;
     if (err)
         return err;
+    h += 5;
     for (i = 0; i < n; i++)
         h[i] = 0.0;
     if (terminal) {

@@ -19,6 +19,7 @@ import os
 import shlex
 import subprocess
 import tempfile
+from struct import pack_into
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,24 +39,24 @@ DIGEST_BYTES = 32
 # usually fits in one call.
 FIRST_CALL_WORDS = 1 << 16
 
-i64, d, p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-# Each C entry point, ``caradec_<name>``, with its argument types and return
-# type.  ``load`` declares them from here, and refuses a library that lacks
-# one of them.
+# Each C entry point, ``caradec_<name>``, with its return type and its
+# number of arguments, all of them pointers.  ``load`` declares them from
+# here, and refuses a library that lacks one of them.  Scalars travel in the
+# head of a buffer, packed by ``pack_into``: ctypes converts a scalar
+# argument at about 0.25 us, several times what a pointer costs.
 SIGNATURES = {
-    "decompose_blocks": ((i64, i64, i64, d, d, d, d, d, d, p, p), ctypes.c_int),
-    "score_rows": ((ctypes.c_int, i64, i64, p, p, p, i64, i64, p, p, p), ctypes.c_int),
-    "backprop_blocks": ((i64, i64, ctypes.c_int, i64, i64, p, p, p), ctypes.c_int),
-    "project_blocks": ((i64, i64, p, p, p, p), ctypes.c_int),
-    "adam_ascend": ((i64, p, p, p, p, d, d, d, d, d, d), None),
+    "decompose_blocks": (ctypes.c_int, 2),
+    "score_rows": (ctypes.c_int, 6),
+    "backprop_blocks": (ctypes.c_int, 3),
+    "project_blocks": (ctypes.c_int, 4),
+    "adam_ascend": (None, 4),
 }
-del i64, d, p
 
 
 def first_call_steps(K: int) -> int:
     """The steps that a run's first kernel call makes room for, K being the
-    sum of the budgets; a run that needs more is run again from its start
-    with room for twice the steps, up to its cap."""
+    sum of the budgets; each later call makes room for twice the steps of
+    the one before."""
     return max(64, FIRST_CALL_WORDS // (K + 10))
 
 
@@ -130,12 +131,12 @@ def load() -> SimpleNamespace:
         build(path)
     lib = ctypes.CDLL(str(path))
     c = {}
-    for name, (argtypes, restype) in SIGNATURES.items():
+    for name, (restype, arity) in SIGNATURES.items():
         try:
             c[name] = getattr(lib, f"caradec_{name}")
         except AttributeError as exc:
             raise OSError(f"the kernel library is incomplete: {exc}") from exc
-        c[name].argtypes, c[name].restype = argtypes, restype
+        c[name].argtypes, c[name].restype = (ctypes.c_void_p,) * arity, restype
     run, score, back, project, adam = (c[name] for name in SIGNATURES)
 
     def decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_iter, guard):
@@ -149,51 +150,71 @@ def load() -> SimpleNamespace:
         nb, K = bl.shape[0], sum(bl.tolist())
         if not 0 <= K <= n:
             raise ValueError(BAD_BLOCKS)
-        cap = max(0, min(max_iter, first_call_steps(K)))
+        # A run continues over calls, each with room for twice the steps of
+        # the one before; y and the state (q and the sum of squares with its
+        # last exact value) pass from call to call.
+        parts, done, chunk = [], 0, first_call_steps(K)
         while True:
+            cap = max(0, min(max_iter - done, chunk))
             # The two buffers of the C function, laid out as _blocks.c says.
-            f = np.empty(2 * n + 4 + 6 * cap)
-            f[:n] = x0
-            iw = np.empty(n + nb + (K + 4) * cap + 2, dtype=np.int64)
-            iw[:n] = block_of
-            iw[n : n + nb] = bl
-            T = run(n, nb, cap, scale, floor, eps, guard, MEMBERSHIP_TOL, SUM_TOL, buffer_address(f),
-                    buffer_address(iw))
+            f = np.empty(11 + 2 * n + 6 * cap)
+            pack_into("6d", f, 0, scale, floor, eps, guard, MEMBERSHIP_TOL, SUM_TOL)
+            if parts:
+                f[8:11] = state
+                f[11 + n : 11 + 2 * n] = y
+            else:
+                f[8] = -1.0
+                f[11 : 11 + n] = x0
+                checked = f[11 : 11 + n]
+            iw = np.empty(5 + n + nb + (K + 4) * cap, dtype=np.int64)
+            pack_into("3q", iw, 0, n, nb, cap)
+            iw[3 : 3 + n] = block_of
+            iw[3 + n : 3 + n + nb] = bl
+            T = run(buffer_address(f), buffer_address(iw))
             if T < 0:
                 if T == -1:
                     raise MemoryError("decompose_blocks: no scratch memory")
                 if T == -2:
                     raise ValueError(BAD_BLOCKS)
                 if T == -4:
-                    check_box(x0)
-                raise block_sum_error(float(f[2 * n + 2]), int(bl[int(f[2 * n + 3])]))
-            residual, stop = f[2 * n : 2 * n + 2].tolist()
-            if stop or cap >= max_iter:
+                    check_box(x0)  # raises
+                raise block_sum_error(float(f[6]), int(bl[int(f[7])]))
+            residual, stop = f[6:8].tolist()
+            live = T - (stop == 2.0)
+            o, v = 11 + 2 * n, 3 + n + nb
+            w = v + cap + 1 + cap * K
+            parts.append((f[o : o + T], f[o + cap : o + cap + T], f[o + 2 * cap : o + 2 * cap + T],
+                          iw[v : v + T + 1], iw[v + cap + 1 : v + cap + 1 + T * K],
+                          iw[w : w + T + 1], iw[w + cap + 1 : w + cap + 1 + live],
+                          f[o + 5 * cap : o + 5 * cap + live], f[o + 4 * cap : o + 4 * cap + T],
+                          iw[w + 2 * cap + 1 : w + 2 * cap + 1 + T], f[o + 3 * cap : o + 3 * cap + T]))
+            done += T
+            if stop or done >= max_iter:
                 break
-            cap = min(max_iter, 2 * cap)
-        live = T - (stop == 2.0)
-        o, v = 2 * n + 4, n + nb
-        w = v + cap + 1 + cap * K
-        return (f[o : o + T], f[o + cap : o + cap + T], f[o + 2 * cap : o + 2 * cap + T],
-                (iw[v : v + T + 1], iw[v + cap + 1 : v + cap + 1 + T * K], ones(T * K)),
-                (iw[w : w + T + 1], iw[w + cap + 1 : w + cap + 1 + live], f[o + 5 * cap : o + 5 * cap + live]),
-                f[o + 4 * cap : o + 4 * cap + T], f[:n], residual, stop == 2.0,
-                iw[w + 2 * cap + 1 : w + 2 * cap + 1 + T], f[o + 3 * cap : o + 3 * cap + T])
+            state, y, chunk = f[8:11], f[11 + n : 11 + 2 * n], 2 * chunk
+        if len(parts) == 1:
+            probs, qs, avals, vptr, vidx, wptr, widx, wval, wx, branch, aex = parts[0]
+        else:
+            probs, qs, avals, _, vidx, _, widx, wval, wx, branch, aex = map(np.concatenate, zip(*parts))
+            vptr = np.arange(done + 1, dtype=np.int64) * K
+            wptr = np.minimum(np.arange(done + 1, dtype=np.int64), len(widx))
+        return (probs, qs, avals, (vptr, vidx, ones(done * K)), (wptr, widx, wval), wx,
+                checked, residual, stop == 2.0, branch, aex)
 
     def project_call(z, block_of, budgets, gx):
-        n = np.shape(block_of)[0]
+        n = len(block_of)
         z = np.ascontiguousarray(check_shape(z, n))
         if gx is not None:
             gx = np.ascontiguousarray(check_shape(gx, n))
         bl = np.asarray(budgets, dtype=np.int64)
         if np.ndim(block_of) != 1 or bl.ndim != 1:
             raise ValueError(BAD_BLOCKS)
-        iw = np.empty(n + bl.shape[0], dtype=np.int64)
-        iw[:n] = block_of
-        iw[n:] = bl
+        iw = np.empty(2 + n + bl.shape[0], dtype=np.int64)
+        pack_into("2q", iw, 0, n, bl.shape[0])
+        iw[2 : 2 + n] = block_of
+        iw[2 + n :] = bl
         out = np.empty(n)
-        code = project(n, bl.shape[0], address(z), address(iw), None if gx is None else address(gx),
-                       address(out))
+        code = project(buffer_address(iw), address(z), None if gx is None else address(gx), address(out))
         if code == -1:
             raise MemoryError("project_blocks: no scratch memory")
         if code:
@@ -211,8 +232,10 @@ def load() -> SimpleNamespace:
     def adam_ascend(theta, m, v, grad, lr, beta1, beta2, eps, t):
         """The C twin of ``_purepy.adam_ascend``: in place, byte for byte."""
         n, grad = check_adam_arrays(theta, m, v, grad)
-        adam(n, address(theta), address(m), address(v), address(np.ascontiguousarray(grad)), lr, beta1,
-             beta2, eps, 1 - beta1**t, 1 - beta2**t)
+        g = np.empty(7 + n)
+        pack_into("6dq", g, 0, lr, beta1, beta2, eps, 1 - beta1**t, 1 - beta2**t, n)
+        g[7:] = grad
+        adam(address(theta), address(m), address(v), buffer_address(g))
         return theta
 
     def score_rows(kind, n, a, b, w, indptr, indices):
@@ -226,12 +249,12 @@ def load() -> SimpleNamespace:
         if indptr.ndim != 1 or indices.ndim != 1 or indptr.shape[0] == 0:
             raise ValueError("rows must be a CSR row pointer over the indices")
         rows = indptr.shape[0] - 1
-        out = np.empty(rows)
-        code = score(kind, n, w.shape[0], address(a), address(b), address(w), rows, indices.shape[0],
-                     address(indptr), address(indices), address(out))
+        out = np.empty(5 + rows)
+        pack_into("5q", out, 0, kind, n, w.shape[0], rows, indices.shape[0])
+        code = score(address(a), address(b), address(w), address(indptr), address(indices), buffer_address(out))
         if code:
             raise_for(code, "score_rows")
-        return out
+        return out[5:]
 
     def coverage_values(set_ptr, elements, weights, indptr, indices):
         """The C twin of ``_purepy.coverage_values``."""
@@ -253,11 +276,12 @@ def load() -> SimpleNamespace:
         # The two buffers of the C function, laid out as _blocks.c says.
         f = np.concatenate((p, q, a, fvals, wx, vval, wval), dtype=np.float64)
         iw = np.concatenate((vptr, vidx, wptr, widx), dtype=np.int64)
-        h = np.empty(n)
-        code = back(n, T, bool(terminal), len(vidx), len(widx), address(f), address(iw), address(h))
+        h = np.empty(5 + n)
+        pack_into("5q", h, 0, n, T, bool(terminal), len(vidx), len(widx))
+        code = back(address(f), address(iw), buffer_address(h))
         if code:
             raise_for(code, "backprop_blocks")
-        return h
+        return h[5:]
 
     return SimpleNamespace(decompose_blocks=decompose_blocks, project_blocks=project_blocks,
                            project_blocks_vjp=project_blocks_vjp, coverage_values=coverage_values,

@@ -131,8 +131,8 @@ def check_adam_arrays(theta, m, v, grad):
     (ValueError otherwise)."""
     n = np.shape(theta)[0]
     for a in (theta, m, v):
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n,)
-                and a.flags.c_contiguous and a.flags.writeable):
+        # carray: C-contiguous, aligned and writable.
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n,) and a.flags.carray):
             raise ValueError("Adam needs writable contiguous float arrays theta, m and v of one shape (n,)")
     return n, check_shape(grad, n)
 

@@ -113,9 +113,8 @@ class TestRescaledParity:
             assert_compiled_matches_pure(x, block_of, budgets, 0.5, 0.02, 1e-5, 4 * n, 1e-12)
 
     def test_iteration_cap_beyond_one_call(self):
-        """A cap larger than one C call's steps: the run that outgrows its
-        buffers runs again with room for twice the steps, and ends as one
-        run would."""
+        """A cap larger than one C call's steps: the run continues across
+        calls (each with twice the steps of the one before) as one."""
         rng = np.random.default_rng(3)
         block_of, budgets = np.zeros(30, dtype=np.int32), np.array([7])
         x = projected_point(rng, block_of, budgets)
