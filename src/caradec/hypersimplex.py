@@ -58,6 +58,9 @@ class PartitionMatroid:
         object.__setattr__(self, "block_indices", block_indices)
         object.__setattr__(self, "budget_array", budget_array)
         object.__setattr__(self, "_block_of", block_of)
+        # Private and left writable: the kernels take a writable array's
+        # address faster.
+        object.__setattr__(self, "_kernel_blocks", kernels.block_layout(block_of, budget_array))
 
     family = "partition"
 
@@ -80,8 +83,8 @@ class PartitionMatroid:
         return bool((counts == self.budget_array).all())
 
     def project(self, z):
-        x = kernels.project_blocks(z, self._block_of, self.budget_array)
-        return x, lambda gx: kernels.project_blocks_vjp(z, self._block_of, self.budget_array, gx)
+        x = kernels.project_blocks(z, self._kernel_blocks)
+        return x, lambda gx: kernels.project_blocks_vjp(z, self._kernel_blocks, gx)
 
     def decompose(self, x, cfg):
         return decompose_partition(x, self, cfg)
@@ -138,7 +141,7 @@ def project_to_partition_polytope(z, spec: PartitionMatroid) -> np.ndarray:
     # NaN fails both comparisons.
     if not (z.min(initial=0.0) >= 0.0 and z.max(initial=0.0) <= 1.0):
         raise ValueError("projection input must be finite and lie in [0, 1]^n")
-    return kernels.project_blocks(z, spec.block_of(), spec.budget_array)
+    return kernels.project_blocks(z, spec._kernel_blocks)
 
 
 class _ProjectedPoint(np.ndarray):
@@ -161,15 +164,14 @@ def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
     """x clipped to [0, 1], once it is a point of spec's polytope: the block
     kernel's entry check (DimensionError, MembershipError), run for no
     step."""
-    return kernels.decompose_blocks(x, spec.block_of(), spec.budget_array, 1.0, 0.0, 0.0, 0, 1.0)[6]
+    return kernels.decompose_blocks(x, spec._kernel_blocks, 1.0, 0.0, 0.0, 0, 1.0)[6]
 
 
 def run_kernel(x, spec: PartitionMatroid, cfg: DecompositionConfig):
     """The block kernel's raw result on x, which it checks first."""
     return kernels.decompose_blocks(
         x,
-        spec.block_of(),
-        spec.budget_array,
+        spec._kernel_blocks,
         cfg.scale,
         cfg.floor,
         0.0 if cfg.is_exact else cfg.tolerance,

@@ -13,6 +13,9 @@ entry point of ``_compiled.SIGNATURES``, the package warns once and uses the pur
 ``CARADEC_PURE=1`` forces them.  Both give byte-identical outputs, because
 every floating-point operation is the same in both, in the same order:
 
+- ``block_layout``: the blocks as every block kernel reads them, one int64
+  array [n, nb, K, block_of, budgets] that a spec builds and checks once,
+  so that a call packs no block arrays; the kernels check it again.
 - ``project_blocks`` and ``project_blocks_vjp``: the mean-centred scaling
   of each block onto its budget and its pull-back.  The block mean, and
   the VJP's mean of g and dot product g.(z - m), add in index order from
@@ -76,6 +79,8 @@ if os.environ.get("CARADEC_PURE", "") in ("", "0"):
         warnings.warn(f"caradec: the C kernels are unavailable ({exc}); using the pure-numpy kernels",
                       RuntimeWarning, stacklevel=2)
 
+# The block layout is one format for both backends.
+block_layout = _purepy.block_layout
 # Callers look these up on this module at call time, so that a test or a
 # tracer can replace them.
 decompose_blocks = impl.decompose_blocks

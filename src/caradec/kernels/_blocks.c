@@ -176,6 +176,14 @@ static double sum_squares(const double *y, int64_t n)
     return s;
 }
 
+/* The int64 in the 8-byte word h[i] of a header that also holds doubles. */
+static int64_t word(const double *h, int i)
+{
+    int64_t v;
+    memcpy(&v, h + i, sizeof v);
+    return v;
+}
+
 /* Checks the blocks given by block_of[n] and budgets[nb] (block b holds
  * start[b + 1] - start[b] coordinates, start[0 .. nb] being scratch) and,
  * unless x is NULL, the point x[0 .. n) of their box + per-block-sum
@@ -229,12 +237,13 @@ static int64_t check_point(int64_t n, int64_t nb, const int64_t *block_of, const
  * its continuation.  The caller packs every argument into two buffers, the
  * scalars in their heads (ctypes converts a scalar argument at several
  * times the cost of a pointer):
- *   f  = scale, floor, eps, guard, box_tol, sum_tol, state[5], x0[n],
- *        y[n], probs[cap], qs[cap], avals[cap], aexs[cap], wx[cap],
- *        wval[cap];
- *   iw = n, nb, cap, block_of[n], budgets[nb], vptr[cap + 1],
- *        vidx[cap][K], wptr[cap + 1], widx[cap], branch[cap],
- * where K is the sum of the budgets.  Row t of the vertex rows (vptr,
+ *   f  = scale, floor, eps, guard, box_tol, sum_tol, cap (an int64 word),
+ *        state[5], x0[n], y[n], probs[cap], qs[cap], avals[cap],
+ *        aexs[cap], wx[cap], wval[cap];
+ *   iw = n, nb, K, block_of[n], budgets[nb] (the block layout),
+ *        vptr[cap + 1], vidx[cap][K], wptr[cap + 1], widx[cap],
+ *        branch[cap],
+ * where K must be the sum of the budgets.  Row t of the vertex rows (vptr,
  * vidx) is step t's vertex, in index order.  Row t of the functional rows
  * (wptr, widx, wval) is its binding constraint w_t = +-r e_bind, with
  * r = a_t/a_exact on a rescaled step (1 otherwise) and + on a min-in
@@ -250,9 +259,9 @@ static int64_t check_point(int64_t n, int64_t nb, const int64_t *block_of, const
  * state[1] = the bad sum and its block on -5). */
 int caradec_decompose_blocks(double *f, int64_t *iw)
 {
-    const int64_t n = iw[0], nb = iw[1], cap = iw[2];
+    const int64_t n = iw[0], nb = iw[1], cap = word(f, 6);
     const double scale = f[0], floor_ = f[1], eps = f[2], guard = f[3];
-    double *state = f + 6, *x0 = state + 5, *y = x0 + n, *probs = y + n, *qs = probs + cap,
+    double *state = f + 7, *x0 = state + 5, *y = x0 + n, *probs = y + n, *qs = probs + cap,
            *avals = qs + cap, *aexs = avals + cap, *wx = aexs + cap, *wval = wx + cap;
     const int64_t *block_of = iw + 3, *budgets = block_of + n;
     int64_t *vptr = iw + 3 + n + nb, *verts = vptr + cap + 1, *wptr, *widx, *branch;
@@ -269,6 +278,8 @@ int caradec_decompose_blocks(double *f, int64_t *iw)
     if (!es || !out || !moved || !tmp || !old || !start)
         goto done;
     K = check_point(n, nb, block_of, budgets, first_call ? x0 : NULL, f[4], f[5], start, state);
+    if (K >= 0 && K != iw[2])
+        K = -2;
     if (K < 0)
         goto done;
     wptr = verts + cap * K;
@@ -447,16 +458,17 @@ done:
 /* The mean-centred projection of _purepy.project_blocks (gx NULL) or its
  * VJP, project_blocks_vjp (gx given), with the same operations in the same
  * order: each block's mean of z, and for the VJP its sum of g and its dot
- * product g.(z - m), added in index order from 0.0.  iw = n, nb,
- * block_of[n], budgets[nb].  Writes x, or dF/dz for dF/dx = gx, to out[n].
+ * product g.(z - m), added in index order from 0.0.  iw is the block
+ * layout n, nb, K, block_of[n], budgets[nb].  Writes x, or dF/dz for
+ * dF/dx = gx, to out[n].
  * Returns 0, -1 when scratch memory cannot be had, or -2 when a block id
  * lies outside [0, nb) or a budget outside [0, block size]. */
 int caradec_project_blocks(const int64_t *iw, const double *z, const double *gx, double *out)
 {
-    const int64_t n = iw[0], nb = iw[1], *block_of = iw + 2, *budgets = block_of + n;
+    const int64_t n = iw[0], nb = iw[1], *block_of = iw + 3, *budgets = block_of + n;
     double *sc = malloc((size_t)(5 * nb + 1) * sizeof *sc);
     double *m = sc, *s = m + nb, *ds = s + nb, *gm = ds + nb, *dot = gm + nb;
-    int64_t *size = calloc((size_t)nb + 1, sizeof *size), i, b;
+    int64_t *size = calloc((size_t)nb + 1, sizeof *size), i, b, K = 0;
     char *deg = malloc((size_t)nb + 1);
     int err = 0;
 
@@ -473,11 +485,15 @@ int caradec_project_blocks(const int64_t *iw, const double *z, const double *gx,
             size[block_of[i]]++;
             m[block_of[i]] += z[i];
         }
-    for (b = 0; b < nb && !err; b++)
+    for (b = 0; b < nb && !err; b++) {
         if (budgets[b] < 0 || budgets[b] > size[b])
             err = -2;
-    if (err)
+        K += budgets[b];
+    }
+    if (err || K != iw[2]) {
+        err = -2;
         goto done;
+    }
     for (b = 0; b < nb; b++) {
         int64_t k = budgets[b], ni = size[b];
         double u, s1, s2;
@@ -528,14 +544,6 @@ done:
     free(size);
     free(deg);
     return err;
-}
-
-/* The int64 in the 8-byte word h[i] of a header that also holds doubles. */
-static int64_t word(const double *h, int i)
-{
-    int64_t v;
-    memcpy(&v, h + i, sizeof v);
-    return v;
 }
 
 /* One Adam ascent step of _purepy.adam_ascend, in place on theta, m and v:

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..core import MEMBERSHIP_TOL, SUM_TOL, check_box, ones
-from ._purepy import BAD_BLOCKS, block_sum_error, check_adam_arrays, check_shape
+from ._purepy import BAD_BLOCKS, block_sum_error, check_adam_arrays, check_shape, layout_header
 
 SOURCE = Path(__file__).with_name("_blocks.c")
 # Contracting a*b+c into a fused multiply-add, or any -ffast-math
@@ -139,37 +139,30 @@ def load() -> SimpleNamespace:
         c[name].argtypes, c[name].restype = (ctypes.c_void_p,) * arity, restype
     run, score, back, project, adam = (c[name] for name in SIGNATURES)
 
-    def decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_iter, guard):
+    def decompose_blocks(x0, blocks, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
         outputs and exceptions, byte for byte."""
-        n = len(block_of)
+        blocks, n, nb, K = layout_header(blocks)
         x0 = check_shape(x0, n)
-        bl = np.asarray(budgets, dtype=np.int64)
-        if np.ndim(block_of) != 1 or bl.ndim != 1:
-            raise ValueError(BAD_BLOCKS)
-        nb, K = bl.shape[0], sum(bl.tolist())
         if not 0 <= K <= n:
             raise ValueError(BAD_BLOCKS)
         # A run continues over calls, each with room for twice the steps of
         # the one before; y and the state (q and the sum of squares with its
         # last exact value) pass from call to call.
-        parts, done, chunk = [], 0, first_call_steps(K)
+        # A negative q asks for a first call, which checks x0.
+        parts, done, chunk, state = [], 0, first_call_steps(K), (-1.0, 0.0, 0.0)
         while True:
             cap = max(0, min(max_iter - done, chunk))
             # The two buffers of the C function, laid out as _blocks.c says.
-            f = np.empty(11 + 2 * n + 6 * cap)
-            pack_into("6d", f, 0, scale, floor, eps, guard, MEMBERSHIP_TOL, SUM_TOL)
+            f = np.empty(12 + 2 * n + 6 * cap)
+            pack_into("6dq5d", f, 0, scale, floor, eps, guard, MEMBERSHIP_TOL, SUM_TOL, cap, 0.0, 0.0, *state)
             if parts:
-                f[8:11] = state
-                f[11 + n : 11 + 2 * n] = y
+                f[12 + n : 12 + 2 * n] = y
             else:
-                f[8] = -1.0
-                f[11 : 11 + n] = x0
-                checked = f[11 : 11 + n]
+                f[12 : 12 + n] = x0
+                checked = f[12 : 12 + n]
             iw = np.empty(5 + n + nb + (K + 4) * cap, dtype=np.int64)
-            pack_into("3q", iw, 0, n, nb, cap)
-            iw[3 : 3 + n] = block_of
-            iw[3 + n : 3 + n + nb] = bl
+            iw[: 3 + n + nb] = blocks
             T = run(buffer_address(f), buffer_address(iw))
             if T < 0:
                 if T == -1:
@@ -178,10 +171,10 @@ def load() -> SimpleNamespace:
                     raise ValueError(BAD_BLOCKS)
                 if T == -4:
                     check_box(x0)  # raises
-                raise block_sum_error(float(f[6]), int(bl[int(f[7])]))
-            residual, stop = f[6:8].tolist()
+                raise block_sum_error(float(f[7]), int(blocks[3 + n + int(f[8])]))
+            residual, stop = f[7:9].tolist()
             live = T - (stop == 2.0)
-            o, v = 11 + 2 * n, 3 + n + nb
+            o, v = 12 + 2 * n, 3 + n + nb
             w = v + cap + 1 + cap * K
             parts.append((f[o : o + T], f[o + cap : o + cap + T], f[o + 2 * cap : o + 2 * cap + T],
                           iw[v : v + T + 1], iw[v + cap + 1 : v + cap + 1 + T * K],
@@ -191,7 +184,7 @@ def load() -> SimpleNamespace:
             done += T
             if stop or done >= max_iter:
                 break
-            state, y, chunk = f[8:11], f[11 + n : 11 + 2 * n], 2 * chunk
+            state, y, chunk = f[9:12].tolist(), f[12 + n : 12 + 2 * n], 2 * chunk
         if len(parts) == 1:
             probs, qs, avals, vptr, vidx, wptr, widx, wval, wx, branch, aex = parts[0]
         else:
@@ -201,33 +194,26 @@ def load() -> SimpleNamespace:
         return (probs, qs, avals, (vptr, vidx, ones(done * K)), (wptr, widx, wval), wx,
                 checked, residual, stop == 2.0, branch, aex)
 
-    def project_call(z, block_of, budgets, gx):
-        n = len(block_of)
+    def project_call(z, blocks, gx):
+        blocks, n, _, _ = layout_header(blocks)
         z = np.ascontiguousarray(check_shape(z, n))
         if gx is not None:
             gx = np.ascontiguousarray(check_shape(gx, n))
-        bl = np.asarray(budgets, dtype=np.int64)
-        if np.ndim(block_of) != 1 or bl.ndim != 1:
-            raise ValueError(BAD_BLOCKS)
-        iw = np.empty(2 + n + bl.shape[0], dtype=np.int64)
-        pack_into("2q", iw, 0, n, bl.shape[0])
-        iw[2 : 2 + n] = block_of
-        iw[2 + n :] = bl
         out = np.empty(n)
-        code = project(buffer_address(iw), address(z), None if gx is None else address(gx), address(out))
+        code = project(address(blocks), address(z), None if gx is None else address(gx), address(out))
         if code == -1:
             raise MemoryError("project_blocks: no scratch memory")
         if code:
             raise ValueError(BAD_BLOCKS)
         return out
 
-    def project_blocks(z, block_of, budgets):
+    def project_blocks(z, blocks):
         """The C twin of ``_purepy.project_blocks``."""
-        return project_call(z, block_of, budgets, None)
+        return project_call(z, blocks, None)
 
-    def project_blocks_vjp(z, block_of, budgets, gx):
+    def project_blocks_vjp(z, blocks, gx):
         """The C twin of ``_purepy.project_blocks_vjp``."""
-        return project_call(z, block_of, budgets, gx)
+        return project_call(z, blocks, gx)
 
     def adam_ascend(theta, m, v, grad, lr, beta1, beta2, eps, t):
         """The C twin of ``_purepy.adam_ascend``: in place, byte for byte."""

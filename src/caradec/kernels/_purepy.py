@@ -65,6 +65,39 @@ def block_members(block_of, budgets):
     return np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
 
 
+def block_layout(block_of, budgets) -> np.ndarray:
+    """The blocks as every block kernel reads them, built once per spec:
+    the int64 array [n, nb, K, block_of[n], budgets[nb]], K the sum of the
+    budgets, once every block id lies in [0, nb) and every budget in [0,
+    block size] (ValueError otherwise)."""
+    block_members(block_of, budgets)
+    budgets = np.asarray(budgets, dtype=np.int64)
+    return np.concatenate(([len(block_of), budgets.shape[0], budgets.sum()], block_of, budgets), dtype=np.int64)
+
+
+def layout_header(blocks):
+    """(blocks, n, nb, K) of a block layout, blocks as an int64 array, once
+    its length is that of its header (ValueError otherwise).  The kernels
+    check the ids, the budgets and K."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if blocks.ndim != 1 or blocks.shape[0] < 3:
+        raise ValueError(BAD_BLOCKS)
+    n, nb, K = blocks[:3].tolist()
+    if not (0 <= n and 0 <= nb and blocks.shape[0] == 3 + n + nb):
+        raise ValueError(BAD_BLOCKS)
+    return blocks, n, nb, K
+
+
+def _read_layout(blocks):
+    """(n, block_of, budgets, members) of a block layout, checked."""
+    blocks, n, nb, K = layout_header(blocks)
+    block_of, budgets = blocks[3 : 3 + n], blocks[3 + n :]
+    members = block_members(block_of, budgets)
+    if K != sum(budgets.tolist()):
+        raise ValueError(BAD_BLOCKS)
+    return n, block_of, budgets, members
+
+
 def _block_scales(zb, k):
     """The projection's (m, s, ds) of a block's z values zb with budget k
     (m its mean, added in order), or None when the block is degenerate: k
@@ -83,15 +116,17 @@ def _block_scales(zb, k):
     return m, s2, ((ni - k) / ni) / ((1.0 - m) * (1.0 - m))
 
 
-def project_blocks(z, block_of, budgets) -> np.ndarray:
+def project_blocks(z, blocks) -> np.ndarray:
     """Mean-centred scaling of each block of z onto its budget k: x = s (z -
     m) + k/ni with m the block mean and s = min(k/(ni m), (ni - k)/(ni (1 -
     m))); a degenerate block (budget 0 or full, or mean outside (0, 1)) maps
     to its centre k/ni, and an empty block is skipped.  The mean adds the
-    block's z in index order from 0.0.  z is not checked."""
-    z = check_shape(z, np.shape(block_of)[0])
+    block's z in index order from 0.0.  blocks is a block_layout; z's
+    entries are not checked."""
+    n, _, budgets, members = _read_layout(blocks)
+    z = check_shape(z, n)
     x = np.empty_like(z)
-    for idx, k in zip(block_members(block_of, budgets), np.asarray(budgets).tolist()):
+    for idx, k in zip(members, budgets.tolist()):
         if not idx.size:
             continue
         zb = z[idx]
@@ -104,15 +139,16 @@ def project_blocks(z, block_of, budgets) -> np.ndarray:
     return x
 
 
-def project_blocks_vjp(z, block_of, budgets, gx) -> np.ndarray:
-    """dF/dz for dF/dx = gx at x = project_blocks(z, ...): on a block,
+def project_blocks_vjp(z, blocks, gx) -> np.ndarray:
+    """dF/dz for dF/dx = gx at x = project_blocks(z, blocks): on a block,
     s (g - mean g) + (ds/ni) g.(z - m), with ds the derivative of s in m;
     0.0 on a degenerate block.  Both the mean of g and the dot product add
     in index order from 0.0."""
-    z = check_shape(z, np.shape(block_of)[0])
-    gx = check_shape(gx, z.shape[0])
+    n, _, budgets, members = _read_layout(blocks)
+    z = check_shape(z, n)
+    gx = check_shape(gx, n)
     out = np.zeros_like(z)
-    for idx, k in zip(block_members(block_of, budgets), np.asarray(budgets).tolist()):
+    for idx, k in zip(members, budgets.tolist()):
         if not idx.size:
             continue
         zb = z[idx]
@@ -153,16 +189,16 @@ def adam_ascend(theta, m, v, grad, lr, beta1, beta2, eps, t):
 
 def decompose_blocks(
     x0: np.ndarray,
-    block_of: np.ndarray,
-    budgets: np.ndarray,
+    blocks: np.ndarray,
     scale: float,
     floor: float,
     eps: float,
     max_iter: int,
     guard: float,
 ):
-    """Decompose a point x0 of the box + per-block-sum polytope into
-    per-block top-k vertices, with the rows of its gradient tape.
+    """Decompose a point x0 of the box + per-block-sum polytope of the block
+    layout blocks into per-block top-k vertices, with the rows of its
+    gradient tape.
 
     x0 is checked first: DimensionError for a shape other than (n,),
     MembershipError for NaN, infinities, entries outside [0, 1] by more
@@ -189,11 +225,8 @@ def decompose_blocks(
     a running sum of squares of y, summed afresh whenever it falls below a
     quarter of its last exact value; the C kernel repeats every operation.
     """
-    n = np.shape(block_of)[0]
+    n, block_of, budgets, members = _read_layout(blocks)
     x = check_shape(x0, n)
-    members = block_members(block_of, budgets)
-    block_of = np.asarray(block_of, dtype=np.int32)
-    budgets = np.asarray(budgets, dtype=np.int64)
     check_box(x)
     for idx, k in zip(members, budgets.tolist()):
         s = sequential_sum(x[idx])
@@ -216,7 +249,7 @@ def decompose_blocks(
     order = np.argsort(block_of, kind="stable")
     # The smallest unsigned type of the block ids: numpy's stable sort of 8-
     # and 16-bit keys is a radix sort.
-    blocks = block_of[order].astype(np.min_scalar_type(budgets.shape[0]))
+    block_keys = block_of[order].astype(np.min_scalar_type(budgets.shape[0]))
     # Positions of the vertex in `order`, and positions k-1 and k of each
     # block that has entries on both sides of its budget.
     sizes = np.bincount(block_of, minlength=budgets.shape[0]).tolist()
@@ -238,7 +271,7 @@ def decompose_blocks(
     ss = ss_ref = reduce(add, (y * y).tolist(), 0.0) if eps > 0.0 else 0.0
 
     for _ in range(max_iter):
-        order = order[np.lexsort((-y[order], blocks))]
+        order = order[np.lexsort((-y[order], block_keys))]
         ends = y[order[edges]]
         if np.count_nonzero(ends[0] == ends[1]):
             order = np.lexsort((-y, block_of))

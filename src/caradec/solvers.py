@@ -108,7 +108,7 @@ class Adam:
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     """1/(1 + exp(-t)) for t >= 0 and exp(t)/(1 + exp(t)) below, so that
     exp never overflows."""
-    e = np.exp(-np.abs(t))
+    e = np.exp(np.copysign(t, -1.0))  # exp(-|t|)
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 

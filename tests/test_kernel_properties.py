@@ -22,6 +22,7 @@ from caradec.core import PartitionMatroid, validate_decomposition
 from caradec.fstab import TIGHT_TOL, _augmented_weights, fstab_vertex, project_to_fstab
 from caradec.graphs import Graph
 from caradec.hypersimplex import kernel_decomposition
+from caradec.kernels import block_layout
 
 EXACT = (1.0, 0.0, 0.0)  # scale, floor, eps
 RESCALED = (0.5, 0.02, 1e-5)
@@ -87,7 +88,7 @@ def test_contract_on_both_backends(point, mode):
     x, block_of, budgets = point
     n = x.shape[0]
     cap = n + 1 if mode is EXACT else 4 * n + 16
-    args = (x, block_of, budgets, *mode, cap, 1e-12)
+    args = (x, block_layout(block_of, budgets), *mode, cap, 1e-12)
     outs = [implementation(backend).decompose_blocks(*args) for backend in available()]
     assert_contract(outs[0], x, block_of, budgets, mode, cap)
     for out in outs[1:]:
@@ -112,8 +113,8 @@ def test_iteration_cap(point, cap):
     x, block_of, budgets = point
     for backend in available():
         kernel = implementation(backend).decompose_blocks
-        full = kernel(x, block_of, budgets, *EXACT, x.shape[0] + 1, 1e-12)
-        part = kernel(x, block_of, budgets, *EXACT, cap, 1e-12)
+        full = kernel(x, block_layout(block_of, budgets), *EXACT, x.shape[0] + 1, 1e-12)
+        part = kernel(x, block_layout(block_of, budgets), *EXACT, cap, 1e-12)
         T = len(part[0])
         assert T <= cap
         for got, want in zip(step_outputs(part), step_outputs(full)):

@@ -27,7 +27,7 @@ from caradec.fstab import project_to_fstab
 from caradec.generators import gen_er_graph, gen_random_uniform
 from caradec.graphs import Graph
 from caradec.hypersimplex import kernel_decomposition, kernel_tape, project_to_partition_polytope
-from caradec.kernels import _compiled, _purepy
+from caradec.kernels import _compiled, _purepy, block_layout
 from caradec.matroids import spanning_tree_marginals
 from caradec.objectives import CoverageObjective
 from caradec.rng import stream
@@ -47,12 +47,19 @@ def assert_bytes_equal(got, want):
         assert g.tobytes() == w.tobytes(), i
 
 
+def kernel_args(x, block_of, budgets, *rest):
+    """A reference loop's arguments as the kernels take them."""
+    return (x, block_layout(block_of, budgets), *rest)
+
+
 def assert_compiled_matches_pure(*args):
+    args = kernel_args(*args)
     assert_bytes_equal(compiled_decompose_blocks()(*args), _purepy.decompose_blocks(*args))
 
 
 def assert_pure_matches_reference(*args):
-    assert_bytes_equal(_purepy.decompose_blocks(*args), as_kernel_outputs(reference_decompose_blocks(*args)[0], args[0]))
+    assert_bytes_equal(_purepy.decompose_blocks(*kernel_args(*args)),
+                       as_kernel_outputs(reference_decompose_blocks(*args)[0], args[0]))
 
 
 def random_blocks(rng, max_n=30):
@@ -96,7 +103,7 @@ class TestExactParity:
         for _ in range(200):
             x, block_of, budgets = random_blocks(rng)
             n = x.shape[0]
-            args = (x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
+            args = kernel_args(x, block_of, budgets, 1.0, 0.0, 0.0, n + 1, 1e-12)
             tp = kernel_tape(_purepy.decompose_blocks(*args))[1]
             tc = kernel_tape(compiled_decompose_blocks()(*args))[1]
             f = rng.standard_normal(len(tp.d.p))
@@ -123,11 +130,26 @@ class TestRescaledParity:
             assert_compiled_matches_pure(x, block_of, budgets, 0.02, 0.0, 0.0, max_iter, 1e-300)
 
     def test_out_of_range_blocks_and_budgets_are_refused(self):
+        """block_layout refuses bad blocks, and the kernels refuse a layout
+        made without it: a bad id or budget, a K that is not the sum of the
+        budgets, or a length other than the header's."""
         x = np.full(4, 0.5)
-        for block_of, budgets in (([0, 0, 1, 2], [1, 1]), ([0, 0, 1, -1], [1, 1]), ([0, 0, 1, 1], [3, 0]),
-                                  ([0, 0, 1, 1], [-1, 3])):
-            with pytest.raises(ValueError):
-                compiled_decompose_blocks()(x, np.array(block_of), np.array(budgets), 1.0, 0.0, 0.0, 5, 1e-12)
+        bad = [(np.array([4, 2, 2, 0, 0, 1, 2, 1, 1]), (([0, 0, 1, 2], [1, 1]))),
+               (np.array([4, 2, 2, 0, 0, 1, -1, 1, 1]), ([0, 0, 1, -1], [1, 1])),
+               (np.array([4, 2, 3, 0, 0, 1, 1, 3, 0]), ([0, 0, 1, 1], [3, 0])),
+               (np.array([4, 2, 2, 0, 0, 1, 1, -1, 3]), ([0, 0, 1, 1], [-1, 3])),
+               (np.array([4, 2, 3, 0, 0, 1, 1, 1, 1]), None),
+               (np.array([4, 2, 2, 0, 0, 1, 1, 1]), None),
+               (np.array([4, 2, 2, 0, 0, 1, 1, 1, 1, 0]), None)]
+        for layout, blocks in bad:
+            if blocks is not None:
+                with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
+                    block_layout(*blocks)
+            for impl in (_purepy, compiled()):
+                with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
+                    impl.decompose_blocks(x, layout, 1.0, 0.0, 0.0, 5, 1e-12)
+                with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
+                    impl.project_blocks(x, layout)
 
 
 def scattered_blocks(rng, n=24):
@@ -312,7 +334,7 @@ class TestContractReference:
                 want, snaps = reference_divided_blocks(*args)
                 if near_tie(x, snaps, block_of):
                     continue
-                got = _purepy.decompose_blocks(*args)
+                got = _purepy.decompose_blocks(*kernel_args(*args))
                 T, live = len(got[0]), len(got[4][1])
                 assert np.array_equal(got[3][1].reshape(want[3].shape), want[3])  # vertices
                 assert np.array_equal(got[9], want[4])  # branches
@@ -328,7 +350,7 @@ def test_compiled_cardinality_10000_meets_the_contract():
     point and sums to mass 1."""
     block_of, budgets = np.zeros(10_000, dtype=np.int32), np.array([10])
     x = projected_point(np.random.default_rng(31), block_of, budgets)
-    out = compiled_decompose_blocks()(x, block_of, budgets, 1.0, 0.0, 0.0, 10_001, 1e-12)
+    out = compiled_decompose_blocks()(x, block_layout(block_of, budgets), 1.0, 0.0, 0.0, 10_001, 1e-12)
     rep = validate_decomposition(kernel_decomposition(out), Cardinality(10_000, 10), x)
     assert out[8] and rep.ok(), rep.messages
 
@@ -546,13 +568,14 @@ def projection_cases():
 def test_projection_and_vjp_parity():
     rng = np.random.default_rng(72)
     for z, block_of, budgets in projection_cases():
-        want = _purepy.project_blocks(z, block_of, budgets)
-        got = compiled().project_blocks(z, block_of, budgets)
+        blocks = block_layout(block_of, budgets)
+        want = _purepy.project_blocks(z, blocks)
+        got = compiled().project_blocks(z, blocks)
         assert_bytes_equal((got,), (want,))
         for gx in (rng.standard_normal(z.shape[0]), rng.integers(-3, 4, z.shape[0]).astype(float),
                    (10.0 ** rng.integers(-8, 9, z.shape[0])) * rng.standard_normal(z.shape[0])):
-            want = _purepy.project_blocks_vjp(z, block_of, budgets, gx)
-            got = compiled().project_blocks_vjp(z, block_of, budgets, gx.tolist())
+            want = _purepy.project_blocks_vjp(z, blocks, gx)
+            got = compiled().project_blocks_vjp(z, blocks, gx.tolist())
             assert_bytes_equal((got,), (want,))
 
 
@@ -562,13 +585,14 @@ def test_projection_of_empty_and_degenerate_blocks(backend):
     block_of = np.array([0, 2, 0, 2, 3, 3, 3], dtype=np.int32)
     budgets = np.array([1, 0, 1, 3, 0])
     z = np.array([0.2, 0.0, 0.6, 0.0, 0.3, 0.9, 0.6])
-    x = impl.project_blocks(z, block_of, budgets)
+    blocks = block_layout(block_of, budgets)
+    x = impl.project_blocks(z, blocks)
     # Block 0 (mean 0.4, k = 1 of 2) scales by s = min(0.5/0.4, 0.5/0.6);
     # block 2 (mean 0) and block 3 (k = n) map to their centres; blocks 1
     # and 4 are empty.
     s = 0.5 / (1.0 - 0.4)
     assert x.tolist() == [s * (0.2 - 0.4) + 0.5, 0.5, s * (0.6 - 0.4) + 0.5, 0.5, 1.0, 1.0, 1.0]
-    g = impl.project_blocks_vjp(z, block_of, budgets, np.arange(7.0))
+    g = impl.project_blocks_vjp(z, blocks, np.arange(7.0))
     assert g[[1, 3, 4, 5, 6]].tolist() == [0.0] * 5 and not np.signbit(g[[1, 3, 4, 5, 6]]).any()
 
 
@@ -580,12 +604,12 @@ def test_block_sums_are_sequential(backend):
     impl = implementation(backend)
     block_of, budgets = np.zeros(3, dtype=np.int32), np.array([1])
     # The mean is (1e16 + 1.0 - 1e16)/3 = 0 in order, 1/3 exactly: degenerate.
-    assert impl.project_blocks([1e16, 1.0, -1e16], block_of, budgets).tolist() == [1 / 3] * 3
+    assert impl.project_blocks([1e16, 1.0, -1e16], block_layout(block_of, budgets)).tolist() == [1 / 3] * 3
     # Block 1 sits in between, so the sums run in index order, not in the
     # order of the block's list.
     block_of = np.array([0, 1, 0, 0], dtype=np.int32)
     z, gx = np.array([0.5, 0.3, 0.25, 0.25]), np.array([1e16, 7.0, 1.0, -1e16])
-    got = impl.project_blocks_vjp(z, block_of, np.array([1, 0]), gx)
+    got = impl.project_blocks_vjp(z, block_layout(block_of, [1, 0]), gx)
     m = (0.5 + 0.25) + 0.25
     m, ni = m / 3, 3
     s = ((ni - 1) / ni) / (1.0 - m)
@@ -688,5 +712,5 @@ def test_entry_clips_within_tolerance(backend):
     run; -0.0 stays -0.0, as the clip is written to keep it."""
     impl = implementation(backend)
     x = np.array([-5e-10, 1.0 + 5e-10, -0.0, 1.0])
-    out = impl.decompose_blocks(x, np.array([0, 0, 1, 1]), np.array([1, 1]), 1.0, 0.0, 0.0, 5, 1e-12)
+    out = impl.decompose_blocks(x, block_layout([0, 0, 1, 1], [1, 1]), 1.0, 0.0, 0.0, 5, 1e-12)
     assert out[6].tolist() == [0.0, 1.0, 0.0, 1.0] and np.signbit(out[6][2]) and x[0] == -5e-10
