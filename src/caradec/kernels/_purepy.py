@@ -1,8 +1,9 @@
 """Pure-Python kernels: the references that the C kernels (``_blocks.c``)
 must match byte for byte, and the fallback when they cannot be built.
 
-``project_blocks`` and ``project_blocks_vjp`` are the mean-centred
-projection onto box + per-block-sum polytopes and its pull-back.
+``block_layout`` packs a box + per-block-sum polytope's blocks as the
+block kernels read them.  ``project_blocks`` and ``project_blocks_vjp``
+are the mean-centred projection onto such a polytope and its pull-back.
 ``decompose_blocks`` checks a point of such a polytope and runs the
 iterative vertex-peeling loop on y = q x, where q is the mass left: at each
 step the vertex is the per-block top-k of y (value descending, index
@@ -27,8 +28,6 @@ from ..core import SUM_TOL, DimensionError, MembershipError, check_box, ones
 BRANCH_MIN_IN = 0
 BRANCH_MAX_OUT = 1
 BRANCH_TERMINAL = 2
-
-
 BAD_BLOCKS = "block id or budget out of range"
 
 
