@@ -1,8 +1,10 @@
 """The C kernels and the pure kernels must agree byte for byte on every
-output: the forward block kernel, the batch scorers and the reverse pass.
-The pure block kernel must also match, bit for bit, the per-element
-selection loop kept in ``reference_loops`` as its reference.  The C
-kernels' tests skip only when no C compiler exists."""
+output: the forward block kernel with its tape rows, the batch scorers,
+the reverse pass, the block projection and its VJP, and the Adam step;
+and they must refuse bad points and bad block layouts with the same
+exception.  The pure block kernel must also match, bit for bit, the
+per-element selection loop kept in ``reference_loops`` as its reference.
+The C kernels' tests skip only when no C compiler exists."""
 
 import functools
 import math
