@@ -59,6 +59,8 @@ def _constraint(args, dim_hint=None):
     if kind == "card":
         if args.k is None:
             raise InfeasibleConfigError("--k is required for cardinality constraints")
+        if not 0 <= args.k <= dim_hint:
+            raise InfeasibleConfigError(f"k={args.k} infeasible for n={dim_hint}")
         return Cardinality(dim_hint, args.k)
     if kind == "partition":
         if not args.blocks:
@@ -137,13 +139,15 @@ def cmd_marginals(args) -> int:
 def cmd_solve(args) -> int:
     if args.instance:
         inst = CoverageInstance.from_json(Path(args.instance).read_text())
+        if args.constraint != "card":
+            raise InfeasibleConfigError("a coverage instance takes --constraint card")
         f = CoverageObjective(inst)
-        c = Cardinality(inst.n_sets, args.k)
+        c = _constraint(args, inst.n_sets)
     else:
         g = read_edge_list(args.graph)
         if args.constraint == "card":
             f = CutObjective(g)
-            c = Cardinality(g.n_nodes, args.k)
+            c = _constraint(args, g.n_nodes)
         elif args.constraint == "forest":
             f = LinearObjective(g.weight_array())
             c = GraphicMatroid(g)

@@ -6,7 +6,8 @@ half-integral vertices.
 The vertex oracle returns the lexicographically largest of the
 half-integral optima of a linear program over the minimal face of x.  A
 call solves one max-flow on the bipartite double cover (Nemhauser &
-Trotter 1975) and then fixes the coordinates in order by reachability in
+Trotter 1975), with ``graphs.Dinic``, the max-flow routine the graphic
+oracle shares, and then fixes the coordinates in order by reachability in
 its residual graph, whose closed sets are exactly the minimum cuts (Picard
 & Queyranne 1980).  The per-edge sums (tight edges, ratios, excesses) are
 array operations over ``Graph.edge_u`` and ``Graph.edge_v``."""
@@ -28,7 +29,7 @@ from .core import (
     check_box,
     peel,
 )
-from .graphs import Graph
+from .graphs import Dinic, Graph
 
 
 ZERO_TOL = 1e-9
@@ -135,66 +136,6 @@ class FractionalStableSet:
         yield from extend([], 0)
 
 
-class Dinic:
-    """Max-flow with float capacities and deterministic arc order."""
-
-    EPS = 1e-12
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-
-    def add_edge(self, u: int, v: int, c: float) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
-
-    def max_flow(self, s: int, t: int) -> float:
-        flow = 0.0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, np.inf, level, it)
-                if pushed <= self.EPS:
-                    break
-                flow += pushed
-
-    def _bfs(self, s: int, t: int):
-        level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > self.EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _dfs(self, u, t, limit, level, it):
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            eid = self.head[u][it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > self.EPS and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(limit, self.cap[eid]), level, it)
-                if pushed > self.EPS:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0.0
-
-
 def _augmented_weights(x: np.ndarray, g: Graph):
     """Support restriction plus tight-edge preservation: zero coordinates
     are fixed out, and each tight edge adds a big weight on its endpoints so
@@ -231,10 +172,11 @@ def fstab_vertex(x_t, g: Graph) -> VertexSet:
     not in S] and y = (a + b)/2, and the minimum cuts give exactly the
     optimal y.  After one max-flow the minimum cuts are the source sides
     closed under the residual arcs (Picard & Queyranne 1980): IN, what the
-    source reaches, lies in all of them, and OUT, what reaches the sink, in
-    none.  Each coordinate in turn takes the first y whose pattern some
-    minimum cut still meets: y = 1 is (u_L in S, u_R out), 1/2 is (in, in)
-    and 0 is (out, in).  A pattern is met when the closure of its forced-in
+    nodes with source capacity left reach, lies in all of them, and OUT,
+    what reaches the nodes with sink capacity left, in none.  Each
+    coordinate in turn takes the first y whose pattern some minimum cut
+    still meets: y = 1 is (u_L in S, u_R out), 1/2 is (in, in) and 0 is
+    (out, in).  A pattern is met when the closure of its forced-in
     nodes reaches no OUT node and the reverse closure of its forced-out
     nodes reaches neither an IN node nor the first closure; taking it adds
     the two closures to IN and OUT.  With (a, b) optimal, (a or b, a and b)
@@ -247,26 +189,26 @@ def fstab_vertex(x_t, g: Graph) -> VertexSet:
     idx = np.flatnonzero(alive)
     k = idx.size
     pos = (np.cumsum(alive) - 1).tolist()
-    # Per alive node a source arc into u_L and a sink arc out of u_R, each
-    # of capacity c_u/2; then per live edge, in edge order, the infinite
-    # arcs u_L -> v_R and v_L -> u_R.
-    src, snk = 2 * k, 2 * k + 1
-    net = Dinic(2 * k + 2)
+    # Node u_L (u < k) has source capacity c_u/2 and node u_R (k + u) sink
+    # capacity c_u/2; then per live edge, in edge order, the infinite arcs
+    # u_L -> v_R and v_L -> u_R, each followed by its reverse.
     half = (c[idx] / 2.0).tolist()
-    for u in range(k):
-        net.add_edge(src, u, half[u])
-        net.add_edge(k + u, snk, half[u])
-    inf = float(c[idx].sum()) + 1.0
+    rs, rt = half + [0.0] * k, [0.0] * k + half
+    adj: list[list] = [[] for _ in range(2 * k)]
+    n_arcs = 0
     for u, v in live_edges:
-        net.add_edge(pos[u], k + pos[v], inf)
-        net.add_edge(pos[v], k + pos[u], inf)
-    net.max_flow(src, snk)
+        for a, b in ((pos[u], k + pos[v]), (pos[v], k + pos[u])):
+            adj[a].append((b, n_arcs))
+            adj[b].append((a, n_arcs + 1))
+            n_arcs += 2
+    r = [float(c[idx].sum()) + 1.0, 0.0] * (n_arcs // 2)
+    Dinic(adj).max_flow(rs, rt, r)
 
-    heads, to, cap, eps = net.head, net.to, net.cap, Dinic.EPS
-    succ = [[to[e] for e in head if cap[e] > eps] for head in heads]
-    pred = [[to[e] for e in head if cap[e ^ 1] > eps] for head in heads]
+    eps = Dinic.EPS
+    succ = [[w for w, a in nbrs if r[a] > eps] for nbrs in adj]
+    pred = [[w for w, a in nbrs if r[a ^ 1] > eps] for nbrs in adj]
     IN, OUT = 1, 2
-    side = [0] * (2 * k + 2)
+    side = [0] * (2 * k)
 
     def closure(starts, arcs, label, blocked):
         """The nodes reachable from starts along arcs, stopping at nodes
@@ -287,8 +229,8 @@ def fstab_vertex(x_t, g: Graph) -> VertexSet:
         for w in nodes:
             side[w] = label
 
-    mark(closure([src], succ, IN, ()), IN)
-    mark(closure([snk], pred, OUT, ()), OUT)
+    mark(closure([w for w in range(2 * k) if rs[w] > eps], succ, IN, ()), IN)
+    mark(closure([w for w in range(2 * k) if rt[w] > eps], pred, OUT, ()), OUT)
     fixed = np.zeros(n)
     for u in range(k):
         ends = (u, k + u)

@@ -111,6 +111,90 @@ class UnionFind:
         return True
 
 
+class Dinic:
+    """Max-flow over a fixed arc layout with a source and a sink capacity
+    per node; the one flow routine behind both graph oracles.
+
+    ``adj[u]`` lists node u's (neighbour, arc) pairs, and arc a ^ 1 is the
+    reverse of arc a.  ``max_flow`` takes the capacities as three lists and
+    leaves the residual capacities in them."""
+
+    EPS = 1e-12  # residual capacities at most this count as saturated
+
+    def __init__(self, adj):
+        self.adj = adj
+
+    def max_flow(self, rs: list, rt: list, r: list) -> float:
+        """Push a maximum flow from the source capacities rs to the sink
+        capacities rt through the arc capacities r, and return its value.
+        Each node's direct path to the sink is filled first (no node may
+        have both unbounded).  Then come Dinic's phases: levels from the
+        nodes with source capacity left, stopping at nodes with sink
+        capacity left, and one augmenting path at a time, by depth-first
+        search with a current-arc pointer per node."""
+        adj, n, eps = self.adj, len(self.adj), self.EPS
+        flow = 0.0
+        for v in range(n):
+            p = rs[v] if rs[v] < rt[v] else rt[v]
+            rs[v] -= p
+            rt[v] -= p
+            flow += p
+        while True:
+            level = [-1] * n
+            queue = [v for v in range(n) if rs[v] > eps]
+            roots = list(queue)
+            for v in roots:
+                level[v] = 0
+            found = False
+            for u in queue:
+                if rt[u] > eps:
+                    found = True
+                    continue
+                nxt = level[u] + 1
+                for w, a in adj[u]:
+                    if level[w] < 0 and r[a] > eps:
+                        level[w] = nxt
+                        queue.append(w)
+            if not found:
+                return flow
+            it = [0] * n
+            for v in roots:
+                while rs[v] > eps:
+                    nodes, arcs = [v], []
+                    while nodes and rt[nodes[-1]] <= eps:
+                        u = nodes[-1]
+                        nbrs, k, nxt = adj[u], it[u], level[u] + 1
+                        while k < len(nbrs):
+                            w, a = nbrs[k]
+                            if level[w] == nxt and r[a] > eps:
+                                break
+                            k += 1
+                        it[u] = k
+                        if k < len(nbrs):
+                            nodes.append(w)
+                            arcs.append(a)
+                        else:  # a dead end: back past the arc into it
+                            nodes.pop()
+                            if arcs:
+                                arcs.pop()
+                                it[nodes[-1]] += 1
+                    if not nodes:
+                        break
+                    d = rs[v]
+                    for a in arcs:
+                        if r[a] < d:
+                            d = r[a]
+                    t = nodes[-1]
+                    if rt[t] < d:
+                        d = rt[t]
+                    rt[t] -= d
+                    for a in arcs:
+                        r[a] -= d
+                        r[a ^ 1] += d
+                    rs[v] -= d
+                    flow += d
+
+
 def write_edge_list(g: Graph, path) -> None:
     """Write the text edge-list format: header "n m", then "u v [w]" lines."""
     with open(path, "w") as fh:

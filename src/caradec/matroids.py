@@ -9,9 +9,10 @@ connects, and an edge whose weight x_e - lam [e in S] is negative never
 lowers it.  So it is negative exactly when some node set U has
 (1 - lam)(|U| - 1) - y(E(U)) < 0, with y = max(x - lam 1_S, 0), and one
 max-flow per node i finds the lowest such U among the sets whose smallest
-node is i.  The step coefficient is the root in lam of that minimum; a
-Dinkelbach/Newton iteration (Dinkelbach, Mgmt. Sci. 1967) reaches it from
-above through the ratios of the minimising blocks."""
+node is i; the flows run on ``graphs.Dinic``, the max-flow routine the
+stable-set oracle shares.  The step coefficient is the root in lam of
+that minimum; a Dinkelbach/Newton iteration (Dinkelbach, Mgmt. Sci. 1967)
+reaches it from above through the ratios of the minimising blocks."""
 
 from __future__ import annotations
 
@@ -36,11 +37,10 @@ from .core import (
     csr_rows,
     peel,
 )
-from .graphs import Graph, UnionFind
+from .graphs import Dinic, Graph, UnionFind
 
 ZERO_WEIGHT = 1e-12
 TIGHT_TOL = 1e-9  # slack tolerance of the rank tests, before any drift allowance
-FLOW_EPS = 1e-12  # residual capacities at most this count as saturated
 
 
 @dataclass(frozen=True)
@@ -187,94 +187,36 @@ def max_spanning_forest(weights, g: Graph, zero_tol: float = ZERO_WEIGHT) -> Ver
 
 
 @lru_cache(maxsize=64)
-def _arcs(n_nodes: int, edges: tuple) -> tuple:
-    """Each node's (neighbour, arc) pairs.  Edge e = (u, v) has arc 2e from
-    u to v and arc 2e + 1 back, so arc a's reverse is a ^ 1."""
+def _arcs(n_nodes: int, edges: tuple) -> Dinic:
+    """The flow network of the block flows.  Edge e = (u, v) has arc 2e
+    from u to v and arc 2e + 1 back."""
     adj: list[list] = [[] for _ in range(n_nodes)]
     for e, (u, v) in enumerate(edges):
         adj[u].append((v, 2 * e))
         adj[v].append((u, 2 * e + 1))
-    return tuple(tuple(nbrs) for nbrs in adj)
+    return Dinic(tuple(tuple(nbrs) for nbrs in adj))
 
 
-def _block_flow(adj, arc_cap: list, src_cap: list, cost: float, i: int):
+def _block_flow(net: Dinic, arc_cap: list, src_cap: list, cost: float, i: int):
     """Maximum flow of node i's block network, returned as the residual
-    capacities (source arcs, sink arcs, edge arcs).
+    capacities (source, sink, edge arcs).
 
-    Node v has a source arc of capacity d_v/2 (d_v its y-degree) and a sink
-    arc of capacity cost, and each edge an arc of capacity y_e/2 each way.
-    The source arc of i and the sink arcs of the nodes below i are
+    Node v has source capacity d_v/2 (d_v its y-degree) and sink capacity
+    cost, and each edge an arc of capacity y_e/2 each way.  The source
+    capacity of i and the sink capacities of the nodes below i are
     unbounded, which forces i in and those nodes out.  A cut with source
-    side U then costs cost (|U| - 1) - y(E(U)) plus a constant.  Dinic's
-    algorithm, after each node's direct path to the sink is filled."""
-    n, eps = len(adj), FLOW_EPS
+    side U then costs cost (|U| - 1) - y(E(U)) plus a constant."""
+    n = len(net.adj)
     rs = list(src_cap)
     rs[i] = math.inf
     rt = [math.inf] * i + [cost] * (n - i)
-    for v in range(n):
-        p = rs[v] if rs[v] < rt[v] else rt[v]
-        rs[v] -= p
-        rt[v] -= p
     r = list(arc_cap)
-    while True:
-        level = [-1] * n
-        queue = [v for v in range(n) if rs[v] > eps]
-        roots = list(queue)
-        for v in roots:
-            level[v] = 0
-        found = False
-        for u in queue:
-            if rt[u] > eps:
-                found = True
-                continue
-            nxt = level[u] + 1
-            for w, a in adj[u]:
-                if level[w] < 0 and r[a] > eps:
-                    level[w] = nxt
-                    queue.append(w)
-        if not found:
-            return rs, rt, r
-        it = [0] * n
-        for v in roots:
-            while rs[v] > eps:
-                # One augmenting path along the levels, by depth-first
-                # search from v with a current-arc pointer per node.
-                nodes, arcs = [v], []
-                while nodes and rt[nodes[-1]] <= eps:
-                    u = nodes[-1]
-                    nbrs, k, nxt = adj[u], it[u], level[u] + 1
-                    while k < len(nbrs):
-                        w, a = nbrs[k]
-                        if level[w] == nxt and r[a] > eps:
-                            break
-                        k += 1
-                    it[u] = k
-                    if k < len(nbrs):
-                        nodes.append(w)
-                        arcs.append(a)
-                    else:  # a dead end: back past the arc into it
-                        nodes.pop()
-                        if arcs:
-                            arcs.pop()
-                            it[nodes[-1]] += 1
-                if not nodes:
-                    break
-                d = rs[v]
-                for a in arcs:
-                    if r[a] < d:
-                        d = r[a]
-                t = nodes[-1]
-                if rt[t] < d:
-                    d = rt[t]
-                rt[t] -= d
-                for a in arcs:
-                    r[a] -= d
-                    r[a ^ 1] += d
-                rs[v] -= d
+    net.max_flow(rs, rt, r)
+    return rs, rt, r
 
 
 def _networks(g: Graph, y: np.ndarray):
-    """Edge-arc capacities y_e/2 (both arcs of each edge) and source-arc
+    """Edge-arc capacities y_e/2 (both arcs of each edge) and source
     capacities d_v/2 of the block networks, as lists."""
     half = y / 2.0
     deg = np.bincount(np.concatenate((g.edge_u, g.edge_v)), weights=np.tile(half, 2),
@@ -282,9 +224,10 @@ def _networks(g: Graph, y: np.ndarray):
     return np.repeat(half, 2).tolist(), deg.tolist()
 
 
-def _source_side(adj, rs, r, tol: float) -> int:
-    """The nodes the source reaches through residual capacities above tol,
-    as a bitmask."""
+def _source_side(adj, rs, r) -> int:
+    """The nodes that the nodes with source capacity left reach through
+    residual capacities above Dinic.EPS, as a bitmask."""
+    tol = Dinic.EPS
     stack = [v for v in range(len(adj)) if rs[v] > tol]
     seen = 0
     for v in stack:
@@ -313,14 +256,14 @@ def _scan(g: Graph, y: np.ndarray, cost: float, starts):
     is i: (value, face), from the smallest minimum cut of i's flow.  A node
     with no edge of positive weight to a later node needs no flow: without
     it, each of its blocks is at least as low."""
-    adj = _arcs(g.n_nodes, g.edges)
+    net = _arcs(g.n_nodes, g.edges)
     arc_cap, src_cap = _networks(g, y)
     leads = _leads(g, y)
     out = {}
     for i in starts:
         if leads[i]:
-            rs, _, r = _block_flow(adj, arc_cap, src_cap, cost, i)
-            out[i] = _block(g, y, cost, _source_side(adj, rs, r, FLOW_EPS))
+            rs, _, r = _block_flow(net, arc_cap, src_cap, cost, i)
+            out[i] = _block(g, y, cost, _source_side(net.adj, rs, r))
         else:
             out[i] = (0.0, ())
     return out
@@ -393,12 +336,13 @@ def _tight_blocks(g: Graph, x) -> _TightBlocks:
     x = np.asarray(x, dtype=float)
     y = np.maximum(x, 0.0)
     n, eu, ev = g.n_nodes, g.edge_u.tolist(), g.edge_v.tolist()
-    adj = _arcs(n, g.edges)
+    net = _arcs(n, g.edges)
+    adj = net.adj
     arc_cap, src_cap = _networks(g, y)
     best, flows = (0.0, ()), []
     for i in np.flatnonzero(_leads(g, y)).tolist():  # no tight set starts elsewhere
-        rs, rt, r = _block_flow(adj, arc_cap, src_cap, 1.0, i)
-        val, face = _block(g, y, 1.0, _source_side(adj, rs, r, FLOW_EPS))
+        rs, rt, r = _block_flow(net, arc_cap, src_cap, 1.0, i)
+        val, face = _block(g, y, 1.0, _source_side(adj, rs, r))
         if val < best[0]:
             best = (val, face)
         flows.append((i, val, rs, rt, r))

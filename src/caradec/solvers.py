@@ -116,8 +116,8 @@ def project_point(z: np.ndarray, c: ConstraintSpec):
     """Differentiable map from the unit cube into the constraint polytope.
 
     Returns (x, vjp) with vjp pulling dF/dx back to dF/dz; vertex/branch
-    selections are treated as locally constant, graphic marginals are
-    differentiated by central differences on the edge weights."""
+    selections are treated as locally constant, and graphic marginals have
+    the exact transfer-current vjp in the edge weights."""
     return c.project(np.asarray(z, dtype=float))
 
 

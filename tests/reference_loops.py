@@ -4,7 +4,8 @@ contract reference), the per-family graph loops with their list tapes,
 the two reverse loops that read the iterate after every step (the
 kernel's snapshot loop and the graph list loop), the stable-set vertex
 oracle as one LP re-solve per coordinate (the contract reference) and by
-enumeration, the stable-set per-edge loops, the graphic rank oracle,
+enumeration, the max-flow with explicit source and sink nodes that the LP
+re-solve runs on, the stable-set per-edge loops, the graphic rank oracle,
 step coefficient and forest by enumeration of all 2^m edge subsets, and
 local search with one value_of call and one edge scan per swap.
 
@@ -30,7 +31,6 @@ from caradec.extension import decompose_with_tape
 from caradec.fstab import (
     TIGHT_TOL,
     ZERO_TOL,
-    Dinic,
     check_fstab_membership,
     fstab_step_coefficient,
     fstab_vertex,
@@ -374,10 +374,73 @@ def reference_backprop(tape, n, fvals):
 
 # ---------------------------------------------------------------------------
 # Stable-set loops: the vertex oracle as one LP solve per coordinate and
-# value (the contract reference), its brute-force enumeration, and the
-# per-edge loops that fstab now runs as array operations.
+# value (the contract reference) on the former max-flow, its brute-force
+# enumeration, and the per-edge loops that fstab now runs as array
+# operations.
 
 ENUM_LIMIT = 12
+
+
+class ReferenceDinic:
+    """Max-flow with float capacities and deterministic arc order: explicit
+    source and sink nodes, arcs added one at a time, recursive augmenting
+    search.  An independent check on ``caradec.graphs.Dinic``."""
+
+    EPS = 1e-12
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[float] = []
+
+    def add_edge(self, u: int, v: int, c: float) -> None:
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0.0)
+
+    def max_flow(self, s: int, t: int) -> float:
+        flow = 0.0
+        while True:
+            level = self._bfs(s, t)
+            if level is None:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._dfs(s, t, np.inf, level, it)
+                if pushed <= self.EPS:
+                    break
+                flow += pushed
+
+    def _bfs(self, s: int, t: int):
+        level = [-1] * self.n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for eid in self.head[u]:
+                v = self.to[eid]
+                if self.cap[eid] > self.EPS and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[t] >= 0 else None
+
+    def _dfs(self, u, t, limit, level, it):
+        if u == t:
+            return limit
+        while it[u] < len(self.head[u]):
+            eid = self.head[u][it[u]]
+            v = self.to[eid]
+            if self.cap[eid] > self.EPS and level[v] == level[u] + 1:
+                pushed = self._dfs(v, t, min(limit, self.cap[eid]), level, it)
+                if pushed > self.EPS:
+                    self.cap[eid] -= pushed
+                    self.cap[eid ^ 1] += pushed
+                    return pushed
+            it[u] += 1
+        return 0.0
 
 
 def _lp_value(c: np.ndarray, caps: np.ndarray, edges) -> float:
@@ -386,7 +449,7 @@ def _lp_value(c: np.ndarray, caps: np.ndarray, edges) -> float:
     double cover via min cut."""
     n = c.shape[0]
     src, snk = 2 * n, 2 * n + 1
-    net = Dinic(2 * n + 2)
+    net = ReferenceDinic(2 * n + 2)
     total = 0.0
     for u in range(n):
         if c[u] > 0:

@@ -226,3 +226,28 @@ def test_non_finite_edge_weight_exit_code(workdir, capsys, method):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "weights must be positive and finite" in captured.err
+
+
+def test_solve_instance_without_k_exit_code(workdir, capsys):
+    main(["gen", "--kind", "random-uniform", "--name", "c", "--n-sets", "20",
+          "--n-elements", "50", "--count", "1", "--seed", "2", "--out", "d"])
+    rc = main(["solve", "--instance", "d/c_000.json", "--method", "greedy"])
+    assert rc == 2
+    assert "--k is required" in capsys.readouterr().err
+
+
+def test_solve_instance_k_above_n_sets_exit_code(workdir, capsys):
+    # the same k makes `caradec bench` exit 2 as well
+    main(["gen", "--kind", "random-uniform", "--name", "c", "--n-sets", "20",
+          "--n-elements", "50", "--count", "1", "--seed", "2", "--out", "d"])
+    rc = main(["solve", "--instance", "d/c_000.json", "--k", "21", "--method", "greedy"])
+    assert rc == 2
+    assert "k=21 infeasible for n=20" in capsys.readouterr().err
+
+
+def test_solve_instance_takes_only_card(workdir, capsys):
+    main(["gen", "--kind", "random-uniform", "--name", "c", "--n-sets", "20",
+          "--n-elements", "50", "--count", "1", "--seed", "2", "--out", "d"])
+    rc = main(["solve", "--instance", "d/c_000.json", "--constraint", "indset", "--k", "3"])
+    assert rc == 2
+    assert "a coverage instance takes --constraint card" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from reference_loops import (
     reference_min_g_lambda,
 )
 
+from caradec import fstab
 from caradec.core import (
     EXACT,
     GraphicMatroid,
@@ -295,6 +296,21 @@ class TestGraphicDecomposition:
             for _, v in d.pairs:
                 assert len(v.indices) == size
                 assert g.is_forest(v.indices)
+
+    def test_block_flows_use_the_shared_max_flow(self, monkeypatch):
+        # perfbench traces fstab.Dinic.max_flow; both oracles run it.
+        g = random_connected_graph(stream(43, "graphic-flows"), 8, 6)
+        x = spanning_tree_marginals(g, np.ones(g.m))
+        calls = []
+        max_flow = fstab.Dinic.max_flow
+
+        def counted(net, rs, rt, r):
+            calls.append(len(rs))
+            return max_flow(net, rs, rt, r)
+
+        monkeypatch.setattr(fstab.Dinic, "max_flow", counted)
+        decompose_graphic(x, g)
+        assert len(calls) > 0 and set(calls) == {g.n_nodes}
 
     def test_disconnected_components(self):
         g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5)))
