@@ -31,13 +31,19 @@ class DimensionError(ValueError):
     pass
 
 
+def check_shape(x, dim: int) -> np.ndarray:
+    """x as a float array, once its shape is (dim,) (DimensionError)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (dim,):
+        raise DimensionError(f"point of shape {x.shape} for a spec of dimension {dim}")
+    return x
+
+
 def check_box(x, dim: int | None = None, space: str = "[0,1]^n") -> np.ndarray:
     """x as a float array, refusing a shape other than (dim,) when dim is
     given (DimensionError), and NaN, infinities and entries outside [0, 1]
     by more than MEMBERSHIP_TOL (MembershipError)."""
-    x = np.asarray(x, dtype=float)
-    if dim is not None and x.shape != (dim,):
-        raise DimensionError(f"point of shape {x.shape} for a spec of dimension {dim}")
+    x = np.asarray(x, dtype=float) if dim is None else check_shape(x, dim)
     # NaN fails both comparisons, so in-box input pays for no extra pass.
     if not (x.min(initial=0.0) >= -MEMBERSHIP_TOL and x.max(initial=0.0) <= 1 + MEMBERSHIP_TOL):
         if not np.isfinite(x).all():
@@ -79,10 +85,10 @@ class VertexSet:
 
     @classmethod
     def half_integral(cls, values) -> "VertexSet":
-        vals = tuple(float(v) for v in values)
-        if all(v in (0.0, 1.0) for v in vals):
-            return cls.integral([i for i, v in enumerate(vals) if v == 1.0], len(vals))
-        return cls(n=len(vals), halves=vals)
+        vals = np.asarray(values, dtype=float)
+        if ((vals == 0.0) | (vals == 1.0)).all():
+            return cls.integral(np.flatnonzero(vals == 1.0).tolist(), vals.shape[0])
+        return cls(n=vals.shape[0], halves=tuple(vals.tolist()))
 
     @property
     def is_integral(self) -> bool:

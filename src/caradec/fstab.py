@@ -5,12 +5,15 @@ half-integral vertices.
 
 The vertex oracle returns the lexicographically largest of the
 half-integral optima of a linear program over the minimal face of x.  A
-call solves one max-flow on the bipartite double cover (Nemhauser &
-Trotter 1975), with ``graphs.Dinic``, the max-flow routine the graphic
-oracle shares, and then fixes the coordinates in order by reachability in
-its residual graph, whose closed sets are exactly the minimum cuts (Picard
-& Queyranne 1980).  The per-edge sums (tight edges, ratios, excesses) are
-array operations over ``Graph.edge_u`` and ``Graph.edge_v``."""
+call resets the capacities of the graph's bipartite double cover
+(Nemhauser & Trotter 1975), which ``Graph.double_cover`` builds once per
+graph, and solves one max-flow on it with ``graphs.Dinic``, the max-flow
+routine the graphic oracle shares.  Then ``kernels.label_stable_set``
+fixes the coordinates in order by reachability in its residual graph,
+whose closed sets are exactly the minimum cuts (Picard & Queyranne 1980).
+Each is one kernel call.  The per-edge sums (tight edges, ratios,
+excesses) are array operations over ``Graph.edge_u`` and
+``Graph.edge_v``."""
 
 from __future__ import annotations
 
@@ -27,9 +30,11 @@ from .core import (
     MembershipError,
     VertexSet,
     check_box,
+    check_shape,
     peel,
 )
-from .graphs import Dinic, Graph
+from . import kernels
+from .graphs import Dinic, Graph  # noqa: F401  (fstab.Dinic is the flow's traced name)
 
 
 ZERO_TOL = 1e-9
@@ -139,7 +144,9 @@ class FractionalStableSet:
 def _augmented_weights(x: np.ndarray, g: Graph):
     """Support restriction plus tight-edge preservation: zero coordinates
     are fixed out, and each tight edge adds a big weight on its endpoints so
-    every optimum keeps the minimal face's equalities tight."""
+    every optimum keeps the minimal face's equalities tight.  Returns the
+    weights c, the alive nodes and the live edges (both ends alive) as
+    masks."""
     n = x.shape[0]
     alive = x > ZERO_TOL
     big = 4.0 * (n + 1)
@@ -149,15 +156,7 @@ def _augmented_weights(x: np.ndarray, g: Graph):
     # Every add is the same big, so the order of the repeated adds does not
     # change the sum.
     np.add.at(c, np.concatenate((eu[tight & alive[eu]], ev[tight & alive[ev]])), big)
-    live = alive[eu] & alive[ev]
-    live_edges = list(zip(eu[live].tolist(), ev[live].tolist()))
-    return c, alive, live_edges
-
-
-# The source-side patterns of (u_L, u_R) that encode y_u, in the order of
-# the lexicographic preference: (y, forced in, forced out), with 0 standing
-# for u_L and 1 for u_R.
-_TRIALS = ((1.0, (0,), (1,)), (0.5, (0, 1), ()), (0.0, (1,), (0,)), (0.5, (), (0, 1)))
+    return c, alive, alive[eu] & alive[ev]
 
 
 def fstab_vertex(x_t, g: Graph) -> VertexSet:
@@ -167,85 +166,40 @@ def fstab_vertex(x_t, g: Graph) -> VertexSet:
     largest, with 1 > 1/2 > 0 and coordinate 0 first.  This is the eps -> 0
     limit of the geometric perturbation, computed exactly.
 
-    The double cover of the alive nodes has a node u_L and a node u_R per
-    node u.  A cut with source side S gives a_u = [u_L in S], b_u = [u_R
-    not in S] and y = (a + b)/2, and the minimum cuts give exactly the
-    optimal y.  After one max-flow the minimum cuts are the source sides
-    closed under the residual arcs (Picard & Queyranne 1980): IN, what the
-    nodes with source capacity left reach, lies in all of them, and OUT,
-    what reaches the nodes with sink capacity left, in none.  Each
-    coordinate in turn takes the first y whose pattern some minimum cut
-    still meets: y = 1 is (u_L in S, u_R out), 1/2 is (in, in) and 0 is
-    (out, in).  A pattern is met when the closure of its forced-in
-    nodes reaches no OUT node and the reverse closure of its forced-out
-    nodes reaches neither an IN node nor the first closure; taking it adds
-    the two closures to IN and OUT.  With (a, b) optimal, (a or b, a and b)
+    The double cover (``Graph.double_cover``, built once per graph) has a
+    node u_L and a node u_R per node u.  Each step only resets its
+    capacities: u_L has source capacity c_u/2, u_R sink capacity c_u/2, and
+    each live edge's two arcs u_L -> v_R and v_L -> u_R the capacity
+    c(alive) + 1, which no minimum cut crosses; every other capacity is 0.
+    So the dead nodes and the other arcs are never entered, and the flow and
+    its residuals are those of the double cover of the alive nodes alone.
+    A cut with source side S gives a_u = [u_L in S], b_u = [u_R not in S]
+    and y = (a + b)/2, and the minimum cuts give exactly the optimal y.
+    After one max-flow the minimum cuts are the source sides closed under
+    the residual arcs (Picard & Queyranne 1980): IN, what the nodes with
+    source capacity left reach, lies in all of them, and OUT, what reaches
+    the nodes with sink capacity left, in none.  Each coordinate in turn
+    takes the first y whose pattern some minimum cut still meets: y = 1 is
+    (u_L in S, u_R out), 1/2 is (in, in) and 0 is (out, in).  A pattern is
+    met when the closure of its forced-in nodes reaches no OUT node and the
+    reverse closure of its forced-out nodes reaches neither an IN node nor
+    the first closure; taking it adds the two closures to IN and OUT
+    (``kernels.label_stable_set``).  With (a, b) optimal, (a or b, a and b)
     is optimal with the same y and uses only these patterns, so they lose
     no optimum.  A fourth pattern, (out, out), also y = 1/2, serves where
     float residuals break that symmetry: IN always meets one of the four."""
     x = np.asarray(x_t, dtype=float)
     n = x.shape[0]
-    c, alive, live_edges = _augmented_weights(x, g)
-    idx = np.flatnonzero(alive)
-    k = idx.size
-    pos = (np.cumsum(alive) - 1).tolist()
-    # Node u_L (u < k) has source capacity c_u/2 and node u_R (k + u) sink
-    # capacity c_u/2; then per live edge, in edge order, the infinite arcs
-    # u_L -> v_R and v_L -> u_R, each followed by its reverse.
-    half = (c[idx] / 2.0).tolist()
-    rs, rt = half + [0.0] * k, [0.0] * k + half
-    adj: list[list] = [[] for _ in range(2 * k)]
-    n_arcs = 0
-    for u, v in live_edges:
-        for a, b in ((pos[u], k + pos[v]), (pos[v], k + pos[u])):
-            adj[a].append((b, n_arcs))
-            adj[b].append((a, n_arcs + 1))
-            n_arcs += 2
-    r = [float(c[idx].sum()) + 1.0, 0.0] * (n_arcs // 2)
-    Dinic(adj).max_flow(rs, rt, r)
-
-    eps = Dinic.EPS
-    succ = [[w for w, a in nbrs if r[a] > eps] for nbrs in adj]
-    pred = [[w for w, a in nbrs if r[a ^ 1] > eps] for nbrs in adj]
-    IN, OUT = 1, 2
-    side = [0] * (2 * k)
-
-    def closure(starts, arcs, label, blocked):
-        """The nodes reachable from starts along arcs, stopping at nodes
-        already labelled label; None if that reaches a node with the other
-        label or in blocked."""
-        seen, stack = set(), list(starts)
-        while stack:
-            u = stack.pop()
-            if side[u] == label or u in seen:
-                continue
-            if side[u] or u in blocked:
-                return None
-            seen.add(u)
-            stack.extend(arcs[u])
-        return seen
-
-    def mark(nodes, label):
-        for w in nodes:
-            side[w] = label
-
-    mark(closure([w for w in range(2 * k) if rs[w] > eps], succ, IN, ()), IN)
-    mark(closure([w for w in range(2 * k) if rt[w] > eps], pred, OUT, ()), OUT)
-    fixed = np.zeros(n)
-    for u in range(k):
-        ends = (u, k + u)
-        for y, forced_in, forced_out in _TRIALS:
-            grow_in = closure([ends[j] for j in forced_in], succ, IN, ())
-            if grow_in is None:
-                continue
-            grow_out = closure([ends[j] for j in forced_out], pred, OUT, grow_in)
-            if grow_out is None:
-                continue
-            mark(grow_in, IN)
-            mark(grow_out, OUT)
-            fixed[idx[u]] = y
-            break
-    return VertexSet.half_integral(fixed)
+    c, alive, live = _augmented_weights(x, g)
+    net = g.double_cover
+    # One buffer: the source capacities of the 2n nodes, their sink
+    # capacities, then the four arcs of each edge.
+    caps = np.zeros(4 * n + 4 * g.m)
+    rs, rt, r = caps[: 2 * n], caps[2 * n : 4 * n], caps[4 * n :]
+    rs[:n] = rt[n:] = c / 2.0
+    r.reshape(-1, 4)[live, ::2] = float(c[alive].sum()) + 1.0
+    _, side = net.max_flow(rs, rt, r)
+    return VertexSet.half_integral(kernels.label_stable_set(net.layout, rt, r, alive, side))
 
 
 def fstab_step_coefficient(
@@ -290,9 +244,9 @@ def project_to_fstab(x, g: Graph, slack: float = 0.0) -> np.ndarray:
 
 def project_to_fstab_trace(x, g: Graph, slack: float = 0.0):
     """Projection plus the piecewise-linear trace needed for its vjp.
-    Finite input is clipped into the box first; NaN or inf raises
-    ValueError."""
-    x_in = np.asarray(x, dtype=float)
+    Finite input is clipped into the box first; a shape other than (n,)
+    raises DimensionError, and NaN or inf ValueError."""
+    x_in = check_shape(x, g.n_nodes)
     if not np.isfinite(x_in).all():
         raise ValueError("projection input must be finite")
     entry_active = (x_in > 0.0) & (x_in < 1.0)

@@ -1,11 +1,16 @@
 """Simple undirected graphs: the ground structure for forest and stable-set
-constraints, plus the edge-list file format shared by the CLI."""
+constraints, their two flow networks (built once per graph), the max-flow
+routine of both graph oracles, and the edge-list file format shared by
+the CLI."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from . import kernels
 
 
 class GraphFormatError(ValueError):
@@ -20,6 +25,8 @@ class Graph:
     Edge indices (their position in ``edges``) identify coordinates of
     edge-indexed vectors throughout the package.  ``edge_u`` and ``edge_v``
     are the edges' endpoints as read-only int64 arrays, in edge order.
+    ``edge_network`` and ``double_cover``, the flow networks of the graphic
+    and stable-set oracles, are built on first use and kept.
     """
 
     n_nodes: int
@@ -79,6 +86,21 @@ class Graph:
         nodes = list(nodes)
         return not (np.isin(self.edge_u, nodes) & np.isin(self.edge_v, nodes)).any()
 
+    @cached_property
+    def edge_network(self) -> Dinic:
+        """The flow network of the graphic block flows, built once: edge e =
+        (u, v) has arc 2e from u to v and arc 2e + 1 back."""
+        return Dinic.from_tails(self.n_nodes, np.stack((self.edge_u, self.edge_v), axis=1).ravel())
+
+    @cached_property
+    def double_cover(self) -> Dinic:
+        """The bipartite double cover of the stable-set oracle, built once:
+        node u_L = u and node u_R = n + u, and per edge e = (u, v) the arcs
+        4e from u_L to v_R and 4e + 2 from v_L to u_R, each followed by its
+        reverse."""
+        n, eu, ev = self.n_nodes, self.edge_u, self.edge_v
+        return Dinic.from_tails(2 * n, np.stack((eu, n + ev, ev, n + eu), axis=1).ravel())
+
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour lists in CSR form: node v's neighbours are
         nbrs[indptr[v]:indptr[v + 1]]."""
@@ -115,84 +137,35 @@ class Dinic:
     """Max-flow over a fixed arc layout with a source and a sink capacity
     per node; the one flow routine behind both graph oracles.
 
-    ``adj[u]`` lists node u's (neighbour, arc) pairs, and arc a ^ 1 is the
-    reverse of arc a.  ``max_flow`` takes the capacities as three lists and
-    leaves the residual capacities in them."""
+    Node u's slots are ptr[u] .. ptr[u + 1], slot s holds the arc arc[s]
+    from u to head[s], and arc a ^ 1 is the reverse of arc a.  The layout
+    is built and checked once, into the ``kernels.FlowLayout`` that the
+    flow kernels read (ValueError when it is malformed); ``n`` is its node
+    count."""
 
-    EPS = 1e-12  # residual capacities at most this count as saturated
+    EPS = kernels.FLOW_EPS  # residual capacities at most this count as saturated
 
-    def __init__(self, adj):
-        self.adj = adj
+    def __init__(self, ptr, head, arc):
+        self.layout = kernels.FlowLayout(ptr, head, arc)
+        self.n = self.layout.n
 
-    def max_flow(self, rs: list, rt: list, r: list) -> float:
+    @classmethod
+    def from_tails(cls, n: int, tails) -> Dinic:
+        """The layout on n nodes whose arc a leaves tails[a] for tails[a ^ 1],
+        each node's arcs in arc order."""
+        tails = np.asarray(tails, dtype=np.int64)
+        order = np.argsort(tails, kind="stable")
+        return cls(np.searchsorted(tails[order], np.arange(n + 1)), tails[order ^ 1], order)
+
+    def max_flow(self, rs: np.ndarray, rt: np.ndarray, r: np.ndarray):
         """Push a maximum flow from the source capacities rs to the sink
-        capacities rt through the arc capacities r, and return its value.
-        Each node's direct path to the sink is filled first (no node may
-        have both unbounded).  Then come Dinic's phases: levels from the
-        nodes with source capacity left, stopping at nodes with sink
-        capacity left, and one augmenting path at a time, by depth-first
-        search with a current-arc pointer per node."""
-        adj, n, eps = self.adj, len(self.adj), self.EPS
-        flow = 0.0
-        for v in range(n):
-            p = rs[v] if rs[v] < rt[v] else rt[v]
-            rs[v] -= p
-            rt[v] -= p
-            flow += p
-        while True:
-            level = [-1] * n
-            queue = [v for v in range(n) if rs[v] > eps]
-            roots = list(queue)
-            for v in roots:
-                level[v] = 0
-            found = False
-            for u in queue:
-                if rt[u] > eps:
-                    found = True
-                    continue
-                nxt = level[u] + 1
-                for w, a in adj[u]:
-                    if level[w] < 0 and r[a] > eps:
-                        level[w] = nxt
-                        queue.append(w)
-            if not found:
-                return flow
-            it = [0] * n
-            for v in roots:
-                while rs[v] > eps:
-                    nodes, arcs = [v], []
-                    while nodes and rt[nodes[-1]] <= eps:
-                        u = nodes[-1]
-                        nbrs, k, nxt = adj[u], it[u], level[u] + 1
-                        while k < len(nbrs):
-                            w, a = nbrs[k]
-                            if level[w] == nxt and r[a] > eps:
-                                break
-                            k += 1
-                        it[u] = k
-                        if k < len(nbrs):
-                            nodes.append(w)
-                            arcs.append(a)
-                        else:  # a dead end: back past the arc into it
-                            nodes.pop()
-                            if arcs:
-                                arcs.pop()
-                                it[nodes[-1]] += 1
-                    if not nodes:
-                        break
-                    d = rs[v]
-                    for a in arcs:
-                        if r[a] < d:
-                            d = r[a]
-                    t = nodes[-1]
-                    if rt[t] < d:
-                        d = rt[t]
-                    rt[t] -= d
-                    for a in arcs:
-                        r[a] -= d
-                        r[a ^ 1] += d
-                    rs[v] -= d
-                    flow += d
+        capacities rt through the arc capacities r, float64 arrays that
+        become the residual capacities, in one kernel call
+        (``kernels.max_flow``; no node may have both unbounded).  Returns
+        the flow value and the source side of the smallest minimum cut as a
+        bool array: the nodes that the nodes with source capacity left reach
+        through residual capacities above EPS."""
+        return kernels.max_flow(self.layout, rs, rt, r)
 
 
 def write_edge_list(g: Graph, path) -> None:

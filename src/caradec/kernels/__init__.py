@@ -1,8 +1,9 @@
 """Hot kernels: the projection, its VJP and the decomposition kernel of the
 box-plus-sum constraint families (cardinality and partition matroid), the
 batch scorers of the coverage and cut objectives, the one reverse pass
-that every family's gradient tape shares (``backprop_blocks``) and the
-Adam step.  Together they make an Adam step of ``direct_optimize`` on a
+that every family's gradient tape shares (``backprop_blocks``), the Adam
+step, and the max-flow and stable-set labelling of the two graph oracles.
+The block kernels make an Adam step of ``direct_optimize`` on a
 box-plus-sum spec one numpy sigmoid and six C calls.
 
 Each kernel exists twice: in plain C (``_blocks.c``, built and loaded by
@@ -60,6 +61,23 @@ every floating-point operation is the same in both, in the same order:
 - ``adam_ascend`` updates theta and the two moments in place, element by
   element, with the expressions of the numpy Adam step it replaced; the
   bias corrections 1 - beta^t are formed in Python for both.
+- ``max_flow`` is the one max-flow of ``graphs.Dinic``, over a CSR arc
+  layout (``FlowLayout``, built and checked once per network; the kernels
+  trust it).  Both twins run the same algorithm step for step: the
+  direct-path fill, levels from the nodes with source capacity left, one
+  augmenting path at a time with a current-arc pointer per node.  Every
+  minimum is taken with ``a < b ? a : b`` (never ``fmin``, so NaN and inf
+  take Python's branch), and every += and -= comes in the same order, so
+  the twins leave the same residual bytes and the same source side.  Both
+  skip the arcs with no residual capacity above FLOW_EPS either way,
+  which no flow can enter.  Both refuse capacity arrays of the wrong
+  length, dtype or memory layout, and a node with both capacities +inf,
+  with the same ValueError, before changing any.
+- ``label_stable_set`` turns the residual graph of a stable-set double
+  cover into the oracle's vertex.  It makes no floating-point operation:
+  it only compares residual capacities with FLOW_EPS and writes 0, 1/2 or
+  1.  Which nodes a closure reaches does not depend on the order of its
+  search, so the C stack and the Python set give the same labels.
 
 Timings: ``perfbench/``.
 """
@@ -79,8 +97,10 @@ if os.environ.get("CARADEC_PURE", "") in ("", "0"):
         warnings.warn(f"caradec: the C kernels are unavailable ({exc}); using the pure-numpy kernels",
                       RuntimeWarning, stacklevel=2)
 
-# The block layout is one format for both backends.
+# The block and flow layouts are one format for both backends.
 block_layout = _purepy.block_layout
+FlowLayout = _purepy.FlowLayout
+FLOW_EPS = _purepy.FLOW_EPS
 # Callers look these up on this module at call time, so that a test or a
 # tracer can replace them.
 decompose_blocks = impl.decompose_blocks
@@ -90,6 +110,8 @@ coverage_values = impl.coverage_values
 cut_values = impl.cut_values
 backprop_blocks = impl.backprop_blocks
 adam_ascend = impl.adam_ascend
+max_flow = impl.max_flow
+label_stable_set = impl.label_stable_set
 del impl
 
 

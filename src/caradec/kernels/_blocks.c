@@ -2,8 +2,10 @@
  * with its entry check and tape rows (caradec_decompose_blocks), the block
  * projection and its VJP (caradec_project_blocks), the batch scorer of
  * coverage and cut objectives (caradec_score_rows), the reverse pass
- * shared by every family's tape (caradec_backprop_blocks) and the Adam
- * step (caradec_adam_ascend).  Each is the twin of a function in
+ * shared by every family's tape (caradec_backprop_blocks), the Adam step
+ * (caradec_adam_ascend), the max-flow of both graph oracles
+ * (caradec_max_flow) and the stable-set labelling of its residual graph
+ * (caradec_label_stable_set).  Each is the twin of a function in
  * _purepy.py, step for step and bit for bit.  The package compiles this
  * file on first import and calls it through ctypes (see _compiled.py); it
  * uses no Python or numpy header.
@@ -692,5 +694,274 @@ int caradec_backprop_blocks(const double *f, const int64_t *iw, double *h)
     }
     for (i = 0; i < n; i++)
         h[i] = scale * h[i];
+    return 0;
+}
+
+/* Residual capacities at most this count as saturated (_purepy.FLOW_EPS). */
+static const double FLOW_EPS = 1e-12;
+
+/* The slots of the flow layout net (see caradec_max_flow) whose arc a has
+ * r[a] or r[a ^ 1] above FLOW_EPS, in order, as a layout ptr[n + 1],
+ * head[], arc[].  A flow never enters the other arcs or changes them: it
+ * would first have to push along one of the two.  So neither the flow nor
+ * the closures of the labelling need to look at them. */
+static void open_slots(const int64_t *net, const double *r, int64_t *ptr, int64_t *head, int64_t *arc)
+{
+    const int64_t n = net[0], A = net[1], *slot_ptr = net + 2, *slot_head = slot_ptr + n + 1,
+                  *slot_arc = slot_head + A;
+    int64_t u, s, k = 0;
+
+    for (u = 0; u < n; u++) {
+        ptr[u] = k;
+        for (s = slot_ptr[u]; s < slot_ptr[u + 1]; s++)
+            if (r[slot_arc[s]] > FLOW_EPS || r[slot_arc[s] ^ 1] > FLOW_EPS) {
+                head[k] = slot_head[s];
+                arc[k++] = slot_arc[s];
+            }
+    }
+    ptr[n] = k;
+}
+
+/* The max-flow of _purepy.max_flow, step for step: the same comparisons
+ * (a < b ? a : b, never fmin, so NaN and inf take the same branch) and
+ * every += and -= in the same order, so both leave the same residual
+ * bytes.  net = n, A, ptr[n + 1], head[A], arc[A] is a flow layout that
+ * graphs.Dinic built and checked: node u's slots are ptr[u] .. ptr[u + 1],
+ * slot s holds the arc arc[s] from u to head[s], and arc a ^ 1 is the
+ * reverse of arc a.  rs[n] and rt[n] are the source and sink capacities
+ * and r[A] the arc capacities, changed in place into the residual ones;
+ * value[0] receives the flow and side[n] the source side of the smallest
+ * minimum cut: 1 on the nodes that the nodes with source capacity left
+ * reach through residual capacities above FLOW_EPS, 0 elsewhere.
+ * Returns 0, -1 when scratch memory cannot be had and -6, before changing
+ * anything, when some node has both capacities +inf. */
+int caradec_max_flow(const int64_t *net, double *rs, double *rt, double *r, double *value,
+                     unsigned char *side)
+{
+    const int64_t n = net[0], A = net[1];
+    int64_t *level = malloc((size_t)(6 * n + 2 + 2 * A) * sizeof *level);
+    int64_t *queue = level + n, *it = queue + n, *nodes = it + n, *arcs = nodes + n + 1;
+    int64_t *ptr = arcs + n, *head = ptr + n + 1, *arc = head + A;
+    int64_t v, u, w, a, s, k, qn, qi, roots, nn, na, nxt, found;
+    double flow = 0.0, p, d;
+
+    if (!level)
+        return -1;
+    for (v = 0; v < n; v++)
+        if (rs[v] == INFINITY && rt[v] == INFINITY) {
+            free(level);
+            return -6;
+        }
+    open_slots(net, r, ptr, head, arc);
+    for (v = 0; v < n; v++) {
+        p = rs[v] < rt[v] ? rs[v] : rt[v];
+        rs[v] -= p;
+        rt[v] -= p;
+        flow += p;
+    }
+    for (;;) {
+        /* Levels from the nodes with source capacity left, stopping at the
+         * nodes with sink capacity left. */
+        for (v = 0, qn = 0; v < n; v++) {
+            level[v] = -1;
+            if (rs[v] > FLOW_EPS)
+                queue[qn++] = v;
+        }
+        roots = qn;
+        for (qi = 0; qi < roots; qi++)
+            level[queue[qi]] = 0;
+        found = 0;
+        for (qi = 0; qi < qn; qi++) {
+            u = queue[qi];
+            if (rt[u] > FLOW_EPS) {
+                found = 1;
+                continue;
+            }
+            nxt = level[u] + 1;
+            for (s = ptr[u]; s < ptr[u + 1]; s++)
+                if (level[head[s]] < 0 && r[arc[s]] > FLOW_EPS) {
+                    level[head[s]] = nxt;
+                    queue[qn++] = head[s];
+                }
+        }
+        if (!found)
+            break;
+        /* One augmenting path at a time, with a current arc per node. */
+        for (v = 0; v < n; v++)
+            it[v] = ptr[v];
+        for (qi = 0; qi < roots; qi++) {
+            v = queue[qi];
+            while (rs[v] > FLOW_EPS) {
+                nodes[0] = v;
+                nn = 1;
+                na = 0;
+                while (nn && rt[nodes[nn - 1]] <= FLOW_EPS) {
+                    u = nodes[nn - 1];
+                    nxt = level[u] + 1;
+                    for (k = it[u]; k < ptr[u + 1]; k++)
+                        if (level[head[k]] == nxt && r[arc[k]] > FLOW_EPS)
+                            break;
+                    it[u] = k;
+                    if (k < ptr[u + 1]) {
+                        nodes[nn++] = head[k];
+                        arcs[na++] = arc[k];
+                    } else { /* a dead end: back past the arc into it */
+                        nn--;
+                        if (na) {
+                            na--;
+                            it[nodes[nn - 1]]++;
+                        }
+                    }
+                }
+                if (!nn)
+                    break;
+                d = rs[v];
+                for (k = 0; k < na; k++)
+                    if (r[arcs[k]] < d)
+                        d = r[arcs[k]];
+                w = nodes[nn - 1];
+                if (rt[w] < d)
+                    d = rt[w];
+                rt[w] -= d;
+                for (k = 0; k < na; k++) {
+                    a = arcs[k];
+                    r[a] -= d;
+                    r[a ^ 1] += d;
+                }
+                rs[v] -= d;
+                flow += d;
+            }
+        }
+    }
+    /* The last level search found no sink: it reached exactly the source
+     * side. */
+    for (v = 0; v < n; v++)
+        side[v] = level[v] >= 0;
+    value[0] = flow;
+    free(level);
+    return 0;
+}
+
+enum { LABEL_IN = 1, LABEL_OUT = 2 };
+
+/* The state of label_stable_set: the open slots of its network (see
+ * open_slots), per node its label and the stamp of the last closure of
+ * each kind that took it, the stamp of the last closure of each kind and
+ * its nodes, and a stack. */
+typedef struct {
+    int64_t *ptr, *head, *arc;
+    const double *r;
+    unsigned char *label;
+    int64_t *stamp[2], *grown[2], count[2], last[2], tick, *stack;
+} closures;
+
+/* Grows a closure of kind 0 (along the arcs with residual capacity above
+ * FLOW_EPS) or 1 (against them) from the nodes stack[0 .. top), not
+ * entering nodes labelled `lab`, into grown[kind].  Returns 0 when it
+ * reaches a node with the other label or, if `blocked`, a node of the last
+ * closure of kind 0; else 1.  Which nodes it reaches does not depend on
+ * the order of the search. */
+static int grow(closures *c, int kind, int64_t top, unsigned char lab, int blocked)
+{
+    const int64_t t = c->last[kind] = ++c->tick, mark = c->last[0];
+    int64_t u, s, *seen = c->stamp[kind], *in = c->stamp[0];
+
+    c->count[kind] = 0;
+    while (top) {
+        u = c->stack[--top];
+        if (c->label[u] == lab || seen[u] == t)
+            continue;
+        if (c->label[u] || (blocked && in[u] == mark))
+            return 0;
+        seen[u] = t;
+        c->grown[kind][c->count[kind]++] = u;
+        for (s = c->ptr[u]; s < c->ptr[u + 1]; s++)
+            if (c->r[kind ? c->arc[s] ^ 1 : c->arc[s]] > FLOW_EPS)
+                c->stack[top++] = c->head[s];
+    }
+    return 1;
+}
+
+static void label_all(closures *c, int kind, unsigned char lab)
+{
+    int64_t i;
+    for (i = 0; i < c->count[kind]; i++)
+        c->label[c->grown[kind][i]] = lab;
+}
+
+/* The labelling of _purepy.label_stable_set on a stable-set double cover
+ * of n nodes after its max-flow: node u_L is u and u_R is n + u, net is the
+ * flow layout (see caradec_max_flow), rt[2n] and r[A] the residual sink
+ * and arc capacities and side[2n] the flow's source side.  IN starts as
+ * the source side and OUT as what reaches the nodes with sink capacity
+ * left.  Then each node u with alive[u], in index order, takes in fixed[u]
+ * the first y of the patterns (y, forced in, forced out) = (1, u_L, u_R),
+ * (1/2, u_L u_R, none), (0, u_R, u_L), (1/2, none, u_L u_R) whose
+ * forced-in closure meets no OUT node and whose forced-out closure meets
+ * neither an IN node nor that closure; the two closures join IN and OUT.
+ * Every other fixed[u] is 0.  Returns 0, or -1 when scratch memory cannot
+ * be had. */
+int caradec_label_stable_set(const int64_t *net, const double *rt, const double *r,
+                             const unsigned char *alive, const unsigned char *side, double *fixed)
+{
+    static const double y[4] = {1.0, 0.5, 0.0, 0.5};
+    /* Per pattern the ends forced in and out: bit 0 for u_L, bit 1 for u_R. */
+    static const int forced[4][2] = {{1, 2}, {3, 0}, {2, 1}, {0, 3}};
+    const int64_t n2 = net[0], n = n2 / 2, A = net[1];
+    /* A closure pushes its starts and then, per node it takes, the heads
+     * of that node's slots: at most 2n + A entries. */
+    int64_t *scratch = malloc((size_t)(7 * n2 + 3 * A + 2) * sizeof *scratch), u, v, top;
+    unsigned char *label = malloc((size_t)n2 + 1);
+    closures c;
+    int j, e;
+
+    if (!scratch || !label) {
+        free(scratch);
+        free(label);
+        return -1;
+    }
+    c.r = r;
+    c.label = label;
+    c.stamp[0] = scratch;
+    c.stamp[1] = scratch + n2;
+    c.grown[0] = scratch + 2 * n2;
+    c.grown[1] = scratch + 3 * n2;
+    c.stack = scratch + 4 * n2;
+    c.ptr = c.stack + 2 * n2 + A;
+    c.head = c.ptr + n2 + 1;
+    c.arc = c.head + A;
+    open_slots(net, r, c.ptr, c.head, c.arc);
+    c.last[0] = c.last[1] = c.tick = 0;
+    for (v = 0; v < n2; v++) {
+        label[v] = side[v] ? LABEL_IN : 0;
+        c.stamp[0][v] = c.stamp[1][v] = 0;
+    }
+    for (v = 0, top = 0; v < n2; v++)
+        if (rt[v] > FLOW_EPS)
+            c.stack[top++] = v;
+    if (grow(&c, 1, top, LABEL_OUT, 0))
+        label_all(&c, 1, LABEL_OUT);
+    for (u = 0; u < n; u++) {
+        fixed[u] = 0.0;
+        for (j = 0; alive[u] && j < 4; j++) {
+            const int64_t ends[2] = {u, n + u};
+            for (e = 0, top = 0; e < 2; e++)
+                if (forced[j][0] >> e & 1)
+                    c.stack[top++] = ends[e];
+            if (!grow(&c, 0, top, LABEL_IN, 0))
+                continue;
+            for (e = 0, top = 0; e < 2; e++)
+                if (forced[j][1] >> e & 1)
+                    c.stack[top++] = ends[e];
+            if (!grow(&c, 1, top, LABEL_OUT, 1))
+                continue;
+            label_all(&c, 0, LABEL_IN);
+            label_all(&c, 1, LABEL_OUT);
+            fixed[u] = y[j];
+            break;
+        }
+    }
+    free(scratch);
+    free(label);
     return 0;
 }

@@ -25,8 +25,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core import MEMBERSHIP_TOL, SUM_TOL, check_box, ones
-from ._purepy import BAD_BLOCKS, block_sum_error, check_adam_arrays, check_shape, layout_header
+from ..core import MEMBERSHIP_TOL, SUM_TOL, check_box, check_shape, ones
+from ._purepy import (
+    BAD_BLOCKS,
+    UNBOUNDED,
+    block_sum_error,
+    check_adam_arrays,
+    check_capacities,
+    check_labelling,
+    layout_header,
+)
 
 SOURCE = Path(__file__).with_name("_blocks.c")
 # Contracting a*b+c into a fused multiply-add, or any -ffast-math
@@ -50,6 +58,8 @@ SIGNATURES = {
     "backprop_blocks": (ctypes.c_int, 3),
     "project_blocks": (ctypes.c_int, 4),
     "adam_ascend": (None, 4),
+    "max_flow": (ctypes.c_int, 6),
+    "label_stable_set": (ctypes.c_int, 6),
 }
 
 
@@ -137,7 +147,7 @@ def load() -> SimpleNamespace:
         except AttributeError as exc:
             raise OSError(f"the kernel library is incomplete: {exc}") from exc
         c[name].argtypes, c[name].restype = (ctypes.c_void_p,) * arity, restype
-    run, score, back, project, adam = (c[name] for name in SIGNATURES)
+    run, score, back, project, adam, flow, label = (c[name] for name in SIGNATURES)
 
     def decompose_blocks(x0, blocks, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
@@ -269,6 +279,26 @@ def load() -> SimpleNamespace:
             raise_for(code, "backprop_blocks")
         return h[5:]
 
+    def max_flow(net, rs, rt, r):
+        """The C twin of ``_purepy.max_flow``: in place, byte for byte."""
+        check_capacities(net, rs, rt, r)
+        value, side = ctypes.c_double(), np.empty(rs.shape[0], dtype=bool)
+        code = flow(net.address, address(rs), address(rt), address(r), ctypes.byref(value), address(side))
+        if code == -6:
+            raise ValueError(UNBOUNDED)
+        if code:
+            raise MemoryError("max_flow: no scratch memory")
+        return value.value, side
+
+    def label_stable_set(net, rt, r, alive, side):
+        """The C twin of ``_purepy.label_stable_set``."""
+        alive, side = check_labelling(net, rt, r, alive, side)
+        fixed = np.empty(alive.shape[0])
+        if label(net.address, address(rt), address(r), address(alive), address(side), address(fixed)):
+            raise MemoryError("label_stable_set: no scratch memory")
+        return fixed
+
     return SimpleNamespace(decompose_blocks=decompose_blocks, project_blocks=project_blocks,
                            project_blocks_vjp=project_blocks_vjp, coverage_values=coverage_values,
-                           cut_values=cut_values, backprop_blocks=backprop_blocks, adam_ascend=adam_ascend)
+                           cut_values=cut_values, backprop_blocks=backprop_blocks, adam_ascend=adam_ascend,
+                           max_flow=max_flow, label_stable_set=label_stable_set)

@@ -13,17 +13,20 @@ members change; it returns the decomposition's rows and the gradient
 tape's.  ``coverage_values`` and ``cut_values`` score batches of index sets
 given as CSR rows, ``backprop_blocks`` is the reverse pass of every
 family's gradient tape, and ``adam_ascend`` is one Adam step.
+``max_flow`` is the max-flow of both graph oracles over a ``FlowLayout``,
+and ``label_stable_set`` reads the stable-set vertex off the residual
+graph of its double cover.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, mul
 
 import numpy as np
 
-from ..core import SUM_TOL, DimensionError, MembershipError, check_box, ones
+from ..core import SUM_TOL, MembershipError, check_box, check_shape, ones
 
 BRANCH_MIN_IN = 0
 BRANCH_MAX_OUT = 1
@@ -36,14 +39,6 @@ def sequential_sum(v) -> float:
     adds in order; the + 0.0 turns its -0.0 into the 0.0 that a sum from
     0.0 gives."""
     return float(np.cumsum(v)[-1]) + 0.0 if len(v) else 0.0
-
-
-def check_shape(x, n: int) -> np.ndarray:
-    """x as a float array, once its shape is (n,) (DimensionError)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise DimensionError(f"point of shape {x.shape} for a spec of dimension {n}")
-    return x
 
 
 def block_sum_error(s: float, k: int) -> MembershipError:
@@ -509,3 +504,227 @@ def backprop_blocks(n, p, q, a, vertex_rows, functional_rows, wx, fvals, termina
         D += a[t] * gv / o + c * wx[t]
         R += pf[t]
     return scale * np.array(h)
+
+
+FLOW_EPS = 1e-12  # residual capacities at most this count as saturated
+BAD_CAPACITIES = "max_flow needs writable, contiguous float64 capacity arrays of n, n and A entries"
+F64 = np.dtype(np.float64)
+UNBOUNDED = "max_flow needs a bounded source or sink capacity at every node"
+
+
+class FlowLayout:
+    """The arcs of a flow network as the flow kernels read them, built and
+    checked once per network.  Node u's slots are ptr[u] .. ptr[u + 1], and
+    slot s holds the arc arc[s] from u to head[s].  ``array`` is the
+    read-only int64 array [n, A, ptr[n + 1], head[A], arc[A]], which the C
+    kernels read at ``address``; the pure kernels read its parts ``ptr``,
+    ``head`` and ``arc`` through ``slots_where``.
+    ValueError unless ptr runs from 0 to A without falling, every head lies
+    in [0, n), every arc id of [0, A) sits in one slot, and arc a ^ 1 runs
+    from the head of arc a back to its tail."""
+
+    def __init__(self, ptr, head, arc):
+        ptr, head, arc = (np.asarray(v, dtype=np.int64) for v in (ptr, head, arc))
+        if not (ptr.ndim == head.ndim == arc.ndim == 1 and ptr.shape[0] >= 1 and ptr[0] == 0
+                and ptr[-1] == head.shape[0] == arc.shape[0] and (ptr[1:] >= ptr[:-1]).all()):
+            raise ValueError("a flow layout needs a pointer from 0 to the slot count that never falls")
+        n, A = ptr.shape[0] - 1, arc.shape[0]
+        if A and not (head.min() >= 0 and head.max() < n and arc.min() >= 0 and arc.max() < A
+                      and np.bincount(arc, minlength=A).max() == 1):
+            raise ValueError("a flow layout needs heads in [0, n) and each arc id of [0, A) in one slot")
+        tail = np.repeat(np.arange(n), np.diff(ptr))
+        slot = np.empty(A, dtype=np.int64)
+        slot[arc] = np.arange(A)
+        back = arc ^ 1
+        if (back >= A).any() or (tail[slot[back % max(A, 1)]] != head).any():
+            raise ValueError("a flow layout needs arc a ^ 1 to be the reverse of arc a")
+        self.n, self.n_arcs = n, A
+        self.array = np.concatenate(([n, A], ptr, head, arc), dtype=np.int64)
+        self.array.flags.writeable = False
+        self.ptr, self.head, self.arc = np.split(self.array[2:], [n + 1, n + 1 + A])
+
+    @cached_property
+    def address(self) -> int:
+        """The address of ``array``'s data."""
+        return self.array.ctypes.data
+
+    def slots_where(self, keep) -> tuple[list, list, list]:
+        """The slots where the bool array keep (one entry per slot) holds,
+        in order, as lists: a pointer per node, and a head and an arc per
+        slot."""
+        at = np.concatenate(([0], np.cumsum(keep)))[self.ptr]
+        return at.tolist(), self.head[keep].tolist(), self.arc[keep].tolist()
+
+
+def check_capacities(net: FlowLayout, rs, rt, r) -> None:
+    """ValueError unless rs, rt and r are writable, C-contiguous float64
+    arrays of the n, n and A entries of the flow layout net."""
+    for cap, size in ((rs, net.n), (rt, net.n), (r, net.n_arcs)):
+        if type(cap) is not np.ndarray or cap.dtype is not F64 or cap.shape != (size,) or not cap.flags.carray:
+            raise ValueError(BAD_CAPACITIES)
+
+
+def max_flow(net, rs, rt, r):
+    """Push a maximum flow through the FlowLayout net from the source
+    capacities rs to the sink capacities rt through the arc capacities r,
+    float64 arrays that it changes in place into the residual ones.
+    Returns the flow value and the source side of the smallest minimum cut,
+    as a bool array: the nodes that the nodes with source capacity left
+    reach through residual capacities above FLOW_EPS.
+
+    Each node's direct path to the sink is filled first (ValueError when a
+    node has both capacities +inf).  Then come Dinic's phases: levels from
+    the nodes with source capacity left, stopping at nodes with sink
+    capacity left, and one augmenting path at a time, by depth-first search
+    with a current-arc pointer per node."""
+    check_capacities(net, rs, rt, r)
+    n, eps, cs, ct, cr = net.n, FLOW_EPS, rs.tolist(), rt.tolist(), r.tolist()
+    if any(a == math.inf and b == math.inf for a, b in zip(cs, ct)):
+        raise ValueError(UNBOUNDED)
+    # An arc a with neither r[a] nor r[a ^ 1] above eps is never entered
+    # and never changes: either would first need a push along the other.
+    at, head, arc = net.slots_where((r[net.arc] > eps) | (r[net.arc ^ 1] > eps))
+    pairs = list(zip(head, arc))
+    adj = [pairs[at[u] : at[u + 1]] for u in range(n)]
+    flow = 0.0
+    for v in range(n):
+        p = cs[v] if cs[v] < ct[v] else ct[v]
+        cs[v] -= p
+        ct[v] -= p
+        flow += p
+    while True:
+        level = [-1] * n
+        queue = [v for v in range(n) if cs[v] > eps]
+        roots = list(queue)
+        for v in roots:
+            level[v] = 0
+        found = False
+        for u in queue:
+            if ct[u] > eps:
+                found = True
+                continue
+            nxt = level[u] + 1
+            for w, a in adj[u]:
+                if level[w] < 0 and cr[a] > eps:
+                    level[w] = nxt
+                    queue.append(w)
+        if not found:
+            break
+        it = [0] * n
+        for v in roots:
+            while cs[v] > eps:
+                nodes, arcs = [v], []
+                while nodes and ct[nodes[-1]] <= eps:
+                    u = nodes[-1]
+                    nbrs, k, nxt = adj[u], it[u], level[u] + 1
+                    while k < len(nbrs):
+                        w, a = nbrs[k]
+                        if level[w] == nxt and cr[a] > eps:
+                            break
+                        k += 1
+                    it[u] = k
+                    if k < len(nbrs):
+                        nodes.append(w)
+                        arcs.append(a)
+                    else:  # a dead end: back past the arc into it
+                        nodes.pop()
+                        if arcs:
+                            arcs.pop()
+                            it[nodes[-1]] += 1
+                if not nodes:
+                    break
+                d = cs[v]
+                for a in arcs:
+                    if cr[a] < d:
+                        d = cr[a]
+                t = nodes[-1]
+                if ct[t] < d:
+                    d = ct[t]
+                ct[t] -= d
+                for a in arcs:
+                    cr[a] -= d
+                    cr[a ^ 1] += d
+                cs[v] -= d
+                flow += d
+    rs[:], rt[:], r[:] = cs, ct, cr
+    # The last level search found no sink: it reached exactly the source side.
+    return flow, np.array(level) >= 0
+
+
+# The patterns of a node's two ends (u_L, u_R) in the stable-set labelling,
+# in the order of the lexicographic preference: (y, forced in, forced out),
+# with 0 standing for u_L and 1 for u_R.
+_TRIALS = ((1.0, (0,), (1,)), (0.5, (0, 1), ()), (0.0, (1,), (0,)), (0.5, (), (0, 1)))
+
+
+def check_labelling(net, rt, r, alive, side):
+    """(alive, side) as bool arrays, once rt and r are float64 arrays of the
+    2n and A entries of the flow layout net and alive and side have n and 2n
+    entries (ValueError otherwise)."""
+    n2 = net.n
+    alive = np.ascontiguousarray(alive, dtype=bool)
+    side = np.ascontiguousarray(side, dtype=bool)
+    if n2 % 2 or alive.shape != (n2 // 2,) or side.shape != (n2,):
+        raise ValueError("label_stable_set needs a double cover of 2n nodes and n alive flags")
+    check_capacities(net, rt, rt, r)  # rt in place of rs, which has its length
+    return alive, side
+
+
+def label_stable_set(net, rt, r, alive, side) -> np.ndarray:
+    """The half-integral vertex that a stable-set double cover's minimum
+    cuts give, after its max-flow.  The cover has 2n nodes, u_L = u and u_R
+    = n + u; net is its flow layout, rt and r its residual sink and arc
+    capacities and side the flow's source side.  IN starts as the source
+    side, and OUT as what reaches the nodes with sink capacity left.  Then
+    each node u with alive[u], in index order, takes the first y of the
+    patterns (y, forced in, forced out) of _TRIALS whose forced-in closure
+    (along the residual arcs above FLOW_EPS, not entering IN) reaches no
+    OUT node and whose forced-out closure (against them, not entering OUT)
+    reaches neither an IN node nor that closure; the two closures join IN
+    and OUT.  Returns y, 0 at every other node."""
+    alive, side = check_labelling(net, rt, r, alive, side)
+    n, eps = net.n // 2, FLOW_EPS
+    at, head, _ = net.slots_where(r[net.arc] > eps)
+    succ = [head[at[u] : at[u + 1]] for u in range(2 * n)]
+    at, head, _ = net.slots_where(r[net.arc ^ 1] > eps)
+    pred = [head[at[u] : at[u + 1]] for u in range(2 * n)]
+    IN, OUT = 1, 2
+    label = [IN if b else 0 for b in side.tolist()]
+
+    def closure(starts, arcs, lab, blocked):
+        """The nodes reachable from starts along arcs, not entering nodes
+        labelled lab; None if that reaches a node with the other label or
+        in blocked."""
+        seen, stack = set(), list(starts)
+        while stack:
+            u = stack.pop()
+            if label[u] == lab or u in seen:
+                continue
+            if label[u] or u in blocked:
+                return None
+            seen.add(u)
+            stack.extend(arcs[u])
+        return seen
+
+    def mark(nodes, lab):
+        for w in nodes:
+            label[w] = lab
+
+    out = closure([w for w, c in enumerate(rt.tolist()) if c > eps], pred, OUT, ())
+    if out is not None:
+        mark(out, OUT)
+    fixed = [0.0] * n
+    for u in np.flatnonzero(alive).tolist():
+        ends = (u, n + u)
+        for y, forced_in, forced_out in _TRIALS:
+            grow_in = closure([ends[j] for j in forced_in], succ, IN, ())
+            if grow_in is None:
+                continue
+            grow_out = closure([ends[j] for j in forced_out], pred, OUT, grow_in)
+            if grow_out is None:
+                continue
+            mark(grow_in, IN)
+            mark(grow_out, OUT)
+            fixed[u] = y
+            break
+    return np.array(fixed)

@@ -9,8 +9,10 @@ connects, and an edge whose weight x_e - lam [e in S] is negative never
 lowers it.  So it is negative exactly when some node set U has
 (1 - lam)(|U| - 1) - y(E(U)) < 0, with y = max(x - lam 1_S, 0), and one
 max-flow per node i finds the lowest such U among the sets whose smallest
-node is i; the flows run on ``graphs.Dinic``, the max-flow routine the
-stable-set oracle shares.  The step coefficient is the root in lam of
+node is i.  The flows run on ``Graph.edge_network``, built once per
+graph, with ``graphs.Dinic``, the max-flow routine the stable-set oracle
+shares; a flow is one kernel call that also returns its smallest minimum
+cut.  The step coefficient is the root in lam of
 that minimum; a Dinkelbach/Newton iteration (Dinkelbach, Mgmt. Sci. 1967)
 reaches it from above through the ratios of the minimising blocks."""
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +35,7 @@ from .core import (
     MembershipError,
     VertexSet,
     check_box,
+    check_shape,
     csr_rows,
     peel,
 )
@@ -71,7 +73,12 @@ class GraphicMatroid:
         """Spanning-tree marginals of the edge weights w = max(z, 1e-6),
         and their exact vjp in w by the transfer-current identity (Burton &
         Pemantle 1993): d mu_e / d w_f = [e = f] R_e - w_e M_ef^2, with
-        M = B^T L^+ B and R its diagonal, from the marginals' one solve."""
+        M = B^T L^+ B and R its diagonal, from the marginals' one solve.
+        A shape other than (m,) raises DimensionError, and NaN or inf
+        ValueError."""
+        z = check_shape(z, self.dim)
+        if not np.isfinite(z).all():
+            raise ValueError("projection input must be finite")
         w = np.maximum(z, 1e-6)
         x, reff, b, sol = _tree_currents(self.graph, w)
 
@@ -186,69 +193,43 @@ def max_spanning_forest(weights, g: Graph, zero_tol: float = ZERO_WEIGHT) -> Ver
     return VertexSet.integral(chosen, g.m)
 
 
-@lru_cache(maxsize=64)
-def _arcs(n_nodes: int, edges: tuple) -> Dinic:
-    """The flow network of the block flows.  Edge e = (u, v) has arc 2e
-    from u to v and arc 2e + 1 back."""
-    adj: list[list] = [[] for _ in range(n_nodes)]
-    for e, (u, v) in enumerate(edges):
-        adj[u].append((v, 2 * e))
-        adj[v].append((u, 2 * e + 1))
-    return Dinic(tuple(tuple(nbrs) for nbrs in adj))
-
-
-def _block_flow(net: Dinic, arc_cap: list, src_cap: list, cost: float, i: int):
-    """Maximum flow of node i's block network, returned as the residual
-    capacities (source, sink, edge arcs).
+def _block_flow(net: Dinic, caps: np.ndarray, cost: float, i: int):
+    """Maximum flow of node i's block network: the residual capacities
+    (source, sink, edge arcs) in one buffer, and the source side of the
+    smallest minimum cut.
 
     Node v has source capacity d_v/2 (d_v its y-degree) and sink capacity
     cost, and each edge an arc of capacity y_e/2 each way.  The source
     capacity of i and the sink capacities of the nodes below i are
     unbounded, which forces i in and those nodes out.  A cut with source
     side U then costs cost (|U| - 1) - y(E(U)) plus a constant."""
-    n = len(net.adj)
-    rs = list(src_cap)
-    rs[i] = math.inf
-    rt = [math.inf] * i + [cost] * (n - i)
-    r = list(arc_cap)
-    net.max_flow(rs, rt, r)
-    return rs, rt, r
+    n = net.n
+    f = caps.copy()
+    f[i] = math.inf
+    f[n : n + i] = math.inf
+    f[n + i : 2 * n] = cost
+    _, side = net.max_flow(f[:n], f[n : 2 * n], f[2 * n :])
+    return f, side
 
 
-def _networks(g: Graph, y: np.ndarray):
-    """Edge-arc capacities y_e/2 (both arcs of each edge) and source
-    capacities d_v/2 of the block networks, as lists."""
+def _networks(g: Graph, y: np.ndarray) -> np.ndarray:
+    """The capacities of the block networks in one float64 buffer: the
+    source capacities d_v/2, n places for the sink capacities, and y_e/2 on
+    both arcs of each edge."""
     half = y / 2.0
     deg = np.bincount(np.concatenate((g.edge_u, g.edge_v)), weights=np.tile(half, 2),
                       minlength=g.n_nodes)
-    return np.repeat(half, 2).tolist(), deg.tolist()
+    return np.concatenate((deg, np.zeros(g.n_nodes), np.repeat(half, 2)))
 
 
-def _source_side(adj, rs, r) -> int:
-    """The nodes that the nodes with source capacity left reach through
-    residual capacities above Dinic.EPS, as a bitmask."""
-    tol = Dinic.EPS
-    stack = [v for v in range(len(adj)) if rs[v] > tol]
-    seen = 0
-    for v in stack:
-        seen |= 1 << v
-    while stack:
-        u = stack.pop()
-        for w, a in adj[u]:
-            if r[a] > tol and not seen >> w & 1:
-                seen |= 1 << w
-                stack.append(w)
-    return seen
-
-
-def _block(g: Graph, y: np.ndarray, cost: float, side: int):
-    """cost (|U| - 1) - y(E(U)) of the node set U given as a bitmask, and
+def _block(g: Graph, y: np.ndarray, cost: float, side: np.ndarray):
+    """cost (|U| - 1) - y(E(U)) of the node set U given as a bool array, and
     its face: the edges of E(U) with y_e > 0, ascending."""
-    if side & (side - 1) == 0:  # one node
+    size = int(np.count_nonzero(side))
+    if size <= 1:
         return 0.0, ()
-    inside = np.array([side >> v & 1 for v in range(g.n_nodes)], dtype=bool)
-    face = np.flatnonzero(inside[g.edge_u] & inside[g.edge_v] & (y > 0))
-    return cost * (side.bit_count() - 1) - float(y[face].sum()), tuple(face.tolist())
+    face = np.flatnonzero(side[g.edge_u] & side[g.edge_v] & (y > 0))
+    return cost * (size - 1) - float(y[face].sum()), tuple(face.tolist())
 
 
 def _scan(g: Graph, y: np.ndarray, cost: float, starts):
@@ -256,14 +237,12 @@ def _scan(g: Graph, y: np.ndarray, cost: float, starts):
     is i: (value, face), from the smallest minimum cut of i's flow.  A node
     with no edge of positive weight to a later node needs no flow: without
     it, each of its blocks is at least as low."""
-    net = _arcs(g.n_nodes, g.edges)
-    arc_cap, src_cap = _networks(g, y)
+    net, caps = g.edge_network, _networks(g, y)
     leads = _leads(g, y)
     out = {}
     for i in starts:
         if leads[i]:
-            rs, _, r = _block_flow(net, arc_cap, src_cap, cost, i)
-            out[i] = _block(g, y, cost, _source_side(net.adj, rs, r))
+            out[i] = _block(g, y, cost, _block_flow(net, caps, cost, i)[1])
         else:
             out[i] = (0.0, ())
     return out
@@ -336,16 +315,18 @@ def _tight_blocks(g: Graph, x) -> _TightBlocks:
     x = np.asarray(x, dtype=float)
     y = np.maximum(x, 0.0)
     n, eu, ev = g.n_nodes, g.edge_u.tolist(), g.edge_v.tolist()
-    net = _arcs(n, g.edges)
-    adj = net.adj
-    arc_cap, src_cap = _networks(g, y)
+    net, caps = g.edge_network, _networks(g, y)
+    # Arc 2e runs from u to v and arc 2e + 1 back, for edge e = (u, v).
+    tails = np.stack((g.edge_u, g.edge_v), axis=1).ravel().tolist()
+    heads = np.stack((g.edge_v, g.edge_u), axis=1).ravel().tolist()
     best, flows = (0.0, ()), []
     for i in np.flatnonzero(_leads(g, y)).tolist():  # no tight set starts elsewhere
-        rs, rt, r = _block_flow(net, arc_cap, src_cap, 1.0, i)
-        val, face = _block(g, y, 1.0, _source_side(adj, rs, r))
+        f, side = _block_flow(net, caps, 1.0, i)
+        val, face = _block(g, y, 1.0, side)
         if val < best[0]:
             best = (val, face)
-        flows.append((i, val, rs, rt, r))
+        f = f.tolist()
+        flows.append((i, val, f[:n], f[n : 2 * n], f[2 * n :]))
     drift = -best[0]
     limit = TIGHT_TOL + 8 * drift
     found = []  # (size, i, e, closure)
@@ -354,10 +335,9 @@ def _tight_blocks(g: Graph, x) -> _TightBlocks:
         # A node that reaches a sink arc lies in no closed set, and the rest
         # are closed under the arcs, so only the rest need closures.
         pred: list[list[int]] = [[] for _ in range(n)]
-        for u in range(i, n):
-            for w, a in adj[u]:
-                if r[a] > tau:
-                    pred[w].append(u)
+        arcs = [a for a, c in enumerate(r) if c > tau and tails[a] >= i]
+        for a in arcs:
+            pred[heads[a]].append(tails[a])
         doomed = [rt[v] > tau for v in range(n)]
         queue = [v for v in range(n) if doomed[v]]
         for w in queue:
@@ -369,13 +349,9 @@ def _tight_blocks(g: Graph, x) -> _TightBlocks:
         if any(doomed[v] for v in sources):
             continue
         live = [u for u in range(i, n) if not doomed[u]]
-        reach = [0] * n
-        for u in live:
-            bits = 1 << u
-            for w, a in adj[u]:
-                if r[a] > tau:
-                    bits |= 1 << w
-            reach[u] = bits
+        reach = [1 << u for u in range(n)]
+        for a in arcs:
+            reach[tails[a]] |= 1 << heads[a]
         for k in live:  # transitive closure (Warshall)
             bit, rk = 1 << k, reach[k]
             for u in live:

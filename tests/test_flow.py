@@ -1,105 +1,189 @@
-"""The shared max-flow routine, ``caradec.graphs.Dinic``, against the
-former recursive max-flow with explicit source and sink nodes
-(``reference_loops.ReferenceDinic``), on random networks of the two
-shapes the graph oracles build: stable-set double covers and graphic
-block networks, with zero and infinite capacities."""
+"""The shared max-flow routine, ``caradec.graphs.Dinic``, on both kernel
+backends: against the former recursive max-flow with explicit source and
+sink nodes (``reference_loops.ReferenceDinic``), C against pure byte for
+byte (the flow, its residuals and its source side, and the stable-set
+labelling that reads them), and its refusal of malformed layouts and
+capacities.  The networks are those the graph oracles build, with random
+capacities: stable-set double covers and graphic block networks, with
+zero and infinite capacities and exact ties."""
 
 import math
 
 import numpy as np
 import pytest
+from kernel_backends import BACKENDS, available, implementation, use
 from reference_loops import ReferenceDinic
 
 from caradec.graphs import Dinic, Graph
-from caradec.matroids import _arcs, _networks
+from caradec.matroids import _networks
 from caradec.rng import stream
 
 
-def reference_flow(adj, rs, rt, r):
-    """The reference's flow value and the nodes its source reaches, on the
-    network (adj, rs, rt, r) given explicit terminals."""
-    n = len(adj)
-    src, snk = n, n + 1
-    net = ReferenceDinic(n + 2)
-    for v in range(n):
-        net.add_edge(src, v, rs[v])
-        net.add_edge(v, snk, rt[v])
-    for u, nbrs in enumerate(adj):
-        for w, a in nbrs:
-            if a % 2 == 0:
-                net.add_edge(u, w, r[a])
-                net.cap[-1] = r[a + 1]
-    value = net.max_flow(src, snk)
-    seen, stack = {src}, [src]
-    while stack:
-        u = stack.pop()
-        for e in net.head[u]:
-            if net.cap[e] > ReferenceDinic.EPS and net.to[e] not in seen:
-                seen.add(net.to[e])
-                stack.append(net.to[e])
-    return value, seen - {src}
-
-
-def shared_flow(adj, rs, rt, r):
-    """The shared routine's flow value and the nodes that the nodes with
-    source capacity left reach through its residual arcs."""
-    rs, rt, r = list(rs), list(rt), list(r)
-    value = Dinic(adj).max_flow(rs, rt, r)
-    stack = [v for v in range(len(adj)) if rs[v] > Dinic.EPS]
-    seen = set(stack)
-    while stack:
-        u = stack.pop()
-        for w, a in adj[u]:
-            if r[a] > Dinic.EPS and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return value, seen
+def random_graph(rng, n):
+    edges = {tuple(sorted(int(a) for a in rng.choice(n, 2, replace=False)))
+             for _ in range(int(rng.integers(0, 3 * n)))} if n > 1 else ()
+    return Graph(n, tuple(sorted(edges)))
 
 
 def double_cover(rng):
-    """A stable-set network: node u_L (u < k) with source capacity c_u/2,
-    node u_R (k + u) with sink capacity c_u/2, and per random edge the
-    infinite arcs u_L -> v_R and v_L -> u_R.  Some weights are 0."""
-    k = int(rng.integers(1, 25))
-    c = rng.random(k) * (rng.random(k) > 0.2)
+    """A stable-set network on Graph.double_cover: node u_L = u with source
+    capacity c_u/2, node u_R = n + u with sink capacity c_u/2, and infinite
+    arcs u_L -> v_R and v_L -> u_R on a random subset of the edges; all
+    other capacities 0.  Some weights are 0, and half the draws lie on a
+    grid of 1/8 (exact ties between cuts).  Returns the network, its
+    capacities and the alive nodes (c > 0)."""
+    n = int(rng.integers(1, 25))
+    g = random_graph(rng, n)
+    c = rng.random(n) * (rng.random(n) > 0.2)
     if rng.random() < 0.5:
-        c = np.round(8.0 * c) / 8.0  # exact ties between cuts
-    half = (c / 2.0).tolist()
-    adj = [[] for _ in range(2 * k)]
-    n_arcs = 0
-    p = float(rng.uniform(0.05, 0.5))
-    for u in range(k):
-        for v in range(u + 1, k):
-            if rng.random() < p:
-                for a, b in ((u, k + v), (v, k + u)):
-                    adj[a].append((b, n_arcs))
-                    adj[b].append((a, n_arcs + 1))
-                    n_arcs += 2
-    return adj, half + [0.0] * k, [0.0] * k + half, [math.inf, 0.0] * (n_arcs // 2)
+        c = np.round(8.0 * c) / 8.0
+    rs, rt, r = np.zeros(2 * n), np.zeros(2 * n), np.zeros(4 * g.m)
+    rs[:n] = rt[n:] = c / 2.0
+    r.reshape(-1, 4)[rng.random(g.m) < 0.8, ::2] = math.inf
+    return g.double_cover, rs, rt, r, c > 0
 
 
 def block_network(rng):
-    """A graphic block network of node i: source capacity d_v/2, sink
-    capacity cost, edge arcs y_e/2 each way, unbounded source capacity at i
-    and unbounded sink capacities below i.  Some weights are 0."""
+    """A graphic block network of node i on Graph.edge_network: source
+    capacity d_v/2, sink capacity cost, edge arcs y_e/2 each way, unbounded
+    source capacity at i and unbounded sink capacities below i.  Some
+    weights are 0."""
     n = int(rng.integers(2, 16))
-    edges = tuple(sorted({tuple(sorted(int(a) for a in rng.choice(n, 2, replace=False)))
-                          for _ in range(int(rng.integers(1, 3 * n)))}))
-    y = rng.random(len(edges)) * (rng.random(len(edges)) > 0.2)
+    g = random_graph(rng, n)
+    y = rng.random(g.m) * (rng.random(g.m) > 0.2)
     cost = float(rng.uniform(0.0, 1.0))
     i = int(rng.integers(0, n))
-    arc_cap, src_cap = _networks(Graph(n, edges), y)
-    rs = list(src_cap)
-    rs[i] = math.inf
-    return _arcs(n, edges).adj, rs, [math.inf] * i + [cost] * (n - i), arc_cap
+    f = _networks(g, y)
+    f[i] = math.inf
+    f[n : n + i] = math.inf
+    f[n + i : 2 * n] = cost
+    return g.edge_network, f[:n], f[n : 2 * n], f[2 * n :], None
 
 
-@pytest.mark.parametrize("shape", [double_cover, block_network])
-def test_matches_the_reference_flow(shape):
+SHAPES = [double_cover, block_network]
+
+
+def slots(net):
+    """(tail, head, arc) per slot of a network's layout."""
+    lay = net.layout
+    return np.repeat(np.arange(net.n), np.diff(lay.ptr)).tolist(), lay.head.tolist(), lay.arc.tolist()
+
+
+def reference_flow(net, rs, rt, r):
+    """The reference's flow value and the nodes its source reaches, on the
+    network given explicit terminals."""
+    n = net.n
+    src, snk = n, n + 1
+    ref = ReferenceDinic(n + 2)
+    for v in range(n):
+        ref.add_edge(src, v, rs[v])
+        ref.add_edge(v, snk, rt[v])
+    for u, w, a in zip(*slots(net)):
+        if a % 2 == 0:
+            ref.add_edge(u, w, r[a])
+            ref.cap[-1] = r[a + 1]
+    value = ref.max_flow(src, snk)
+    seen, stack = {src}, [src]
+    while stack:
+        u = stack.pop()
+        for e in ref.head[u]:
+            if ref.cap[e] > ReferenceDinic.EPS and ref.to[e] not in seen:
+                seen.add(ref.to[e])
+                stack.append(ref.to[e])
+    return value, seen - {src}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_matches_the_reference_flow(monkeypatch, shape):
+    for backend in available():
+        use(monkeypatch, backend)
+        for case in range(200):
+            net, rs, rt, r, _ = shape(stream(61, shape.__name__, case))
+            ref_value, ref_side = reference_flow(net, rs, rt, r)
+            value, side = net.max_flow(rs.copy(), rt.copy(), r.copy())
+            assert value == pytest.approx(ref_value, rel=1e-12), (backend, case)
+            assert set(np.flatnonzero(side).tolist()) == ref_side, (backend, case)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_the_twins_leave_the_same_bytes(shape):
+    """Every backend gives the pure twin's flow value, residuals and source
+    side byte for byte, and on double covers the same labelling."""
     for case in range(200):
-        rng = stream(61, shape.__name__, case)
-        adj, rs, rt, r = shape(rng)
-        value, side = shared_flow(adj, rs, rt, r)
-        ref_value, ref_side = reference_flow(adj, rs, rt, r)
-        assert value == pytest.approx(ref_value, rel=1e-12), case
-        assert side == ref_side, case
+        net, *caps, alive = shape(stream(67, shape.__name__, case))
+        outs = []
+        for impl in map(implementation, available()):
+            rs, rt, r = (c.copy() for c in caps)
+            value, side = impl.max_flow(net.layout, rs, rt, r)
+            out = [np.float64(value), rs, rt, r, side]
+            if alive is not None:
+                out.append(impl.label_stable_set(net.layout, rt, r, alive, side))
+            outs.append(out)
+        for out in outs[1:]:
+            for got, want in zip(out, outs[0]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+
+
+class TestRefusals:
+    """Both backends refuse what the flow cannot run on, with the same
+    ValueError."""
+
+    @pytest.mark.parametrize("ptr, head, arc", [
+        ([1, 2], [0, 0], [0, 1]),  # the pointer does not start at 0
+        ([0, 2, 1], [1, 0], [0, 1]),  # it falls
+        ([0, 1, 1], [1, 0], [0, 1]),  # it ends before the slots do
+        ([0, 1, 2], [1, 2], [0, 1]),  # a head out of range
+        ([0, 1, 2], [1, 0], [0, 2]),  # an arc id out of range
+        ([0, 1, 2], [1, 0], [0, 0]),  # an arc id in two slots
+        ([0, 2, 2], [1, 1], [0, 1]),  # arc 1 does not run back from 1 to 0
+        ([0, 1, 1, 2], [1, 0], [0, 1]),  # nor here, from 2
+        ([0, 1, 1], [0], [0]),  # arc 1, the reverse of arc 0, is missing
+    ])
+    def test_malformed_layouts(self, ptr, head, arc):
+        with pytest.raises(ValueError, match="flow layout"):
+            Dinic(ptr, head, arc)
+
+    def test_a_wellformed_layout(self):
+        net = Dinic([0, 1, 2], [1, 0], [0, 1])
+        assert net.n == 2 and net.layout.array.tolist() == [2, 2, 0, 1, 2, 1, 0, 0, 1]
+        assert [v.tolist() for v in (net.layout.ptr, net.layout.head, net.layout.arc)] == [[0, 1, 2], [1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_capacities_of_the_wrong_length_type_or_layout(self, backend):
+        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), implementation(backend).max_flow
+        good = (np.ones(2), np.ones(2), np.ones(2))
+        read_only = np.ones(2)
+        read_only.flags.writeable = False
+        for k, bad in [(0, np.ones(3)), (1, np.ones(1)), (2, np.ones(3)), (2, np.ones((2, 1))),
+                       (0, [1.0, 1.0]), (1, np.ones(2, dtype=np.float32)), (2, np.ones(4)[::2]),
+                       (0, read_only)]:
+            caps = list(good)
+            caps[k] = bad
+            with pytest.raises(ValueError, match="capacity arrays"):
+                flow(net.layout, *caps)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_node_with_both_capacities_unbounded(self, backend):
+        net, flow = Dinic([0, 0], [], []), implementation(backend).max_flow
+        rs, rt, r = np.array([math.inf]), np.array([math.inf]), np.empty(0)
+        with pytest.raises(ValueError, match="bounded source or sink"):
+            flow(net.layout, rs, rt, r)
+        assert rs.tolist() == rt.tolist() == [math.inf]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_unbounded_side_is_enough(self, backend):
+        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), implementation(backend).max_flow
+        rs, rt, r = np.array([math.inf, 0.0]), np.array([0.0, 2.0]), np.array([3.0, 0.0])
+        value, side = flow(net.layout, rs, rt, r)
+        assert value == 2.0 and side.tolist() == [True, True]
+        assert r.tolist() == [1.0, 2.0] and rt.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_labelling_needs_a_double_cover(self, backend):
+        net = Graph(2, ((0, 1),)).double_cover
+        label = implementation(backend).label_stable_set
+        rt, r = np.zeros(4), np.zeros(4)
+        with pytest.raises(ValueError, match="double cover"):
+            label(net.layout, rt, r, np.ones(3, dtype=bool), np.zeros(4, dtype=bool))
+        with pytest.raises(ValueError, match="capacity arrays"):
+            label(net.layout, rt, np.zeros(3), np.ones(2, dtype=bool), np.zeros(4, dtype=bool))

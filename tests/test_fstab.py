@@ -17,7 +17,7 @@ from reference_loops import (
 )
 
 from caradec import fstab
-from caradec.core import FractionalStableSet, MembershipError, validate_decomposition
+from caradec.core import DimensionError, FractionalStableSet, MembershipError, validate_decomposition
 from caradec.fstab import (
     Dinic,
     _augmented_weights,
@@ -75,6 +75,16 @@ class TestProjection:
         p = project_to_fstab(np.array([1.7, -0.4, 0.3]), Graph(3, ((1, 2),)))
         assert p.tolist() == [1.0, 0.0, 0.3]
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_family_projection_refuses_a_wrong_shape(self, shape):
+        with pytest.raises(DimensionError):
+            FractionalStableSet(Graph(3, ((0, 1),))).project(np.full(shape, 0.2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_family_projection_refuses_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FractionalStableSet(Graph(3, ((0, 1),))).project(np.array([0.2, bad, 0.3]))
+
 
 class TestVertexOracle:
     def test_interior_prefers_heavy_endpoint(self):
@@ -111,7 +121,7 @@ class TestVertexOracle:
         g = Graph(10, ((0, 1), (0, 5), (0, 6), (0, 8), (0, 9), (1, 9), (2, 7), (2, 9), (3, 4), (4, 7)))
         y = fstab_vertex(x, g).to_vector()
         c, _, live = _augmented_weights(x, g)
-        best = _lp_value(c, np.ones(10), live)
+        best = _lp_value(c, np.ones(10), [g.edges[e] for e in np.flatnonzero(live)])
         assert y.tolist() == [0.5] * 10
         assert abs(float(c @ y) - best) <= 1e-9 * best
 
@@ -216,7 +226,8 @@ class TestLoopParity:
                 c, alive, live = _augmented_weights(pt, g)
                 rc, ralive, rlive = reference_augmented_weights(pt, g)
                 assert_bytes(c, rc, "c")
-                assert alive.tolist() == ralive.tolist() and live == rlive
+                assert alive.tolist() == ralive.tolist()
+                assert [g.edges[e] for e in np.flatnonzero(live)] == rlive
                 v = fstab_vertex(pt, g)
                 a, rec = fstab_step_coefficient(pt, v, g)
                 ra, rrec = reference_fstab_step_coefficient(pt, v, g)

@@ -10,19 +10,26 @@ coordinates) or mixtures of vertices, and -0.0 in place of 0.0.
 The stable-set vertex oracle, on drawn graphs and on projected points
 (generic or on a coarse grid), returns a feasible half-integral vertex
 that keeps every zero coordinate at 0 and every tight edge tight, and
-whose augmented weight is the LP optimum."""
+whose augmented weight is the LP optimum.
+
+Exact decompositions of both graph families (stable sets on the drawn
+graphs above, graphic matroids on drawn connected graphs) meet the
+contract and give the same bytes on both backends."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from kernel_backends import available, flat, implementation
+from kernel_backends import available, flat, implementation, use
 from reference_loops import _lp_value
 
-from caradec.core import PartitionMatroid, validate_decomposition
+from caradec.core import EXACT as EXACT_CONFIG
+from caradec.core import FractionalStableSet, GraphicMatroid, PartitionMatroid, validate_decomposition
 from caradec.fstab import TIGHT_TOL, _augmented_weights, fstab_vertex, project_to_fstab
 from caradec.graphs import Graph
 from caradec.hypersimplex import kernel_decomposition
 from caradec.kernels import block_layout
+from caradec.matroids import max_spanning_forest, spanning_tree_marginals
 
 EXACT = (1.0, 0.0, 0.0)  # scale, floor, eps
 RESCALED = (0.5, 0.02, 1e-5)
@@ -143,12 +150,65 @@ def stable_set_points(draw):
 def test_stable_set_vertex_is_an_optimal_vertex_of_the_face(case):
     g, x = case
     y = fstab_vertex(x, g).to_vector()
-    c, alive, live_edges = _augmented_weights(x, g)
+    c, alive, live = _augmented_weights(x, g)
     assert set(y.tolist()) <= {0.0, 0.5, 1.0}
     assert all(y[u] + y[v] <= 1.0 for u, v in g.edges)
     assert (y[~alive] == 0.0).all()
     for u, v in g.edges:
         if x[u] + x[v] >= 1.0 - TIGHT_TOL:
             assert y[u] + y[v] == 1.0, (u, v)
-    best = _lp_value(c, np.ones(x.shape[0]), live_edges)
+    best = _lp_value(c, np.ones(x.shape[0]), [g.edges[e] for e in np.flatnonzero(live)])
     assert abs(float(c @ y) - best) <= 1e-9 * max(1.0, abs(best))
+
+
+@st.composite
+def graphic_points(draw):
+    """(graph, x): a connected graph on 2..7 nodes (a drawn spanning tree
+    plus drawn extra edges) and a point of its base polytope, either the
+    spanning-tree marginals of drawn weights or a mixture of maximum
+    spanning trees (exact ties and tight node sets)."""
+    n = draw(st.integers(2, 7))
+    tree = {tuple(sorted((v, draw(st.integers(0, v - 1))))) for v in range(1, n)}
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    keep = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    g = Graph(n, tuple(sorted(tree | {pair for pair, k in zip(rest, keep) if k})))
+    weights = st.lists(st.floats(0.05, 2.0), min_size=g.m, max_size=g.m)
+    if draw(st.booleans()):
+        return g, spanning_tree_marginals(g, np.array(draw(weights)))
+    mix = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    x = sum(k * max_spanning_forest(np.array(draw(weights)), g).to_vector() for k in mix)
+    return g, x / sum(mix)
+
+
+def assert_graph_contract(spec, x, tol):
+    """An exact decomposition of x on both backends: the same bytes, and
+    the contract (reconstruction to tol, mass 1 to 1e-9, feasible vertices,
+    at most dim + 1 steps)."""
+    outs = []
+    for backend in available():
+        with pytest.MonkeyPatch.context() as mp:
+            use(mp, backend)
+            outs.append(spec.decompose(x, EXACT_CONFIG))
+    d = outs[0]
+    rep = validate_decomposition(d, spec, x)
+    assert rep.reconstruction_error <= tol
+    assert abs(d.probability_sum() - 1.0) <= 1e-9
+    assert rep.all_feasible
+    assert d.iterations <= spec.dim + 1
+    for other in outs[1:]:
+        for got, want in zip((other.p, *other.vertex_rows), (d.p, *d.vertex_rows)):
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(stable_set_points())
+def test_stable_set_decomposition_contract_on_both_backends(case):
+    g, x = case
+    assert_graph_contract(FractionalStableSet(g), x, 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphic_points())
+def test_graphic_decomposition_contract_on_both_backends(case):
+    g, x = case
+    assert_graph_contract(GraphicMatroid(g), x, 1e-8)

@@ -21,6 +21,7 @@ from reference_loops import (
 from caradec import fstab
 from caradec.core import (
     EXACT,
+    DimensionError,
     GraphicMatroid,
     MembershipError,
     PartitionMatroid,
@@ -377,6 +378,16 @@ class TestMarginals:
                 fd[j] = gx @ (c.project(up)[0] - c.project(dn)[0]) / (2 * h)
             got = vjp(gx)
             assert np.max(np.abs(got - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_family_projection_refuses_a_wrong_shape(self, shape):
+        with pytest.raises(DimensionError):
+            GraphicMatroid(TRIANGLE).project(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_family_projection_refuses_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="projection input must be finite"):
+            GraphicMatroid(TRIANGLE).project(np.array([0.5, bad, 0.5]))
 
     def test_errors(self):
         disconnected = Graph(4, ((0, 1), (2, 3)))
