@@ -548,6 +548,11 @@ class FlowLayout:
         """The address of ``array``'s data."""
         return self.array.ctypes.data
 
+    def __getstate__(self):
+        # A copy or an unpickled layout has its own array, at another
+        # address.
+        return {k: v for k, v in self.__dict__.items() if k != "address"}
+
     def slots_where(self, keep) -> tuple[list, list, list]:
         """The slots where the bool array keep (one entry per slot) holds,
         in order, as lists: a pointer per node, and a head and an arc per

@@ -7,7 +7,9 @@ capacities.  The networks are those the graph oracles build, with random
 capacities: stable-set double covers and graphic block networks, with
 zero and infinite capacities and exact ties."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -147,6 +149,18 @@ class TestRefusals:
         net = Dinic([0, 1, 2], [1, 0], [0, 1])
         assert net.n == 2 and net.layout.array.tolist() == [2, 2, 0, 1, 2, 1, 0, 0, 1]
         assert [v.tolist() for v in (net.layout.ptr, net.layout.head, net.layout.arc)] == [[0, 1, 2], [1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_copied_network_flows_on_its_own_arrays(self, monkeypatch, backend):
+        use(monkeypatch, backend)
+        g = Graph(3, ((0, 1), (1, 2)))
+        net = g.edge_network
+        caps = (np.array([5.0, 0.0, 0.0]), np.array([0.0, 0.0, 5.0]), np.array([2.0, 0.0, 1.0, 0.0]))
+        want = net.max_flow(*(c.copy() for c in caps))
+        for other in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert other.edge_network.layout.address != net.layout.address
+            got = other.edge_network.max_flow(*(c.copy() for c in caps))
+            assert got[0] == want[0] == 1.0 and got[1].tolist() == want[1].tolist()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_capacities_of_the_wrong_length_type_or_layout(self, backend):
