@@ -197,7 +197,7 @@ def fstab_vertex(x_t, g: Graph) -> VertexSet:
     caps = np.zeros(4 * n + 4 * g.m)
     rs, rt, r = caps[: 2 * n], caps[2 * n : 4 * n], caps[4 * n :]
     rs[:n] = rt[n:] = c / 2.0
-    r.reshape(-1, 4)[live, ::2] = float(c[alive].sum()) + 1.0
+    g.cover_arcs(r)[live] = float(c[alive].sum()) + 1.0
     _, side = net.max_flow(rs, rt, r)
     return VertexSet.half_integral(kernels.label_stable_set(net.layout, rt, r, alive, side))
 

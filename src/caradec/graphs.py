@@ -92,6 +92,11 @@ class Graph:
         (u, v) has arc 2e from u to v and arc 2e + 1 back."""
         return Dinic.from_tails(self.n_nodes, np.stack((self.edge_u, self.edge_v), axis=1).ravel())
 
+    def edge_arcs(self, r: np.ndarray) -> np.ndarray:
+        """The arc capacities r of ``edge_network`` as an (m, 2) view: row e
+        holds edge e's arc u -> v and its arc v -> u."""
+        return r.reshape(self.m, 2)
+
     @cached_property
     def double_cover(self) -> Dinic:
         """The bipartite double cover of the stable-set oracle, built once:
@@ -100,6 +105,12 @@ class Graph:
         reverse."""
         n, eu, ev = self.n_nodes, self.edge_u, self.edge_v
         return Dinic.from_tails(2 * n, np.stack((eu, n + ev, ev, n + eu), axis=1).ravel())
+
+    def cover_arcs(self, r: np.ndarray) -> np.ndarray:
+        """The arc capacities r of ``double_cover`` as an (m, 2) view of its
+        left-to-right arcs: row e holds edge e's arcs u_L -> v_R and
+        v_L -> u_R."""
+        return r.reshape(self.m, 4)[:, ::2]
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour lists in CSR form: node v's neighbours are
@@ -143,11 +154,18 @@ class Dinic:
     flow kernels read (ValueError when it is malformed); ``n`` is its node
     count."""
 
-    EPS = kernels.FLOW_EPS  # residual capacities at most this count as saturated
-
     def __init__(self, ptr, head, arc):
         self.layout = kernels.FlowLayout(ptr, head, arc)
         self.n = self.layout.n
+
+    @cached_property
+    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per arc id, its tail and its head, as int64 arrays."""
+        lay = self.layout
+        tail, head = np.empty(lay.n_arcs, dtype=np.int64), np.empty(lay.n_arcs, dtype=np.int64)
+        tail[lay.arc] = np.repeat(np.arange(lay.n), np.diff(lay.ptr))
+        head[lay.arc] = lay.head
+        return tail, head
 
     @classmethod
     def from_tails(cls, n: int, tails) -> Dinic:
@@ -164,7 +182,7 @@ class Dinic:
         (``kernels.max_flow``; no node may have both unbounded).  Returns
         the flow value and the source side of the smallest minimum cut as a
         bool array: the nodes that the nodes with source capacity left reach
-        through residual capacities above EPS."""
+        through residual capacities above 1e-12 (``_purepy.FLOW_EPS``)."""
         return kernels.max_flow(self.layout, rs, rt, r)
 
 

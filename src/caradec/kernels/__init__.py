@@ -68,11 +68,13 @@ every floating-point operation is the same in both, in the same order:
   augmenting path at a time with a current-arc pointer per node.  Every
   minimum is taken with ``a < b ? a : b`` (never ``fmin``, so NaN and inf
   take Python's branch), and every += and -= comes in the same order, so
-  the twins leave the same residual bytes and the same source side.  Both
-  skip the arcs with no residual capacity above FLOW_EPS either way,
-  which no flow can enter.  Both refuse capacity arrays of the wrong
-  length, dtype or memory layout, and a node with both capacities +inf,
-  with the same ValueError, before changing any.
+  the twins leave the same residual bytes and the same source side.  When
+  fewer than half the arcs have capacity above FLOW_EPS (1e-12), the pure
+  twin runs on the arc pairs with capacity above it either way,
+  renumbered; no flow enters the other pairs, so this changes no byte.
+  Both refuse capacity arrays of the
+  wrong length, dtype or memory layout, and a node with both capacities
+  +inf, with the same ValueError, before changing any.
 - ``label_stable_set`` turns the residual graph of a stable-set double
   cover into the oracle's vertex.  It makes no floating-point operation:
   it only compares residual capacities with FLOW_EPS and writes 0, 1/2 or
@@ -100,7 +102,6 @@ if os.environ.get("CARADEC_PURE", "") in ("", "0"):
 # The block and flow layouts are one format for both backends.
 block_layout = _purepy.block_layout
 FlowLayout = _purepy.FlowLayout
-FLOW_EPS = _purepy.FLOW_EPS
 # Callers look these up on this module at call time, so that a test or a
 # tracer can replace them.
 decompose_blocks = impl.decompose_blocks

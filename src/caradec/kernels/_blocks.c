@@ -700,28 +700,6 @@ int caradec_backprop_blocks(const double *f, const int64_t *iw, double *h)
 /* Residual capacities at most this count as saturated (_purepy.FLOW_EPS). */
 static const double FLOW_EPS = 1e-12;
 
-/* The slots of the flow layout net (see caradec_max_flow) whose arc a has
- * r[a] or r[a ^ 1] above FLOW_EPS, in order, as a layout ptr[n + 1],
- * head[], arc[].  A flow never enters the other arcs or changes them: it
- * would first have to push along one of the two.  So neither the flow nor
- * the closures of the labelling need to look at them. */
-static void open_slots(const int64_t *net, const double *r, int64_t *ptr, int64_t *head, int64_t *arc)
-{
-    const int64_t n = net[0], A = net[1], *slot_ptr = net + 2, *slot_head = slot_ptr + n + 1,
-                  *slot_arc = slot_head + A;
-    int64_t u, s, k = 0;
-
-    for (u = 0; u < n; u++) {
-        ptr[u] = k;
-        for (s = slot_ptr[u]; s < slot_ptr[u + 1]; s++)
-            if (r[slot_arc[s]] > FLOW_EPS || r[slot_arc[s] ^ 1] > FLOW_EPS) {
-                head[k] = slot_head[s];
-                arc[k++] = slot_arc[s];
-            }
-    }
-    ptr[n] = k;
-}
-
 /* The max-flow of _purepy.max_flow, step for step: the same comparisons
  * (a < b ? a : b, never fmin, so NaN and inf take the same branch) and
  * every += and -= in the same order, so both leave the same residual
@@ -738,10 +716,9 @@ static void open_slots(const int64_t *net, const double *r, int64_t *ptr, int64_
 int caradec_max_flow(const int64_t *net, double *rs, double *rt, double *r, double *value,
                      unsigned char *side)
 {
-    const int64_t n = net[0], A = net[1];
-    int64_t *level = malloc((size_t)(6 * n + 2 + 2 * A) * sizeof *level);
+    const int64_t n = net[0], A = net[1], *ptr = net + 2, *head = ptr + n + 1, *arc = head + A;
+    int64_t *level = malloc((size_t)(5 * n + 1) * sizeof *level);
     int64_t *queue = level + n, *it = queue + n, *nodes = it + n, *arcs = nodes + n + 1;
-    int64_t *ptr = arcs + n, *head = ptr + n + 1, *arc = head + A;
     int64_t v, u, w, a, s, k, qn, qi, roots, nn, na, nxt, found;
     double flow = 0.0, p, d;
 
@@ -752,7 +729,6 @@ int caradec_max_flow(const int64_t *net, double *rs, double *rt, double *r, doub
             free(level);
             return -6;
         }
-    open_slots(net, r, ptr, head, arc);
     for (v = 0; v < n; v++) {
         p = rs[v] < rt[v] ? rs[v] : rt[v];
         rs[v] -= p;
@@ -844,12 +820,11 @@ int caradec_max_flow(const int64_t *net, double *rs, double *rt, double *r, doub
 
 enum { LABEL_IN = 1, LABEL_OUT = 2 };
 
-/* The state of label_stable_set: the open slots of its network (see
- * open_slots), per node its label and the stamp of the last closure of
- * each kind that took it, the stamp of the last closure of each kind and
- * its nodes, and a stack. */
+/* The state of label_stable_set: the slots of its flow layout, per node
+ * its label and the stamp of the last closure of each kind that took it,
+ * the stamp of the last closure of each kind and its nodes, and a stack. */
 typedef struct {
-    int64_t *ptr, *head, *arc;
+    const int64_t *ptr, *head, *arc;
     const double *r;
     unsigned char *label;
     int64_t *stamp[2], *grown[2], count[2], last[2], tick, *stack;
@@ -910,7 +885,7 @@ int caradec_label_stable_set(const int64_t *net, const double *rt, const double 
     const int64_t n2 = net[0], n = n2 / 2, A = net[1];
     /* A closure pushes its starts and then, per node it takes, the heads
      * of that node's slots: at most 2n + A entries. */
-    int64_t *scratch = malloc((size_t)(7 * n2 + 3 * A + 2) * sizeof *scratch), u, v, top;
+    int64_t *scratch = malloc((size_t)(6 * n2 + A + 1) * sizeof *scratch), u, v, top;
     unsigned char *label = malloc((size_t)n2 + 1);
     closures c;
     int j, e;
@@ -927,10 +902,9 @@ int caradec_label_stable_set(const int64_t *net, const double *rt, const double 
     c.grown[0] = scratch + 2 * n2;
     c.grown[1] = scratch + 3 * n2;
     c.stack = scratch + 4 * n2;
-    c.ptr = c.stack + 2 * n2 + A;
+    c.ptr = net + 2;
     c.head = c.ptr + n2 + 1;
     c.arc = c.head + A;
-    open_slots(net, r, c.ptr, c.head, c.arc);
     c.last[0] = c.last[1] = c.tick = 0;
     for (v = 0; v < n2; v++) {
         label[v] = side[v] ? LABEL_IN : 0;

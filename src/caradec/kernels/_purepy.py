@@ -517,8 +517,7 @@ class FlowLayout:
     checked once per network.  Node u's slots are ptr[u] .. ptr[u + 1], and
     slot s holds the arc arc[s] from u to head[s].  ``array`` is the
     read-only int64 array [n, A, ptr[n + 1], head[A], arc[A]], which the C
-    kernels read at ``address``; the pure kernels read its parts ``ptr``,
-    ``head`` and ``arc`` through ``slots_where``.
+    kernels read at ``address``; the pure kernels read ``adj``.
     ValueError unless ptr runs from 0 to A without falling, every head lies
     in [0, n), every arc id of [0, A) sits in one slot, and arc a ^ 1 runs
     from the head of arc a back to its tail."""
@@ -553,20 +552,43 @@ class FlowLayout:
         # address.
         return {k: v for k, v in self.__dict__.items() if k != "address"}
 
-    def slots_where(self, keep) -> tuple[list, list, list]:
-        """The slots where the bool array keep (one entry per slot) holds,
-        in order, as lists: a pointer per node, and a head and an arc per
-        slot."""
-        at = np.concatenate(([0], np.cumsum(keep)))[self.ptr]
-        return at.tolist(), self.head[keep].tolist(), self.arc[keep].tolist()
+    @cached_property
+    def adj(self) -> list:
+        """Per node u, the list of its slots' (head, arc) pairs."""
+        pairs = list(zip(self.head.tolist(), self.arc.tolist()))
+        ptr = self.ptr.tolist()
+        return [pairs[ptr[u] : ptr[u + 1]] for u in range(self.n)]
 
 
 def check_capacities(net: FlowLayout, rs, rt, r) -> None:
     """ValueError unless rs, rt and r are writable, C-contiguous float64
     arrays of the n, n and A entries of the flow layout net."""
     for cap, size in ((rs, net.n), (rt, net.n), (r, net.n_arcs)):
-        if type(cap) is not np.ndarray or cap.dtype is not F64 or cap.shape != (size,) or not cap.flags.carray:
+        if type(cap) is not np.ndarray or cap.dtype != F64 or cap.shape != (size,) or not cap.flags.carray:
             raise ValueError(BAD_CAPACITIES)
+
+
+def _open_arcs(net, r):
+    """The arcs that a flow through the capacities r can use, as (adj,
+    ids): ids lists ascending the arcs of the pairs (a, a ^ 1) with r above
+    FLOW_EPS on either arc, each pair side by side, and adj lists per node
+    its (head, index into ids) pairs in slot order.  A closed pair never
+    carries flow: either arc would first need a push along the other.
+
+    In Python each slot that a search looks at costs, and late stable-set
+    steps leave most pairs closed (at the dead nodes and non-live edges).
+    Renumbering costs a dozen numpy passes, so it is skipped (adj is
+    ``net.adj`` and ids None) while at least half the arcs lie above
+    FLOW_EPS."""
+    over = r > FLOW_EPS
+    if 2 * np.count_nonzero(over) >= over.shape[0]:
+        return net.adj, None
+    arc_open = np.repeat(over[::2] | over[1::2], 2)
+    local = np.cumsum(arc_open) - 1
+    keep = arc_open[net.arc]
+    at = np.concatenate(([0], np.cumsum(keep)))[net.ptr].tolist()
+    pairs = list(zip(net.head[keep].tolist(), local[net.arc[keep]].tolist()))
+    return [pairs[at[u] : at[u + 1]] for u in range(net.n)], np.flatnonzero(arc_open)
 
 
 def max_flow(net, rs, rt, r):
@@ -583,17 +605,14 @@ def max_flow(net, rs, rt, r):
     capacity left, and one augmenting path at a time, by depth-first search
     with a current-arc pointer per node."""
     check_capacities(net, rs, rt, r)
-    n, eps, cs, ct, cr = net.n, FLOW_EPS, rs.tolist(), rt.tolist(), r.tolist()
-    if any(a == math.inf and b == math.inf for a, b in zip(cs, ct)):
-        raise ValueError(UNBOUNDED)
-    # An arc a with neither r[a] nor r[a ^ 1] above eps is never entered
-    # and never changes: either would first need a push along the other.
-    at, head, arc = net.slots_where((r[net.arc] > eps) | (r[net.arc ^ 1] > eps))
-    pairs = list(zip(head, arc))
-    adj = [pairs[at[u] : at[u + 1]] for u in range(n)]
+    n, eps, cs, ct = net.n, FLOW_EPS, rs.tolist(), rt.tolist()
+    adj, ids = _open_arcs(net, r)
+    cr = r.tolist() if ids is None else r[ids].tolist()
     flow = 0.0
     for v in range(n):
         p = cs[v] if cs[v] < ct[v] else ct[v]
+        if p == math.inf and cs[v] == ct[v]:  # both +inf; no array written yet
+            raise ValueError(UNBOUNDED)
         cs[v] -= p
         ct[v] -= p
         flow += p
@@ -651,7 +670,11 @@ def max_flow(net, rs, rt, r):
                     cr[a ^ 1] += d
                 cs[v] -= d
                 flow += d
-    rs[:], rt[:], r[:] = cs, ct, cr
+    rs[:], rt[:] = cs, ct
+    if ids is None:
+        r[:] = cr
+    else:
+        r[ids] = cr
     # The last level search found no sink: it reached exactly the source side.
     return flow, np.array(level) >= 0
 
@@ -688,19 +711,17 @@ def label_stable_set(net, rt, r, alive, side) -> np.ndarray:
     reaches neither an IN node nor that closure; the two closures join IN
     and OUT.  Returns y, 0 at every other node."""
     alive, side = check_labelling(net, rt, r, alive, side)
-    n, eps = net.n // 2, FLOW_EPS
-    at, head, _ = net.slots_where(r[net.arc] > eps)
-    succ = [head[at[u] : at[u + 1]] for u in range(2 * n)]
-    at, head, _ = net.slots_where(r[net.arc ^ 1] > eps)
-    pred = [head[at[u] : at[u + 1]] for u in range(2 * n)]
+    adj, n, eps, cr = net.adj, net.n // 2, FLOW_EPS, r.tolist()
     IN, OUT = 1, 2
     label = [IN if b else 0 for b in side.tolist()]
+    # Per direction, each node's residual neighbours, listed on first use.
+    nbrs = ([None] * (2 * n), [None] * (2 * n))
 
-    def closure(starts, arcs, lab, blocked):
-        """The nodes reachable from starts along arcs, not entering nodes
-        labelled lab; None if that reaches a node with the other label or
-        in blocked."""
-        seen, stack = set(), list(starts)
+    def closure(starts, back, lab, blocked):
+        """The nodes reachable from starts along the residual arcs above
+        eps (against them if back is 1), not entering nodes labelled lab;
+        None if that reaches a node with the other label or in blocked."""
+        seen, stack, known = set(), list(starts), nbrs[back]
         while stack:
             u = stack.pop()
             if label[u] == lab or u in seen:
@@ -708,24 +729,26 @@ def label_stable_set(net, rt, r, alive, side) -> np.ndarray:
             if label[u] or u in blocked:
                 return None
             seen.add(u)
-            stack.extend(arcs[u])
+            if known[u] is None:
+                known[u] = [w for w, a in adj[u] if cr[a ^ back] > eps]
+            stack.extend(known[u])
         return seen
 
     def mark(nodes, lab):
         for w in nodes:
             label[w] = lab
 
-    out = closure([w for w, c in enumerate(rt.tolist()) if c > eps], pred, OUT, ())
+    out = closure([w for w, c in enumerate(rt.tolist()) if c > eps], 1, OUT, ())
     if out is not None:
         mark(out, OUT)
     fixed = [0.0] * n
     for u in np.flatnonzero(alive).tolist():
         ends = (u, n + u)
         for y, forced_in, forced_out in _TRIALS:
-            grow_in = closure([ends[j] for j in forced_in], succ, IN, ())
+            grow_in = closure([ends[j] for j in forced_in], 0, IN, ())
             if grow_in is None:
                 continue
-            grow_out = closure([ends[j] for j in forced_out], pred, OUT, grow_in)
+            grow_out = closure([ends[j] for j in forced_out], 1, OUT, grow_in)
             if grow_out is None:
                 continue
             mark(grow_in, IN)

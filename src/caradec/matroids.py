@@ -216,10 +216,11 @@ def _networks(g: Graph, y: np.ndarray) -> np.ndarray:
     """The capacities of the block networks in one float64 buffer: the
     source capacities d_v/2, n places for the sink capacities, and y_e/2 on
     both arcs of each edge."""
-    half = y / 2.0
-    deg = np.bincount(np.concatenate((g.edge_u, g.edge_v)), weights=np.tile(half, 2),
-                      minlength=g.n_nodes)
-    return np.concatenate((deg, np.zeros(g.n_nodes), np.repeat(half, 2)))
+    n, half = g.n_nodes, y / 2.0
+    caps = np.zeros(2 * n + 2 * g.m)
+    caps[:n] = np.bincount(np.concatenate((g.edge_u, g.edge_v)), weights=np.tile(half, 2), minlength=n)
+    g.edge_arcs(caps[2 * n :])[:] = half[:, None]
+    return caps
 
 
 def _block(g: Graph, y: np.ndarray, cost: float, side: np.ndarray):
@@ -316,9 +317,7 @@ def _tight_blocks(g: Graph, x) -> _TightBlocks:
     y = np.maximum(x, 0.0)
     n, eu, ev = g.n_nodes, g.edge_u.tolist(), g.edge_v.tolist()
     net, caps = g.edge_network, _networks(g, y)
-    # Arc 2e runs from u to v and arc 2e + 1 back, for edge e = (u, v).
-    tails = np.stack((g.edge_u, g.edge_v), axis=1).ravel().tolist()
-    heads = np.stack((g.edge_v, g.edge_u), axis=1).ravel().tolist()
+    tails, heads = (ends.tolist() for ends in net.arc_ends)
     best, flows = (0.0, ()), []
     for i in np.flatnonzero(_leads(g, y)).tolist():  # no tight set starts elsewhere
         f, side = _block_flow(net, caps, 1.0, i)

@@ -41,7 +41,7 @@ def double_cover(rng):
         c = np.round(8.0 * c) / 8.0
     rs, rt, r = np.zeros(2 * n), np.zeros(2 * n), np.zeros(4 * g.m)
     rs[:n] = rt[n:] = c / 2.0
-    r.reshape(-1, 4)[rng.random(g.m) < 0.8, ::2] = math.inf
+    g.cover_arcs(r)[rng.random(g.m) < 0.8] = math.inf
     return g.double_cover, rs, rt, r, c > 0
 
 
@@ -126,6 +126,21 @@ def test_the_twins_leave_the_same_bytes(shape):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
 
 
+def test_arc_views_follow_the_layouts():
+    """Graph.edge_arcs and Graph.cover_arcs address the arcs that
+    Dinic.arc_ends places between the edges' ends."""
+    g = Graph(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
+    eu, ev, n = g.edge_u, g.edge_v, g.n_nodes
+    tail, head = g.edge_network.arc_ends
+    ids = g.edge_arcs(np.arange(2 * g.m))
+    assert (tail[ids] == np.stack((eu, ev), axis=1)).all() and (head[ids] == np.stack((ev, eu), axis=1)).all()
+    tail, head = g.double_cover.arc_ends
+    ids = g.cover_arcs(np.arange(4 * g.m))
+    assert (tail[ids] == np.stack((eu, ev), axis=1)).all()
+    assert (head[ids] == n + np.stack((ev, eu), axis=1)).all()
+    assert (tail[ids ^ 1] == head[ids]).all() and (head[ids ^ 1] == tail[ids]).all()
+
+
 class TestRefusals:
     """Both backends refuse what the flow cannot run on, with the same
     ValueError."""
@@ -149,6 +164,7 @@ class TestRefusals:
         net = Dinic([0, 1, 2], [1, 0], [0, 1])
         assert net.n == 2 and net.layout.array.tolist() == [2, 2, 0, 1, 2, 1, 0, 0, 1]
         assert [v.tolist() for v in (net.layout.ptr, net.layout.head, net.layout.arc)] == [[0, 1, 2], [1, 0], [0, 1]]
+        assert [v.tolist() for v in net.arc_ends] == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_copied_network_flows_on_its_own_arrays(self, monkeypatch, backend):
@@ -170,11 +186,19 @@ class TestRefusals:
         read_only.flags.writeable = False
         for k, bad in [(0, np.ones(3)), (1, np.ones(1)), (2, np.ones(3)), (2, np.ones((2, 1))),
                        (0, [1.0, 1.0]), (1, np.ones(2, dtype=np.float32)), (2, np.ones(4)[::2]),
-                       (0, read_only)]:
+                       (0, read_only), (1, np.ones(2, dtype=">f8"))]:
             caps = list(good)
             caps[k] = bad
             with pytest.raises(ValueError, match="capacity arrays"):
                 flow(net.layout, *caps)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unpickled_capacities_are_accepted(self, backend):
+        # An unpickled array has a float64 dtype equal to, but not the same
+        # object as, np.dtype(np.float64).
+        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), implementation(backend).max_flow
+        rs, rt, r = pickle.loads(pickle.dumps((np.array([3.0, 0.0]), np.array([0.0, 2.0]), np.array([1.0, 0.0]))))
+        assert flow(net.layout, rs, rt, r)[0] == 1.0 and r.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_node_with_both_capacities_unbounded(self, backend):

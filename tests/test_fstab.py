@@ -115,8 +115,9 @@ class TestVertexOracle:
         assert v.to_vector().tolist() == [0.0, 1.0, 1.0]
 
     def test_optimal_where_float_residuals_break_the_cover_symmetry(self):
-        # x_4 - x_3 = 2e-12 puts residual capacities at Dinic.EPS: no minimum
-        # cut meets y_0's patterns 1, 1/2 or 0, only (0_L, 0_R both out).
+        # x_4 - x_3 = 2e-12 puts residual capacities at _purepy.FLOW_EPS: no
+        # minimum cut meets y_0's patterns 1, 1/2 or 0, only (0_L, 0_R both
+        # out).
         x = np.array([0.7, 0.3, 0.5, 0.25, 0.250000000002, 0.25, 0.25, 1 / 3, 0.3, 0.3])
         g = Graph(10, ((0, 1), (0, 5), (0, 6), (0, 8), (0, 9), (1, 9), (2, 7), (2, 9), (3, 4), (4, 7)))
         y = fstab_vertex(x, g).to_vector()
