@@ -25,8 +25,10 @@ class SetObjective:
     """A deterministic set function; half-integral vertices score via the
     policy hook (default 0, the penalizing option).
 
-    values_of_rows is the one batch hook: a subclass with a vectorised
-    formula overrides it, and every solver scores through it."""
+    Two batch hooks score many sets at once, and a subclass with a
+    vectorised formula overrides them: values_of_rows scores CSR rows, and
+    every solver's batch goes through it; swap_values scores the single
+    swaps of local search, by default as rows of values_of_rows."""
 
     def value_of(self, indices: tuple[int, ...]) -> float:
         raise NotImplementedError
@@ -38,6 +40,19 @@ class SetObjective:
         ptr, idx = np.asarray(indptr).tolist(), np.asarray(indices).tolist()
         return np.array([float(self.value_of(tuple(sorted(idx[lo:hi])))) for lo, hi in zip(ptr, ptr[1:])],
                         dtype=np.float64)
+
+    def swap_values(self, value: float, members: np.ndarray, candidates: np.ndarray, drop: np.ndarray,
+                    add: np.ndarray) -> np.ndarray:
+        """f(S - members[drop[r]] + candidates[add[r]]) for each r, as a float
+        array in order, where S is the set of members (int64 ids, ascending)
+        and value is f(S); candidates (int64 ids) lie outside S.  The default
+        scores each swapped set as a sorted row of values_of_rows and does
+        not read value."""
+        k = members.shape[0]
+        # Row r of `rest` is the members without member r.
+        rest = np.broadcast_to(members, (k, k))[~np.eye(k, dtype=bool)].reshape(k, max(k - 1, 0))
+        batch = np.sort(np.concatenate((rest[drop], candidates[add, None]), axis=1), axis=1)
+        return self.values_of_rows(np.arange(drop.shape[0] + 1) * k, batch.ravel())
 
     def values_of(self, sets) -> np.ndarray:
         """f at each index set of a sequence, as a float array in order:
@@ -65,6 +80,38 @@ class LinearObjective(SetObjective):
 
     def value_of(self, indices):
         return float(self.weights[list(indices)].sum())
+
+    def values_of_rows(self, indptr, indices):
+        """value_of of each row sorted, byte for byte: the rows are sorted and
+        the weights gathered once, and numpy sums each row as a 1-D slice
+        or, when the batch has more than 4 rows per distinct length, each
+        group of rows of one length along its contiguous last axis, which
+        adds every row as the 1-D sum does."""
+        indptr = np.asarray(indptr, dtype=np.int64)
+        lens = np.diff(indptr)
+        if lens.shape[0] <= 4 * len(set(lens.tolist())):
+            idx, ptr = np.array(indices, dtype=np.int64), indptr.tolist()
+            for lo, hi in zip(ptr, ptr[1:]):
+                idx[lo:hi].sort()
+            w = self.weights[idx]
+            return np.array([w[lo:hi].sum() for lo, hi in zip(ptr, ptr[1:])], dtype=np.float64)
+        order = np.argsort(lens, kind="stable")
+        size = lens[order]
+        first = [0] + (np.flatnonzero(size[1:] != size[:-1]) + 1).tolist() + [lens.shape[0]]
+        # The rows in order of length: group g is rows order[r0:r1] of
+        # length L, at idx[s:s + (r1 - r0) * L].
+        end = np.cumsum(size)
+        at = np.repeat(indptr[order] - end + size, size)
+        at += np.arange(at.shape[0])
+        idx = np.asarray(indices, dtype=np.int64)[at]
+        groups = [(r0, r1, int(end[r0] - size[r0]), int(size[r0])) for r0, r1 in zip(first, first[1:])]
+        for r0, r1, s, L in groups:
+            idx[s : s + (r1 - r0) * L].reshape(r1 - r0, L).sort(axis=1)
+        w = self.weights[idx]
+        out = np.empty(lens.shape[0])
+        for r0, r1, s, L in groups:
+            out[order[r0:r1]] = w[s : s + (r1 - r0) * L].reshape(r1 - r0, L).sum(axis=1)
+        return out
 
     def half_integral_value(self, v):
         return float(self.weights @ v.to_vector())

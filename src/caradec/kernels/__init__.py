@@ -49,11 +49,13 @@ every floating-point operation is the same in both, in the same order:
   the reverse pass reads them: step t's functional row is +-r at its
   binding coordinate (r = a_t/a_exact on a rescaled step, else 1), and
   wx[t] = +-r times a_exact (min-in step) or 1 - a_exact (max-out step).
-- ``coverage_values`` and ``cut_values`` score a batch of index sets given
-  as CSR rows (indptr, indices).  A row's value adds its covered elements'
-  (or cut edges') weights in ascending element (edge) order from 0.0: a
-  bitmap walk in C, a cumulative sum along each row of a dense block in
-  numpy.  So a row's value depends only on its set, not on the order of its
+- ``score_rows`` scores a batch of index sets given as CSR rows (indptr,
+  indices) under a ``ScoreLayout``: a coverage or cut objective's arrays,
+  which the objective builds and checks once, so that a call converts and
+  checks only the rows.  A row's value adds its covered elements' (or cut
+  edges') weights in ascending element (edge) order from 0.0: a bitmap
+  walk in C, a cumulative sum along each row of a dense block in numpy.
+  So a row's value depends only on its set, not on the order of its
   members or on the rows beside it.  An id outside [0, n) raises
   IndexError.
 - ``backprop_blocks`` adds each dot product left to right and forms every
@@ -99,16 +101,16 @@ if os.environ.get("CARADEC_PURE", "") in ("", "0"):
         warnings.warn(f"caradec: the C kernels are unavailable ({exc}); using the pure-numpy kernels",
                       RuntimeWarning, stacklevel=2)
 
-# The block and flow layouts are one format for both backends.
+# The block, score and flow layouts are one format for both backends.
 block_layout = _purepy.block_layout
+ScoreLayout = _purepy.ScoreLayout
 FlowLayout = _purepy.FlowLayout
 # Callers look these up on this module at call time, so that a test or a
 # tracer can replace them.
 decompose_blocks = impl.decompose_blocks
 project_blocks = impl.project_blocks
 project_blocks_vjp = impl.project_blocks_vjp
-coverage_values = impl.coverage_values
-cut_values = impl.cut_values
+score_rows = impl.score_rows
 backprop_blocks = impl.backprop_blocks
 adam_ascend = impl.adam_ascend
 max_flow = impl.max_flow

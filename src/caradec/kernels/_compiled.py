@@ -132,10 +132,10 @@ def raise_for(code: int, what: str) -> None:
 def load() -> SimpleNamespace:
     """The C kernels, with ``_purepy``'s names, signatures and outputs:
     ``decompose_blocks``, ``project_blocks``, ``project_blocks_vjp``,
-    ``coverage_values``, ``cut_values``, ``backprop_blocks`` and
-    ``adam_ascend``.  The library is built first when the cache lacks it.
-    Raises OSError when it can be neither found nor built, or when it lacks
-    one of the entry points of SIGNATURES."""
+    ``score_rows``, ``backprop_blocks``, ``adam_ascend``, ``max_flow`` and
+    ``label_stable_set``.  The library is built first when the cache lacks
+    it.  Raises OSError when it can be neither found nor built, or when it
+    lacks one of the entry points of SIGNATURES."""
     path = library_path()
     if not (path.is_file() and intact(path)):
         build(path)
@@ -234,31 +234,20 @@ def load() -> SimpleNamespace:
         adam(address(theta), address(m), address(v), buffer_address(g))
         return theta
 
-    def score_rows(kind, n, a, b, w, indptr, indices):
-        """Runs caradec_score_rows; the C function trusts a, b and w (the
-        objective's own arrays, which it built and checked) and checks the
-        rows."""
-        a, b = np.ascontiguousarray(a, dtype=np.int64), np.ascontiguousarray(b, dtype=np.int64)
-        w = np.ascontiguousarray(w, dtype=np.float64)
+    def score_rows(layout, indptr, indices):
+        """The C twin of ``_purepy.score_rows``.  The C function trusts the
+        layout's arrays, built and checked once, and checks the rows."""
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         if indptr.ndim != 1 or indices.ndim != 1 or indptr.shape[0] == 0:
             raise ValueError("rows must be a CSR row pointer over the indices")
         rows = indptr.shape[0] - 1
         out = np.empty(5 + rows)
-        pack_into("5q", out, 0, kind, n, w.shape[0], rows, indices.shape[0])
-        code = score(address(a), address(b), address(w), address(indptr), address(indices), buffer_address(out))
+        pack_into("5q", out, 0, layout.kind, layout.n, layout.m, rows, indices.shape[0])
+        code = score(*layout.addresses, address(indptr), address(indices), buffer_address(out))
         if code:
             raise_for(code, "score_rows")
         return out[5:]
-
-    def coverage_values(set_ptr, elements, weights, indptr, indices):
-        """The C twin of ``_purepy.coverage_values``."""
-        return score_rows(0, set_ptr.shape[0] - 1, set_ptr, elements, weights, indptr, indices)
-
-    def cut_values(n, edge_u, edge_v, weights, indptr, indices):
-        """The C twin of ``_purepy.cut_values``."""
-        return score_rows(1, n, edge_u, edge_v, weights, indptr, indices)
 
     def backprop_blocks(n, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal):
         """The C twin of ``_purepy.backprop_blocks``: same arguments, same
@@ -299,6 +288,6 @@ def load() -> SimpleNamespace:
         return fixed
 
     return SimpleNamespace(decompose_blocks=decompose_blocks, project_blocks=project_blocks,
-                           project_blocks_vjp=project_blocks_vjp, coverage_values=coverage_values,
-                           cut_values=cut_values, backprop_blocks=backprop_blocks, adam_ascend=adam_ascend,
+                           project_blocks_vjp=project_blocks_vjp, score_rows=score_rows,
+                           backprop_blocks=backprop_blocks, adam_ascend=adam_ascend,
                            max_flow=max_flow, label_stable_set=label_stable_set)

@@ -10,9 +10,10 @@ step the vertex is the per-block top-k of y (value descending, index
 ascending on ties), the step coefficient is min(min-in-set,
 1 - max-out-of-set) of x = y/q, optionally rescaled, and only the vertex's
 members change; it returns the decomposition's rows and the gradient
-tape's.  ``coverage_values`` and ``cut_values`` score batches of index sets
-given as CSR rows, ``backprop_blocks`` is the reverse pass of every
-family's gradient tape, and ``adam_ascend`` is one Adam step.
+tape's.  ``score_rows`` scores batches of index sets, given as CSR rows,
+under a coverage or cut ``ScoreLayout``; ``backprop_blocks`` is the
+reverse pass of every family's gradient tape, and ``adam_ascend`` is one
+Adam step.
 ``max_flow`` is the max-flow of both graph oracles over a ``FlowLayout``,
 and ``label_stable_set`` reads the stable-set vertex off the residual
 graph of its double cover.
@@ -414,42 +415,83 @@ def _sums_in_order(indptr, indices, weights, mark) -> np.ndarray:
     return out
 
 
-def coverage_values(set_ptr, elements, weights, indptr, indices) -> np.ndarray:
-    """Weighted coverage of each CSR row of set ids: set s covers
-    elements[set_ptr[s]:set_ptr[s + 1]], and a row's value adds the weights
-    of the elements it covers in ascending element order from 0.0."""
-    indptr, indices = check_rows(indptr, indices, set_ptr.shape[0] - 1)
-    m = weights.shape[0]
+COVERAGE, CUT = 0, 1  # the kinds of a ScoreLayout
 
-    def mark(rows, row, picked):
-        start = set_ptr[picked]
-        deg = set_ptr[picked + 1] - start
-        # Position in elements of every member element of every picked set,
-        # then its cell in the flat (rows, m) block; in place, as these are
-        # the largest arrays.
+
+class ScoreLayout:
+    """The arrays of a coverage or cut objective as the batch scorers read
+    them, built and checked once per objective.  Rows hold ids in [0, n).
+    Coverage: id s covers the elements b[a[s]:a[s + 1]] of m = len(w)
+    weighted elements.  Cut: the ids are nodes, and edge e of m = len(w)
+    joins a[e] and b[e].  a, b and w are read-only int64, int64 and float64
+    copies, which the C scorer reads at ``addresses``.  ValueError unless a
+    coverage pointer runs from 0 to len(b) without falling with every
+    element in [0, m), or every cut endpoint lies in [0, n) with one weight
+    per edge."""
+
+    def __init__(self, kind: int, n: int, a, b, w):
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        w = np.array(w, dtype=np.float64)
+        if kind == COVERAGE:
+            ok = (a.ndim == b.ndim == 1 and n >= 0 and a.shape[0] == n + 1 and a[0] == 0
+                  and a[-1] == b.shape[0] and (a[1:] >= a[:-1]).all()
+                  and (not b.size or 0 <= b.min() and b.max() < w.shape[0]))
+        else:
+            ok = (kind == CUT and a.ndim == b.ndim == 1 and a.shape == b.shape == w.shape
+                  and (not a.size or 0 <= min(a.min(), b.min()) and max(a.max(), b.max()) < n))
+        if not (ok and w.ndim == 1):
+            raise ValueError("a score layout needs a CSR incidence over the weights, or edges over n nodes")
+        for arr in (a, b, w):
+            arr.flags.writeable = False
+        self.kind, self.n, self.m, self.a, self.b, self.w = kind, n, w.shape[0], a, b, w
+
+    @classmethod
+    def coverage(cls, set_ptr, elements, weights) -> "ScoreLayout":
+        return cls(COVERAGE, len(set_ptr) - 1, set_ptr, elements, weights)
+
+    @classmethod
+    def cut(cls, n: int, edge_u, edge_v, weights) -> "ScoreLayout":
+        return cls(CUT, n, edge_u, edge_v, weights)
+
+    @cached_property
+    def addresses(self) -> tuple[int, int, int]:
+        """The addresses of a's, b's and w's data."""
+        return self.a.ctypes.data, self.b.ctypes.data, self.w.ctypes.data
+
+    def __getstate__(self):
+        # A copy or an unpickled layout has its own arrays, at other
+        # addresses.
+        return {k: v for k, v in self.__dict__.items() if k != "addresses"}
+
+
+def score_rows(layout: ScoreLayout, indptr, indices) -> np.ndarray:
+    """The objective's value at each CSR row of ids.  Coverage adds the
+    weights of the elements that a row covers in ascending element order
+    from 0.0; cut adds w[e] in edge order from 0.0 over the edges with
+    exactly one endpoint in the row."""
+    indptr, indices = check_rows(indptr, indices, layout.n)
+    a, b, m = layout.a, layout.b, layout.m
+
+    def mark_coverage(rows, row, picked):
+        start = a[picked]
+        deg = a[picked + 1] - start
+        # Position in b of every member element of every picked set, then
+        # its cell in the flat (rows, m) block; in place, as these are the
+        # largest arrays.
         cell = np.repeat(start - np.cumsum(deg) + deg, deg)
         cell += np.arange(cell.shape[0])
-        cell = elements[cell]
+        cell = b[cell]
         cell += np.repeat(row * m, deg)
         covered = np.zeros((rows, m), dtype=bool)
         covered.ravel()[cell] = True
         return covered
 
-    return _sums_in_order(indptr, indices, weights, mark)
-
-
-def cut_values(n: int, edge_u, edge_v, weights, indptr, indices) -> np.ndarray:
-    """Weighted cut of each CSR row of node ids on n nodes: a row's value
-    adds weights[e] in edge order from 0.0 over the edges (edge_u[e],
-    edge_v[e]) with exactly one endpoint in the row."""
-    indptr, indices = check_rows(indptr, indices, n)
-
-    def mark(rows, row, picked):
-        side = np.zeros((rows, n), dtype=bool)
+    def mark_cut(rows, row, picked):
+        side = np.zeros((rows, layout.n), dtype=bool)
         side[row, picked] = True
-        return side[:, edge_u] != side[:, edge_v]
+        return side[:, a] != side[:, b]
 
-    return _sums_in_order(indptr, indices, weights, mark)
+    return _sums_in_order(indptr, indices, layout.w, mark_coverage if layout.kind == COVERAGE else mark_cut)
 
 
 def backprop_blocks(n, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -71,22 +72,54 @@ def coverage_value(inst: CoverageInstance, selected) -> float:
 
 
 class CoverageObjective(SetObjective):
-    """Weighted coverage.  The set->element incidence is held in CSR form;
-    a batch goes to ``kernels.coverage_values``, which adds each row's
-    covered weights in ascending element order."""
+    """Weighted coverage.  The set->element incidence is held in CSR form,
+    each set's elements once and ascending; a batch goes to
+    ``kernels.score_rows``, which adds each row's covered weights in
+    ascending element order."""
 
     def __init__(self, inst: CoverageInstance):
         self.inst = inst
-        self._weights = np.array(inst.weights, dtype=np.float64)
-        lens = [len(m) for m in inst.sets]
-        self._indptr = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
-        self._elements = np.fromiter(chain.from_iterable(inst.sets), np.int64, int(self._indptr[-1]))
+        n_el = max(inst.n_elements, 1)
+        # (set, element) pairs as keys, sorted and without repeats.
+        keys = np.repeat(np.arange(inst.n_sets, dtype=np.int64) * n_el, [len(m) for m in inst.sets])
+        keys += np.fromiter(chain.from_iterable(inst.sets), np.int64, keys.shape[0])
+        keys.sort()
+        owner, elements = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_el)
+        indptr = np.zeros(inst.n_sets + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=inst.n_sets), out=indptr[1:])
+        self._layout = kernels.ScoreLayout.coverage(indptr, elements, inst.weights)
 
     def value_of(self, indices):
         return float(self.values_of([indices])[0])
 
     def values_of_rows(self, indptr, indices):
-        return kernels.coverage_values(self._indptr, self._elements, self._weights, indptr, indices)
+        return kernels.score_rows(self._layout, indptr, indices)
+
+    def _elements_of(self, ids):
+        """(position in ids, element) of every element of every set of ids."""
+        ptr = self._layout.a
+        start = ptr[ids]
+        deg = ptr[ids + 1] - start
+        at = np.repeat(start - np.cumsum(deg) + deg, deg)
+        at += np.arange(at.shape[0])
+        return np.repeat(np.arange(ids.shape[0]), deg), self._layout.b[at]
+
+    def swap_values(self, value, members, candidates, drop, add):
+        """f(S) - loss_i + gain_j + w(j & U_i), where U_i holds the elements
+        that member i alone covers, loss_i = w(U_i) and gain_j the weight of
+        j's elements that S leaves uncovered."""
+        w, k, nc = self._layout.w, members.shape[0], candidates.shape[0]
+        m_pos, m_el = self._elements_of(members)
+        c_pos, c_el = self._elements_of(candidates)
+        count = np.bincount(m_el, minlength=self._layout.m)
+        loss = np.bincount(m_pos, w[m_el] * (count[m_el] == 1), k)
+        # owner[e] is the member that covers e when only one does.
+        owner = np.zeros(self._layout.m, dtype=np.int64)
+        owner[m_el] = m_pos
+        w_c, c_count = w[c_el], count[c_el]
+        gain = np.bincount(c_pos, w_c * (c_count == 0), nc)
+        cross = np.bincount(owner[c_el] * nc + c_pos, w_c * (c_count == 1), k * nc)
+        return value - loss[drop] + gain[add] + cross[drop * nc + add]
 
 
 def cut_value(g: Graph, selected) -> float:
@@ -95,21 +128,43 @@ def cut_value(g: Graph, selected) -> float:
 
 
 class CutObjective(SetObjective):
-    """Weighted cut.  A batch goes to ``kernels.cut_values``, which adds the
+    """Weighted cut.  A batch goes to ``kernels.score_rows``, which adds the
     weights of each row's cut edges in edge order."""
 
     def __init__(self, g: Graph):
         self.graph = g
-        self._w = g.weight_array()
-        # Writable copies: the C wrapper takes a writable buffer's address
-        # faster than a read-only one's.
-        self._u, self._v = g.edge_u.copy(), g.edge_v.copy()
+        self._layout = kernels.ScoreLayout.cut(g.n_nodes, g.edge_u, g.edge_v, g.weight_array())
 
     def value_of(self, indices):
         return float(self.values_of([indices])[0])
 
     def values_of_rows(self, indptr, indices):
-        return kernels.cut_values(self.graph.n_nodes, self._u, self._v, self._w, indptr, indices)
+        return kernels.score_rows(self._layout, indptr, indices)
+
+    @cached_property
+    def _swap_tables(self):
+        """The weighted degrees; the edges' keys u * n + v (u < v) in
+        ascending order and their weights, for the weight between two
+        nodes; the last key, n * n, lies above every pair's."""
+        n, u, v, w = self.graph.n_nodes, self._layout.a, self._layout.b, self._layout.w
+        key = u * n + v
+        order = np.argsort(key)
+        return np.bincount(u, w, n) + np.bincount(v, w, n), np.append(key[order], n * n), np.append(w[order], 0.0)
+
+    def swap_values(self, value, members, candidates, drop, add):
+        """f(S) + 2w(i, S) - d_i + d_j - 2w(j, S) + 2w_ij (Kernighan & Lin,
+        1970), where d is the weighted degree and w(x, S) the weight from x
+        into S."""
+        n, u, v, w = self.graph.n_nodes, self._layout.a, self._layout.b, self._layout.w
+        inside = np.zeros(n, dtype=bool)
+        inside[members] = True
+        to_s = np.bincount(u, w * inside[v], n) + np.bincount(v, w * inside[u], n)
+        degree, keys, key_w = self._swap_tables
+        i, j = members[drop], candidates[add]
+        key = np.minimum(i, j) * n + np.maximum(i, j)
+        at = np.searchsorted(keys, key)
+        w_ij = np.where(keys[at] == key, key_w[at], 0.0)
+        return value + 2 * to_s[i] - degree[i] + degree[j] - 2 * to_s[j] + 2 * w_ij
 
 
 def brute_force_optimum(f: SetObjective, c: ConstraintSpec) -> tuple[VertexSet, float]:

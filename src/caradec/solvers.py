@@ -246,25 +246,23 @@ def local_improve(
     s: VertexSet, pool, f: SetObjective, c: ConstraintSpec, max_iter: int = 10
 ) -> tuple[VertexSet, float]:
     """Best-improvement single swaps (drop one member, add one candidate)
-    preserving feasibility; stops at a local optimum or after max_iter.
-    Each sweep scores all its feasible swaps with one values_of_rows call
-    and scans the values in (member, candidate) order: a swap wins only if
-    it beats the best so far by more than 1e-12."""
+    preserving feasibility; stops at a local optimum or after max_iter
+    sweeps.  Each sweep scores its feasible swaps with one f.swap_values
+    call and scans them in (member, candidate) order: a swap wins only if
+    it beats the best so far by more than 1e-12.  The value returned is
+    f.value_of of the last set.  ValueError for a half-integral start, a
+    pool id outside [0, s.n) or a negative max_iter."""
+    pool = np.fromiter(pool, np.int64)
+    if not s.is_integral or max_iter < 0 or pool.size and not 0 <= pool.min() <= pool.max() < s.n:
+        raise ValueError(f"local search needs an integral start, max_iter >= 0 and pool ids in [0, {s.n})")
     members = np.array(s.indices, dtype=np.int64)
     value = f.value_of(s.indices)
-    start = set(s.indices)
-    candidates = np.array([j for j in pool if j not in start], dtype=np.int64)
-    k = len(members)
+    candidates = pool[~np.isin(pool, members)]
     for _ in range(max_iter):
         drop, add = np.nonzero(c.swap_mask(members, candidates))
         if not drop.size:
             break
-        # Row r of `rest` is the members without member r.
-        rest = np.broadcast_to(members, (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-        batch = np.sort(np.concatenate((rest[drop], candidates[add, None]), axis=1), axis=1)
-        vals = f.values_of_rows(np.arange(drop.size + 1) * k, batch.ravel())
-        # The scan: the first swap that beats the start by more than 1e-12,
-        # then the first after it that beats that one, and so on.
+        vals = f.swap_values(value, members, candidates, drop, add)
         best, best_val, pos = None, value, 0
         while (hits := np.flatnonzero(vals[pos:] > best_val + 1e-12)).size:
             best = pos + int(hits[0])
@@ -276,7 +274,8 @@ def local_improve(
         members.sort()
         candidates = np.append(candidates[candidates != j], i)
         value = best_val
-    return VertexSet.integral(members.tolist(), s.n), value
+    final = VertexSet.integral(members.tolist(), s.n)
+    return final, value if final == s else f.value_of(final.indices)
 
 
 def greedy_coverage(inst: CoverageInstance, k: int) -> tuple[VertexSet, float]:

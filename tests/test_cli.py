@@ -228,6 +228,18 @@ def test_non_finite_edge_weight_exit_code(workdir, capsys, method):
     assert captured.out == "" and "weights must be positive and finite" in captured.err
 
 
+def test_negative_local_iters_exit_code(workdir, capsys):
+    main(["gen", "--kind", "random-uniform", "--name", "c", "--n-sets", "20",
+          "--n-elements", "50", "--count", "1", "--seed", "2", "--out", "d"])
+    capsys.readouterr()
+    rc = main(["solve", "--instance", "d/c_000.json", "--k", "3", "--method", "direct+local",
+               "--steps", "2", "--local-iters", "-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation failure: local search needs an integral start, max_iter >= 0" in captured.err
+
+
 def test_solve_instance_without_k_exit_code(workdir, capsys):
     main(["gen", "--kind", "random-uniform", "--name", "c", "--n-sets", "20",
           "--n-elements", "50", "--count", "1", "--seed", "2", "--out", "d"])

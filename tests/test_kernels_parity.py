@@ -29,7 +29,7 @@ from caradec.fstab import project_to_fstab
 from caradec.generators import gen_er_graph, gen_random_uniform
 from caradec.graphs import Graph
 from caradec.hypersimplex import kernel_decomposition, kernel_tape, project_to_partition_polytope
-from caradec.kernels import _compiled, _purepy, block_layout
+from caradec.kernels import ScoreLayout, _compiled, _purepy, block_layout
 from caradec.matroids import spanning_tree_marginals
 from caradec.objectives import CoverageObjective
 from caradec.rng import stream
@@ -401,13 +401,12 @@ def random_rows(rng, rows, n):
     return indptr, (rng.integers(0, n, indptr[-1]) if n else np.zeros(0, dtype=np.int64))
 
 
-def coverage_arrays(rng, n_sets, n_el, weights):
-    """An incidence of n_sets sets over n_el elements (some sets empty), as
-    the CSR arrays of CoverageObjective."""
+def coverage_layout(rng, n_sets, n_el, weights):
+    """A score layout of n_sets sets over n_el elements, some sets empty."""
     lens = rng.integers(0, min(n_el, 20) + 1, n_sets) if n_el else np.zeros(n_sets, dtype=np.int64)
     lens[::7] = 0
     elements = np.concatenate([np.sort(rng.choice(n_el, k, replace=False)) for k in lens] + [[]])
-    return np.concatenate(([0], np.cumsum(lens))), elements.astype(np.int64), weights
+    return ScoreLayout.coverage(np.concatenate(([0], np.cumsum(lens))), elements, weights)
 
 
 def weight_kinds(rng, m):
@@ -418,9 +417,9 @@ def weight_kinds(rng, m):
     return rng.integers(0, 9, m).astype(float), rng.random(m), mixed
 
 
-def assert_scores_equal(kernel, *args):
-    want = getattr(_purepy, kernel)(*args)
-    got = getattr(compiled(), kernel)(*args)
+def assert_scores_equal(*args):
+    want = _purepy.score_rows(*args)
+    got = compiled().score_rows(*args)
     assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -432,8 +431,8 @@ class TestScorerParity:
     def test_coverage(self, rows, n_el):
         rng = np.random.default_rng(rows * 1009 + n_el)
         for weights in weight_kinds(rng, n_el):
-            arrays = coverage_arrays(rng, 40, n_el, weights)
-            assert_scores_equal("coverage_values", *arrays, *random_rows(rng, rows, 40))
+            layout = coverage_layout(rng, 40, n_el, weights)
+            assert_scores_equal(layout, *random_rows(rng, rows, 40))
 
     @pytest.mark.parametrize("rows", (0, 1, 128, 129, 300))
     @pytest.mark.parametrize("n", (1, 20, 63, 64, 65))
@@ -443,31 +442,31 @@ class TestScorerParity:
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             u, v = (np.array([e[i] for e in pairs], dtype=np.int64) for i in (0, 1))
             for weights in weight_kinds(rng, len(pairs)):
-                assert_scores_equal("cut_values", n, u, v, weights, *random_rows(rng, rows, n))
+                assert_scores_equal(ScoreLayout.cut(n, u, v, weights), *random_rows(rng, rows, n))
 
     def test_a_row_is_its_set(self):
         """Member order, repeats and the rows beside a row change no bit."""
         rng = np.random.default_rng(5)
-        arrays = coverage_arrays(rng, 30, 257, rng.random(257))
+        layout = coverage_layout(rng, 30, 257, rng.random(257))
         indptr, indices = random_rows(rng, 300, 30)
         for impl in (_purepy, compiled()):
-            whole = impl.coverage_values(*arrays, indptr, indices)
+            whole = impl.score_rows(layout, indptr, indices)
             for r in (0, 5, 128, 299):
                 row = indices[indptr[r]:indptr[r + 1]]
                 for variant in (row, np.sort(row)[::-1], np.concatenate((row, row[:2]))):
-                    alone = impl.coverage_values(*arrays, np.array([0, len(variant)]), variant)
+                    alone = impl.score_rows(layout, np.array([0, len(variant)]), variant)
                     assert alone.tobytes() == whole[r:r + 1].tobytes()
 
     def test_bad_rows_are_refused_alike(self):
         rng = np.random.default_rng(6)
-        arrays = coverage_arrays(rng, 10, 64, rng.random(64))
+        layout = coverage_layout(rng, 10, 64, rng.random(64))
         for indptr, indices, error in (([0, 2], [3, 10], IndexError), ([0, 1], [-1], IndexError),
                                        ([0, 2, 1], [1, 2], ValueError), ([0, 3], [1, 2], ValueError),
                                        ([1, 2], [1, 2], ValueError), ([], [], ValueError)):
             for impl in (_purepy, compiled()):
                 with pytest.raises(error):
-                    impl.coverage_values(*arrays, np.array(indptr, dtype=np.int64),
-                                         np.array(indices, dtype=np.int64))
+                    impl.score_rows(layout, np.array(indptr, dtype=np.int64),
+                                    np.array(indices, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Coverage and cut objectives plus the brute-force oracle."""
 
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from kernel_backends import BACKENDS, available, use
 
 from caradec.core import Cardinality, FractionalStableSet, GraphicMatroid
-from caradec.extension import LinearObjective
+from caradec.extension import LinearObjective, SetObjective
+from caradec.kernels import ScoreLayout
 from caradec.generators import gen_random_uniform
 from caradec.graphs import Graph, GraphFormatError
 from caradec.objectives import (
@@ -172,6 +177,107 @@ class TestBatchedValues:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2**20, (backend, peak)
+
+
+    def test_linear_matches_value_of(self):
+        """Byte for byte value_of of each row sorted: empty batches and
+        rows, unsorted rows, one length and mixed lengths, on both sides of
+        the 4 rows per length that picks the grouped sums."""
+        rng = stream(53, "linear-batch")
+        for n in (1, 7, 300):
+            w = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+            w[::5] = -0.0
+            f = LinearObjective(w)
+            for rows, lengths in ((0, (0,)), (3, (0,)), (4, (3, 0, 9)), (50, (0, 5, 9)), (120, (40,)),
+                                  (200, (2, 8, 9, 130, 300)), (17, (1, 2, 3, 4, 5, 6, 7, 8, 9))):
+                lens = rng.choice(lengths, rows)
+                indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+                indices = rng.integers(0, n, indptr[-1])
+                got = f.values_of_rows(indptr, indices)
+                want = [f.value_of(tuple(sorted(indices[lo:hi].tolist())))
+                        for lo, hi in zip(indptr, indptr[1:])]
+                assert got.dtype == np.float64 and got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert f.values_of([(), (2, 0), (0, 2)]).tolist() == [0.0, w[0] + w[2], w[0] + w[2]]
+
+
+@st.composite
+def swap_cases(draw):
+    """(objective, members, candidates, drop, add, integral weights): a
+    coverage instance (sets may repeat an element) or a graph, with integer
+    or float weights; candidates outside the members, some repeated."""
+    integral = draw(st.booleans())
+    weight = st.integers(1, 60).map(float) if integral else st.floats(1e-3, 1e3)
+    if draw(st.booleans()):
+        n, n_el = draw(st.integers(1, 12)), draw(st.integers(0, 25))
+        element = st.integers(0, max(n_el - 1, 0))
+        sets = draw(st.lists(st.lists(element, max_size=8 if n_el else 0).map(tuple), min_size=n, max_size=n))
+        weights = draw(st.lists(weight | st.just(0.0), min_size=n_el, max_size=n_el))
+        f = CoverageObjective(CoverageInstance(n, n_el, tuple(weights), tuple(sets)))
+    else:
+        n = draw(st.integers(1, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+        weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+        f = CutObjective(Graph(n, tuple(edges), tuple(weights)))
+    ids = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, n))
+    outside = ids[k:]
+    candidates = draw(st.lists(st.sampled_from(outside), max_size=2 * len(outside))) if outside else []
+    mask = np.array(draw(st.lists(st.booleans(), min_size=k * len(candidates), max_size=k * len(candidates))),
+                    dtype=bool).reshape(k, len(candidates))
+    drop, add = np.nonzero(mask)
+    members = np.sort(np.array(ids[:k], dtype=np.int64))
+    return f, members, np.array(candidates, dtype=np.int64), drop, add, integral
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_cases())
+def test_swap_values_match_rescored_rows(case):
+    """The gain formulas give the base class's rows of values_of_rows: the
+    same bytes for integer weights, and within 1e-12 of the total weight
+    otherwise; on both backends."""
+    f, members, candidates, drop, add, integral = case
+    total = float(f._layout.w.sum())
+    for backend in available():
+        with pytest.MonkeyPatch.context() as mp:
+            use(mp, backend)
+            value = f.value_of(tuple(members.tolist()))
+            got = f.swap_values(value, members, candidates, drop, add)
+            want = SetObjective.swap_values(f, value, members, candidates, drop, add)
+        assert got.dtype == np.float64 and got.shape == want.shape == drop.shape
+        if integral:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 1e-12 * max(total, 1.0))
+
+
+class TestScoreLayout:
+    @pytest.mark.parametrize("args", [
+        (0, 2, [0, 1], [0], [1.0]),  # the pointer is one entry short
+        (0, -1, [], [], [1.0]),  # it is empty
+        (0, 1, [1, 1], [], [1.0]),  # it does not start at 0
+        (0, 2, [0, 2, 1], [0, 0], [1.0]),  # it falls
+        (0, 1, [0, 1], [1], [1.0]),  # an element out of range
+        (0, 1, [0, 1], [-1], [1.0]),
+        (1, 2, [0], [2], [1.0]),  # an endpoint out of range
+        (1, 2, [-1], [1], [1.0]),
+        (1, 2, [0], [1], [1.0, 2.0]),  # a weight too many
+        (2, 2, [0], [1], [1.0]),  # no such kind
+    ])
+    def test_malformed_layouts(self, args):
+        with pytest.raises(ValueError, match="score layout"):
+            ScoreLayout(*args)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_copied_objective_scores_its_own_arrays(self, monkeypatch, backend):
+        use(monkeypatch, backend)
+        sets = [(0, 2), (1,), (1, 2)]
+        for f in (CoverageObjective(CoverageInstance(3, 4, (1.0, 2.0, 4.0, 8.0), tuple(sets))),
+                  CutObjective(Graph(4, ((0, 1), (1, 2), (2, 3)), (1.0, 2.0, 4.0)))):
+            want = f.values_of(sets).tolist()
+            for other in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert other._layout.addresses != f._layout.addresses
+                assert other.values_of(sets).tolist() == want
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

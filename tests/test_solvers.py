@@ -8,6 +8,7 @@ from reference_loops import reference_local_improve
 from caradec.core import Cardinality, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
 from caradec import solvers
 from caradec.extension import (
+    CallableObjective,
     LinearObjective,
     backprop_extension,
     best_set,
@@ -363,6 +364,48 @@ class TestBatchedLocalImprove:
                 v, _ = self.assert_same(VertexSet.integral(start, g.m), rng.permutation(g.m).tolist(),
                                         LinearObjective(rng.random(g.m)), c)
                 assert c.vertex_feasible(v)
+
+
+    def test_tiny_random500_pipeline(self):
+        """Random500's last stage at 60 sets: the start and the pool of
+        direct ascent and multi-scale rounding."""
+        moved = 0
+        for i in range(4):
+            f = CoverageObjective(gen_random_uniform(60, 120, seed=42, instance_id=i))
+            c = Cardinality(60, 4)
+            res = direct_optimize(f, c, OptimizeConfig(steps=10, lr=0.015, seed=i, init="random"))
+            ms, pool = multi_scale_solve(res.final_point, ScaleSchedule(max_iterations=200, seed=i), f, c)
+            start = ms.best if ms.objective > res.objective else res.best
+            v, _ = self.assert_same(start, pool, f, c)
+            moved += v != start
+        assert moved > 0
+
+    def test_weighted_cut(self):
+        rng = stream(59, "batched-li-weighted-cut")
+        for trial in range(10):
+            g = gen_er_graph(16, 0.35, seed=trial)
+            g = Graph(g.n_nodes, g.edges, tuple(float(w) for w in rng.integers(2, 12, g.m)))
+            start = VertexSet.integral(rng.choice(16, 5, replace=False).tolist(), 16)
+            self.assert_same(start, rng.permutation(16).tolist(), CutObjective(g), Cardinality(16, 5))
+
+
+class TestLocalImproveRefusals:
+    @pytest.mark.parametrize("start, pool, max_iter", [
+        (VertexSet.half_integral([0.5, 0.5, 0.0]), [2], 10),
+        (VertexSet.integral([0], 3), [1, 3], 10),
+        (VertexSet.integral([0], 3), [2, 1, 7], 10),
+        (VertexSet.integral([0], 3), [-1], 10),  # a numpy gather would read id 2
+        (VertexSet.integral([0], 3), [1, 2], -1),
+    ])
+    def test_refused_before_scoring(self, start, pool, max_iter):
+        f = CallableObjective(lambda s: pytest.fail("scored"))
+        with pytest.raises(ValueError, match="local search needs"):
+            local_improve(start, pool, f, Cardinality(3, 1), max_iter)
+
+    def test_zero_max_iter_keeps_the_start(self):
+        f, c = CutObjective(TRIANGLE), Cardinality(3, 1)
+        v, val = local_improve(VertexSet.integral([0], 3), [1, 2], f, c, max_iter=0)
+        assert v.indices == (0,) and val == 2.0
 
 
 class TestCardinalityAsOneBlock:
