@@ -83,13 +83,13 @@ class LinearObjective(SetObjective):
 
     def values_of_rows(self, indptr, indices):
         """value_of of each row sorted, byte for byte: the rows are sorted and
-        the weights gathered once, and numpy sums each row as a 1-D slice
-        or, when the batch has more than 4 rows per distinct length, each
-        group of rows of one length along its contiguous last axis, which
-        adds every row as the 1-D sum does."""
+        the weights gathered once.  numpy sums each row as a 1-D slice of
+        the gather or, from 3D + 8 rows with D distinct lengths on (about
+        where it starts to win), each group of rows of one length along its
+        contiguous last axis, which adds every row as the 1-D sum does."""
         indptr = np.asarray(indptr, dtype=np.int64)
         lens = np.diff(indptr)
-        if lens.shape[0] <= 4 * len(set(lens.tolist())):
+        if lens.shape[0] < 3 * len(set(lens.tolist())) + 8:
             idx, ptr = np.array(indices, dtype=np.int64), indptr.tolist()
             for lo, hi in zip(ptr, ptr[1:]):
                 idx[lo:hi].sort()
@@ -101,9 +101,7 @@ class LinearObjective(SetObjective):
         # The rows in order of length: group g is rows order[r0:r1] of
         # length L, at idx[s:s + (r1 - r0) * L].
         end = np.cumsum(size)
-        at = np.repeat(indptr[order] - end + size, size)
-        at += np.arange(at.shape[0])
-        idx = np.asarray(indices, dtype=np.int64)[at]
+        idx = np.asarray(indices, dtype=np.int64)[kernels.row_positions(indptr, order)[0]]
         groups = [(r0, r1, int(end[r0] - size[r0]), int(size[r0])) for r0, r1 in zip(first, first[1:])]
         for r0, r1, s, L in groups:
             idx[s : s + (r1 - r0) * L].reshape(r1 - r0, L).sort(axis=1)

@@ -105,6 +105,7 @@ if os.environ.get("CARADEC_PURE", "") in ("", "0"):
 block_layout = _purepy.block_layout
 ScoreLayout = _purepy.ScoreLayout
 FlowLayout = _purepy.FlowLayout
+row_positions = _purepy.row_positions
 # Callers look these up on this module at call time, so that a test or a
 # tracer can replace them.
 decompose_blocks = impl.decompose_blocks

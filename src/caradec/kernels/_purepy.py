@@ -376,6 +376,16 @@ def decompose_blocks(
 CHUNK = 64
 
 
+def row_positions(indptr, ids):
+    """Where the entries of CSR rows ids lie in the entry array, row after
+    row in the order of ids, and each of those rows' length."""
+    start = indptr[ids]
+    deg = indptr[ids + 1] - start
+    at = np.repeat(start - np.cumsum(deg) + deg, deg)
+    at += np.arange(at.shape[0])
+    return at, deg
+
+
 def check_rows(indptr, indices, n: int):
     """indptr and indices as int64 arrays, once indptr is a CSR row pointer
     over the indices (ValueError) and every index lies in [0, n)
@@ -473,13 +483,9 @@ def score_rows(layout: ScoreLayout, indptr, indices) -> np.ndarray:
     a, b, m = layout.a, layout.b, layout.m
 
     def mark_coverage(rows, row, picked):
-        start = a[picked]
-        deg = a[picked + 1] - start
-        # Position in b of every member element of every picked set, then
-        # its cell in the flat (rows, m) block; in place, as these are the
-        # largest arrays.
-        cell = np.repeat(start - np.cumsum(deg) + deg, deg)
-        cell += np.arange(cell.shape[0])
+        # Every member element of every picked set, then its cell in the
+        # flat (rows, m) block; in place, as these are the largest arrays.
+        cell, deg = row_positions(a, picked)
         cell = b[cell]
         cell += np.repeat(row * m, deg)
         covered = np.zeros((rows, m), dtype=bool)

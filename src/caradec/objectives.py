@@ -97,17 +97,15 @@ class CoverageObjective(SetObjective):
 
     def _elements_of(self, ids):
         """(position in ids, element) of every element of every set of ids."""
-        ptr = self._layout.a
-        start = ptr[ids]
-        deg = ptr[ids + 1] - start
-        at = np.repeat(start - np.cumsum(deg) + deg, deg)
-        at += np.arange(at.shape[0])
+        at, deg = kernels.row_positions(self._layout.a, ids)
         return np.repeat(np.arange(ids.shape[0]), deg), self._layout.b[at]
 
     def swap_values(self, value, members, candidates, drop, add):
         """f(S) - loss_i + gain_j + w(j & U_i), where U_i holds the elements
         that member i alone covers, loss_i = w(U_i) and gain_j the weight of
-        j's elements that S leaves uncovered."""
+        j's elements that S leaves uncovered.  The change is summed before
+        f(S) is added, so that a swap of two sets of the same elements
+        scores f(S) exactly."""
         w, k, nc = self._layout.w, members.shape[0], candidates.shape[0]
         m_pos, m_el = self._elements_of(members)
         c_pos, c_el = self._elements_of(candidates)
@@ -119,7 +117,7 @@ class CoverageObjective(SetObjective):
         w_c, c_count = w[c_el], count[c_el]
         gain = np.bincount(c_pos, w_c * (c_count == 0), nc)
         cross = np.bincount(owner[c_el] * nc + c_pos, w_c * (c_count == 1), k * nc)
-        return value - loss[drop] + gain[add] + cross[drop * nc + add]
+        return value + (gain[add] + cross[drop * nc + add] - loss[drop])
 
 
 def cut_value(g: Graph, selected) -> float:
@@ -154,7 +152,7 @@ class CutObjective(SetObjective):
     def swap_values(self, value, members, candidates, drop, add):
         """f(S) + 2w(i, S) - d_i + d_j - 2w(j, S) + 2w_ij (Kernighan & Lin,
         1970), where d is the weighted degree and w(x, S) the weight from x
-        into S."""
+        into S; the change is summed before f(S) is added."""
         n, u, v, w = self.graph.n_nodes, self._layout.a, self._layout.b, self._layout.w
         inside = np.zeros(n, dtype=bool)
         inside[members] = True
@@ -164,7 +162,7 @@ class CutObjective(SetObjective):
         key = np.minimum(i, j) * n + np.maximum(i, j)
         at = np.searchsorted(keys, key)
         w_ij = np.where(keys[at] == key, key_w[at], 0.0)
-        return value + 2 * to_s[i] - degree[i] + degree[j] - 2 * to_s[j] + 2 * w_ij
+        return value + (2 * (to_s[i] - to_s[j] + w_ij) + (degree[j] - degree[i]))
 
 
 def brute_force_optimum(f: SetObjective, c: ConstraintSpec) -> tuple[VertexSet, float]:

@@ -249,9 +249,10 @@ def local_improve(
     preserving feasibility; stops at a local optimum or after max_iter
     sweeps.  Each sweep scores its feasible swaps with one f.swap_values
     call and scans them in (member, candidate) order: a swap wins only if
-    it beats the best so far by more than 1e-12.  The value returned is
-    f.value_of of the last set.  ValueError for a half-integral start, a
-    pool id outside [0, s.n) or a negative max_iter."""
+    it beats the best so far by more than 1e-12.  Each sweep starts from
+    f.value_of of its set, so that float gains pile up no rounding, and
+    the last is returned.  ValueError for a half-integral start, a pool
+    id outside [0, s.n) or a negative max_iter."""
     pool = np.fromiter(pool, np.int64)
     if not s.is_integral or max_iter < 0 or pool.size and not 0 <= pool.min() <= pool.max() < s.n:
         raise ValueError(f"local search needs an integral start, max_iter >= 0 and pool ids in [0, {s.n})")
@@ -273,9 +274,8 @@ def local_improve(
         members[drop[best]] = j
         members.sort()
         candidates = np.append(candidates[candidates != j], i)
-        value = best_val
-    final = VertexSet.integral(members.tolist(), s.n)
-    return final, value if final == s else f.value_of(final.indices)
+        value = f.value_of(tuple(members.tolist()))
+    return VertexSet.integral(members.tolist(), s.n), value
 
 
 def greedy_coverage(inst: CoverageInstance, k: int) -> tuple[VertexSet, float]:

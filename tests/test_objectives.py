@@ -182,14 +182,15 @@ class TestBatchedValues:
     def test_linear_matches_value_of(self):
         """Byte for byte value_of of each row sorted: empty batches and
         rows, unsorted rows, one length and mixed lengths, on both sides of
-        the 4 rows per length that picks the grouped sums."""
+        the 3D + 8 rows (D distinct lengths) that pick the grouped sums."""
         rng = stream(53, "linear-batch")
         for n in (1, 7, 300):
             w = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
             w[::5] = -0.0
             f = LinearObjective(w)
             for rows, lengths in ((0, (0,)), (3, (0,)), (4, (3, 0, 9)), (50, (0, 5, 9)), (120, (40,)),
-                                  (200, (2, 8, 9, 130, 300)), (17, (1, 2, 3, 4, 5, 6, 7, 8, 9))):
+                                  (200, (2, 8, 9, 130, 300)), (17, (1, 2, 3, 4, 5, 6, 7, 8, 9)),
+                                  (10, (6,)), (11, (6,))):
                 lens = rng.choice(lengths, rows)
                 indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
                 indices = rng.integers(0, n, indptr[-1])

@@ -388,6 +388,21 @@ class TestBatchedLocalImprove:
             start = VertexSet.integral(rng.choice(16, 5, replace=False).tolist(), 16)
             self.assert_same(start, rng.permutation(16).tolist(), CutObjective(g), Cardinality(16, 5))
 
+    def test_large_float_weights(self):
+        """Float weights with totals near 1e5, where one ulp exceeds the
+        1e-12 margin: a swap whose gain rounds above zero must not win,
+        and every set appears twice, so many swaps change nothing."""
+        rng = stream(61, "batched-li-large-floats")
+        for trial in range(30):
+            sets = [tuple(sorted(set(rng.integers(0, 80, int(rng.integers(1, 8))).tolist()))) for _ in range(20)]
+            inst = CoverageInstance(40, 80, tuple((rng.random(80) * 3e3).tolist()), tuple(sets + sets))
+            start = VertexSet.integral(rng.choice(40, 6, replace=False).tolist(), 40)
+            self.assert_same(start, rng.permutation(40).tolist(), CoverageObjective(inst), Cardinality(40, 6))
+            g = gen_er_graph(16, 0.35, seed=trial)
+            g = Graph(g.n_nodes, g.edges, tuple((rng.random(g.m) * 1e4).tolist()))
+            start = VertexSet.integral(rng.choice(16, 5, replace=False).tolist(), 16)
+            self.assert_same(start, rng.permutation(16).tolist(), CutObjective(g), Cardinality(16, 5))
+
 
 class TestLocalImproveRefusals:
     @pytest.mark.parametrize("start, pool, max_iter", [
