@@ -78,8 +78,17 @@ class LinearObjective(SetObjective):
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
 
+    def _checked(self, ids) -> np.ndarray:
+        """ids as an int64 array; IndexError for an id outside [0, n), as the
+        coverage and cut scorers raise (numpy would wrap a negative one)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        n = self.weights.shape[0]
+        if ids.size and not (ids.min() >= 0 and ids.max() < n):
+            raise IndexError(f"an index lies outside [0, {n})")
+        return ids
+
     def value_of(self, indices):
-        return float(self.weights[list(indices)].sum())
+        return float(self.weights[self._checked(list(indices))].sum())
 
     def values_of_rows(self, indptr, indices):
         """value_of of each row sorted, byte for byte: the rows are sorted and
@@ -87,10 +96,10 @@ class LinearObjective(SetObjective):
         the gather or, from 3D + 8 rows with D distinct lengths on (about
         where it starts to win), each group of rows of one length along its
         contiguous last axis, which adds every row as the 1-D sum does."""
-        indptr = np.asarray(indptr, dtype=np.int64)
+        indptr, indices = np.asarray(indptr, dtype=np.int64), self._checked(indices)
         lens = np.diff(indptr)
         if lens.shape[0] < 3 * len(set(lens.tolist())) + 8:
-            idx, ptr = np.array(indices, dtype=np.int64), indptr.tolist()
+            idx, ptr = indices.copy(), indptr.tolist()
             for lo, hi in zip(ptr, ptr[1:]):
                 idx[lo:hi].sort()
             w = self.weights[idx]
@@ -101,7 +110,7 @@ class LinearObjective(SetObjective):
         # The rows in order of length: group g is rows order[r0:r1] of
         # length L, at idx[s:s + (r1 - r0) * L].
         end = np.cumsum(size)
-        idx = np.asarray(indices, dtype=np.int64)[kernels.row_positions(indptr, order)[0]]
+        idx = indices[kernels.row_positions(indptr, order)[0]]
         groups = [(r0, r1, int(end[r0] - size[r0]), int(size[r0])) for r0, r1 in zip(first, first[1:])]
         for r0, r1, s, L in groups:
             idx[s : s + (r1 - r0) * L].reshape(r1 - r0, L).sort(axis=1)

@@ -89,13 +89,9 @@ class Graph:
     @cached_property
     def edge_network(self) -> Dinic:
         """The flow network of the graphic block flows, built once: edge e =
-        (u, v) has arc 2e from u to v and arc 2e + 1 back."""
+        (u, v) has arc 2e from u to v and arc 2e + 1 back, the numbering
+        that ``kernels.block_scan`` and ``kernels.tight_blocks`` read."""
         return Dinic.from_tails(self.n_nodes, np.stack((self.edge_u, self.edge_v), axis=1).ravel())
-
-    def edge_arcs(self, r: np.ndarray) -> np.ndarray:
-        """The arc capacities r of ``edge_network`` as an (m, 2) view: row e
-        holds edge e's arc u -> v and its arc v -> u."""
-        return r.reshape(self.m, 2)
 
     @cached_property
     def double_cover(self) -> Dinic:
@@ -146,7 +142,9 @@ class UnionFind:
 
 class Dinic:
     """Max-flow over a fixed arc layout with a source and a sink capacity
-    per node; the one flow routine behind both graph oracles.
+    per node; the one flow routine behind both graph oracles.  The
+    stable-set oracle calls ``max_flow``; the graphic oracle's block kernels
+    run the same flow, once per node, on ``layout``.
 
     Node u's slots are ptr[u] .. ptr[u + 1], slot s holds the arc arc[s]
     from u to head[s], and arc a ^ 1 is the reverse of arc a.  The layout
@@ -157,15 +155,6 @@ class Dinic:
     def __init__(self, ptr, head, arc):
         self.layout = kernels.FlowLayout(ptr, head, arc)
         self.n = self.layout.n
-
-    @cached_property
-    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per arc id, its tail and its head, as int64 arrays."""
-        lay = self.layout
-        tail, head = np.empty(lay.n_arcs, dtype=np.int64), np.empty(lay.n_arcs, dtype=np.int64)
-        tail[lay.arc] = np.repeat(np.arange(lay.n), np.diff(lay.ptr))
-        head[lay.arc] = lay.head
-        return tail, head
 
     @classmethod
     def from_tails(cls, n: int, tails) -> Dinic:

@@ -2,7 +2,9 @@
 box-plus-sum constraint families (cardinality and partition matroid), the
 batch scorers of the coverage and cut objectives, the one reverse pass
 that every family's gradient tape shares (``backprop_blocks``), the Adam
-step, and the max-flow and stable-set labelling of the two graph oracles.
+step, the max-flow and stable-set labelling of the stable-set oracle, and
+the graphic oracle's two node-block scans (``block_scan`` and
+``tight_blocks``), which run that max-flow once per node in one call.
 The block kernels make an Adam step of ``direct_optimize`` on a
 box-plus-sum spec one numpy sigmoid and six C calls.
 
@@ -77,6 +79,21 @@ every floating-point operation is the same in both, in the same order:
   Both refuse capacity arrays of the
   wrong length, dtype or memory layout, and a node with both capacities
   +inf, with the same ValueError, before changing any.
+- ``block_scan`` and ``tight_blocks`` run the graphic oracle's flows, one
+  per start node, on the layout of ``Graph.edge_network`` (edge e has arc
+  2e and arc 2e + 1 back).  Each builds the block networks' capacities
+  from the edge weights once per call (the source capacities added as
+  ``np.bincount`` adds them), copies them per start, and runs
+  ``max_flow``'s algorithm on the copy; a block's value adds y(E(U)) in
+  the order of numpy's pairwise float64 sum, written out in both twins
+  (``_purepy.pairwise_sum``), so it equals numpy's sum of the same
+  entries to the bit.  ``tight_blocks`` then reads the residual
+  graphs for each edge's smallest tight node set with Warshall closures:
+  bitmask integers in Python, 64-bit words in C, the same sets either way.
+  The pure twins check and convert their arrays once per call, not once
+  per flow.  Both refuse a start outside [0, n) (IndexError), and weights
+  of the wrong length, dtype or memory layout or a network that is not a
+  ``FlowLayout`` (ValueError), before any flow.
 - ``label_stable_set`` turns the residual graph of a stable-set double
   cover into the oracle's vertex.  It makes no floating-point operation:
   it only compares residual capacities with FLOW_EPS and writes 0, 1/2 or
@@ -116,6 +133,8 @@ backprop_blocks = impl.backprop_blocks
 adam_ascend = impl.adam_ascend
 max_flow = impl.max_flow
 label_stable_set = impl.label_stable_set
+block_scan = impl.block_scan
+tight_blocks = impl.tight_blocks
 del impl
 
 

@@ -4,8 +4,10 @@
  * coverage and cut objectives (caradec_score_rows), the reverse pass
  * shared by every family's tape (caradec_backprop_blocks), the Adam step
  * (caradec_adam_ascend), the max-flow of both graph oracles
- * (caradec_max_flow) and the stable-set labelling of its residual graph
- * (caradec_label_stable_set).  Each is the twin of a function in
+ * (caradec_max_flow), the stable-set labelling of its residual graph
+ * (caradec_label_stable_set) and the graphic oracle's scans of its node
+ * blocks, one flow per node (caradec_block_scan, caradec_tight_blocks).
+ * Each is the twin of a function in
  * _purepy.py, step for step and bit for bit.  The package compiles this
  * file on first import and calls it through ctypes (see _compiled.py); it
  * uses no Python or numpy header.
@@ -708,27 +710,23 @@ static const double FLOW_EPS = 1e-12;
  * slot s holds the arc arc[s] from u to head[s], and arc a ^ 1 is the
  * reverse of arc a.  rs[n] and rt[n] are the source and sink capacities
  * and r[A] the arc capacities, changed in place into the residual ones;
- * value[0] receives the flow and side[n] the source side of the smallest
- * minimum cut: 1 on the nodes that the nodes with source capacity left
- * reach through residual capacities above FLOW_EPS, 0 elsewhere.
- * Returns 0, -1 when scratch memory cannot be had and -6, before changing
- * anything, when some node has both capacities +inf. */
-int caradec_max_flow(const int64_t *net, double *rs, double *rt, double *r, double *value,
-                     unsigned char *side)
+ * value[0] receives the flow.  level[5n + 1] is scratch, whose first n
+ * words end as the last level search left them: non-negative exactly on
+ * the source side of the smallest minimum cut, the nodes that the nodes
+ * with source capacity left reach through residual capacities above
+ * FLOW_EPS.  Returns 0, or -6, before changing anything, when some node
+ * has both capacities +inf. */
+static int push_flow(const int64_t *net, double *rs, double *rt, double *r, int64_t *level,
+                     double *value)
 {
     const int64_t n = net[0], A = net[1], *ptr = net + 2, *head = ptr + n + 1, *arc = head + A;
-    int64_t *level = malloc((size_t)(5 * n + 1) * sizeof *level);
     int64_t *queue = level + n, *it = queue + n, *nodes = it + n, *arcs = nodes + n + 1;
     int64_t v, u, w, a, s, k, qn, qi, roots, nn, na, nxt, found;
     double flow = 0.0, p, d;
 
-    if (!level)
-        return -1;
     for (v = 0; v < n; v++)
-        if (rs[v] == INFINITY && rt[v] == INFINITY) {
-            free(level);
+        if (rs[v] == INFINITY && rt[v] == INFINITY)
             return -6;
-        }
     for (v = 0; v < n; v++) {
         p = rs[v] < rt[v] ? rs[v] : rt[v];
         rs[v] -= p;
@@ -809,13 +807,351 @@ int caradec_max_flow(const int64_t *net, double *rs, double *rt, double *r, doub
             }
         }
     }
+    value[0] = flow;
+    return 0;
+}
+
+/* The flow of _purepy.max_flow on the layout net (see push_flow), with
+ * side[n] set to the source side of the smallest minimum cut (1 on it, 0
+ * elsewhere).  Returns 0, -1 when scratch memory cannot be had and -6,
+ * before changing anything, when some node has both capacities +inf. */
+int caradec_max_flow(const int64_t *net, double *rs, double *rt, double *r, double *value,
+                     unsigned char *side)
+{
+    const int64_t n = net[0];
+    int64_t *level = malloc((size_t)(5 * n + 1) * sizeof *level), v;
+    int code;
+
+    if (!level)
+        return -1;
+    code = push_flow(net, rs, rt, r, level, value);
     /* The last level search found no sink: it reached exactly the source
      * side. */
-    for (v = 0; v < n; v++)
+    for (v = 0; !code && v < n; v++)
         side[v] = level[v] >= 0;
-    value[0] = flow;
     free(level);
+    return code;
+}
+
+/* The graphic oracle's block networks on an edge network of n nodes and
+ * A = 2m arcs, the layout of Graph.edge_network: edge e has arc 2e from
+ * ends[2e] to ends[2e + 1] and arc 2e + 1 back.  caps[2n + A] holds, as
+ * _purepy.block_capacities builds them from the edge weights y[m], the
+ * source capacities d_v/2 (the y[e]/2 of the edges at v, added from 0.0
+ * over the edges in order by their first ends and then by their second
+ * ends), n places for the sink capacities and y[e]/2 on both arcs of edge
+ * e.  Node i's flow runs on a copy f of caps with source capacity +inf at
+ * i, sink capacity +inf below i and cost from i on; its block is the
+ * source side U of its smallest minimum cut, of value cost (|U| - 1) -
+ * y(E(U)) (0 when |U| <= 1), where y(E(U)) is the pairwise_sum of the
+ * y[e] > 0 of the edges with both ends in U, in edge order.  A node leads
+ * when an edge with y[e] > 0 joins it to a later node; only the starts
+ * that lead run a flow. */
+typedef struct {
+    int64_t n, A, m;
+    int64_t *ends, *level;
+    unsigned char *lead;
+    double *y, *inside, *caps, *f;
+} blocks;
+
+/* The sum of v[0 .. n) in the order of numpy's float64 sum, which
+ * _purepy.pairwise_sum writes out: below 8 entries in order from 0.0; up to
+ * 128 in eight partial sums (entry j goes to sum j mod 8) joined as
+ * ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), the n mod 8 last
+ * entries added after; beyond that, the sums of the two parts split at
+ * the multiple of 8 at or below n/2. */
+static double pairwise_sum(const double *v, int64_t n)
+{
+    double s[8], sum;
+    int64_t i, j, half;
+
+    if (n < 8) {
+        for (i = 0, sum = 0.0; i < n; i++)
+            sum += v[i];
+        return sum;
+    }
+    if (n > 128) {
+        half = n / 2;
+        half -= half % 8;
+        return pairwise_sum(v, half) + pairwise_sum(v + half, n - half);
+    }
+    for (j = 0; j < 8; j++)
+        s[j] = v[j];
+    for (i = 8; i < n - n % 8; i += 8)
+        for (j = 0; j < 8; j++)
+            s[j] += v[i + j];
+    sum = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+    for (; i < n; i++)
+        sum += v[i];
+    return sum;
+}
+
+/* Reads the edge network net and the weights w[m] into b: y = w, or with
+ * clip the w[e] > 0 and 0 elsewhere, the capacities, the ends and the
+ * leads, with the scratch of one flow.  0, or -1 when memory cannot be
+ * had. */
+static int blocks_open(blocks *b, const int64_t *net, const double *w, int clip)
+{
+    const int64_t n = net[0], A = net[1], *ptr = net + 2, *head = ptr + n + 1, *arc = head + A;
+    int64_t u, s, e, k;
+    double *caps;
+
+    b->n = n;
+    b->A = A;
+    b->m = A / 2;
+    b->ends = malloc((size_t)(A + 5 * n + 1) * sizeof *b->ends);
+    b->lead = malloc((size_t)n + 1);
+    b->y = malloc((size_t)(2 * b->m + 4 * n + 2 * A + 1) * sizeof *b->y);
+    if (!b->ends || !b->lead || !b->y)
+        return -1;
+    b->level = b->ends + A;
+    b->inside = b->y + b->m;
+    caps = b->caps = b->inside + b->m;
+    b->f = caps + 2 * n + A;
+    for (u = 0; u < n; u++) {
+        b->lead[u] = 0;
+        caps[u] = caps[n + u] = 0.0;
+        for (s = ptr[u]; s < ptr[u + 1]; s++)
+            if (!(arc[s] & 1)) {
+                b->ends[arc[s]] = u;
+                b->ends[arc[s] + 1] = head[s];
+            }
+    }
+    for (e = 0; e < b->m; e++)
+        b->y[e] = clip && !(w[e] > 0.0) ? 0.0 : w[e];
+    for (k = 0; k < 2; k++)
+        for (e = 0; e < b->m; e++)
+            caps[b->ends[2 * e + k]] += b->y[e] / 2.0;
+    for (e = 0; e < b->m; e++) {
+        caps[2 * n + 2 * e] = caps[2 * n + 2 * e + 1] = b->y[e] / 2.0;
+        if (b->y[e] > 0.0)
+            b->lead[b->ends[2 * e] < b->ends[2 * e + 1] ? b->ends[2 * e] : b->ends[2 * e + 1]] = 1;
+    }
     return 0;
+}
+
+static void blocks_close(blocks *b)
+{
+    free(b->ends);
+    free(b->lead);
+    free(b->y);
+}
+
+/* Node i's block flow into b->f (the residual capacities) and side[n];
+ * value[0] receives the block's value.  0, or push_flow's -6. */
+static int block_flow(const int64_t *net, blocks *b, double cost, int64_t i, unsigned char *side,
+                      double *value)
+{
+    const int64_t n = b->n;
+    int64_t v, e, size = 0, k = 0;
+    double flow, *f = b->f;
+    int code;
+
+    memcpy(f, b->caps, (size_t)(2 * n + b->A) * sizeof *f);
+    f[i] = INFINITY;
+    for (v = 0; v < n; v++)
+        f[n + v] = v < i ? INFINITY : cost;
+    code = push_flow(net, f, f + n, f + 2 * n, b->level, &flow);
+    if (code)
+        return code;
+    for (v = 0; v < n; v++) {
+        side[v] = b->level[v] >= 0;
+        size += side[v];
+    }
+    if (size <= 1) {
+        value[0] = 0.0;
+        return 0;
+    }
+    for (e = 0; e < b->m; e++)
+        if (b->y[e] > 0.0 && side[b->ends[2 * e]] && side[b->ends[2 * e + 1]])
+            b->inside[k++] = b->y[e];
+    value[0] = cost * (double)(size - 1) - pairwise_sum(b->inside, k);
+    return 0;
+}
+
+/* _purepy.block_scan on the edge network net with the weights y[m]: per
+ * start i = starts[j], the value out[2 + j] and the source side sides[j n
+ * .. j n + n) of node i's block flow (see blocks), or 0 and an empty side
+ * when i does not lead.  out = cost, k (the number of starts, an int64
+ * word), then the k values.  Returns 0, -1 when scratch memory cannot be
+ * had, -2, before any flow, when a start lies outside [0, n), and -6 when
+ * a flow has a node with both capacities +inf. */
+int caradec_block_scan(const int64_t *net, const double *y, const int64_t *starts, double *out,
+                       unsigned char *sides)
+{
+    const double cost = out[0];
+    const int64_t n = net[0], k = word(out, 1);
+    int64_t j, v;
+    int code = 0;
+    blocks b;
+
+    for (j = 0; j < k; j++)
+        if (starts[j] < 0 || starts[j] >= n)
+            return -2;
+    if (blocks_open(&b, net, y, 0))
+        code = -1;
+    for (j = 0; !code && j < k; j++, sides += n) {
+        if (b.lead[starts[j]]) {
+            code = block_flow(net, &b, cost, starts[j], sides, out + 2 + j);
+        } else {
+            out[2 + j] = 0.0;
+            for (v = 0; v < n; v++)
+                sides[v] = 0;
+        }
+    }
+    blocks_close(&b);
+    return code;
+}
+
+/* _purepy.tight_blocks on the edge network net and the point x[m], in
+ * the same order and with the same sums: the block flow of every leading
+ * node at cost 1 on the weights y, y[e] = x[e] where x[e] > 0 and 0
+ * elsewhere, kept with its residual capacities.  The lowest block value below 0 (ties to the
+ * smaller start) gives value, its side side[n], drift = -value and limit
+ * = tol + 8 drift.  Then per flow of start i, with tau = limit - (its
+ * value): a node is doomed when its residual sink capacity exceeds tau, or
+ * when an arc above tau from it (tail >= i) enters a doomed node; the flow
+ * is skipped when a source node (>= i, residual source capacity above tau)
+ * is doomed.  Otherwise reach[u] is u with the heads of its arcs above tau
+ * (tail >= i), closed under Warshall's steps over the nodes >= i that are
+ * not doomed, in order; base joins the reach of the source nodes, and each
+ * edge e with ends u < v, u >= i and neither doomed has the closure base
+ * | reach[u] | reach[v].  Its slack is (size - 1) - x(E(closure)), added in
+ * edge order from 0.0, and sizes[e] (n at first) drops to the closure's
+ * size when that is smaller and the slack is at most limit.
+ * out = tol, then value, drift, limit.  Returns 0, -1 when scratch memory
+ * cannot be had and -6 when a flow has a node with both capacities +inf. */
+int caradec_tight_blocks(const int64_t *net, const double *x, double *out, unsigned char *side,
+                         int64_t *sizes)
+{
+    const int64_t n = net[0], A = net[1], *ptr = net + 2, *head = ptr + n + 1, *arc = head + A;
+    const int64_t W = (n + 63) / 64, F = 2 * n + A;
+    int64_t L = 0, l, i, u, v, w, s, e, q, qn, kk, size, best = -1;
+    double *res = NULL, *vals = NULL, *rs, *rt, *r, tau, inner, limit, lowest = 0.0;
+    int64_t *first = NULL, *queue = NULL;
+    uint64_t *reach = NULL, *closed = NULL, *base = NULL;
+    unsigned char *doomed = NULL, *live = NULL;
+    int code = 0, skip;
+    blocks b;
+
+    if (blocks_open(&b, net, x, 1))
+        code = -1;
+    for (u = 0; !code && u < n; u++)
+        L += b.lead[u];
+    if (!code) {
+        res = malloc((size_t)(L * F + 1) * sizeof *res);
+        vals = malloc((size_t)(L + 1) * sizeof *vals);
+        first = malloc((size_t)(L + 1) * sizeof *first);
+        queue = malloc((size_t)(n + 1) * sizeof *queue);
+        reach = malloc((size_t)(n * W + 2 * W + 1) * sizeof *reach);
+        doomed = malloc((size_t)(2 * n + 1));
+        if (!res || !vals || !first || !queue || !reach || !doomed)
+            code = -1;
+    }
+    for (i = 0, l = 0; !code && i < n; i++) {
+        if (!b.lead[i])
+            continue;
+        code = block_flow(net, &b, 1.0, i, doomed, vals + l);
+        if (code)
+            break;
+        memcpy(res + l * F, b.f, (size_t)F * sizeof *res);
+        if (vals[l] < lowest) {
+            lowest = vals[l];
+            best = i;
+            memcpy(side, doomed, (size_t)n);
+        }
+        first[l++] = i;
+    }
+    if (code)
+        goto done;
+    if (best < 0)
+        for (v = 0; v < n; v++)
+            side[v] = 0;
+    limit = out[0] + 8.0 * -lowest;
+    out[1] = lowest;
+    out[2] = -lowest;
+    out[3] = limit;
+    for (e = 0; e < b.m; e++)
+        sizes[e] = n;
+    live = doomed + n;
+    closed = reach + n * W;
+    base = closed + W;
+    for (l = 0; l < L; l++) {
+        i = first[l];
+        rs = res + l * F;
+        rt = rs + n;
+        r = rt + n;
+        tau = limit - vals[l];
+        /* Doomed: what reaches a node with sink capacity left. */
+        for (v = 0, qn = 0; v < n; v++) {
+            doomed[v] = rt[v] > tau;
+            if (doomed[v])
+                queue[qn++] = v;
+        }
+        for (q = 0; q < qn; q++) {
+            w = queue[q];
+            for (s = ptr[w]; s < ptr[w + 1]; s++) {
+                u = head[s]; /* arc[s] ^ 1 runs from u into w */
+                if (u >= i && !doomed[u] && r[arc[s] ^ 1] > tau) {
+                    doomed[u] = 1;
+                    queue[qn++] = u;
+                }
+            }
+        }
+        for (v = i, skip = 0; v < n; v++)
+            skip |= rs[v] > tau && doomed[v];
+        if (skip)
+            continue;
+        memset(reach, 0, (size_t)(n * W) * sizeof *reach);
+        for (u = 0; u < n; u++) {
+            reach[u * W + (u >> 6)] |= (uint64_t)1 << (u & 63);
+            live[u] = u >= i && !doomed[u];
+            for (s = ptr[u]; u >= i && s < ptr[u + 1]; s++)
+                if (r[arc[s]] > tau)
+                    reach[u * W + (head[s] >> 6)] |= (uint64_t)1 << (head[s] & 63);
+        }
+        for (kk = i; kk < n; kk++) /* transitive closure (Warshall) */
+            if (live[kk])
+                for (u = i; u < n; u++)
+                    if (live[u] && (reach[u * W + (kk >> 6)] >> (kk & 63) & 1))
+                        for (q = 0; q < W; q++)
+                            reach[u * W + q] |= reach[kk * W + q];
+        for (q = 0; q < W; q++)
+            base[q] = 0;
+        for (v = i; v < n; v++)
+            if (rs[v] > tau)
+                for (q = 0; q < W; q++)
+                    base[q] |= reach[v * W + q];
+        for (e = 0; e < b.m; e++) {
+            u = b.ends[2 * e];
+            v = b.ends[2 * e + 1];
+            if (u < i || doomed[u] || doomed[v])
+                continue;
+            for (q = 0, size = 0; q < W; q++) {
+                closed[q] = base[q] | reach[u * W + q] | reach[v * W + q];
+                size += __builtin_popcountll(closed[q]);
+            }
+            if (size >= sizes[e])
+                continue;
+            inner = 0.0;
+            for (kk = 0; kk < b.m; kk++) {
+                const int64_t a = b.ends[2 * kk], c = b.ends[2 * kk + 1];
+                if ((closed[a >> 6] >> (a & 63) & 1) && (closed[c >> 6] >> (c & 63) & 1))
+                    inner += x[kk];
+            }
+            if ((double)(size - 1) - inner <= limit)
+                sizes[e] = size;
+        }
+    }
+done:
+    blocks_close(&b);
+    free(res);
+    free(vals);
+    free(first);
+    free(queue);
+    free(reach);
+    free(doomed);
+    return code;
 }
 
 enum { LABEL_IN = 1, LABEL_OUT = 2 };

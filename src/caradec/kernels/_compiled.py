@@ -28,11 +28,14 @@ import numpy as np
 from ..core import MEMBERSHIP_TOL, SUM_TOL, check_box, check_shape, ones
 from ._purepy import (
     BAD_BLOCKS,
+    BAD_START,
     UNBOUNDED,
     block_sum_error,
     check_adam_arrays,
+    check_edge_weights,
     check_capacities,
     check_labelling,
+    check_starts,
     layout_header,
 )
 
@@ -60,6 +63,8 @@ SIGNATURES = {
     "adam_ascend": (None, 4),
     "max_flow": (ctypes.c_int, 6),
     "label_stable_set": (ctypes.c_int, 6),
+    "block_scan": (ctypes.c_int, 5),
+    "tight_blocks": (ctypes.c_int, 5),
 }
 
 
@@ -132,10 +137,11 @@ def raise_for(code: int, what: str) -> None:
 def load() -> SimpleNamespace:
     """The C kernels, with ``_purepy``'s names, signatures and outputs:
     ``decompose_blocks``, ``project_blocks``, ``project_blocks_vjp``,
-    ``score_rows``, ``backprop_blocks``, ``adam_ascend``, ``max_flow`` and
-    ``label_stable_set``.  The library is built first when the cache lacks
-    it.  Raises OSError when it can be neither found nor built, or when it
-    lacks one of the entry points of SIGNATURES."""
+    ``score_rows``, ``backprop_blocks``, ``adam_ascend``, ``max_flow``,
+    ``label_stable_set``, ``block_scan`` and ``tight_blocks``.  The library
+    is built first when the cache lacks it.  Raises OSError when it can be
+    neither found nor built, or when it lacks one of the entry points of
+    SIGNATURES."""
     path = library_path()
     if not (path.is_file() and intact(path)):
         build(path)
@@ -147,7 +153,7 @@ def load() -> SimpleNamespace:
         except AttributeError as exc:
             raise OSError(f"the kernel library is incomplete: {exc}") from exc
         c[name].argtypes, c[name].restype = (ctypes.c_void_p,) * arity, restype
-    run, score, back, project, adam, flow, label = (c[name] for name in SIGNATURES)
+    run, score, back, project, adam, flow, label, scan, tight = (c[name] for name in SIGNATURES)
 
     def decompose_blocks(x0, blocks, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
@@ -287,7 +293,38 @@ def load() -> SimpleNamespace:
             raise MemoryError("label_stable_set: no scratch memory")
         return fixed
 
+    def raise_for_blocks(code: int, what: str) -> None:
+        if code == -2:
+            raise IndexError(BAD_START)
+        if code == -6:
+            raise ValueError(UNBOUNDED)
+        raise MemoryError(f"{what}: no scratch memory")
+
+    def block_scan(net, y, cost, starts):
+        """The C twin of ``_purepy.block_scan``."""
+        check_edge_weights(net, y, "block_scan")
+        starts = check_starts(starts)
+        k = starts.shape[0]
+        out, sides = np.empty(2 + k), np.empty((k, net.n), dtype=bool)
+        pack_into("dq", out, 0, cost, k)
+        code = scan(net.address, address(y), address(starts), buffer_address(out), address(sides))
+        if code:
+            raise_for_blocks(code, "block_scan")
+        return out[2:], sides
+
+    def tight_blocks(net, x, tol):
+        """The C twin of ``_purepy.tight_blocks``."""
+        check_edge_weights(net, x, "tight_blocks")
+        out, side, sizes = np.empty(4), np.empty(net.n, dtype=bool), np.empty(net.n_arcs // 2, dtype=np.int64)
+        out[0] = tol
+        code = tight(net.address, address(x), buffer_address(out), address(side), address(sizes))
+        if code:
+            raise_for_blocks(code, "tight_blocks")
+        value, drift, limit = out[1:].tolist()
+        return value, side, drift, limit, sizes
+
     return SimpleNamespace(decompose_blocks=decompose_blocks, project_blocks=project_blocks,
                            project_blocks_vjp=project_blocks_vjp, score_rows=score_rows,
                            backprop_blocks=backprop_blocks, adam_ascend=adam_ascend,
-                           max_flow=max_flow, label_stable_set=label_stable_set)
+                           max_flow=max_flow, label_stable_set=label_stable_set,
+                           block_scan=block_scan, tight_blocks=tight_blocks)

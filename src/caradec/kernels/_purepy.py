@@ -16,7 +16,8 @@ reverse pass of every family's gradient tape, and ``adam_ascend`` is one
 Adam step.
 ``max_flow`` is the max-flow of both graph oracles over a ``FlowLayout``,
 and ``label_stable_set`` reads the stable-set vertex off the residual
-graph of its double cover.
+graph of its double cover; ``block_scan`` and ``tight_blocks`` run the
+graphic oracle's flows, one per start node, in one call.
 """
 
 from __future__ import annotations
@@ -601,6 +602,21 @@ class FlowLayout:
         return {k: v for k, v in self.__dict__.items() if k != "address"}
 
     @cached_property
+    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per arc id, its tail and its head, as int64 arrays."""
+        tail, head = np.empty(self.n_arcs, dtype=np.int64), np.empty(self.n_arcs, dtype=np.int64)
+        tail[self.arc] = np.repeat(np.arange(self.n), np.diff(self.ptr))
+        head[self.arc] = self.head
+        return tail, head
+
+    @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per edge e of an edge network (arcs 2e and 2e + 1), the tail and
+        the head of arc 2e."""
+        tail, head = self.arc_ends
+        return tail[::2], head[::2]
+
+    @cached_property
     def adj(self) -> list:
         """Per node u, the list of its slots' (head, arc) pairs."""
         pairs = list(zip(self.head.tolist(), self.arc.tolist()))
@@ -639,24 +655,12 @@ def _open_arcs(net, r):
     return [pairs[at[u] : at[u + 1]] for u in range(net.n)], np.flatnonzero(arc_open)
 
 
-def max_flow(net, rs, rt, r):
-    """Push a maximum flow through the FlowLayout net from the source
-    capacities rs to the sink capacities rt through the arc capacities r,
-    float64 arrays that it changes in place into the residual ones.
-    Returns the flow value and the source side of the smallest minimum cut,
-    as a bool array: the nodes that the nodes with source capacity left
-    reach through residual capacities above FLOW_EPS.
-
-    Each node's direct path to the sink is filled first (ValueError when a
-    node has both capacities +inf).  Then come Dinic's phases: levels from
-    the nodes with source capacity left, stopping at nodes with sink
-    capacity left, and one augmenting path at a time, by depth-first search
-    with a current-arc pointer per node."""
-    check_capacities(net, rs, rt, r)
-    n, eps, cs, ct = net.n, FLOW_EPS, rs.tolist(), rt.tolist()
-    adj, ids = _open_arcs(net, r)
-    cr = r.tolist() if ids is None else r[ids].tolist()
-    flow = 0.0
+def _push(adj, n, cs, ct, cr):
+    """The flow of ``max_flow`` on lists: the source, sink and arc
+    capacities cs, ct and cr (arc ids as adj numbers them) become the
+    residual ones.  Returns the flow value and the last level search's
+    levels, non-negative exactly on the source side."""
+    eps, flow = FLOW_EPS, 0.0
     for v in range(n):
         p = cs[v] if cs[v] < ct[v] else ct[v]
         if p == math.inf and cs[v] == ct[v]:  # both +inf; no array written yet
@@ -718,13 +722,245 @@ def max_flow(net, rs, rt, r):
                     cr[a ^ 1] += d
                 cs[v] -= d
                 flow += d
+    # The last level search found no sink: it reached exactly the source side.
+    return flow, level
+
+
+def max_flow(net, rs, rt, r):
+    """Push a maximum flow through the FlowLayout net from the source
+    capacities rs to the sink capacities rt through the arc capacities r,
+    float64 arrays that it changes in place into the residual ones.
+    Returns the flow value and the source side of the smallest minimum cut,
+    as a bool array: the nodes that the nodes with source capacity left
+    reach through residual capacities above FLOW_EPS.
+
+    Each node's direct path to the sink is filled first (ValueError when a
+    node has both capacities +inf).  Then come Dinic's phases: levels from
+    the nodes with source capacity left, stopping at nodes with sink
+    capacity left, and one augmenting path at a time, by depth-first search
+    with a current-arc pointer per node."""
+    check_capacities(net, rs, rt, r)
+    cs, ct = rs.tolist(), rt.tolist()
+    adj, ids = _open_arcs(net, r)
+    cr = r.tolist() if ids is None else r[ids].tolist()
+    flow, level = _push(adj, net.n, cs, ct, cr)
     rs[:], rt[:] = cs, ct
     if ids is None:
         r[:] = cr
     else:
         r[ids] = cr
-    # The last level search found no sink: it reached exactly the source side.
     return flow, np.array(level) >= 0
+
+
+BAD_START = "block_scan needs starts in [0, n)"
+
+
+def check_edge_weights(net, w, what: str) -> None:
+    """ValueError unless net is a FlowLayout and w a contiguous float64
+    array of one weight per edge, A/2 entries."""
+    if not isinstance(net, FlowLayout):
+        raise ValueError(f"{what} needs the FlowLayout of an edge network")
+    if type(w) is not np.ndarray or w.dtype != F64 or w.shape != (net.n_arcs // 2,) or not w.flags.c_contiguous:
+        raise ValueError(f"{what} needs a contiguous float64 array of A/2 edge weights")
+
+
+def check_starts(starts) -> np.ndarray:
+    """starts as a contiguous int64 array (ValueError unless it is a 1-D
+    integer array, or empty)."""
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or (starts.dtype.kind not in "iu" and starts.size):
+        raise ValueError("block_scan needs a 1-D integer array of starts")
+    return np.ascontiguousarray(starts, dtype=np.int64)
+
+
+def pairwise_sum(v: list) -> float:
+    """sum(v) in the order of numpy's float64 sum: below 8 entries in order
+    from 0.0; up to 128 in eight partial sums (entry j goes to sum j mod 8)
+    joined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), the n mod 8
+    last entries added after; beyond that, the sums of the two parts split
+    at the multiple of 8 at or below n/2.  Written out, so that the C twin
+    can repeat it."""
+    n = len(v)
+    if n < 8:
+        total = 0.0
+        for w in v:
+            total += w
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(v[:half]) + pairwise_sum(v[half:])
+    s = v[:8]
+    for i in range(8, n - n % 8, 8):
+        for j in range(8):
+            s[j] += v[i + j]
+    total = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+    for w in v[n - n % 8 :]:
+        total += w
+    return total
+
+
+def block_capacities(net, y) -> np.ndarray:
+    """The capacities of the block networks of an edge network (edge e has
+    arc 2e and arc 2e + 1 back, as in Graph.edge_network) with the edge
+    weights y, in one float64 buffer: the source capacities d_v/2 (d_v the
+    y-degree of v, added as np.bincount adds the edges' first ends and
+    then their second ends), n places for the sink capacities, and y_e/2
+    on both arcs of each edge."""
+    n, half = net.n, y / 2.0
+    eu, ev = net.edge_ends
+    caps = np.zeros(2 * n + net.n_arcs)
+    caps[:n] = np.bincount(np.concatenate((eu, ev)), weights=np.tile(half, 2), minlength=n)
+    caps[2 * n :].reshape(-1, 2)[:] = half[:, None]
+    return caps
+
+
+class _Blocks:
+    """An edge network with its weights y, read once for ``block_scan`` and
+    ``tight_blocks``: the edges' ends and y as lists, which nodes lead, and
+    the arcs that a flow can use (``_open_arcs``) with their capacities."""
+
+    def __init__(self, net, y):
+        n = self.n = net.n
+        self.eu, self.ev = (ends.tolist() for ends in net.edge_ends)
+        self.y = y.tolist()
+        self.lead = [False] * n
+        for u, v, w in zip(self.eu, self.ev, self.y):
+            if w > 0:
+                self.lead[u if u < v else v] = True
+        caps = self.caps = block_capacities(net, y)
+        self.adj, self.ids = _open_arcs(net, caps[2 * n :])
+        self.rs = caps[:n].tolist()
+        self.r = (caps[2 * n :] if self.ids is None else caps[2 * n :][self.ids]).tolist()
+
+    def flow(self, cost, i):
+        """Node i's block flow: (its value, its source side as a list, and
+        the residual source, sink and arc capacities as lists, the arcs
+        numbered as ``adj`` numbers them)."""
+        n = self.n
+        cs, ct, cr = list(self.rs), [math.inf] * i + [cost] * (n - i), list(self.r)
+        cs[i] = math.inf
+        side = [level >= 0 for level in _push(self.adj, n, cs, ct, cr)[1]]
+        size = side.count(True)
+        if size <= 1:
+            return 0.0, side, cs, ct, cr
+        inside = [w for u, v, w in zip(self.eu, self.ev, self.y) if w > 0 and side[u] and side[v]]
+        return cost * (size - 1) - pairwise_sum(inside), side, cs, ct, cr
+
+
+def block_scan(net, y, cost, starts):
+    """The graphic oracle's scan of the node blocks at one lam, in one call.
+    net is the FlowLayout of an edge network (Graph.edge_network), y its
+    edge weights and cost = 1 - lam.  For each start i, in order, node i's
+    flow runs on the capacities of ``block_capacities`` with source
+    capacity +inf at i, sink capacity +inf below i and cost from i on.
+    Returns per start its block value cost (|U| - 1) - y(E(U)), with U the
+    source side of the smallest minimum cut and y(E(U)) the
+    ``pairwise_sum`` of the y_e > 0 of the edges inside U in edge order (0
+    when |U| <= 1), and U as a row of a bool array.  A start with no edge
+    of y_e > 0 to a later node runs no flow and gets 0 and an empty side.
+
+    ValueError for a net that is not a FlowLayout, for y of the wrong
+    length, dtype or memory layout, for starts that are not integers and,
+    from a flow, for a node with both capacities +inf; IndexError, before
+    any flow, for a start outside [0, n)."""
+    check_edge_weights(net, y, "block_scan")
+    starts = check_starts(starts).tolist()
+    n = net.n
+    if not all(0 <= i < n for i in starts):
+        raise IndexError(BAD_START)
+    b = _Blocks(net, y)
+    values, sides = np.zeros(len(starts)), np.zeros((len(starts), n), dtype=bool)
+    for j, i in enumerate(starts):
+        if b.lead[i]:
+            values[j], sides[j] = b.flow(cost, i)[:2]
+    return values, sides
+
+
+def tight_blocks(net, x, tol):
+    """The node blocks of the point x at lam = 0, as ``matroids._tight_blocks``
+    reads them, in one call: ``block_scan``'s flows on the edge network net
+    with the weights y, y_e = x_e where x_e > 0 and 0 elsewhere, for every
+    leading node at cost 1.  The lowest block value below 0 (ties to the
+    smaller start) is value, with its side (empty when no value is below
+    0); drift = -value and limit = tol + 8 drift.  Then per flow of start i, with tau = limit -
+    its value, the residual arcs above tau whose tail is at least i give
+    closures: a node is doomed when its residual sink capacity exceeds tau
+    or such an arc leads from it to a doomed node, and a flow with a doomed
+    source node (at least i, residual source capacity above tau) is skipped.
+    Otherwise each edge e = (u, v) with u >= i and neither end doomed has
+    the closure of {u, v} and the source nodes under those arcs, and
+    sizes[e] (n at first) drops to the closure's size when that is
+    smaller and the closure's slack, (size - 1) - x(E(closure)) added in
+    edge order from 0.0, is at most limit.  Returns (value, side, drift,
+    limit, sizes), sizes as an int64 array of one entry per edge.
+    ValueError as for ``block_scan``."""
+    check_edge_weights(net, x, "tight_blocks")
+    b = _Blocks(net, np.where(x > 0, x, 0.0))
+    n, eu, ev, xl = net.n, b.eu, b.ev, x.tolist()
+    tails, heads = (ends.tolist() for ends in net.arc_ends)
+    full = b.caps[2 * n :].tolist()
+    ids = None if b.ids is None else b.ids.tolist()
+    value, side, flows = 0.0, [False] * n, []
+    for i in range(n):
+        if not b.lead[i]:
+            continue
+        val, s, cs, ct, cr = b.flow(1.0, i)
+        if val < value:
+            value, side = val, s
+        if ids is not None:  # back to the layout's arc ids
+            r, cr = cr, list(full)
+            for k, a in enumerate(ids):
+                cr[a] = r[k]
+        flows.append((i, val, cs, ct, cr))
+    drift = -value
+    limit = tol + 8 * drift
+    sizes, slack_of = [n] * len(eu), {}
+    for i, val, rs, rt, r in flows:
+        tau = limit - val
+        # A node that reaches a sink arc lies in no closed set, and the rest
+        # are closed under the arcs, so only the rest need closures.
+        pred: list[list[int]] = [[] for _ in range(n)]
+        arcs = [a for a, c in enumerate(r) if c > tau and tails[a] >= i]
+        for a in arcs:
+            pred[heads[a]].append(tails[a])
+        doomed = [rt[v] > tau for v in range(n)]
+        queue = [v for v in range(n) if doomed[v]]
+        for w in queue:
+            for u in pred[w]:
+                if not doomed[u]:
+                    doomed[u] = True
+                    queue.append(u)
+        sources = [v for v in range(i, n) if rs[v] > tau]
+        if any(doomed[v] for v in sources):
+            continue
+        live = [u for u in range(i, n) if not doomed[u]]
+        reach = [1 << u for u in range(n)]
+        for a in arcs:
+            reach[tails[a]] |= 1 << heads[a]
+        for k in live:  # transitive closure (Warshall)
+            bit, rk = 1 << k, reach[k]
+            for u in live:
+                if reach[u] & bit:
+                    reach[u] |= rk
+        base = 0
+        for v in sources:
+            base |= reach[v]
+        for e, (u, v) in enumerate(zip(eu, ev)):
+            if u < i or doomed[u] or doomed[v]:
+                continue
+            closed = base | reach[u] | reach[v]
+            size = closed.bit_count()
+            if size >= sizes[e]:
+                continue
+            if closed not in slack_of:
+                inner = 0.0
+                for f, (a, c) in enumerate(zip(eu, ev)):
+                    if closed >> a & 1 and closed >> c & 1:
+                        inner += xl[f]
+                slack_of[closed] = size - 1 - inner
+            if slack_of[closed] <= limit:
+                sizes[e] = size
+    return value, np.array(side, dtype=bool), drift, limit, np.array(sizes, dtype=np.int64)
 
 
 # The patterns of a node's two ends (u_L, u_R) in the stable-set labelling,

@@ -9,10 +9,11 @@ connects, and an edge whose weight x_e - lam [e in S] is negative never
 lowers it.  So it is negative exactly when some node set U has
 (1 - lam)(|U| - 1) - y(E(U)) < 0, with y = max(x - lam 1_S, 0), and one
 max-flow per node i finds the lowest such U among the sets whose smallest
-node is i.  The flows run on ``Graph.edge_network``, built once per
-graph, with ``graphs.Dinic``, the max-flow routine the stable-set oracle
-shares; a flow is one kernel call that also returns its smallest minimum
-cut.  The step coefficient is the root in lam of
+node is i.  The flows run on the layout of ``Graph.edge_network``, built
+once per graph, with the max-flow of the stable-set oracle; a whole scan
+of the nodes is one kernel call (``kernels.block_scan``), and so is the
+scan at lam = 0 that also finds the tight sets (``kernels.tight_blocks``).
+The step coefficient is the root in lam of
 that minimum; a Dinkelbach/Newton iteration (Dinkelbach, Mgmt. Sci. 1967)
 reaches it from above through the ratios of the minimising blocks."""
 
@@ -25,6 +26,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from . import kernels
 from .core import (
     ENUMERATION_CAP,
     EXACT,
@@ -39,7 +41,7 @@ from .core import (
     csr_rows,
     peel,
 )
-from .graphs import Dinic, Graph, UnionFind
+from .graphs import Graph, UnionFind
 
 ZERO_WEIGHT = 1e-12
 TIGHT_TOL = 1e-9  # slack tolerance of the rank tests, before any drift allowance
@@ -193,76 +195,29 @@ def max_spanning_forest(weights, g: Graph, zero_tol: float = ZERO_WEIGHT) -> Ver
     return VertexSet.integral(chosen, g.m)
 
 
-def _block_flow(net: Dinic, caps: np.ndarray, cost: float, i: int):
-    """Maximum flow of node i's block network: the residual capacities
-    (source, sink, edge arcs) in one buffer, and the source side of the
-    smallest minimum cut.
-
-    Node v has source capacity d_v/2 (d_v its y-degree) and sink capacity
-    cost, and each edge an arc of capacity y_e/2 each way.  The source
-    capacity of i and the sink capacities of the nodes below i are
-    unbounded, which forces i in and those nodes out.  A cut with source
-    side U then costs cost (|U| - 1) - y(E(U)) plus a constant."""
-    n = net.n
-    f = caps.copy()
-    f[i] = math.inf
-    f[n : n + i] = math.inf
-    f[n + i : 2 * n] = cost
-    _, side = net.max_flow(f[:n], f[n : 2 * n], f[2 * n :])
-    return f, side
-
-
-def _networks(g: Graph, y: np.ndarray) -> np.ndarray:
-    """The capacities of the block networks in one float64 buffer: the
-    source capacities d_v/2, n places for the sink capacities, and y_e/2 on
-    both arcs of each edge."""
-    n, half = g.n_nodes, y / 2.0
-    caps = np.zeros(2 * n + 2 * g.m)
-    caps[:n] = np.bincount(np.concatenate((g.edge_u, g.edge_v)), weights=np.tile(half, 2), minlength=n)
-    g.edge_arcs(caps[2 * n :])[:] = half[:, None]
-    return caps
-
-
-def _block(g: Graph, y: np.ndarray, cost: float, side: np.ndarray):
-    """cost (|U| - 1) - y(E(U)) of the node set U given as a bool array, and
-    its face: the edges of E(U) with y_e > 0, ascending."""
-    size = int(np.count_nonzero(side))
-    if size <= 1:
-        return 0.0, ()
-    face = np.flatnonzero(side[g.edge_u] & side[g.edge_v] & (y > 0))
-    return cost * (size - 1) - float(y[face].sum()), tuple(face.tolist())
-
-
 def _scan(g: Graph, y: np.ndarray, cost: float, starts):
     """Per start i, the lowest block among the node sets whose smallest node
-    is i: (value, face), from the smallest minimum cut of i's flow.  A node
-    with no edge of positive weight to a later node needs no flow: without
-    it, each of its blocks is at least as low."""
-    net, caps = g.edge_network, _networks(g, y)
-    leads = _leads(g, y)
-    out = {}
-    for i in starts:
-        if leads[i]:
-            out[i] = _block(g, y, cost, _block_flow(net, caps, cost, i)[1])
-        else:
-            out[i] = (0.0, ())
-    return out
+    is i: its value and its node set as a row of a bool array, from the
+    smallest minimum cut of i's flow, in one kernel call.  A node with no
+    edge of positive weight to a later node needs no flow: without it, each
+    of its blocks is at least as low."""
+    return kernels.block_scan(g.edge_network.layout, y, cost, starts)
 
 
-def _leads(g: Graph, y: np.ndarray) -> list:
-    """Per node, whether an edge of positive weight joins it to a later
-    node."""
-    return np.bincount(g.edge_u[y > 0], minlength=g.n_nodes).astype(bool).tolist()
+def _face(g: Graph, y: np.ndarray, side: np.ndarray) -> tuple:
+    """The edges of E(U) with y_e > 0, ascending, for the node set U given
+    as a bool array."""
+    return tuple(np.flatnonzero(side[g.edge_u] & side[g.edge_v] & (y > 0)).tolist())
 
 
-def _lowest(blocks: dict):
+def _lowest(g: Graph, y: np.ndarray, values: np.ndarray, sides: np.ndarray):
     """The lowest (value, face) of a scan; the empty face at 0 when no block
-    is negative, ties to the smallest start."""
-    best = (0.0, ())
-    for val, face in blocks.values():
-        if val < best[0]:
-            best = (val, face)
-    return best
+    is negative, ties to the first start."""
+    if values.shape[0]:
+        k = int(np.argmin(values))
+        if values[k] < 0.0:
+            return float(values[k]), _face(g, y, sides[k])
+    return 0.0, ()
 
 
 def _weights(g: Graph, x_t, s_t, lam: float) -> np.ndarray:
@@ -280,7 +235,7 @@ def min_g_lambda(g: Graph, x_t, s_t, lam: float):
     block's edges with y_e > 0 (empty at 0); ties go to the block with the
     smaller smallest node, then to the smaller set."""
     y = _weights(g, x_t, s_t, lam)
-    return _lowest(_scan(g, y, 1.0 - lam, range(g.n_nodes)))
+    return _lowest(g, y, *_scan(g, y, 1.0 - lam, np.arange(g.n_nodes)))
 
 
 @dataclass(frozen=True)
@@ -298,83 +253,25 @@ class _TightBlocks:
 
 
 def _tight_blocks(g: Graph, x) -> _TightBlocks:
-    """One flow per node at lam = 0, read twice.  The smallest minimum cuts
-    give the lowest block.  M_e comes from the residual graphs: a node set
-    of flow i whose cut exceeds the minimum by at most tau has no residual
-    arc above tau leaving it, so the closure of {i, u, v} under those arcs
-    lies inside every such set that holds the edge's ends u and v.  With
-    tau = (the tight limit) - (flow i's minimum), that covers every tight
-    set whose smallest node is i, and the closure is M_e when it is tight
-    itself (tight sets that meet are closed under intersection).  The
-    smallest tight closure over the flows wins.
+    """One flow per node at lam = 0, read twice, in one kernel call
+    (``kernels.tight_blocks``).  The smallest minimum cuts give the lowest
+    block.  M_e comes from the residual graphs: a node set of flow i whose
+    cut exceeds the minimum by at most tau has no residual arc above tau
+    leaving it, so the closure of {i, u, v} under those arcs lies inside
+    every such set that holds the edge's ends u and v.  With tau = (the
+    tight limit) - (flow i's minimum), that covers every tight set whose
+    smallest node is i, and the closure is M_e when it is tight itself
+    (tight sets that meet are closed under intersection).  The smallest
+    tight closure over the flows wins.
 
     The tight limit is TIGHT_TOL plus eight times the drift.  Rounding,
     which each step divides by 1 - a, spreads the slacks of tight sets to
     both sides of 0; in decompositions with m up to 60 the positive side
     reached 2.1 times the drift.  Counting a set as tight too early only
     reorders the forest's edges."""
-    x = np.asarray(x, dtype=float)
-    y = np.maximum(x, 0.0)
-    n, eu, ev = g.n_nodes, g.edge_u.tolist(), g.edge_v.tolist()
-    net, caps = g.edge_network, _networks(g, y)
-    tails, heads = (ends.tolist() for ends in net.arc_ends)
-    best, flows = (0.0, ()), []
-    for i in np.flatnonzero(_leads(g, y)).tolist():  # no tight set starts elsewhere
-        f, side = _block_flow(net, caps, 1.0, i)
-        val, face = _block(g, y, 1.0, side)
-        if val < best[0]:
-            best = (val, face)
-        f = f.tolist()
-        flows.append((i, val, f[:n], f[n : 2 * n], f[2 * n :]))
-    drift = -best[0]
-    limit = TIGHT_TOL + 8 * drift
-    found = []  # (size, i, e, closure)
-    for i, val, rs, rt, r in flows:
-        tau = limit - val
-        # A node that reaches a sink arc lies in no closed set, and the rest
-        # are closed under the arcs, so only the rest need closures.
-        pred: list[list[int]] = [[] for _ in range(n)]
-        arcs = [a for a, c in enumerate(r) if c > tau and tails[a] >= i]
-        for a in arcs:
-            pred[heads[a]].append(tails[a])
-        doomed = [rt[v] > tau for v in range(n)]
-        queue = [v for v in range(n) if doomed[v]]
-        for w in queue:
-            for u in pred[w]:
-                if not doomed[u]:
-                    doomed[u] = True
-                    queue.append(u)
-        sources = [v for v in range(i, n) if rs[v] > tau]
-        if any(doomed[v] for v in sources):
-            continue
-        live = [u for u in range(i, n) if not doomed[u]]
-        reach = [1 << u for u in range(n)]
-        for a in arcs:
-            reach[tails[a]] |= 1 << heads[a]
-        for k in live:  # transitive closure (Warshall)
-            bit, rk = 1 << k, reach[k]
-            for u in live:
-                if reach[u] & bit:
-                    reach[u] |= rk
-        base = 0
-        for v in sources:
-            base |= reach[v]
-        for e in range(g.m):
-            u, v = eu[e], ev[e]
-            if u >= i and not (doomed[u] or doomed[v]):
-                closed = base | reach[u] | reach[v]
-                found.append((closed.bit_count(), i, e, closed))
-    sizes = np.full(g.m, n, dtype=np.int64)
-    slack_of: dict = {}
-    for size, _, e, closed in sorted(found):
-        if size >= sizes[e]:
-            continue
-        if closed not in slack_of:
-            inner = sum(x[f] for f in range(g.m) if closed >> eu[f] & 1 and closed >> ev[f] & 1)
-            slack_of[closed] = size - 1 - inner
-        if slack_of[closed] <= limit:
-            sizes[e] = size
-    return _TightBlocks(best[0], best[1], drift, limit, sizes)
+    x = np.ascontiguousarray(x, dtype=float)
+    value, side, drift, limit, sizes = kernels.tight_blocks(g.edge_network.layout, x, TIGHT_TOL)
+    return _TightBlocks(value, _face(g, x, side), drift, limit, sizes)
 
 
 def _rank(g: Graph, face) -> int:
@@ -441,13 +338,15 @@ def graphic_step_coefficient(
         raise MembershipError("iterate violates a rank constraint at lambda=0")
     tol = TIGHT_TOL + zero.drift
 
-    iters, lam, starts = 0, upper, range(g.n_nodes)
+    iters, lam, starts = 0, upper, np.arange(g.n_nodes)
     while True:
-        blocks = _scan(g, _weights(g, x, s_idx, lam), 1.0 - lam, starts)
-        starts = [i for i, (val, _) in blocks.items() if val < -tol]
-        if not starts:
+        y = _weights(g, x, s_idx, lam)
+        values, sides = _scan(g, y, 1.0 - lam, starts)
+        low = values < -tol
+        if not low.any():
             break
-        _, face = _lowest(blocks)
+        starts = starts[low]
+        _, face = _lowest(g, y, values, sides)
         d = deficit(face)
         if d <= 0:
             break

@@ -5,19 +5,26 @@ byte (the flow, its residuals and its source side, and the stable-set
 labelling that reads them), and its refusal of malformed layouts and
 capacities.  The networks are those the graph oracles build, with random
 capacities: stable-set double covers and graphic block networks, with
-zero and infinite capacities and exact ties."""
+zero and infinite capacities and exact ties.
+
+The graphic oracle's block kernels, ``kernels.block_scan`` and
+``kernels.tight_blocks``, run that flow once per start inside one call:
+each start's block is the flow's source side on its block network, the
+two backends give the same bytes, and both refuse bad input alike."""
 
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 from kernel_backends import BACKENDS, available, implementation, use
 from reference_loops import ReferenceDinic
 
+from caradec import kernels
 from caradec.graphs import Dinic, Graph
-from caradec.matroids import _networks
+from caradec.kernels._purepy import BAD_START, UNBOUNDED, block_capacities, pairwise_sum
 from caradec.rng import stream
 
 
@@ -45,20 +52,32 @@ def double_cover(rng):
     return g.double_cover, rs, rt, r, c > 0
 
 
-def block_network(rng):
-    """A graphic block network of node i on Graph.edge_network: source
-    capacity d_v/2, sink capacity cost, edge arcs y_e/2 each way, unbounded
-    source capacity at i and unbounded sink capacities below i.  Some
-    weights are 0."""
+def block_case(rng):
+    """A graph on 2..15 nodes, edge weights y (some 0), a cost in [0, 1]
+    and a start node i."""
     n = int(rng.integers(2, 16))
     g = random_graph(rng, n)
     y = rng.random(g.m) * (rng.random(g.m) > 0.2)
-    cost = float(rng.uniform(0.0, 1.0))
-    i = int(rng.integers(0, n))
-    f = _networks(g, y)
+    return g, y, float(rng.uniform(0.0, 1.0)), int(rng.integers(0, n))
+
+
+def forced(g, y, cost, i):
+    """The capacities of node i's block network as one buffer: source
+    capacity d_v/2, sink capacity cost, edge arcs y_e/2 each way, unbounded
+    source capacity at i and unbounded sink capacities below i."""
+    n = g.n_nodes
+    f = block_capacities(g.edge_network.layout, y)
     f[i] = math.inf
     f[n : n + i] = math.inf
     f[n + i : 2 * n] = cost
+    return f
+
+
+def block_network(rng):
+    """A graphic block network of node i on Graph.edge_network (see
+    ``forced``)."""
+    g, y, cost, i = block_case(rng)
+    n, f = g.n_nodes, forced(g, y, cost, i)
     return g.edge_network, f[:n], f[n : 2 * n], f[2 * n :], None
 
 
@@ -126,15 +145,64 @@ def test_the_twins_leave_the_same_bytes(shape):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
 
 
+def test_a_scan_runs_the_flow_of_each_start(monkeypatch):
+    """block_scan's side for start i is the source side of i's block
+    network's max-flow, and its value cost (|U| - 1) - y(E(U)) with
+    y(E(U)) summed as numpy sums it; a start with no edge of positive
+    weight to a later node runs no flow and gets 0 and an empty side."""
+    for backend in available():
+        use(monkeypatch, backend)
+        for case in range(200):
+            g, y, cost, _ = block_case(stream(71, "block_scan", case))
+            net, n = g.edge_network, g.n_nodes
+            values, sides = kernels.block_scan(net.layout, y, cost, np.arange(n))
+            assert values.shape == (n,) and sides.shape == (n, n) and sides.dtype == bool
+            for i in range(n):
+                if not (y[g.edge_u == i] > 0).any():
+                    assert values[i] == 0.0 and not sides[i].any(), (backend, case, i)
+                    continue
+                f = forced(g, y, cost, i)
+                side = net.max_flow(f[:n], f[n : 2 * n], f[2 * n :])[1]
+                size = int(side.sum())
+                inside = y[side[g.edge_u] & side[g.edge_v] & (y > 0)]
+                want = cost * (size - 1) - float(inside.sum()) if size > 1 else 0.0
+                assert sides[i].tolist() == side.tolist() and values[i] == want, (backend, case, i)
+
+
+def test_the_block_kernels_leave_the_same_bytes():
+    """On the block networks above, every backend gives the pure twin's
+    block_scan over all starts and tight_blocks (with negative entries in
+    x, which count as 0) byte for byte."""
+    for case in range(200):
+        g, y, cost, _ = block_case(stream(67, "block_network", case))
+        net, x = g.edge_network.layout, np.where(y > 0, y, -0.01)
+        outs = []
+        for impl in map(implementation, available()):
+            values, sides = impl.block_scan(net, y, cost, np.arange(g.n_nodes))
+            value, side, drift, limit, sizes = impl.tight_blocks(net, x, 1e-9)
+            outs.append([values, sides, np.float64(value), side, np.float64(drift), np.float64(limit), sizes])
+        for out in outs[1:]:
+            for got, want in zip(out, outs[0]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+
+
+def test_pairwise_sum_adds_as_numpy_sums():
+    rng = stream(73, "pairwise")
+    for size in list(range(40)) + [127, 128, 129, 136, 300, 1000]:
+        v = rng.random(size) * 10.0 ** rng.integers(-6, 6, size)
+        assert pairwise_sum(v.tolist()) == float(v.sum()), size
+
+
 def test_arc_views_follow_the_layouts():
-    """Graph.edge_arcs and Graph.cover_arcs address the arcs that
-    Dinic.arc_ends places between the edges' ends."""
+    """Edge e's arcs 2e and 2e + 1 in Graph.edge_network (as the block
+    kernels read them) and Graph.cover_arcs address the arcs that
+    FlowLayout.arc_ends places between the edges' ends."""
     g = Graph(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
     eu, ev, n = g.edge_u, g.edge_v, g.n_nodes
-    tail, head = g.edge_network.arc_ends
-    ids = g.edge_arcs(np.arange(2 * g.m))
+    tail, head = g.edge_network.layout.arc_ends
+    ids = np.arange(2 * g.m).reshape(g.m, 2)
     assert (tail[ids] == np.stack((eu, ev), axis=1)).all() and (head[ids] == np.stack((ev, eu), axis=1)).all()
-    tail, head = g.double_cover.arc_ends
+    tail, head = g.double_cover.layout.arc_ends
     ids = g.cover_arcs(np.arange(4 * g.m))
     assert (tail[ids] == np.stack((eu, ev), axis=1)).all()
     assert (head[ids] == n + np.stack((ev, eu), axis=1)).all()
@@ -164,7 +232,7 @@ class TestRefusals:
         net = Dinic([0, 1, 2], [1, 0], [0, 1])
         assert net.n == 2 and net.layout.array.tolist() == [2, 2, 0, 1, 2, 1, 0, 0, 1]
         assert [v.tolist() for v in (net.layout.ptr, net.layout.head, net.layout.arc)] == [[0, 1, 2], [1, 0], [0, 1]]
-        assert [v.tolist() for v in net.arc_ends] == [[0, 1], [1, 0]]
+        assert [v.tolist() for v in net.layout.arc_ends] == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_copied_network_flows_on_its_own_arrays(self, monkeypatch, backend):
@@ -225,3 +293,44 @@ class TestRefusals:
             label(net.layout, rt, r, np.ones(3, dtype=bool), np.zeros(4, dtype=bool))
         with pytest.raises(ValueError, match="capacity arrays"):
             label(net.layout, rt, np.zeros(3), np.ones(2, dtype=bool), np.zeros(4, dtype=bool))
+
+    @pytest.mark.parametrize("kernel", ["block_scan", "tight_blocks"])
+    def test_block_kernels_refuse_alike(self, kernel):
+        """Both backends refuse a start outside [0, n), weights of the wrong
+        length, dtype or layout, and a network that is not the FlowLayout
+        of an edge network with one weight per edge, with the same
+        exception and message, before any flow."""
+        g = Graph(3, ((0, 1), (1, 2)))
+        net, y = g.edge_network.layout, np.array([0.5, 0.25])
+
+        def call(impl, net, w, starts=(0, 1, 2)):
+            if kernel == "block_scan":
+                return impl.block_scan(net, w, 0.5, np.asarray(starts))
+            return impl.tight_blocks(net, w, 1e-9)
+
+        bad = [(net, np.ones(3)), (net, np.ones(1)), (net, np.ones(2, dtype=np.float32)),
+               (net, [0.5, 0.25]), (net, np.ones(4)[::2]), (net, np.ones((2, 1))),
+               (net.array, y), (g.edge_network, y), (g.double_cover.layout, y)]
+        if kernel == "block_scan":
+            bad += [(net, y, starts) for starts in ([3], [0, -1], [0.0, 1.0], [[0, 1]])]
+        for args in bad:
+            errors = set()
+            for impl in map(implementation, available()):
+                with pytest.raises((ValueError, IndexError)) as exc:
+                    call(impl, *args)
+                errors.add((exc.type, str(exc.value)))
+            assert len(errors) == 1, (args, errors)
+        for impl in map(implementation, available()):
+            if kernel == "block_scan":
+                with pytest.raises(IndexError, match=re.escape(BAD_START)):
+                    call(impl, net, y, [0, 3])
+                # An edge of infinite weight leaves node 0 unbounded on both
+                # sides in node 1's network.
+                with pytest.raises(ValueError, match=UNBOUNDED):
+                    impl.block_scan(net, np.array([math.inf, 0.5]), 0.5, np.array([1]))
+            # A network without edges is not malformed.
+            out = call(impl, Graph(1, ()).edge_network.layout, np.zeros(0), [0])
+            if kernel == "block_scan":
+                assert out[0].tolist() == [0.0]
+            else:
+                assert out[0] == 0.0 and out[-1].shape == (0,)

@@ -14,7 +14,9 @@ whose augmented weight is the LP optimum.
 
 Exact decompositions of both graph families (stable sets on the drawn
 graphs above, graphic matroids on drawn connected graphs) meet the
-contract and give the same bytes on both backends."""
+contract and give the same bytes on both backends.  The graphic oracle's
+block kernels give the same bytes on both backends and the blocks that an
+enumeration of the node sets finds."""
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from caradec.fstab import TIGHT_TOL, _augmented_weights, fstab_vertex, project_t
 from caradec.graphs import Graph
 from caradec.hypersimplex import kernel_decomposition
 from caradec.kernels import block_layout
-from caradec.matroids import max_spanning_forest, spanning_tree_marginals
+from caradec.matroids import TIGHT_TOL as GRAPHIC_TIGHT_TOL
+from caradec.matroids import _weights, max_spanning_forest, spanning_tree_marginals
 
 EXACT = (1.0, 0.0, 0.0)  # scale, floor, eps
 RESCALED = (0.5, 0.02, 1e-5)
@@ -162,12 +165,12 @@ def test_stable_set_vertex_is_an_optimal_vertex_of_the_face(case):
 
 
 @st.composite
-def graphic_points(draw):
-    """(graph, x): a connected graph on 2..7 nodes (a drawn spanning tree
+def graphic_points(draw, most=7):
+    """(graph, x): a connected graph on 2..most nodes (a drawn spanning tree
     plus drawn extra edges) and a point of its base polytope, either the
     spanning-tree marginals of drawn weights or a mixture of maximum
     spanning trees (exact ties and tight node sets)."""
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, most))
     tree = {tuple(sorted((v, draw(st.integers(0, v - 1))))) for v in range(1, n)}
     rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
     keep = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
@@ -212,3 +215,57 @@ def test_stable_set_decomposition_contract_on_both_backends(case):
 def test_graphic_decomposition_contract_on_both_backends(case):
     g, x = case
     assert_graph_contract(GraphicMatroid(g), x, 1e-8)
+
+
+def enumerated_blocks(g, y, cost):
+    """Per node set U as a bitmask (the empty set and singletons at 0):
+    cost (|U| - 1) - y(E(U)), its size, and whether it holds each edge."""
+    n = g.n_nodes
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    inside = bits[:, g.edge_u] & bits[:, g.edge_v]
+    size = bits.sum(axis=1)
+    return np.where(size > 1, cost * (size - 1) - inside @ np.maximum(y, 0.0), 0.0), size, inside, bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphic_points(most=9), st.floats(0.0, 1.0), st.data())
+def test_block_kernels_on_both_backends(case, lam, data):
+    """block_scan over every start at lam, with a drawn S, and tight_blocks
+    give the same bytes on both backends.  Each start's value is the
+    lowest block among the node sets whose smallest node it is (0 when it
+    has no edge of positive weight to a later node), and the lowest value
+    is the lowest block of all, both within 1e-9 of the enumeration.
+    tight_blocks' value is block_scan's lowest at lam = 0, and each edge's
+    size is that of a node set with slack at most the limit holding both
+    its ends (n when none), and no smaller than the smallest such set."""
+    g, x = case
+    n, net = g.n_nodes, g.edge_network.layout
+    s = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)))
+    y = _weights(g, x, s, lam)
+    outs = []
+    for backend in available():
+        impl = implementation(backend)
+        zero = impl.tight_blocks(net, x, GRAPHIC_TIGHT_TOL)
+        outs.append([*impl.block_scan(net, y, 1.0 - lam, np.arange(n)), *map(np.asarray, zero),
+                     *impl.block_scan(net, np.maximum(x, 0.0), 1.0, np.arange(n))])
+    for out in outs[1:]:
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(out, outs[0]))
+    values, sides, value, side, drift, limit, sizes, zero_values, _ = outs[0]
+
+    blocks, size, inside, bits = enumerated_blocks(g, y, 1.0 - lam)
+    smallest = np.where(size > 0, np.argmax(bits, axis=1), n)
+    for i in range(n):
+        if (y[g.edge_u == i] > 0).any():
+            assert abs(values[i] - blocks[smallest == i].min(initial=0.0)) <= 1e-9
+        else:
+            assert values[i] == 0.0 and not sides[i].any()
+    assert abs(min(values.min(), 0.0) - blocks.min()) <= 1e-9
+
+    assert value == min(zero_values.min(), 0.0) and drift == -value and limit == GRAPHIC_TIGHT_TOL + 8 * drift
+    # A dot product adds in another order than the kernels; 1e-12 absorbs
+    # that at sets whose slack lies at the limit.
+    slack = np.where(size > 0, size - 1 - inside @ x, np.inf)
+    for e in range(g.m):
+        holds = inside[:, e] & (slack <= limit + 1e-12)
+        assert sizes[e] >= min(size[holds].min(initial=n), n)
+        assert sizes[e] == n or (holds & (size == sizes[e])).any()

@@ -4,11 +4,13 @@ reference_loops, and spanning-tree marginals against enumeration
 oracles."""
 
 import time
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 from gradient_checks import graphic_rank
+from kernel_backends import available, implementation
 from reference_loops import (
     _rank_table,
     _subset_sums,
@@ -18,7 +20,7 @@ from reference_loops import (
     reference_min_g_lambda,
 )
 
-from caradec import fstab
+from caradec import fstab, kernels, matroids
 from caradec.core import (
     EXACT,
     DimensionError,
@@ -36,6 +38,7 @@ from caradec.hypersimplex import (
 )
 from caradec.matroids import (
     _face_respecting_forest,
+    _weights,
     decompose_graphic,
     graphic_step_coefficient,
     max_spanning_forest,
@@ -298,20 +301,32 @@ class TestGraphicDecomposition:
                 assert len(v.indices) == size
                 assert g.is_forest(v.indices)
 
-    def test_block_flows_use_the_shared_max_flow(self, monkeypatch):
-        # perfbench traces fstab.Dinic.max_flow; both oracles run it.
+    def test_each_scan_is_one_kernel_call(self, monkeypatch):
+        # perfbench traces fstab.Dinic.max_flow as the stable-set flows;
+        # the graphic oracle runs its flows inside the block kernels.
         g = random_connected_graph(stream(43, "graphic-flows"), 8, 6)
         x = spanning_tree_marginals(g, np.ones(g.m))
-        calls = []
-        max_flow = fstab.Dinic.max_flow
+        calls = Counter()
 
-        def counted(net, rs, rt, r):
-            calls.append(len(rs))
-            return max_flow(net, rs, rt, r)
+        def count(owner, name):
+            inner = getattr(owner, name)
 
-        monkeypatch.setattr(fstab.Dinic, "max_flow", counted)
+            def call(*args):
+                calls[name] += 1
+                out = inner(*args)
+                if name == "graphic_step_coefficient":  # one scan per Newton iterate
+                    calls["newton"] += out[1].search_iterations + 1
+                return out
+
+            monkeypatch.setattr(owner, name, call)
+
+        for owner, name in [(fstab.Dinic, "max_flow"), (kernels, "block_scan"), (kernels, "tight_blocks"),
+                            (matroids, "min_g_lambda"), (matroids, "graphic_step_coefficient")]:
+            count(owner, name)
         decompose_graphic(x, g)
-        assert len(calls) > 0 and set(calls) == {g.n_nodes}
+        assert calls["max_flow"] == 0 and calls["graphic_step_coefficient"] > 1
+        assert calls["block_scan"] == calls["min_g_lambda"] + calls["newton"]
+        assert calls["tight_blocks"] == calls["graphic_step_coefficient"]
 
     def test_disconnected_components(self):
         g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5)))
@@ -500,6 +515,22 @@ class TestBlockOracleParity:
             box = min(x[list(s.indices)].min(), 1.0 - np.delete(x, list(s.indices)).max(initial=0.0))
             assert ref.kind == "rank_face" and abs(box - a_ref) <= 1e-9, (k, t)
         assert ties == RANK_BOX_TIES
+
+
+def test_block_kernels_byte_equal_on_the_parity_iterates():
+    """tight_blocks, and block_scan at several lam with S the face-respecting
+    forest, give the same bytes on both backends at every iterate of the
+    parity corpus."""
+    for k, t, g, x in parity_iterates():
+        s, net = _face_respecting_forest(x, g), g.edge_network.layout
+        outs = []
+        for impl in map(implementation, available()):
+            out = list(impl.tight_blocks(net, x, 1e-9))
+            for lam in (0.0, 0.3, 0.7, 1.0):
+                out += impl.block_scan(net, _weights(g, x, s.indices, lam), 1.0 - lam, np.arange(g.n_nodes))
+            outs.append([np.asarray(o) for o in out])
+        for out in outs[1:]:
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(out, outs[0])), (k, t)
 
 
 class TestDriftCorpus:

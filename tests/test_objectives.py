@@ -308,6 +308,22 @@ class TestIdsOutOfRange:
         assert CutObjective(g).values_of([(), (3,), ()]).tolist() == [0.0, 1.0, 0.0]
         assert CutObjective(Graph(3, ())).values_of([(), (0, 2)]).tolist() == [0.0, 0.0]
 
+    def test_linear(self, backend, monkeypatch):
+        use(monkeypatch, backend)
+        f = LinearObjective(np.array([1.0, 2.0, 4.0]))
+        for bad in ((-1,), (3,), (0, -3), (2, 3)):
+            with pytest.raises(IndexError):
+                f.value_of(bad)
+            with pytest.raises(IndexError):
+                f.values_of([(1,), bad])
+            with pytest.raises(IndexError):
+                f.values_of_rows(np.array([0, 1, 1 + len(bad)]), np.array((1,) + bad))
+        # Enough rows of one length for the grouped path.
+        with pytest.raises(IndexError):
+            f.values_of_rows(np.arange(21), np.array([0] * 19 + [-1]))
+        assert f.values_of([(), (2,), (0, 1)]).tolist() == [0.0, 4.0, 3.0]
+        assert f.values_of_rows(np.arange(21), np.array([0, 1, 2, 0] * 5)).tolist() == [1.0, 2.0, 4.0, 1.0] * 5
+
 
 class TestBruteForce:
     def test_triangle_cut(self):

@@ -229,6 +229,43 @@ class TestMultiScale:
         assert set(res.best.indices) <= set(pool)
 
 
+class TestPoolOrder:
+    """multi_scale_solve's pool lists each element of the integral rows'
+    supports at its first appearance, in the order that the former
+    np.unique(return_index=True) dedupe gave."""
+
+    @staticmethod
+    def by_unique(ids, dim):
+        return ids[np.sort(np.unique(ids, return_index=True)[1])]
+
+    def test_first_occurrences(self):
+        rng = stream(17, "first-occurrences")
+        for dim in (1, 5, 500):
+            for size in (0, 1, 7, 20000):
+                ids = rng.integers(0, dim, size)
+                got = solvers._first_occurrences(ids, dim)
+                assert got.dtype == np.int64 and got.tolist() == self.by_unique(ids, dim).tolist()
+        assert solvers._first_occurrences(np.zeros(0, dtype=np.int64), 0).tolist() == []
+
+    def test_repeated_empty_and_half_integral_rows(self, monkeypatch):
+        c = FractionalStableSet(gen_er_graph(12, 0.3, seed=3, instance_id=0))
+        rng = stream(19, "pool-order")
+        f = LinearObjective(rng.random(c.dim))
+        half_integral = 0
+        for _ in range(6):
+            x = 0.6 * random_point_in_polytope(c, rng)
+            d = decompose(x, c)
+            half_integral += int((~d.integral).sum())
+            assert (np.diff(d.vertex_rows[0]) == 0).any()  # the empty set is a row
+            sched = ScaleSchedule(factors=(1.0, 0.5), repeats=2, jitter=0.05, max_iterations=200)
+            got = multi_scale_solve(x, sched, f, c)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_first_occurrences", self.by_unique)
+                want = multi_scale_solve(x, sched, f, c)
+            assert got[1] == want[1] and got[0].best == want[0].best
+        assert half_integral > 0
+
+
 class TestLocalImprove:
     def test_local_optimum_unchanged(self):
         inst = CoverageInstance(3, 4, (1.0,) * 4, ((0, 1), (1, 2), (2, 3)))
