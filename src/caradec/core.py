@@ -362,7 +362,9 @@ def peel(x: np.ndarray, cfg: DecompositionConfig, step) -> tuple[Decomposition, 
         np.clip(x, 0.0, 1.0, out=x)
         rows.append((a * q, q, a))
         q *= 1.0 - a
-        if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
+        # The l2 norm with its squares added in index order, which a C loop
+        # repeats (np.linalg.norm's BLAS dot adds in blocks).
+        if eps > 0.0 and q * math.sqrt(reduce(operator.add, (x * x).tolist(), 0.0)) <= eps:
             break
     p, qs, avals = (np.array(col, dtype=float) for col in (zip(*rows) if rows else [()] * 3))
     left = np.abs(x - vvec) if terminal else x

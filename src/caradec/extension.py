@@ -64,6 +64,13 @@ class SetObjective:
     def half_integral_value(self, v: VertexSet) -> float:
         return 0.0
 
+    def half_integral_values(self, rows: np.ndarray) -> np.ndarray:
+        """half_integral_value of each row of a dense (k, n) array of
+        half-integral vertices, as a float array in order.  The default
+        wraps each row in a VertexSet."""
+        return np.array([self.half_integral_value(VertexSet.half_integral(row)) for row in rows],
+                        dtype=np.float64)
+
     def __call__(self, v: VertexSet) -> float:
         if v.is_integral:
             return float(self.value_of(v.indices))
@@ -123,6 +130,11 @@ class LinearObjective(SetObjective):
     def half_integral_value(self, v):
         return float(self.weights @ v.to_vector())
 
+    def half_integral_values(self, rows):
+        """The dot product of half_integral_value, row by row, with no
+        VertexSet."""
+        return np.array([self.weights @ row for row in rows], dtype=np.float64)
+
 
 class CallableObjective(SetObjective):
     """Adapter for a plain function of a frozenset of indices."""
@@ -154,10 +166,10 @@ def decompose_with_tape(
 
 def vertex_values(d: Decomposition, f: SetObjective) -> np.ndarray:
     """f at every vertex of d, in pair order: one values_of_rows call on d's
-    integral rows, and f.half_integral_value for the others.
-    evaluate_extension, best_set and backprop_extension (on the tape of d)
-    can share the result."""
-    indptr, indices, _ = d.vertex_rows
+    integral rows, and one f.half_integral_values call on the others as
+    dense rows.  evaluate_extension, best_set and backprop_extension (on the
+    tape of d) can share the result."""
+    indptr, indices, data = d.vertex_rows
     if d.all_integral:
         return f.values_of_rows(indptr, indices)
     integral = d.integral
@@ -165,8 +177,11 @@ def vertex_values(d: Decomposition, f: SetObjective) -> np.ndarray:
     out = np.zeros(len(integral))
     out[integral] = f.values_of_rows(np.concatenate(([0], np.cumsum(lens))),
                                      indices[np.repeat(integral, np.diff(indptr))])
-    for t in np.flatnonzero(~integral).tolist():
-        out[t] = f.half_integral_value(d.vertex(t))
+    half = np.flatnonzero(~integral)
+    at, deg = kernels.row_positions(indptr, half)
+    rows = np.zeros((half.shape[0], d.n))
+    rows[np.repeat(np.arange(half.shape[0]), deg), indices[at]] = data[at]
+    out[half] = f.half_integral_values(rows)
     return out
 
 

@@ -13,10 +13,17 @@ fixes the coordinates in order by reachability in its residual graph,
 whose closed sets are exactly the minimum cuts (Picard & Queyranne 1980).
 Each is one kernel call.  The per-edge sums (tight edges, ratios,
 excesses) are array operations over ``Graph.edge_u`` and
-``Graph.edge_v``."""
+``Graph.edge_v``.
+
+A decomposition is one call of ``kernels.decompose_fstab``, which checks
+the point and runs every step.  Its pure twin is ``core.peel`` over
+``FractionalStableSet.peel_step``, that is over ``fstab_vertex`` and
+``fstab_step_coefficient``; the C kernel repeats their operations, byte
+for byte, without calling them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +31,14 @@ import numpy as np
 from .core import (
     ENUMERATION_CAP,
     EXACT,
+    MEMBERSHIP_TOL,
     ActiveConstraintRecord,
     Decomposition,
     DecompositionConfig,
-    MembershipError,
+    GradientTape,
     VertexSet,
     check_box,
     check_shape,
-    peel,
 )
 from . import kernels
 from .graphs import Dinic, Graph  # noqa: F401  (fstab.Dinic is the flow's traced name)
@@ -77,12 +84,22 @@ class FractionalStableSet:
         return self.decompose_with_tape(x, cfg)[0]
 
     def decompose_with_tape(self, x, cfg):
-        return peel(check_fstab_membership(x, self.graph), cfg, self.peel_step)
+        """The peel of ``peel_step`` on x, checked first, in one call of
+        ``kernels.decompose_fstab``."""
+        p, q, a, vertex_rows, functional_rows, wx, x0, residual, terminal = kernels.decompose_fstab(
+            x, self.graph, cfg.scale, cfg.floor, 0.0 if cfg.is_exact else cfg.tolerance,
+            cfg.iteration_cap(self.dim), cfg.guard)
+        d = Decomposition.from_rows(p, vertex_rows, self.dim, residual)
+        return d, GradientTape(d, q, a, terminal, x0, functional_rows, wx)
 
     def peel_step(self, x):
         """The lexicographic vertex of x, its step coefficient and binding
-        inequality, and the pin of a binding box constraint."""
+        inequality, and the pin of a binding box constraint.  With no
+        coordinate there is no constraint either: the empty vertex takes an
+        unbounded coefficient, a terminal step."""
         v = fstab_vertex(x, self.graph)
+        if not self.dim:
+            return v, math.inf, None, None
         a_exact, record = fstab_step_coefficient(x, v, self.graph)
         pin = None
         if record.kind in ("lower", "upper"):
@@ -268,14 +285,25 @@ def project_to_fstab_trace(x, g: Graph, slack: float = 0.0):
         raw = x - eta * d
         steps.append((d, ub, vb, raw > 0.0))
         x = np.clip(np.maximum(raw, 0.0), 0.0, 1.0)
+    return x, (entry_active, steps, finishing_pass(x, g, slack))
+
+
+def finishing_pass(x: np.ndarray, g: Graph, slack: float) -> list:
+    """The projection's exact pass, ulp-scale at most: edge by edge in edge
+    order, an edge over by x_u + x_v + slack - 1 > 0 lowers its larger end
+    (u on a tie) by that much, clipped at 0, in place.  Returns the
+    (lowered end, u, v) of each such edge.  The pass only lowers entries,
+    and rounding is monotone, so an edge that is not over at its start
+    never gets over: one array test finds the edges to visit."""
     finishers = []
-    for u, v in g.edges:  # exact pass, ulp-scale at most
+    for e in np.flatnonzero(x[g.edge_u] + x[g.edge_v] + slack - 1.0 > 0).tolist():
+        u, v = g.edges[e]
         over = x[u] + x[v] + slack - 1.0
         if over > 0:
             i = u if x[u] >= x[v] else v
             finishers.append((i, u, v))
             x[i] = max(x[i] - over, 0.0)
-    return x, (entry_active, steps, finishers)
+    return finishers
 
 
 def fstab_projection_vjp(trace, gx: np.ndarray) -> np.ndarray:
@@ -299,11 +327,14 @@ def fstab_projection_vjp(trace, gx: np.ndarray) -> np.ndarray:
 
 
 def check_fstab_membership(x, g: Graph) -> np.ndarray:
+    """x clipped to [0, 1], once check_box passes it and no edge's ends add
+    up to more than 1 + MEMBERSHIP_TOL (MembershipError for the first that
+    does)."""
     x = check_box(x, g.n_nodes)
-    over = x[g.edge_u] + x[g.edge_v] > 1.0 + 1e-9
+    over = x[g.edge_u] + x[g.edge_v] > 1.0 + MEMBERSHIP_TOL
     if over.any():
         u, v = g.edges[int(np.argmax(over))]
-        raise MembershipError(f"edge ({u},{v}) sum {x[u] + x[v]:.9f} > 1")
+        raise kernels.edge_sum_error(u, v, x[u] + x[v])
     return np.clip(x, 0.0, 1.0)
 
 

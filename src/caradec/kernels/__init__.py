@@ -2,11 +2,12 @@
 box-plus-sum constraint families (cardinality and partition matroid), the
 batch scorers of the coverage and cut objectives, the one reverse pass
 that every family's gradient tape shares (``backprop_blocks``), the Adam
-step, the max-flow and stable-set labelling of the stable-set oracle, and
-the graphic oracle's two node-block scans (``block_scan`` and
-``tight_blocks``), which run that max-flow once per node in one call.
-The block kernels make an Adam step of ``direct_optimize`` on a
-box-plus-sum spec one numpy sigmoid and six C calls.
+step, the max-flow and stable-set labelling of the stable-set oracle, the
+whole stable-set decomposition (``decompose_fstab``), and the graphic
+oracle's two node-block scans (``block_scan`` and ``tight_blocks``), which
+run that max-flow once per node in one call.  The block kernels make an
+Adam step of ``direct_optimize`` on a box-plus-sum spec one numpy sigmoid
+and six C calls.
 
 Each kernel exists twice: in plain C (``_blocks.c``, built and loaded by
 ``_compiled`` on first import) and in pure Python and numpy (``_purepy``),
@@ -99,6 +100,23 @@ every floating-point operation is the same in both, in the same order:
   it only compares residual capacities with FLOW_EPS and writes 0, 1/2 or
   1.  Which nodes a closure reaches does not depend on the order of its
   search, so the C stack and the Python set give the same labels.
+- ``decompose_fstab`` runs a whole stable-set decomposition, with its
+  membership check and its tape rows, on a graph's double cover.  The pure
+  twin is ``core.peel`` over ``fstab.FractionalStableSet.peel_step``: one
+  ``fstab.fstab_vertex`` (augmented weights, capacity reset, ``max_flow``,
+  ``label_stable_set``) and one ``fstab.fstab_step_coefficient`` per step.
+  The C kernel repeats each step's operations in their order in one call:
+  the sum of the alive weights in numpy's pairwise order, the flow and the
+  labelling as the static functions of ``max_flow`` and
+  ``label_stable_set`` (on the live edges' arcs alone, which no flow or
+  closure leaves), the first minimum of the ratios, Python's
+  max(min(r, 1), 0), the functional row and the update, pin and clip of
+  ``core.peel``.  The rescaled stop test adds the squares of x in index
+  order in both (not ``np.linalg.norm``, whose BLAS dot adds in blocks that
+  a C loop would not repeat).  A run with n vertex entries per step continues
+  over calls when one call's room runs out.  Both refuse a wrong shape
+  (DimensionError) and NaN, infinities, entries off the box or an over-full
+  edge (MembershipError, with ``fstab.check_fstab_membership``'s messages).
 
 Timings: ``perfbench/``.
 """
@@ -123,6 +141,7 @@ block_layout = _purepy.block_layout
 ScoreLayout = _purepy.ScoreLayout
 FlowLayout = _purepy.FlowLayout
 row_positions = _purepy.row_positions
+edge_sum_error = _purepy.edge_sum_error
 # Callers look these up on this module at call time, so that a test or a
 # tracer can replace them.
 decompose_blocks = impl.decompose_blocks
@@ -135,6 +154,7 @@ max_flow = impl.max_flow
 label_stable_set = impl.label_stable_set
 block_scan = impl.block_scan
 tight_blocks = impl.tight_blocks
+decompose_fstab = impl.decompose_fstab
 del impl
 
 

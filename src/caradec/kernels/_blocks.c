@@ -5,8 +5,10 @@
  * shared by every family's tape (caradec_backprop_blocks), the Adam step
  * (caradec_adam_ascend), the max-flow of both graph oracles
  * (caradec_max_flow), the stable-set labelling of its residual graph
- * (caradec_label_stable_set) and the graphic oracle's scans of its node
- * blocks, one flow per node (caradec_block_scan, caradec_tight_blocks).
+ * (caradec_label_stable_set), a whole stable-set decomposition, one flow
+ * and one labelling per step (caradec_decompose_fstab), and the graphic
+ * oracle's scans of its node blocks, one flow per node
+ * (caradec_block_scan, caradec_tight_blocks).
  * Each is the twin of a function in
  * _purepy.py, step for step and bit for bit.  The package compiles this
  * file on first import and calls it through ctypes (see _compiled.py); it
@@ -1210,27 +1212,21 @@ static void label_all(closures *c, int kind, unsigned char lab)
  * (1/2, u_L u_R, none), (0, u_R, u_L), (1/2, none, u_L u_R) whose
  * forced-in closure meets no OUT node and whose forced-out closure meets
  * neither an IN node nor that closure; the two closures join IN and OUT.
- * Every other fixed[u] is 0.  Returns 0, or -1 when scratch memory cannot
- * be had. */
-int caradec_label_stable_set(const int64_t *net, const double *rt, const double *r,
-                             const unsigned char *alive, const unsigned char *side, double *fixed)
+ * Every other fixed[u] is 0.  scratch[12n + A + 1] and label[2n + 1] are
+ * scratch space: a closure pushes its starts and then, per node it takes,
+ * the heads of that node's slots, at most 2n + A entries. */
+static void label_cover(const int64_t *net, const double *rt, const double *r,
+                        const unsigned char *alive, const unsigned char *side, double *fixed,
+                        int64_t *scratch, unsigned char *label)
 {
     static const double y[4] = {1.0, 0.5, 0.0, 0.5};
     /* Per pattern the ends forced in and out: bit 0 for u_L, bit 1 for u_R. */
     static const int forced[4][2] = {{1, 2}, {3, 0}, {2, 1}, {0, 3}};
     const int64_t n2 = net[0], n = n2 / 2, A = net[1];
-    /* A closure pushes its starts and then, per node it takes, the heads
-     * of that node's slots: at most 2n + A entries. */
-    int64_t *scratch = malloc((size_t)(6 * n2 + A + 1) * sizeof *scratch), u, v, top;
-    unsigned char *label = malloc((size_t)n2 + 1);
+    int64_t u, v, top;
     closures c;
     int j, e;
 
-    if (!scratch || !label) {
-        free(scratch);
-        free(label);
-        return -1;
-    }
     c.r = r;
     c.label = label;
     c.stamp[0] = scratch;
@@ -1271,7 +1267,287 @@ int caradec_label_stable_set(const int64_t *net, const double *rt, const double 
             break;
         }
     }
+}
+
+/* label_cover with scratch space of its own.  Returns 0, or -1 when
+ * scratch memory cannot be had. */
+int caradec_label_stable_set(const int64_t *net, const double *rt, const double *r,
+                             const unsigned char *alive, const unsigned char *side, double *fixed)
+{
+    const int64_t n2 = net[0], A = net[1];
+    int64_t *scratch = malloc((size_t)(6 * n2 + A + 1) * sizeof *scratch);
+    unsigned char *label = malloc((size_t)n2 + 1);
+    const int ok = scratch && label;
+
+    if (ok)
+        label_cover(net, rt, r, alive, side, fixed, scratch, label);
     free(scratch);
     free(label);
-    return 0;
+    return ok ? 0 : -1;
+}
+
+/* The thresholds of fstab.py: alive coordinates lie above ZERO_TOL, an edge
+ * is tight from 1 - TIGHT_TOL on, and a constraint's denominator must lie
+ * above USABLE_DEN. */
+static const double ZERO_TOL = 1e-9, TIGHT_TOL = 1e-9, USABLE_DEN = 1e-15;
+
+enum { BIND_LOWER = 0, BIND_UPPER = 1, BIND_EDGE = 2, BIND_NONE = 3 };
+
+/* The stable-set decomposition of _purepy.decompose_fstab, which is
+ * core.peel with fstab.FractionalStableSet.peel_step, with the same
+ * floating-point operations in the same order.  net is the layout of
+ * Graph.double_cover on N = 2n nodes and A = 4m arcs: edge e = (u, v) has
+ * arc 4e from u_L = u to v_R = n + v and arc 4e + 2 from v_L to u_R.  A step
+ * on the iterate x:
+ *   - the augmented weights of fstab._augmented_weights: alive[i] is
+ *     x[i] > ZERO_TOL, c[i] is x[i] there and 0 elsewhere, and each tight
+ *     edge adds 4 (n + 1) to each of its alive ends; a live edge has both
+ *     ends alive;
+ *   - the capacities of fstab.fstab_vertex: c/2 at u_L's source and u_R's
+ *     sink, and the pairwise_sum of the alive c plus 1 on both left-to-right
+ *     arcs of a live edge, 0 elsewhere; push_flow, then label_cover, give the
+ *     vertex v;
+ *   - the coefficient of fstab.fstab_step_coefficient: the first minimum of
+ *     num/den over lower_i (x_i / v_i) and upper_i ((1 - x_i) / (1 - v_i)) for
+ *     each i, then the edges (((1 - x_u) - x_v) / ((1 - v_u) - v_v)), among
+ *     the denominators above USABLE_DEN, as Python's max(min(r, 1), 0); +inf
+ *     when there is none (n = 0);
+ *   - core.peel's step: a = scale a_exact, or a_exact when that falls below
+ *     floor; a terminal step when a > 1 - guard or q (1 - a) < guard; else the
+ *     functional row -r z / den and wx = -r z.x / den (z.x added from 0.0),
+ *     with r = a / a_exact (1 when a_exact is 0), x = (x - a v) / (1 - a),
+ *     the pin of a binding box constraint when a = a_exact, the clip to
+ *     [0, 1] (keeping -0.0), q = q (1 - a), and on a rescaled run (scale
+ *     below 1 or floor above 0) the eps stop when q sqrt(sum x_i^2), added
+ *     in index order from 0.0, is at most eps.
+ * The caller packs the arguments into two buffers:
+ *   f  = scale, floor, eps, guard, tol, cap (an int64 word), state[3], x0[n],
+ *        x[n], probs[cap], qs[cap], avals[cap], wx[cap], wval[2 cap],
+ *        vval[cap n];
+ *   iw = vptr[cap + 1], vidx[cap n], wptr[cap + 1], widx[2 cap].
+ * Row t of the vertex rows (vptr, vidx, vval) is step t's vertex, its
+ * nonzero entries (1 or 1/2) in index order; row t of the functional rows
+ * (wptr, widx, wval) its binding constraint, empty on a terminal step.
+ * Both row pointers start from 0 in each call.  state[2] is q, negative on
+ * a first call: that checks x0 as fstab.check_fstab_membership does, clips
+ * it to [0, 1] in place (keeping -0.0) and starts x from it; a later call
+ * resumes from x and q and equals the continuation of the call before.  On
+ * return state[0] is the residual, q max |x - v| after a terminal step and
+ * q max(x, 0) otherwise, and state[1] is 0 when the steps ran out, 1 after
+ * the eps stop and 2 after a terminal step.  Returns the number of steps
+ * taken, -1 when scratch memory cannot be had, -4 when an entry of x0 is
+ * NaN, infinite or outside [0, 1] by more than tol, and -5 when an edge's
+ * x0_u + x0_v exceeds 1 + tol (state[1] is the first such edge). */
+int caradec_decompose_fstab(const int64_t *net, double *f, int64_t *iw)
+{
+    const int64_t N = net[0], A = net[1], n = N / 2, m = A / 4, *ptr = net + 2, *head = ptr + N + 1,
+                  *arc = head + A, cap = word(f, 5);
+    const double scale = f[0], floor_ = f[1], guard = f[3], tol = f[4], big = 4.0 * (double)(n + 1);
+    /* core.peel reads eps on rescaled runs only. */
+    const double eps = scale == 1.0 && floor_ == 0.0 ? 0.0 : f[2];
+    double *state = f + 6, *x0 = state + 3, *x = x0 + n, *probs = x + n, *qs = probs + cap,
+           *avals = qs + cap, *wx = avals + cap, *wval = wx + cap, *vval = wval + 2 * cap;
+    int64_t *vptr = iw, *vidx = vptr + cap + 1, *wptr = vidx + cap * n, *widx = wptr + cap + 1;
+    int64_t *ints = malloc((size_t)(3 * m + 12 * N + 3 * A + 5) * sizeof *ints);
+    double *dbls = malloc((size_t)(3 * n + 2 * N + A + 1) * sizeof *dbls);
+    unsigned char *flags = malloc((size_t)(n + 2 * m + 2 * N + 1));
+    int64_t *eu = ints, *ev = eu + m, *rank = ev + m, *level = rank + m, *scratch = level + 5 * N + 1,
+            *live_net = scratch + 6 * N + A + 1, *lptr = live_net + 2, *lhead = lptr + N + 1, *larc;
+    double *c = dbls, *vv = c + n, *alive_c = vv + n, *rs = alive_c + n, *rt = rs + N, *r = rt + N;
+    unsigned char *alive = flags, *live = alive + n, *tight = live + m, *side = tight + m, *label = side + N;
+    double q = state[2] < 0.0 ? 1.0 : state[2], mx = 0.0, flow;
+    int64_t T = 0, t, i, e, s, k, L;
+    int code = 0, stop = 0;
+
+    if (!ints || !dbls || !flags) {
+        code = -1;
+        goto done;
+    }
+    for (i = 0; i < N; i++)
+        for (s = ptr[i]; s < ptr[i + 1]; s++)
+            if (arc[s] % 4 == 0) {
+                eu[arc[s] / 4] = i;
+                ev[arc[s] / 4] = head[s] - n;
+            }
+    if (state[2] < 0.0) {
+        for (i = 0; i < n && !code; i++)
+            if (!(x0[i] >= -tol && x0[i] <= 1.0 + tol)) /* NaN fails both */
+                code = -4;
+        for (e = 0; e < m && !code; e++)
+            if (x0[eu[e]] + x0[ev[e]] > 1.0 + tol) {
+                state[1] = (double)e;
+                code = -5;
+            }
+        if (code)
+            goto done;
+        for (i = 0; i < n; i++)
+            x[i] = x0[i] = x0[i] < 0.0 ? 0.0 : x0[i] > 1.0 ? 1.0 : x0[i];
+    }
+    vptr[0] = wptr[0] = 0;
+
+    for (t = 0; t < cap; t++) {
+        int64_t bi = -1, nz = vptr[t], nw = wptr[t];
+        double best = INFINITY, sum, a_exact, a_scaled, a, om, rr, den, zx;
+        int kind = BIND_NONE;
+
+        /* The augmented weights and the flow's capacities. */
+        for (i = 0; i < n; i++) {
+            alive[i] = x[i] > ZERO_TOL;
+            c[i] = alive[i] ? x[i] : 0.0;
+        }
+        for (e = 0; e < m; e++) {
+            tight[e] = x[eu[e]] + x[ev[e]] >= 1.0 - TIGHT_TOL;
+            live[e] = alive[eu[e]] && alive[ev[e]];
+        }
+        /* Every add is the same big, so their order does not change a sum. */
+        for (e = 0; e < m; e++) {
+            if (tight[e] && alive[eu[e]])
+                c[eu[e]] += big;
+            if (tight[e] && alive[ev[e]])
+                c[ev[e]] += big;
+        }
+        memset(rs, 0, (size_t)(2 * N) * sizeof *rs);
+        for (i = 0, k = 0; i < n; i++) {
+            rs[i] = rt[n + i] = c[i] / 2.0;
+            if (alive[i])
+                alive_c[k++] = c[i];
+        }
+        sum = pairwise_sum(alive_c, k) + 1.0;
+        /* The flow and the labelling run on the live edges' arcs alone, each
+         * node's slots in their order, edge e's four arcs renumbered from 4
+         * rank[e].  The other arcs have capacity 0 both ways: no flow enters
+         * them and no closure crosses them, so this changes no byte. */
+        for (e = 0, L = 0; e < m; e++) {
+            rank[e] = L;
+            L += live[e];
+        }
+        for (k = 0; k < L; k++) {
+            r[4 * k] = r[4 * k + 2] = sum;
+            r[4 * k + 1] = r[4 * k + 3] = 0.0;
+        }
+        live_net[0] = N;
+        live_net[1] = 4 * L;
+        larc = lhead + 4 * L;
+        /* A dead node has no live edge.  Without branches, the slot after
+         * the last live one is written and then overwritten (lhead[4 L] is
+         * larc[0], so the arcs come second). */
+        for (i = 0, k = 0; i < N; i++) {
+            lptr[i] = k;
+            for (s = ptr[i]; alive[i < n ? i : i - n] && s < ptr[i + 1]; s++) {
+                lhead[k] = head[s];
+                k += live[arc[s] >> 2];
+            }
+        }
+        lptr[N] = k;
+        for (i = 0, k = 0; i < N; i++)
+            for (s = ptr[i]; alive[i < n ? i : i - n] && s < ptr[i + 1]; s++) {
+                larc[k] = 4 * rank[arc[s] >> 2] + (arc[s] & 3);
+                k += live[arc[s] >> 2];
+            }
+        push_flow(live_net, rs, rt, r, level, &flow); /* finite capacities: never -6 */
+        for (i = 0; i < N; i++)
+            side[i] = level[i] >= 0;
+        label_cover(live_net, rt, r, alive, side, vv, scratch, label);
+
+        /* The step coefficient: the first minimum of the usable ratios. */
+        for (i = 0; i < n; i++) {
+            if (vv[i] > USABLE_DEN && x[i] / vv[i] < best) {
+                best = x[i] / vv[i];
+                kind = BIND_LOWER;
+                bi = i;
+            }
+            if (1.0 - vv[i] > USABLE_DEN && (1.0 - x[i]) / (1.0 - vv[i]) < best) {
+                best = (1.0 - x[i]) / (1.0 - vv[i]);
+                kind = BIND_UPPER;
+                bi = i;
+            }
+        }
+        for (e = 0; e < m; e++) {
+            den = 1.0 - vv[eu[e]] - vv[ev[e]];
+            if (den > USABLE_DEN && (1.0 - x[eu[e]] - x[ev[e]]) / den < best) {
+                best = (1.0 - x[eu[e]] - x[ev[e]]) / den;
+                kind = BIND_EDGE;
+                bi = e;
+            }
+        }
+        if (kind == BIND_NONE) {
+            a_exact = INFINITY;
+        } else {
+            a_exact = 1.0 < best ? 1.0 : best;
+            a_exact = 0.0 > a_exact ? 0.0 : a_exact; /* Python's max(min(r, 1), 0): keeps -0.0 */
+        }
+
+        for (i = 0; i < n; i++)
+            if (vv[i] != 0.0) {
+                vidx[nz] = i;
+                vval[nz++] = vv[i];
+            }
+        vptr[t + 1] = nz;
+        a_scaled = scale * a_exact;
+        a = a_scaled >= floor_ ? a_scaled : a_exact;
+        qs[t] = q;
+        T = t + 1;
+        if (a > 1.0 - guard || q * (1.0 - a) < guard) {
+            probs[t] = q;
+            avals[t] = 1.0;
+            wptr[t + 1] = nw;
+            wx[t] = 0.0;
+            for (i = 0; i < n; i++)
+                if (fabs(x[i] - vv[i]) > mx)
+                    mx = fabs(x[i] - vv[i]);
+            stop = 2;
+            break;
+        }
+
+        /* The binding constraint z.y <= b as the functional -r z / (b - z.v). */
+        rr = a_exact > 0.0 ? a / a_exact : 1.0;
+        if (kind == BIND_EDGE) {
+            den = 1.0 - (vv[eu[bi]] + vv[ev[bi]]);
+            zx = (0.0 + 1.0 * x[eu[bi]]) + 1.0 * x[ev[bi]];
+            widx[nw] = eu[bi];
+            wval[nw++] = -rr * 1.0 / den;
+            widx[nw] = ev[bi];
+            wval[nw++] = -rr * 1.0 / den;
+        } else if (kind == BIND_LOWER) {
+            den = 0.0 - -vv[bi];
+            zx = 0.0 + -1.0 * x[bi];
+            widx[nw] = bi;
+            wval[nw++] = -rr * -1.0 / den;
+        } else {
+            den = 1.0 - vv[bi];
+            zx = 0.0 + 1.0 * x[bi];
+            widx[nw] = bi;
+            wval[nw++] = -rr * 1.0 / den;
+        }
+        wptr[t + 1] = nw;
+        wx[t] = -rr * zx / den;
+
+        om = 1.0 - a;
+        for (i = 0; i < n; i++)
+            x[i] = (x[i] - a * vv[i]) / om;
+        if (kind != BIND_EDGE && a == a_exact)
+            /* The binding coordinate is algebraically exactly 0 or 1. */
+            x[bi] = kind == BIND_LOWER ? 0.0 : 1.0;
+        for (i = 0; i < n; i++)
+            x[i] = x[i] < 0.0 ? 0.0 : x[i] > 1.0 ? 1.0 : x[i];
+        probs[t] = a * q;
+        avals[t] = a;
+        q *= om;
+        if (eps > 0.0 && q * sqrt(sum_squares(x, n)) <= eps) {
+            stop = 1;
+            break;
+        }
+    }
+    if (stop != 2)
+        for (i = 0; i < n; i++)
+            if (x[i] > mx)
+                mx = x[i];
+    state[0] = q * mx;
+    state[1] = stop;
+    state[2] = q;
+done:
+    free(ints);
+    free(dbls);
+    free(flags);
+    return code ? code : (int)T;
 }

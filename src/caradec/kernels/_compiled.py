@@ -36,6 +36,7 @@ from ._purepy import (
     check_capacities,
     check_labelling,
     check_starts,
+    edge_sum_error,
     layout_header,
 )
 
@@ -49,6 +50,10 @@ DIGEST_BYTES = 32
 # and pointer, the branch and six doubles), 512 KB in all: a run with k=10
 # usually fits in one call.
 FIRST_CALL_WORDS = 1 << 16
+# The vertex entries (n per step) that a call of the stable-set kernel makes
+# room for, 2 MB of indices and 2 MB of values: an exact run with n below
+# 512 fits in one call.
+FSTAB_CALL_WORDS = 1 << 18
 
 # Each C entry point, ``caradec_<name>``, with its return type and its
 # number of arguments, all of them pointers.  ``load`` declares them from
@@ -65,6 +70,7 @@ SIGNATURES = {
     "label_stable_set": (ctypes.c_int, 6),
     "block_scan": (ctypes.c_int, 5),
     "tight_blocks": (ctypes.c_int, 5),
+    "decompose_fstab": (ctypes.c_int, 3),
 }
 
 
@@ -138,7 +144,8 @@ def load() -> SimpleNamespace:
     """The C kernels, with ``_purepy``'s names, signatures and outputs:
     ``decompose_blocks``, ``project_blocks``, ``project_blocks_vjp``,
     ``score_rows``, ``backprop_blocks``, ``adam_ascend``, ``max_flow``,
-    ``label_stable_set``, ``block_scan`` and ``tight_blocks``.  The library
+    ``label_stable_set``, ``block_scan``, ``tight_blocks`` and
+    ``decompose_fstab``.  The library
     is built first when the cache lacks it.  Raises OSError when it can be
     neither found nor built, or when it lacks one of the entry points of
     SIGNATURES."""
@@ -153,7 +160,7 @@ def load() -> SimpleNamespace:
         except AttributeError as exc:
             raise OSError(f"the kernel library is incomplete: {exc}") from exc
         c[name].argtypes, c[name].restype = (ctypes.c_void_p,) * arity, restype
-    run, score, back, project, adam, flow, label, scan, tight = (c[name] for name in SIGNATURES)
+    run, score, back, project, adam, flow, label, scan, tight, fstab = (c[name] for name in SIGNATURES)
 
     def decompose_blocks(x0, blocks, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
@@ -323,8 +330,64 @@ def load() -> SimpleNamespace:
         value, drift, limit = out[1:].tolist()
         return value, side, drift, limit, sizes
 
+    def decompose_fstab(x0, g, scale, floor, eps, max_iter, guard):
+        """The C twin of ``_purepy.decompose_fstab``: same arguments, same
+        outputs and exceptions, byte for byte."""
+        net, n = g.double_cover.layout, g.n_nodes
+        x0 = check_shape(x0, n)
+        # A run continues over calls, each with room for n vertex entries per
+        # step; x and q pass from call to call.  A negative q asks for a first
+        # call, which checks x0.
+        parts, done, chunk, q = [], 0, max(1, FSTAB_CALL_WORDS // max(n, 1)), -1.0
+        while True:
+            cap = max(0, min(max_iter - done, chunk))
+            # The two buffers of the C function, laid out as _blocks.c says.
+            f = np.empty(9 + 2 * n + (6 + n) * cap)
+            pack_into("5dq3d", f, 0, scale, floor, eps, guard, MEMBERSHIP_TOL, cap, 0.0, 0.0, q)
+            if parts:
+                f[9 + n : 9 + 2 * n] = x
+            else:
+                f[9 : 9 + n] = x0
+                checked = f[9 : 9 + n]
+            iw = np.empty(2 + (4 + n) * cap, dtype=np.int64)
+            T = fstab(net.address, buffer_address(f), buffer_address(iw))
+            if T < 0:
+                if T == -1:
+                    raise MemoryError("decompose_fstab: no scratch memory")
+                if T == -4:
+                    check_box(x0)  # raises
+                u, v = g.edges[int(f[7])]
+                raise edge_sum_error(u, v, x0[u] + x0[v])
+            residual, stop, q = f[6:9].tolist()
+            o, w = 9 + 2 * n, cap + 1 + cap * n
+            vptr, wptr = iw[: T + 1], iw[w : w + T + 1]
+            nz, nw = int(vptr[-1]), int(wptr[-1])
+            parts.append((f[o : o + T], f[o + cap : o + cap + T], f[o + 2 * cap : o + 2 * cap + T],
+                          vptr, iw[cap + 1 : cap + 1 + nz], f[o + 6 * cap : o + 6 * cap + nz],
+                          wptr, iw[w + cap + 1 : w + cap + 1 + nw], f[o + 4 * cap : o + 4 * cap + nw],
+                          f[o + 3 * cap : o + 3 * cap + T]))
+            done += T
+            if stop or done >= max_iter:
+                break
+            x = f[9 + n : 9 + 2 * n]
+        if len(parts) == 1:
+            probs, qs, avals, vptr, vidx, vval, wptr, widx, wval, wx = parts[0]
+        else:
+            probs, qs, avals, _, vidx, vval, _, widx, wval, wx = map(np.concatenate, zip(*parts))
+            vptr, wptr = (joined_pointer([part[k] for part in parts]) for k in (3, 6))
+        return (probs, qs, avals, (vptr, vidx, vval), (wptr, widx, wval), wx, checked, residual,
+                stop == 2.0)
+
     return SimpleNamespace(decompose_blocks=decompose_blocks, project_blocks=project_blocks,
                            project_blocks_vjp=project_blocks_vjp, score_rows=score_rows,
                            backprop_blocks=backprop_blocks, adam_ascend=adam_ascend,
                            max_flow=max_flow, label_stable_set=label_stable_set,
-                           block_scan=block_scan, tight_blocks=tight_blocks)
+                           block_scan=block_scan, tight_blocks=tight_blocks,
+                           decompose_fstab=decompose_fstab)
+
+
+def joined_pointer(ptrs) -> np.ndarray:
+    """The row pointer of the rows of several CSR pointers, one after the
+    other."""
+    ends = np.cumsum([0] + [int(ptr[-1]) for ptr in ptrs[:-1]])
+    return np.concatenate([ptrs[0][:1]] + [ptr[1:] + end for ptr, end in zip(ptrs, ends.tolist())])

@@ -18,6 +18,8 @@ Adam step.
 and ``label_stable_set`` reads the stable-set vertex off the residual
 graph of its double cover; ``block_scan`` and ``tight_blocks`` run the
 graphic oracle's flows, one per start node, in one call.
+``decompose_fstab`` is a whole stable-set decomposition: ``core.peel``
+with the oracle of ``fstab``, which the C kernel repeats in one call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import add, mul
 
 import numpy as np
 
-from ..core import SUM_TOL, MembershipError, check_box, check_shape, ones
+from ..core import SUM_TOL, DecompositionConfig, MembershipError, check_box, check_shape, ones, peel
 
 BRANCH_MIN_IN = 0
 BRANCH_MAX_OUT = 1
@@ -45,6 +47,10 @@ def sequential_sum(v) -> float:
 
 def block_sum_error(s: float, k: int) -> MembershipError:
     return MembershipError(f"block sum {s:.9f} != k_i={k}")
+
+
+def edge_sum_error(u: int, v: int, s: float) -> MembershipError:
+    return MembershipError(f"edge ({u},{v}) sum {s:.9f} > 1")
 
 
 def block_members(block_of, budgets):
@@ -1040,3 +1046,32 @@ def label_stable_set(net, rt, r, alive, side) -> np.ndarray:
             fixed[u] = y
             break
     return np.array(fixed)
+
+
+def decompose_fstab(x0, g, scale, floor, eps, max_iter, guard):
+    """Decompose a point x0 of the fractional stable set polytope of the
+    graph g into its vertices, with the rows of the gradient tape:
+    ``core.peel`` with ``fstab.FractionalStableSet.peel_step``, that is one
+    ``fstab.fstab_vertex`` (one ``Dinic.max_flow`` on ``g.double_cover``)
+    and one ``fstab.fstab_step_coefficient`` per step, each looked up at
+    call time.  The C kernel runs the same steps in one call.
+
+    x0 is checked first, by ``fstab.check_fstab_membership``:
+    DimensionError for a shape other than (n,), MembershipError for NaN,
+    infinities, entries outside [0, 1] by more than MEMBERSHIP_TOL, or an
+    edge whose ends add up to more than 1 + MEMBERSHIP_TOL.  The run starts
+    from x0 clipped to [0, 1].  scale, floor and guard are those of a
+    DecompositionConfig, eps the residual of the stop test of a rescaled run
+    (0 for none) and max_iter the step cap.
+
+    Returns (probs, qs, avals, vertex_rows, functional_rows, wx, x0,
+    residual, terminal): the decomposition's masses, the mass left before
+    each step and its applied coefficient, the CSR triples of the vertices
+    (data 1 or 1/2) and of the functional rows, wx, the clipped point, the
+    residual and whether the last step was terminal."""
+    from .. import fstab  # which imports this package
+
+    x = fstab.check_fstab_membership(x0, g)
+    cfg = DecompositionConfig(scale, floor, eps, max_iter, guard)
+    d, tape = peel(x, cfg, fstab.FractionalStableSet(g).peel_step)
+    return d.p, tape.q, tape.a, d.vertex_rows, tape.functional_rows, tape.wx, x, d.residual, tape.terminal

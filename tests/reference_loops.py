@@ -14,7 +14,8 @@ so tests that inspect iterates take them from here, after checking that
 the reference ran the same steps as the production tape."""
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -267,6 +268,12 @@ def reference_kernel_run(x0, spec: PartitionMatroid, cfg: DecompositionConfig):
 # Graph families: the per-family loops, list tapes and list backprop
 
 
+def sequential_norm(x) -> float:
+    """The l2 norm of the rescaled stop test of core.peel, its squares added
+    in index order from 0.0."""
+    return math.sqrt(reduce(add, (x * x).tolist(), 0.0))
+
+
 def reference_graphic_steps(x, g, cfg):
     """Steps (p, q, a, a_exact, vertex indices, trace, x_next) and the
     residual of the former graphic loop."""
@@ -292,7 +299,7 @@ def reference_graphic_steps(x, g, cfg):
         np.clip(x, 0.0, 1.0, out=x)
         steps.append((a * q, q, a, a_exact, s_t.indices, trace, x.copy()))
         q = q * om
-        if eps > 0.0 and q * float(np.linalg.norm(x)) <= eps:
+        if eps > 0.0 and q * sequential_norm(x) <= eps:
             break
     residual = q * float(np.max(x, initial=0.0))
     if terminal:
@@ -349,7 +356,7 @@ def reference_fstab_tape(x, g, cfg):
             residual = q * float(np.max(xv, initial=0.0))
         for key, val in zip(tape, row):
             tape[key].append(val)
-        if terminal or (eps > 0.0 and q * float(np.linalg.norm(xv)) <= eps):
+        if terminal or (eps > 0.0 and q * sequential_norm(xv) <= eps):
             break
     return tape, residual, terminal
 
@@ -631,6 +638,11 @@ def reference_project_to_fstab_trace(x, g, slack: float = 0.0):
         raw = x - eta * d
         steps.append((d, ub, vb, raw > 0.0))
         x = np.clip(np.maximum(raw, 0.0), 0.0, 1.0)
+    return x, (entry_active, steps, reference_finishing_pass(x, g, slack))
+
+
+def reference_finishing_pass(x, g, slack: float) -> list:
+    """The projection's exact pass over every edge, in place."""
     finishers = []
     for u, v in g.edges:
         over = x[u] + x[v] + slack - 1.0
@@ -638,7 +650,7 @@ def reference_project_to_fstab_trace(x, g, slack: float = 0.0):
             i = u if x[u] >= x[v] else v
             finishers.append((i, u, v))
             x[i] = max(x[i] - over, 0.0)
-    return x, (entry_active, steps, finishers)
+    return finishers
 
 
 # ---------------------------------------------------------------------------

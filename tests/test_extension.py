@@ -20,8 +20,10 @@ from caradec.extension import (
     decompose,
     decompose_with_tape,
     evaluate_extension,
+    vertex_values,
 )
 from caradec.fstab import project_to_fstab
+from caradec.generators import gen_er_graph
 from caradec.graphs import Graph
 from caradec.hypersimplex import project_to_hypersimplex, project_to_partition_polytope
 from caradec.matroids import spanning_tree_marginals
@@ -49,6 +51,25 @@ def test_sums_add_in_pair_order():
     assert evaluate_extension(d, None, [2e16, 4.0, -4e16]) == 0.0
     assert Decomposition(((1e16, v), (1.0, v), (-1e16, v))).probability_sum() == 0.0
     assert Decomposition().probability_sum() == 0.0
+
+
+def test_half_integral_rows_score_as_vertex_sets():
+    """vertex_values scores the half-integral rows in one batch: the linear
+    objective by the same dot product per row, any other through
+    half_integral_value of a VertexSet per row, with the bytes of a loop over
+    d.vertex(t)."""
+    rng = stream(31, "half-rows")
+    seen = 0
+    for size in (8, 30, 60):
+        g = gen_er_graph(size, 0.3, seed=1, instance_id=size)
+        d = decompose(project_to_fstab(rng.random(size), g, 0.0), FractionalStableSet(g))
+        w = rng.random(size)
+        for f in (LinearObjective(w), CallableObjective(lambda S: float(len(S)), lambda v: float(sum(v.halves))),
+                  CallableObjective(lambda S: 1.0)):
+            want = [f(d.vertex(t)) for t in range(d.iterations)]
+            assert np.array(want).tobytes() == vertex_values(d, f).tobytes()
+        seen += int((~d.integral).sum())
+    assert seen > 20
 
 
 def random_point(rng, c):

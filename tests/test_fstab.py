@@ -1,15 +1,18 @@
 """Fractional stable set polytope: projection, the min-cut vertex oracle
 against brute-force enumeration and against the former oracle of one LP
 re-solve per coordinate, its one max-flow per step, the array forms of the
-per-edge loops, and the decomposition loop."""
+per-edge loops, the decomposition loop, and the C kernel that runs a whole
+decomposition against its pure twin."""
 
 import numpy as np
 import pytest
+from kernel_backends import BACKENDS, HAVE_CC, available, flat, implementation, use
 from reference_loops import (
     _lp_value,
     assert_bytes,
     fstab_vertex_enumerate,
     reference_augmented_weights,
+    reference_finishing_pass,
     reference_fstab_step_coefficient,
     reference_fstab_vertex,
     reference_iterates,
@@ -17,12 +20,21 @@ from reference_loops import (
 )
 
 from caradec import fstab
-from caradec.core import DimensionError, FractionalStableSet, MembershipError, validate_decomposition
+from caradec.core import (
+    EXACT,
+    Cardinality,
+    DecompositionConfig,
+    DimensionError,
+    FractionalStableSet,
+    MembershipError,
+    validate_decomposition,
+)
 from caradec.fstab import (
     Dinic,
     _augmented_weights,
     check_fstab_membership,
     decompose_fstab,
+    finishing_pass,
     fstab_step_coefficient,
     fstab_vertex,
     project_to_fstab,
@@ -30,6 +42,8 @@ from caradec.fstab import (
 )
 from caradec.generators import gen_er_graph
 from caradec.graphs import Graph
+from caradec.hypersimplex import decompose_hypersimplex
+from caradec.kernels import _compiled
 from caradec.rng import stream
 
 EDGE = Graph(2, ((0, 1),))
@@ -158,9 +172,31 @@ def oracle_cases():
     yield "all-zero", random_graph(rng, 8), np.zeros(8)
 
 
+def run_kernel(backend, x, g, cfg=EXACT):
+    """A backend's raw decomposition of x, as FractionalStableSet calls it."""
+    return implementation(backend).decompose_fstab(
+        x, g, cfg.scale, cfg.floor, 0.0 if cfg.is_exact else cfg.tolerance, cfg.iteration_cap(g.n_nodes),
+        cfg.guard)
+
+
+def assert_backends_agree(x, g, cfg=EXACT):
+    """The C kernel's whole decomposition equals the pure twin's byte for
+    byte: p, q, a, the vertex and functional rows, wx, the clipped point,
+    the residual and the terminal flag."""
+    want = run_kernel("pure", x, g, cfg)
+    for backend in available():
+        got = run_kernel(backend, x, g, cfg)
+        assert len(flat(got)) == len(flat(want)) == 13
+        for k, (a, b) in enumerate(zip(flat(got), flat(want))):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (backend, k)
+
+
 class TestOneMaxFlowOracle:
     """The residual-closure oracle against the former oracle, which re-solved
-    the LP per coordinate and value within 1e-9 |best|."""
+    the LP per coordinate and value within 1e-9 |best|.  The pure twin of
+    the decomposition kernel calls the oracle once per step; the C kernel
+    must give its bytes."""
 
     @pytest.mark.parametrize("name, g, x", [pytest.param(*case, id=case[0]) for case in oracle_cases()])
     def test_every_step_matches_the_reference(self, monkeypatch, name, g, x):
@@ -173,9 +209,13 @@ class TestOneMaxFlowOracle:
             steps.append(got)
             return got
 
+        use(monkeypatch, "pure")
         monkeypatch.setattr(fstab, "fstab_vertex", checked)
         d = decompose_fstab(x, g)
         assert len(steps) == d.iterations > 0
+        # So the C kernel's every step matches the reference too.
+        monkeypatch.undo()
+        assert_backends_agree(x, g)
 
     def test_one_max_flow_per_step(self, monkeypatch):
         g = gen_er_graph(120, 0.15, seed=0, instance_id=120)
@@ -187,10 +227,95 @@ class TestOneMaxFlowOracle:
             calls.append(len(rs))
             return max_flow(net, rs, rt, r)
 
+        use(monkeypatch, "pure")
         monkeypatch.setattr(Dinic, "max_flow", counted)
         d = decompose_fstab(x, g)
         assert d.iterations > 50
         assert len(calls) == d.iterations
+        monkeypatch.undo()
+        assert_backends_agree(x, g)
+
+
+RESCALED = (
+    DecompositionConfig(scale=0.5),
+    DecompositionConfig(scale=0.8, floor=0.1),
+    DecompositionConfig(scale=0.9, tolerance=1e-3),
+    DecompositionConfig(scale=0.6, floor=0.02, tolerance=1e-6, max_iterations=7),
+    DecompositionConfig(max_iterations=3),
+    DecompositionConfig(max_iterations=0),
+)
+
+
+class TestWholePeelKernel:
+    """``kernels.decompose_fstab``: one C call per decomposition, byte for
+    byte the pure twin, which is core.peel over the oracle."""
+
+    @pytest.mark.parametrize("cfg", RESCALED, ids=lambda c: f"s{c.scale}-f{c.floor}-t{c.tolerance}-m{c.max_iterations}")
+    def test_rescaled_configs(self, cfg):
+        for name, g, x in oracle_cases():
+            assert_backends_agree(x, g, cfg)
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
+    def test_a_run_over_several_calls_equals_one_call(self, monkeypatch):
+        g = gen_er_graph(40, 0.15, seed=0, instance_id=40)
+        x = project_to_fstab(0.2 + 0.8 * stream(0, "fstab-calls").random(40), g, 0.0)
+        for cfg in (EXACT, DecompositionConfig(scale=0.7, tolerance=1e-4)):
+            whole = run_kernel("compiled", x, g, cfg)
+            assert len(whole[0]) > 8
+            # Room for three steps per call.
+            monkeypatch.setattr(_compiled, "FSTAB_CALL_WORDS", 3 * 40)
+            assert_backends_agree(x, g, cfg)
+            for a, b in zip(flat(run_kernel("compiled", x, g, cfg)), flat(whole)):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_refusals(self, monkeypatch, backend):
+        use(monkeypatch, backend)
+        c = FractionalStableSet(TRIANGLE)
+        for shape in [(2,), (4,), (3, 1), ()]:
+            with pytest.raises(DimensionError):
+                c.decompose(np.full(shape, 0.2), EXACT)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(MembershipError, match="non-finite"):
+                c.decompose(np.array([0.2, bad, 0.3]), EXACT)
+        with pytest.raises(MembershipError, match=r"leaves"):
+            c.decompose(np.array([0.2, 1.5, 0.0]), EXACT)
+        with pytest.raises(MembershipError, match=r"edge \(1,2\) sum 1.100000000 > 1"):
+            c.decompose(np.array([0.0, 0.6, 0.5]), EXACT)
+        # Within the tolerance the point is clipped and accepted.
+        d, tape = c.decompose_with_tape(np.array([-1e-10, 0.5, 0.5 + 1e-10]), EXACT)
+        assert tape.x0.tolist() == [0.0, 0.5, 0.5 + 1e-10]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_empty_point_is_its_own_decomposition(self, monkeypatch, backend):
+        use(monkeypatch, backend)
+        want = decompose_hypersimplex(np.zeros(0), 0)
+        assert Cardinality(0, 0).dim == 0 and want.pairs[0][0] == 1.0
+        for cfg in (EXACT, DecompositionConfig(scale=0.5, floor=0.1)):
+            d, tape = FractionalStableSet(Graph(0, ())).decompose_with_tape(np.zeros(0), cfg)
+            assert [(p, v.indices) for p, v in d.pairs] == [(p, v.indices) for p, v in want.pairs] == [(1.0, ())]
+            assert d.residual == 0.0 and tape.terminal and tape.q.tolist() == [1.0]
+        assert decompose_fstab(np.zeros(0), Graph(0, ())).pairs[0][0] == 1.0
+
+
+def finishing_cases():
+    """Points for the projection's exact pass: the projection corpora's
+    inputs clipped to the box, which break many edges, and their projections
+    nudged up by a few ulps, which break tight edges by that much."""
+    rng = stream(29, "fstab-finish")
+    for i in range(120):
+        n = int(rng.integers(1, 51))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
+        slack = float(rng.choice([0.0, 0.05]))
+        z = 2 * rng.random(n) - 0.5
+        if i % 3 == 0:
+            z = np.round(4.0 * z) / 4.0
+        yield g, np.clip(z, 0.0, 1.0), slack
+        x = project_to_fstab(z, g, slack)
+        for _ in range(int(rng.integers(1, 4))):
+            x = np.nextafter(x, 2.0)
+        yield g, x, slack
 
 
 class TestLoopParity:
@@ -219,6 +344,16 @@ class TestLoopParity:
                 for (d, ub, vb, keep), (rd, rub, rvb, rkeep) in zip(steps, rsteps):
                     assert_bytes(d, rd, "d")
                     assert (ub, vb) == (rub, rvb) and keep.tolist() == rkeep.tolist()
+
+    def test_finishing_pass_visits_only_the_edges_over_at_its_start(self):
+        lowered = 0
+        for g, x, slack in finishing_cases():
+            got, want = x.copy(), x.copy()
+            fin = finishing_pass(got, g, slack)
+            assert fin == reference_finishing_pass(want, g, slack)
+            assert_bytes(got, want, "x")
+            lowered += len(fin)
+        assert lowered > 100
 
     def test_weights_coefficient_and_membership(self):
         for g, z in self.cases():

@@ -88,8 +88,13 @@ def test_truncated_library_without_compiler_falls_back(tmp_path):
 def test_library_missing_a_symbol_falls_back(tmp_path):
     """An intact library that lacks any one of the C entry points gives the
     pure kernels with one warning that names it (and is not rebuilt)."""
+    from kernel_backends import KERNELS
+
     from caradec.kernels._compiled import SIGNATURES
 
+    # Every kernel has its entry point (the VJP shares the projection's).
+    assert set(KERNELS) - {"project_blocks_vjp"} == set(SIGNATURES)
+    assert "decompose_fstab" in SIGNATURES
     lib = Path(probe(tmp_path, CC="/bin/false")["library"])
     stub = tmp_path / "stub.c"
     cc = shlex.split(os.environ.get("CC") or "cc")
