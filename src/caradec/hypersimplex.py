@@ -86,6 +86,15 @@ class PartitionMatroid:
         x = kernels.project_blocks(z, self._kernel_blocks)
         return x, lambda gx: kernels.project_blocks_vjp(z, self._kernel_blocks, gx)
 
+    def ascend(self, state, tape, fvals, t):
+        """Adam step t of direct_optimize from a step's tape and vertex values,
+        in place on state (a kernels.AdamState whose z is the step's
+        sigmoid): the reverse pass, the projection's VJP, the sigmoid's chain
+        rule and Adam, in one kernel call."""
+        d = tape.d
+        kernels.ascend_blocks(state, self._kernel_blocks, d.p, tape.q, tape.a, d.vertex_rows,
+                              tape.functional_rows, tape.wx, fvals, tape.terminal, t)
+
     def decompose(self, x, cfg):
         return decompose_partition(x, self, cfg)
 

@@ -2,12 +2,15 @@
 box-plus-sum constraint families (cardinality and partition matroid), the
 batch scorers of the coverage and cut objectives, the one reverse pass
 that every family's gradient tape shares (``backprop_blocks``), the Adam
-step, the max-flow and stable-set labelling of the stable-set oracle, the
-whole stable-set decomposition (``decompose_fstab``), and the graphic
-oracle's two node-block scans (``block_scan`` and ``tight_blocks``), which
-run that max-flow once per node in one call.  The block kernels make an
-Adam step of ``direct_optimize`` on a box-plus-sum spec one numpy sigmoid
-and six C calls.
+step, the reverse half of a block-family Adam step in one call
+(``ascend_blocks``), the max-flow and stable-set labelling of the
+stable-set oracle, the whole stable-set decomposition
+(``decompose_fstab``), and the graphic oracle's two node-block scans
+(``block_scan`` and ``tight_blocks``), which run that max-flow once per
+node in one call. The block kernels make an Adam step of
+``direct_optimize`` on a box-plus-sum spec one numpy sigmoid and four C
+calls: the projection, the decomposition, the scorer and
+``ascend_blocks``.
 
 Each kernel exists twice: in plain C (``_blocks.c``, built and loaded by
 ``_compiled`` on first import) and in pure Python and numpy (``_purepy``),
@@ -66,6 +69,15 @@ every floating-point operation is the same in both, in the same order:
 - ``adam_ascend`` updates theta and the two moments in place, element by
   element, with the expressions of the numpy Adam step it replaced; the
   bias corrections 1 - beta^t are formed in Python for both.
+- ``ascend_blocks`` is ``backprop_blocks``, ``project_blocks_vjp`` at z,
+  g = (gz z) (1 - z) and ``adam_ascend`` in one call, on an ``AdamState``:
+  one float64 buffer per run that holds theta, the moments and z, so its
+  address is taken once (its head of scalars keeps it non-empty at n = 0).
+  The pure twin composes the three pure kernels; the C kernel calls the
+  static functions that the three C entry points call, so every stage's
+  operations are the same, in the same order.  A tape whose arrays are
+  views of the two buffers of one ``decompose_blocks`` call is read where
+  that call wrote it; any other is packed first.
 - ``max_flow`` is the one max-flow of ``graphs.Dinic``, over a CSR arc
   layout (``FlowLayout``, built and checked once per network; the kernels
   trust it).  Both twins run the same algorithm step for step: the
@@ -109,7 +121,9 @@ every floating-point operation is the same in both, in the same order:
   the sum of the alive weights in numpy's pairwise order, the flow and the
   labelling as the static functions of ``max_flow`` and
   ``label_stable_set`` (on the live edges' arcs alone, which no flow or
-  closure leaves), the first minimum of the ratios, Python's
+  closure leaves; the step before's layout of them serves again when no
+  edge changed and is filtered when edges only died), the first minimum
+  of the ratios, Python's
   max(min(r, 1), 0), the functional row and the update, pin and clip of
   ``core.peel``.  The rescaled stop test adds the squares of x in index
   order in both (not ``np.linalg.norm``, whose BLAS dot adds in blocks that
@@ -136,10 +150,12 @@ if os.environ.get("CARADEC_PURE", "") in ("", "0"):
         warnings.warn(f"caradec: the C kernels are unavailable ({exc}); using the pure-numpy kernels",
                       RuntimeWarning, stacklevel=2)
 
-# The block, score and flow layouts are one format for both backends.
+# The block, score and flow layouts and the Adam state are one format for
+# both backends.
 block_layout = _purepy.block_layout
 ScoreLayout = _purepy.ScoreLayout
 FlowLayout = _purepy.FlowLayout
+AdamState = _purepy.AdamState
 row_positions = _purepy.row_positions
 edge_sum_error = _purepy.edge_sum_error
 # Callers look these up on this module at call time, so that a test or a
@@ -155,6 +171,7 @@ label_stable_set = impl.label_stable_set
 block_scan = impl.block_scan
 tight_blocks = impl.tight_blocks
 decompose_fstab = impl.decompose_fstab
+ascend_blocks = impl.ascend_blocks
 del impl
 
 

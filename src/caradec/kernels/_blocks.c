@@ -3,7 +3,8 @@
  * projection and its VJP (caradec_project_blocks), the batch scorer of
  * coverage and cut objectives (caradec_score_rows), the reverse pass
  * shared by every family's tape (caradec_backprop_blocks), the Adam step
- * (caradec_adam_ascend), the max-flow of both graph oracles
+ * (caradec_adam_ascend), the reverse half of a block-family Adam step in
+ * one call (caradec_ascend_blocks), the max-flow of both graph oracles
  * (caradec_max_flow), the stable-set labelling of its residual graph
  * (caradec_label_stable_set), a whole stable-set decomposition, one flow
  * and one labelling per step (caradec_decompose_fstab), and the graphic
@@ -469,7 +470,7 @@ done:
  * dF/dx = gx, to out[n].
  * Returns 0, -1 when scratch memory cannot be had, or -2 when a block id
  * lies outside [0, nb) or a budget outside [0, block size]. */
-int caradec_project_blocks(const int64_t *iw, const double *z, const double *gx, double *out)
+static int project(const int64_t *iw, const double *z, const double *gx, double *out)
 {
     const int64_t n = iw[0], nb = iw[1], *block_of = iw + 3, *budgets = block_of + n;
     double *sc = malloc((size_t)(5 * nb + 1) * sizeof *sc);
@@ -552,21 +553,31 @@ done:
     return err;
 }
 
-/* One Adam ascent step of _purepy.adam_ascend, in place on theta, m and v:
- * m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
- * theta += (lr (m / c1)) / (sqrt(v / c2) + eps), where c1 = 1 - b1^t and
- * c2 = 1 - b2^t come from the caller.  g = lr, b1, b2, eps, c1, c2, n (an
- * int64 word), then the gradient g[n]. */
-void caradec_adam_ascend(double *theta, double *m, double *v, const double *g)
+int caradec_project_blocks(const int64_t *iw, const double *z, const double *gx, double *out)
 {
-    const double lr = g[0], b1 = g[1], b2 = g[2], eps = g[3], c1 = g[4], c2 = g[5];
-    const int64_t n = word(g, 6);
+    return project(iw, z, gx, out);
+}
+
+/* One Adam ascent step of _purepy.adam_ascend on the gradient g[n], in
+ * place on theta, m and v: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g
+ * and theta += (lr (m / c1)) / (sqrt(v / c2) + eps), where hp = lr, b1, b2,
+ * eps, c1, c2, with c1 = 1 - b1^t and c2 = 1 - b2^t from the caller. */
+static void adam_step(int64_t n, const double *hp, double *theta, double *m, double *v, const double *g)
+{
+    const double lr = hp[0], b1 = hp[1], b2 = hp[2], eps = hp[3], c1 = hp[4], c2 = hp[5];
     int64_t i;
-    for (g += 7, i = 0; i < n; i++) {
+    for (i = 0; i < n; i++) {
         m[i] = b1 * m[i] + (1.0 - b1) * g[i];
         v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
         theta[i] = theta[i] + lr * (m[i] / c1) / (sqrt(v[i] / c2) + eps);
     }
+}
+
+/* adam_step with g = lr, b1, b2, eps, c1, c2, n (an int64 word), then the
+ * gradient g[n]. */
+void caradec_adam_ascend(double *theta, double *m, double *v, const double *g)
+{
+    adam_step(word(g, 6), g, theta, m, v, g + 7);
 }
 
 enum { KIND_COVERAGE = 0, KIND_CUT = 1 };
@@ -643,50 +654,50 @@ int caradec_score_rows(const int64_t *a, const int64_t *b, const double *w, cons
     return 0;
 }
 
-/* The reverse pass of _purepy.backprop_blocks over a tape of T steps, with
- * the same operations in the same order: each dot product g.v_t is a
+/* A gradient tape of T steps as the reverse pass reads it: p, q, a, the
+ * vertex values fv and wx, one entry per step; the vertex rows (vptr[T + 1],
+ * vidx[nv], vval[nv], or vval NULL when every entry is 1) and the
+ * functional rows (wptr[T + 1], widx[nw], wval[nw]). */
+typedef struct {
+    int64_t T, nv, nw;
+    int terminal;
+    const double *p, *q, *a, *fv, *wx, *vval, *wval;
+    const int64_t *vptr, *vidx, *wptr, *widx;
+} tape;
+
+/* The reverse pass of _purepy.backprop_blocks over the tape tp, with the
+ * same operations in the same order: each dot product g.v_t is a
  * sequential sum from 0.0 of h[i] * v_i (the twin skips the product when
  * every entry is 1, which changes no bit), and c, the scale, c / scale and
- * D are formed as the twin's expressions form them.  The caller packs the
- * arguments into two buffers:
- *   f  = p[T], q[T], a[T], fvals[T], wx[T], vertex data[nv],
- *        functional data[nw];
- *   iw = vertex indptr[T + 1], vertex indices[nv],
- *        functional indptr[T + 1], functional indices[nw];
- *   h  = n, T, terminal, nv, nw (int64 words), then h[n], which receives
- *        the gradient.
- * Returns 0, -2 when an index lies outside
- * [0, n) (or a terminal tape has no step) and -3 when a row pointer is not
- * one, before reading anything through them. */
-int caradec_backprop_blocks(const double *f, const int64_t *iw, double *h)
+ * D are formed as the twin's expressions form them.  Writes the gradient
+ * to h[n].  Returns 0, -2 when an index lies outside [0, n) (or a terminal
+ * tape has no step) and -3 when a row pointer is not one, before reading
+ * anything through them. */
+static int reverse_pass(int64_t n, const tape *tp, double *h)
 {
-    const int64_t n = word(h, 0), nv = word(h, 3), nw = word(h, 4);
-    int64_t T = word(h, 1);
-    const int terminal = word(h, 2) != 0;
-    const double *p = f, *q = p + T, *a = q + T, *fv = a + T, *wx = fv + T, *vval = wx + T,
-                 *wval = vval + nv;
-    const int64_t *vptr = iw, *vidx = vptr + T + 1, *wptr = vidx + nv, *widx = wptr + T + 1;
+    const double *p = tp->p, *q = tp->q, *a = tp->a, *fv = tp->fv, *wx = tp->wx, *vval = tp->vval,
+                 *wval = tp->wval;
+    const int64_t *vptr = tp->vptr, *vidx = tp->vidx, *wptr = tp->wptr, *widx = tp->widx;
+    int64_t T = tp->T, t, i;
     double scale = 1.0, D = 0.0, R = 0.0;
-    int64_t t, i;
-    int err = check_rows(vptr, vidx, T, nv, n);
+    int err = check_rows(vptr, vidx, T, tp->nv, n);
 
     if (!err)
-        err = check_rows(wptr, widx, T, nw, n);
-    if (!err && terminal && T == 0)
+        err = check_rows(wptr, widx, T, tp->nw, n);
+    if (!err && tp->terminal && T == 0)
         err = -2;
     if (err)
         return err;
-    h += 5;
     for (i = 0; i < n; i++)
         h[i] = 0.0;
-    if (terminal) {
+    if (tp->terminal) {
         T--;
         R = p[T] * fv[T];
     }
     for (t = T - 1; t >= 0; t--) {
         double o = 1.0 - a[t], s = 0.0, gv, c, cs;
         for (i = vptr[t]; i < vptr[t + 1]; i++)
-            s += h[vidx[i]] * vval[i];
+            s += vval ? h[vidx[i]] * vval[i] : h[vidx[i]];
         gv = scale * s;
         c = (D - gv) / o + (q[t] * fv[t] - R / o);
         scale /= o;
@@ -699,6 +710,119 @@ int caradec_backprop_blocks(const double *f, const int64_t *iw, double *h)
     for (i = 0; i < n; i++)
         h[i] = scale * h[i];
     return 0;
+}
+
+/* reverse_pass over a tape that the caller packs into two buffers:
+ *   f  = p[T], q[T], a[T], fvals[T], wx[T], vertex data[nv],
+ *        functional data[nw];
+ *   iw = vertex indptr[T + 1], vertex indices[nv],
+ *        functional indptr[T + 1], functional indices[nw];
+ *   h  = n, T, terminal, nv, nw (int64 words), then h[n], which receives
+ *        the gradient. */
+int caradec_backprop_blocks(const double *f, const int64_t *iw, double *h)
+{
+    tape tp;
+    tp.T = word(h, 1);
+    tp.terminal = word(h, 2) != 0;
+    tp.nv = word(h, 3);
+    tp.nw = word(h, 4);
+    tp.p = f;
+    tp.q = tp.p + tp.T;
+    tp.a = tp.q + tp.T;
+    tp.fv = tp.a + tp.T;
+    tp.wx = tp.fv + tp.T;
+    tp.vval = tp.wx + tp.T;
+    tp.wval = tp.vval + tp.nv;
+    tp.vptr = iw;
+    tp.vidx = tp.vptr + tp.T + 1;
+    tp.wptr = tp.vidx + tp.nv;
+    tp.widx = tp.wptr + tp.T + 1;
+    return reverse_pass(word(h, 0), &tp, h + 5);
+}
+
+/* The reverse half of an Adam step of direct_optimize on a box-plus-sum
+ * spec, _purepy.ascend_blocks: reverse_pass over the tape (f, iw) with the
+ * vertex values fv[T], project's VJP at z under the block layout blocks,
+ * g = (gz z) (1 - z) (sigmoid's chain rule) and adam_step, in place on
+ * theta, m and v.  s is the run's Adam state:
+ *   lr, b1, b2, eps, c1, c2, n, T, terminal, nv, nw, nf, ni, layout (int64
+ *   words from n on), then theta[n], m[n], v[n] and z[n],
+ * where nf and ni are the lengths of f and iw.  With layout 0 the caller
+ * packed the tape:
+ *   f  = p[T], q[T], a[T], wx[T], vertex data[nv], functional data[nw];
+ *   iw = vertex indptr[T + 1], vertex indices[nv], functional indptr[T + 1],
+ *        functional indices[nw].
+ * With layout 1, f and iw are the two buffers of one caradec_decompose_blocks
+ * call of at least T steps, and every vertex entry is 1: the tape is read
+ * where that kernel wrote it.  Returns 0; -4 when the lengths do not fit
+ * the layout or blocks is not over n coordinates; -1 when scratch memory
+ * cannot be had; -2 or -3 as reverse_pass returns them; -5 when a block id
+ * or budget is out of range.  On a negative return, theta, m and v are
+ * unchanged. */
+int caradec_ascend_blocks(const int64_t *blocks, const double *f, const int64_t *iw, const double *fv,
+                          double *s)
+{
+    const int64_t n = word(s, 6), nf = word(s, 11), ni = word(s, 12);
+    double *theta = s + 14, *m = theta + n, *v = m + n, *z = v + n, *gx, *gz;
+    int64_t i;
+    int err;
+    tape tp;
+
+    tp.T = word(s, 7);
+    tp.terminal = word(s, 8) != 0;
+    tp.nv = word(s, 9);
+    tp.nw = word(s, 10);
+    tp.fv = fv;
+    if (blocks[0] != n)
+        return -4;
+    if (word(s, 13)) {
+        int64_t nb, K, cap;
+        if (nf < 12 || ni < 3 || iw[0] != n)
+            return -4;
+        nb = iw[1];
+        K = iw[2];
+        cap = word(f, 6);
+        if (nf != 12 + 2 * n + 6 * cap || ni != 5 + n + nb + (K + 4) * cap || tp.T > cap || tp.nv != tp.T * K
+            || tp.nw > cap)
+            return -4;
+        tp.p = f + 12 + 2 * n;
+        tp.q = tp.p + cap;
+        tp.a = tp.q + cap;
+        tp.wx = tp.a + 2 * cap;
+        tp.wval = tp.wx + cap;
+        tp.vval = NULL;
+        tp.vptr = iw + 3 + n + nb;
+        tp.vidx = tp.vptr + cap + 1;
+        tp.wptr = tp.vidx + cap * K;
+        tp.widx = tp.wptr + cap + 1;
+    } else {
+        if (nf != 4 * tp.T + tp.nv + tp.nw || ni != 2 * tp.T + 2 + tp.nv + tp.nw)
+            return -4;
+        tp.p = f;
+        tp.q = tp.p + tp.T;
+        tp.a = tp.q + tp.T;
+        tp.wx = tp.a + tp.T;
+        tp.vval = tp.wx + tp.T;
+        tp.wval = tp.vval + tp.nv;
+        tp.vptr = iw;
+        tp.vidx = tp.vptr + tp.T + 1;
+        tp.wptr = tp.vidx + tp.nv;
+        tp.widx = tp.wptr + tp.T + 1;
+    }
+    gx = malloc((size_t)(2 * n + 1) * sizeof *gx);
+    if (!gx)
+        return -1;
+    gz = gx + n;
+    err = reverse_pass(n, &tp, gx);
+    if (!err && (err = project(blocks, z, gx, gz)) == -2)
+        err = -5;
+    if (!err) {
+        for (i = 0; i < n; i++)
+            gz[i] = gz[i] * z[i] * (1.0 - z[i]);
+        adam_step(n, s, theta, m, v, gz);
+    }
+    free(gx);
+    return err;
 }
 
 /* Residual capacities at most this count as saturated (_purepy.FLOW_EPS). */
@@ -1293,6 +1417,29 @@ static const double ZERO_TOL = 1e-9, TIGHT_TOL = 1e-9, USABLE_DEN = 1e-15;
 
 enum { BIND_LOWER = 0, BIND_UPPER = 1, BIND_EDGE = 2, BIND_NONE = 3 };
 
+/* Writes to out the layout of the L edges live in live[]: the slots of
+ * the flow layout src (N nodes) whose arcs belong to live edges, each
+ * node's in their order, the arcs keeping their ids.  A dead node (alive[]
+ * of its end 0) has no live edge, so its slots are skipped. */
+static void live_layout(int64_t N, const int64_t *src, const unsigned char *alive, const unsigned char *live,
+                        int64_t L, int64_t *out)
+{
+    const int64_t n = N / 2, *ptr = src + 2, *head = ptr + N + 1, *arc = head + src[1];
+    int64_t *lptr = out + 2, *lhead = lptr + N + 1, *larc = lhead + 4 * L, i, s, k;
+
+    out[0] = N;
+    out[1] = 4 * L;
+    for (i = 0, k = 0; i < N; i++) {
+        lptr[i] = k;
+        for (s = ptr[i]; alive[i < n ? i : i - n] && s < ptr[i + 1]; s++)
+            if (live[arc[s] >> 2]) {
+                lhead[k] = head[s];
+                larc[k++] = arc[s];
+            }
+    }
+    lptr[N] = k;
+}
+
 /* The stable-set decomposition of _purepy.decompose_fstab, which is
  * core.peel with fstab.FractionalStableSet.peel_step, with the same
  * floating-point operations in the same order.  net is the layout of
@@ -1348,21 +1495,23 @@ int caradec_decompose_fstab(const int64_t *net, double *f, int64_t *iw)
     double *state = f + 6, *x0 = state + 3, *x = x0 + n, *probs = x + n, *qs = probs + cap,
            *avals = qs + cap, *wx = avals + cap, *wval = wx + cap, *vval = wval + 2 * cap;
     int64_t *vptr = iw, *vidx = vptr + cap + 1, *wptr = vidx + cap * n, *widx = wptr + cap + 1;
-    int64_t *ints = malloc((size_t)(3 * m + 12 * N + 3 * A + 5) * sizeof *ints);
+    int64_t *ints = malloc((size_t)(2 * m + 13 * N + 5 * A + 8) * sizeof *ints);
     double *dbls = malloc((size_t)(3 * n + 2 * N + A + 1) * sizeof *dbls);
-    unsigned char *flags = malloc((size_t)(n + 2 * m + 2 * N + 1));
-    int64_t *eu = ints, *ev = eu + m, *rank = ev + m, *level = rank + m, *scratch = level + 5 * N + 1,
-            *live_net = scratch + 6 * N + A + 1, *lptr = live_net + 2, *lhead = lptr + N + 1, *larc;
+    unsigned char *flags = malloc((size_t)(n + 3 * m + 2 * N + 1));
+    int64_t *eu = ints, *ev = eu + m, *level = ev + m, *scratch = level + 5 * N + 1,
+            *lay[2] = {scratch + 6 * N + A + 1, scratch + 7 * N + 3 * A + 4}, *live_net = NULL, *larc;
     double *c = dbls, *vv = c + n, *alive_c = vv + n, *rs = alive_c + n, *rt = rs + N, *r = rt + N;
-    unsigned char *alive = flags, *live = alive + n, *tight = live + m, *side = tight + m, *label = side + N;
+    unsigned char *alive = flags, *live = alive + n, *tight = live + m, *side = tight + m, *label = side + N,
+                  *was_live = label + N;
     double q = state[2] < 0.0 ? 1.0 : state[2], mx = 0.0, flow;
     int64_t T = 0, t, i, e, s, k, L;
-    int code = 0, stop = 0;
+    int code = 0, stop = 0, changed, grew;
 
     if (!ints || !dbls || !flags) {
         code = -1;
         goto done;
     }
+    memset(was_live, 0, (size_t)m);
     for (i = 0; i < N; i++)
         for (s = ptr[i]; s < ptr[i + 1]; s++)
             if (arc[s] % 4 == 0) {
@@ -1395,9 +1544,12 @@ int caradec_decompose_fstab(const int64_t *net, double *f, int64_t *iw)
             alive[i] = x[i] > ZERO_TOL;
             c[i] = alive[i] ? x[i] : 0.0;
         }
-        for (e = 0; e < m; e++) {
+        for (e = 0, L = 0, changed = grew = 0; e < m; e++) {
             tight[e] = x[eu[e]] + x[ev[e]] >= 1.0 - TIGHT_TOL;
             live[e] = alive[eu[e]] && alive[ev[e]];
+            L += live[e];
+            changed |= live[e] != was_live[e];
+            grew |= live[e] > was_live[e];
         }
         /* Every add is the same big, so their order does not change a sum. */
         for (e = 0; e < m; e++) {
@@ -1413,37 +1565,20 @@ int caradec_decompose_fstab(const int64_t *net, double *f, int64_t *iw)
                 alive_c[k++] = c[i];
         }
         sum = pairwise_sum(alive_c, k) + 1.0;
-        /* The flow and the labelling run on the live edges' arcs alone, each
-         * node's slots in their order, edge e's four arcs renumbered from 4
-         * rank[e].  The other arcs have capacity 0 both ways: no flow enters
-         * them and no closure crosses them, so this changes no byte. */
-        for (e = 0, L = 0; e < m; e++) {
-            rank[e] = L;
-            L += live[e];
+        /* The flow and the labelling run on the live edges' arcs alone (in
+         * live_net, one of the two layouts of lay), each node's slots in
+         * their order.  The other arcs have capacity 0 both ways: no flow
+         * enters them and no closure crosses them, so this changes no byte.
+         * The layout of the step before serves again when no edge changed,
+         * and is filtered when edges only died; else the cover is. */
+        if (!live_net || changed) {
+            int64_t *out = live_net == lay[0] ? lay[1] : lay[0];
+            live_layout(N, live_net && !grew ? live_net : net, alive, live, L, out);
+            live_net = out;
+            memcpy(was_live, live, (size_t)m);
         }
-        for (k = 0; k < L; k++) {
-            r[4 * k] = r[4 * k + 2] = sum;
-            r[4 * k + 1] = r[4 * k + 3] = 0.0;
-        }
-        live_net[0] = N;
-        live_net[1] = 4 * L;
-        larc = lhead + 4 * L;
-        /* A dead node has no live edge.  Without branches, the slot after
-         * the last live one is written and then overwritten (lhead[4 L] is
-         * larc[0], so the arcs come second). */
-        for (i = 0, k = 0; i < N; i++) {
-            lptr[i] = k;
-            for (s = ptr[i]; alive[i < n ? i : i - n] && s < ptr[i + 1]; s++) {
-                lhead[k] = head[s];
-                k += live[arc[s] >> 2];
-            }
-        }
-        lptr[N] = k;
-        for (i = 0, k = 0; i < N; i++)
-            for (s = ptr[i]; alive[i < n ? i : i - n] && s < ptr[i + 1]; s++) {
-                larc[k] = 4 * rank[arc[s] >> 2] + (arc[s] & 3);
-                k += live[arc[s] >> 2];
-            }
+        for (k = 0, larc = live_net + 3 + N + 4 * L; k < 4 * L; k++)
+            r[larc[k]] = larc[k] & 1 ? 0.0 : sum;
         push_flow(live_net, rs, rt, r, level, &flow); /* finite capacities: never -6 */
         for (i = 0; i < N; i++)
             side[i] = level[i] >= 0;

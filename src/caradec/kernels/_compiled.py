@@ -71,6 +71,7 @@ SIGNATURES = {
     "block_scan": (ctypes.c_int, 5),
     "tight_blocks": (ctypes.c_int, 5),
     "decompose_fstab": (ctypes.c_int, 3),
+    "ascend_blocks": (ctypes.c_int, 5),
 }
 
 
@@ -144,8 +145,8 @@ def load() -> SimpleNamespace:
     """The C kernels, with ``_purepy``'s names, signatures and outputs:
     ``decompose_blocks``, ``project_blocks``, ``project_blocks_vjp``,
     ``score_rows``, ``backprop_blocks``, ``adam_ascend``, ``max_flow``,
-    ``label_stable_set``, ``block_scan``, ``tight_blocks`` and
-    ``decompose_fstab``.  The library
+    ``label_stable_set``, ``block_scan``, ``tight_blocks``,
+    ``decompose_fstab`` and ``ascend_blocks``.  The library
     is built first when the cache lacks it.  Raises OSError when it can be
     neither found nor built, or when it lacks one of the entry points of
     SIGNATURES."""
@@ -160,7 +161,7 @@ def load() -> SimpleNamespace:
         except AttributeError as exc:
             raise OSError(f"the kernel library is incomplete: {exc}") from exc
         c[name].argtypes, c[name].restype = (ctypes.c_void_p,) * arity, restype
-    run, score, back, project, adam, flow, label, scan, tight, fstab = (c[name] for name in SIGNATURES)
+    run, score, back, project, adam, flow, label, scan, tight, fstab, ascend = (c[name] for name in SIGNATURES)
 
     def decompose_blocks(x0, blocks, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
@@ -267,10 +268,7 @@ def load() -> SimpleNamespace:
         gradient, byte for byte."""
         vptr, vidx, vval = vertex_rows
         wptr, widx, wval = functional_rows
-        T = len(p)
-        if not (len(q) == len(a) == len(wx) == len(fvals) == T == len(vptr) - 1 == len(wptr) - 1
-                and len(vval) == len(vidx) and len(wval) == len(widx)):
-            raise ValueError("backprop_blocks needs T steps in every argument and one value per index")
+        T = tape_steps(p, q, a, vertex_rows, functional_rows, wx, fvals)
         # The two buffers of the C function, laid out as _blocks.c says.
         f = np.concatenate((p, q, a, fvals, wx, vval, wval), dtype=np.float64)
         iw = np.concatenate((vptr, vidx, wptr, widx), dtype=np.int64)
@@ -280,6 +278,33 @@ def load() -> SimpleNamespace:
         if code:
             raise_for(code, "backprop_blocks")
         return h[5:]
+
+    def ascend_blocks(state, blocks, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal, t):
+        """The C twin of ``_purepy.ascend_blocks``: in place, byte for byte.
+        A tape whose arrays are views of the two buffers of one
+        ``decompose_blocks`` call, with the shared ones as vertex data, is
+        read where that call wrote it; any other tape is packed first."""
+        blocks, n, _, _ = layout_header(blocks)
+        if n != state.n:
+            check_shape(state.z, n)  # raises
+        T = tape_steps(p, q, a, vertex_rows, functional_rows, wx, fvals)
+        fvals = np.ascontiguousarray(fvals, dtype=np.float64)
+        written = kernel_buffers(p, q, a, vertex_rows, functional_rows, wx)
+        if written:
+            f, iw = written
+        else:
+            f = np.concatenate((p, q, a, wx, vertex_rows[2], functional_rows[2]), dtype=np.float64)
+            iw = np.concatenate((*vertex_rows[:2], *functional_rows[:2]), dtype=np.int64)
+        # The step's words of the state's head, laid out as _blocks.c says.
+        pack_into("2d8q", state.buffer, 32, 1 - state.beta1**t, 1 - state.beta2**t, n, T, bool(terminal),
+                  len(vertex_rows[1]), len(functional_rows[1]), len(f), len(iw), bool(written))
+        code = ascend(address(blocks), address(f), address(iw), address(fvals), state.address)
+        if code == -4:
+            raise ValueError("ascend_blocks: the tape's buffers do not fit their layout")
+        if code == -5:
+            raise ValueError(BAD_BLOCKS)
+        if code:
+            raise_for(code, "ascend_blocks")
 
     def max_flow(net, rs, rt, r):
         """The C twin of ``_purepy.max_flow``: in place, byte for byte."""
@@ -383,7 +408,31 @@ def load() -> SimpleNamespace:
                            backprop_blocks=backprop_blocks, adam_ascend=adam_ascend,
                            max_flow=max_flow, label_stable_set=label_stable_set,
                            block_scan=block_scan, tight_blocks=tight_blocks,
-                           decompose_fstab=decompose_fstab)
+                           decompose_fstab=decompose_fstab, ascend_blocks=ascend_blocks)
+
+
+def kernel_buffers(p, q, a, vertex_rows, functional_rows, wx):
+    """The two buffers of the ``decompose_blocks`` call that recorded a tape,
+    when the tape's arrays are views of them and its vertex data are views
+    of the shared ones of ``core.ones`` (as a tape of one call is until
+    that array grows); None otherwise."""
+    f, iw = q.base, functional_rows[0].base
+    if (f is not None and iw is not None and p.base is f and a.base is f and wx.base is f
+            and functional_rows[2].base is f and vertex_rows[0].base is iw and vertex_rows[1].base is iw
+            and functional_rows[1].base is iw and vertex_rows[2].base is ones(0).base):
+        return f, iw
+    return None
+
+
+def tape_steps(p, q, a, vertex_rows, functional_rows, wx, fvals) -> int:
+    """The steps T of a tape for the reverse pass, once every argument has T
+    entries (T + 1 for the row pointers) and each row index its value
+    (ValueError otherwise)."""
+    T = len(p)
+    if not (len(q) == len(a) == len(wx) == len(fvals) == T == len(vertex_rows[0]) - 1 == len(functional_rows[0]) - 1
+            and len(vertex_rows[2]) == len(vertex_rows[1]) and len(functional_rows[2]) == len(functional_rows[1])):
+        raise ValueError("backprop_blocks needs T steps in every argument and one value per index")
+    return T
 
 
 def joined_pointer(ptrs) -> np.ndarray:

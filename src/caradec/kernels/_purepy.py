@@ -12,7 +12,9 @@ ascending on ties), the step coefficient is min(min-in-set,
 members change; it returns the decomposition's rows and the gradient
 tape's.  ``score_rows`` scores batches of index sets, given as CSR rows,
 under a coverage or cut ``ScoreLayout``; ``backprop_blocks`` is the
-reverse pass of every family's gradient tape, and ``adam_ascend`` is one
+reverse pass of every family's gradient tape, ``adam_ascend`` is one
+Adam step, and ``ascend_blocks`` is the two of them with the projection's
+VJP in between, on an ``AdamState``: the reverse half of a block-family
 Adam step.
 ``max_flow`` is the max-flow of both graph oracles over a ``FlowLayout``,
 and ``label_stable_set`` reads the stable-set vertex off the residual
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, reduce
 from operator import add, mul
+from struct import pack_into
 
 import numpy as np
 
@@ -187,6 +190,51 @@ def adam_ascend(theta, m, v, grad, lr, beta1, beta2, eps, t):
     v += (1 - beta2) * grad * grad
     theta += lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
     return theta
+
+
+class AdamState:
+    """theta and the two Adam moments of one run, with the step's z, in one
+    float64 buffer made once per run, which the C kernels read at
+    ``address``: lr, beta1, beta2, eps, c1, c2, n and seven more words of
+    a step's header, then theta[n], m[n], v[n] and z[n].  ``theta``, ``m``,
+    ``v`` and ``z`` are views of the buffer, theta and the moments start at
+    0, and the head keeps the buffer non-empty at n = 0."""
+
+    HEAD = 14
+
+    def __init__(self, n: int, lr: float, beta1: float, beta2: float, eps: float):
+        self.n, self.lr, self.beta1, self.beta2, self.eps = n, lr, beta1, beta2, eps
+        self.buffer = np.zeros(self.HEAD + 4 * n)
+        pack_into("6dq", self.buffer, 0, lr, beta1, beta2, eps, 0.0, 0.0, n)
+        self.__setstate__(self.__getstate__())
+
+    @cached_property
+    def address(self) -> int:
+        """The address of ``buffer``'s data."""
+        return self.buffer.ctypes.data
+
+    def __getstate__(self):
+        # A copy or an unpickled state has its own buffer, at another
+        # address, and views of that buffer.
+        return {k: self.__dict__[k] for k in ("n", "lr", "beta1", "beta2", "eps", "buffer")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.theta, self.m, self.v, self.z = np.split(self.buffer[self.HEAD :], 4)
+
+
+def ascend_blocks(state: AdamState, blocks, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal, t):
+    """The reverse half of Adam step t of ``direct_optimize`` on a box-plus-sum
+    spec, in place on state's theta and moments: the reverse pass of
+    ``backprop_blocks`` over a tape with vertex values fvals, then
+    ``project_blocks_vjp`` at state.z under the block layout blocks, the
+    sigmoid's chain rule g = (gz z) (1 - z), and ``adam_ascend`` with the
+    state's lr, betas and eps."""
+    gx = backprop_blocks(state.n, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal)
+    z = state.z
+    gz = project_blocks_vjp(z, blocks, gx)
+    adam_ascend(state.theta, state.m, state.v, gz * z * (1.0 - z), state.lr, state.beta1, state.beta2, state.eps,
+                t)
 
 
 def decompose_blocks(

@@ -4,6 +4,7 @@ rounding, local improvement, greedy coverage, and random baselines."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,8 +45,19 @@ class OptimizeConfig:
     decomposition: DecompositionConfig = field(default_factory=DecompositionConfig)
 
     def __post_init__(self):
-        if self.steps < 0 or self.lr <= 0:
-            raise ValueError("steps must be >= 0 and lr > 0")
+        # NaN fails every comparison, so each test below refuses it.
+        checks = (
+            ("steps", self.steps >= 0, ">= 0"),
+            ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("eps", 0 < self.eps < math.inf, "finite and > 0"),
+            ("init_scale", math.isfinite(self.init_scale), "finite"),
+            ("round_every", self.round_every >= 1, ">= 1"),
+        )
+        for name, ok, need in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
         if self.init not in ("center", "random"):
             raise ValueError("init must be 'center' or 'random'")
 
@@ -89,27 +101,27 @@ class SolveResult:
 
 
 class Adam:
-    """Plain Adam over one parameter vector (ascent via +lr steps)."""
+    """Plain Adam over one parameter vector (ascent via +lr steps).  The
+    moments, and the theta and z of a run, live in one kernels.AdamState."""
 
-    def __init__(self, shape, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+    def __init__(self, n: int, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.state = kernels.AdamState(n, lr, beta1, beta2, eps)
+        self.m, self.v = self.state.m, self.state.v
         self.t = 0
 
     def ascend(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """One step, in place on theta (a writable float array), which it
         returns."""
         self.t += 1
-        return kernels.adam_ascend(theta, self.m, self.v, grad, self.lr, self.beta1, self.beta2,
-                                   self.eps, self.t)
+        st = self.state
+        return kernels.adam_ascend(theta, self.m, self.v, grad, st.lr, st.beta1, st.beta2, st.eps, self.t)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
+def _sigmoid(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1/(1 + exp(-t)) for t >= 0 and exp(t)/(1 + exp(t)) below, so that
-    exp never overflows."""
+    exp never overflows; written to out when given."""
     e = np.exp(np.copysign(t, -1.0))  # exp(-|t|)
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(t >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def project_point(z: np.ndarray, c: ConstraintSpec):
@@ -124,13 +136,17 @@ def project_point(z: np.ndarray, c: ConstraintSpec):
 def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> SolveResult:
     """Adam ascent on F(project(sigmoid(theta))) with periodic rounding;
     returns the best integral set seen (incumbent) and the extension value
-    at the final iterate."""
+    at the final iterate.  A spec with an ``ascend`` method (the block
+    families) runs a step's reverse pass, projection VJP, sigmoid chain
+    rule and Adam update in that one call; the others run them stage by
+    stage."""
     t0 = time.perf_counter()
     rng = stream(cfg.seed, "direct-optimize")
-    theta = np.zeros(c.dim)
-    if cfg.init == "random":
-        theta = cfg.init_scale * rng.standard_normal(c.dim)
     adam = Adam(c.dim, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    theta, z = adam.state.theta, adam.state.z
+    if cfg.init == "random":
+        theta[:] = cfg.init_scale * rng.standard_normal(c.dim)
+    ascend = getattr(c, "ascend", None)
     incumbent: tuple[VertexSet, float] | None = None
 
     def consider(d: Decomposition, fvals):
@@ -140,22 +156,24 @@ def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> 
         if t >= 0 and (incumbent is None or fvals[t] > incumbent[1]):
             incumbent = (d.vertex(t), float(fvals[t]))
 
-    F = 0.0
-    x = None
     for step in range(cfg.steps + 1):
-        z = _sigmoid(theta)
+        _sigmoid(theta, out=z)
         x, vjp = project_point(z, c)
         d, tape = decompose_with_tape(x, c, cfg.decomposition)
         # One objective call per vertex, shared by F, rounding and backprop.
         fvals = vertex_values(d, f)
-        F = evaluate_extension(d, f, fvals)
-        if step % max(cfg.round_every, 1) == 0 or step == cfg.steps:
+        if step % cfg.round_every == 0 or step == cfg.steps:
             consider(d, fvals)
         if step == cfg.steps:
             break
-        gx = backprop_extension(tape, f, fvals)
-        gz = vjp(gx)
-        theta = adam.ascend(theta, gz * z * (1.0 - z))
+        if ascend is not None:
+            adam.t += 1
+            ascend(adam.state, tape, fvals, adam.t)
+        else:
+            gz = vjp(backprop_extension(tape, f, fvals))
+            adam.ascend(theta, gz * z * (1.0 - z))
+    # Only the last step's F is returned.
+    F = evaluate_extension(d, f, fvals)
     ms = (time.perf_counter() - t0) * 1e3
     if incumbent is None:
         raise ValueError("no integral vertex was ever produced")

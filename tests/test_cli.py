@@ -263,3 +263,13 @@ def test_solve_instance_takes_only_card(workdir, capsys):
     rc = main(["solve", "--instance", "d/c_000.json", "--constraint", "indset", "--k", "3"])
     assert rc == 2
     assert "a coverage instance takes --constraint card" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", ["inf", "nan", "-inf", "0"])
+def test_bad_learning_rate_exit_code(workdir, capsys, lr):
+    (workdir / "g.edges").write_text("4 3\n0 1 1.0\n1 2 1.0\n2 3 1.0\n")
+    rc = main(["solve", "--constraint", "card", "--k", "2", "--graph", "g.edges", "--method", "direct",
+               "--steps", "3", f"--lr={lr}"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "validation failure: lr must be finite and > 0" in captured.err

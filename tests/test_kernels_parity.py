@@ -6,6 +6,7 @@ exception.  The pure block kernel must also match, bit for bit, the
 per-element selection loop kept in ``reference_loops`` as its reference.
 The C kernels' tests skip only when no C compiler exists."""
 
+import copy
 import functools
 import math
 
@@ -662,6 +663,121 @@ def test_adam_refuses_arrays_it_cannot_update_in_place():
         with pytest.raises(DimensionError):
             impl.adam_ascend(theta, m, v, np.ones(3), 0.1, 0.9, 0.999, 1e-8, 1)
     assert not (theta.any() or m.any() or v.any())
+
+
+# ---------------------------------------------------------------------------
+# The reverse half of a block-family Adam step in one call
+
+
+def block_tapes():
+    """(label, blocks, recorder, tape) for tapes that each backend's block
+    kernel records: exact and rescaled cardinality, a partition with blocks
+    of budget 0 and of the whole block, a compiled run over several calls
+    (its tape is joined, not read in place), and terminal-only tapes (the
+    empty ground set and a vertex, one terminal step each)."""
+    rng = np.random.default_rng(81)
+    block_of, budgets = np.zeros(30, dtype=np.int32), np.array([7])
+    first = _compiled.first_call_steps(7)
+    # First, so that the shared ones have grown when the others are recorded.
+    cases = [("several-calls", block_of, budgets, projected_point(rng, block_of, budgets), 0.02, 0.0, 0.0,
+              first + 5)]
+    part_of, part_budgets = np.array([0, 1, 0, 2, 1, 0, 2, 3, 3, 0], dtype=np.int32), np.array([2, 0, 2, 1])
+    card_of = np.zeros(30, dtype=np.int32)
+    cases += [
+        ("card-exact", card_of, np.array([7]), projected_point(rng, card_of, np.array([7])), 1.0, 0.0, 0.0, 31),
+        ("card-rescaled", card_of, np.array([7]), projected_point(rng, card_of, np.array([7])), 0.5, 0.02, 1e-5,
+         120),
+        ("partition", part_of, part_budgets, projected_point(rng, part_of, part_budgets), 1.0, 0.0, 0.0, 11),
+        ("empty", np.zeros(0, dtype=np.int32), np.array([0]), np.zeros(0), 1.0, 0.0, 0.0, 1),
+        ("vertex", card_of[:6], np.array([2]), np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 1.0, 0.0, 0.0, 7),
+    ]
+    out = []
+    for label, block_of, budgets, x, scale, floor, eps, cap in cases:
+        blocks = block_layout(block_of, budgets)
+        for backend in available():
+            res = implementation(backend).decompose_blocks(x, blocks, scale, floor, eps, cap, 1e-300 if
+                                                           label == "several-calls" else 1e-12)
+            out.append((label, blocks, backend, kernel_tape(res)[1]))
+    return out
+
+
+def adam_state(rng, n):
+    state = _purepy.AdamState(n, 0.015, 0.9, 0.999, 1e-8)
+    state.theta[:] = rng.standard_normal(n)
+    state.m[:] = rng.standard_normal(n) * 1e-2
+    state.v[:] = rng.random(n) * 1e-3
+    state.z[:] = 1.0 / (1.0 + np.exp(-state.theta))
+    return state
+
+
+def ascend_args(state, blocks, tape, fvals, t):
+    d = tape.d
+    return (state, blocks, d.p, tape.q, tape.a, d.vertex_rows, tape.functional_rows, tape.wx, fvals,
+            tape.terminal, t)
+
+
+@needs_cc
+def test_ascend_blocks_parity_on_recorded_tapes():
+    """The fused kernel's C and pure twins leave the same theta, m and v
+    bytes, and those of the three stage kernels run one after the other,
+    on tapes that either backend recorded."""
+    rng = np.random.default_rng(82)
+    labels, terminal_only = set(), False
+    for label, blocks, recorder, tape in block_tapes():
+        labels.add(label)
+        T, n = len(tape.d.p), tape.d.n
+        terminal_only |= T == 1 and tape.terminal
+        # A compiled tape of one call is read in place, any other packed.
+        in_place = _compiled.kernel_buffers(tape.d.p, tape.q, tape.a, tape.d.vertex_rows, tape.functional_rows,
+                                            tape.wx)
+        assert (in_place is not None) == (recorder == "compiled" and label != "several-calls"), label
+        for t in (1, 2, 151):
+            fvals = (10.0 ** rng.integers(-4, 5, T)) * rng.standard_normal(T)
+            start = adam_state(rng, n)
+            states = []
+            for impl in (_purepy, compiled()):
+                state = copy.deepcopy(start)
+                impl.ascend_blocks(*ascend_args(state, blocks, tape, fvals, t))
+                states.append(state)
+            for impl in (_purepy, compiled()):
+                state = copy.deepcopy(start)
+                gx = impl.backprop_blocks(*backprop_args(tape, fvals))
+                gz = impl.project_blocks_vjp(state.z, blocks, gx)
+                impl.adam_ascend(state.theta, state.m, state.v, gz * state.z * (1.0 - state.z), 0.015, 0.9, 0.999,
+                                 1e-8, t)
+                states.append(state)
+            for state in states:
+                assert state.z.tobytes() == start.z.tobytes()
+                assert_bytes_equal((state.theta, state.m, state.v), (states[0].theta, states[0].m, states[0].v))
+            assert n == 0 or states[0].theta.tobytes() != start.theta.tobytes(), (label, recorder)
+    assert terminal_only and len(labels) == 6
+
+
+@pytest.mark.parametrize("backend", available())
+def test_ascend_blocks_refuses_bad_input_and_keeps_its_state(backend):
+    impl = implementation(backend)
+    rng = np.random.default_rng(83)
+    label, blocks, _, tape = next(case for case in block_tapes() if case[0] == "card-exact")
+    T, n = len(tape.d.p), tape.d.n
+    start = adam_state(rng, n)
+    args = ascend_args(copy.deepcopy(start), blocks, tape, np.ones(T), 1)
+    vptr, vidx, vval = tape.d.vertex_rows
+    bad_idx = vidx.copy()
+    bad_idx[3] = n
+    bad_layout = blocks.copy()
+    bad_layout[3] = 5
+    wrong = [
+        (IndexError, 5, (vptr, bad_idx, vval)),
+        (ValueError, 1, bad_layout),
+        (DimensionError, 1, block_layout(np.zeros(n + 1, dtype=np.int32), [7])),
+    ]
+    for exc, at, value in wrong:
+        bad = list(args)
+        bad[at] = value
+        with pytest.raises(exc):
+            impl.ascend_blocks(*bad)
+        state = bad[0]
+        assert_bytes_equal((state.theta, state.m, state.v), (start.theta, start.m, start.v))
 
 
 # ---------------------------------------------------------------------------

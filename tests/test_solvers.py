@@ -1,12 +1,15 @@
 """Solver drivers: direct optimization, multi-scale inference, local
 improvement, greedy, and the random baselines."""
 
+import math
+
 import numpy as np
 import pytest
+from kernel_backends import available, use
 from reference_loops import reference_local_improve
 
 from caradec.core import Cardinality, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
-from caradec import solvers
+from caradec import kernels, solvers
 from caradec.extension import (
     CallableObjective,
     LinearObjective,
@@ -131,9 +134,11 @@ class CountingCut(CutObjective):
 
 
 def reference_direct(f, c, cfg):
-    """direct_optimize written with evaluate_extension, best_set and
-    backprop_extension, each of which evaluates f on its own."""
-    theta = cfg.init_scale * stream(cfg.seed, "direct-optimize").standard_normal(c.dim)
+    """direct_optimize written stage by stage with evaluate_extension,
+    best_set and backprop_extension, each of which evaluates f on its own."""
+    theta = np.zeros(c.dim)
+    if cfg.init == "random":
+        theta = cfg.init_scale * stream(cfg.seed, "direct-optimize").standard_normal(c.dim)
     adam = Adam(c.dim, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     incumbent = None
     for step in range(cfg.steps + 1):
@@ -141,9 +146,10 @@ def reference_direct(f, c, cfg):
         x, vjp = project_point(z, c)
         d, tape = decompose_with_tape(x, c, cfg.decomposition)
         F = evaluate_extension(d, f)
-        v, val = best_set(d, f)
-        if incumbent is None or val > incumbent[1]:
-            incumbent = (v, val)
+        if step % cfg.round_every == 0 or step == cfg.steps:
+            v, val = best_set(d, f)
+            if incumbent is None or val > incumbent[1]:
+                incumbent = (v, val)
         if step == cfg.steps:
             return incumbent, F, x
         theta = adam.ascend(theta, vjp(backprop_extension(tape, f)) * z * (1.0 - z))
@@ -174,6 +180,87 @@ class TestSingleEvaluation:
         assert res.best == best
         assert res.extension_value == F
         assert np.array_equal(res.final_point, x)
+
+
+def block_specs():
+    """{label: (spec, objectives)}: cardinality and partition specs, with
+    blocks of budget 0 and full budget, and the empty ground set."""
+    g = gen_er_graph(14, 0.3, seed=4)
+    inst = gen_random_uniform(14, 30, seed=2, instance_id=0)
+    w = stream(9, "direct-parity").standard_normal(14)
+    objectives = {"cut": CutObjective(g), "coverage": CoverageObjective(inst), "linear": LinearObjective(w)}
+    partition = PartitionMatroid([range(0, 5), range(5, 8), range(8, 12), range(12, 14)], [2, 0, 4, 1])
+    empty = {"cut": CutObjective(Graph(0, ())), "linear": LinearObjective(np.zeros(0))}
+    return {"card": (Cardinality(14, 4), objectives), "partition": (partition, objectives),
+            "empty": (Cardinality(0, 0), empty)}
+
+
+def direct_cases():
+    for label, (c, objectives) in block_specs().items():
+        for name in objectives:
+            for round_every in (1, 10):
+                for init in ("center", "random"):
+                    yield pytest.param(label, name, round_every, init, id=f"{label}-{name}-{round_every}-{init}")
+
+
+class TestDirectMatchesReference:
+    """On block specs a step's reverse half is one fused kernel call; the
+    run equals the stage-by-stage reference byte for byte on both
+    backends."""
+
+    @pytest.mark.parametrize("backend", available())
+    @pytest.mark.parametrize("label, name, round_every, init", direct_cases())
+    def test_same_bytes(self, monkeypatch, backend, label, name, round_every, init):
+        use(monkeypatch, backend)
+        c, objectives = block_specs()[label]
+        f = objectives[name]
+        cfg = OptimizeConfig(steps=23, seed=5, init=init, init_scale=2.0, round_every=round_every)
+        res = direct_optimize(f, c, cfg)
+        (best, value), F, x = reference_direct(f, c, cfg)
+        assert res.best == best
+        assert np.float64(res.objective).tobytes() == np.float64(value).tobytes()
+        assert np.float64(res.extension_value).tobytes() == np.float64(F).tobytes()
+        assert res.final_point.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("backend", available())
+    def test_block_specs_take_the_fused_step(self, monkeypatch, backend):
+        """A block spec's step calls ascend_blocks and neither the reverse
+        pass nor the VJP on their own; a graphic spec's does the reverse."""
+        use(monkeypatch, backend)
+        calls = {"ascend_blocks": 0, "backprop_blocks": 0, "project_blocks_vjp": 0}
+        for name in calls:
+            monkeypatch.setattr(kernels, name, counted(calls, name, getattr(kernels, name)))
+        g = gen_er_graph(8, 0.5, seed=1)
+        direct_optimize(CutObjective(g), Cardinality(8, 3), OptimizeConfig(steps=6, seed=1))
+        assert calls == {"ascend_blocks": 6, "backprop_blocks": 0, "project_blocks_vjp": 0}
+        calls.update(ascend_blocks=0)
+        direct_optimize(LinearObjective(np.ones(3)), GraphicMatroid(TRIANGLE), OptimizeConfig(steps=4, seed=1))
+        assert calls == {"ascend_blocks": 0, "backprop_blocks": 4, "project_blocks_vjp": 0}
+
+
+def counted(calls, name, fn):
+    def call(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return call
+
+
+class TestOptimizeConfigRefusals:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", math.inf), ("lr", math.nan), ("lr", 0.0), ("beta1", 1.0), ("beta1", 1.5), ("beta1", -0.1),
+        ("beta1", math.nan), ("beta2", 1.0), ("beta2", -1.0), ("eps", -1.0), ("eps", 0.0), ("eps", math.inf),
+        ("eps", math.nan), ("init_scale", math.inf), ("init_scale", math.nan), ("round_every", 0),
+        ("round_every", -3), ("steps", -1),
+    ])
+    def test_refused_with_the_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            OptimizeConfig(**{field: value})
+
+    def test_edges_of_the_ranges_are_accepted(self):
+        cfg = OptimizeConfig(beta1=0.0, beta2=0.0, eps=5e-324, init_scale=0.0, round_every=1, steps=0)
+        res = direct_optimize(CutObjective(TRIANGLE), Cardinality(3, 1), cfg)
+        assert res.objective == 2.0
 
 
 class TestMultiScale:
