@@ -19,6 +19,7 @@ import numpy as np
 
 MEMBERSHIP_TOL = 1e-9
 SUM_TOL = 1e-7
+NONFINITE_VALUE = "the objective returned a non-finite value at a vertex"
 # The most feasible sets a family's feasible_sets() enumerates.
 ENUMERATION_CAP = 10**6
 
@@ -165,13 +166,15 @@ class Decomposition:
         d.__dict__.update(p=p, vertex_rows=vertex_rows, n=n,
                           residual=float(residual), iterations=len(p))
         if all_integral:
-            d.__dict__.update(integral=ones(len(p), bool), all_integral=True)
+            d.__dict__["all_integral"] = True
         return d
 
     @cached_property
     def integral(self) -> np.ndarray:
         """Whether row t is an index set (every entry 1) rather than a
         half-integral vertex, as a read-only bool array."""
+        if self.__dict__.get("all_integral"):
+            return ones(len(self.p), bool)
         indptr, _, data = self.vertex_rows
         out = np.ones(len(self.p), dtype=bool)
         out[np.searchsorted(indptr, np.flatnonzero(data != 1.0), "right") - 1] = False
@@ -242,7 +245,7 @@ class Decomposition:
         return cls(tuple(pairs), float(obj["residual"]), int(obj["iterations"]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, init=False)
 class GradientTape:
     """What the reverse pass needs of a recorded decomposition d of x0 that
     d does not hold.  Row t belongs to step t of T: q (the mass left before
@@ -251,7 +254,10 @@ class GradientTape:
 
     Row t of the CSR triple functional_rows is step t's binding constraint
     as a linear functional of its iterate, a_t = const + w_t.x_t (a
-    terminal row is empty), and wx[t] = w_t.x_t.  No iterate is kept."""
+    terminal row is empty), and wx[t] = w_t.x_t.  No iterate is kept.
+    kernel is None, or the record of the C block kernel's call that wrote
+    the tape (``kernels._compiled.Recorded``), where
+    ``kernels.ascend_blocks`` reads it.  A tape is immutable."""
 
     d: Decomposition
     q: np.ndarray
@@ -260,6 +266,11 @@ class GradientTape:
     x0: np.ndarray
     functional_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     wx: np.ndarray
+    kernel: tuple | None = None
+
+    def __init__(self, d, q, a, terminal, x0, functional_rows, wx, kernel=None):
+        self.__dict__.update(d=d, q=q, a=a, terminal=terminal, x0=x0, functional_rows=functional_rows, wx=wx,
+                             kernel=kernel)
 
 
 @dataclass(frozen=True)
@@ -288,7 +299,7 @@ class DecompositionConfig:
         if self.guard <= 0:
             raise ValueError("guard must be > 0")
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return self.scale == 1.0 and self.floor == 0.0
 

@@ -27,9 +27,9 @@ from .core import (
 class PartitionMatroid:
     """Per-block exact budgets over a partitioned ground set.
 
-    The per-element block array and the per-block index arrays are built
-    once here (read-only, outside the compared fields) for the kernel, the
-    projection and swap checks."""
+    The per-element block array, the per-block index arrays and the block
+    kernels' ``kernels.BlockLayout`` are built once here (read-only,
+    outside the compared fields) for the kernels and swap checks."""
 
     blocks: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
@@ -58,9 +58,7 @@ class PartitionMatroid:
         object.__setattr__(self, "block_indices", block_indices)
         object.__setattr__(self, "budget_array", budget_array)
         object.__setattr__(self, "_block_of", block_of)
-        # Private and left writable: the kernels take a writable array's
-        # address faster.
-        object.__setattr__(self, "_kernel_blocks", kernels.block_layout(block_of, budget_array))
+        object.__setattr__(self, "layout", kernels.BlockLayout(block_of, budget_array))
 
     family = "partition"
 
@@ -83,17 +81,21 @@ class PartitionMatroid:
         return bool((counts == self.budget_array).all())
 
     def project(self, z):
-        x = kernels.project_blocks(z, self._kernel_blocks)
-        return x, lambda gx: kernels.project_blocks_vjp(z, self._kernel_blocks, gx)
+        x = kernels.project_blocks(z, self.layout)
+        return x, lambda gx: kernels.project_blocks_vjp(z, self.layout, gx)
+
+    def sigmoid_project(self, state):
+        """The point of a step of direct_optimize: z = sigmoid(theta) into
+        state.z and its projection x, from a kernels.AdamState whose e holds
+        exp(-|theta|), in one kernel call."""
+        return kernels.sigmoid_project(state, self.layout)
 
     def ascend(self, state, tape, fvals, t):
         """Adam step t of direct_optimize from a step's tape and vertex values,
         in place on state (a kernels.AdamState whose z is the step's
         sigmoid): the reverse pass, the projection's VJP, the sigmoid's chain
-        rule and Adam, in one kernel call."""
-        d = tape.d
-        kernels.ascend_blocks(state, self._kernel_blocks, d.p, tape.q, tape.a, d.vertex_rows,
-                              tape.functional_rows, tape.wx, fvals, tape.terminal, t)
+        rule and Adam, in one kernel call, which leaves -|theta| in state.e."""
+        kernels.ascend_blocks(state, self.layout, tape, fvals, t)
 
     def decompose(self, x, cfg):
         return decompose_partition(x, self, cfg)
@@ -150,7 +152,7 @@ def project_to_partition_polytope(z, spec: PartitionMatroid) -> np.ndarray:
     # NaN fails both comparisons.
     if not (z.min(initial=0.0) >= 0.0 and z.max(initial=0.0) <= 1.0):
         raise ValueError("projection input must be finite and lie in [0, 1]^n")
-    return kernels.project_blocks(z, spec._kernel_blocks)
+    return kernels.project_blocks(z, spec.layout)
 
 
 class _ProjectedPoint(np.ndarray):
@@ -173,14 +175,14 @@ def check_partition_membership(x, spec: PartitionMatroid) -> np.ndarray:
     """x clipped to [0, 1], once it is a point of spec's polytope: the block
     kernel's entry check (DimensionError, MembershipError), run for no
     step."""
-    return kernels.decompose_blocks(x, spec._kernel_blocks, 1.0, 0.0, 0.0, 0, 1.0)[6]
+    return kernels.decompose_blocks(x, spec.layout, 1.0, 0.0, 0.0, 0, 1.0)[6]
 
 
 def run_kernel(x, spec: PartitionMatroid, cfg: DecompositionConfig):
     """The block kernel's raw result on x, which it checks first."""
     return kernels.decompose_blocks(
         x,
-        spec._kernel_blocks,
+        spec.layout,
         cfg.scale,
         cfg.floor,
         0.0 if cfg.is_exact else cfg.tolerance,
@@ -197,9 +199,10 @@ def kernel_decomposition(res) -> Decomposition:
 
 def kernel_tape(res) -> tuple[Decomposition, GradientTape]:
     """The decomposition and tape of a raw block-kernel result, which holds
-    the tape's rows already."""
-    d = kernel_decomposition(res)
-    return d, GradientTape(d, res[1], res[2], res[8], res[6], res[4], res[5])
+    the tape's rows already, and the C kernel's record of where, if any."""
+    p, q, a, vertex_rows, functional_rows, wx, x0, residual, terminal = res[:9]
+    d = Decomposition.from_rows(p, vertex_rows, x0.shape[0], residual, all_integral=True)
+    return d, GradientTape(d, q, a, terminal, x0, functional_rows, wx, getattr(res, "kernel", None))
 
 
 def decompose_partition(

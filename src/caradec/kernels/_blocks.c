@@ -3,7 +3,8 @@
  * projection and its VJP (caradec_project_blocks), the batch scorer of
  * coverage and cut objectives (caradec_score_rows), the reverse pass
  * shared by every family's tape (caradec_backprop_blocks), the Adam step
- * (caradec_adam_ascend), the reverse half of a block-family Adam step in
+ * (caradec_adam_ascend), the sigmoid and projection that start a
+ * block-family Adam step (caradec_sigmoid_project) and its reverse half in
  * one call (caradec_ascend_blocks), the max-flow of both graph oracles
  * (caradec_max_flow), the stable-set labelling of its residual graph
  * (caradec_label_stable_set), a whole stable-set decomposition, one flow
@@ -241,37 +242,37 @@ static int64_t check_point(int64_t n, int64_t nb, const int64_t *block_of, const
  * decomposition's rows and the gradient tape's.  A first call checks the
  * point x0 (see check_point) and starts from it clipped; a later call
  * resumes a run from the y and the state of the call before, and equals
- * its continuation.  The caller packs every argument into two buffers, the
- * scalars in their heads (ctypes converts a scalar argument at several
- * times the cost of a pointer):
+ * its continuation.  blocks is the block layout n, nb, K, block_of[n],
+ * budgets[nb], where K must be the sum of the budgets.  The caller packs
+ * the other arguments into two buffers, the scalars in the head of f
+ * (ctypes converts a scalar argument at several times the cost of a
+ * pointer):
  *   f  = scale, floor, eps, guard, box_tol, sum_tol, cap (an int64 word),
  *        state[5], x0[n], y[n], probs[cap], qs[cap], avals[cap],
  *        aexs[cap], wx[cap], wval[cap];
- *   iw = n, nb, K, block_of[n], budgets[nb] (the block layout),
- *        vptr[cap + 1], vidx[cap][K], wptr[cap + 1], widx[cap],
- *        branch[cap],
- * where K must be the sum of the budgets.  Row t of the vertex rows (vptr,
- * vidx) is step t's vertex, in index order.  Row t of the functional rows
- * (wptr, widx, wval) is its binding constraint w_t = +-r e_bind, with
- * r = a_t/a_exact on a rescaled step (1 otherwise) and + on a min-in
- * step, and wx[t] = w_t.x_t = +-r (a_exact or 1 - a_exact); a terminal
- * step's row is empty and its wx 0.  Both row pointers start from 0 in
- * each call.  state[2] is the mass q (negative on a first call), state[3]
- * the running sum of squares of y and state[4] its value at its last
- * exact summation, in and out.  On return state[0] is the residual's sup
+ *   iw = vptr[cap + 1], vidx[cap][K], wptr[cap + 1], widx[cap],
+ *        branch[cap].
+ * Row t of the vertex rows (vptr, vidx) is step t's vertex, in index
+ * order.  Row t of the functional rows (wptr, widx, wval) is its binding
+ * constraint w_t = +-r e_bind, with r = a_t/a_exact on a rescaled step
+ * (1 otherwise) and + on a min-in step, and wx[t] = w_t.x_t = +-r
+ * (a_exact or 1 - a_exact); a terminal step's row is empty and its wx 0.
+ * Both row pointers start from 0 in each call.  state[2] is the mass q
+ * (negative on a first call), state[3] the running sum of squares of y
+ * and state[4] its value at its last exact summation, in and out.  On return state[0] is the residual's sup
  * norm: max |y - q v| over the last vertex v after a terminal step, max |y|
  * after another step, 0 when no step ran.  state[1] is 0 when the steps
  * ran out, 1 after the eps stop and 2 after a terminal step.  Returns the
  * number of steps taken, or check_point's negative code (with state[0],
  * state[1] = the bad sum and its block on -5). */
-int caradec_decompose_blocks(double *f, int64_t *iw)
+int caradec_decompose_blocks(const int64_t *blocks, double *f, int64_t *iw)
 {
-    const int64_t n = iw[0], nb = iw[1], cap = word(f, 6);
+    const int64_t n = blocks[0], nb = blocks[1], cap = word(f, 6);
     const double scale = f[0], floor_ = f[1], eps = f[2], guard = f[3];
     double *state = f + 7, *x0 = state + 5, *y = x0 + n, *probs = y + n, *qs = probs + cap,
            *avals = qs + cap, *aexs = avals + cap, *wx = aexs + cap, *wval = wx + cap;
-    const int64_t *block_of = iw + 3, *budgets = block_of + n;
-    int64_t *vptr = iw + 3 + n + nb, *verts = vptr + cap + 1, *wptr, *widx, *branch;
+    const int64_t *block_of = blocks + 3, *budgets = block_of + n;
+    int64_t *vptr = iw, *verts = vptr + cap + 1, *wptr, *widx, *branch;
     const int first_call = state[2] < 0.0;
     entry *es = malloc((size_t)(n + 1) * sizeof *es), *out = malloc((size_t)(n + 1) * sizeof *out);
     int64_t *moved = malloc((size_t)(n + 1) * sizeof *moved);
@@ -285,7 +286,7 @@ int caradec_decompose_blocks(double *f, int64_t *iw)
     if (!es || !out || !moved || !tmp || !old || !start)
         goto done;
     K = check_point(n, nb, block_of, budgets, first_call ? x0 : NULL, f[4], f[5], start, state);
-    if (K >= 0 && K != iw[2])
+    if (K >= 0 && K != blocks[2])
         K = -2;
     if (K < 0)
         goto done;
@@ -468,8 +469,9 @@ done:
  * product g.(z - m), added in index order from 0.0.  iw is the block
  * layout n, nb, K, block_of[n], budgets[nb].  Writes x, or dF/dz for
  * dF/dx = gx, to out[n].
- * Returns 0, -1 when scratch memory cannot be had, or -2 when a block id
- * lies outside [0, nb) or a budget outside [0, block size]. */
+ * Returns 0, -1 when scratch memory cannot be had, -5 when a block id
+ * lies outside [0, nb) or a budget outside [0, block size] (or K is not
+ * their sum), or else -8 when an entry of z is NaN or infinite. */
 static int project(const int64_t *iw, const double *z, const double *gx, double *out)
 {
     const int64_t n = iw[0], nb = iw[1], *block_of = iw + 3, *budgets = block_of + n;
@@ -477,7 +479,7 @@ static int project(const int64_t *iw, const double *z, const double *gx, double 
     double *m = sc, *s = m + nb, *ds = s + nb, *gm = ds + nb, *dot = gm + nb;
     int64_t *size = calloc((size_t)nb + 1, sizeof *size), i, b, K = 0;
     char *deg = malloc((size_t)nb + 1);
-    int err = 0;
+    int err = 0, finite = 1;
 
     if (!sc || !size || !deg) {
         err = -1;
@@ -487,18 +489,23 @@ static int project(const int64_t *iw, const double *z, const double *gx, double 
         m[b] = gm[b] = dot[b] = 0.0;
     for (i = 0; i < n && !err; i++)
         if (block_of[i] < 0 || block_of[i] >= nb)
-            err = -2;
+            err = -5;
         else {
             size[block_of[i]]++;
             m[block_of[i]] += z[i];
+            finite &= isfinite(z[i]) != 0;
         }
     for (b = 0; b < nb && !err; b++) {
         if (budgets[b] < 0 || budgets[b] > size[b])
-            err = -2;
+            err = -5;
         K += budgets[b];
     }
     if (err || K != iw[2]) {
-        err = -2;
+        err = -5;
+        goto done;
+    }
+    if (!finite) {
+        err = -8;
         goto done;
     }
     for (b = 0; b < nb; b++) {
@@ -672,7 +679,8 @@ typedef struct {
  * D are formed as the twin's expressions form them.  Writes the gradient
  * to h[n].  Returns 0, -2 when an index lies outside [0, n) (or a terminal
  * tape has no step) and -3 when a row pointer is not one, before reading
- * anything through them. */
+ * anything through them, and else -7 when a vertex value is NaN or
+ * infinite. */
 static int reverse_pass(int64_t n, const tape *tp, double *h)
 {
     const double *p = tp->p, *q = tp->q, *a = tp->a, *fv = tp->fv, *wx = tp->wx, *vval = tp->vval,
@@ -686,6 +694,9 @@ static int reverse_pass(int64_t n, const tape *tp, double *h)
         err = check_rows(wptr, widx, T, tp->nw, n);
     if (!err && tp->terminal && T == 0)
         err = -2;
+    for (t = 0; t < T && !err; t++)
+        if (!isfinite(fv[t]))
+            err = -7;
     if (err)
         return err;
     for (i = 0; i < n; i++)
@@ -744,26 +755,27 @@ int caradec_backprop_blocks(const double *f, const int64_t *iw, double *h)
  * spec, _purepy.ascend_blocks: reverse_pass over the tape (f, iw) with the
  * vertex values fv[T], project's VJP at z under the block layout blocks,
  * g = (gz z) (1 - z) (sigmoid's chain rule) and adam_step, in place on
- * theta, m and v.  s is the run's Adam state:
+ * theta, m and v; then e = -|theta| (copysign, which is exact) for the
+ * next step's sigmoid.  s is the run's Adam state:
  *   lr, b1, b2, eps, c1, c2, n, T, terminal, nv, nw, nf, ni, layout (int64
- *   words from n on), then theta[n], m[n], v[n] and z[n],
+ *   words from n on), then theta[n], m[n], v[n], z[n] and e[n],
  * where nf and ni are the lengths of f and iw.  With layout 0 the caller
  * packed the tape:
  *   f  = p[T], q[T], a[T], wx[T], vertex data[nv], functional data[nw];
  *   iw = vertex indptr[T + 1], vertex indices[nv], functional indptr[T + 1],
  *        functional indices[nw].
  * With layout 1, f and iw are the two buffers of one caradec_decompose_blocks
- * call of at least T steps, and every vertex entry is 1: the tape is read
- * where that kernel wrote it.  Returns 0; -4 when the lengths do not fit
- * the layout or blocks is not over n coordinates; -1 when scratch memory
- * cannot be had; -2 or -3 as reverse_pass returns them; -5 when a block id
- * or budget is out of range.  On a negative return, theta, m and v are
- * unchanged. */
+ * call of at least T steps under blocks, and every vertex entry is 1: the
+ * tape is read where that kernel wrote it.  Returns 0; -4 when the lengths
+ * do not fit the layout or blocks is not over n coordinates; -1 when
+ * scratch memory cannot be had; -2, -3 or -7 as reverse_pass returns
+ * them; -5 when a block id or budget is out of range; -8 when z is not
+ * finite.  On a negative return, theta, m, v and e are unchanged. */
 int caradec_ascend_blocks(const int64_t *blocks, const double *f, const int64_t *iw, const double *fv,
                           double *s)
 {
     const int64_t n = word(s, 6), nf = word(s, 11), ni = word(s, 12);
-    double *theta = s + 14, *m = theta + n, *v = m + n, *z = v + n, *gx, *gz;
+    double *theta = s + 14, *m = theta + n, *v = m + n, *z = v + n, *e = z + n, *gx, *gz;
     int64_t i;
     int err;
     tape tp;
@@ -776,13 +788,12 @@ int caradec_ascend_blocks(const int64_t *blocks, const double *f, const int64_t 
     if (blocks[0] != n)
         return -4;
     if (word(s, 13)) {
-        int64_t nb, K, cap;
-        if (nf < 12 || ni < 3 || iw[0] != n)
+        const int64_t K = blocks[2];
+        int64_t cap;
+        if (nf < 12)
             return -4;
-        nb = iw[1];
-        K = iw[2];
         cap = word(f, 6);
-        if (nf != 12 + 2 * n + 6 * cap || ni != 5 + n + nb + (K + 4) * cap || tp.T > cap || tp.nv != tp.T * K
+        if (nf != 12 + 2 * n + 6 * cap || ni != 2 + (K + 4) * cap || tp.T > cap || tp.nv != tp.T * K
             || tp.nw > cap)
             return -4;
         tp.p = f + 12 + 2 * n;
@@ -791,7 +802,7 @@ int caradec_ascend_blocks(const int64_t *blocks, const double *f, const int64_t 
         tp.wx = tp.a + 2 * cap;
         tp.wval = tp.wx + cap;
         tp.vval = NULL;
-        tp.vptr = iw + 3 + n + nb;
+        tp.vptr = iw;
         tp.vidx = tp.vptr + cap + 1;
         tp.wptr = tp.vidx + cap * K;
         tp.widx = tp.wptr + cap + 1;
@@ -814,15 +825,37 @@ int caradec_ascend_blocks(const int64_t *blocks, const double *f, const int64_t 
         return -1;
     gz = gx + n;
     err = reverse_pass(n, &tp, gx);
-    if (!err && (err = project(blocks, z, gx, gz)) == -2)
-        err = -5;
+    if (!err)
+        err = project(blocks, z, gx, gz);
     if (!err) {
         for (i = 0; i < n; i++)
             gz[i] = gz[i] * z[i] * (1.0 - z[i]);
         adam_step(n, s, theta, m, v, gz);
+        for (i = 0; i < n; i++)
+            e[i] = copysign(theta[i], -1.0);
     }
     free(gx);
     return err;
+}
+
+/* The forward half's first call of an Adam step on a box-plus-sum spec,
+ * _purepy.sigmoid_project: z = (theta >= 0 ? 1 : e) / (1 + e) into the
+ * Adam state s (laid out as for caradec_ascend_blocks), where the caller
+ * has turned e = -|theta| into exp(-|theta|) with numpy's exp, and then
+ * project's x of z under the block layout blocks into x[n].  These are
+ * the operations of solvers._sigmoid, so z keeps its bits.  Returns
+ * project's codes, or -4 when blocks is not over n coordinates. */
+int caradec_sigmoid_project(const int64_t *blocks, double *s, double *x)
+{
+    const int64_t n = word(s, 6);
+    double *theta = s + 14, *z = theta + 3 * n, *e = z + n;
+    int64_t i;
+
+    if (blocks[0] != n)
+        return -4;
+    for (i = 0; i < n; i++)
+        z[i] = (theta[i] >= 0.0 ? 1.0 : e[i]) / (1.0 + e[i]);
+    return project(blocks, z, NULL, x);
 }
 
 /* Residual capacities at most this count as saturated (_purepy.FLOW_EPS). */

@@ -25,10 +25,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core import MEMBERSHIP_TOL, SUM_TOL, check_box, check_shape, ones
+from ..core import MEMBERSHIP_TOL, NONFINITE_VALUE, SUM_TOL, check_box, check_shape, ones
 from ._purepy import (
     BAD_BLOCKS,
     BAD_START,
+    BAD_TAPE,
+    NOT_FINITE,
     UNBOUNDED,
     block_sum_error,
     check_adam_arrays,
@@ -37,7 +39,6 @@ from ._purepy import (
     check_labelling,
     check_starts,
     edge_sum_error,
-    layout_header,
 )
 
 SOURCE = Path(__file__).with_name("_blocks.c")
@@ -54,14 +55,16 @@ FIRST_CALL_WORDS = 1 << 16
 # room for, 2 MB of indices and 2 MB of values: an exact run with n below
 # 512 fits in one call.
 FSTAB_CALL_WORDS = 1 << 18
+I64 = np.dtype(np.int64)
 
 # Each C entry point, ``caradec_<name>``, with its return type and its
 # number of arguments, all of them pointers.  ``load`` declares them from
-# here, and refuses a library that lacks one of them.  Scalars travel in the
+# here as prototypes (whose calls convert their arguments faster than a
+# function with argtypes does), and refuses a library that lacks one.  Scalars travel in the
 # head of a buffer, packed by ``pack_into``: ctypes converts a scalar
 # argument at about 0.25 us, several times what a pointer costs.
 SIGNATURES = {
-    "decompose_blocks": (ctypes.c_int, 2),
+    "decompose_blocks": (ctypes.c_int, 3),
     "score_rows": (ctypes.c_int, 6),
     "backprop_blocks": (ctypes.c_int, 3),
     "project_blocks": (ctypes.c_int, 4),
@@ -72,6 +75,7 @@ SIGNATURES = {
     "tight_blocks": (ctypes.c_int, 5),
     "decompose_fstab": (ctypes.c_int, 3),
     "ascend_blocks": (ctypes.c_int, 5),
+    "sigmoid_project": (ctypes.c_int, 3),
 }
 
 
@@ -117,17 +121,20 @@ def build(path: Path) -> None:
             os.unlink(tmp)
 
 
+_addressof, _char_at = ctypes.addressof, ctypes.c_char.from_buffer
+
+
 def buffer_address(arr: np.ndarray) -> int:
     """Address of a writable, C-contiguous, non-empty array's data, at a
     third of what ``arr.ctypes.data`` costs."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return _addressof(_char_at(arr))
 
 
 def address(arr: np.ndarray) -> int:
     """Address of a C-contiguous array's data; read-only and empty arrays
     take the slower path of ``arr.ctypes.data``."""
     try:
-        return buffer_address(arr)
+        return _addressof(_char_at(arr))
     except (TypeError, ValueError):
         return arr.ctypes.data
 
@@ -138,7 +145,21 @@ def raise_for(code: int, what: str) -> None:
         raise MemoryError(f"{what}: no scratch memory")
     if code == -2:
         raise IndexError(f"{what}: an index lies outside its range")
+    if code == -5:
+        raise ValueError(BAD_BLOCKS)
+    if code == -7:
+        raise ValueError(NONFINITE_VALUE)
+    if code == -8:
+        raise ValueError(NOT_FINITE)
     raise ValueError(f"{what}: a row pointer is not a CSR row pointer over its indices")
+
+
+class Recorded(tuple):
+    """A ``decompose_blocks`` result that one C call wrote.  Its ``kernel``
+    record is (f, iw, f's address, iw's address, words): the call's two
+    buffers, which hold the tape, and the tape's words T, terminal, nv, nw,
+    len(f), len(iw) and 1 of the head of ``caradec_ascend_blocks``'s
+    state, so that the reverse half reads the tape where it lies."""
 
 
 def load() -> SimpleNamespace:
@@ -146,7 +167,7 @@ def load() -> SimpleNamespace:
     ``decompose_blocks``, ``project_blocks``, ``project_blocks_vjp``,
     ``score_rows``, ``backprop_blocks``, ``adam_ascend``, ``max_flow``,
     ``label_stable_set``, ``block_scan``, ``tight_blocks``,
-    ``decompose_fstab`` and ``ascend_blocks``.  The library
+    ``decompose_fstab``, ``ascend_blocks`` and ``sigmoid_project``.  The library
     is built first when the cache lacks it.  Raises OSError when it can be
     neither found nor built, or when it lacks one of the entry points of
     SIGNATURES."""
@@ -157,37 +178,37 @@ def load() -> SimpleNamespace:
     c = {}
     for name, (restype, arity) in SIGNATURES.items():
         try:
-            c[name] = getattr(lib, f"caradec_{name}")
+            c[name] = ctypes.CFUNCTYPE(restype, *(ctypes.c_void_p,) * arity)((f"caradec_{name}", lib))
         except AttributeError as exc:
             raise OSError(f"the kernel library is incomplete: {exc}") from exc
-        c[name].argtypes, c[name].restype = (ctypes.c_void_p,) * arity, restype
-    run, score, back, project, adam, flow, label, scan, tight, fstab, ascend = (c[name] for name in SIGNATURES)
+    (run, score, back, project, adam, flow, label, scan, tight, fstab, ascend,
+     sigmoid) = (c[name] for name in SIGNATURES)
 
-    def decompose_blocks(x0, blocks, scale, floor, eps, max_iter, guard):
+    def decompose_blocks(x0, layout, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
-        outputs and exceptions, byte for byte."""
-        blocks, n, nb, K = layout_header(blocks)
+        outputs and exceptions, byte for byte.  The result of a run of one
+        C call is ``Recorded``."""
+        n, K = layout.n, layout.K
         x0 = check_shape(x0, n)
-        if not 0 <= K <= n:
-            raise ValueError(BAD_BLOCKS)
+        o = 12 + 2 * n  # where the outputs start in f
         # A run continues over calls, each with room for twice the steps of
         # the one before; y and the state (q and the sum of squares with its
         # last exact value) pass from call to call.
         # A negative q asks for a first call, which checks x0.
         parts, done, chunk, state = [], 0, first_call_steps(K), (-1.0, 0.0, 0.0)
         while True:
-            cap = max(0, min(max_iter - done, chunk))
-            # The two buffers of the C function, laid out as _blocks.c says.
-            f = np.empty(12 + 2 * n + 6 * cap)
+            cap = chunk if max_iter - done >= chunk else max(max_iter - done, 0)
+            nf, ni = o + 6 * cap, 2 + (K + 4) * cap
+            f = np.empty(nf)  # with iw, the buffers of the C function, laid out as _blocks.c says
             pack_into("6dq5d", f, 0, scale, floor, eps, guard, MEMBERSHIP_TOL, SUM_TOL, cap, 0.0, 0.0, *state)
             if parts:
-                f[12 + n : 12 + 2 * n] = y
+                f[o - n : o] = y
             else:
                 f[12 : 12 + n] = x0
                 checked = f[12 : 12 + n]
-            iw = np.empty(5 + n + nb + (K + 4) * cap, dtype=np.int64)
-            iw[: 3 + n + nb] = blocks
-            T = run(buffer_address(f), buffer_address(iw))
+            iw = np.empty(ni, I64)
+            fa, ia = _addressof(_char_at(f)), _addressof(_char_at(iw))
+            T = run(layout.address, fa, ia)
             if T < 0:
                 if T == -1:
                     raise MemoryError("decompose_blocks: no scratch memory")
@@ -195,49 +216,61 @@ def load() -> SimpleNamespace:
                     raise ValueError(BAD_BLOCKS)
                 if T == -4:
                     check_box(x0)  # raises
-                raise block_sum_error(float(f[7]), int(blocks[3 + n + int(f[8])]))
+                raise block_sum_error(float(f[7]), int(layout.budgets[int(f[8])]))
             residual, stop = f[7:9].tolist()
-            live = T - (stop == 2.0)
-            o, v = 12 + 2 * n, 3 + n + nb
-            w = v + cap + 1 + cap * K
+            terminal = stop == 2.0
+            live = T - terminal
+            w = cap + 1 + cap * K
             parts.append((f[o : o + T], f[o + cap : o + cap + T], f[o + 2 * cap : o + 2 * cap + T],
-                          iw[v : v + T + 1], iw[v + cap + 1 : v + cap + 1 + T * K],
+                          iw[: T + 1], iw[cap + 1 : cap + 1 + T * K],
                           iw[w : w + T + 1], iw[w + cap + 1 : w + cap + 1 + live],
                           f[o + 5 * cap : o + 5 * cap + live], f[o + 4 * cap : o + 4 * cap + T],
                           iw[w + 2 * cap + 1 : w + 2 * cap + 1 + T], f[o + 3 * cap : o + 3 * cap + T]))
             done += T
             if stop or done >= max_iter:
                 break
-            state, y, chunk = f[9:12].tolist(), f[12 + n : 12 + 2 * n], 2 * chunk
+            state, y, chunk = f[9:12].tolist(), f[o - n : o], 2 * chunk
         if len(parts) == 1:
             probs, qs, avals, vptr, vidx, wptr, widx, wval, wx, branch, aex = parts[0]
         else:
             probs, qs, avals, _, vidx, _, widx, wval, wx, branch, aex = map(np.concatenate, zip(*parts))
             vptr = np.arange(done + 1, dtype=np.int64) * K
             wptr = np.minimum(np.arange(done + 1, dtype=np.int64), len(widx))
-        return (probs, qs, avals, (vptr, vidx, ones(done * K)), (wptr, widx, wval), wx,
-                checked, residual, stop == 2.0, branch, aex)
-
-    def project_call(z, blocks, gx):
-        blocks, n, _, _ = layout_header(blocks)
-        z = np.ascontiguousarray(check_shape(z, n))
-        if gx is not None:
-            gx = np.ascontiguousarray(check_shape(gx, n))
-        out = np.empty(n)
-        code = project(address(blocks), address(z), None if gx is None else address(gx), address(out))
-        if code == -1:
-            raise MemoryError("project_blocks: no scratch memory")
-        if code:
-            raise ValueError(BAD_BLOCKS)
+        out = (probs, qs, avals, (vptr, vidx, ones(done * K)), (wptr, widx, wval), wx, checked, residual,
+               terminal, branch, aex)
+        if len(parts) > 1:
+            return out
+        out = Recorded(out)
+        out.kernel = (f, iw, fa, ia, (T, terminal, T * K, live, nf, ni, 1))
         return out
 
-    def project_blocks(z, blocks):
-        """The C twin of ``_purepy.project_blocks``."""
-        return project_call(z, blocks, None)
+    def project_call(z, layout, gx):
+        z = np.ascontiguousarray(check_shape(z, layout.n))
+        if gx is not None:
+            gx = np.ascontiguousarray(check_shape(gx, layout.n))
+        out = np.empty(layout.n)
+        code = project(layout.address, address(z), None if gx is None else address(gx), address(out))
+        if code:
+            raise_for(code, "project_blocks")
+        return out
 
-    def project_blocks_vjp(z, blocks, gx):
+    def project_blocks(z, layout):
+        """The C twin of ``_purepy.project_blocks``."""
+        return project_call(z, layout, None)
+
+    def project_blocks_vjp(z, layout, gx):
         """The C twin of ``_purepy.project_blocks_vjp``."""
-        return project_call(z, blocks, gx)
+        return project_call(z, layout, gx)
+
+    def sigmoid_project(state, layout):
+        """The C twin of ``_purepy.sigmoid_project``."""
+        if layout.n != state.n:
+            check_shape(state.z, layout.n)  # raises
+        x = np.empty(layout.n)
+        code = sigmoid(layout.address, state.address, address(x))
+        if code:
+            raise_for(code, "sigmoid_project")
+        return x
 
     def adam_ascend(theta, m, v, grad, lr, beta1, beta2, eps, t):
         """The C twin of ``_purepy.adam_ascend``: in place, byte for byte."""
@@ -258,7 +291,7 @@ def load() -> SimpleNamespace:
         rows = indptr.shape[0] - 1
         out = np.empty(5 + rows)
         pack_into("5q", out, 0, layout.kind, layout.n, layout.m, rows, indices.shape[0])
-        code = score(*layout.addresses, address(indptr), address(indices), buffer_address(out))
+        code = score(*layout.addresses, address(indptr), address(indices), _addressof(_char_at(out)))
         if code:
             raise_for(code, "score_rows")
         return out[5:]
@@ -268,7 +301,9 @@ def load() -> SimpleNamespace:
         gradient, byte for byte."""
         vptr, vidx, vval = vertex_rows
         wptr, widx, wval = functional_rows
-        T = tape_steps(p, q, a, vertex_rows, functional_rows, wx, fvals)
+        T = tape_steps(p, q, a, vertex_rows, functional_rows, wx)
+        if len(fvals) != T:
+            raise ValueError(BAD_TAPE)
         # The two buffers of the C function, laid out as _blocks.c says.
         f = np.concatenate((p, q, a, fvals, wx, vval, wval), dtype=np.float64)
         iw = np.concatenate((vptr, vidx, wptr, widx), dtype=np.int64)
@@ -279,30 +314,21 @@ def load() -> SimpleNamespace:
             raise_for(code, "backprop_blocks")
         return h[5:]
 
-    def ascend_blocks(state, blocks, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal, t):
+    def ascend_blocks(state, layout, tape, fvals, t):
         """The C twin of ``_purepy.ascend_blocks``: in place, byte for byte.
-        A tape whose arrays are views of the two buffers of one
-        ``decompose_blocks`` call, with the shared ones as vertex data, is
-        read where that call wrote it; any other tape is packed first."""
-        blocks, n, _, _ = layout_header(blocks)
-        if n != state.n:
-            check_shape(state.z, n)  # raises
-        T = tape_steps(p, q, a, vertex_rows, functional_rows, wx, fvals)
+        A tape that one ``decompose_blocks`` call recorded is read where
+        that call wrote it; any other tape is packed first."""
+        if layout.n != state.n:
+            check_shape(state.z, layout.n)  # raises
+        f, iw, fa, ia, words = tape.kernel or packed(tape)
         fvals = np.ascontiguousarray(fvals, dtype=np.float64)
-        written = kernel_buffers(p, q, a, vertex_rows, functional_rows, wx)
-        if written:
-            f, iw = written
-        else:
-            f = np.concatenate((p, q, a, wx, vertex_rows[2], functional_rows[2]), dtype=np.float64)
-            iw = np.concatenate((*vertex_rows[:2], *functional_rows[:2]), dtype=np.int64)
+        if fvals.shape != (words[0],):
+            raise ValueError(BAD_TAPE)
         # The step's words of the state's head, laid out as _blocks.c says.
-        pack_into("2d8q", state.buffer, 32, 1 - state.beta1**t, 1 - state.beta2**t, n, T, bool(terminal),
-                  len(vertex_rows[1]), len(functional_rows[1]), len(f), len(iw), bool(written))
-        code = ascend(address(blocks), address(f), address(iw), address(fvals), state.address)
+        pack_into("2d8q", state.buffer, 32, 1 - state.beta1**t, 1 - state.beta2**t, state.n, *words)
+        code = ascend(layout.address, fa, ia, address(fvals), state.address)
         if code == -4:
             raise ValueError("ascend_blocks: the tape's buffers do not fit their layout")
-        if code == -5:
-            raise ValueError(BAD_BLOCKS)
         if code:
             raise_for(code, "ascend_blocks")
 
@@ -408,30 +434,30 @@ def load() -> SimpleNamespace:
                            backprop_blocks=backprop_blocks, adam_ascend=adam_ascend,
                            max_flow=max_flow, label_stable_set=label_stable_set,
                            block_scan=block_scan, tight_blocks=tight_blocks,
-                           decompose_fstab=decompose_fstab, ascend_blocks=ascend_blocks)
+                           decompose_fstab=decompose_fstab, ascend_blocks=ascend_blocks,
+                           sigmoid_project=sigmoid_project)
 
 
-def kernel_buffers(p, q, a, vertex_rows, functional_rows, wx):
-    """The two buffers of the ``decompose_blocks`` call that recorded a tape,
-    when the tape's arrays are views of them and its vertex data are views
-    of the shared ones of ``core.ones`` (as a tape of one call is until
-    that array grows); None otherwise."""
-    f, iw = q.base, functional_rows[0].base
-    if (f is not None and iw is not None and p.base is f and a.base is f and wx.base is f
-            and functional_rows[2].base is f and vertex_rows[0].base is iw and vertex_rows[1].base is iw
-            and functional_rows[1].base is iw and vertex_rows[2].base is ones(0).base):
-        return f, iw
-    return None
+def packed(tape):
+    """A tape that no single ``decompose_blocks`` call recorded, packed as
+    ``caradec_ascend_blocks`` reads it: the record of ``Recorded``, with
+    layout word 0."""
+    d, (wptr, widx, wval) = tape.d, tape.functional_rows
+    vptr, vidx, vval = d.vertex_rows
+    T = tape_steps(d.p, tape.q, tape.a, d.vertex_rows, tape.functional_rows, tape.wx)
+    f = np.concatenate((d.p, tape.q, tape.a, tape.wx, vval, wval), dtype=np.float64)
+    iw = np.concatenate((vptr, vidx, wptr, widx), dtype=np.int64)
+    return f, iw, address(f), address(iw), (T, bool(tape.terminal), len(vidx), len(widx), len(f), len(iw), 0)
 
 
-def tape_steps(p, q, a, vertex_rows, functional_rows, wx, fvals) -> int:
+def tape_steps(p, q, a, vertex_rows, functional_rows, wx) -> int:
     """The steps T of a tape for the reverse pass, once every argument has T
     entries (T + 1 for the row pointers) and each row index its value
     (ValueError otherwise)."""
     T = len(p)
-    if not (len(q) == len(a) == len(wx) == len(fvals) == T == len(vertex_rows[0]) - 1 == len(functional_rows[0]) - 1
+    if not (len(q) == len(a) == len(wx) == T == len(vertex_rows[0]) - 1 == len(functional_rows[0]) - 1
             and len(vertex_rows[2]) == len(vertex_rows[1]) and len(functional_rows[2]) == len(functional_rows[1])):
-        raise ValueError("backprop_blocks needs T steps in every argument and one value per index")
+        raise ValueError(BAD_TAPE)
     return T
 
 

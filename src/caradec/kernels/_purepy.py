@@ -1,7 +1,7 @@
 """Pure-Python kernels: the references that the C kernels (``_blocks.c``)
 must match byte for byte, and the fallback when they cannot be built.
 
-``block_layout`` packs a box + per-block-sum polytope's blocks as the
+``BlockLayout`` holds a box + per-block-sum polytope's blocks as the
 block kernels read them.  ``project_blocks`` and ``project_blocks_vjp``
 are the mean-centred projection onto such a polytope and its pull-back.
 ``decompose_blocks`` checks a point of such a polytope and runs the
@@ -15,7 +15,7 @@ under a coverage or cut ``ScoreLayout``; ``backprop_blocks`` is the
 reverse pass of every family's gradient tape, ``adam_ascend`` is one
 Adam step, and ``ascend_blocks`` is the two of them with the projection's
 VJP in between, on an ``AdamState``: the reverse half of a block-family
-Adam step.
+Adam step, whose forward half starts with ``sigmoid_project``.
 ``max_flow`` is the max-flow of both graph oracles over a ``FlowLayout``,
 and ``label_stable_set`` reads the stable-set vertex off the residual
 graph of its double cover; ``block_scan`` and ``tight_blocks`` run the
@@ -33,12 +33,14 @@ from struct import pack_into
 
 import numpy as np
 
-from ..core import SUM_TOL, DecompositionConfig, MembershipError, check_box, check_shape, ones, peel
+from ..core import NONFINITE_VALUE, SUM_TOL, DecompositionConfig, MembershipError, check_box, check_shape, ones, peel
 
 BRANCH_MIN_IN = 0
 BRANCH_MAX_OUT = 1
 BRANCH_TERMINAL = 2
 BAD_BLOCKS = "block id or budget out of range"
+NOT_FINITE = "projection input must be finite"
+BAD_TAPE = "backprop_blocks needs T steps in every argument and one value per index"
 
 
 def sequential_sum(v) -> float:
@@ -70,37 +72,49 @@ def block_members(block_of, budgets):
     return np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
 
 
-def block_layout(block_of, budgets) -> np.ndarray:
-    """The blocks as every block kernel reads them, built once per spec:
-    the int64 array [n, nb, K, block_of[n], budgets[nb]], K the sum of the
-    budgets, once every block id lies in [0, nb) and every budget in [0,
-    block size] (ValueError otherwise)."""
-    block_members(block_of, budgets)
-    budgets = np.asarray(budgets, dtype=np.int64)
-    return np.concatenate(([len(block_of), budgets.shape[0], budgets.sum()], block_of, budgets), dtype=np.int64)
+class BlockLayout:
+    """The blocks of a box + per-block-sum polytope as every block kernel
+    reads them, built and checked once per spec: coordinate i lies in
+    block block_of[i], and block b has the budget budgets[b].  ``array`` is
+    the read-only int64 array [n, nb, K, block_of[n], budgets[nb]], K the
+    sum of the budgets, which the C kernels read at ``address`` and check
+    again; the pure kernels read ``members``.  ValueError unless every
+    block id lies in [0, nb) and every budget in [0, block size]."""
 
+    def __init__(self, block_of, budgets):
+        members = block_members(block_of, budgets)
+        budgets = np.asarray(budgets, dtype=np.int64)
+        self.__setstate__({"array": np.concatenate(([len(block_of), budgets.shape[0], budgets.sum()], block_of,
+                                                    budgets), dtype=np.int64)})
+        self.members = members
 
-def layout_header(blocks):
-    """(blocks, n, nb, K) of a block layout, blocks as an int64 array, once
-    its length is that of its header (ValueError otherwise).  The kernels
-    check the ids, the budgets and K."""
-    blocks = np.asarray(blocks, dtype=np.int64)
-    if blocks.ndim != 1 or blocks.shape[0] < 3:
-        raise ValueError(BAD_BLOCKS)
-    n, nb, K = blocks[:3].tolist()
-    if not (0 <= n and 0 <= nb and blocks.shape[0] == 3 + n + nb):
-        raise ValueError(BAD_BLOCKS)
-    return blocks, n, nb, K
+    @cached_property
+    def members(self) -> list:
+        """Each block's coordinates in index order (ValueError as for the
+        constructor)."""
+        return block_members(self.block_of, self.budgets)
 
+    @cached_property
+    def address(self) -> int:
+        """The address of ``array``'s data."""
+        return self.array.ctypes.data
 
-def _read_layout(blocks):
-    """(n, block_of, budgets, members) of a block layout, checked."""
-    blocks, n, nb, K = layout_header(blocks)
-    block_of, budgets = blocks[3 : 3 + n], blocks[3 + n :]
-    members = block_members(block_of, budgets)
-    if K != sum(budgets.tolist()):
-        raise ValueError(BAD_BLOCKS)
-    return n, block_of, budgets, members
+    def __getstate__(self):
+        # A copy or an unpickled layout has its own array, at another
+        # address, and is checked on first use.
+        return {"array": self.array}
+
+    def __setstate__(self, state):
+        """Takes an array as the layout without the constructor's checks of
+        the ids and budgets, once its length is that of its header and K,
+        in [0, n], is the sum of the budgets (ValueError otherwise)."""
+        array = state["array"]
+        ok = array.ndim == 1 and array.dtype == np.int64 and array.shape[0] >= 3
+        n, nb, K = array[:3].tolist() if ok else (-1, -1, -1)
+        if not (ok and 0 <= K <= n and nb >= 0 and array.shape[0] == 3 + n + nb and K == array[3 + n :].sum()):
+            raise ValueError(BAD_BLOCKS)
+        array.flags.writeable = False
+        self.__dict__.update(array=array, n=n, nb=nb, K=K, block_of=array[3 : 3 + n], budgets=array[3 + n :])
 
 
 def _block_scales(zb, k):
@@ -121,17 +135,26 @@ def _block_scales(zb, k):
     return m, s2, ((ni - k) / ni) / ((1.0 - m) * (1.0 - m))
 
 
-def project_blocks(z, blocks) -> np.ndarray:
+def _read_z(z, layout: BlockLayout):
+    """layout's members and z as a float array, once z has its n entries
+    (DimensionError) and each is finite (ValueError)."""
+    z = check_shape(z, layout.n)
+    members = layout.members
+    if not np.isfinite(z).all():
+        raise ValueError(NOT_FINITE)
+    return members, z
+
+
+def project_blocks(z, layout: BlockLayout) -> np.ndarray:
     """Mean-centred scaling of each block of z onto its budget k: x = s (z -
     m) + k/ni with m the block mean and s = min(k/(ni m), (ni - k)/(ni (1 -
     m))); a degenerate block (budget 0 or full, or mean outside (0, 1)) maps
     to its centre k/ni, and an empty block is skipped.  The mean adds the
-    block's z in index order from 0.0.  blocks is a block_layout; z's
-    entries are not checked."""
-    n, _, budgets, members = _read_layout(blocks)
-    z = check_shape(z, n)
+    block's z in index order from 0.0.  ValueError for an entry of z that
+    is not finite; other entries are not checked."""
+    members, z = _read_z(z, layout)
     x = np.empty_like(z)
-    for idx, k in zip(members, budgets.tolist()):
+    for idx, k in zip(members, layout.budgets.tolist()):
         if not idx.size:
             continue
         zb = z[idx]
@@ -144,16 +167,15 @@ def project_blocks(z, blocks) -> np.ndarray:
     return x
 
 
-def project_blocks_vjp(z, blocks, gx) -> np.ndarray:
-    """dF/dz for dF/dx = gx at x = project_blocks(z, blocks): on a block,
+def project_blocks_vjp(z, layout: BlockLayout, gx) -> np.ndarray:
+    """dF/dz for dF/dx = gx at x = project_blocks(z, layout): on a block,
     s (g - mean g) + (ds/ni) g.(z - m), with ds the derivative of s in m;
     0.0 on a degenerate block.  Both the mean of g and the dot product add
     in index order from 0.0."""
-    n, _, budgets, members = _read_layout(blocks)
-    z = check_shape(z, n)
-    gx = check_shape(gx, n)
+    members, z = _read_z(z, layout)
+    gx = check_shape(gx, layout.n)
     out = np.zeros_like(z)
-    for idx, k in zip(members, budgets.tolist()):
+    for idx, k in zip(members, layout.budgets.tolist()):
         if not idx.size:
             continue
         zb = z[idx]
@@ -193,18 +215,19 @@ def adam_ascend(theta, m, v, grad, lr, beta1, beta2, eps, t):
 
 
 class AdamState:
-    """theta and the two Adam moments of one run, with the step's z, in one
-    float64 buffer made once per run, which the C kernels read at
+    """theta and the two Adam moments of one run, with the step's z and e, in
+    one float64 buffer made once per run, which the C kernels read at
     ``address``: lr, beta1, beta2, eps, c1, c2, n and seven more words of
-    a step's header, then theta[n], m[n], v[n] and z[n].  ``theta``, ``m``,
-    ``v`` and ``z`` are views of the buffer, theta and the moments start at
-    0, and the head keeps the buffer non-empty at n = 0."""
+    a step's header, then theta[n], m[n], v[n], z[n] and e[n].  ``theta``,
+    ``m``, ``v``, ``z`` and ``e`` are views of the buffer, theta and the
+    moments start at 0, and the head keeps the buffer non-empty at n = 0.
+    ``ascend_blocks`` leaves -|theta| in e, for the exp of ``sigmoid_project``."""
 
     HEAD = 14
 
     def __init__(self, n: int, lr: float, beta1: float, beta2: float, eps: float):
         self.n, self.lr, self.beta1, self.beta2, self.eps = n, lr, beta1, beta2, eps
-        self.buffer = np.zeros(self.HEAD + 4 * n)
+        self.buffer = np.zeros(self.HEAD + 5 * n)
         pack_into("6dq", self.buffer, 0, lr, beta1, beta2, eps, 0.0, 0.0, n)
         self.__setstate__(self.__getstate__())
 
@@ -220,35 +243,45 @@ class AdamState:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.theta, self.m, self.v, self.z = np.split(self.buffer[self.HEAD :], 4)
+        self.theta, self.m, self.v, self.z, self.e = np.split(self.buffer[self.HEAD :], 5)
 
 
-def ascend_blocks(state: AdamState, blocks, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal, t):
+def sigmoid_project(state: AdamState, layout: BlockLayout) -> np.ndarray:
+    """The step's z = sigmoid(theta), written to state.z, and a fresh
+    x = project_blocks(z, layout), where state.e holds exp(-|theta|):
+    z = (theta >= 0 ? 1 : e)/(1 + e), the expressions of ``solvers._sigmoid``."""
+    np.divide(np.where(state.theta >= 0, 1.0, state.e), 1.0 + state.e, out=state.z)
+    return project_blocks(state.z, layout)
+
+
+def ascend_blocks(state: AdamState, layout: BlockLayout, tape, fvals, t):
     """The reverse half of Adam step t of ``direct_optimize`` on a box-plus-sum
     spec, in place on state's theta and moments: the reverse pass of
-    ``backprop_blocks`` over a tape with vertex values fvals, then
-    ``project_blocks_vjp`` at state.z under the block layout blocks, the
-    sigmoid's chain rule g = (gz z) (1 - z), and ``adam_ascend`` with the
-    state's lr, betas and eps."""
-    gx = backprop_blocks(state.n, p, q, a, vertex_rows, functional_rows, wx, fvals, terminal)
+    ``backprop_blocks`` over the ``core.GradientTape`` tape with vertex
+    values fvals, then ``project_blocks_vjp`` at state.z, the sigmoid's
+    chain rule g = (gz z) (1 - z), and ``adam_ascend`` with the state's lr,
+    betas and eps; then -|theta| into state.e."""
+    d = tape.d
+    gx = backprop_blocks(state.n, d.p, tape.q, tape.a, d.vertex_rows, tape.functional_rows, tape.wx, fvals,
+                         tape.terminal)
     z = state.z
-    gz = project_blocks_vjp(z, blocks, gx)
+    gz = project_blocks_vjp(z, layout, gx)
     adam_ascend(state.theta, state.m, state.v, gz * z * (1.0 - z), state.lr, state.beta1, state.beta2, state.eps,
                 t)
+    np.copysign(state.theta, -1.0, out=state.e)
 
 
 def decompose_blocks(
     x0: np.ndarray,
-    blocks: np.ndarray,
+    layout: BlockLayout,
     scale: float,
     floor: float,
     eps: float,
     max_iter: int,
     guard: float,
 ):
-    """Decompose a point x0 of the box + per-block-sum polytope of the block
-    layout blocks into per-block top-k vertices, with the rows of its
-    gradient tape.
+    """Decompose a point x0 of the box + per-block-sum polytope of layout
+    into per-block top-k vertices, with the rows of its gradient tape.
 
     x0 is checked first: DimensionError for a shape other than (n,),
     MembershipError for NaN, infinities, entries outside [0, 1] by more
@@ -275,8 +308,9 @@ def decompose_blocks(
     a running sum of squares of y, summed afresh whenever it falls below a
     quarter of its last exact value; the C kernel repeats every operation.
     """
-    n, block_of, budgets, members = _read_layout(blocks)
+    n, block_of, budgets = layout.n, layout.block_of, layout.budgets
     x = check_shape(x0, n)
+    members = layout.members
     check_box(x)
     for idx, k in zip(members, budgets.tolist()):
         s = sequential_sum(x[idx])
@@ -564,6 +598,8 @@ def backprop_blocks(n, p, q, a, vertex_rows, functional_rows, wx, fvals, termina
     (D - g.v_t + q_t f_t (1 - a_t) - R)/(1 - a_t), g <- g/(1 - a_t) + c_t w_t,
     and D <- D + a_t (g.v_t)/(1 - a_t) + c_t wx_t.  No iterate is needed, and
     g = S*h under a lazy scale S <= 1/guard makes a step O(|v_t| + |w_t|).
+    ValueError for a vertex value that is not finite, after the rows'
+    checks.
 
     Each g.v_t is added left to right from 0.0 by reduce(add, ...), as the
     C twin's loop adds it.  sum() would not do: from Python 3.12 it
@@ -575,6 +611,10 @@ def backprop_blocks(n, p, q, a, vertex_rows, functional_rows, wx, fvals, termina
     vptr, vidx = check_rows(vptr, vidx, n)
     wptr, widx = check_rows(wptr, widx, n)
     fvals = np.asarray(fvals, dtype=np.float64)
+    if fvals.shape != p.shape:
+        raise ValueError(BAD_TAPE)
+    if not np.isfinite(fvals).all():
+        raise ValueError(NONFINITE_VALUE)
     pf = (p * fvals).tolist()
     qf = (q * fvals).tolist()
     om = (1.0 - a).tolist()

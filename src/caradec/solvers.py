@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .core import ConstraintSpec, Decomposition, DecompositionConfig, VertexSet
+from .core import NONFINITE_VALUE, ConstraintSpec, Decomposition, DecompositionConfig, VertexSet
 from .extension import (
     SetObjective,
     backprop_extension,
@@ -137,16 +137,22 @@ def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> 
     """Adam ascent on F(project(sigmoid(theta))) with periodic rounding;
     returns the best integral set seen (incumbent) and the extension value
     at the final iterate.  A spec with an ``ascend`` method (the block
-    families) runs a step's reverse pass, projection VJP, sigmoid chain
-    rule and Adam update in that one call; the others run them stage by
-    stage."""
+    families) forms a step's point from e = exp(-|theta|) with its
+    ``sigmoid_project`` (the one exp is numpy's, on the e that the last
+    step left in the Adam state), and runs the step's reverse pass,
+    projection VJP, sigmoid chain rule and Adam update in that one call;
+    the others run them stage by stage.  ValueError when f is not finite
+    at a vertex, before theta moves by that value."""
     t0 = time.perf_counter()
     rng = stream(cfg.seed, "direct-optimize")
     adam = Adam(c.dim, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    theta, z = adam.state.theta, adam.state.z
+    state = adam.state
+    theta, z, e = state.theta, state.z, state.e
     if cfg.init == "random":
         theta[:] = cfg.init_scale * rng.standard_normal(c.dim)
     ascend = getattr(c, "ascend", None)
+    if ascend is not None:
+        np.copysign(theta, -1.0, out=e)
     incumbent: tuple[VertexSet, float] | None = None
 
     def consider(d: Decomposition, fvals):
@@ -157,8 +163,12 @@ def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> 
             incumbent = (d.vertex(t), float(fvals[t]))
 
     for step in range(cfg.steps + 1):
-        _sigmoid(theta, out=z)
-        x, vjp = project_point(z, c)
+        if ascend is None:
+            _sigmoid(theta, out=z)
+            x, vjp = project_point(z, c)
+        else:
+            np.exp(e, out=e)
+            x = c.sigmoid_project(state)
         d, tape = decompose_with_tape(x, c, cfg.decomposition)
         # One objective call per vertex, shared by F, rounding and backprop.
         fvals = vertex_values(d, f)
@@ -168,11 +178,13 @@ def direct_optimize(f: SetObjective, c: ConstraintSpec, cfg: OptimizeConfig) -> 
             break
         if ascend is not None:
             adam.t += 1
-            ascend(adam.state, tape, fvals, adam.t)
+            ascend(state, tape, fvals, adam.t)
         else:
             gz = vjp(backprop_extension(tape, f, fvals))
             adam.ascend(theta, gz * z * (1.0 - z))
-    # Only the last step's F is returned.
+    # Only the last step's F is returned; no kernel has read its values.
+    if not np.isfinite(fvals).all():
+        raise ValueError(NONFINITE_VALUE)
     F = evaluate_extension(d, f, fvals)
     ms = (time.perf_counter() - t0) * 1e3
     if incumbent is None:

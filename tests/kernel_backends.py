@@ -15,7 +15,7 @@ HAVE_CC = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0]) is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
 KERNELS = ("decompose_blocks", "project_blocks", "project_blocks_vjp", "score_rows", "backprop_blocks",
            "adam_ascend", "max_flow", "label_stable_set", "block_scan", "tight_blocks", "decompose_fstab",
-           "ascend_blocks")
+           "ascend_blocks", "sigmoid_project")
 BACKENDS = (pytest.param("pure"), pytest.param("compiled", marks=needs_cc))
 
 

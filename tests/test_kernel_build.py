@@ -120,3 +120,25 @@ def test_kernel_source_builds_without_warnings(tmp_path):
     cmd = [*cc, *CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(SOURCE), "-lm"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_signatures_match_the_c_definitions():
+    """SIGNATURES lists exactly the non-static caradec_* functions that
+    _blocks.c defines, each with its number of arguments, all of them
+    pointers (ctypes passes each as a void pointer), and an int or void
+    return: a wrong arity would otherwise pass silently."""
+    import ctypes
+    import re
+
+    from caradec.kernels._compiled import SIGNATURES, SOURCE
+
+    text = re.sub(r"/\*.*?\*/", "", SOURCE.read_text(), flags=re.S)
+    defined = {}
+    for ret, name, params in re.findall(r"^(\w[\w ]*?)\s+caradec_(\w+)\(([^)]*)\)\s*\{", text, flags=re.M):
+        assert "static" not in ret.split(), name
+        args = [p.strip() for p in params.split(",") if p.strip() not in ("", "void")]
+        assert all("*" in a for a in args), (name, args)
+        defined[name] = ({"int": ctypes.c_int, "void": None}[ret], len(args))
+    assert defined == SIGNATURES
+    # No static function takes the prefix, which names the entry points.
+    assert not re.search(r"^static\b[^(]*\bcaradec_", text, flags=re.M)

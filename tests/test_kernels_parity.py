@@ -7,6 +7,7 @@ per-element selection loop kept in ``reference_loops`` as its reference.
 The C kernels' tests skip only when no C compiler exists."""
 
 import copy
+import dataclasses
 import functools
 import math
 
@@ -15,11 +16,14 @@ import pytest
 from kernel_backends import available, compiled, flat, implementation, needs_cc, use
 from reference_loops import as_kernel_outputs, reference_decompose_blocks, reference_divided_blocks
 
+from caradec import kernels
 from caradec.core import (
     Cardinality,
+    Decomposition,
     DecompositionConfig,
     DimensionError,
     FractionalStableSet,
+    GradientTape,
     GraphicMatroid,
     MembershipError,
     PartitionMatroid,
@@ -30,11 +34,11 @@ from caradec.fstab import project_to_fstab
 from caradec.generators import gen_er_graph, gen_random_uniform
 from caradec.graphs import Graph
 from caradec.hypersimplex import kernel_decomposition, kernel_tape, project_to_partition_polytope
-from caradec.kernels import ScoreLayout, _compiled, _purepy, block_layout
+from caradec.kernels import BlockLayout, ScoreLayout, _compiled, _purepy
 from caradec.matroids import spanning_tree_marginals
 from caradec.objectives import CoverageObjective
 from caradec.rng import stream
-from caradec.solvers import OptimizeConfig, ScaleSchedule, solve_pipeline
+from caradec.solvers import OptimizeConfig, ScaleSchedule, _sigmoid, project_point, solve_pipeline
 
 def compiled_decompose_blocks():
     return compiled().decompose_blocks
@@ -50,9 +54,17 @@ def assert_bytes_equal(got, want):
         assert g.tobytes() == w.tobytes(), i
 
 
+def forged(array) -> BlockLayout:
+    """A BlockLayout around array without the constructor's checks of the
+    ids, the budgets and K, as an unpickled layout is taken."""
+    layout = BlockLayout.__new__(BlockLayout)
+    layout.__setstate__({"array": np.array(array, dtype=np.int64)})
+    return layout
+
+
 def kernel_args(x, block_of, budgets, *rest):
     """A reference loop's arguments as the kernels take them."""
-    return (x, block_layout(block_of, budgets), *rest)
+    return (x, BlockLayout(block_of, budgets), *rest)
 
 
 def assert_compiled_matches_pure(*args):
@@ -133,9 +145,10 @@ class TestRescaledParity:
             assert_compiled_matches_pure(x, block_of, budgets, 0.02, 0.0, 0.0, max_iter, 1e-300)
 
     def test_out_of_range_blocks_and_budgets_are_refused(self):
-        """block_layout refuses bad blocks, and the kernels refuse a layout
-        made without it: a bad id or budget, a K that is not the sum of the
-        budgets, or a length other than the header's."""
+        """BlockLayout refuses bad blocks, and the kernels refuse a layout
+        taken without its checks of the ids and budgets (as an unpickled one
+        is): a bad id or budget.  Taking one refuses a K that is not the
+        sum of the budgets and a length other than the header's."""
         x = np.full(4, 0.5)
         bad = [(np.array([4, 2, 2, 0, 0, 1, 2, 1, 1]), (([0, 0, 1, 2], [1, 1]))),
                (np.array([4, 2, 2, 0, 0, 1, -1, 1, 1]), ([0, 0, 1, -1], [1, 1])),
@@ -144,15 +157,25 @@ class TestRescaledParity:
                (np.array([4, 2, 3, 0, 0, 1, 1, 1, 1]), None),
                (np.array([4, 2, 2, 0, 0, 1, 1, 1]), None),
                (np.array([4, 2, 2, 0, 0, 1, 1, 1, 1, 0]), None)]
-        for layout, blocks in bad:
+        for array, blocks in bad:
             if blocks is not None:
                 with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
-                    block_layout(*blocks)
+                    BlockLayout(*blocks)
+            if array.shape[0] != 3 + array[0] + array[1] or array[2] != array[3 + array[0] :].sum():
+                with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
+                    forged(array)
+                continue
+            layout = forged(array)
             for impl in (_purepy, compiled()):
                 with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
                     impl.decompose_blocks(x, layout, 1.0, 0.0, 0.0, 5, 1e-12)
                 with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
                     impl.project_blocks(x, layout)
+                with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
+                    impl.project_blocks_vjp(x, layout, x)
+                state = _purepy.AdamState(4, 0.015, 0.9, 0.999, 1e-8)
+                with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
+                    impl.sigmoid_project(state, layout)
 
 
 def scattered_blocks(rng, n=24):
@@ -353,7 +376,7 @@ def test_compiled_cardinality_10000_meets_the_contract():
     point and sums to mass 1."""
     block_of, budgets = np.zeros(10_000, dtype=np.int32), np.array([10])
     x = projected_point(np.random.default_rng(31), block_of, budgets)
-    out = compiled_decompose_blocks()(x, block_layout(block_of, budgets), 1.0, 0.0, 0.0, 10_001, 1e-12)
+    out = compiled_decompose_blocks()(x, BlockLayout(block_of, budgets), 1.0, 0.0, 0.0, 10_001, 1e-12)
     rep = validate_decomposition(kernel_decomposition(out), Cardinality(10_000, 10), x)
     assert out[8] and rep.ok(), rep.messages
 
@@ -570,7 +593,7 @@ def projection_cases():
 def test_projection_and_vjp_parity():
     rng = np.random.default_rng(72)
     for z, block_of, budgets in projection_cases():
-        blocks = block_layout(block_of, budgets)
+        blocks = BlockLayout(block_of, budgets)
         want = _purepy.project_blocks(z, blocks)
         got = compiled().project_blocks(z, blocks)
         assert_bytes_equal((got,), (want,))
@@ -587,7 +610,7 @@ def test_projection_of_empty_and_degenerate_blocks(backend):
     block_of = np.array([0, 2, 0, 2, 3, 3, 3], dtype=np.int32)
     budgets = np.array([1, 0, 1, 3, 0])
     z = np.array([0.2, 0.0, 0.6, 0.0, 0.3, 0.9, 0.6])
-    blocks = block_layout(block_of, budgets)
+    blocks = BlockLayout(block_of, budgets)
     x = impl.project_blocks(z, blocks)
     # Block 0 (mean 0.4, k = 1 of 2) scales by s = min(0.5/0.4, 0.5/0.6);
     # block 2 (mean 0) and block 3 (k = n) map to their centres; blocks 1
@@ -606,12 +629,12 @@ def test_block_sums_are_sequential(backend):
     impl = implementation(backend)
     block_of, budgets = np.zeros(3, dtype=np.int32), np.array([1])
     # The mean is (1e16 + 1.0 - 1e16)/3 = 0 in order, 1/3 exactly: degenerate.
-    assert impl.project_blocks([1e16, 1.0, -1e16], block_layout(block_of, budgets)).tolist() == [1 / 3] * 3
+    assert impl.project_blocks([1e16, 1.0, -1e16], BlockLayout(block_of, budgets)).tolist() == [1 / 3] * 3
     # Block 1 sits in between, so the sums run in index order, not in the
     # order of the block's list.
     block_of = np.array([0, 1, 0, 0], dtype=np.int32)
     z, gx = np.array([0.5, 0.3, 0.25, 0.25]), np.array([1e16, 7.0, 1.0, -1e16])
-    got = impl.project_blocks_vjp(z, block_layout(block_of, [1, 0]), gx)
+    got = impl.project_blocks_vjp(z, BlockLayout(block_of, [1, 0]), gx)
     m = (0.5 + 0.25) + 0.25
     m, ni = m / 3, 3
     s = ((ni - 1) / ni) / (1.0 - m)
@@ -693,7 +716,7 @@ def block_tapes():
     ]
     out = []
     for label, block_of, budgets, x, scale, floor, eps, cap in cases:
-        blocks = block_layout(block_of, budgets)
+        blocks = BlockLayout(block_of, budgets)
         for backend in available():
             res = implementation(backend).decompose_blocks(x, blocks, scale, floor, eps, cap, 1e-300 if
                                                            label == "several-calls" else 1e-12)
@@ -710,17 +733,22 @@ def adam_state(rng, n):
     return state
 
 
-def ascend_args(state, blocks, tape, fvals, t):
+def hand_built(tape, vertex_rows=None) -> GradientTape:
+    """tape as a caller would build it, with no record of a kernel call:
+    the same arrays, or other vertex rows."""
     d = tape.d
-    return (state, blocks, d.p, tape.q, tape.a, d.vertex_rows, tape.functional_rows, tape.wx, fvals,
-            tape.terminal, t)
+    if vertex_rows is not None:
+        d = Decomposition.from_rows(d.p, vertex_rows, d.n, d.residual)
+    return GradientTape(d, tape.q, tape.a, tape.terminal, tape.x0, tape.functional_rows, tape.wx)
 
 
 @needs_cc
 def test_ascend_blocks_parity_on_recorded_tapes():
     """The fused kernel's C and pure twins leave the same theta, m and v
     bytes, and those of the three stage kernels run one after the other,
-    on tapes that either backend recorded."""
+    on tapes that either backend recorded; the C kernel reads a tape of
+    one call in place, and the same tape built by hand (packed) gives the
+    same bytes.  Both leave -|theta| in e."""
     rng = np.random.default_rng(82)
     labels, terminal_only = set(), False
     for label, blocks, recorder, tape in block_tapes():
@@ -728,16 +756,15 @@ def test_ascend_blocks_parity_on_recorded_tapes():
         T, n = len(tape.d.p), tape.d.n
         terminal_only |= T == 1 and tape.terminal
         # A compiled tape of one call is read in place, any other packed.
-        in_place = _compiled.kernel_buffers(tape.d.p, tape.q, tape.a, tape.d.vertex_rows, tape.functional_rows,
-                                            tape.wx)
-        assert (in_place is not None) == (recorder == "compiled" and label != "several-calls"), label
+        assert (tape.kernel is not None) == (recorder == "compiled" and label != "several-calls"), label
         for t in (1, 2, 151):
             fvals = (10.0 ** rng.integers(-4, 5, T)) * rng.standard_normal(T)
             start = adam_state(rng, n)
             states = []
-            for impl in (_purepy, compiled()):
+            for impl, used in ((_purepy, tape), (compiled(), tape), (compiled(), hand_built(tape))):
                 state = copy.deepcopy(start)
-                impl.ascend_blocks(*ascend_args(state, blocks, tape, fvals, t))
+                impl.ascend_blocks(state, blocks, used, fvals, t)
+                assert state.e.tobytes() == np.copysign(state.theta, -1.0).tobytes()
                 states.append(state)
             for impl in (_purepy, compiled()):
                 state = copy.deepcopy(start)
@@ -757,27 +784,32 @@ def test_ascend_blocks_parity_on_recorded_tapes():
 def test_ascend_blocks_refuses_bad_input_and_keeps_its_state(backend):
     impl = implementation(backend)
     rng = np.random.default_rng(83)
-    label, blocks, _, tape = next(case for case in block_tapes() if case[0] == "card-exact")
-    T, n = len(tape.d.p), tape.d.n
-    start = adam_state(rng, n)
-    args = ascend_args(copy.deepcopy(start), blocks, tape, np.ones(T), 1)
-    vptr, vidx, vval = tape.d.vertex_rows
-    bad_idx = vidx.copy()
-    bad_idx[3] = n
-    bad_layout = blocks.copy()
-    bad_layout[3] = 5
-    wrong = [
-        (IndexError, 5, (vptr, bad_idx, vval)),
-        (ValueError, 1, bad_layout),
-        (DimensionError, 1, block_layout(np.zeros(n + 1, dtype=np.int32), [7])),
-    ]
-    for exc, at, value in wrong:
-        bad = list(args)
-        bad[at] = value
-        with pytest.raises(exc):
-            impl.ascend_blocks(*bad)
-        state = bad[0]
-        assert_bytes_equal((state.theta, state.m, state.v), (start.theta, start.m, start.v))
+    for label, blocks, recorder, tape in block_tapes():
+        if label != "card-exact":
+            continue
+        T, n = len(tape.d.p), tape.d.n
+        start = adam_state(rng, n)
+        start.e[:] = rng.standard_normal(n)
+        vptr, vidx, vval = tape.d.vertex_rows
+        bad_idx = vidx.copy()
+        bad_idx[3] = n
+        bad_layout = blocks.array.copy()
+        bad_layout[3] = 5
+        nan_at_one = np.ones(T)
+        nan_at_one[T // 2] = np.nan
+        wrong = [
+            (IndexError, "index", (blocks, hand_built(tape, (vptr, bad_idx, vval)), np.ones(T))),
+            (ValueError, _purepy.BAD_BLOCKS, (forged(bad_layout), tape, np.ones(T))),
+            (DimensionError, "shape", (BlockLayout(np.zeros(n + 1, dtype=np.int32), [7]), tape, np.ones(T))),
+            (ValueError, "non-finite", (blocks, tape, nan_at_one)),
+            (ValueError, "non-finite", (blocks, tape, np.full(T, -np.inf))),
+            (ValueError, "T steps", (blocks, tape, np.ones(T + 1))),
+        ]
+        for exc, match, (layout, used, fvals) in wrong:
+            state = copy.deepcopy(start)
+            with pytest.raises(exc, match=match):
+                impl.ascend_blocks(state, layout, used, fvals, 1)
+            assert_bytes_equal((state.theta, state.m, state.v, state.e), (start.theta, start.m, start.v, start.e))
 
 
 # ---------------------------------------------------------------------------
@@ -829,5 +861,125 @@ def test_entry_clips_within_tolerance(backend):
     run; -0.0 stays -0.0, as the clip is written to keep it."""
     impl = implementation(backend)
     x = np.array([-5e-10, 1.0 + 5e-10, -0.0, 1.0])
-    out = impl.decompose_blocks(x, block_layout([0, 0, 1, 1], [1, 1]), 1.0, 0.0, 0.0, 5, 1e-12)
+    out = impl.decompose_blocks(x, BlockLayout([0, 0, 1, 1], [1, 1]), 1.0, 0.0, 0.0, 5, 1e-12)
     assert out[6].tolist() == [0.0, 1.0, 0.0, 1.0] and np.signbit(out[6][2]) and x[0] == -5e-10
+
+
+# ---------------------------------------------------------------------------
+# The forward half of a block-family Adam step: the sigmoid and projection
+
+
+def sigmoid_draws(rng, n):
+    """theta draws with +-0, large |theta| (exp(-|theta|) subnormal or 0)
+    and ordinary values, in random order."""
+    theta = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)
+    special = np.array([0.0, -0.0, 709.0, -709.0, 720.0, -730.0, 745.5, -800.0, 1e300, -1e300, 5e-324])
+    pick = rng.random(n) < 0.3
+    theta[pick] = rng.choice(special, int(pick.sum()))
+    return theta
+
+
+def sigmoid_state(theta):
+    """An AdamState at theta whose e holds exp(-|theta|), as direct_optimize
+    leaves it before sigmoid_project: -|theta| by copysign, then numpy's exp
+    in place."""
+    state = _purepy.AdamState(theta.shape[0], 0.015, 0.9, 0.999, 1e-8)
+    state.theta[:] = theta
+    np.copysign(state.theta, -1.0, out=state.e)
+    np.exp(state.e, out=state.e)
+    return state
+
+
+def test_sigmoid_project_matches_sigmoid_then_projection():
+    """At every n from 0 to 70 (numpy's exp runs SIMD lanes with tails), z
+    has the bits of solvers._sigmoid and x those of project_blocks on it, on
+    every backend."""
+    rng = np.random.default_rng(91)
+    for n in range(71):
+        for _ in range(3):
+            block_of, budgets = scattered_blocks(rng, n)
+            layout = BlockLayout(block_of, budgets)
+            theta = sigmoid_draws(rng, n)
+            z = _sigmoid(theta)
+            want = _purepy.project_blocks(z, layout)
+            for impl in map(implementation, available()):
+                state = sigmoid_state(theta)
+                x = impl.sigmoid_project(state, layout)
+                assert state.z.tobytes() == z.tobytes() and x.tobytes() == want.tobytes(), n
+                assert x.base is None or x.base is not state.buffer
+
+
+def test_sigmoid_of_the_state_on_many_draws():
+    """On 240,000 draws (with +-0, subnormal and zero exps) the exp taken in
+    place on the state's e, and the sigmoid formed from it, keep the bits
+    of solvers._sigmoid."""
+    rng = np.random.default_rng(92)
+    theta = sigmoid_draws(rng, 240_000)
+    assert (np.exp(np.copysign(theta, -1.0)) == 0.0).any()
+    e = np.exp(np.copysign(theta, -1.0))
+    assert ((e > 0.0) & (e < np.finfo(float).tiny)).any()
+    layout = BlockLayout(np.zeros(theta.shape[0], dtype=np.int32), [1000])
+    z = _sigmoid(theta)
+    for impl in map(implementation, available()):
+        state = sigmoid_state(theta)
+        impl.sigmoid_project(state, layout)
+        assert state.z.tobytes() == z.tobytes()
+
+
+def test_block_layout_is_checked_once_and_read_only():
+    layout = BlockLayout(np.array([0, 1, 0, 1, 2], dtype=np.int32), [1, 2, 0])
+    assert (layout.n, layout.nb, layout.K) == (5, 3, 3)
+    assert layout.array.tolist() == [5, 3, 3, 0, 1, 0, 1, 2, 1, 2, 0]
+    for view in (layout.array, layout.block_of, layout.budgets):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1
+    for block_of, budgets in (([0, 3], [1, 1]), ([0, -1], [1, 1]), ([0, 0, 1], [3, 0]), ([0, 1], [1, -1])):
+        with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
+            BlockLayout(np.array(block_of, dtype=np.int32), budgets)
+    # A K that is not the sum of the budgets never reaches a kernel.
+    for array in ([2, 1, 3, 0, 0, 1], [2, 1, -1, 0, 0, 1], [2, 1, 1, 0, 0, 2], [2, 1, 3, 0, 0, 3]):
+        with pytest.raises(ValueError, match=_purepy.BAD_BLOCKS):
+            forged(array)
+    copy_ = copy.deepcopy(layout)
+    assert copy_.array.tobytes() == layout.array.tobytes() and copy_.address != layout.address
+    assert not copy_.array.flags.writeable
+
+
+@pytest.mark.parametrize("backend", available())
+@pytest.mark.parametrize("spec", [Cardinality(4, 2), PartitionMatroid([(0, 3), (1, 2)], [1, 1])],
+                         ids=["cardinality", "partition"])
+def test_block_projections_refuse_non_finite_input(monkeypatch, backend, spec):
+    """As the graph projections do, with their message."""
+    use(monkeypatch, backend)
+    z = np.array([0.2, 0.7, 0.4, 0.9])
+    for bad in (np.nan, np.inf, -np.inf):
+        y = z.copy()
+        y[0] = bad
+        for call in (lambda: project_point(y, spec), lambda: kernels.project_blocks_vjp(y, spec.layout, z)):
+            with pytest.raises(ValueError, match="^projection input must be finite$"):
+                call()
+    # The sigmoid maps +-inf to 1 and 0, and NaN to NaN.
+    state = sigmoid_state(np.array([np.nan, 0.5, -2.0, 1.0]))
+    with pytest.raises(ValueError, match="^projection input must be finite$"):
+        kernels.sigmoid_project(state, spec.layout)
+    x, _ = project_point(z, spec)
+    assert np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("backend", available())
+def test_backprop_refuses_non_finite_vertex_values(backend):
+    impl = implementation(backend)
+    tape = next(case[3] for case in block_tapes() if case[0] == "card-exact" and case[2] == backend)
+    T = len(tape.d.p)
+    for bad in (np.nan, np.inf, -np.inf):
+        fvals = np.ones(T)
+        fvals[-1] = bad
+        with pytest.raises(ValueError, match="objective returned a non-finite value"):
+            impl.backprop_blocks(*backprop_args(tape, fvals))
+
+
+def test_tapes_refuse_assignment():
+    for label, _, _, tape in block_tapes()[:2]:
+        for name in ("q", "kernel", "d"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tape, name, None)

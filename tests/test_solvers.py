@@ -8,7 +8,14 @@ import pytest
 from kernel_backends import available, use
 from reference_loops import reference_local_improve
 
-from caradec.core import Cardinality, FractionalStableSet, GraphicMatroid, PartitionMatroid, VertexSet
+from caradec.core import (
+    Cardinality,
+    FractionalStableSet,
+    GraphicMatroid,
+    MembershipError,
+    PartitionMatroid,
+    VertexSet,
+)
 from caradec import kernels, solvers
 from caradec.extension import (
     CallableObjective,
@@ -244,6 +251,64 @@ def counted(calls, name, fn):
         return fn(*args)
 
     return call
+
+
+class TestBlockStepRouting:
+    @pytest.mark.parametrize("backend", available())
+    def test_one_call_of_each_per_step(self, monkeypatch, backend):
+        """A block step is one np.exp, one sigmoid_project, one
+        decompose_with_tape through solvers, one values_of_rows, an argmax
+        and one ascend_blocks; it projects through no other call and checks
+        no block layout again."""
+        use(monkeypatch, backend)
+        names = ("sigmoid_project", "ascend_blocks", "project_blocks", "decompose_blocks")
+        calls = dict.fromkeys(names + ("exp", "decompose_with_tape", "block_members"), 0)
+        for name in names:
+            monkeypatch.setattr(kernels, name, counted(calls, name, getattr(kernels, name)))
+        monkeypatch.setattr(solvers, "decompose_with_tape",
+                            counted(calls, "decompose_with_tape", solvers.decompose_with_tape))
+        c = Cardinality(12, 3)
+        monkeypatch.setattr(kernels._purepy, "block_members",
+                            counted(calls, "block_members", kernels._purepy.block_members))
+        real_exp = np.exp
+
+        def exp(*args, **kwargs):
+            calls["exp"] += 1
+            return real_exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", exp)
+        f = CountingCut(gen_er_graph(12, 0.3, seed=2))
+        direct_optimize(f, c, OptimizeConfig(steps=9, seed=4, init="random", round_every=1))
+        monkeypatch.setattr(np, "exp", real_exp)
+        assert f.calls == 10
+        assert calls == {"sigmoid_project": 10, "ascend_blocks": 9, "project_blocks": 0, "decompose_blocks": 10,
+                         "exp": 10, "decompose_with_tape": 10, "block_members": 0}
+
+
+def nan_at_zero(value):
+    """A set function that is value on sets holding 0 and their size
+    elsewhere."""
+    return CallableObjective(lambda s: value if 0 in s else float(len(s)))
+
+
+class TestNonFiniteObjective:
+    """An objective that is NaN or infinite at a vertex is refused before
+    Adam moves theta by it, whichever family's reverse pass reads it."""
+
+    SPECS = {"cardinality": Cardinality(6, 2), "partition": PartitionMatroid([(0, 1, 2), (3, 4, 5)], [1, 1]),
+             "graphic": GraphicMatroid(Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2)))),
+             "stable set": FractionalStableSet(Graph(4, ((0, 1), (1, 2), (2, 3))))}
+
+    @pytest.mark.parametrize("backend", available())
+    @pytest.mark.parametrize("label", list(SPECS))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("steps", [20, 0])
+    def test_refused_with_its_own_message(self, monkeypatch, backend, label, value, steps):
+        use(monkeypatch, backend)
+        cfg = OptimizeConfig(steps=steps, init="random", seed=1)
+        with pytest.raises(ValueError, match="^the objective returned a non-finite value") as caught:
+            direct_optimize(nan_at_zero(value), self.SPECS[label], cfg)
+        assert not isinstance(caught.value, MembershipError)
 
 
 class TestOptimizeConfigRefusals:
