@@ -266,11 +266,18 @@ class GradientTape:
     x0: np.ndarray
     functional_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     wx: np.ndarray
-    kernel: tuple | None = None
+    # Not an init field, so that dataclasses.replace drops it with the
+    # rows it describes.
+    kernel: tuple | None = field(default=None, init=False)
 
     def __init__(self, d, q, a, terminal, x0, functional_rows, wx, kernel=None):
         self.__dict__.update(d=d, q=q, a=a, terminal=terminal, x0=x0, functional_rows=functional_rows, wx=wx,
                              kernel=kernel)
+
+    def __getstate__(self):
+        # A copy or an unpickled tape has its own arrays, at other
+        # addresses than the record's, and is packed on use.
+        return {k: v for k, v in self.__dict__.items() if k != "kernel"}
 
 
 @dataclass(frozen=True)

@@ -200,8 +200,8 @@ def kernel_decomposition(res) -> Decomposition:
 def kernel_tape(res) -> tuple[Decomposition, GradientTape]:
     """The decomposition and tape of a raw block-kernel result, which holds
     the tape's rows already, and the C kernel's record of where, if any."""
-    p, q, a, vertex_rows, functional_rows, wx, x0, residual, terminal = res[:9]
-    d = Decomposition.from_rows(p, vertex_rows, x0.shape[0], residual, all_integral=True)
+    d = kernel_decomposition(res)
+    _, q, a, _, functional_rows, wx, x0, _, terminal = res[:9]
     return d, GradientTape(d, q, a, terminal, x0, functional_rows, wx, getattr(res, "kernel", None))
 
 

@@ -134,7 +134,7 @@ def address(arr: np.ndarray) -> int:
     """Address of a C-contiguous array's data; read-only and empty arrays
     take the slower path of ``arr.ctypes.data``."""
     try:
-        return _addressof(_char_at(arr))
+        return buffer_address(arr)
     except (TypeError, ValueError):
         return arr.ctypes.data
 
@@ -207,7 +207,7 @@ def load() -> SimpleNamespace:
                 f[12 : 12 + n] = x0
                 checked = f[12 : 12 + n]
             iw = np.empty(ni, I64)
-            fa, ia = _addressof(_char_at(f)), _addressof(_char_at(iw))
+            fa, ia = buffer_address(f), buffer_address(iw)
             T = run(layout.address, fa, ia)
             if T < 0:
                 if T == -1:
@@ -291,7 +291,7 @@ def load() -> SimpleNamespace:
         rows = indptr.shape[0] - 1
         out = np.empty(5 + rows)
         pack_into("5q", out, 0, layout.kind, layout.n, layout.m, rows, indices.shape[0])
-        code = score(*layout.addresses, address(indptr), address(indices), _addressof(_char_at(out)))
+        code = score(*layout.addresses, address(indptr), address(indices), buffer_address(out))
         if code:
             raise_for(code, "score_rows")
         return out[5:]

@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -778,6 +779,36 @@ def test_ascend_blocks_parity_on_recorded_tapes():
                 assert_bytes_equal((state.theta, state.m, state.v), (states[0].theta, states[0].m, states[0].v))
             assert n == 0 or states[0].theta.tobytes() != start.theta.tobytes(), (label, recorder)
     assert terminal_only and len(labels) == 6
+
+
+@needs_cc
+def test_copied_and_replaced_tapes_drop_the_kernel_record():
+    """A deep copy, an unpickled tape and one made by dataclasses.replace
+    hold no record of the call's buffers, so the C kernel packs their own
+    rows: the copies give the original's bytes, and a tape with another q
+    gives the pure twin's bytes on that q, not the original's."""
+    rng, moved = np.random.default_rng(84), 0
+    for label, blocks, recorder, tape in block_tapes():
+        if recorder != "compiled" or tape.kernel is None:
+            continue
+        T, n = len(tape.d.p), tape.d.n
+        fvals = rng.standard_normal(T)
+        start = adam_state(rng, n)
+        other_q = dataclasses.replace(tape, q=tape.q * 0.5)
+        results = {}
+        for name, used in (("tape", tape), ("deepcopy", copy.deepcopy(tape)),
+                           ("pickle", pickle.loads(pickle.dumps(tape))), ("replace", other_q)):
+            assert name == "tape" or used.kernel is None
+            for impl in (_purepy, compiled()):
+                state = copy.deepcopy(start)
+                impl.ascend_blocks(state, blocks, used, fvals, 1)
+                results[name, impl.__name__ if impl is _purepy else "compiled"] = (state.theta, state.m, state.v)
+        for name in ("tape", "deepcopy", "pickle", "replace"):
+            assert_bytes_equal(results[name, "compiled"], results[name, _purepy.__name__])
+        for name in ("deepcopy", "pickle"):
+            assert_bytes_equal(results[name, "compiled"], results["tape", "compiled"])
+        moved += results["replace", "compiled"][0].tobytes() != results["tape", "compiled"][0].tobytes()
+    assert moved
 
 
 @pytest.mark.parametrize("backend", available())
