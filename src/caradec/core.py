@@ -20,6 +20,9 @@ import numpy as np
 MEMBERSHIP_TOL = 1e-9
 SUM_TOL = 1e-7
 NONFINITE_VALUE = "the objective returned a non-finite value at a vertex"
+# A graphic iterate whose lam = 0 scan finds a rank face that its forest
+# does not span (matroids.graphic_step_coefficient).
+RANK_AT_ZERO = "iterate violates a rank constraint at lambda=0"
 # The most feasible sets a family's feasible_sets() enumerates.
 ENUMERATION_CAP = 10**6
 

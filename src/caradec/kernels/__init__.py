@@ -5,8 +5,9 @@ that every family's gradient tape shares (``backprop_blocks``), the Adam
 step, the two halves of a block-family Adam step (``sigmoid_project`` and
 ``ascend_blocks``), the max-flow and stable-set labelling of the
 stable-set oracle, the whole stable-set decomposition
-(``decompose_fstab``), and the graphic oracle's two node-block scans
-(``block_scan`` and ``tight_blocks``).
+(``decompose_fstab``), the graphic oracle's two node-block scans
+(``block_scan`` and ``tight_blocks``) and the whole graphic decomposition
+(``decompose_graphic``).
 
 An Adam step of ``direct_optimize`` on a box-plus-sum spec is one
 ``np.exp`` on the state's e = -|theta|, ``sigmoid_project`` (z and x in
@@ -156,6 +157,29 @@ same in both, in the same order:
   Both refuse a wrong shape (DimensionError) and NaN, infinities, entries
   off the box or an over-full edge (MembershipError, with
   ``fstab.check_fstab_membership``'s messages).
+- ``decompose_graphic`` runs a whole graphic decomposition, with its
+  membership check and its tape rows, on a graph's edge network; a
+  disconnected graph is peeled whole.  The pure twin is ``core.peel`` over
+  ``matroids.GraphicMatroid.peel_step``: ``matroids._tight_blocks``,
+  ``matroids._face_respecting_forest`` and
+  ``matroids.graphic_step_coefficient`` per step.  The C kernel repeats
+  each step's operations in their order in one call, with one static
+  function per stage: ``tight_blocks``' body at TIGHT_TOL; Kruskal in
+  ``np.lexsort``'s order (x at or below the tight limit last, then |M_e|,
+  x descending with -0.0 equal to 0.0, and index); the box terms, the
+  Newton loop (``block_scan``'s body on the starts still below -tol,
+  ``_rank``'s union-find for r(F) and D, x(F) as ``pairwise_sum``), the
+  probe at min(lambda* + tol, 1) and Python's min and max with their
+  first-wins ties; then ``core.peel``'s update, pin, clip and eps stop.
+  A rank face's functional row has one entry per edge of the face.  The
+  residual of a run that ends short of a terminal step is taken in
+  Python, with numpy's max, as ``core.peel`` takes it.  A run continues
+  over calls when one call's room runs out.  Both refuse a wrong shape
+  (DimensionError) and NaN, infinities, entries off the box, a sum off
+  n - c(G), a node block below -1e-9 at lambda = 0 (MembershipError, with
+  ``matroids.check_graphic_membership``'s messages) and an iterate whose
+  lambda = 0 scan finds a rank face that its forest does not span
+  (MembershipError, ``core.RANK_AT_ZERO``).
 
 Timings: ``perfbench/``.
 """
@@ -198,6 +222,7 @@ tight_blocks = impl.tight_blocks
 decompose_fstab = impl.decompose_fstab
 ascend_blocks = impl.ascend_blocks
 sigmoid_project = impl.sigmoid_project
+decompose_graphic = impl.decompose_graphic
 del impl
 
 

@@ -8,9 +8,11 @@
  * one call (caradec_ascend_blocks), the max-flow of both graph oracles
  * (caradec_max_flow), the stable-set labelling of its residual graph
  * (caradec_label_stable_set), a whole stable-set decomposition, one flow
- * and one labelling per step (caradec_decompose_fstab), and the graphic
+ * and one labelling per step (caradec_decompose_fstab), the graphic
  * oracle's scans of its node blocks, one flow per node
- * (caradec_block_scan, caradec_tight_blocks).
+ * (caradec_block_scan, caradec_tight_blocks), and a whole graphic
+ * decomposition, which runs those scans at every step
+ * (caradec_decompose_graphic).
  * Each is the twin of a function in
  * _purepy.py, step for step and bit for bit.  The package compiles this
  * file on first import and calls it through ctypes (see _compiled.py); it
@@ -1128,19 +1130,21 @@ static int block_flow(const int64_t *net, blocks *b, double cost, int64_t i, uns
     return 0;
 }
 
-/* _purepy.block_scan on the edge network net with the weights y[m]: per
- * start i = starts[j], the value out[2 + j] and the source side sides[j n
- * .. j n + n) of node i's block flow (see blocks), or 0 and an empty side
- * when i does not lead.  out = cost, k (the number of starts, an int64
- * word), then the k values.  Returns 0, -1 when scratch memory cannot be
- * had, -2, before any flow, when a start lies outside [0, n), and -6 when
- * a flow has a node with both capacities +inf. */
-int caradec_block_scan(const int64_t *net, const double *y, const int64_t *starts, double *out,
-                       unsigned char *sides)
+/* The block flows of _purepy.block_scan on the edge network net with the
+ * weights y[m] at cost: per start i = starts[j], j < k, the value values[j]
+ * of node i's block flow (see blocks), or 0 when i does not lead.  With
+ * all, sides[j n .. j n + n) receives start j's source side (empty when i
+ * does not lead); else sides[0 .. n) receives the side of the first lowest
+ * value (np.argmin's) and sides[n .. 2n) is scratch.  Returns 0, -1 when
+ * scratch memory cannot be had, -2, before any flow, when a start lies
+ * outside [0, n), and -6 when a flow has a node with both capacities +inf. */
+static int scan_blocks(const int64_t *net, const double *y, double cost, const int64_t *starts, int64_t k,
+                       double *values, unsigned char *sides, int all)
 {
-    const double cost = out[0];
-    const int64_t n = net[0], k = word(out, 1);
-    int64_t j, v;
+    const int64_t n = net[0];
+    double lowest = INFINITY;
+    unsigned char *row;
+    int64_t j;
     int code = 0;
     blocks b;
 
@@ -1149,17 +1153,29 @@ int caradec_block_scan(const int64_t *net, const double *y, const int64_t *start
             return -2;
     if (blocks_open(&b, net, y, 0))
         code = -1;
-    for (j = 0; !code && j < k; j++, sides += n) {
+    for (j = 0; !code && j < k; j++) {
+        row = all ? sides + j * n : sides + n;
         if (b.lead[starts[j]]) {
-            code = block_flow(net, &b, cost, starts[j], sides, out + 2 + j);
+            code = block_flow(net, &b, cost, starts[j], row, values + j);
         } else {
-            out[2 + j] = 0.0;
-            for (v = 0; v < n; v++)
-                sides[v] = 0;
+            values[j] = 0.0;
+            memset(row, 0, (size_t)n);
+        }
+        if (!all && values[j] < lowest) {
+            lowest = values[j];
+            memcpy(sides, row, (size_t)n);
         }
     }
     blocks_close(&b);
     return code;
+}
+
+/* scan_blocks with all sides: out = cost, k (the number of starts, an
+ * int64 word), then the k values; sides[k n]. */
+int caradec_block_scan(const int64_t *net, const double *y, const int64_t *starts, double *out,
+                       unsigned char *sides)
+{
+    return scan_blocks(net, y, out[0], starts, word(out, 1), out + 2, sides, 1);
 }
 
 /* _purepy.tight_blocks on the edge network net and the point x[m], in
@@ -1180,8 +1196,7 @@ int caradec_block_scan(const int64_t *net, const double *y, const int64_t *start
  * size when that is smaller and the slack is at most limit.
  * out = tol, then value, drift, limit.  Returns 0, -1 when scratch memory
  * cannot be had and -6 when a flow has a node with both capacities +inf. */
-int caradec_tight_blocks(const int64_t *net, const double *x, double *out, unsigned char *side,
-                         int64_t *sizes)
+static int tight_scan(const int64_t *net, const double *x, double *out, unsigned char *side, int64_t *sizes)
 {
     const int64_t n = net[0], A = net[1], *ptr = net + 2, *head = ptr + n + 1, *arc = head + A;
     const int64_t W = (n + 63) / 64, F = 2 * n + A;
@@ -1311,6 +1326,12 @@ done:
     free(reach);
     free(doomed);
     return code;
+}
+
+int caradec_tight_blocks(const int64_t *net, const double *x, double *out, unsigned char *side,
+                         int64_t *sizes)
+{
+    return tight_scan(net, x, out, side, sizes);
 }
 
 enum { LABEL_IN = 1, LABEL_OUT = 2 };
@@ -1513,11 +1534,13 @@ static void live_layout(int64_t N, const int64_t *src, const unsigned char *aliv
  * it to [0, 1] in place (keeping -0.0) and starts x from it; a later call
  * resumes from x and q and equals the continuation of the call before.  On
  * return state[0] is the residual, q max |x - v| after a terminal step and
- * q max(x, 0) otherwise, and state[1] is 0 when the steps ran out, 1 after
- * the eps stop and 2 after a terminal step.  Returns the number of steps
- * taken, -1 when scratch memory cannot be had, -4 when an entry of x0 is
- * NaN, infinite or outside [0, 1] by more than tol, and -5 when an edge's
- * x0_u + x0_v exceeds 1 + tol (state[1] is the first such edge). */
+ * q max(x, 0) otherwise (which the caller takes from x instead, with
+ * numpy's max, to keep its sign where every entry is +-0), and state[1] is
+ * 0 when the steps ran out, 1 after the eps stop and 2 after a terminal
+ * step.  Returns the number of steps taken, -1 when scratch memory cannot
+ * be had, -4 when an entry of x0 is NaN, infinite or outside [0, 1] by
+ * more than tol, and -5 when an edge's x0_u + x0_v exceeds 1 + tol
+ * (state[1] is the first such edge). */
 int caradec_decompose_fstab(const int64_t *net, double *f, int64_t *iw)
 {
     const int64_t N = net[0], A = net[1], n = N / 2, m = A / 4, *ptr = net + 2, *head = ptr + N + 1,
@@ -1717,5 +1740,454 @@ done:
     free(ints);
     free(dbls);
     free(flags);
+    return code ? code : (int)T;
+}
+
+/* The thresholds of matroids.py: a forest skips edges of weight at most
+ * ZERO_WEIGHT, the rank tests start from TIGHT_TOL (plus the drift), the
+ * membership check refuses a block below -RANK_TOL and the probe's face
+ * counts below -PROBE_TOL. */
+static const double ZERO_WEIGHT = 1e-12, RANK_TIGHT_TOL = 1e-9, RANK_TOL = 1e-9, PROBE_TOL = 1e-15;
+
+/* The graphic peel's graph and scratch: n nodes, m edges with the ends eu
+ * < ev, the forest's edges as flags in_s[m], a union-find's parents, the
+ * starts of a scan (identity[n] lists every node), one face of edge ids
+ * with its x values, the weights y[m], a scan's values and lowest side
+ * (side[2n]), and the lam = 0 scan: its out[4], side tside[n] and sizes[m]. */
+typedef struct {
+    const int64_t *net;
+    int64_t n, m, *eu, *ev, *parent, *starts, *identity, *face, *sizes;
+    double *y, *values, *inner, zero[4];
+    unsigned char *in_s, *side, *tside;
+} graphic;
+
+/* A face-respecting forest's sort key of edge e (see graphic_forest). */
+typedef struct {
+    int high;
+    int64_t size;
+    double x;
+    int64_t e;
+} forest_key;
+
+static int64_t uf_find(int64_t *parent, int64_t v)
+{
+    while (parent[v] != v) {
+        parent[v] = parent[parent[v]];
+        v = parent[v];
+    }
+    return v;
+}
+
+/* Joins the trees of u and v; 1 when they were two. */
+static int uf_union(int64_t *parent, int64_t u, int64_t v)
+{
+    u = uf_find(parent, u);
+    v = uf_find(parent, v);
+    if (u == v)
+        return 0;
+    parent[v] = u;
+    return 1;
+}
+
+static void uf_reset(graphic *g)
+{
+    int64_t v;
+    for (v = 0; v < g->n; v++)
+        g->parent[v] = v;
+}
+
+/* matroids._face: the edges of E(U) with y[e] > 0, ascending, into
+ * g->face, U being side[n]; returns their number. */
+static int64_t graphic_face(graphic *g, const double *y, const unsigned char *side)
+{
+    int64_t e, k = 0;
+    for (e = 0; e < g->m; e++)
+        if (side[g->eu[e]] && side[g->ev[e]] && y[e] > 0.0)
+            g->face[k++] = e;
+    return k;
+}
+
+/* matroids._rank of the face's k edges, r(F); *inter receives |S & F|. */
+static int64_t graphic_rank(graphic *g, int64_t k, int64_t *inter)
+{
+    int64_t j, r = 0, in = 0;
+    uf_reset(g);
+    for (j = 0; j < k; j++) {
+        r += uf_union(g->parent, g->eu[g->face[j]], g->ev[g->face[j]]);
+        in += g->in_s[g->face[j]];
+    }
+    *inter = in;
+    return r;
+}
+
+/* x(F) of the face's k edges as numpy sums x[list(face)]: pairwise_sum. */
+static double face_sum(graphic *g, const double *x, int64_t k)
+{
+    int64_t j;
+    for (j = 0; j < k; j++)
+        g->inner[j] = x[g->face[j]];
+    return pairwise_sum(g->inner, k);
+}
+
+/* matroids._weights: y = max(x - lam 1_S, 0). */
+static void graphic_weights(graphic *g, const double *x, double lam)
+{
+    int64_t e;
+    double v;
+    for (e = 0; e < g->m; e++) {
+        v = g->in_s[e] ? x[e] - lam : x[e];
+        g->y[e] = v > 0.0 ? v : 0.0;
+    }
+}
+
+/* A scan of starts[0 .. k) at lam on x; the lowest side lands in
+ * g->side.  scan_blocks' codes. */
+static int graphic_scan(graphic *g, const double *x, double lam, const int64_t *starts, int64_t k)
+{
+    graphic_weights(g, x, lam);
+    return scan_blocks(g->net, g->y, 1.0 - lam, starts, k, g->values, g->side, 0);
+}
+
+static int forest_first(const void *pa, const void *pb)
+{
+    const forest_key *a = pa, *b = pb;
+    if (a->high != b->high)
+        return a->high - b->high;
+    if (a->size != b->size)
+        return a->size < b->size ? -1 : 1;
+    if (a->x != b->x) /* -0.0 and 0.0 rank equal, as in np.lexsort */
+        return a->x > b->x ? -1 : 1;
+    return (a->e > b->e) - (a->e < b->e);
+}
+
+/* matroids._face_respecting_forest into g->in_s: Kruskal over the edges in
+ * the order (x <= limit, |M_e| ascending, x descending, index ascending) of
+ * np.lexsort, skipping the edges of weight at most ZERO_WEIGHT. */
+static void graphic_forest(graphic *g, const double *x, forest_key *keys)
+{
+    int64_t e;
+    for (e = 0; e < g->m; e++) {
+        keys[e].high = x[e] <= g->zero[3];
+        keys[e].size = g->sizes[e];
+        keys[e].x = x[e];
+        keys[e].e = e;
+        g->in_s[e] = 0;
+    }
+    if (g->m > 1)
+        qsort(keys, (size_t)g->m, sizeof *keys, forest_first);
+    uf_reset(g);
+    for (e = 0; e < g->m; e++)
+        if (!(x[keys[e].e] <= ZERO_WEIGHT) && uf_union(g->parent, g->eu[keys[e].e], g->ev[keys[e].e]))
+            g->in_s[keys[e].e] = 1;
+}
+
+/* A step's binding inequality z.y <= offset, z being coef on the len
+ * indices idx (ActiveConstraintRecord, with z.v = vertex_value), and its
+ * pin, (pin, pin_to) or pin -1. */
+typedef struct {
+    const int64_t *idx;
+    int64_t len, pin, edge;
+    double coef, offset, vertex_value, pin_to;
+} binding;
+
+/* matroids.graphic_step_coefficient with peel_step's record: the box terms
+ * a_in = min x over S and a_out = 1 - max x outside (first index on ties),
+ * upper = min(a_in, a_out, 1); MembershipError (-10) when the lam = 0 scan
+ * is below -TIGHT_TOL on a face with r(F) > |S & F|; the Newton loop from
+ * lam = upper with tol = TIGHT_TOL + drift, which rescans only the starts
+ * below -tol and steps to lam = max((r(F) - x(F)) / D, 0) on the lowest
+ * block's face until no start is below -tol or D <= 0; the probe at
+ * min(lam + tol, 1), whose face below -PROBE_TOL with r(F) > |S & F| gives
+ * a_rank = (r(F) - x(F)) / (r(F) - |S & F|); then the first minimum of
+ * a_rank, a_in and a_out, as Python's max(min(a, 1), 0), into *a_exact.
+ * The face stays in g->face.  0, -10 or scan_blocks' codes. */
+static int graphic_coefficient(graphic *g, const double *x, double *a_exact, binding *bd)
+{
+    const int64_t n = g->n, m = g->m;
+    int64_t e, j, k, low, nf, rank, inter, e_in = -1, e_out = -1;
+    double a_in = INFINITY, a_out = INFINITY, a_rank = INFINITY, upper, tol, lam, val, a;
+    int code;
+
+    for (e = 0; e < m; e++) {
+        if (g->in_s[e] && (e_in < 0 || x[e] < x[e_in]))
+            e_in = e;
+        if (!g->in_s[e] && (e_out < 0 || x[e] > x[e_out]))
+            e_out = e;
+    }
+    if (e_in >= 0)
+        a_in = x[e_in];
+    if (e_out >= 0)
+        a_out = 1.0 - x[e_out];
+    upper = a_out < a_in ? a_out : a_in;
+    upper = 1.0 < upper ? 1.0 : upper;
+
+    if (g->zero[1] < -RANK_TIGHT_TOL) {
+        nf = graphic_face(g, x, g->tside);
+        rank = graphic_rank(g, nf, &inter);
+        if (rank - inter > 0)
+            return -10;
+    }
+    tol = RANK_TIGHT_TOL + g->zero[2];
+
+    memcpy(g->starts, g->identity, (size_t)n * sizeof *g->starts);
+    for (lam = upper, k = n;;) {
+        code = graphic_scan(g, x, lam, g->starts, k);
+        if (code)
+            return code;
+        for (j = 0, low = 0; j < k; j++)
+            if (g->values[j] < -tol)
+                g->starts[low++] = g->starts[j];
+        if (!low)
+            break;
+        k = low;
+        nf = graphic_face(g, g->y, g->side);
+        rank = graphic_rank(g, nf, &inter);
+        if (rank - inter <= 0)
+            break;
+        lam = ((double)rank - face_sum(g, x, nf)) / (double)(rank - inter);
+        lam = 0.0 > lam ? 0.0 : lam;
+    }
+
+    /* The face just past lambda* gives the exact affine piece. */
+    lam = lam + tol;
+    lam = 1.0 < lam ? 1.0 : lam;
+    code = graphic_scan(g, x, lam, g->identity, n);
+    if (code)
+        return code;
+    for (j = 0, val = 0.0, nf = 0; j < n; j++)
+        if (g->values[j] < val)
+            val = g->values[j];
+    if (val < 0.0)
+        nf = graphic_face(g, g->y, g->side);
+    rank = inter = 0;
+    if (val < -PROBE_TOL && nf) {
+        rank = graphic_rank(g, nf, &inter);
+        if (rank - inter > 0)
+            a_rank = ((double)rank - face_sum(g, x, nf)) / (double)(rank - inter);
+    }
+
+    a = a_rank;
+    a = a_in < a ? a_in : a;
+    a = a_out < a ? a_out : a;
+    bd->idx = &bd->edge;
+    bd->len = 1;
+    if (a_rank == a) {
+        bd->pin = -1;
+        bd->coef = 1.0;
+        if (a_rank == INFINITY) { /* nothing binds before a = 1 */
+            bd->len = 0;
+            bd->offset = 1.0;
+            bd->vertex_value = 0.0;
+        } else {
+            bd->idx = g->face;
+            bd->len = nf;
+            bd->offset = (double)rank;
+            bd->vertex_value = (double)inter;
+        }
+    } else if (a_in == a) {
+        bd->pin = bd->edge = e_in;
+        bd->coef = -1.0;
+        bd->offset = 0.0;
+        bd->vertex_value = -1.0;
+        bd->pin_to = 0.0;
+    } else {
+        bd->pin = bd->edge = e_out;
+        bd->coef = 1.0;
+        bd->offset = 1.0;
+        bd->vertex_value = 0.0;
+        bd->pin_to = 1.0;
+    }
+    a = 1.0 < a ? 1.0 : a;
+    *a_exact = 0.0 > a ? 0.0 : a;
+    return 0;
+}
+
+/* core.peel's step on x[m] with the vertex in_s[m]: a = scale a_exact, or
+ * a_exact when that falls below floor; a terminal step when a > 1 - guard
+ * or q (1 - a) < guard, which writes p = q, a = 1, wx = 0, an empty
+ * functional row, and max |x - v| into *left.  Else the functional row
+ * -r z / den at bd's indices and wx = -r z.x / den (z.x added from 0.0),
+ * with r = a / a_exact (1 when a_exact is 0) and den = offset -
+ * vertex_value; x = (x - a v) / (1 - a), the pin when a = a_exact, the
+ * clip to [0, 1] (keeping -0.0), p = a q and q = q (1 - a).  Row t of the
+ * outputs; returns 1 on a terminal step. */
+static int peel_update(const double *cfg, const binding *bd, double a_exact, const unsigned char *in_s, int64_t m,
+                       double *x, double *q, double *outs, int64_t t, int64_t cap, int64_t *widx, double *wval,
+                       int64_t *nw, double *left)
+{
+    const double scale = cfg[0], floor_ = cfg[1], guard = cfg[3];
+    double *probs = outs, *avals = outs + 2 * cap, *wx = outs + 3 * cap;
+    double a_scaled = scale * a_exact, a = a_scaled >= floor_ ? a_scaled : a_exact, rr, den, zx, om, d;
+    int64_t e, j;
+
+    if (a > 1.0 - guard || *q * (1.0 - a) < guard) {
+        probs[t] = *q;
+        avals[t] = 1.0;
+        wx[t] = 0.0;
+        for (e = 0, *left = 0.0; e < m; e++) {
+            d = fabs(x[e] - (in_s[e] ? 1.0 : 0.0));
+            if (d > *left)
+                *left = d;
+        }
+        return 1;
+    }
+    rr = a_exact > 0.0 ? a / a_exact : 1.0;
+    den = bd->offset - bd->vertex_value;
+    for (j = 0, zx = 0.0; j < bd->len; j++) {
+        zx += bd->coef * x[bd->idx[j]];
+        widx[*nw] = bd->idx[j];
+        wval[(*nw)++] = -rr * bd->coef / den;
+    }
+    wx[t] = -rr * zx / den;
+    om = 1.0 - a;
+    for (e = 0; e < m; e++)
+        x[e] = (x[e] - a * (in_s[e] ? 1.0 : 0.0)) / om;
+    if (bd->pin >= 0 && a == a_exact)
+        /* The binding coordinate is algebraically exactly 0 or 1. */
+        x[bd->pin] = bd->pin_to;
+    for (e = 0; e < m; e++)
+        x[e] = x[e] < 0.0 ? 0.0 : x[e] > 1.0 ? 1.0 : x[e];
+    probs[t] = a * *q;
+    avals[t] = a;
+    *q *= om;
+    return 0;
+}
+
+/* The graphic decomposition of _purepy.decompose_graphic, which is
+ * core.peel with matroids.GraphicMatroid.peel_step, with the same
+ * floating-point operations in the same order.  net is the layout of
+ * Graph.edge_network on n nodes and A = 2m arcs (edge e = (u, v), u < v,
+ * has arc 2e from u to v and arc 2e + 1 back).  A step on the iterate x:
+ *   - matroids._tight_blocks: tight_scan at TIGHT_TOL;
+ *   - matroids._face_respecting_forest: graphic_forest;
+ *   - matroids.graphic_step_coefficient: graphic_coefficient;
+ *   - core.peel's update: peel_update; then, on a rescaled run (scale below
+ *     1 or floor above 0), the eps stop when q sqrt(sum x_e^2), added in
+ *     index order from 0.0, is at most eps.
+ * The caller packs the arguments into two buffers:
+ *   f  = scale, floor, eps, guard, tol, sum_tol, cap (an int64 word),
+ *        state[3], x0[m], x[m], probs[cap], qs[cap], avals[cap], wx[cap],
+ *        wval[cap m];
+ *   iw = vptr[cap + 1], vidx[cap n], wptr[cap + 1], widx[cap m].
+ * Row t of the vertex rows (vptr, vidx) is step t's forest, ascending; row
+ * t of the functional rows (wptr, widx, wval) its binding constraint,
+ * empty on a terminal step.  Both row pointers start from 0 in each call.
+ * state[2] is q, negative on a first call: that checks x0 as
+ * matroids.check_graphic_membership does, clips it to [0, 1] in place
+ * (keeping -0.0) and starts x from it; a later call resumes from x and q
+ * and equals the continuation of the call before.  On return state[0] is
+ * q max |x - v| after a terminal step (the caller takes the residual of
+ * any other end from x, as numpy's max does), state[1] is 0 when the steps
+ * ran out, 1 after the eps stop and 2 after a terminal step, and state[2]
+ * is q.  Returns the number of steps taken, -1 when scratch memory cannot
+ * be had, -4 when an entry of x0 is NaN, infinite or outside [0, 1] by
+ * more than tol, -5 when the sum of x0 (numpy's pairwise sum) is off n -
+ * c(G) by more than sum_tol, -9 when a node block of max(x0, 0) lies below
+ * -RANK_TOL at lam = 0, and -10 when an iterate violates a rank
+ * constraint at lam = 0 (see graphic_coefficient). */
+int caradec_decompose_graphic(const int64_t *net, double *f, int64_t *iw)
+{
+    const int64_t n = net[0], A = net[1], m = A / 2, *ptr = net + 2, *head = ptr + n + 1, *arc = head + A,
+                  cap = word(f, 6);
+    const double tol = f[4], sum_tol = f[5];
+    /* core.peel reads eps on rescaled runs only. */
+    const double eps = f[0] == 1.0 && f[1] == 0.0 ? 0.0 : f[2];
+    double *state = f + 7, *x0 = state + 3, *x = x0 + m, *outs = x + m, *wval = outs + 4 * cap;
+    int64_t *vptr = iw, *vidx = vptr + cap + 1, *wptr = vidx + cap * n, *widx = wptr + cap + 1;
+    int64_t *ints = malloc((size_t)(4 * m + 3 * n + 1) * sizeof *ints);
+    double *dbls = malloc((size_t)(2 * m + n + 1) * sizeof *dbls);
+    unsigned char *flags = malloc((size_t)(m + 3 * n + 1));
+    forest_key *keys = malloc((size_t)(m + 1) * sizeof *keys);
+    double q = state[2] < 0.0 ? 1.0 : state[2], left = 0.0, a_exact;
+    int64_t T = 0, t, i, e, s, nz, nw, comps;
+    int code = 0, stop = 0;
+    binding bd;
+    graphic g;
+
+    if (!ints || !dbls || !flags || !keys) {
+        code = -1;
+        goto done;
+    }
+    g.net = net;
+    g.n = n;
+    g.m = m;
+    g.eu = ints;
+    g.ev = g.eu + m;
+    g.face = g.ev + m;
+    g.sizes = g.face + m;
+    g.parent = g.sizes + m;
+    g.starts = g.parent + n;
+    g.identity = g.starts + n;
+    g.y = dbls;
+    g.inner = g.y + m;
+    g.values = g.inner + m;
+    g.in_s = flags;
+    g.side = g.in_s + m;
+    g.tside = g.side + 2 * n;
+    for (i = 0; i < n; i++) {
+        g.identity[i] = i;
+        for (s = ptr[i]; s < ptr[i + 1]; s++)
+            if (!(arc[s] & 1)) {
+                g.eu[arc[s] / 2] = i;
+                g.ev[arc[s] / 2] = head[s];
+            }
+    }
+    if (state[2] < 0.0) {
+        for (e = 0; e < m && !code; e++)
+            if (!(x0[e] >= -tol && x0[e] <= 1.0 + tol)) /* NaN fails both */
+                code = -4;
+        uf_reset(&g);
+        for (e = 0, comps = n; e < m; e++)
+            comps -= uf_union(g.parent, g.eu[e], g.ev[e]);
+        if (!code && fabs(pairwise_sum(x0, m) - (double)(n - comps)) > sum_tol)
+            code = -5;
+        if (code)
+            goto done;
+        for (e = 0; e < m; e++) {
+            g.in_s[e] = 0;
+            x[e] = x0[e];
+        }
+        code = graphic_scan(&g, x, 0.0, g.identity, n);
+        for (i = 0; i < n && !code; i++)
+            if (g.values[i] < -RANK_TOL)
+                code = -9;
+        if (code)
+            goto done;
+        for (e = 0; e < m; e++)
+            x[e] = x0[e] = x0[e] < 0.0 ? 0.0 : x0[e] > 1.0 ? 1.0 : x0[e];
+    }
+    vptr[0] = wptr[0] = 0;
+
+    for (t = 0; t < cap; t++) {
+        g.zero[0] = RANK_TIGHT_TOL;
+        code = tight_scan(net, x, g.zero, g.tside, g.sizes);
+        if (code)
+            goto done;
+        graphic_forest(&g, x, keys);
+        code = graphic_coefficient(&g, x, &a_exact, &bd);
+        if (code)
+            goto done;
+        for (e = 0, nz = vptr[t]; e < m; e++)
+            if (g.in_s[e])
+                vidx[nz++] = e;
+        vptr[t + 1] = nz;
+        outs[cap + t] = q;
+        T = t + 1;
+        nw = wptr[t];
+        stop = 2 * peel_update(f, &bd, a_exact, g.in_s, m, x, &q, outs, t, cap, widx, wval, &nw, &left);
+        wptr[t + 1] = nw;
+        if (stop || (eps > 0.0 && q * sqrt(sum_squares(x, m)) <= eps)) {
+            stop = stop ? stop : 1;
+            break;
+        }
+    }
+    state[0] = q * left;
+    state[1] = stop;
+    state[2] = q;
+done:
+    free(ints);
+    free(dbls);
+    free(flags);
+    free(keys);
     return code ? code : (int)T;
 }

@@ -25,7 +25,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core import MEMBERSHIP_TOL, NONFINITE_VALUE, SUM_TOL, check_box, check_shape, ones
+from ..core import (MEMBERSHIP_TOL, NONFINITE_VALUE, RANK_AT_ZERO, SUM_TOL, MembershipError, check_box,
+                    check_shape, ones)
 from ._purepy import (
     BAD_BLOCKS,
     BAD_START,
@@ -55,6 +56,10 @@ FIRST_CALL_WORDS = 1 << 16
 # room for, 2 MB of indices and 2 MB of values: an exact run with n below
 # 512 fits in one call.
 FSTAB_CALL_WORDS = 1 << 18
+# The entries (n of a forest and m of a face per step) that a call of the
+# graphic kernel makes room for: an exact run with n + m below 512 fits in
+# one call.
+GRAPHIC_CALL_WORDS = 1 << 18
 I64 = np.dtype(np.int64)
 
 # Each C entry point, ``caradec_<name>``, with its return type and its
@@ -62,7 +67,10 @@ I64 = np.dtype(np.int64)
 # here as prototypes (whose calls convert their arguments faster than a
 # function with argtypes does), and refuses a library that lacks one.  Scalars travel in the
 # head of a buffer, packed by ``pack_into``: ctypes converts a scalar
-# argument at about 0.25 us, several times what a pointer costs.
+# argument at about 0.25 us, several times what a pointer costs.  The three
+# whole-run kernels (``decompose_blocks``, ``decompose_fstab`` and
+# ``decompose_graphic``) take a layout and two such buffers, and a run
+# whose steps outgrow one call's room continues over calls.
 SIGNATURES = {
     "decompose_blocks": (ctypes.c_int, 3),
     "score_rows": (ctypes.c_int, 6),
@@ -76,6 +84,7 @@ SIGNATURES = {
     "decompose_fstab": (ctypes.c_int, 3),
     "ascend_blocks": (ctypes.c_int, 5),
     "sigmoid_project": (ctypes.c_int, 3),
+    "decompose_graphic": (ctypes.c_int, 3),
 }
 
 
@@ -167,7 +176,8 @@ def load() -> SimpleNamespace:
     ``decompose_blocks``, ``project_blocks``, ``project_blocks_vjp``,
     ``score_rows``, ``backprop_blocks``, ``adam_ascend``, ``max_flow``,
     ``label_stable_set``, ``block_scan``, ``tight_blocks``,
-    ``decompose_fstab``, ``ascend_blocks`` and ``sigmoid_project``.  The library
+    ``decompose_fstab``, ``ascend_blocks``, ``sigmoid_project`` and
+    ``decompose_graphic``.  The library
     is built first when the cache lacks it.  Raises OSError when it can be
     neither found nor built, or when it lacks one of the entry points of
     SIGNATURES."""
@@ -182,7 +192,7 @@ def load() -> SimpleNamespace:
         except AttributeError as exc:
             raise OSError(f"the kernel library is incomplete: {exc}") from exc
     (run, score, back, project, adam, flow, label, scan, tight, fstab, ascend,
-     sigmoid) = (c[name] for name in SIGNATURES)
+     sigmoid, graphic) = (c[name] for name in SIGNATURES)
 
     def decompose_blocks(x0, layout, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
@@ -418,15 +428,68 @@ def load() -> SimpleNamespace:
                           wptr, iw[w + cap + 1 : w + cap + 1 + nw], f[o + 4 * cap : o + 4 * cap + nw],
                           f[o + 3 * cap : o + 3 * cap + T]))
             done += T
+            x = f[9 + n : 9 + 2 * n]
             if stop or done >= max_iter:
                 break
-            x = f[9 + n : 9 + 2 * n]
         if len(parts) == 1:
             probs, qs, avals, vptr, vidx, vval, wptr, widx, wval, wx = parts[0]
         else:
             probs, qs, avals, _, vidx, vval, _, widx, wval, wx = map(np.concatenate, zip(*parts))
             vptr, wptr = (joined_pointer([part[k] for part in parts]) for k in (3, 6))
+        if stop != 2.0:
+            residual = nonterminal_residual(q, x)
         return (probs, qs, avals, (vptr, vidx, vval), (wptr, widx, wval), wx, checked, residual,
+                stop == 2.0)
+
+    def decompose_graphic(x0, g, scale, floor, eps, max_iter, guard):
+        """The C twin of ``_purepy.decompose_graphic``: same arguments, same
+        outputs and exceptions, byte for byte."""
+        net, n, m = g.edge_network.layout, g.n_nodes, g.m
+        x0 = check_shape(x0, m)
+        # A run continues over calls, each with room for a forest of n edges
+        # and a face of m per step; x and q pass from call to call.  A
+        # negative q asks for a first call, which checks x0.
+        parts, done, chunk, q = [], 0, max(1, GRAPHIC_CALL_WORDS // (n + m + 1)), -1.0
+        while True:
+            cap = max(0, min(max_iter - done, chunk))
+            # The two buffers of the C function, laid out as _blocks.c says.
+            f = np.empty(10 + 2 * m + (4 + m) * cap)
+            pack_into("6dq3d", f, 0, scale, floor, eps, guard, MEMBERSHIP_TOL, SUM_TOL, cap, 0.0, 0.0, q)
+            if parts:
+                f[10 + m : 10 + 2 * m] = x
+            else:
+                f[10 : 10 + m] = x0
+                checked = f[10 : 10 + m]
+            iw = np.empty(2 + (2 + n + m) * cap, dtype=np.int64)
+            T = graphic(net.address, buffer_address(f), buffer_address(iw))
+            if T < 0:
+                if T == -1:
+                    raise MemoryError("decompose_graphic: no scratch memory")
+                if T == -10:
+                    raise MembershipError(RANK_AT_ZERO)
+                from ..matroids import check_graphic_membership  # which imports this package
+
+                check_graphic_membership(x0, g)  # raises, with the check's message
+                raise RuntimeError("decompose_graphic: the C check refused a point that the Python check accepts")
+            residual, stop, q = f[7:10].tolist()
+            o, w = 10 + 2 * m, cap + 1 + cap * n
+            vptr, wptr = iw[: T + 1], iw[w : w + T + 1]
+            nz, nw = int(vptr[-1]), int(wptr[-1])
+            parts.append((f[o : o + T], f[o + cap : o + cap + T], f[o + 2 * cap : o + 2 * cap + T],
+                          vptr, iw[cap + 1 : cap + 1 + nz], wptr, iw[w + cap + 1 : w + cap + 1 + nw],
+                          f[o + 4 * cap : o + 4 * cap + nw], f[o + 3 * cap : o + 3 * cap + T]))
+            done += T
+            x = f[10 + m : 10 + 2 * m]
+            if stop or done >= max_iter:
+                break
+        if len(parts) == 1:
+            probs, qs, avals, vptr, vidx, wptr, widx, wval, wx = parts[0]
+        else:
+            probs, qs, avals, _, vidx, _, widx, wval, wx = map(np.concatenate, zip(*parts))
+            vptr, wptr = (joined_pointer([part[k] for part in parts]) for k in (3, 5))
+        if stop != 2.0:
+            residual = nonterminal_residual(q, x)
+        return (probs, qs, avals, (vptr, vidx, ones(len(vidx))), (wptr, widx, wval), wx, checked, residual,
                 stop == 2.0)
 
     return SimpleNamespace(decompose_blocks=decompose_blocks, project_blocks=project_blocks,
@@ -435,7 +498,7 @@ def load() -> SimpleNamespace:
                            max_flow=max_flow, label_stable_set=label_stable_set,
                            block_scan=block_scan, tight_blocks=tight_blocks,
                            decompose_fstab=decompose_fstab, ascend_blocks=ascend_blocks,
-                           sigmoid_project=sigmoid_project)
+                           sigmoid_project=sigmoid_project, decompose_graphic=decompose_graphic)
 
 
 def packed(tape):
@@ -459,6 +522,14 @@ def tape_steps(p, q, a, vertex_rows, functional_rows, wx) -> int:
             and len(vertex_rows[2]) == len(vertex_rows[1]) and len(functional_rows[2]) == len(functional_rows[1])):
         raise ValueError(BAD_TAPE)
     return T
+
+
+def nonterminal_residual(q: float, x: np.ndarray) -> float:
+    """core.peel's residual q max(x) after a run that ends short of a
+    terminal step, taken with numpy's max, as the pure twins take it: it
+    returns -0.0 where every entry is +-0, which a C loop from 0.0 would
+    not."""
+    return q * float(np.max(x, initial=0.0))
 
 
 def joined_pointer(ptrs) -> np.ndarray:

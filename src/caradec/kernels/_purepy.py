@@ -20,8 +20,9 @@ Adam step, whose forward half starts with ``sigmoid_project``.
 and ``label_stable_set`` reads the stable-set vertex off the residual
 graph of its double cover; ``block_scan`` and ``tight_blocks`` run the
 graphic oracle's flows, one per start node, in one call.
-``decompose_fstab`` is a whole stable-set decomposition: ``core.peel``
-with the oracle of ``fstab``, which the C kernel repeats in one call.
+``decompose_fstab`` and ``decompose_graphic`` are whole stable-set and
+graphic decompositions: ``core.peel`` with the oracle of ``fstab`` or
+``matroids``, which the C kernels repeat in one call.
 """
 
 from __future__ import annotations
@@ -1162,4 +1163,35 @@ def decompose_fstab(x0, g, scale, floor, eps, max_iter, guard):
     x = fstab.check_fstab_membership(x0, g)
     cfg = DecompositionConfig(scale, floor, eps, max_iter, guard)
     d, tape = peel(x, cfg, fstab.FractionalStableSet(g).peel_step)
+    return d.p, tape.q, tape.a, d.vertex_rows, tape.functional_rows, tape.wx, x, d.residual, tape.terminal
+
+
+def decompose_graphic(x0, g, scale, floor, eps, max_iter, guard):
+    """Decompose a point x0 of the base polytope of the graphic matroid of
+    the graph g into full spanning forests, with the rows of the gradient
+    tape: ``core.peel`` with ``matroids.GraphicMatroid.peel_step``, that is
+    per step ``matroids._tight_blocks``, ``matroids._face_respecting_forest``
+    and ``matroids.graphic_step_coefficient`` (which calls
+    ``matroids.min_g_lambda`` for its probe), each looked up at call time.
+    A disconnected graph is peeled whole.  The C kernel runs the same steps
+    in one call.
+
+    x0 is checked first, by ``matroids.check_graphic_membership``:
+    DimensionError for a shape other than (m,), MembershipError for NaN,
+    infinities, entries outside [0, 1] by more than MEMBERSHIP_TOL, a sum
+    off n - c(G) by more than SUM_TOL or a node block below -1e-9 at
+    lam = 0.  The run starts from x0 clipped to [0, 1].  A later iterate
+    whose lam = 0 scan finds a rank face that its forest does not span
+    raises MembershipError (``core.RANK_AT_ZERO``).  scale, floor and guard
+    are those of a DecompositionConfig, eps the residual of the stop test
+    of a rescaled run (0 for none) and max_iter the step cap.
+
+    Returns (probs, qs, avals, vertex_rows, functional_rows, wx, x0,
+    residual, terminal), as ``decompose_fstab`` does; a rank face's
+    functional row has one entry per edge of the face."""
+    from .. import matroids  # which imports this package
+
+    x = matroids.check_graphic_membership(x0, g)
+    cfg = DecompositionConfig(scale, floor, eps, max_iter, guard)
+    d, tape = peel(x, cfg, matroids.GraphicMatroid(g).peel_step)
     return d.p, tape.q, tape.a, d.vertex_rows, tape.functional_rows, tape.wx, x, d.residual, tape.terminal

@@ -15,7 +15,16 @@ of the nodes is one kernel call (``kernels.block_scan``), and so is the
 scan at lam = 0 that also finds the tight sets (``kernels.tight_blocks``).
 The step coefficient is the root in lam of
 that minimum; a Dinkelbach/Newton iteration (Dinkelbach, Mgmt. Sci. 1967)
-reaches it from above through the ratios of the minimising blocks."""
+reaches it from above through the ratios of the minimising blocks.
+
+A decomposition is one call of ``kernels.decompose_graphic``, which checks
+the point and runs every step.  Its pure twin is ``core.peel`` over
+``GraphicMatroid.peel_step``, that is over ``_tight_blocks``,
+``_face_respecting_forest`` and ``graphic_step_coefficient`` (whose probe
+is ``min_g_lambda``); the C kernel repeats their operations, byte for
+byte, without calling them.  A disconnected graph needs no split: no node
+block that spans two components can be the lowest, so the graph is
+peeled whole."""
 
 from __future__ import annotations
 
@@ -30,16 +39,16 @@ from . import kernels
 from .core import (
     ENUMERATION_CAP,
     EXACT,
+    RANK_AT_ZERO,
     SUM_TOL,
     ActiveConstraintRecord,
     Decomposition,
     DecompositionConfig,
+    GradientTape,
     MembershipError,
     VertexSet,
     check_box,
     check_shape,
-    csr_rows,
-    peel,
 )
 from .graphs import Graph, UnionFind
 
@@ -92,12 +101,17 @@ class GraphicMatroid:
         return x, vjp
 
     def decompose(self, x, cfg):
-        return decompose_graphic(x, self.graph, cfg)
+        return self.decompose_with_tape(x, cfg)[0]
 
     def decompose_with_tape(self, x, cfg):
-        if self.graph.n_components() != 1:
-            raise ValueError("gradient tape for graphic constraints needs a connected graph")
-        return peel(check_graphic_membership(x, self.graph), cfg, self.peel_step)
+        """The peel of ``peel_step`` on x, checked first, in one call of
+        ``kernels.decompose_graphic``; a disconnected graph is peeled
+        whole."""
+        p, q, a, vertex_rows, functional_rows, wx, x0, residual, terminal = kernels.decompose_graphic(
+            x, self.graph, cfg.scale, cfg.floor, 0.0 if cfg.is_exact else cfg.tolerance,
+            cfg.iteration_cap(self.dim), cfg.guard)
+        d = Decomposition.from_rows(p, vertex_rows, self.dim, residual, all_integral=True)
+        return d, GradientTape(d, q, a, terminal, x0, functional_rows, wx)
 
     def peel_step(self, x):
         """The face-respecting forest of x, its step coefficient and the
@@ -335,7 +349,7 @@ def graphic_step_coefficient(
     if zero is None:
         zero = _tight_blocks(g, x)
     if zero.value < -TIGHT_TOL and deficit(zero.face) > 0:
-        raise MembershipError("iterate violates a rank constraint at lambda=0")
+        raise MembershipError(RANK_AT_ZERO)
     tol = TIGHT_TOL + zero.drift
 
     iters, lam, starts = 0, upper, np.arange(g.n_nodes)
@@ -413,70 +427,11 @@ def _face_respecting_forest(x: np.ndarray, g: Graph, zero: _TightBlocks | None =
     return VertexSet.integral(chosen, g.m)
 
 
-def _merge_component_steps(parts, edge_maps):
-    """Couple per-component decompositions into whole-graph pairs:
-    repeatedly emit the smallest remaining head mass with the union of head
-    sets."""
-    probs = [d.p.tolist() for d in parts]
-    ptrs = [0] * len(parts)
-    rems = [p[0] if p else 0.0 for p in probs]
-    merged = []
-    while all(i < len(p) for i, p in zip(ptrs, probs)):
-        delta = min(rems)
-        union = []
-        for ci, d in enumerate(parts):
-            union.extend(edge_maps[ci][e] for e in d.sets[ptrs[ci]])
-        merged.append((delta, sorted(union)))
-        for ci in range(len(parts)):
-            rems[ci] -= delta
-            if rems[ci] <= 1e-15:
-                ptrs[ci] += 1
-                if ptrs[ci] < len(probs[ci]):
-                    rems[ci] = probs[ci][ptrs[ci]]
-    return merged
-
-
 def decompose_graphic(x, g: Graph, cfg: DecompositionConfig = EXACT) -> Decomposition:
-    """Decompose a base-polytope point into spanning forests, one connected
-    component at a time (component couplings are merged pairwise)."""
-    xv = np.asarray(x, dtype=float)
-    xv = check_graphic_membership(xv, g)
-    comps = _node_components(g)
-    if len(comps) == 1:
-        return peel(xv, cfg, GraphicMatroid(g).peel_step)[0]
-    parts, edge_maps = [], []
-    for nodes in comps:
-        sub, edge_map = _induced_subgraph(g, nodes)
-        parts.append(peel(xv[edge_map], cfg, GraphicMatroid(sub).peel_step)[0])
-        edge_maps.append(edge_map)
-    merged = _merge_component_steps(parts, edge_maps)
-    rows, recon = np.zeros((len(merged), g.m)), np.zeros(g.m)
-    for t, (p, s) in enumerate(merged):
-        rows[t, s] = 1.0
-        recon[s] += p
-    residual = np.max(np.abs(recon - xv), initial=0.0)
-    return Decomposition.from_rows(np.array([p for p, _ in merged], dtype=float),
-                                   csr_rows(rows), g.m, residual)
-
-
-def _node_components(g: Graph) -> list[list[int]]:
-    uf = UnionFind(g.n_nodes)
-    for u, v in g.edges:
-        uf.union(u, v)
-    byroot: dict[int, list[int]] = {}
-    for v in range(g.n_nodes):
-        byroot.setdefault(uf.find(v), []).append(v)
-    return [byroot[r] for r in sorted(byroot)]
-
-
-def _induced_subgraph(g: Graph, nodes: list[int]):
-    relabel = {v: i for i, v in enumerate(nodes)}
-    edges, edge_map = [], []
-    for e, (u, v) in enumerate(g.edges):
-        if u in relabel and v in relabel:
-            edges.append((relabel[u], relabel[v]))
-            edge_map.append(e)
-    return Graph(len(nodes), tuple(edges)), np.asarray(edge_map, dtype=np.int64)
+    """Decompose a base-polytope point into full spanning forests, the
+    whole graph in one peel whatever its components: no node block that
+    spans two components can be the lowest, so the oracle needs no split."""
+    return GraphicMatroid(g).decompose(np.asarray(x, dtype=float), cfg)
 
 
 def spanning_tree_marginals(g: Graph, w=None) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import shlex
 import shutil
 
+import numpy as np
 import pytest
 
 from caradec import kernels
@@ -15,7 +16,7 @@ HAVE_CC = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0]) is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
 KERNELS = ("decompose_blocks", "project_blocks", "project_blocks_vjp", "score_rows", "backprop_blocks",
            "adam_ascend", "max_flow", "label_stable_set", "block_scan", "tight_blocks", "decompose_fstab",
-           "ascend_blocks", "sigmoid_project")
+           "ascend_blocks", "sigmoid_project", "decompose_graphic")
 BACKENDS = (pytest.param("pure"), pytest.param("compiled", marks=needs_cc))
 
 
@@ -44,3 +45,32 @@ def use(monkeypatch, backend: str) -> None:
 def flat(out):
     """A kernel's outputs with the CSR triples spread out."""
     return [a for item in out for a in (item if isinstance(item, tuple) else (item,))]
+
+
+def peel_args(x, g, dim: int, cfg):
+    """The arguments with which a graph family calls its whole-peel kernel
+    (``decompose_fstab`` or ``decompose_graphic``) on x under cfg."""
+    return x, g, cfg.scale, cfg.floor, 0.0 if cfg.is_exact else cfg.tolerance, cfg.iteration_cap(dim), cfg.guard
+
+
+def twins_agree(name: str, *args):
+    """Kernel name run on args by every available backend: the same bytes
+    (dtype, shape and data of each output, CSR triples spread out), or the
+    same exception with the same message.  Returns the pure backend's flat
+    outputs, or its (exception type, message)."""
+    outs = []
+    for backend in available():
+        try:
+            outs.append(flat(getattr(implementation(backend), name)(*args)))
+        except Exception as exc:  # the exception is the output
+            outs.append((type(exc), str(exc)))
+    want = outs[0]
+    for got in outs[1:]:
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+            continue
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want)):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, k)
+    return want

@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from kernel_backends import twins_agree
 
-from caradec import extension, objectives, solvers
+from caradec import extension, kernels, objectives, solvers
 from caradec.core import (
     Cardinality,
     DecompositionConfig,
@@ -122,6 +123,25 @@ def _compare(got, want, path):
 def test_outputs_match_recorded(family):
     want = json.loads(GOLDEN.read_text())[family]
     _compare(_plain(outputs(FAMILIES[family])), want, family)
+
+
+def test_graphic_decompositions_are_byte_equal_on_both_backends(monkeypatch):
+    """Every graphic decomposition that the golden outputs make (plain,
+    rescaled, taped, per Adam step, per multi-scale repeat), run again by
+    each backend's kernels.decompose_graphic: the nine outputs are
+    byte-equal."""
+    calls, inner = [], kernels.decompose_graphic
+
+    def record(x, *args):
+        calls.append((np.array(x, dtype=float), *args))
+        return inner(x, *args)
+
+    monkeypatch.setattr(kernels, "decompose_graphic", record)
+    outputs(FAMILIES["graphic"])
+    monkeypatch.undo()
+    assert len(calls) > 20 and {args[2] for args in calls} > {1.0}
+    for args in calls:
+        assert len(twins_agree("decompose_graphic", *args)) == 13
 
 
 if __name__ == "__main__":

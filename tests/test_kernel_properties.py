@@ -14,7 +14,10 @@ whose augmented weight is the LP optimum.
 
 Exact decompositions of both graph families (stable sets on the drawn
 graphs above, graphic matroids on drawn connected graphs) meet the
-contract and give the same bytes on both backends.  The graphic oracle's
+contract and give the same bytes on both backends.  The whole graphic
+peel gives the same bytes in all its outputs on both backends on any
+drawn graph (disconnected ones and the 0-node graph included), exact,
+rescaled or capped.  The graphic oracle's
 block kernels give the same bytes on both backends and the blocks that an
 enumeration of the node sets finds."""
 
@@ -22,11 +25,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from kernel_backends import available, flat, implementation, use
+from kernel_backends import available, flat, implementation, peel_args, twins_agree, use
 from reference_loops import _lp_value
 
 from caradec.core import EXACT as EXACT_CONFIG
-from caradec.core import FractionalStableSet, GraphicMatroid, PartitionMatroid, validate_decomposition
+from caradec.core import (
+    RANK_AT_ZERO,
+    Decomposition,
+    DecompositionConfig,
+    FractionalStableSet,
+    GraphicMatroid,
+    MembershipError,
+    PartitionMatroid,
+    validate_decomposition,
+)
 from caradec.fstab import TIGHT_TOL, _augmented_weights, fstab_vertex, project_to_fstab
 from caradec.graphs import Graph
 from caradec.hypersimplex import kernel_decomposition
@@ -215,6 +227,43 @@ def test_stable_set_decomposition_contract_on_both_backends(case):
 def test_graphic_decomposition_contract_on_both_backends(case):
     g, x = case
     assert_graph_contract(GraphicMatroid(g), x, 1e-8)
+
+
+@st.composite
+def any_graphic_points(draw, most=7):
+    """(graph, x): any graph on 0..most nodes, disconnected ones and the
+    0-node graph included, and a point of its base polytope: a mixture of
+    maximum spanning forests with float weights (generic points) or integer
+    ones (ties), sometimes with -0.0 in place of every 0."""
+    n = draw(st.integers(0, most))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, tuple(pair for pair, k in zip(pairs, keep) if k))
+    mix = draw(st.lists(st.floats(0.01, 1.0) | st.integers(1, 3), min_size=1, max_size=4))
+    weights = st.lists(st.floats(0.05, 2.0), min_size=g.m, max_size=g.m)
+    x = sum(k * max_spanning_forest(np.array(draw(weights)), g).to_vector() for k in mix) / sum(mix)
+    if draw(st.booleans()):
+        x[x == 0.0] = -0.0
+    return g, np.asarray(x, dtype=float).reshape(g.m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_graphic_points(), st.sampled_from([EXACT_CONFIG, DecompositionConfig(scale=0.5, floor=0.02, tolerance=1e-5),
+                                              DecompositionConfig(max_iterations=2)]))
+def test_graphic_peel_on_any_graph_on_both_backends(case, cfg):
+    """All nine outputs of kernels.decompose_graphic are byte-equal on both
+    backends.  An uncapped exact peel meets the contract, whatever the graph's
+    components; a rescaled one may drift off its face and be refused alike
+    (ROADMAP item 3)."""
+    g, x = case
+    out = twins_agree("decompose_graphic", *peel_args(x, g, g.m, cfg))
+    if out == (MembershipError, RANK_AT_ZERO) and not cfg.is_exact:
+        return
+    assert len(out) == 13
+    if cfg is EXACT_CONFIG:
+        spec = GraphicMatroid(g)
+        d = Decomposition.from_rows(out[0], tuple(out[3:6]), g.m, out[11])
+        assert validate_decomposition(d, spec, x).ok(1e-8)
 
 
 def enumerated_blocks(g, y, cost):

@@ -3,6 +3,7 @@ oracle and its Newton step against the 2^m enumeration in
 reference_loops, and spanning-tree marginals against enumeration
 oracles."""
 
+import re
 import time
 from collections import Counter
 from itertools import combinations
@@ -10,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from gradient_checks import graphic_rank
-from kernel_backends import available, implementation
+from kernel_backends import BACKENDS, HAVE_CC, available, compiled, flat, implementation, peel_args, twins_agree, use
 from reference_loops import (
     _rank_table,
     _subset_sums,
@@ -23,6 +24,8 @@ from reference_loops import (
 from caradec import fstab, kernels, matroids
 from caradec.core import (
     EXACT,
+    RANK_AT_ZERO,
+    DecompositionConfig,
     DimensionError,
     GraphicMatroid,
     MembershipError,
@@ -31,6 +34,7 @@ from caradec.core import (
 )
 from caradec.extension import decompose_with_tape
 from caradec.graphs import Graph, UnionFind
+from caradec.kernels import _compiled
 from caradec.hypersimplex import (
     decompose_hypersimplex,
     decompose_partition,
@@ -303,7 +307,11 @@ class TestGraphicDecomposition:
 
     def test_each_scan_is_one_kernel_call(self, monkeypatch):
         # perfbench traces fstab.Dinic.max_flow as the stable-set flows;
-        # the graphic oracle runs its flows inside the block kernels.
+        # the graphic oracle runs its flows inside the block kernels.  The
+        # pure twin of kernels.decompose_graphic makes these calls; the C
+        # kernel runs the same scans inside its one call and must give the
+        # same bytes.
+        use(monkeypatch, "pure")
         g = random_connected_graph(stream(43, "graphic-flows"), 8, 6)
         x = spanning_tree_marginals(g, np.ones(g.m))
         calls = Counter()
@@ -327,12 +335,16 @@ class TestGraphicDecomposition:
         assert calls["max_flow"] == 0 and calls["graphic_step_coefficient"] > 1
         assert calls["block_scan"] == calls["min_g_lambda"] + calls["newton"]
         assert calls["tight_blocks"] == calls["graphic_step_coefficient"]
+        monkeypatch.undo()
+        assert len(twins_agree("decompose_graphic", *peel_args(x, g, g.m, EXACT))) == 13
 
     def test_disconnected_components(self):
+        # Peeled whole: the contract holds, whatever the pair list.
         g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5)))
         x = np.array([2 / 3, 2 / 3, 2 / 3, 1.0, 1.0])
         d = decompose_graphic(x, g)
         assert np.max(np.abs(d.reconstruct(g.m) - x)) <= 1e-9
+        assert abs(d.probability_sum() - 1.0) <= 1e-12 and d.iterations <= g.m + 1
         for _, v in d.pairs:
             assert len(v.indices) == 6 - 2
             assert g.is_forest(v.indices)
@@ -461,6 +473,10 @@ def parity_iterates():
 RANK_BOX_TIES = {(16, 12)}
 
 
+# An exact, a rescaled and a capped run of the whole-peel kernel.
+PEEL_CONFIGS = (EXACT, DecompositionConfig(scale=0.7, floor=0.1, tolerance=1e-3), DecompositionConfig(max_iterations=3))
+
+
 class TestBlockOracleParity:
     """The node-block oracle against the 2^m enumeration, on every iterate
     of the exact decompositions of the parity corpus."""
@@ -516,6 +532,15 @@ class TestBlockOracleParity:
             assert ref.kind == "rank_face" and abs(box - a_ref) <= 1e-9, (k, t)
         assert ties == RANK_BOX_TIES
 
+    def test_whole_peels_byte_equal(self, iterates):
+        """kernels.decompose_graphic's nine outputs (p, q, a, the vertex and
+        functional rows, wx, the clipped point, the residual and the
+        terminal flag) are byte-equal on both backends from every iterate,
+        under each of PEEL_CONFIGS."""
+        for k, t, g, x in iterates:
+            for cfg in PEEL_CONFIGS:
+                assert len(twins_agree("decompose_graphic", *peel_args(x, g, g.m, cfg))) == 13, (k, t, cfg)
+
 
 def test_block_kernels_byte_equal_on_the_parity_iterates():
     """tight_blocks, and block_scan at several lam with S the face-respecting
@@ -551,6 +576,15 @@ class TestDriftCorpus:
             assert d.iterations <= c.iteration_bound(), seed
             assert all(c.vertex_feasible(v) for _, v in d.pairs), seed
 
+    @pytest.mark.parametrize("n,m", [(10, 18), (11, 20)])
+    def test_whole_peels_byte_equal(self, n, m):
+        for seed in range(20):
+            rng = stream(seed, "y", m)
+            g = connected_graph(n, m, rng)
+            x, _ = GraphicMatroid(g).project(rng.random(m))
+            for cfg in PEEL_CONFIGS[:2]:
+                assert len(twins_agree("decompose_graphic", *peel_args(x, g, m, cfg))) == 13, (seed, cfg)
+
     def test_forty_edges(self):
         rng = stream(0, "y", 40)
         g = connected_graph(21, 40, rng)
@@ -561,3 +595,90 @@ class TestDriftCorpus:
         print(f"m=40 exact decomposition: {len(d.p)} steps in {time.perf_counter() - t0:.3f} s")
         rep = validate_decomposition(d, c, x)
         assert rep.ok(1e-9), rep
+
+
+# A triangle with a pendant edge: n - c(G) = 3.
+PENDANT = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+
+def bad_graphic_points():
+    """(label, x, exception type, message pattern) of points that PENDANT's
+    base polytope refuses."""
+    cases = [(f"shape {shape}", np.full(shape, 0.5), DimensionError, "shape") for shape in ((3,), (5,), (4, 1), ())]
+    for bad in (np.nan, np.inf, -np.inf):
+        cases.append((f"entry {bad}", np.array([2 / 3, bad, 2 / 3, 1.0]), MembershipError, "non-finite"))
+    cases += [
+        ("off the box", np.array([2 / 3, 2 / 3, 2 / 3, 1.5]), MembershipError, r"leaves \[0,1\]\^m"),
+        ("off the sum", np.array([0.5, 0.5, 0.5, 1.0]), MembershipError, r"sum 2.500000000 != n - c\(G\) = 3"),
+        ("rank at lam = 0", np.array([1.0, 1.0, 1.0, 0.0]), MembershipError,
+         r"rank constraint violated on face \(0, 1, 2\) by 1"),
+    ]
+    return cases
+
+
+def refusing_draws():
+    """(graph, point) draws of FOUND 39's family at m = 100 and 120 whose
+    peel drifts until an iterate's lam = 0 scan finds a rank face that its
+    forest does not span (an early step, so the pure twin is quick)."""
+    for m, seed in ((100, 144), (120, 41)):
+        rng = stream(seed, "stress", m)
+        g = connected_graph(m // 2 + 1, m, rng)
+        w = rng.dirichlet(np.ones(4))
+        yield g, sum(wk * max_spanning_forest(rng.random(m), g).to_vector() for wk in w)
+
+
+class TestWholePeelKernel:
+    """``kernels.decompose_graphic``: one C call per decomposition, byte for
+    byte its pure twin, core.peel over GraphicMatroid.peel_step."""
+
+    @pytest.mark.parametrize("label, x, exc, pattern", [pytest.param(*case, id=case[0]) for case in bad_graphic_points()])
+    def test_bad_points_are_refused_alike(self, label, x, exc, pattern):
+        got = twins_agree("decompose_graphic", *peel_args(x, PENDANT, PENDANT.m, EXACT))
+        assert got[0] is exc and re.search(pattern, got[1]), got
+
+    def test_points_within_the_tolerance_are_clipped(self):
+        x = np.array([-1e-10, 1.0, 1.0, 1.0 + 1e-10])
+        out = twins_agree("decompose_graphic", *peel_args(x, PENDANT, PENDANT.m, EXACT))
+        assert out[10].tolist() == [0.0, 1.0, 1.0, 1.0] and out[12]
+
+    def test_a_drifting_iterate_is_refused_alike(self):
+        for g, x in refusing_draws():
+            assert twins_agree("decompose_graphic", *peel_args(x, g, g.m, EXACT)) == (MembershipError, RANK_AT_ZERO)
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
+    def test_a_run_over_several_calls_equals_one_call(self, monkeypatch):
+        rng = stream(0, "graphic-calls")
+        g = connected_graph(11, 20, rng)
+        x, _ = GraphicMatroid(g).project(rng.random(20))
+        for cfg in (EXACT, DecompositionConfig(scale=0.7, tolerance=1e-4)):
+            args = peel_args(x, g, g.m, cfg)
+            whole = flat(compiled().decompose_graphic(*args))
+            assert len(whole[0]) > 8
+            # Room for three steps per call.
+            monkeypatch.setattr(_compiled, "GRAPHIC_CALL_WORDS", 3 * (g.n_nodes + g.m + 1))
+            twins_agree("decompose_graphic", *args)
+            for a, b in zip(flat(compiled().decompose_graphic(*args)), whole):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_graphs_without_edges(self, monkeypatch, backend):
+        # Every forest is empty: the empty set takes the whole mass in one
+        # terminal step.
+        use(monkeypatch, backend)
+        for g in (Graph(0, ()), Graph(3, ())):
+            for cfg in (EXACT, PEEL_CONFIGS[2]):
+                d, tape = GraphicMatroid(g).decompose_with_tape(np.zeros(0), cfg)
+                assert d.sets == ((),) and d.p.tolist() == [1.0] and d.residual == 0.0 and tape.terminal
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_disconnected_graphs_have_a_tape(self, monkeypatch, backend):
+        """A disconnected graph is peeled whole, with its tape."""
+        use(monkeypatch, backend)
+        g = Graph(9, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)))
+        rng = stream(3, "graphic-split")
+        x = sum(w * max_spanning_forest(rng.random(g.m), g).to_vector() for w in (0.5, 0.3, 0.2))
+        c = GraphicMatroid(g)
+        d, tape = c.decompose_with_tape(x, EXACT)
+        assert validate_decomposition(d, c, x).ok(1e-9) and tape.d is d
+        assert len(twins_agree("decompose_graphic", *peel_args(x, g, g.m, EXACT))) == 13
