@@ -42,7 +42,10 @@ from .solvers import (
 
 
 def _parse_scales(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    scales = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not scales:
+        raise ValueError("--scales needs at least one scaling factor")
+    return scales
 
 
 def _load_point(path) -> np.ndarray:

@@ -11,15 +11,17 @@ graph, and solves one max-flow on it with ``graphs.Dinic``, the max-flow
 routine the graphic oracle shares.  Then ``kernels.label_stable_set``
 fixes the coordinates in order by reachability in its residual graph,
 whose closed sets are exactly the minimum cuts (Picard & Queyranne 1980).
-Each is one kernel call.  The per-edge sums (tight edges, ratios,
-excesses) are array operations over ``Graph.edge_u`` and
+Both stages run in Python on either backend.  The per-edge sums (tight
+edges, ratios, excesses) are array operations over ``Graph.edge_u`` and
 ``Graph.edge_v``.
 
 A decomposition is one call of ``kernels.decompose_fstab``, which checks
 the point and runs every step.  Its pure twin is ``core.peel`` over
 ``FractionalStableSet.peel_step``, that is over ``fstab_vertex`` and
 ``fstab_step_coefficient``; the C kernel repeats their operations, byte
-for byte, without calling them."""
+for byte, without calling them: the flow and the labelling are its
+static stages ``push_flow`` and ``label_cover``, which no other C entry
+point exposes."""
 
 from __future__ import annotations
 

@@ -143,8 +143,11 @@ class UnionFind:
 class Dinic:
     """Max-flow over a fixed arc layout with a source and a sink capacity
     per node; the one flow routine behind both graph oracles.  The
-    stable-set oracle calls ``max_flow``; the graphic oracle's block kernels
-    run the same flow, once per node, on ``layout``.
+    stable-set oracle's per-step path calls ``max_flow``; the graphic
+    oracle's block scans run the same flow, once per node, on ``layout``.
+    Both run in Python (``_purepy.max_flow``, on either backend); the C
+    twin of the flow runs inside the whole-peel kernels
+    (``kernels.decompose_fstab`` and ``kernels.decompose_graphic``).
 
     Node u's slots are ptr[u] .. ptr[u + 1], slot s holds the arc arc[s]
     from u to head[s], and arc a ^ 1 is the reverse of arc a.  The layout
@@ -167,8 +170,8 @@ class Dinic:
     def max_flow(self, rs: np.ndarray, rt: np.ndarray, r: np.ndarray):
         """Push a maximum flow from the source capacities rs to the sink
         capacities rt through the arc capacities r, float64 arrays that
-        become the residual capacities, in one kernel call
-        (``kernels.max_flow``; no node may have both unbounded).  Returns
+        become the residual capacities (``kernels.max_flow``; no node may
+        have both unbounded).  Returns
         the flow value and the source side of the smallest minimum cut as a
         bool array: the nodes that the nodes with source capacity left reach
         through residual capacities above 1e-12 (``_purepy.FLOW_EPS``)."""

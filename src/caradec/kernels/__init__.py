@@ -3,11 +3,12 @@ box-plus-sum constraint families (cardinality and partition matroid), the
 batch scorers of the coverage and cut objectives, the one reverse pass
 that every family's gradient tape shares (``backprop_blocks``), the Adam
 step, the two halves of a block-family Adam step (``sigmoid_project`` and
-``ascend_blocks``), the max-flow and stable-set labelling of the
-stable-set oracle, the whole stable-set decomposition
-(``decompose_fstab``), the graphic oracle's two node-block scans
-(``block_scan`` and ``tight_blocks``) and the whole graphic decomposition
-(``decompose_graphic``).
+``ascend_blocks``), the whole stable-set decomposition
+(``decompose_fstab``) and the whole graphic decomposition
+(``decompose_graphic``); and the stages of the two graph oracles: the
+max-flow and stable-set labelling of the stable-set oracle (``max_flow``
+and ``label_stable_set``) and the graphic oracle's two node-block scans
+(``block_scan`` and ``tight_blocks``).
 
 An Adam step of ``direct_optimize`` on a box-plus-sum spec is one
 ``np.exp`` on the state's e = -|theta|, ``sigmoid_project`` (z and x in
@@ -29,9 +30,16 @@ Each kernel exists twice: in plain C (``_blocks.c``, built and loaded by
 the reference and the fallback.  The C kernels are the default; without a
 working C compiler or a writable cache, or when the cached library lacks
 an entry point of ``_compiled.SIGNATURES``, the package warns once and
-uses the pure ones, and ``CARADEC_PURE=1`` forces them.  Both give
-byte-identical outputs, because every floating-point operation is the
-same in both, in the same order:
+uses the pure ones, and ``CARADEC_PURE=1`` forces them.  The four oracle
+stages are the exception: in C they are static functions of the two
+graph kernels (``push_flow``, ``label_cover``, ``scan_blocks`` and
+``tight_scan``) with no entry point of their own, so this module takes
+``_purepy``'s on both backends.  Their callers are the per-step Python
+path that is the graph kernels' pure twin (``fstab.fstab_vertex``,
+``matroids.min_g_lambda``, ``matroids._tight_blocks``) and
+``matroids.check_graphic_membership``.  Both twins give byte-identical
+outputs, because every floating-point operation is the same in both, in
+the same order:
 
 - ``BlockLayout``: the blocks as every block kernel reads them, one
   read-only int64 array [n, nb, K, block_of, budgets] that a spec builds
@@ -106,37 +114,39 @@ same in both, in the same order:
   refused before any update, as in ``backprop_blocks``.
 - ``max_flow`` is the one max-flow of ``graphs.Dinic``, over a CSR arc
   layout (``FlowLayout``, built and checked once per network; the kernels
-  trust it).  Both twins run the same algorithm step for step: the
-  direct-path fill, levels from the nodes with source capacity left, one
-  augmenting path at a time with a current-arc pointer per node.  Every
-  minimum is taken with ``a < b ? a : b`` (never ``fmin``, so NaN and inf
-  take Python's branch), and every += and -= comes in the same order, so
-  the twins leave the same residual bytes and the same source side.  When
+  trust it).  It and its C twin ``push_flow``, a stage of both graph
+  kernels, run the same algorithm step for step: the direct-path fill,
+  levels from the nodes with source capacity left, one augmenting path at
+  a time with a current-arc pointer per node.  Every minimum is taken
+  with ``a < b ? a : b`` (never ``fmin``, so NaN and inf take Python's
+  branch), and every += and -= comes in the same order, so the twins
+  leave the same residual bytes and the same source side.  When
   fewer than half the arcs have capacity above FLOW_EPS (1e-12), the pure
   twin runs on the arc pairs with capacity above it either way,
   renumbered; no flow enters the other pairs, so this changes no byte.
-  Both refuse capacity arrays of the wrong length, dtype or memory layout,
-  and a node with both capacities +inf, with the same ValueError, before
-  changing any.
+  It refuses capacity arrays of the wrong length, dtype or memory layout,
+  and a node with both capacities +inf (ValueError), before changing any.
 - ``block_scan`` and ``tight_blocks`` run the graphic oracle's flows, one
   per start node, on the layout of ``Graph.edge_network`` (edge e has arc
-  2e and arc 2e + 1 back).  Each builds the block networks' capacities
-  from the edge weights once per call (the source capacities added as
-  ``np.bincount`` adds them), copies them per start, and runs
-  ``max_flow``'s algorithm on the copy; a block's value adds y(E(U)) in
-  the order of numpy's pairwise float64 sum, written out in both twins
-  (``_purepy.pairwise_sum``), so it equals numpy's sum of the same
-  entries to the bit.  ``tight_blocks`` then reads the residual graphs
+  2e and arc 2e + 1 back); their C twins are ``scan_blocks`` and
+  ``tight_scan``, stages of ``decompose_graphic``.  Each builds the block
+  networks' capacities from the edge weights once per call (the source
+  capacities added as ``np.bincount`` adds them), copies them per start,
+  and runs ``max_flow``'s algorithm on the copy; a block's value adds
+  y(E(U)) in the order of numpy's pairwise float64 sum, written out in
+  both twins (``_purepy.pairwise_sum``), so it equals numpy's sum of the
+  same entries to the bit.  ``tight_blocks`` then reads the residual graphs
   for each edge's smallest tight node set with Warshall closures: bitmask
   integers in Python, 64-bit words in C, the same sets either way.  The
-  pure twins check and convert their arrays once per call, not once per
-  flow.  Both refuse a start outside [0, n) (IndexError), and weights of
-  the wrong length, dtype or memory layout or a network that is not a
+  Python functions check and convert their arrays once per call, not once
+  per flow.  They refuse a start outside [0, n) (IndexError), and weights
+  of the wrong length, dtype or memory layout or a network that is not a
   ``FlowLayout`` (ValueError), before any flow.
 - ``label_stable_set`` turns the residual graph of a stable-set double
-  cover into the oracle's vertex.  It makes no floating-point operation:
-  it only compares residual capacities with FLOW_EPS and writes 0, 1/2 or
-  1.  Which nodes a closure reaches does not depend on the order of its
+  cover into the oracle's vertex; its C twin is ``label_cover``, a stage
+  of ``decompose_fstab``.  It makes no floating-point operation: it only
+  compares residual capacities with FLOW_EPS and writes 0, 1/2 or 1.
+  Which nodes a closure reaches does not depend on the order of its
   search, so the C stack and the Python set give the same labels.
 - ``decompose_fstab`` runs a whole stable-set decomposition, with its
   membership check and its tape rows, on a graph's double cover.  The pure
@@ -145,14 +155,14 @@ same in both, in the same order:
   ``label_stable_set``) and one ``fstab.fstab_step_coefficient`` per step.
   The C kernel repeats each step's operations in their order in one call:
   the sum of the alive weights in numpy's pairwise order, the flow and the
-  labelling as the static functions of ``max_flow`` and
-  ``label_stable_set`` (on the live edges' arcs alone, which no flow or
-  closure leaves; the step before's layout of them serves again when no
-  edge changed and is filtered when edges only died), the first minimum
-  of the ratios, Python's max(min(r, 1), 0), the functional row and the
-  update, pin and clip of ``core.peel``.  The rescaled stop test adds the
-  squares of x in index order in both (not ``np.linalg.norm``, whose BLAS
-  dot adds in blocks that a C loop would not repeat).  A run with n vertex
+  labelling (``push_flow`` and ``label_cover``, on the live edges' arcs
+  alone, which no flow or closure leaves; the step before's layout of
+  them serves again when no edge changed and is filtered when edges only
+  died), the first minimum of the ratios, Python's max(min(r, 1), 0), the
+  functional row and the update, pin and clip of ``core.peel``.  The
+  rescaled stop test adds the squares of x in index order in both (not
+  ``np.linalg.norm``, whose BLAS dot adds in blocks that a C loop would
+  not repeat).  A run with n vertex
   entries per step continues over calls when one call's room runs out.
   Both refuse a wrong shape (DimensionError) and NaN, infinities, entries
   off the box or an over-full edge (MembershipError, with
@@ -164,10 +174,10 @@ same in both, in the same order:
   ``matroids._face_respecting_forest`` and
   ``matroids.graphic_step_coefficient`` per step.  The C kernel repeats
   each step's operations in their order in one call, with one static
-  function per stage: ``tight_blocks``' body at TIGHT_TOL; Kruskal in
+  function per stage: ``tight_scan`` at TIGHT_TOL; Kruskal in
   ``np.lexsort``'s order (x at or below the tight limit last, then |M_e|,
   x descending with -0.0 equal to 0.0, and index); the box terms, the
-  Newton loop (``block_scan``'s body on the starts still below -tol,
+  Newton loop (``scan_blocks`` on the starts still below -tol,
   ``_rank``'s union-find for r(F) and D, x(F) as ``pairwise_sum``), the
   probe at min(lambda* + tol, 1) and Python's min and max with their
   first-wins ties; then ``core.peel``'s update, pin, clip and eps stop.
@@ -215,15 +225,17 @@ project_blocks_vjp = impl.project_blocks_vjp
 score_rows = impl.score_rows
 backprop_blocks = impl.backprop_blocks
 adam_ascend = impl.adam_ascend
-max_flow = impl.max_flow
-label_stable_set = impl.label_stable_set
-block_scan = impl.block_scan
-tight_blocks = impl.tight_blocks
 decompose_fstab = impl.decompose_fstab
 ascend_blocks = impl.ascend_blocks
 sigmoid_project = impl.sigmoid_project
 decompose_graphic = impl.decompose_graphic
 del impl
+# The graph oracles' stages, pure on both backends: the per-step path that
+# is the whole-peel kernels' twin, and check_graphic_membership, call them.
+max_flow = _purepy.max_flow
+label_stable_set = _purepy.label_stable_set
+block_scan = _purepy.block_scan
+tight_blocks = _purepy.tight_blocks
 
 
 def backend() -> str:

@@ -5,16 +5,17 @@
  * shared by every family's tape (caradec_backprop_blocks), the Adam step
  * (caradec_adam_ascend), the sigmoid and projection that start a
  * block-family Adam step (caradec_sigmoid_project) and its reverse half in
- * one call (caradec_ascend_blocks), the max-flow of both graph oracles
- * (caradec_max_flow), the stable-set labelling of its residual graph
- * (caradec_label_stable_set), a whole stable-set decomposition, one flow
- * and one labelling per step (caradec_decompose_fstab), the graphic
- * oracle's scans of its node blocks, one flow per node
- * (caradec_block_scan, caradec_tight_blocks), and a whole graphic
- * decomposition, which runs those scans at every step
- * (caradec_decompose_graphic).
- * Each is the twin of a function in
- * _purepy.py, step for step and bit for bit.  The package compiles this
+ * one call (caradec_ascend_blocks), a whole stable-set decomposition
+ * (caradec_decompose_fstab) and a whole graphic decomposition
+ * (caradec_decompose_graphic).  Each is the twin of a function in
+ * _purepy.py, step for step and bit for bit.  The two graph oracles' stages
+ * are static functions of their whole-peel kernels, each the twin of a
+ * _purepy function that the pure path calls per step: the max-flow
+ * (push_flow, _purepy.max_flow) and the stable-set labelling of its
+ * residual graph (label_cover, _purepy.label_stable_set) once per
+ * stable-set step, and the graphic node-block scans, one flow per node
+ * (scan_blocks and tight_scan, _purepy.block_scan and
+ * _purepy.tight_blocks), at every graphic step.  The package compiles this
  * file on first import and calls it through ctypes (see _compiled.py); it
  * uses no Python or numpy header.
  *
@@ -262,8 +263,8 @@ static int64_t check_point(int64_t n, int64_t nb, const int64_t *block_of, const
  * Both row pointers start from 0 in each call.  state[2] is the mass q
  * (negative on a first call), state[3] the running sum of squares of y
  * and state[4] its value at its last exact summation, in and out.  On return state[0] is the residual's sup
- * norm: max |y - q v| over the last vertex v after a terminal step, max |y|
- * after another step, 0 when no step ran.  state[1] is 0 when the steps
+ * norm: max |y - q v| over the last vertex v after a terminal step, else
+ * max |y| (the clipped x0 when no step ran).  state[1] is 0 when the steps
  * ran out, 1 after the eps stop and 2 after a terminal step.  Returns the
  * number of steps taken, or check_point's negative code (with state[0],
  * state[1] = the bad sum and its block on -5). */
@@ -446,7 +447,7 @@ int caradec_decompose_blocks(const int64_t *blocks, double *f, int64_t *iw)
             }
         }
     }
-    if (stop != 2 && T > 0)
+    if (stop != 2)
         for (i = 0; i < n; i++)
             if (fabs(y[i]) > mx)
                 mx = fabs(y[i]);
@@ -875,19 +876,17 @@ static const double FLOW_EPS = 1e-12;
  * words end as the last level search left them: non-negative exactly on
  * the source side of the smallest minimum cut, the nodes that the nodes
  * with source capacity left reach through residual capacities above
- * FLOW_EPS.  Returns 0, or -6, before changing anything, when some node
- * has both capacities +inf. */
-static int push_flow(const int64_t *net, double *rs, double *rt, double *r, int64_t *level,
-                     double *value)
+ * FLOW_EPS.  No node may have both capacities +inf; the graph kernels
+ * check their point first, so only the forced capacities of a block flow
+ * are infinite, never both at one node. */
+static void push_flow(const int64_t *net, double *rs, double *rt, double *r, int64_t *level,
+                      double *value)
 {
     const int64_t n = net[0], A = net[1], *ptr = net + 2, *head = ptr + n + 1, *arc = head + A;
     int64_t *queue = level + n, *it = queue + n, *nodes = it + n, *arcs = nodes + n + 1;
     int64_t v, u, w, a, s, k, qn, qi, roots, nn, na, nxt, found;
     double flow = 0.0, p, d;
 
-    for (v = 0; v < n; v++)
-        if (rs[v] == INFINITY && rt[v] == INFINITY)
-            return -6;
     for (v = 0; v < n; v++) {
         p = rs[v] < rt[v] ? rs[v] : rt[v];
         rs[v] -= p;
@@ -969,29 +968,6 @@ static int push_flow(const int64_t *net, double *rs, double *rt, double *r, int6
         }
     }
     value[0] = flow;
-    return 0;
-}
-
-/* The flow of _purepy.max_flow on the layout net (see push_flow), with
- * side[n] set to the source side of the smallest minimum cut (1 on it, 0
- * elsewhere).  Returns 0, -1 when scratch memory cannot be had and -6,
- * before changing anything, when some node has both capacities +inf. */
-int caradec_max_flow(const int64_t *net, double *rs, double *rt, double *r, double *value,
-                     unsigned char *side)
-{
-    const int64_t n = net[0];
-    int64_t *level = malloc((size_t)(5 * n + 1) * sizeof *level), v;
-    int code;
-
-    if (!level)
-        return -1;
-    code = push_flow(net, rs, rt, r, level, value);
-    /* The last level search found no sink: it reached exactly the source
-     * side. */
-    for (v = 0; !code && v < n; v++)
-        side[v] = level[v] >= 0;
-    free(level);
-    return code;
 }
 
 /* The graphic oracle's block networks on an edge network of n nodes and
@@ -1099,83 +1075,65 @@ static void blocks_close(blocks *b)
 }
 
 /* Node i's block flow into b->f (the residual capacities) and side[n];
- * value[0] receives the block's value.  0, or push_flow's -6. */
-static int block_flow(const int64_t *net, blocks *b, double cost, int64_t i, unsigned char *side,
-                      double *value)
+ * value[0] receives the block's value. */
+static void block_flow(const int64_t *net, blocks *b, double cost, int64_t i, unsigned char *side,
+                       double *value)
 {
     const int64_t n = b->n;
     int64_t v, e, size = 0, k = 0;
     double flow, *f = b->f;
-    int code;
 
     memcpy(f, b->caps, (size_t)(2 * n + b->A) * sizeof *f);
     f[i] = INFINITY;
     for (v = 0; v < n; v++)
         f[n + v] = v < i ? INFINITY : cost;
-    code = push_flow(net, f, f + n, f + 2 * n, b->level, &flow);
-    if (code)
-        return code;
+    push_flow(net, f, f + n, f + 2 * n, b->level, &flow);
     for (v = 0; v < n; v++) {
         side[v] = b->level[v] >= 0;
         size += side[v];
     }
     if (size <= 1) {
         value[0] = 0.0;
-        return 0;
+        return;
     }
     for (e = 0; e < b->m; e++)
         if (b->y[e] > 0.0 && side[b->ends[2 * e]] && side[b->ends[2 * e + 1]])
             b->inside[k++] = b->y[e];
     value[0] = cost * (double)(size - 1) - pairwise_sum(b->inside, k);
-    return 0;
 }
 
 /* The block flows of _purepy.block_scan on the edge network net with the
- * weights y[m] at cost: per start i = starts[j], j < k, the value values[j]
- * of node i's block flow (see blocks), or 0 when i does not lead.  With
- * all, sides[j n .. j n + n) receives start j's source side (empty when i
- * does not lead); else sides[0 .. n) receives the side of the first lowest
- * value (np.argmin's) and sides[n .. 2n) is scratch.  Returns 0, -1 when
- * scratch memory cannot be had, -2, before any flow, when a start lies
- * outside [0, n), and -6 when a flow has a node with both capacities +inf. */
+ * weights y[m] at cost: per start i = starts[j] (in [0, n)), j < k, the
+ * value values[j] of node i's block flow (see blocks), or 0 when i does
+ * not lead.  sides[0 .. n) receives the side of the first lowest value
+ * (np.argmin's) and sides[n .. 2n) is scratch.  Returns 0, or -1 when
+ * scratch memory cannot be had. */
 static int scan_blocks(const int64_t *net, const double *y, double cost, const int64_t *starts, int64_t k,
-                       double *values, unsigned char *sides, int all)
+                       double *values, unsigned char *sides)
 {
     const int64_t n = net[0];
     double lowest = INFINITY;
-    unsigned char *row;
+    unsigned char *row = sides + n;
     int64_t j;
     int code = 0;
     blocks b;
 
-    for (j = 0; j < k; j++)
-        if (starts[j] < 0 || starts[j] >= n)
-            return -2;
     if (blocks_open(&b, net, y, 0))
         code = -1;
     for (j = 0; !code && j < k; j++) {
-        row = all ? sides + j * n : sides + n;
         if (b.lead[starts[j]]) {
-            code = block_flow(net, &b, cost, starts[j], row, values + j);
+            block_flow(net, &b, cost, starts[j], row, values + j);
         } else {
             values[j] = 0.0;
             memset(row, 0, (size_t)n);
         }
-        if (!all && values[j] < lowest) {
+        if (values[j] < lowest) {
             lowest = values[j];
             memcpy(sides, row, (size_t)n);
         }
     }
     blocks_close(&b);
     return code;
-}
-
-/* scan_blocks with all sides: out = cost, k (the number of starts, an
- * int64 word), then the k values; sides[k n]. */
-int caradec_block_scan(const int64_t *net, const double *y, const int64_t *starts, double *out,
-                       unsigned char *sides)
-{
-    return scan_blocks(net, y, out[0], starts, word(out, 1), out + 2, sides, 1);
 }
 
 /* _purepy.tight_blocks on the edge network net and the point x[m], in
@@ -1194,8 +1152,8 @@ int caradec_block_scan(const int64_t *net, const double *y, const int64_t *start
  * | reach[u] | reach[v].  Its slack is (size - 1) - x(E(closure)), added in
  * edge order from 0.0, and sizes[e] (n at first) drops to the closure's
  * size when that is smaller and the slack is at most limit.
- * out = tol, then value, drift, limit.  Returns 0, -1 when scratch memory
- * cannot be had and -6 when a flow has a node with both capacities +inf. */
+ * out = tol, then value, drift, limit.  Returns 0, or -1 when scratch
+ * memory cannot be had. */
 static int tight_scan(const int64_t *net, const double *x, double *out, unsigned char *side, int64_t *sizes)
 {
     const int64_t n = net[0], A = net[1], *ptr = net + 2, *head = ptr + n + 1, *arc = head + A;
@@ -1222,12 +1180,12 @@ static int tight_scan(const int64_t *net, const double *x, double *out, unsigned
         if (!res || !vals || !first || !queue || !reach || !doomed)
             code = -1;
     }
-    for (i = 0, l = 0; !code && i < n; i++) {
+    if (code)
+        goto done;
+    for (i = 0, l = 0; i < n; i++) {
         if (!b.lead[i])
             continue;
-        code = block_flow(net, &b, 1.0, i, doomed, vals + l);
-        if (code)
-            break;
+        block_flow(net, &b, 1.0, i, doomed, vals + l);
         memcpy(res + l * F, b.f, (size_t)F * sizeof *res);
         if (vals[l] < lowest) {
             lowest = vals[l];
@@ -1236,8 +1194,6 @@ static int tight_scan(const int64_t *net, const double *x, double *out, unsigned
         }
         first[l++] = i;
     }
-    if (code)
-        goto done;
     if (best < 0)
         for (v = 0; v < n; v++)
             side[v] = 0;
@@ -1328,12 +1284,6 @@ done:
     return code;
 }
 
-int caradec_tight_blocks(const int64_t *net, const double *x, double *out, unsigned char *side,
-                         int64_t *sizes)
-{
-    return tight_scan(net, x, out, side, sizes);
-}
-
 enum { LABEL_IN = 1, LABEL_OUT = 2 };
 
 /* The state of label_stable_set: the slots of its flow layout, per node
@@ -1382,7 +1332,7 @@ static void label_all(closures *c, int kind, unsigned char lab)
 
 /* The labelling of _purepy.label_stable_set on a stable-set double cover
  * of n nodes after its max-flow: node u_L is u and u_R is n + u, net is the
- * flow layout (see caradec_max_flow), rt[2n] and r[A] the residual sink
+ * flow layout (see push_flow), rt[2n] and r[A] the residual sink
  * and arc capacities and side[2n] the flow's source side.  IN starts as
  * the source side and OUT as what reaches the nodes with sink capacity
  * left.  Then each node u with alive[u], in index order, takes in fixed[u]
@@ -1445,23 +1395,6 @@ static void label_cover(const int64_t *net, const double *rt, const double *r,
             break;
         }
     }
-}
-
-/* label_cover with scratch space of its own.  Returns 0, or -1 when
- * scratch memory cannot be had. */
-int caradec_label_stable_set(const int64_t *net, const double *rt, const double *r,
-                             const unsigned char *alive, const unsigned char *side, double *fixed)
-{
-    const int64_t n2 = net[0], A = net[1];
-    int64_t *scratch = malloc((size_t)(6 * n2 + A + 1) * sizeof *scratch);
-    unsigned char *label = malloc((size_t)n2 + 1);
-    const int ok = scratch && label;
-
-    if (ok)
-        label_cover(net, rt, r, alive, side, fixed, scratch, label);
-    free(scratch);
-    free(label);
-    return ok ? 0 : -1;
 }
 
 /* The thresholds of fstab.py: alive coordinates lie above ZERO_TOL, an edge
@@ -1635,7 +1568,7 @@ int caradec_decompose_fstab(const int64_t *net, double *f, int64_t *iw)
         }
         for (k = 0, larc = live_net + 3 + N + 4 * L; k < 4 * L; k++)
             r[larc[k]] = larc[k] & 1 ? 0.0 : sum;
-        push_flow(live_net, rs, rt, r, level, &flow); /* finite capacities: never -6 */
+        push_flow(live_net, rs, rt, r, level, &flow);
         for (i = 0; i < N; i++)
             side[i] = level[i] >= 0;
         label_cover(live_net, rt, r, alive, side, vv, scratch, label);
@@ -1845,7 +1778,7 @@ static void graphic_weights(graphic *g, const double *x, double lam)
 static int graphic_scan(graphic *g, const double *x, double lam, const int64_t *starts, int64_t k)
 {
     graphic_weights(g, x, lam);
-    return scan_blocks(g->net, g->y, 1.0 - lam, starts, k, g->values, g->side, 0);
+    return scan_blocks(g->net, g->y, 1.0 - lam, starts, k, g->values, g->side);
 }
 
 static int forest_first(const void *pa, const void *pb)

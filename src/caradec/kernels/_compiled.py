@@ -27,20 +27,7 @@ import numpy as np
 
 from ..core import (MEMBERSHIP_TOL, NONFINITE_VALUE, RANK_AT_ZERO, SUM_TOL, MembershipError, check_box,
                     check_shape, ones)
-from ._purepy import (
-    BAD_BLOCKS,
-    BAD_START,
-    BAD_TAPE,
-    NOT_FINITE,
-    UNBOUNDED,
-    block_sum_error,
-    check_adam_arrays,
-    check_edge_weights,
-    check_capacities,
-    check_labelling,
-    check_starts,
-    edge_sum_error,
-)
+from ._purepy import BAD_BLOCKS, BAD_TAPE, NOT_FINITE, block_sum_error, check_adam_arrays, edge_sum_error
 
 SOURCE = Path(__file__).with_name("_blocks.c")
 # Contracting a*b+c into a fused multiply-add, or any -ffast-math
@@ -65,22 +52,22 @@ I64 = np.dtype(np.int64)
 # Each C entry point, ``caradec_<name>``, with its return type and its
 # number of arguments, all of them pointers.  ``load`` declares them from
 # here as prototypes (whose calls convert their arguments faster than a
-# function with argtypes does), and refuses a library that lacks one.  Scalars travel in the
-# head of a buffer, packed by ``pack_into``: ctypes converts a scalar
-# argument at about 0.25 us, several times what a pointer costs.  The three
-# whole-run kernels (``decompose_blocks``, ``decompose_fstab`` and
-# ``decompose_graphic``) take a layout and two such buffers, and a run
-# whose steps outgrow one call's room continues over calls.
+# function with argtypes does), and refuses a library that lacks one.
+# Scalars travel in the head of a buffer, packed by ``pack_into``: ctypes
+# converts a scalar argument at about 0.25 us, several times what a pointer
+# costs.  The three whole-run kernels (``decompose_blocks``,
+# ``decompose_fstab`` and ``decompose_graphic``) take a layout and two such
+# buffers, and a run whose steps outgrow one call's room continues over
+# calls.  The graph oracles' stages (the max-flow, the stable-set labelling
+# and the two node-block scans) have no entry point: they run inside the
+# two graph kernels, and ``kernels`` takes them from ``_purepy`` on either
+# backend.
 SIGNATURES = {
     "decompose_blocks": (ctypes.c_int, 3),
     "score_rows": (ctypes.c_int, 6),
     "backprop_blocks": (ctypes.c_int, 3),
     "project_blocks": (ctypes.c_int, 4),
     "adam_ascend": (None, 4),
-    "max_flow": (ctypes.c_int, 6),
-    "label_stable_set": (ctypes.c_int, 6),
-    "block_scan": (ctypes.c_int, 5),
-    "tight_blocks": (ctypes.c_int, 5),
     "decompose_fstab": (ctypes.c_int, 3),
     "ascend_blocks": (ctypes.c_int, 5),
     "sigmoid_project": (ctypes.c_int, 3),
@@ -174,13 +161,12 @@ class Recorded(tuple):
 def load() -> SimpleNamespace:
     """The C kernels, with ``_purepy``'s names, signatures and outputs:
     ``decompose_blocks``, ``project_blocks``, ``project_blocks_vjp``,
-    ``score_rows``, ``backprop_blocks``, ``adam_ascend``, ``max_flow``,
-    ``label_stable_set``, ``block_scan``, ``tight_blocks``,
+    ``score_rows``, ``backprop_blocks``, ``adam_ascend``,
     ``decompose_fstab``, ``ascend_blocks``, ``sigmoid_project`` and
-    ``decompose_graphic``.  The library
-    is built first when the cache lacks it.  Raises OSError when it can be
-    neither found nor built, or when it lacks one of the entry points of
-    SIGNATURES."""
+    ``decompose_graphic``; the graph oracles' stages are no entry points
+    of their own (see SIGNATURES).  The library is built first when the
+    cache lacks it.  Raises OSError when it can be neither found nor built,
+    or when it lacks one of the entry points of SIGNATURES."""
     path = library_path()
     if not (path.is_file() and intact(path)):
         build(path)
@@ -191,8 +177,7 @@ def load() -> SimpleNamespace:
             c[name] = ctypes.CFUNCTYPE(restype, *(ctypes.c_void_p,) * arity)((f"caradec_{name}", lib))
         except AttributeError as exc:
             raise OSError(f"the kernel library is incomplete: {exc}") from exc
-    (run, score, back, project, adam, flow, label, scan, tight, fstab, ascend,
-     sigmoid, graphic) = (c[name] for name in SIGNATURES)
+    run, score, back, project, adam, fstab, ascend, sigmoid, graphic = (c[name] for name in SIGNATURES)
 
     def decompose_blocks(x0, layout, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_blocks``: same arguments, same
@@ -342,55 +327,6 @@ def load() -> SimpleNamespace:
         if code:
             raise_for(code, "ascend_blocks")
 
-    def max_flow(net, rs, rt, r):
-        """The C twin of ``_purepy.max_flow``: in place, byte for byte."""
-        check_capacities(net, rs, rt, r)
-        value, side = ctypes.c_double(), np.empty(rs.shape[0], dtype=bool)
-        code = flow(net.address, address(rs), address(rt), address(r), ctypes.byref(value), address(side))
-        if code == -6:
-            raise ValueError(UNBOUNDED)
-        if code:
-            raise MemoryError("max_flow: no scratch memory")
-        return value.value, side
-
-    def label_stable_set(net, rt, r, alive, side):
-        """The C twin of ``_purepy.label_stable_set``."""
-        alive, side = check_labelling(net, rt, r, alive, side)
-        fixed = np.empty(alive.shape[0])
-        if label(net.address, address(rt), address(r), address(alive), address(side), address(fixed)):
-            raise MemoryError("label_stable_set: no scratch memory")
-        return fixed
-
-    def raise_for_blocks(code: int, what: str) -> None:
-        if code == -2:
-            raise IndexError(BAD_START)
-        if code == -6:
-            raise ValueError(UNBOUNDED)
-        raise MemoryError(f"{what}: no scratch memory")
-
-    def block_scan(net, y, cost, starts):
-        """The C twin of ``_purepy.block_scan``."""
-        check_edge_weights(net, y, "block_scan")
-        starts = check_starts(starts)
-        k = starts.shape[0]
-        out, sides = np.empty(2 + k), np.empty((k, net.n), dtype=bool)
-        pack_into("dq", out, 0, cost, k)
-        code = scan(net.address, address(y), address(starts), buffer_address(out), address(sides))
-        if code:
-            raise_for_blocks(code, "block_scan")
-        return out[2:], sides
-
-    def tight_blocks(net, x, tol):
-        """The C twin of ``_purepy.tight_blocks``."""
-        check_edge_weights(net, x, "tight_blocks")
-        out, side, sizes = np.empty(4), np.empty(net.n, dtype=bool), np.empty(net.n_arcs // 2, dtype=np.int64)
-        out[0] = tol
-        code = tight(net.address, address(x), buffer_address(out), address(side), address(sizes))
-        if code:
-            raise_for_blocks(code, "tight_blocks")
-        value, drift, limit = out[1:].tolist()
-        return value, side, drift, limit, sizes
-
     def decompose_fstab(x0, g, scale, floor, eps, max_iter, guard):
         """The C twin of ``_purepy.decompose_fstab``: same arguments, same
         outputs and exceptions, byte for byte."""
@@ -495,8 +431,6 @@ def load() -> SimpleNamespace:
     return SimpleNamespace(decompose_blocks=decompose_blocks, project_blocks=project_blocks,
                            project_blocks_vjp=project_blocks_vjp, score_rows=score_rows,
                            backprop_blocks=backprop_blocks, adam_ascend=adam_ascend,
-                           max_flow=max_flow, label_stable_set=label_stable_set,
-                           block_scan=block_scan, tight_blocks=tight_blocks,
                            decompose_fstab=decompose_fstab, ascend_blocks=ascend_blocks,
                            sigmoid_project=sigmoid_project, decompose_graphic=decompose_graphic)
 

@@ -19,10 +19,11 @@ Adam step, whose forward half starts with ``sigmoid_project``.
 ``max_flow`` is the max-flow of both graph oracles over a ``FlowLayout``,
 and ``label_stable_set`` reads the stable-set vertex off the residual
 graph of its double cover; ``block_scan`` and ``tight_blocks`` run the
-graphic oracle's flows, one per start node, in one call.
-``decompose_fstab`` and ``decompose_graphic`` are whole stable-set and
-graphic decompositions: ``core.peel`` with the oracle of ``fstab`` or
-``matroids``, which the C kernels repeat in one call.
+graphic oracle's flows, one per start node, in one call.  These four
+oracle stages serve both backends; their C twins are stages of the two
+graph kernels.  ``decompose_fstab`` and ``decompose_graphic`` are whole
+stable-set and graphic decompositions: ``core.peel`` with the oracle of
+``fstab`` or ``matroids``, which the C kernels repeat in one call.
 """
 
 from __future__ import annotations
@@ -443,8 +444,9 @@ def decompose_blocks(
                 break
 
     T = len(probs)
-    if T and not terminal:
+    if not terminal:
         # max|y|, not max(y): numpy's max of +0.0 and -0.0 may be either.
+        # With no step, y is the clipped x0.
         residual_inf = float(np.max(np.abs(y), initial=0.0))
     probs, qs, avals, aexs = (np.asarray(col, dtype=np.float64) for col in (probs, qs, avals, aexs))
     branch = np.asarray(branch, dtype=np.int64)

@@ -11,9 +11,9 @@ lowers it.  So it is negative exactly when some node set U has
 max-flow per node i finds the lowest such U among the sets whose smallest
 node is i.  The flows run on the layout of ``Graph.edge_network``, built
 once per graph, with the max-flow of the stable-set oracle; a whole scan
-of the nodes is one kernel call (``kernels.block_scan``), and so is the
-scan at lam = 0 that also finds the tight sets (``kernels.tight_blocks``).
-The step coefficient is the root in lam of
+of the nodes is one call (``kernels.block_scan``), and so is the scan at
+lam = 0 that also finds the tight sets (``kernels.tight_blocks``), both
+in Python on either backend.  The step coefficient is the root in lam of
 that minimum; a Dinkelbach/Newton iteration (Dinkelbach, Mgmt. Sci. 1967)
 reaches it from above through the ratios of the minimising blocks.
 
@@ -22,7 +22,10 @@ the point and runs every step.  Its pure twin is ``core.peel`` over
 ``GraphicMatroid.peel_step``, that is over ``_tight_blocks``,
 ``_face_respecting_forest`` and ``graphic_step_coefficient`` (whose probe
 is ``min_g_lambda``); the C kernel repeats their operations, byte for
-byte, without calling them.  A disconnected graph needs no split: no node
+byte, without calling them: the scans are its static stages
+``scan_blocks`` and ``tight_scan``, which no other C entry point exposes.
+``check_graphic_membership`` runs the lam = 0 scan in Python.  A
+disconnected graph needs no split: no node
 block that spans two components can be the lowest, so the graph is
 peeled whole."""
 

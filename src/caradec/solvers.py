@@ -73,6 +73,8 @@ class ScaleSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.factors:
+            raise ValueError("factors must not be empty")
         if any(not (0 < b <= 1) for b in self.factors):
             raise ValueError("factors must be in (0, 1]")
 

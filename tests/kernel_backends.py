@@ -14,9 +14,13 @@ from caradec.kernels import _compiled, _purepy
 
 HAVE_CC = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0]) is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
-KERNELS = ("decompose_blocks", "project_blocks", "project_blocks_vjp", "score_rows", "backprop_blocks",
-           "adam_ascend", "max_flow", "label_stable_set", "block_scan", "tight_blocks", "decompose_fstab",
-           "ascend_blocks", "sigmoid_project", "decompose_graphic")
+# The kernels that each backend has its own of: a C entry point each, but
+# the VJP, which shares the projection's.
+C_KERNELS = ("decompose_blocks", "project_blocks", "project_blocks_vjp", "score_rows", "backprop_blocks",
+             "adam_ascend", "decompose_fstab", "ascend_blocks", "sigmoid_project", "decompose_graphic")
+# The graph oracles' stages: ``_purepy``'s on both backends (in C they run
+# inside decompose_fstab and decompose_graphic).
+PURE_STAGES = ("max_flow", "label_stable_set", "block_scan", "tight_blocks")
 BACKENDS = (pytest.param("pure"), pytest.param("compiled", marks=needs_cc))
 
 
@@ -36,9 +40,10 @@ def available() -> list[str]:
 
 
 def use(monkeypatch, backend: str) -> None:
-    """Make every kernel of the package the given backend's."""
+    """Make every kernel of the package that each backend has its own of
+    the given backend's."""
     impl = implementation(backend)
-    for name in KERNELS:
+    for name in C_KERNELS:
         monkeypatch.setattr(kernels, name, getattr(impl, name))
 
 

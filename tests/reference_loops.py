@@ -130,7 +130,7 @@ def reference_decompose_blocks(x0, block_of, budgets, scale, floor, eps, max_ite
             if math.sqrt(ss) <= eps:
                 break
     T = len(rec["p"])
-    if T and not terminal:
+    if not terminal:
         residual = max(map(abs, y), default=0.0)
     out = (
         np.asarray(rec["p"], dtype=np.float64),

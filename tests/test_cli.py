@@ -273,3 +273,15 @@ def test_bad_learning_rate_exit_code(workdir, capsys, lr):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "validation failure: lr must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize("command", ["decompose", "solve"])
+def test_empty_scale_list_exit_code(workdir, capsys, command):
+    (workdir / "p.json").write_text("[0.5, 0.5, 0.5, 0.5]")
+    (workdir / "g.edges").write_text("4 3\n0 1 1.0\n1 2 1.0\n2 3 1.0\n")
+    args = (["decompose", "--point", "p.json"] if command == "decompose"
+            else ["solve", "--graph", "g.edges", "--method", "direct+local", "--steps", "2"])
+    rc = main([*args, "--constraint", "card", "--k", "2", "--scales", ""])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "validation failure: --scales needs at least one scaling factor" in captured.err

@@ -1,16 +1,16 @@
-"""The shared max-flow routine, ``caradec.graphs.Dinic``, on both kernel
-backends: against the former recursive max-flow with explicit source and
-sink nodes (``reference_loops.ReferenceDinic``), C against pure byte for
-byte (the flow, its residuals and its source side, and the stable-set
-labelling that reads them), and its refusal of malformed layouts and
-capacities.  The networks are those the graph oracles build, with random
-capacities: stable-set double covers and graphic block networks, with
-zero and infinite capacities and exact ties.
+"""The shared max-flow routine, ``caradec.graphs.Dinic``: against the
+former recursive max-flow with explicit source and sink nodes
+(``reference_loops.ReferenceDinic``), and its refusal of malformed layouts
+and capacities on both kernel backends.  The networks are those the graph
+oracles build, with random capacities: stable-set double covers and
+graphic block networks, with zero and infinite capacities and exact ties.
 
-The graphic oracle's block kernels, ``kernels.block_scan`` and
+The graphic oracle's block scans, ``kernels.block_scan`` and
 ``kernels.tight_blocks``, run that flow once per start inside one call:
-each start's block is the flow's source side on its block network, the
-two backends give the same bytes, and both refuse bad input alike."""
+each start's block is the flow's source side on its block network, and
+both refuse bad input before any flow.  These stages are pure Python on
+both backends; their C twins run inside the whole-peel kernels, whose
+parity tests (``test_fstab``, ``test_matroids``) cover them."""
 
 import copy
 import math
@@ -19,7 +19,7 @@ import re
 
 import numpy as np
 import pytest
-from kernel_backends import BACKENDS, available, implementation, use
+from kernel_backends import BACKENDS, use
 from reference_loops import ReferenceDinic
 
 from caradec import kernels
@@ -115,75 +115,35 @@ def reference_flow(net, rs, rt, r):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_matches_the_reference_flow(monkeypatch, shape):
-    for backend in available():
-        use(monkeypatch, backend)
-        for case in range(200):
-            net, rs, rt, r, _ = shape(stream(61, shape.__name__, case))
-            ref_value, ref_side = reference_flow(net, rs, rt, r)
-            value, side = net.max_flow(rs.copy(), rt.copy(), r.copy())
-            assert value == pytest.approx(ref_value, rel=1e-12), (backend, case)
-            assert set(np.flatnonzero(side).tolist()) == ref_side, (backend, case)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-def test_the_twins_leave_the_same_bytes(shape):
-    """Every backend gives the pure twin's flow value, residuals and source
-    side byte for byte, and on double covers the same labelling."""
+def test_matches_the_reference_flow(shape):
     for case in range(200):
-        net, *caps, alive = shape(stream(67, shape.__name__, case))
-        outs = []
-        for impl in map(implementation, available()):
-            rs, rt, r = (c.copy() for c in caps)
-            value, side = impl.max_flow(net.layout, rs, rt, r)
-            out = [np.float64(value), rs, rt, r, side]
-            if alive is not None:
-                out.append(impl.label_stable_set(net.layout, rt, r, alive, side))
-            outs.append(out)
-        for out in outs[1:]:
-            for got, want in zip(out, outs[0]):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+        net, rs, rt, r, _ = shape(stream(61, shape.__name__, case))
+        ref_value, ref_side = reference_flow(net, rs, rt, r)
+        value, side = net.max_flow(rs.copy(), rt.copy(), r.copy())
+        assert value == pytest.approx(ref_value, rel=1e-12), case
+        assert set(np.flatnonzero(side).tolist()) == ref_side, case
 
 
-def test_a_scan_runs_the_flow_of_each_start(monkeypatch):
+def test_a_scan_runs_the_flow_of_each_start():
     """block_scan's side for start i is the source side of i's block
     network's max-flow, and its value cost (|U| - 1) - y(E(U)) with
     y(E(U)) summed as numpy sums it; a start with no edge of positive
     weight to a later node runs no flow and gets 0 and an empty side."""
-    for backend in available():
-        use(monkeypatch, backend)
-        for case in range(200):
-            g, y, cost, _ = block_case(stream(71, "block_scan", case))
-            net, n = g.edge_network, g.n_nodes
-            values, sides = kernels.block_scan(net.layout, y, cost, np.arange(n))
-            assert values.shape == (n,) and sides.shape == (n, n) and sides.dtype == bool
-            for i in range(n):
-                if not (y[g.edge_u == i] > 0).any():
-                    assert values[i] == 0.0 and not sides[i].any(), (backend, case, i)
-                    continue
-                f = forced(g, y, cost, i)
-                side = net.max_flow(f[:n], f[n : 2 * n], f[2 * n :])[1]
-                size = int(side.sum())
-                inside = y[side[g.edge_u] & side[g.edge_v] & (y > 0)]
-                want = cost * (size - 1) - float(inside.sum()) if size > 1 else 0.0
-                assert sides[i].tolist() == side.tolist() and values[i] == want, (backend, case, i)
-
-
-def test_the_block_kernels_leave_the_same_bytes():
-    """On the block networks above, every backend gives the pure twin's
-    block_scan over all starts and tight_blocks (with negative entries in
-    x, which count as 0) byte for byte."""
     for case in range(200):
-        g, y, cost, _ = block_case(stream(67, "block_network", case))
-        net, x = g.edge_network.layout, np.where(y > 0, y, -0.01)
-        outs = []
-        for impl in map(implementation, available()):
-            values, sides = impl.block_scan(net, y, cost, np.arange(g.n_nodes))
-            value, side, drift, limit, sizes = impl.tight_blocks(net, x, 1e-9)
-            outs.append([values, sides, np.float64(value), side, np.float64(drift), np.float64(limit), sizes])
-        for out in outs[1:]:
-            for got, want in zip(out, outs[0]):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+        g, y, cost, _ = block_case(stream(71, "block_scan", case))
+        net, n = g.edge_network, g.n_nodes
+        values, sides = kernels.block_scan(net.layout, y, cost, np.arange(n))
+        assert values.shape == (n,) and sides.shape == (n, n) and sides.dtype == bool
+        for i in range(n):
+            if not (y[g.edge_u == i] > 0).any():
+                assert values[i] == 0.0 and not sides[i].any(), (case, i)
+                continue
+            f = forced(g, y, cost, i)
+            side = net.max_flow(f[:n], f[n : 2 * n], f[2 * n :])[1]
+            size = int(side.sum())
+            inside = y[side[g.edge_u] & side[g.edge_v] & (y > 0)]
+            want = cost * (size - 1) - float(inside.sum()) if size > 1 else 0.0
+            assert sides[i].tolist() == side.tolist() and values[i] == want, (case, i)
 
 
 def test_pairwise_sum_adds_as_numpy_sums():
@@ -210,8 +170,8 @@ def test_arc_views_follow_the_layouts():
 
 
 class TestRefusals:
-    """Both backends refuse what the flow cannot run on, with the same
-    ValueError."""
+    """The package refuses what the flow cannot run on, with the same
+    ValueError on both backends."""
 
     @pytest.mark.parametrize("ptr, head, arc", [
         ([1, 2], [0, 0], [0, 1]),  # the pointer does not start at 0
@@ -247,8 +207,9 @@ class TestRefusals:
             assert got[0] == want[0] == 1.0 and got[1].tolist() == want[1].tolist()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_capacities_of_the_wrong_length_type_or_layout(self, backend):
-        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), implementation(backend).max_flow
+    def test_capacities_of_the_wrong_length_type_or_layout(self, monkeypatch, backend):
+        use(monkeypatch, backend)
+        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), kernels.max_flow
         good = (np.ones(2), np.ones(2), np.ones(2))
         read_only = np.ones(2)
         read_only.flags.writeable = False
@@ -261,33 +222,37 @@ class TestRefusals:
                 flow(net.layout, *caps)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unpickled_capacities_are_accepted(self, backend):
+    def test_unpickled_capacities_are_accepted(self, monkeypatch, backend):
         # An unpickled array has a float64 dtype equal to, but not the same
         # object as, np.dtype(np.float64).
-        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), implementation(backend).max_flow
+        use(monkeypatch, backend)
+        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), kernels.max_flow
         rs, rt, r = pickle.loads(pickle.dumps((np.array([3.0, 0.0]), np.array([0.0, 2.0]), np.array([1.0, 0.0]))))
         assert flow(net.layout, rs, rt, r)[0] == 1.0 and r.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_node_with_both_capacities_unbounded(self, backend):
-        net, flow = Dinic([0, 0], [], []), implementation(backend).max_flow
+    def test_a_node_with_both_capacities_unbounded(self, monkeypatch, backend):
+        use(monkeypatch, backend)
+        net, flow = Dinic([0, 0], [], []), kernels.max_flow
         rs, rt, r = np.array([math.inf]), np.array([math.inf]), np.empty(0)
         with pytest.raises(ValueError, match="bounded source or sink"):
             flow(net.layout, rs, rt, r)
         assert rs.tolist() == rt.tolist() == [math.inf]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_unbounded_side_is_enough(self, backend):
-        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), implementation(backend).max_flow
+    def test_one_unbounded_side_is_enough(self, monkeypatch, backend):
+        use(monkeypatch, backend)
+        net, flow = Dinic([0, 1, 2], [1, 0], [0, 1]), kernels.max_flow
         rs, rt, r = np.array([math.inf, 0.0]), np.array([0.0, 2.0]), np.array([3.0, 0.0])
         value, side = flow(net.layout, rs, rt, r)
         assert value == 2.0 and side.tolist() == [True, True]
         assert r.tolist() == [1.0, 2.0] and rt.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_labelling_needs_a_double_cover(self, backend):
+    def test_labelling_needs_a_double_cover(self, monkeypatch, backend):
+        use(monkeypatch, backend)
         net = Graph(2, ((0, 1),)).double_cover
-        label = implementation(backend).label_stable_set
+        label = kernels.label_stable_set
         rt, r = np.zeros(4), np.zeros(4)
         with pytest.raises(ValueError, match="double cover"):
             label(net.layout, rt, r, np.ones(3, dtype=bool), np.zeros(4, dtype=bool))
@@ -296,17 +261,17 @@ class TestRefusals:
 
     @pytest.mark.parametrize("kernel", ["block_scan", "tight_blocks"])
     def test_block_kernels_refuse_alike(self, kernel):
-        """Both backends refuse a start outside [0, n), weights of the wrong
-        length, dtype or layout, and a network that is not the FlowLayout
-        of an edge network with one weight per edge, with the same
-        exception and message, before any flow."""
+        """A start outside [0, n) is refused with IndexError, and weights of
+        the wrong length, dtype or layout and a network that is not the
+        FlowLayout of an edge network with one weight per edge with
+        ValueError, before any flow."""
         g = Graph(3, ((0, 1), (1, 2)))
         net, y = g.edge_network.layout, np.array([0.5, 0.25])
 
-        def call(impl, net, w, starts=(0, 1, 2)):
+        def call(net, w, starts=(0, 1, 2)):
             if kernel == "block_scan":
-                return impl.block_scan(net, w, 0.5, np.asarray(starts))
-            return impl.tight_blocks(net, w, 1e-9)
+                return kernels.block_scan(net, w, 0.5, np.asarray(starts))
+            return kernels.tight_blocks(net, w, 1e-9)
 
         bad = [(net, np.ones(3)), (net, np.ones(1)), (net, np.ones(2, dtype=np.float32)),
                (net, [0.5, 0.25]), (net, np.ones(4)[::2]), (net, np.ones((2, 1))),
@@ -314,23 +279,18 @@ class TestRefusals:
         if kernel == "block_scan":
             bad += [(net, y, starts) for starts in ([3], [0, -1], [0.0, 1.0], [[0, 1]])]
         for args in bad:
-            errors = set()
-            for impl in map(implementation, available()):
-                with pytest.raises((ValueError, IndexError)) as exc:
-                    call(impl, *args)
-                errors.add((exc.type, str(exc.value)))
-            assert len(errors) == 1, (args, errors)
-        for impl in map(implementation, available()):
-            if kernel == "block_scan":
-                with pytest.raises(IndexError, match=re.escape(BAD_START)):
-                    call(impl, net, y, [0, 3])
-                # An edge of infinite weight leaves node 0 unbounded on both
-                # sides in node 1's network.
-                with pytest.raises(ValueError, match=UNBOUNDED):
-                    impl.block_scan(net, np.array([math.inf, 0.5]), 0.5, np.array([1]))
-            # A network without edges is not malformed.
-            out = call(impl, Graph(1, ()).edge_network.layout, np.zeros(0), [0])
-            if kernel == "block_scan":
-                assert out[0].tolist() == [0.0]
-            else:
-                assert out[0] == 0.0 and out[-1].shape == (0,)
+            with pytest.raises((ValueError, IndexError)):
+                call(*args)
+        if kernel == "block_scan":
+            with pytest.raises(IndexError, match=re.escape(BAD_START)):
+                call(net, y, [0, 3])
+            # An edge of infinite weight leaves node 0 unbounded on both
+            # sides in node 1's network.
+            with pytest.raises(ValueError, match=UNBOUNDED):
+                kernels.block_scan(net, np.array([math.inf, 0.5]), 0.5, np.array([1]))
+        # A network without edges is not malformed.
+        out = call(Graph(1, ()).edge_network.layout, np.zeros(0), [0])
+        if kernel == "block_scan":
+            assert out[0].tolist() == [0.0]
+        else:
+            assert out[0] == 0.0 and out[-1].shape == (0,)

@@ -25,7 +25,8 @@ with warnings.catch_warnings(record=True) as caught:
     import caradec
 from caradec.core import Cardinality, validate_decomposition
 from caradec.hypersimplex import decompose_hypersimplex
-from caradec.kernels import _compiled
+from caradec import kernels
+from caradec.kernels import _compiled, _purepy
 x = np.array([0.9, 0.6, 0.3, 0.2, 0.0])
 d = decompose_hypersimplex(x, 2)
 print(json.dumps({
@@ -33,6 +34,7 @@ print(json.dumps({
     "warnings": [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)],
     "ok": validate_decomposition(d, Cardinality(5, 2), x).ok(),
     "library": str(_compiled.library_path()),
+    "pure": sorted(name for name, f in vars(kernels).items() if callable(f) and f is getattr(_purepy, name, None)),
 }))
 """
 
@@ -88,13 +90,8 @@ def test_truncated_library_without_compiler_falls_back(tmp_path):
 def test_library_missing_a_symbol_falls_back(tmp_path):
     """An intact library that lacks any one of the C entry points gives the
     pure kernels with one warning that names it (and is not rebuilt)."""
-    from kernel_backends import KERNELS
-
     from caradec.kernels._compiled import SIGNATURES
 
-    # Every kernel has its entry point (the VJP shares the projection's).
-    assert set(KERNELS) - {"project_blocks_vjp"} == set(SIGNATURES)
-    assert "decompose_fstab" in SIGNATURES
     lib = Path(probe(tmp_path, CC="/bin/false")["library"])
     stub = tmp_path / "stub.c"
     cc = shlex.split(os.environ.get("CC") or "cc")
@@ -108,6 +105,31 @@ def test_library_missing_a_symbol_falls_back(tmp_path):
         assert res["backend"] == "pure" and res["ok"] and len(res["warnings"]) == 1
         assert f"caradec_{missing}" in res["warnings"][0]
         assert lib.read_bytes() == data
+
+
+def test_c_backed_kernels_are_the_entry_points():
+    """Every kernel that each backend has its own of has a C entry point
+    (the VJP shares the projection's), and every entry point is such a
+    kernel; the graph oracles' stages have none."""
+    from kernel_backends import C_KERNELS, PURE_STAGES
+
+    from caradec.kernels._compiled import SIGNATURES
+
+    assert set(C_KERNELS) == {*SIGNATURES, "project_blocks_vjp"}
+    assert not set(PURE_STAGES) & set(SIGNATURES)
+
+
+@pytest.mark.parametrize("env", [pytest.param({}, marks=needs_cc, id="compiled"),
+                                 pytest.param({"CARADEC_PURE": "1"}, id="pure")])
+def test_oracle_stages_are_pure_on_both_backends(tmp_path, env):
+    """The package's graph-oracle stages are _purepy's functions on either
+    backend, and on the compiled one every other kernel is C's."""
+    from kernel_backends import C_KERNELS, PURE_STAGES
+
+    res = probe(tmp_path, **env)
+    assert res["backend"] == ("pure" if env else "compiled") and res["warnings"] == []
+    pure = set(res["pure"]) & {*C_KERNELS, *PURE_STAGES}
+    assert pure == ({*C_KERNELS, *PURE_STAGES} if env else set(PURE_STAGES))
 
 
 @needs_cc

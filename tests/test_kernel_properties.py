@@ -18,8 +18,7 @@ contract and give the same bytes on both backends.  The whole graphic
 peel gives the same bytes in all its outputs on both backends on any
 drawn graph (disconnected ones and the 0-node graph included), exact,
 rescaled or capped.  The graphic oracle's
-block kernels give the same bytes on both backends and the blocks that an
-enumeration of the node sets finds."""
+block scans find the blocks that an enumeration of the node sets finds."""
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from hypothesis import strategies as st
 from kernel_backends import available, flat, implementation, peel_args, twins_agree, use
 from reference_loops import _lp_value
 
+from caradec import kernels
 from caradec.core import EXACT as EXACT_CONFIG
 from caradec.core import (
     RANK_AT_ZERO,
@@ -278,9 +278,9 @@ def enumerated_blocks(g, y, cost):
 
 @settings(max_examples=100, deadline=None)
 @given(graphic_points(most=9), st.floats(0.0, 1.0), st.data())
-def test_block_kernels_on_both_backends(case, lam, data):
+def test_block_kernels_against_the_enumeration(case, lam, data):
     """block_scan over every start at lam, with a drawn S, and tight_blocks
-    give the same bytes on both backends.  Each start's value is the
+    against the enumeration of the node sets.  Each start's value is the
     lowest block among the node sets whose smallest node it is (0 when it
     has no edge of positive weight to a later node), and the lowest value
     is the lowest block of all, both within 1e-9 of the enumeration.
@@ -291,15 +291,9 @@ def test_block_kernels_on_both_backends(case, lam, data):
     n, net = g.n_nodes, g.edge_network.layout
     s = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)))
     y = _weights(g, x, s, lam)
-    outs = []
-    for backend in available():
-        impl = implementation(backend)
-        zero = impl.tight_blocks(net, x, GRAPHIC_TIGHT_TOL)
-        outs.append([*impl.block_scan(net, y, 1.0 - lam, np.arange(n)), *map(np.asarray, zero),
-                     *impl.block_scan(net, np.maximum(x, 0.0), 1.0, np.arange(n))])
-    for out in outs[1:]:
-        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(out, outs[0]))
-    values, sides, value, side, drift, limit, sizes, zero_values, _ = outs[0]
+    values, sides = kernels.block_scan(net, y, 1.0 - lam, np.arange(n))
+    value, side, drift, limit, sizes = kernels.tight_blocks(net, x, GRAPHIC_TIGHT_TOL)
+    zero_values = kernels.block_scan(net, np.maximum(x, 0.0), 1.0, np.arange(n))[0]
 
     blocks, size, inside, bits = enumerated_blocks(g, y, 1.0 - lam)
     smallest = np.where(size > 0, np.argmax(bits, axis=1), n)

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from gradient_checks import graphic_rank
-from kernel_backends import BACKENDS, HAVE_CC, available, compiled, flat, implementation, peel_args, twins_agree, use
+from kernel_backends import BACKENDS, HAVE_CC, compiled, flat, peel_args, twins_agree, use
 from reference_loops import (
     _rank_table,
     _subset_sums,
@@ -42,7 +42,6 @@ from caradec.hypersimplex import (
 )
 from caradec.matroids import (
     _face_respecting_forest,
-    _weights,
     decompose_graphic,
     graphic_step_coefficient,
     max_spanning_forest,
@@ -540,22 +539,6 @@ class TestBlockOracleParity:
         for k, t, g, x in iterates:
             for cfg in PEEL_CONFIGS:
                 assert len(twins_agree("decompose_graphic", *peel_args(x, g, g.m, cfg))) == 13, (k, t, cfg)
-
-
-def test_block_kernels_byte_equal_on_the_parity_iterates():
-    """tight_blocks, and block_scan at several lam with S the face-respecting
-    forest, give the same bytes on both backends at every iterate of the
-    parity corpus."""
-    for k, t, g, x in parity_iterates():
-        s, net = _face_respecting_forest(x, g), g.edge_network.layout
-        outs = []
-        for impl in map(implementation, available()):
-            out = list(impl.tight_blocks(net, x, 1e-9))
-            for lam in (0.0, 0.3, 0.7, 1.0):
-                out += impl.block_scan(net, _weights(g, x, s.indices, lam), 1.0 - lam, np.arange(g.n_nodes))
-            outs.append([np.asarray(o) for o in out])
-        for out in outs[1:]:
-            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(out, outs[0])), (k, t)
 
 
 class TestDriftCorpus:

@@ -329,6 +329,12 @@ class TestOptimizeConfigRefusals:
 
 
 class TestMultiScale:
+    @pytest.mark.parametrize("factors, message", [((), "factors must not be empty"),
+                                                  ((1.0, 0.0), r"factors must be in \(0, 1\]")])
+    def test_bad_factors_are_refused(self, factors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScaleSchedule(factors=factors)
+
     def test_single_factor_equals_best_set(self):
         rng = stream(5, "ms")
         c = Cardinality(10, 3)

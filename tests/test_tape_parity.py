@@ -26,6 +26,7 @@ from caradec.core import (
     GraphicMatroid,
     PartitionMatroid,
     VertexSet,
+    validate_decomposition,
 )
 from caradec.extension import (
     CallableObjective,
@@ -194,6 +195,11 @@ def test_kernel_tape_matches_reference(case):
     assert tape.terminal == out[-1]
     assert np.array_equal(tape.d.vertex_rows[1].reshape(out[3].shape), out[3])
     assert (T == 0) == (case == "T0") and (T == 1) == (case in ("k0", "kn", "terminal-only"))
+    assert tape.d.residual == out[7]
+    if case == "T0":
+        # No step: the whole point is left, and the contract holds.
+        assert out[7] == np.max(np.abs(tape.x0)) > 0.0
+        assert validate_decomposition(tape.d, c, x).messages == ()
     rng = stream(59, "kernel-tape-gradient", case)
     f = LinearObjective(rng.random(c.n))
     for fvals in (rng.standard_normal(T), np.array([f.value_of(tuple(v)) for v in out[3].tolist()])):
@@ -220,6 +226,9 @@ def round_trip_cases():
         "graphic-connected": (GraphicMatroid(g), next(graphic_points(rng, g)), EXACT),
         "graphic-disconnected": (GraphicMatroid(split), 0.5 * forests[0] + 0.3 * forests[1] + 0.2 * forests[2], EXACT),
         "fstab-half": (FractionalStableSet(bowtie), np.array([0.4, 0.4, 0.4, 0.3, 0.5]), EXACT),
+        "graphic-T0": (GraphicMatroid(g), next(graphic_points(rng, g)), DecompositionConfig(max_iterations=0)),
+        "fstab-T0": (FractionalStableSet(bowtie), np.array([0.4, 0.4, 0.4, 0.3, 0.5]),
+                     DecompositionConfig(max_iterations=0)),
     }
 
 
@@ -233,7 +242,12 @@ def test_pairs_and_rows_agree(case):
     for got, want in zip((back.p, *back.vertex_rows), (d.p, *d.vertex_rows)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
     assert back.to_json() == d.to_json(), case
-    assert (len(d.p) == 0) == (case == "kernel-T0")
+    assert (len(d.p) == 0) == case.endswith("T0")
+    if case.endswith("T0"):
+        # No step, in each family: the whole point is left as the residual,
+        # and the contract holds.
+        assert d.residual == np.max(np.abs(x)) > 0.0
+        assert validate_decomposition(d, c, x).messages == ()
     if case == "graphic-disconnected":
         assert c.graph.n_components() == 2
     if case == "fstab-half":
